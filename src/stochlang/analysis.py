@@ -3,22 +3,25 @@
 The central decision is whether the sum of a rational series over all words
 converges, and if so what its exact value is. Everything reduces to the
 letter-summed transition matrix M: the sum over words of length k equals
-iota . M^k . tau. Convergence is decided on an invariant subspace
-decomposition rather than on M itself, because directions that the initial
-vector never observes, or that the final vector never feeds, must not count
-against convergence.
+s_k = iota . M^k . tau. That scalar sequence obeys a linear recurrence of
+order at most n, found exactly by Berlekamp-Massey from 2n terms; the sum
+converges iff the recurrence's characteristic roots lie strictly inside the
+unit circle, which the Schur-Cohn recursion decides without computing a
+root. Directions of M that the initial vector never observes, or that the
+final vector never feeds, never enter the minimal recurrence, so they do
+not count against convergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .automata import MultiplicityAutomaton, replace_iota
-from .linalg import (Matrix, SpanBasis, Vector, dot, invert, linear_combination,
-                     mat_vec, solve_affine, spectral_radius_lt_one, unit_vector,
-                     vec_mat)
+from .linalg import (Matrix, Vector, dot, krylov_closure, linear_combination,
+                     mat_vec, schur_stable, vec_mat)
 
 
 @dataclass(frozen=True)
@@ -46,114 +49,116 @@ def letter_sum_matrix(a: MultiplicityAutomaton) -> Matrix:
     return m
 
 
-def _convergent_sum(m: Matrix, iota: Vector, tau: Vector,
-                    reverse_complement: bool = False) -> SumOutcome:
-    """Decide and evaluate sum_k iota . M^k . tau.
+def _minimal_recurrence(terms: Sequence[Fraction]) -> list[Fraction]:
+    """Berlekamp-Massey over Q: the shortest connection polynomial of a sequence.
 
-    E is the smallest M-invariant space containing tau; H collects the part
-    of E invisible to every iota . M^k; G is a complement of H inside E.
-    The sum converges iff the compression of M to G is a contraction, and
-    then equals iota . (Id - P M P)^{-1} . tau for the projection P onto G.
-    The complement choice does not affect the outcome; ``reverse_complement``
-    exists so tests can exercise a second pivot order.
+    Returns C with C[0] = 1 and length L + 1 for the least L such that
+    sum_j C[j] s_(k-j) = 0 for every L <= k < len(terms). When the sequence
+    satisfies a recurrence of order at most len(terms) / 2, C is its unique
+    minimal recurrence.
     """
-    n = m.nrows
-    if n == 0:
-        return SumOutcome.converged(Fraction(0))
+    c = [Fraction(1)]
+    b = [Fraction(1)]
+    length = 0
+    shift = 1
+    b_disc = Fraction(1)
+    for k, s_k in enumerate(terms):
+        disc = s_k + sum(c[j] * terms[k - j] for j in range(1, min(len(c), k + 1)))
+        if not disc:
+            shift += 1
+            continue
+        f = disc / b_disc
+        updated = c + [Fraction(0)] * max(0, len(b) + shift - len(c))
+        for j, x in enumerate(b):
+            updated[j + shift] -= f * x
+        if 2 * length <= k:
+            b, b_disc, length, shift = c, disc, k + 1 - length, 1
+        else:
+            shift += 1
+        c = updated
+    c = c[:length + 1]
+    return c + [Fraction(0)] * (length + 1 - len(c))
 
-    e_vecs: list[Vector] = []
-    span = SpanBasis(n)
-    v = tau
-    while span.add(v):
-        e_vecs.append(v)
+
+def _series_sum(m: Matrix, lam: Vector, gamma: Vector) -> SumOutcome:
+    """Decide and evaluate sum_k lam . M^k . gamma.
+
+    The terms s_k satisfy a recurrence of order at most n (Cayley-Hamilton),
+    so 2n of them determine the minimal one, with connection polynomial C of
+    order L. The generating function is P(z) / C(z) in lowest terms, with
+    P = (S C) mod z^L. The sum converges iff every characteristic root lies
+    strictly inside the unit circle, that is iff z^L C(1/z) is Schur-stable,
+    and then it equals P(1) / C(1).
+    """
+    terms: list[Fraction] = []
+    v = gamma
+    for _ in range(2 * m.nrows):
+        terms.append(dot(lam, v))
         v = mat_vec(m, v)
-
-    o_vecs: list[Vector] = []
-    ospan = SpanBasis(n)
-    r = iota
-    while ospan.add(r):
-        o_vecs.append(r)
-        r = vec_mat(r, m)
-
-    h_vecs: list[Vector] = []
-    if e_vecs:
-        pairing = Matrix([[dot(o, e) for e in e_vecs] for o in o_vecs], len(e_vecs))
-        sol = solve_affine(pairing, [Fraction(0)] * len(o_vecs))
-        assert sol is not None
-        h_vecs = [linear_combination(e_vecs, c, n) for c in sol.nullspace]
-
-    basis = SpanBasis(n)
-    for h in h_vecs:
-        basis.add(h)
-    candidates = list(reversed(e_vecs)) if reverse_complement else e_vecs
-    g_vecs = [e for e in candidates if basis.add(e)]
-    unit_order = reversed(range(n)) if reverse_complement else range(n)
-    f_vecs = [u for u in (unit_vector(n, i) for i in unit_order) if basis.add(u)]
-
-    columns = g_vecs + h_vecs + f_vecs
-    b = Matrix.from_columns(columns, n)
-    d = Matrix.diagonal([1 if i < len(g_vecs) else 0 for i in range(n)])
-    p_g = b @ d @ invert(b)
-    compressed = p_g @ m @ p_g
-    if not spectral_radius_lt_one(compressed):
+    c = _minimal_recurrence(terms)
+    if not schur_stable(c[::-1]):
         return SumOutcome.divergent()
-    sol = solve_affine(Matrix.identity(n) - compressed, tau)
-    assert sol is not None and not sol.nullspace
-    return SumOutcome.converged(dot(iota, sol.particular))
+    order = len(c) - 1
+    p_at_one = sum((c[j] * terms[k - j] for k in range(order) for j in range(k + 1)),
+                   Fraction(0))
+    return SumOutcome.converged(p_at_one / sum(c))
 
 
-def total_sum(a: MultiplicityAutomaton, *, reverse_complement: bool = False) -> SumOutcome:
+def total_sum(a: MultiplicityAutomaton) -> SumOutcome:
     """Convergence decision and exact value of the sum of the series over all words."""
     rep = a.to_linear_representation()
-    return _convergent_sum(letter_sum_matrix(a), rep.lam, rep.gamma, reverse_complement)
+    return _series_sum(letter_sum_matrix(a), rep.lam, rep.gamma)
 
 
 def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
-    """Per-state series sums; None as soon as any state's sum diverges."""
+    """Per-state series sums; None as soon as any state's sum diverges.
+
+    The vectors M^k gamma obey the minimal polynomial mu of gamma under M, so
+    every state's sum converges iff mu is Schur-stable. The sum vector
+    (Id - M)^-1 gamma is then q(M) gamma with
+    q(z) = (mu(1) - mu(z)) / (mu(1) (1 - z)), evaluated on the Krylov
+    vectors; the coefficient of z^j in q is (mu_(j+1) + ... + mu_d) / mu(1).
+    """
     rep = a.to_linear_representation()
-    m = letter_sum_matrix(a)
-    sums: dict[str, Fraction] = {}
-    for i, q in enumerate(a.states):
-        outcome = _convergent_sum(m, unit_vector(a.n_states, i), rep.gamma)
-        if not outcome.converges:
-            return None
-        sums[q] = outcome.value
-    return sums
+    vecs, mu = krylov_closure(letter_sum_matrix(a), rep.gamma)
+    if not schur_stable(mu):
+        return None
+    mu_at_one = sum(mu, Fraction(0))
+    tails = list(accumulate(reversed(mu[1:])))[::-1]
+    sums = linear_combination(vecs, [t / mu_at_one for t in tails], a.n_states)
+    return dict(zip(a.states, sums))
 
 
-def _state_sum_vector(a: MultiplicityAutomaton) -> Vector:
-    sums = state_sums(a)
-    if sums is None:
-        raise ValueError("state sums diverge")
-    return tuple(sums[q] for q in a.states)
-
-
-def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
-    """Total series mass of the words starting with u."""
+def _prefix_mass(a: MultiplicityAutomaton, u: Sequence[str]) -> tuple[Vector, Fraction]:
+    """The initial vector lam . mu(u) and the sum of the series it starts."""
     rep = a.to_linear_representation()
-    s = _state_sum_vector(a)
     v = rep.lam
     for x in u:
         if x not in rep.mu:
             raise ValueError(f"letter {x!r} is not in the alphabet")
         v = vec_mat(v, rep.mu[x])
-    return dot(v, s)
+    outcome = _series_sum(letter_sum_matrix(a), v, rep.gamma)
+    if not outcome.converges:
+        raise ValueError("prefix mass diverges")
+    return v, outcome.value
+
+
+def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
+    """Total series mass of the words starting with u.
+
+    Raises ValueError when the sum started by lam . mu(u) diverges.
+    """
+    return _prefix_mass(a, u)[1]
 
 
 def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> MultiplicityAutomaton:
     """Automaton for the residual series w -> value(u w) / prefix mass of u.
 
     Only the initial vector changes: it is pushed through mu(u) and divided
-    by the prefix weight, which must be nonzero (and finite).
+    by the prefix weight, which must be finite and nonzero. Other states'
+    sums may diverge; only the sum started by that vector matters.
     """
-    rep = a.to_linear_representation()
-    s = _state_sum_vector(a)
-    v = rep.lam
-    for x in u:
-        if x not in rep.mu:
-            raise ValueError(f"letter {x!r} is not in the alphabet")
-        v = vec_mat(v, rep.mu[x])
-    mass = dot(v, s)
+    v, mass = _prefix_mass(a, u)
     if mass == 0:
         raise ValueError(f"prefix weight of {''.join(u) or 'the empty word'} is zero")
     return replace_iota(a, tuple(x / mass for x in v))

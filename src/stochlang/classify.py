@@ -107,6 +107,8 @@ def check_stochastic_bounded(a: MultiplicityAutomaton, max_len: int = 8) -> Stoc
     scan (exponential in max_len over large alphabets) only runs when some
     weight is negative.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     outcome = total_sum(a)
     sum_is_one = outcome.converges and outcome.value == 1
     weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
@@ -142,6 +144,7 @@ def classify(a: MultiplicityAutomaton, max_len: int = 8) -> ClassReport:
     cone-reduced is reduced first and the verdict refers to the reduction
     (which generates the same series and preserves the property).
     """
+    stochastic = check_stochastic_bounded(a, max_len)
     pa = is_pa(a)
     pra = None
     if pa:
@@ -156,7 +159,7 @@ def classify(a: MultiplicityAutomaton, max_len: int = 8) -> ClassReport:
         pa=pa,
         pda=is_pda(a),
         pra_reduced=pra,
-        stochastic=check_stochastic_bounded(a, max_len))
+        stochastic=stochastic)
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,16 @@ def _cmd_fixture(ns) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochlang",
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, "structural and stochasticity report")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=8,
+    p.add_argument("--max-len", type=_positive_int, default=8,
                    help="nonnegativity scan length (default 8)")
 
     p = add("residual", _cmd_residual, "automaton of the residual series at a word")
@@ -267,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("pda", _cmd_pda, "determinize by residual exploration")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=64)
+    p.add_argument("--max-states", type=_positive_int, default=64)
 
     p = add("prefixial", _cmd_prefixial,
             "rebuild a PA over the prefix closure of its residual witnesses")
@@ -281,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("minimal-gens", _cmd_minimal_gens,
             "minimal stable residual generating set, searched to a depth")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_positive_int, default=3)
 
     p = add("hardness", _cmd_hardness,
             "PA whose residual-automaton question encodes DFA union universality")

@@ -91,6 +91,8 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     residuals aborts with the count discovered so far, which is not a proof
     that infinitely many exist. The input series must have total mass 1.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     outcome = total_sum(a)
     if not outcome.converges:
         raise ValueError("the series diverges")
@@ -202,6 +204,8 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     check failed at this depth and is inconclusive, not that no finite
     generating set exists.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     outcome = total_sum(a)
     if not outcome.converges:
         raise ValueError("the series diverges")

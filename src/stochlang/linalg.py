@@ -4,6 +4,12 @@ Every scalar is a ``fractions.Fraction``, so each result is exact and every
 decision procedure here (rank, solvability, definiteness, contraction,
 feasibility) is free of rounding. Matrices are small and dense; the
 algorithms favour determinism and simplicity over asymptotics.
+
+Contraction is a question about polynomials, not about a linear system: the
+Krylov closure of a vector under M yields its minimal polynomial, and the
+exact Schur-Cohn recursion decides whether all roots of a polynomial lie
+strictly inside the unit circle. ``spectral_radius_lt_one`` applies that
+test to the unit vectors.
 """
 
 from __future__ import annotations
@@ -150,21 +156,6 @@ class Matrix:
         body = ", ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.rows)
         return f"Matrix([{body}], ncols={self.ncols})"
 
-    def power(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
-    def max_abs_entry(self) -> Fraction:
-        return max((abs(x) for r in self.rows for x in r), default=Fraction(0))
-
 
 def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
     """Row vector times matrix."""
@@ -182,7 +173,7 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     """Matrix times column vector."""
     if len(v) != m.ncols:
         raise ValueError(f"vector length {len(v)} does not match {m.ncols} columns")
-    return tuple(dot(r, v) for r in m.rows)
+    return tuple(sum((x * vj for x, vj in zip(r, v) if x), Fraction(0)) for r in m.rows)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -305,41 +296,70 @@ def is_positive_definite(p: Matrix) -> bool:
     return True
 
 
+def schur_stable(coeffs: Sequence[Fraction]) -> bool:
+    """Decide exactly whether all roots of a polynomial lie inside the unit circle.
+
+    ``coeffs`` runs from the constant term up to a nonzero leading term; a
+    root on the circle counts as unstable. Schur-Cohn recursion: a monic p of degree d with constant term a_0 is
+    stable iff |a_0| < 1 and (p(z) - a_0 z^d p(1/z)) / z, of degree d - 1,
+    is stable. Every step is first divided by its leading coefficient;
+    without that the rationals grow exponentially with the degree.
+    """
+    p = vector(coeffs)
+    if not p or not p[-1]:
+        raise ValueError("polynomial needs a nonzero leading coefficient")
+    while len(p) > 1:
+        lead = p[-1]
+        p = [c / lead for c in p]
+        a0 = p[0]
+        if abs(a0) >= 1:
+            return False
+        d = len(p) - 1
+        p = [p[j + 1] - a0 * p[d - 1 - j] for j in range(d)]
+    return True
+
+
+def krylov_closure(m: Matrix, v: Sequence[Fraction]) -> tuple[list[Vector], Vector]:
+    """Krylov basis of v under a square matrix and the minimal polynomial of v.
+
+    Returns the independent vectors v, M v, ..., M^(d-1) v, which span the
+    smallest M-invariant space containing v, and the monic polynomial mu of
+    least degree with mu(M) v = 0, as coefficients from the constant term up.
+    """
+    if not m.is_square():
+        raise ValueError("Krylov closure under a non-square matrix")
+    span = SpanBasis(m.nrows)
+    vecs: list[Vector] = []
+    v = vector(v)
+    while span.add(v):
+        vecs.append(v)
+        v = mat_vec(m, v)
+    alpha = membership_in_span(v, vecs)
+    return vecs, tuple(-a for a in alpha) + (Fraction(1),)
+
+
 def spectral_radius_lt_one(m: Matrix) -> bool:
     """Decide exactly whether the powers of a square matrix converge to zero.
 
-    Solves the discrete Lyapunov system M^T P M - P = -I for a symmetric P,
-    parameterised by the upper triangle. Powers of M vanish iff the system
-    has a unique solution and that solution is positive definite.
+    M^k tends to zero iff M^k e_i does for every unit vector e_i, that is iff
+    the minimal polynomial of each e_i under M is Schur-stable. A unit vector
+    inside the invariant space spanned by earlier Krylov vectors is skipped:
+    its minimal polynomial divides theirs.
     """
     if not m.is_square():
         raise ValueError("spectral test of a non-square matrix")
     n = m.nrows
-    if n == 0:
-        return True
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    rows = []
-    rhs = []
-    for r, s in pairs:
-        coeffs = [Fraction(0)] * len(pairs)
-        for i in range(n):
-            mi = m[i, r]
-            if not mi:
-                continue
-            for j in range(n):
-                c = mi * m[j, s]
-                if c:
-                    coeffs[index[(min(i, j), max(i, j))]] += c
-        coeffs[index[(r, s)]] -= 1
-        rows.append(coeffs)
-        rhs.append(Fraction(-1 if r == s else 0))
-    sol = solve_affine(Matrix(rows, len(pairs)), rhs)
-    if sol is None or sol.nullspace:
-        return False
-    p = Matrix([[sol.particular[index[(min(i, j), max(i, j))]] for j in range(n)]
-                for i in range(n)], n)
-    return is_positive_definite(p)
+    covered = SpanBasis(n)
+    for i in range(n):
+        e = unit_vector(n, i)
+        if covered.contains(e):
+            continue
+        vecs, mu = krylov_closure(m, e)
+        if not schur_stable(mu):
+            return False
+        for v in vecs:
+            covered.add(v)
+    return True
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Oracles here are deliberately independent of the library code paths they
 check: closed forms are evaluated from first principles, series values are
-recomputed from the inductive definition or by full path enumeration, and
-the 2x2 spectral test uses the characteristic polynomial.
+recomputed from the inductive definition or by full path enumeration, the
+2x2 spectral test uses the characteristic polynomial, and series sums are
+recomputed by the invariant-subspace decomposition and the Lyapunov
+equation, which the library replaced by a recurrence and Schur-Cohn.
 """
 
 import itertools
@@ -11,6 +13,10 @@ import random
 from fractions import Fraction
 
 from stochlang import MultiplicityAutomaton
+from stochlang.analysis import letter_sum_matrix
+from stochlang.linalg import (Matrix, SpanBasis, dot, invert,
+                              is_positive_definite, linear_combination,
+                              mat_vec, solve_affine, unit_vector, vec_mat)
 
 F = Fraction
 
@@ -106,6 +112,124 @@ def jury_lt_one_2x2(m):
     t = m[0, 0] + m[1, 1]
     d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return abs(d) < 1 and 1 - t + d > 0 and 1 + t + d > 0
+
+
+# --------------------------------------------------- matrix and sum oracles
+
+def matrix_power(m, k):
+    """M^k by repeated squaring."""
+    if not m.is_square():
+        raise ValueError("power of a non-square matrix")
+    out = Matrix.identity(m.nrows)
+    base = m
+    while k:
+        if k & 1:
+            out = out @ base
+        base = base @ base
+        k >>= 1
+    return out
+
+
+def max_abs_entry(m):
+    return max((abs(x) for r in m.rows for x in r), default=F(0))
+
+
+def lyapunov_lt_one(m):
+    """Powers of M vanish iff M^T P M - P = -I has a unique, positive definite
+    symmetric solution P (parameterised by its upper triangle)."""
+    n = m.nrows
+    if n == 0:
+        return True
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    rows = []
+    rhs = []
+    for r, s in pairs:
+        coeffs = [F(0)] * len(pairs)
+        for i in range(n):
+            mi = m[i, r]
+            if not mi:
+                continue
+            for j in range(n):
+                c = mi * m[j, s]
+                if c:
+                    coeffs[index[(min(i, j), max(i, j))]] += c
+        coeffs[index[(r, s)]] -= 1
+        rows.append(coeffs)
+        rhs.append(F(-1 if r == s else 0))
+    sol = solve_affine(Matrix(rows, len(pairs)), rhs)
+    if sol is None or sol.nullspace:
+        return False
+    p = Matrix([[sol.particular[index[(min(i, j), max(i, j))]] for j in range(n)]
+                for i in range(n)], n)
+    return is_positive_definite(p)
+
+
+def decomposition_sum(m, iota, tau, reverse_complement=False):
+    """Sum of iota . M^k . tau, or None if it diverges, by subspace decomposition.
+
+    E is the smallest M-invariant space containing tau; H collects the part
+    of E invisible to every iota . M^k; G is a complement of H inside E. The
+    sum converges iff the compression of M to G is a contraction (Lyapunov
+    test), and then equals iota . (Id - P M P)^-1 . tau for the projection P
+    onto G. ``reverse_complement`` picks G and the completing unit vectors
+    in the opposite order; the result must not depend on it.
+    """
+    n = m.nrows
+    if n == 0:
+        return F(0)
+    e_vecs = []
+    span = SpanBasis(n)
+    v = tau
+    while span.add(v):
+        e_vecs.append(v)
+        v = mat_vec(m, v)
+    o_vecs = []
+    ospan = SpanBasis(n)
+    r = iota
+    while ospan.add(r):
+        o_vecs.append(r)
+        r = vec_mat(r, m)
+    h_vecs = []
+    if e_vecs:
+        pairing = Matrix([[dot(o, e) for e in e_vecs] for o in o_vecs], len(e_vecs))
+        sol = solve_affine(pairing, [F(0)] * len(o_vecs))
+        h_vecs = [linear_combination(e_vecs, c, n) for c in sol.nullspace]
+    basis = SpanBasis(n)
+    for h in h_vecs:
+        basis.add(h)
+    candidates = list(reversed(e_vecs)) if reverse_complement else e_vecs
+    g_vecs = [e for e in candidates if basis.add(e)]
+    unit_order = reversed(range(n)) if reverse_complement else range(n)
+    f_vecs = [u for u in (unit_vector(n, i) for i in unit_order) if basis.add(u)]
+    b = Matrix.from_columns(g_vecs + h_vecs + f_vecs, n)
+    d = Matrix.diagonal([1 if i < len(g_vecs) else 0 for i in range(n)])
+    p_g = b @ d @ invert(b)
+    compressed = p_g @ m @ p_g
+    if not lyapunov_lt_one(compressed):
+        return None
+    sol = solve_affine(Matrix.identity(n) - compressed, tau)
+    return dot(iota, sol.particular)
+
+
+def oracle_total_sum(a, reverse_complement=False):
+    rep = a.to_linear_representation()
+    return decomposition_sum(letter_sum_matrix(a), rep.lam, rep.gamma,
+                             reverse_complement)
+
+
+def oracle_state_sums(a, reverse_complement=False):
+    """Per-state sums by decomposition, one state at a time; None if any diverges."""
+    rep = a.to_linear_representation()
+    m = letter_sum_matrix(a)
+    sums = {}
+    for i, q in enumerate(a.states):
+        value = decomposition_sum(m, unit_vector(a.n_states, i), rep.gamma,
+                                  reverse_complement)
+        if value is None:
+            return None
+        sums[q] = value
+    return sums
 
 
 # ------------------------------------------------------------ random instances
@@ -214,3 +338,26 @@ def duplicate_state(a, rng):
         if s == q:
             phi[(clone, x, r)] = weight
     return MultiplicityAutomaton(a.alphabet, list(a.states) + [clone], iota, tau, phi)
+
+
+def ring_pa(n, seed=None):
+    """Connected PA on {a, b}: each state stops, follows a ring edge and two random edges.
+
+    Raw weights come from ``randint(1, 5)`` and each row is normalised to
+    mass 1, so the sum and every state's sum are exactly 1. The seed
+    defaults to n.
+    """
+    rng = random.Random(n if seed is None else seed)
+    states = [f"q{i}" for i in range(n)]
+    tau = {}
+    phi = {}
+    for i, q in enumerate(states):
+        final = rng.randint(1, 5)
+        edges = {}
+        for r in (states[(i + 1) % n], rng.choice(states), rng.choice(states)):
+            key = (q, rng.choice("ab"), r)
+            edges[key] = edges.get(key, 0) + rng.randint(1, 5)
+        total = final + sum(edges.values())
+        tau[q] = F(final, total)
+        phi.update({key: F(w, total) for key, w in edges.items()})
+    return MultiplicityAutomaton(("a", "b"), states, {states[0]: F(1)}, tau, phi).trim()

@@ -3,17 +3,30 @@ from fractions import Fraction
 
 import pytest
 
-from stochlang import (MultiplicityAutomaton, are_equivalent, fixtures, is_pa,
-                       prefix_weight, residual_automaton, state_sums,
-                       total_sum, words_up_to)
+from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent,
+                       fixtures, is_pa, prefix_weight, residual_automaton,
+                       state_sums, total_sum, words_up_to)
 from stochlang.analysis import letter_sum_matrix
 from stochlang.linalg import Matrix, dot, solve_affine, spectral_radius_lt_one
 
-from helpers import example1_residual_value, random_pa
+from helpers import (example1_residual_value, oracle_state_sums,
+                     oracle_total_sum, random_ma, random_pa, ring_pa)
 
 F = Fraction
 
 ALL_FIXTURES = [fixtures.build(name) for name in fixtures.FIXTURE_NAMES]
+
+
+def check_against_decomposition_oracle(a):
+    """Compare total_sum and state_sums with the old kernel under both
+    complement orders; return the outcome and the state sums."""
+    outcome = total_sum(a)
+    sums = state_sums(a)
+    for reverse in (False, True):
+        assert oracle_total_sum(a, reverse) == (
+            outcome.value if outcome.converges else None)
+        assert oracle_state_sums(a, reverse) == sums
+    return outcome, sums
 
 
 def partial_sums(a, up_to):
@@ -72,11 +85,26 @@ class TestTotalSum:
             assert errors[-1] < F(1, 10 ** 4)
 
     def test_complement_choice_does_not_matter(self):
-        for a in ALL_FIXTURES:
-            assert total_sum(a) == total_sum(a, reverse_complement=True)
         diverging = MultiplicityAutomaton(
             ("a",), ("q0",), {"q0": 1}, {"q0": 1}, {("q0", "a", "q0"): 2})
-        assert total_sum(diverging) == total_sum(diverging, reverse_complement=True)
+        for a in ALL_FIXTURES + [diverging]:
+            check_against_decomposition_oracle(a)
+
+    def test_agrees_with_decomposition_oracle_on_random_signed_automata(self):
+        # transitions are scaled down by a random factor so that convergent
+        # and divergent series both occur in quantity
+        rng = random.Random(25)
+        counts = {"converges": 0, "diverges": 0, "states_converge": 0}
+        for _ in range(200):
+            raw = random_ma(rng, rng.randint(1, 3), rng.choice([("a",), ("a", "b")]))
+            scale = rng.choice([2, 1, F(1, 2), F(1, 4)])
+            a = MultiplicityAutomaton(raw.alphabet, raw.states, raw.iota, raw.tau,
+                                      {k: w * scale for k, w in raw.phi.items()})
+            outcome, sums = check_against_decomposition_oracle(a)
+            counts["converges" if outcome.converges else "diverges"] += 1
+            counts["states_converge"] += sums is not None
+        assert counts["converges"] >= 50 and counts["diverges"] >= 50
+        assert counts["states_converge"] >= 50
 
     def test_oscillating_terms_diverge(self):
         # terms are (-1)^k: bounded partial sums but no limit
@@ -166,7 +194,19 @@ class TestPrefixWeight:
     def test_divergent_errors(self):
         a = MultiplicityAutomaton(("a",), ("q0",), {"q0": 1}, {"q0": 1},
                                   {("q0", "a", "q0"): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prefix mass diverges"):
+            prefix_weight(a, ("a",))
+
+    def test_only_the_prefix_sum_must_converge(self):
+        # d diverges on a and dies on b, so after b only c's sum 2/3 counts
+        a = MultiplicityAutomaton(
+            ("a", "b"), ("c", "d"), {"c": 1, "d": 1}, {"c": F(1, 2), "d": 1},
+            {("c", "b", "c"): F(1, 4), ("d", "a", "d"): 1})
+        assert not total_sum(a).converges
+        assert state_sums(a) is None
+        assert prefix_weight(a, ("b",)) == F(1, 6)
+        assert total_sum(residual_automaton(a, ("b",))) == SumOutcome.converged(F(1))
+        with pytest.raises(ValueError, match="prefix mass diverges"):
             prefix_weight(a, ("a",))
 
 
@@ -182,6 +222,21 @@ class TestResidualAutomaton:
             res = residual_automaton(p, ("a",) * n)
             for m in range(11):
                 assert res.evaluate(("a",) * m) == example1_residual_value(n, m)
+
+    def test_cancelling_divergent_copies(self):
+        # two divergent copies of one state with initial weights +1 and -1
+        # cancel; the convergent state c carries the whole series
+        a = MultiplicityAutomaton(
+            ("a",), ("c", "d1", "d2"), {"c": 1, "d1": 1, "d2": -1},
+            {"c": F(1, 2), "d1": 1, "d2": 1},
+            {("c", "a", "c"): F(1, 2), ("d1", "a", "d1"): 1, ("d2", "a", "d2"): 1})
+        assert total_sum(a) == SumOutcome.converged(F(1))
+        assert state_sums(a) is None
+        assert prefix_weight(a, ("a",)) == F(1, 2)
+        res = residual_automaton(a, ("a",))
+        assert total_sum(res) == SumOutcome.converged(F(1))
+        for m in range(6):
+            assert res.evaluate(("a",) * m) == F(1, 2 ** (m + 1))
 
     def test_zero_prefix_weight_errors(self):
         a = fixtures.build("fig2_A")
@@ -210,3 +265,36 @@ class TestResidualAutomaton:
             res = residual_automaton(a, u)
             for w in words_up_to(a.alphabet, 4):
                 assert res.evaluate(w) * mass == a.evaluate(u + w)
+
+
+class TestBeyondFiveStates:
+    """Ring PAs with 8 to 20 states; the whole class must run well under a second."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20])
+    def test_ring_pa_sums_are_one(self, n):
+        a = ring_pa(n)
+        assert a.n_states == n
+        assert total_sum(a) == SumOutcome.converged(F(1))
+        sums = state_sums(a)
+        assert sums is not None and all(v == 1 for v in sums.values())
+
+    def test_planted_divergent_state(self):
+        # q0 feeds a state whose own loop already has mass 1
+        a = ring_pa(12)
+        planted = MultiplicityAutomaton(
+            a.alphabet, a.states + ("d",), a.iota, {**a.tau, "d": F(1)},
+            {**a.phi, ("q0", "b", "d"): F(1, 8), ("d", "a", "d"): F(1)})
+        assert not total_sum(planted).converges
+        assert state_sums(planted) is None
+
+    def test_hidden_divergent_pair(self):
+        # two copies of a divergent state are fed +w and -w and cancel: the
+        # series sum converges although the state sums do not
+        a = ring_pa(12)
+        hidden = MultiplicityAutomaton(
+            a.alphabet, a.states + ("d1", "d2"), a.iota,
+            {**a.tau, "d1": F(1), "d2": F(1)},
+            {**a.phi, ("q0", "b", "d1"): F(1, 8), ("q0", "b", "d2"): F(-1, 8),
+             ("d1", "a", "d1"): F(2), ("d2", "a", "d2"): F(2)})
+        assert total_sum(hidden) == SumOutcome.converged(F(1))
+        assert state_sums(hidden) is None

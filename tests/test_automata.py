@@ -11,7 +11,7 @@ from stochlang import (MultiplicityAutomaton, empty_automaton, fixtures,
                        state_series_automaton, weighted_sum, words_up_to)
 from stochlang.automata import letter_shift_automaton, merge_alphabets
 
-from helpers import eval_by_definition, eval_by_paths, random_ma
+from helpers import eval_by_definition, eval_by_paths, max_abs_entry, random_ma
 
 F = Fraction
 
@@ -110,7 +110,7 @@ class TestRepresentationRoundTrip:
         rep = a.to_linear_representation()
         assert rep.lam == (F(1),)
         assert rep.gamma == (F(1),)
-        assert all(m.max_abs_entry() == 0 for m in rep.mu.values())
+        assert all(max_abs_entry(m) == 0 for m in rep.mu.values())
 
     def test_fig2_transcription(self):
         rep = fixtures.build("fig2_A").to_linear_representation()

@@ -152,6 +152,14 @@ class TestStochasticBounded:
             report = check_stochastic_bounded(fixtures.build(name), 8)
             assert report.sum_is_one and report.violation is None
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_length_below_one_rejected(self, max_len):
+        a = fixtures.build("prop10_t")
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            check_stochastic_bounded(a, max_len)
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            classify(a, max_len)
+
 
 class TestClassReport:
     def test_fig2(self):

@@ -299,3 +299,23 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert out.returncode == 0
     assert parse_automaton(out.stdout) == fixtures.build("fig2_A")
+
+
+@pytest.mark.parametrize("args", [
+    ("pda", "example1_p", "--max-states", "0"),
+    ("pda", "example1_p", "--max-states", "-2"),
+    ("classify", "prop10_t", "--max-len", "-3"),
+    ("classify", "prop10_t", "--max-len", "0"),
+    ("minimal-gens", "fig2_A", "--depth", "-1"),
+    ("minimal-gens", "fig2_A", "--depth", "0"),
+])
+def test_bounds_below_one_are_usage_errors(args):
+    # a separate process with a time limit: pda --max-states 0 used to loop forever
+    command, name, flag, value = args
+    out = subprocess.run(
+        [sys.executable, "-m", "stochlang", command, str(DATA / f"{name}.json"),
+         flag, value],
+        capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"argument {flag}: must be at least 1, got {value}" in out.stderr

@@ -98,6 +98,11 @@ class TestDeterminize:
         with pytest.raises(ValueError):
             determinize_to_pda(half, 4)
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="max_states must be at least 1"):
+            determinize_to_pda(fixtures.build("example1_p"), bound)
+
     def test_idempotence_on_pdas(self):
         rng = random.Random(62)
         for _ in range(8):
@@ -195,3 +200,8 @@ class TestMinimalResidualGenerators:
                                           {("q0", "a", "q0"): 1})
         with pytest.raises(ValueError):
             minimal_residual_generators(diverging, 2)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            minimal_residual_generators(fixtures.build("fig2_A"), depth)

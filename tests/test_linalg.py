@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot,
-                              is_positive_definite, lp_feasible, mat_vec,
-                              membership_in_span, rref, solve_affine,
+                              is_positive_definite, krylov_closure,
+                              lp_feasible, mat_vec, membership_in_span, rref,
+                              schur_stable, solve_affine,
                               spectral_radius_lt_one)
 
-from helpers import jury_lt_one_2x2
+from helpers import jury_lt_one_2x2, lyapunov_lt_one, matrix_power, max_abs_entry
 
 F = Fraction
 
@@ -130,7 +131,7 @@ class TestSpectralRadius:
                 m = Matrix([[F(rng.randint(-8, 8), rng.randint(1, 4))
                              for _ in range(n)] for _ in range(n)])
                 decided = spectral_radius_lt_one(m)
-                tail = m.power(64).max_abs_entry()
+                tail = max_abs_entry(matrix_power(m, 64))
                 if decided:
                     assert tail < F(1, 10 ** 6)
                 elif n == 2 and not jury_lt_one_2x2(m):
@@ -142,6 +143,89 @@ class TestSpectralRadius:
             m = Matrix([[F(rng.randint(-8, 8), rng.randint(1, 4))
                          for _ in range(2)] for _ in range(2)])
             assert spectral_radius_lt_one(m) == jury_lt_one_2x2(m)
+
+    def test_checks_unit_vectors_after_a_covered_one(self):
+        # e1 lies in the Krylov space of e0 (a stable nilpotent block); the
+        # expanding direction e2 must still be examined
+        m = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 2]])
+        assert not spectral_radius_lt_one(m)
+        assert not lyapunov_lt_one(m)
+
+    def test_agrees_with_lyapunov_oracle(self):
+        # entries are divided by a random scale so that contractions and
+        # non-contractions both occur in every dimension
+        rng = random.Random(12)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 6):
+            for _ in range(30):
+                scale = rng.choice([1, 2, 4, 8])
+                m = Matrix([[F(rng.randint(-8, 8), rng.randint(1, 4) * scale)
+                             for _ in range(n)] for _ in range(n)])
+                decided = spectral_radius_lt_one(m)
+                assert decided == lyapunov_lt_one(m)
+                verdicts[decided] += 1
+        assert min(verdicts.values()) >= 30
+
+    def test_unit_circle_entries_agree_with_lyapunov_oracle(self):
+        # roots on or near the unit circle, repeated roots and nilpotent parts
+        values = [F(-1), F(0), F(1), F(1, 2), F(-1, 2)]
+        rng = random.Random(13)
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            m = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+            assert spectral_radius_lt_one(m) == lyapunov_lt_one(m)
+
+
+class TestSchurStable:
+    def test_known_roots(self):
+        assert schur_stable([F(1, 4), F(-1), F(1)])          # (z - 1/2)^2
+        assert schur_stable([F(0), F(0), F(1)])              # z^2
+        assert schur_stable([F(7)])                          # no roots
+        assert not schur_stable([F(-1), F(0), F(1)])         # z^2 - 1
+        assert not schur_stable([F(1), F(0), F(1)])          # z^2 + 1
+        assert not schur_stable([F(1, 2), F(-3, 2), F(1)])   # (z - 1)(z - 1/2)
+
+    def test_scaling_does_not_matter(self):
+        assert schur_stable([F(-3, 4), F(-3, 2), F(3)])      # 3 (z^2 - z/2 - 1/4)
+
+    def test_matches_jury_on_quadratics(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            t = F(rng.randint(-9, 9), rng.randint(1, 4))
+            d = F(rng.randint(-9, 9), rng.randint(1, 4))
+            expected = abs(d) < 1 and 1 - t + d > 0 and 1 + t + d > 0
+            assert schur_stable([d, -t, F(1)]) == expected
+
+    def test_rejects_zero_leading_coefficient(self):
+        with pytest.raises(ValueError):
+            schur_stable([F(1), F(0)])
+        with pytest.raises(ValueError):
+            schur_stable([])
+
+
+class TestKrylovClosure:
+    def test_minimal_polynomial_annihilates(self):
+        rng = random.Random(15)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(n)])
+            v = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            vecs, mu = krylov_closure(m, v)
+            assert len(mu) == len(vecs) + 1 and mu[-1] == 1
+            image = v
+            total = tuple(mu[0] * x for x in v)
+            for c in mu[1:]:
+                image = mat_vec(m, image)
+                total = tuple(t + c * x for t, x in zip(total, image))
+            assert not any(total)
+
+    def test_zero_vector(self):
+        assert krylov_closure(Matrix.identity(2), (F(0), F(0))) == ([], (F(1),))
+
+    def test_eigenvector(self):
+        vecs, mu = krylov_closure(Matrix([[2, 0], [0, 3]]), (F(0), F(1)))
+        assert vecs == [(F(0), F(1))] and mu == (F(-3), F(1))
 
 
 class TestLpFeasible:
