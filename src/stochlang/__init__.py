@@ -15,9 +15,9 @@ from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
 from .classify import (ClassReport, Dfa, PraVerdict, StochasticityReport,
                        check_stochastic_bounded, classify, is_pa, is_pda,
                        is_pra_reduced, is_semi_pa, pra_hardness_instance)
-from .constructions import (DeterminizationOutcome, determinize_to_pda,
-                            minimal_residual_generators, synthesize_pa,
-                            to_prefixial_pra)
+from .constructions import (ConstructionError, DeterminizationOutcome,
+                            determinize_to_pda, minimal_residual_generators,
+                            synthesize_pa, to_prefixial_pra)
 from .documents import (DocumentError, parse_automaton, parse_dfa,
                         serialize_automaton, serialize_dfa)
 from .equivalence import (CombinationOutcome, EquivalenceOutcome,
@@ -30,7 +30,8 @@ from .reduction import (ReductionMode, ReductionStallError, hankel_rank,
 from . import fixtures
 
 __all__ = [
-    "ClassReport", "CombinationOutcome", "Constraint", "DeterminizationOutcome",
+    "ClassReport", "CombinationOutcome", "Constraint", "ConstructionError",
+    "DeterminizationOutcome",
     "Dfa", "DocumentError", "EquivalenceOutcome", "LinearRepresentation",
     "Matrix", "MultiplicityAutomaton", "PraVerdict", "ReductionMode",
     "ReductionStallError", "SpanBasis", "StochasticityReport", "SumOutcome",

@@ -73,21 +73,34 @@ def _singleton_witnesses(a: MultiplicityAutomaton) -> dict[str, Word]:
     return witnesses
 
 
-def is_pra_reduced(a: MultiplicityAutomaton) -> tuple[bool, dict[str, Word] | None]:
-    """Decide whether a cone-reduced PA has only residual state series.
+def residual_witnesses(a: MultiplicityAutomaton) -> tuple[bool, dict[str, Word] | None]:
+    """Residual-automaton verdict of a PA whose cone-reducedness is already known.
 
     Holds iff every state is the exact powerset image of some word from the
     initial state set; witnesses are the length-lex smallest such words.
-    Raises if the input is not a cone-reduced PA.
+    The verdict means something only for a cone-reduced PA. This function
+    checks the PA conditions (ValueError) but trusts the caller on
+    reducedness, as for the output of ``reduce(..., ReductionMode.CONE)``;
+    :func:`is_pra_reduced` checks both.
     """
     if not is_pa(a):
         raise ValueError("input is not a probabilistic automaton")
-    if not is_reduced(a, ReductionMode.CONE):
-        raise ValueError("input is not cone-reduced")
     witnesses = _singleton_witnesses(a)
     if all(q in witnesses for q in a.states):
         return True, {q: witnesses[q] for q in a.states}
     return False, None
+
+
+def is_pra_reduced(a: MultiplicityAutomaton) -> tuple[bool, dict[str, Word] | None]:
+    """Decide whether a cone-reduced PA has only residual state series.
+
+    Same verdict and witnesses as :func:`residual_witnesses`. Raises
+    ValueError if the input is not a PA or not cone-reduced.
+    """
+    verdict = residual_witnesses(a)
+    if not is_reduced(a, ReductionMode.CONE):
+        raise ValueError("input is not cone-reduced")
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -142,17 +155,16 @@ def classify(a: MultiplicityAutomaton, max_len: int = 8) -> ClassReport:
 
     The residual-automaton verdict is only defined for PAs; a PA that is not
     cone-reduced is reduced first and the verdict refers to the reduction
-    (which generates the same series and preserves the property).
+    (which generates the same series and preserves the property). Cone
+    reduction returns its input exactly when that input is cone-reduced, so
+    reducedness is decided once.
     """
     stochastic = check_stochastic_bounded(a, max_len)
     pa = is_pa(a)
     pra = None
     if pa:
-        if is_reduced(a, ReductionMode.CONE):
-            pra = PraVerdict(*is_pra_reduced(a), on_reduction=False)
-        else:
-            reduced = reduce(a, ReductionMode.CONE)
-            pra = PraVerdict(*is_pra_reduced(reduced), on_reduction=True)
+        reduced = reduce(a, ReductionMode.CONE)
+        pra = PraVerdict(*residual_witnesses(reduced), on_reduction=reduced is not a)
     return ClassReport(
         trimmed=is_trimmed(a),
         semi_pa=is_semi_pa(a),

@@ -7,7 +7,10 @@ mathematical negatives from operational errors:
 
     0   success
     2   usage error
-    3   unreadable input or precondition violation
+    3   unreadable input, precondition violation, or an input on which a
+        construction cannot finish: field ``reduce`` stopping above the
+        series rank, ``pda`` or ``synth-pa`` assembling an automaton that is
+        not probabilistic. Each prints one ``error: ...`` line on stderr.
     10  equiv: the automata are distinct
     11  combine / synth-pa: no admissible combination exists
     12  pda: distinct residuals exceeded the bound
@@ -25,14 +28,15 @@ from pathlib import Path
 from . import fixtures
 from .analysis import residual_automaton, state_sums, total_sum
 from .automata import MultiplicityAutomaton, format_word, parse_word
-from .classify import (UNDECIDABILITY_NOTE, classify, is_pra_reduced,
-                       pra_hardness_instance)
-from .constructions import (determinize_to_pda, minimal_residual_generators,
-                            synthesize_pa, to_prefixial_pra)
+from .classify import (UNDECIDABILITY_NOTE, classify, pra_hardness_instance,
+                       residual_witnesses)
+from .constructions import (ConstructionError, determinize_to_pda,
+                            minimal_residual_generators, synthesize_pa,
+                            to_prefixial_pra)
 from .documents import (DocumentError, parse_automaton, parse_dfa,
                         serialize_automaton)
 from .equivalence import are_equivalent, express_combination
-from .reduction import ReductionMode, hankel_rank, reduce
+from .reduction import ReductionMode, ReductionStallError, hankel_rank, reduce
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,7 +177,7 @@ def _cmd_pda(ns) -> int:
 def _cmd_prefixial(ns) -> int:
     a = _load(ns.file)
     reduced = reduce(a, ReductionMode.CONE)
-    verdict, witnesses = is_pra_reduced(reduced)
+    verdict, witnesses = residual_witnesses(reduced)
     _emit("pra", _bool(verdict))
     if not verdict:
         return EXIT_NOT_PRA
@@ -311,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return ns.handler(ns)
-    except (DocumentError, ValueError) as exc:
+    except (DocumentError, ValueError, ReductionStallError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,12 +15,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .analysis import prefix_weight, residual_automaton, total_sum
+from .analysis import _prefix_mass, residual_automaton, total_sum
 from .automata import (MultiplicityAutomaton, Word, format_word,
-                       letter_shift_automaton, length_lex_key,
+                       letter_shift_automaton, length_lex_key, replace_iota,
                        state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
 from .equivalence import are_equivalent, express_combination
+
+
+class ConstructionError(RuntimeError):
+    """An input met the preconditions that are checked, yet the assembled
+    automaton is not probabilistic: the input series is not a bounded
+    probability distribution."""
+
+
+def _letter_step(res: MultiplicityAutomaton, x: str
+                 ) -> tuple[Fraction, MultiplicityAutomaton | None]:
+    """Prefix mass of one letter and the residual it leads to (None at mass zero).
+
+    One sum per edge: the residual is built from the same vector and mass.
+    """
+    v, mass = _prefix_mass(res, (x,))
+    if mass == 0:
+        return mass, None
+    return mass, replace_iota(res, tuple(c / mass for c in v))
 
 
 def synthesize_pa(target: MultiplicityAutomaton,
@@ -67,8 +85,8 @@ def synthesize_pa(target: MultiplicityAutomaton,
                 phi[(states[i], x, states[j])] = c
     built = MultiplicityAutomaton(target.alphabet, states, iota, tau, phi).trim()
     if not is_pa(built):
-        raise RuntimeError("assembled automaton fails the probabilistic weight checks; "
-                           "a generator is not a bounded stochastic series")
+        raise ConstructionError("assembled automaton fails the probabilistic weight checks; "
+                                "a generator is not a bounded stochastic series")
     return built
 
 
@@ -106,10 +124,9 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
         i = queue.popleft()
         _, res = discovered[i]
         for x in a.alphabet:
-            mass = prefix_weight(res, (x,))
-            if mass == 0:
+            mass, child = _letter_step(res, x)
+            if child is None:
                 continue
-            child = residual_automaton(res, (x,))
             match = next((j for j, (_, known) in enumerate(discovered)
                           if are_equivalent(child, known).equal), None)
             if match is None:
@@ -127,9 +144,9 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
            for (i, x), (mass, j) in transitions.items()}
     pda = MultiplicityAutomaton(a.alphabet, names, iota, tau, phi)
     if not is_pda(pda):
-        raise RuntimeError("residual exploration produced a non-deterministic or "
-                           "non-probabilistic automaton; the input series is not "
-                           "a probability distribution")
+        raise ConstructionError("residual exploration produced a non-deterministic or "
+                                "non-probabilistic automaton; the input series is not "
+                                "a probability distribution")
     return DeterminizationOutcome(pda, len(discovered))
 
 
@@ -164,18 +181,18 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     closure = {w[:i] for w in witness_words.values() for i in range(len(w) + 1)}
     ordered = sorted(closure, key=lambda w: length_lex_key(w, a.alphabet))
     names = {w: format_word(w, a.alphabet) for w in ordered}
-    residuals = {w: residual_automaton(a, w) for w in ordered}
+    residuals = {(): residual_automaton(a, ())}
 
-    iota = {names[()]: Fraction(1)}
-    tau = {names[w]: residuals[w].evaluate(()) for w in ordered}
     phi: dict[tuple[str, str, str], Fraction] = {}
     for w in ordered:
         for x in a.alphabet:
             extended = w + (x,)
             if extended in closure:
-                mass = prefix_weight(residuals[w], (x,))
-                if mass:
-                    phi[(names[w], x, names[extended])] = mass
+                mass, residuals[extended] = _letter_step(residuals[w], x)
+                if residuals[extended] is None:
+                    raise ValueError(f"prefix weight of {format_word(extended, a.alphabet)} "
+                                     "is zero")
+                phi[(names[w], x, names[extended])] = mass
             elif w in word_of:
                 q = word_of[w]
                 for r in a.states:
@@ -183,6 +200,8 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                     if weight:
                         phi[(names[w], x, names[witness_words[r]])] = weight
 
+    iota = {names[()]: Fraction(1)}
+    tau = {names[w]: residuals[w].evaluate(()) for w in ordered}
     built = MultiplicityAutomaton(a.alphabet, [names[w] for w in ordered], iota, tau, phi)
     if not is_pa(built):
         raise ValueError("witness set does not induce a probabilistic automaton; "

@@ -6,20 +6,29 @@ sides). The pair extends linearly on the right, so the closure computes the
 span of all reachable pairs; the two series agree iff the final-weight
 functional vanishes on that span. A failing basis word is a counterexample
 and its length never exceeds the combined state count.
+
+Combinations close from the other side. The backward vectors x(w) = mu(w) . gamma
+of a direct sum of automata, closed under left letter action, span every
+x(w); each series is lam . x(w) for its own initial vector lam, so any
+linear equation between series holds on all words iff it holds on the
+closure's rows. Expressing one series over others is then one exact solve,
+or one exact feasibility problem for nonnegative coefficients, with no
+search for counterexample words.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
-from .automata import (MultiplicityAutomaton, Word, empty_automaton,
-                       merge_alphabets, replace_iota, weighted_sum,
-                       with_alphabet)
+from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
+                       merge_alphabets, with_alphabet)
 from .linalg import (Constraint, Matrix, SpanBasis, Vector, dot, lp_feasible,
-                     solve_affine, vec_mat)
+                     mat_vec, solve_affine, unit_vector, vec_mat)
 
 
 @dataclass(frozen=True)
@@ -86,33 +95,61 @@ class CombinationOutcome:
     coefficients: tuple[Fraction, ...] | None = None
 
 
-def _shares_structure(target: MultiplicityAutomaton,
-                      generators: Sequence[MultiplicityAutomaton]) -> bool:
-    return all(g.states == target.states and g.tau == target.tau
-               and g.phi == target.phi for g in generators)
+def value_rows(reps: Sequence[LinearRepresentation]) -> list[Vector]:
+    """Reduced echelon basis of the span of every x(w) = mu(w) . gamma of a direct sum.
+
+    The representations share one alphabet. Their direct sum has the
+    concatenated final vectors and block-diagonal letter matrices, so block i
+    of x(w) is representation i's own mu(w) . gamma. The closure starts from
+    gamma and extends every vector that enlarges the span by each letter on
+    the left, so the span reached holds every x(w). A series with initial
+    vector lam on block i takes the value lam . x(w)[i] on w, so a linear
+    equation between such series holds on every word iff it holds on these
+    rows. Echelon rows are returned rather than the x(w) themselves: they
+    span the same space, and a solve over a subset of their columns starts
+    almost reduced.
+    """
+    alphabet = reps[0].alphabet if reps else ()
+    if any(r.alphabet != alphabet for r in reps):
+        raise ValueError("alphabet mismatch")
+    bounds = list(accumulate((r.dim for r in reps), initial=0))
+
+    def shifted(v: Vector, x: str) -> Vector:
+        return tuple(y for r, lo, hi in zip(reps, bounds, bounds[1:])
+                     for y in mat_vec(r.mu[x], v[lo:hi]))
+
+    span = SpanBasis(bounds[-1])
+    queue = deque([tuple(y for r in reps for y in r.gamma)])
+    while queue:
+        v = queue.popleft()
+        if span.add(v):
+            queue.extend(shifted(v, x) for x in alphabet)
+    return span.basis
 
 
-def _counterexample(target: MultiplicityAutomaton,
-                    generators: Sequence[MultiplicityAutomaton],
-                    coeffs: Sequence[Fraction],
-                    shared: bool) -> Word | None:
-    """Word where the candidate combination misses the target, or None."""
-    if shared:
-        # All series live in one automaton; compare the combined initial
-        # vector against the zero series instead of building a disjoint sum.
-        lam_t = target.to_linear_representation().lam
-        lam = list(lam_t)
-        for c, g in zip(coeffs, generators):
-            lam_g = g.to_linear_representation().lam
-            for i in range(len(lam)):
-                lam[i] -= c * lam_g[i]
-        diff = replace_iota(target, tuple(lam))
-        outcome = are_equivalent(diff, empty_automaton(target.alphabet))
-    elif generators:
-        outcome = are_equivalent(target, weighted_sum(generators, coeffs))
+def combination_on_rows(rows: Sequence[Sequence[Fraction]], target: int,
+                        columns: Sequence[int], nonneg: bool) -> CombinationOutcome:
+    """Coefficients c with row[target] = sum_j c_j row[columns[j]] on every row.
+
+    Each row holds the values of several series on one backward vector, as
+    built from :func:`value_rows`. Over the field the answer is the
+    particular solution of the reduced row-echelon form, which depends only
+    on the row space; with ``nonneg`` it is the exact feasible point of the
+    same equations with every coefficient >= 0.
+    """
+    n = len(columns)
+    lhs = [[row[j] for j in columns] for row in rows]
+    rhs = [row[target] for row in rows]
+    if nonneg:
+        constraints = [Constraint.eq(coeffs, -value) for coeffs, value in zip(lhs, rhs)]
+        constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
+        coeffs = lp_feasible(constraints, n)
     else:
-        outcome = are_equivalent(target, empty_automaton(target.alphabet))
-    return None if outcome.equal else outcome.witness
+        sol = solve_affine(Matrix(lhs, n), rhs)
+        coeffs = None if sol is None else sol.particular
+    if coeffs is None:
+        return CombinationOutcome(False)
+    return CombinationOutcome(True, tuple(coeffs))
 
 
 def express_combination(target: MultiplicityAutomaton,
@@ -120,36 +157,33 @@ def express_combination(target: MultiplicityAutomaton,
                         nonneg: bool) -> CombinationOutcome:
     """Coefficients expressing the target series over the generators' series.
 
-    Starts from the empty-word equation and alternates exact solving with
-    counterexample search: any solution of the current equations that still
-    misses the target contributes the smallest word where it fails as a new
-    equation. With ``nonneg`` the coefficients are additionally constrained
-    to be >= 0 and solved by exact linear feasibility.
+    The series are grouped into one block per distinct structure (states,
+    final weights and transitions); series in one block differ only in their
+    initial vector. One backward closure of the blocks' direct sum
+    (:func:`value_rows`) yields rows x on which each series takes the value
+    lam . x[its block]. The rows span every x(w), so the equations on them
+    are complete: they imply target(w) = sum c_j generator_j(w) on every
+    word. One exact solve therefore decides the question, or with
+    ``nonneg`` one exact feasibility problem with every coefficient >= 0,
+    and no candidate needs checking afterwards. Over the field the
+    coefficients are the reduced row-echelon particular solution of the
+    complete system.
     """
     generators = list(generators)
     if any(g.alphabet != target.alphabet for g in generators):
         raise ValueError("alphabet mismatch")
-    n = len(generators)
-    shared = _shares_structure(target, generators) if generators else False
-    probes: list[Word] = [()]
-    for _ in range(n + 2):
-        rows = [[g.evaluate(u) for g in generators] for u in probes]
-        rhs = [target.evaluate(u) for u in probes]
-        if nonneg:
-            constraints = [Constraint.eq(row, -value) for row, value in zip(rows, rhs)]
-            constraints += [Constraint.ge([1 if j == i else 0 for j in range(n)], 0)
-                            for i in range(n)]
-            coeffs = lp_feasible(constraints, n)
-        else:
-            sol = solve_affine(Matrix(rows, n), rhs)
-            coeffs = None if sol is None else sol.particular
-        if coeffs is None:
-            return CombinationOutcome(False)
-        witness = _counterexample(target, generators, coeffs, shared)
-        if witness is None:
-            for u in probes:
-                assert target.evaluate(u) == sum(
-                    (c * g.evaluate(u) for c, g in zip(coeffs, generators)), Fraction(0))
-            return CombinationOutcome(True, tuple(coeffs))
-        probes.append(witness)
-    raise RuntimeError("combination search exceeded its iteration bound")
+    series = [target] + generators
+    blocks: list[MultiplicityAutomaton] = []
+    block_of: list[int] = []
+    for s in series:
+        k = next((i for i, b in enumerate(blocks)
+                  if s.states == b.states and s.tau == b.tau and s.phi == b.phi), None)
+        if k is None:
+            k = len(blocks)
+            blocks.append(s)
+        block_of.append(k)
+    bounds = list(accumulate((b.n_states for b in blocks), initial=0))
+    lams = [tuple(s.iota_weight(q) for q in s.states) for s in series]
+    values = [[dot(lam, x[bounds[k]:bounds[k + 1]]) for lam, k in zip(lams, block_of)]
+              for x in value_rows([b.to_linear_representation() for b in blocks])]
+    return combination_on_rows(values, 0, range(1, len(series)), nonneg)

@@ -165,7 +165,8 @@ def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
     for vi, row in zip(v, m.rows):
         if vi:
             for j, x in enumerate(row):
-                out[j] += vi * x
+                if x:
+                    out[j] += vi * x
     return tuple(out)
 
 
@@ -495,7 +496,8 @@ class SpanBasis:
             c = v[pivot]
             if c:
                 for i in range(pivot, self.dim):
-                    v[i] -= c * row[i]
+                    if row[i]:
+                        v[i] -= c * row[i]
         return v
 
     def contains(self, v: Sequence[Fraction]) -> bool:
@@ -513,7 +515,8 @@ class SpanBasis:
             c = row[pivot]
             if c:
                 for i in range(pivot, self.dim):
-                    row[i] -= c * r[i]
+                    if r[i]:
+                        row[i] -= c * r[i]
         self._rows.append((pivot, r))
         self._rows.sort(key=lambda pr: pr[0])
         return True
@@ -521,3 +524,8 @@ class SpanBasis:
     @property
     def dimension(self) -> int:
         return len(self._rows)
+
+    @property
+    def basis(self) -> list[Vector]:
+        """The reduced echelon rows, in pivot order."""
+        return [tuple(row) for _, row in self._rows]

@@ -1,8 +1,13 @@
 """State elimination, reducedness and the rank of the series.
 
 A state whose series is a combination of the other states' series can be
-eliminated without changing any remaining state series. Over the field the
-iteration bottoms out at the rank of the series, which is computed
+eliminated without changing any remaining state series. State q's series
+takes the value x[q] on each backward vector x = mu(w) . gamma, so one
+backward closure (``equivalence.value_rows``) turns every reducedness
+question into a question about the columns of its rows: one solve or one
+feasibility problem per state, and none of them is ever repeated on a new
+closure, since eliminating a state only drops its column. Over the field
+the iteration bottoms out at the rank of the series, which is computed
 independently from the pairing of the two one-sided closures.
 """
 
@@ -11,9 +16,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .automata import MultiplicityAutomaton, state_series_automaton
-from .equivalence import express_combination
-from .linalg import Matrix, SpanBasis, dot, mat_vec, rref, vec_mat
+from .automata import LinearRepresentation, MultiplicityAutomaton
+from .equivalence import combination_on_rows, value_rows
+from .linalg import Matrix, SpanBasis, Vector, dot, rref, vec_mat
 
 
 class ReductionMode(enum.Enum):
@@ -26,20 +31,22 @@ class ReductionStallError(RuntimeError):
     """Field-mode elimination stopped above the series rank."""
 
 
-def _expressible_over_others(a: MultiplicityAutomaton, q: str, mode: ReductionMode):
-    others = [s for s in a.states if s != q]
-    outcome = express_combination(
-        state_series_automaton(a, q),
-        [state_series_automaton(a, s) for s in others],
-        nonneg=(mode is ReductionMode.CONE))
-    if not outcome.expressible:
-        return None
-    return dict(zip(others, outcome.coefficients))
-
-
 def is_reduced(a: MultiplicityAutomaton, mode: ReductionMode) -> bool:
-    """True iff no state's series is a mode-valid combination of the others'."""
-    return all(_expressible_over_others(a, q, mode) is None for q in a.states)
+    """True iff no state's series is a mode-valid combination of the others'.
+
+    State q's series takes the value x[q] on every backward vector x of
+    :func:`value_rows`, so the question is about the columns of those rows.
+    Over the field they are independent iff there are as many rows as
+    states; over the cone each state is one feasibility problem on the
+    other columns.
+    """
+    rows = value_rows([a.to_linear_representation()])
+    n = a.n_states
+    if mode is ReductionMode.FIELD:
+        return len(rows) == n
+    return not any(combination_on_rows(rows, q, [s for s in range(n) if s != q],
+                                       nonneg=True).expressible
+                   for q in range(n))
 
 
 def _eliminate(a: MultiplicityAutomaton, q: str,
@@ -61,25 +68,37 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     """Eliminate combination states until none remains; the series is preserved.
 
     States are examined in declared order and the first reducible one is
-    removed each round. In field mode the final state count must match
-    ``hankel_rank``; a mismatch raises :class:`ReductionStallError` instead
-    of returning silently.
+    removed each round; the input itself is returned when none is. The
+    backward rows of the input are built once: elimination leaves every
+    kept state's series unchanged, so removing a state only drops its
+    column, and each later decision is one solve (field) or one feasibility
+    problem (cone) on the remaining columns. In field mode the final state
+    count must match the series rank; a mismatch raises
+    :class:`ReductionStallError` instead of returning silently.
     """
-    target_rank = hankel_rank(a) if mode is ReductionMode.FIELD else None
+    rep = a.to_linear_representation()
+    rows = value_rows([rep])
+    nonneg = mode is ReductionMode.CONE
+    columns = list(range(a.n_states))
     current = a
     changed = True
     while changed:
         changed = False
-        for q in current.states:
-            coeffs = _expressible_over_others(current, q, mode)
-            if coeffs is not None:
-                current = _eliminate(current, q, coeffs)
+        for i, q in enumerate(current.states):
+            others = columns[:i] + columns[i + 1:]
+            outcome = combination_on_rows(rows, columns[i], others, nonneg)
+            if outcome.expressible:
+                kept = current.states[:i] + current.states[i + 1:]
+                current = _eliminate(current, q, dict(zip(kept, outcome.coefficients)))
+                del columns[i]
                 changed = True
                 break
-    if mode is ReductionMode.FIELD and current.n_states != target_rank:
-        raise ReductionStallError(
-            f"elimination stopped at {current.n_states} states but the series "
-            f"rank is {target_rank}")
+    if mode is ReductionMode.FIELD:
+        target_rank = _pairing_rank(rep, rows)
+        if current.n_states != target_rank:
+            raise ReductionStallError(
+                f"elimination stopped at {current.n_states} states but the series "
+                f"rank is {target_rank}")
     return current
 
 
@@ -92,6 +111,11 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
     of every minimal presentation of the series over the field.
     """
     rep = a.to_linear_representation()
+    return _pairing_rank(rep, value_rows([rep]))
+
+
+def _pairing_rank(rep: LinearRepresentation, backward: list[Vector]) -> int:
+    """Rank of the pairing between the forward closure of lam and given backward rows."""
     n = rep.dim
     if n == 0:
         return 0
@@ -103,16 +127,7 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
         v = stack.pop()
         if fspan.add(v):
             forward.append(v)
-            stack.extend(vec_mat(v, rep.mu[x]) for x in a.alphabet)
-
-    backward = []
-    bspan = SpanBasis(n)
-    stack = [rep.gamma]
-    while stack:
-        v = stack.pop()
-        if bspan.add(v):
-            backward.append(v)
-            stack.extend(mat_vec(rep.mu[x], v) for x in a.alphabet)
+            stack.extend(vec_mat(v, rep.mu[x]) for x in rep.alphabet)
 
     if not forward or not backward:
         return 0

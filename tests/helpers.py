@@ -5,18 +5,23 @@ check: closed forms are evaluated from first principles, series values are
 recomputed from the inductive definition or by full path enumeration, the
 2x2 spectral test uses the characteristic polynomial, and series sums are
 recomputed by the invariant-subspace decomposition and the Lyapunov
-equation, which the library replaced by a recurrence and Schur-Cohn.
+equation, which the library replaced by a recurrence and Schur-Cohn, and
+combinations of series are found by the counterexample loop that the
+library replaced by one solve on a complete set of backward rows.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from stochlang import MultiplicityAutomaton
+from stochlang import (CombinationOutcome, MultiplicityAutomaton,
+                       are_equivalent, empty_automaton, weighted_sum)
 from stochlang.analysis import letter_sum_matrix
-from stochlang.linalg import (Matrix, SpanBasis, dot, invert,
+from stochlang.automata import replace_iota
+from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot, invert,
                               is_positive_definite, linear_combination,
-                              mat_vec, solve_affine, unit_vector, vec_mat)
+                              lp_feasible, mat_vec, solve_affine, unit_vector,
+                              vec_mat)
 
 F = Fraction
 
@@ -232,6 +237,62 @@ def oracle_state_sums(a, reverse_complement=False):
     return sums
 
 
+# ------------------------------------------------------- combination oracle
+
+def _combination_counterexample(target, generators, coeffs):
+    """Word where the candidate combination misses the target, or None."""
+    shared = bool(generators) and all(
+        g.states == target.states and g.tau == target.tau and g.phi == target.phi
+        for g in generators)
+    if shared:
+        # one automaton holds every series: compare the combined initial
+        # vector with the zero series instead of building a disjoint sum
+        lam = list(target.to_linear_representation().lam)
+        for c, g in zip(coeffs, generators):
+            lam_g = g.to_linear_representation().lam
+            for i in range(len(lam)):
+                lam[i] -= c * lam_g[i]
+        outcome = are_equivalent(replace_iota(target, tuple(lam)),
+                                 empty_automaton(target.alphabet))
+    elif generators:
+        outcome = are_equivalent(target, weighted_sum(generators, coeffs))
+    else:
+        outcome = are_equivalent(target, empty_automaton(target.alphabet))
+    return None if outcome.equal else outcome.witness
+
+
+def oracle_express_combination(target, generators, nonneg):
+    """Combination of series by counterexample search.
+
+    Starts from the empty-word equation and alternates exact solving with an
+    equivalence check: while the current solution misses the target, the
+    smallest word where it fails becomes a new equation. Each new equation
+    raises the rank of the augmented system, so at most n + 2 rounds run.
+    """
+    generators = list(generators)
+    if any(g.alphabet != target.alphabet for g in generators):
+        raise ValueError("alphabet mismatch")
+    n = len(generators)
+    probes = [()]
+    for _ in range(n + 2):
+        rows = [[g.evaluate(u) for g in generators] for u in probes]
+        rhs = [target.evaluate(u) for u in probes]
+        if nonneg:
+            constraints = [Constraint.eq(row, -value) for row, value in zip(rows, rhs)]
+            constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
+            coeffs = lp_feasible(constraints, n)
+        else:
+            sol = solve_affine(Matrix(rows, n), rhs)
+            coeffs = None if sol is None else sol.particular
+        if coeffs is None:
+            return CombinationOutcome(False)
+        witness = _combination_counterexample(target, generators, coeffs)
+        if witness is None:
+            return CombinationOutcome(True, tuple(coeffs))
+        probes.append(witness)
+    raise RuntimeError("combination search exceeded its iteration bound")
+
+
 # ------------------------------------------------------------ random instances
 
 def random_fraction(rng, max_num=3, max_den=3, signed=True):
@@ -361,3 +422,50 @@ def ring_pa(n, seed=None):
         tau[q] = F(final, total)
         phi.update({key: F(w, total) for key, w in edges.items()})
     return MultiplicityAutomaton(("a", "b"), states, {states[0]: F(1)}, tau, phi).trim()
+
+
+def split_copy(a, rng):
+    """Same series on twice the states: q becomes q.0 and q.1.
+
+    The initial weight and every incoming edge are split between the two
+    copies in a random ratio; each copy keeps q's final weight and leaving
+    edges, so both copies generate q's series.
+    """
+    def share():
+        return F(rng.randint(1, 5), 6)
+
+    states = [f"{q}.{k}" for q in a.states for k in (0, 1)]
+    iota = {}
+    for q, w in a.iota.items():
+        s = share()
+        iota[f"{q}.0"], iota[f"{q}.1"] = w * s, w * (1 - s)
+    tau = {f"{q}.{k}": w for q, w in a.tau.items() for k in (0, 1)}
+    phi = {}
+    for (q, x, r), w in a.phi.items():
+        s = share()
+        for k in (0, 1):
+            phi[(f"{q}.{k}", x, f"{r}.0")] = w * s
+            phi[(f"{q}.{k}", x, f"{r}.1")] = w * (1 - s)
+    return MultiplicityAutomaton(a.alphabet, states, iota, tau, phi)
+
+
+def plant_convex_state(a, rng):
+    """Add a state "mix" whose series is a convex mixture of two states' series.
+
+    Its final weight and leaving edges mix the rows of two random states, and
+    half of one edge of the last state is redirected into it. Returns the
+    automaton, which stays a PA when ``a`` is one.
+    """
+    qi, qj = rng.sample(a.states, 2)
+    alpha = F(rng.randint(1, 4), 5)
+    phi = dict(a.phi)
+    key = next(k for k in sorted(a.phi) if k[0] == a.states[-1])
+    phi[key] /= 2
+    phi[(key[0], key[1], "mix")] = a.phi[key] / 2
+    for (q, x, r), w in a.phi.items():
+        if q in (qi, qj):
+            share = alpha if q == qi else 1 - alpha
+            phi[("mix", x, r)] = phi.get(("mix", x, r), F(0)) + share * w
+    tau = dict(a.tau)
+    tau["mix"] = alpha * a.tau_weight(qi) + (1 - alpha) * a.tau_weight(qj)
+    return MultiplicityAutomaton(a.alphabet, list(a.states) + ["mix"], a.iota, tau, phi)

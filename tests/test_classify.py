@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ from stochlang import (Dfa, MultiplicityAutomaton, ReductionMode,
                        check_stochastic_bounded, classify, fixtures, is_pa,
                        is_pda, is_pra_reduced, is_reduced, is_semi_pa,
                        pra_hardness_instance, state_sums, total_sum)
+
+from stochlang.classify import residual_witnesses
 
 from helpers import random_pa
 
@@ -81,6 +84,25 @@ class TestPraReduced:
     def test_precondition_not_pa(self):
         with pytest.raises(ValueError):
             is_pra_reduced(fixtures.build("fig3_App"))
+
+    def test_residual_witnesses_checks_only_the_pa_conditions(self):
+        with pytest.raises(ValueError, match="not a probabilistic automaton"):
+            residual_witnesses(fixtures.build("fig3_App"))
+        for name in ("fig2_A", "fig5", "example1_p"):
+            a = fixtures.build(name)
+            assert residual_witnesses(a) == is_pra_reduced(a)
+
+    def test_classify_decides_reducedness_once(self, monkeypatch):
+        module = importlib.import_module("stochlang.classify")
+
+        def forbidden(*args):
+            raise AssertionError("classify must not re-check cone-reducedness")
+        monkeypatch.setattr(module, "is_reduced", forbidden)
+        from stochlang import weighted_sum
+        doubled = weighted_sum([fixtures.build("fig5"), fixtures.build("fig5")],
+                               (F(1, 2), F(1, 2)))
+        for a in (fixtures.build("fig5"), doubled):
+            assert classify(a).pra_reduced.is_pra
 
     def test_precondition_not_reduced(self):
         from stochlang import weighted_sum
@@ -202,6 +224,14 @@ def dfa_a_count_mod(residue, alphabet=("a", "b")):
     return Dfa(alphabet, ("e", "o"), "e", frozenset({"e" if residue == 0 else "o"}), delta)
 
 
+def dfa_a_count_mod_k(k, residue, alphabet=("a", "b")):
+    """Counts the letter a modulo k and accepts at the given residue."""
+    states = tuple(f"r{i}" for i in range(k))
+    delta = {(states[i], x): states[(i + 1) % k] if x == "a" else states[i]
+             for i in range(k) for x in alphabet}
+    return Dfa(alphabet, states, states[0], frozenset({states[residue]}), delta)
+
+
 def union_covers_all(dfas, max_len):
     alphabet = dfas[0].alphabet
     for k in range(max_len + 1):
@@ -258,6 +288,16 @@ class TestHardnessInstance:
         assert report.pra_reduced.is_pra
         assert report.stochastic.sum_is_one
         assert report.stochastic.violation is None
+
+    @pytest.mark.parametrize("residues,universal", [((0, 1, 2), True), ((0, 1, 0), False)])
+    def test_classify_on_mod_three_counters(self, residues, universal):
+        # 13 states: three 3-state counters plus the four gadget states
+        b = pra_hardness_instance([dfa_a_count_mod_k(3, r) for r in residues])
+        assert b.n_states == 13
+        report = classify(b)
+        assert report.pa and not report.pra_reduced.on_reduction
+        assert report.pra_reduced.is_pra == (not universal)
+        assert (report.pra_reduced.witnesses is None) == universal
 
     def test_rejects_empty_language(self):
         d = Dfa(("a",), ("s0",), "s0", frozenset(), {("s0", "a"): "s0"})

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from stochlang import classify, fixtures, parse_automaton, are_equivalent
+from stochlang import (MultiplicityAutomaton, are_equivalent, classify, fixtures,
+                       parse_automaton, serialize_automaton)
 from stochlang.cli import main
 
 F = Fraction
@@ -319,3 +320,31 @@ def test_bounds_below_one_are_usage_errors(args):
     assert out.returncode == 2
     assert out.stdout == ""
     assert f"argument {flag}: must be at least 1, got {value}" in out.stderr
+
+
+UNTRIMMED_PAIR = MultiplicityAutomaton(
+    ("a",), ("q0", "q1"), {"q0": 1}, {"q0": F(1, 2), "q1": F(1, 3)},
+    {("q0", "a", "q0"): F(1, 2), ("q1", "a", "q1"): F(2, 3)})
+
+# total mass 1 (values 2 on the empty word, -1 on "a"), but not a distribution
+SIGNED_UNIT_MASS = MultiplicityAutomaton(
+    ("a",), ("q0", "q1"), {"q0": 1}, {"q0": 2, "q1": -1}, {("q0", "a", "q1"): 1})
+
+
+@pytest.mark.parametrize("automaton,args,message", [
+    (UNTRIMMED_PAIR, ("reduce", "--mode", "field"),
+     "elimination stopped at 2 states but the series rank is 1"),
+    (SIGNED_UNIT_MASS, ("pda",),
+     "residual exploration produced a non-deterministic or non-probabilistic automaton"),
+])
+def test_construction_failures_exit_3_without_traceback(tmp_path, automaton, args, message):
+    path = tmp_path / "input.json"
+    path.write_text(serialize_automaton(automaton))
+    command, *flags = args
+    out = subprocess.run(
+        [sys.executable, "-m", "stochlang", command, str(path), *flags],
+        capture_output=True, text=True, timeout=30)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in out.stderr

@@ -1,9 +1,10 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from stochlang import (MultiplicityAutomaton, are_equivalent,
+from stochlang import (ConstructionError, MultiplicityAutomaton, are_equivalent,
                        determinize_to_pda, fixtures, is_pa, is_pda,
                        minimal_residual_generators, residual_automaton,
                        state_series_automaton, synthesize_pa,
@@ -117,6 +118,27 @@ class TestDeterminize:
     def test_state_count_matches_discovery(self):
         out = determinize_to_pda(fixtures.build("fig2_A"), 8)
         assert out.pda.n_states == out.discovered_residuals
+
+    def test_one_sum_per_explored_edge(self, monkeypatch):
+        module = importlib.import_module("stochlang.constructions")
+        calls = []
+
+        def counted(a, u):
+            calls.append(u)
+            return real(a, u)
+        real = module._prefix_mass
+        monkeypatch.setattr(module, "_prefix_mass", counted)
+        a = fixtures.build("fig2_A")
+        out = determinize_to_pda(a, 8)
+        # the root residual is the series itself; every other sum is one edge
+        assert len(calls) == out.discovered_residuals * len(a.alphabet)
+
+    def test_signed_unit_mass_series_is_a_construction_error(self):
+        # values 2 on the empty word and -1 on "a": mass 1, not a distribution
+        a = MultiplicityAutomaton(("a",), ("q0", "q1"), {"q0": 1},
+                                  {"q0": 2, "q1": -1}, {("q0", "a", "q1"): 1})
+        with pytest.raises(ConstructionError, match="not a probability distribution"):
+            determinize_to_pda(a, 4)
 
 
 class TestPrefixial:

@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from stochlang import (MultiplicityAutomaton, are_equivalent, empty_automaton,
-                       express_combination, fixtures, weighted_sum)
-from stochlang.automata import letter_shift_automaton
+from stochlang import (MultiplicityAutomaton, SpanBasis, are_equivalent,
+                       empty_automaton, express_combination, fixtures,
+                       state_series_automaton, weighted_sum)
+from stochlang.automata import letter_shift_automaton, replace_iota
+from stochlang.equivalence import value_rows
 
-from helpers import permuted_copy, random_ma, series_equal_up_to
+from helpers import (oracle_express_combination, permuted_copy, random_fraction,
+                     random_ma, random_pa, series_equal_up_to)
 
 F = Fraction
 
@@ -144,3 +148,125 @@ class TestExpressCombination:
         with pytest.raises(ValueError):
             express_combination(fixtures.build("fig2_A"),
                                 [fixtures.build("example1_p1")], nonneg=False)
+
+
+def assert_matches_oracle(target, generators):
+    """Same verdict and coefficients as the counterexample loop, and valid ones."""
+    for nonneg in (False, True):
+        out = express_combination(target, generators, nonneg)
+        assert out == oracle_express_combination(target, generators, nonneg)
+        if not out.expressible:
+            continue
+        assert len(out.coefficients) == len(generators)
+        if nonneg:
+            assert all(c >= 0 for c in out.coefficients)
+        rebuilt = (weighted_sum(generators, out.coefficients) if generators
+                   else empty_automaton(target.alphabet))
+        assert are_equivalent(target, rebuilt).equal
+
+
+def random_lam(rng, n):
+    return tuple(random_fraction(rng) if rng.random() < 0.7 else F(0) for _ in range(n))
+
+
+class TestValueRows:
+    def test_rows_are_independent_and_decide_field_reducedness(self):
+        # the rows span the vectors mu(w) . gamma, whose entry q is state q's
+        # value on w, so the state series are independent, and the automaton
+        # field-reduced, iff there are as many rows as states; the oracle
+        # asks each state against the others
+        rng = random.Random(37)
+        for _ in range(20):
+            a = random_ma(rng, rng.randint(1, 4), ("a", "b"))
+            rows = value_rows([a.to_linear_representation()])
+            span = SpanBasis(a.n_states)
+            assert all(span.add(x) for x in rows)
+            reducible = any(
+                oracle_express_combination(
+                    state_series_automaton(a, q),
+                    [state_series_automaton(a, s) for s in a.states if s != q],
+                    nonneg=False).expressible
+                for q in a.states)
+            assert (len(rows) < a.n_states) == reducible
+
+    def test_block_values_are_series_values(self):
+        # lam . x over block i reproduces every word's value of series i:
+        # the rows span all x(w), so a functional vanishing on them vanishes
+        # on every word
+        rng = random.Random(38)
+        for _ in range(15):
+            a = random_ma(rng, rng.randint(1, 3), ("a", "b"))
+            b = random_ma(rng, rng.randint(1, 3), ("a", "b"))
+            rows = value_rows([a.to_linear_representation(), b.to_linear_representation()])
+            assert len(rows) <= a.n_states + b.n_states
+            lam = a.to_linear_representation().lam + tuple(
+                -w for w in b.to_linear_representation().lam)
+            vanishes = all(sum((u * v for u, v in zip(lam, x)), F(0)) == 0 for x in rows)
+            same, _ = series_equal_up_to(a, b, a.n_states + b.n_states)
+            assert vanishes == same
+
+    def test_empty_input(self):
+        assert value_rows([]) == []
+        assert value_rows([empty_automaton(("a",)).to_linear_representation()]) == []
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(ValueError):
+            value_rows([fixtures.build("fig2_A").to_linear_representation(),
+                        fixtures.build("fig5").to_linear_representation()])
+
+
+class TestAgainstCounterexampleOracle:
+    """The one-solve kernel against the counterexample loop it replaced.
+
+    Over the field the coefficients must be identical: the reduced
+    row-echelon particular solution depends only on the row space, and the
+    loop stops only once its equations determine the same solution.
+    """
+
+    def test_every_fixture_target_over_one_to_three_fixture_generators(self):
+        autos = {name: fixtures.build(name) for name in fixtures.FIXTURE_NAMES}
+        for name, target in autos.items():
+            same = [g for g in autos.values() if g.alphabet == target.alphabet]
+            for k in (1, 2, 3):
+                for gens in itertools.combinations_with_replacement(same, k):
+                    assert_matches_oracle(target, list(gens))
+
+    def test_random_shared_structure(self):
+        rng = random.Random(61)
+        for _ in range(25):
+            base = random_ma(rng, rng.randint(2, 4), ("a", "b"))
+            gens = [replace_iota(base, random_lam(rng, base.n_states))
+                    for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                coeffs = [F(rng.randint(-2, 2)) for _ in gens]
+                lam = [sum((c * g.iota_weight(q) for c, g in zip(coeffs, gens)), F(0))
+                       for q in base.states]
+            else:
+                lam = random_lam(rng, base.n_states)
+            assert_matches_oracle(replace_iota(base, lam), gens)
+
+    def test_random_disjoint_structure(self):
+        rng = random.Random(62)
+        for _ in range(25):
+            gens = [random_ma(rng, rng.randint(1, 3), ("a", "b"))
+                    for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                target = weighted_sum(gens, [F(rng.randint(0, 2)) for _ in gens])
+            else:
+                target = random_ma(rng, rng.randint(1, 3), ("a", "b"))
+            assert_matches_oracle(target, gens)
+
+    def test_mixtures_of_eight_two_state_pas(self):
+        rng = random.Random(63)
+        gens = [random_pa(rng, 2, ("a", "b")) for _ in range(8)]
+        raw = [rng.randint(1, 5) for _ in gens]
+        coeffs = [F(c, sum(raw)) for c in raw]
+        flipped = list(coeffs)
+        flipped[rng.randrange(8)] *= -1
+        feasible = weighted_sum(gens, coeffs)
+        assert_matches_oracle(feasible, gens)
+        assert express_combination(feasible, gens, nonneg=True).coefficients == tuple(coeffs)
+        infeasible = weighted_sum(gens, flipped)
+        assert_matches_oracle(infeasible, gens)
+        assert not express_combination(infeasible, gens, nonneg=True).expressible
+        assert express_combination(infeasible, gens, nonneg=False).coefficients == tuple(flipped)

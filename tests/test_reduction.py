@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
-from stochlang import (MultiplicityAutomaton, ReductionMode, are_equivalent,
-                       fixtures, hankel_rank, is_pa, is_reduced, reduce,
-                       weighted_sum, words_up_to)
+import pytest
 
-from helpers import duplicate_state, random_dense_ma, random_pa
+from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError,
+                       are_equivalent, fixtures, hankel_rank, is_pa, is_reduced,
+                       reduce, weighted_sum, words_up_to)
+
+from helpers import (duplicate_state, plant_convex_state, random_dense_ma,
+                     random_pa, ring_pa, split_copy)
 
 F = Fraction
 
@@ -111,3 +114,44 @@ class TestHankelRank:
         for name in fixtures.FIXTURE_NAMES:
             a = fixtures.build(name)
             assert reduce(a, ReductionMode.FIELD).n_states == hankel_rank(a)
+
+
+def untrimmed_pair():
+    """q0 generates the series; q1 is unreachable and independent of q0."""
+    return MultiplicityAutomaton(
+        ("a",), ("q0", "q1"), {"q0": 1}, {"q0": F(1, 2), "q1": F(1, 3)},
+        {("q0", "a", "q0"): F(1, 2), ("q1", "a", "q1"): F(2, 3)})
+
+
+class TestBeyondFiveStates:
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_field_reduction_of_split_ring_reaches_rank(self, n):
+        ring = ring_pa(n)
+        split = split_copy(ring, random.Random(n))
+        assert split.n_states == 2 * n
+        assert not is_reduced(split, ReductionMode.FIELD)
+        reduced = reduce(split, ReductionMode.FIELD)
+        assert reduced.n_states == hankel_rank(split) == hankel_rank(ring)
+        assert is_reduced(reduced, ReductionMode.FIELD)
+        assert are_equivalent(reduced, ring).equal
+
+    def test_cone_reduction_removes_planted_convex_state(self):
+        ring = ring_pa(8)
+        a = plant_convex_state(ring, random.Random(8))
+        assert is_pa(a) and a.n_states == 9
+        assert not is_reduced(a, ReductionMode.CONE)
+        reduced = reduce(a, ReductionMode.CONE)
+        assert reduced.states == ring.states
+        assert is_pa(reduced)
+        assert is_reduced(reduced, ReductionMode.CONE)
+        assert are_equivalent(reduced, a).equal
+
+
+class TestStall:
+    def test_untrimmed_field_reduction_stalls_above_rank(self):
+        a = untrimmed_pair()
+        assert hankel_rank(a) == 1
+        assert is_reduced(a, ReductionMode.FIELD)
+        with pytest.raises(ReductionStallError,
+                           match="elimination stopped at 2 states but the series rank is 1"):
+            reduce(a, ReductionMode.FIELD)
