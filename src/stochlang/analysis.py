@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .automata import MultiplicityAutomaton, replace_iota
 from .linalg import (Matrix, Vector, dot, krylov_closure, linear_combination,
-                     mat_vec, schur_stable, vec_mat)
+                     mat_vec, schur_stable)
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,7 @@ def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
 def _prefix_mass(a: MultiplicityAutomaton, u: Sequence[str]) -> tuple[Vector, Fraction]:
     """The initial vector lam . mu(u) and the sum of the series it starts."""
     rep = a.to_linear_representation()
-    v = rep.lam
-    for x in u:
-        if x not in rep.mu:
-            raise ValueError(f"letter {x!r} is not in the alphabet")
-        v = vec_mat(v, rep.mu[x])
+    v = rep.forward(rep.lam, u)
     outcome = _series_sum(letter_sum_matrix(a), v, rep.gamma)
     if not outcome.converges:
         raise ValueError("prefix mass diverges")

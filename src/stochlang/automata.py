@@ -76,13 +76,20 @@ class LinearRepresentation:
     def alphabet(self) -> tuple[str, ...]:
         return tuple(self.mu)
 
-    def evaluate(self, word: Sequence[str]) -> Fraction:
-        v = self.lam
+    def forward(self, v: Vector, word: Sequence[str]) -> Vector:
+        """The row vector v . mu(word), pushed through one letter matrix at a time.
+
+        Every initial vector of this representation starts a series; the one
+        v . mu(u) starts the unnormalised residual of that series at u.
+        """
         for x in word:
             if x not in self.mu:
                 raise ValueError(f"letter {x!r} is not in the alphabet")
             v = vec_mat(v, self.mu[x])
-        return dot(v, self.gamma)
+        return v
+
+    def evaluate(self, word: Sequence[str]) -> Fraction:
+        return dot(self.forward(self.lam, word), self.gamma)
 
 
 def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
@@ -190,13 +197,8 @@ class MultiplicityAutomaton:
         if q not in set(self.states):
             raise ValueError(f"unknown state {q!r}")
         rep = self.to_linear_representation()
-        index = {s: i for i, s in enumerate(self.states)}
-        v: Vector = tuple(Fraction(1 if i == index[q] else 0) for i in range(rep.dim))
-        for x in word:
-            if x not in rep.mu:
-                raise ValueError(f"letter {x!r} is not in the alphabet")
-            v = vec_mat(v, rep.mu[x])
-        return dot(v, rep.gamma)
+        unit = tuple(Fraction(1 if s == q else 0) for s in self.states)
+        return dot(rep.forward(unit, word), rep.gamma)
 
     def trim(self) -> "MultiplicityAutomaton":
         """Restrict to states that are both accessible and co-accessible.
@@ -314,12 +316,7 @@ def letter_shift_automaton(a: MultiplicityAutomaton, word: Sequence[str]
                            ) -> MultiplicityAutomaton:
     """Automaton for the (unnormalised) word shift of the series of ``a``."""
     rep = a.to_linear_representation()
-    v = rep.lam
-    for x in word:
-        if x not in rep.mu:
-            raise ValueError(f"letter {x!r} is not in the alphabet")
-        v = vec_mat(v, rep.mu[x])
-    return replace_iota(a, v)
+    return replace_iota(a, rep.forward(rep.lam, word))
 
 
 def with_alphabet(a: MultiplicityAutomaton, alphabet: Sequence[str]

@@ -6,6 +6,14 @@ concrete probabilistic automata, discovering all coefficients by exact
 solving. Failures are honest: a returned None means the required nonnegative
 coefficients do not exist at this level, and a bound report means the search
 was cut off, never that the answer is known to be negative.
+
+Every residual of a series, and every letter shift of one, is the input's
+own linear representation with another initial vector. One backward
+closure of that representation (:func:`~stochlang.equivalence.value_rows`)
+therefore serves every residual question of one call: a residual becomes
+the tuple of its values on those rows, equal tuples mean equal series, and
+a combination question between residuals is one exact solve on a table of
+such values.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ from .automata import (MultiplicityAutomaton, Word, format_word,
                        letter_shift_automaton, length_lex_key, replace_iota,
                        state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
-from .equivalence import are_equivalent, express_combination
+from .equivalence import (are_equivalent, combination_on_rows, express_combination,
+                          value_rows)
+from .linalg import Vector, dot
 
 
 class ConstructionError(RuntimeError):
@@ -39,6 +49,15 @@ def _letter_step(res: MultiplicityAutomaton, x: str
     if mass == 0:
         return mass, None
     return mass, replace_iota(res, tuple(c / mass for c in v))
+
+
+def _values(v: Vector, rows: Sequence[Vector]) -> tuple[Fraction, ...]:
+    """Values on backward rows of the series started by initial vector v.
+
+    The rows span every mu(w) . gamma of the representation, so two initial
+    vectors start the same series iff their values are equal tuples.
+    """
+    return tuple(dot(v, b) for b in rows)
 
 
 def synthesize_pa(target: MultiplicityAutomaton,
@@ -105,7 +124,9 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     """Explore residuals breadth-first and assemble a deterministic PA from them.
 
     Two words whose residual series coincide share a state; each state keeps
-    its smallest witness word as its name. Exceeding ``max_states`` distinct
+    its smallest witness word as its name. Residuals are told apart by their
+    values on the backward rows of the input, looked up in a dict, so no
+    pair of residuals is ever compared. Exceeding ``max_states`` distinct
     residuals aborts with the count discovered so far, which is not a proof
     that infinitely many exist. The input series must have total mass 1.
     """
@@ -117,7 +138,10 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     if outcome.value != 1:
         raise ValueError("the series must have total mass 1")
 
+    rep = a.to_linear_representation()
+    rows = value_rows([rep])
     discovered: list[tuple[Word, MultiplicityAutomaton]] = [((), residual_automaton(a, ()))]
+    index = {_values(rep.lam, rows): 0}
     transitions: dict[tuple[int, str], tuple[Fraction, int]] = {}
     queue = deque([0])
     while queue:
@@ -127,12 +151,12 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
             mass, child = _letter_step(res, x)
             if child is None:
                 continue
-            match = next((j for j, (_, known) in enumerate(discovered)
-                          if are_equivalent(child, known).equal), None)
+            key = _values(child.to_linear_representation().lam, rows)
+            match = index.get(key)
             if match is None:
                 if len(discovered) == max_states:
                     return DeterminizationOutcome(None, len(discovered) + 1)
-                match = len(discovered)
+                match = index[key] = len(discovered)
                 discovered.append((discovered[i][0] + (x,), child))
                 queue.append(match)
             transitions[(i, x)] = (mass, match)
@@ -155,10 +179,13 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     """Rebuild a PA over the prefix closure of its residual witness words.
 
     Each state q must come with a word w_q whose residual equals the state's
-    series (verified exactly; distinct words per state). States of the result
-    are the prefixes of the witness set: the empty word carries all initial
-    mass, tree edges carry residual prefix weights, and each witness state
-    routes its remaining letters through the original transitions.
+    series (distinct words per state). Each witness is verified exactly by
+    comparing the residual's values on the input's backward rows with column
+    q of those rows; only a mismatch runs an equivalence check, to name the
+    word where the two series differ. States of the result are the prefixes
+    of the witness set: the empty word carries all initial mass, tree edges
+    carry residual prefix weights, and each witness state routes its
+    remaining letters through the original transitions.
     """
     if not is_pa(a):
         raise ValueError("input is not a probabilistic automaton")
@@ -169,9 +196,11 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
         witness_words[q] = tuple(witnesses[q])
     if len(set(witness_words.values())) != len(witness_words):
         raise ValueError("witness words must be distinct")
-    for q, w in witness_words.items():
-        check = are_equivalent(residual_automaton(a, w), state_series_automaton(a, q))
-        if not check.equal:
+    rows = value_rows([a.to_linear_representation()])
+    for i, (q, w) in enumerate(witness_words.items()):
+        res = residual_automaton(a, w)
+        if _values(res.to_linear_representation().lam, rows) != tuple(b[i] for b in rows):
+            check = are_equivalent(res, state_series_automaton(a, q))
             raise ValueError(
                 f"witness verification failure for state {q!r}: the residual at "
                 f"{format_word(w, a.alphabet)} differs at "
@@ -219,7 +248,11 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
 
     Collects residuals of all words up to ``depth``, drops any residual that
     is a nonnegative combination of the remaining ones, then verifies the
-    survivors form a stable family containing the series. None means the
+    survivors form a stable family containing the series. Residuals are
+    deduplicated by their values on the input's backward rows; one table of
+    those values holds a column per residual, per residual letter shift and
+    for the series itself, and each drop, stability and cover question is one
+    feasibility problem over some of its columns. None means the
     check failed at this depth and is inconclusive, not that no finite
     generating set exists.
     """
@@ -231,33 +264,33 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     if outcome.value != 1:
         raise ValueError("the series must have total mass 1")
 
-    survivors: list[tuple[Word, MultiplicityAutomaton]] = []
+    rep = a.to_linear_representation()
+    rows = value_rows([rep])
+    found: dict[tuple[Fraction, ...], tuple[Word, Vector]] = {}
     for u in words_up_to(a.alphabet, depth):
         try:
-            res = residual_automaton(a, u)
+            v = residual_automaton(a, u).to_linear_representation().lam
         except ValueError:
             continue
-        if not any(are_equivalent(res, known).equal for _, known in survivors):
-            survivors.append((u, res))
+        found.setdefault(_values(v, rows), (u, v))
+    # columns: the k residuals, then their letter shifts, then the series
+    k, letters = len(found), len(a.alphabet)
+    columns = list(found) + [_values(rep.forward(v, (x,)), rows)
+                             for _, v in found.values() for x in a.alphabet]
+    table = list(zip(*columns, _values(rep.lam, rows)))
 
-    changed = True
-    while changed:
-        changed = False
-        for i in reversed(range(len(survivors))):
-            if len(survivors) == 1:
-                break
-            rest = [res for j, (_, res) in enumerate(survivors) if j != i]
-            if express_combination(survivors[i][1], rest, nonneg=True).expressible:
-                del survivors[i]
-                changed = True
-                break
+    def covered(target: int, columns: list[int]) -> bool:
+        return combination_on_rows(table, target, columns, nonneg=True).expressible
 
-    generators = [res for _, res in survivors]
-    for _, res in survivors:
-        for x in a.alphabet:
-            shifted = letter_shift_automaton(res, (x,))
-            if not express_combination(shifted, generators, nonneg=True).expressible:
-                return None
-    if not express_combination(a, generators, nonneg=True).expressible:
+    alive = list(range(k))
+    while len(alive) > 1:
+        drop = next((i for i in reversed(alive)
+                     if covered(i, [j for j in alive if j != i])), None)
+        if drop is None:
+            break
+        alive.remove(drop)
+    needed = [k + i * letters + j for i in alive for j in range(letters)] + [k * (1 + letters)]
+    if not all(covered(t, alive) for t in needed):
         return None
-    return [w for w, _ in survivors]
+    words = [u for u, _ in found.values()]
+    return [words[i] for i in alive]

@@ -105,9 +105,10 @@ def value_rows(reps: Sequence[LinearRepresentation]) -> list[Vector]:
     the left, so the span reached holds every x(w). A series with initial
     vector lam on block i takes the value lam . x(w)[i] on w, so a linear
     equation between such series holds on every word iff it holds on these
-    rows. Echelon rows are returned rather than the x(w) themselves: they
-    span the same space, and a solve over a subset of their columns starts
-    almost reduced.
+    rows. In particular, two initial vectors of one representation give
+    equal series iff they agree on every row. Echelon rows are returned
+    rather than the x(w) themselves: they span the same space, and a solve
+    over a subset of their columns starts almost reduced.
     """
     alphabet = reps[0].alphabet if reps else ()
     if any(r.alphabet != alphabet for r in reps):

@@ -7,17 +7,23 @@ recomputed from the inductive definition or by full path enumeration, the
 recomputed by the invariant-subspace decomposition and the Lyapunov
 equation, which the library replaced by a recurrence and Schur-Cohn, and
 combinations of series are found by the counterexample loop that the
-library replaced by one solve on a complete set of backward rows.
+library replaced by one solve on a complete set of backward rows, and
+residual exploration matches residuals by pairwise equivalence checks,
+which the library replaced by their values on one set of backward rows.
 """
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
-from stochlang import (CombinationOutcome, MultiplicityAutomaton,
-                       are_equivalent, empty_automaton, weighted_sum)
+from stochlang import (CombinationOutcome, ConstructionError,
+                       DeterminizationOutcome, MultiplicityAutomaton,
+                       are_equivalent, empty_automaton, format_word, is_pda,
+                       prefix_weight, residual_automaton, total_sum,
+                       weighted_sum, words_up_to)
 from stochlang.analysis import letter_sum_matrix
-from stochlang.automata import replace_iota
+from stochlang.automata import letter_shift_automaton, replace_iota
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot, invert,
                               is_positive_definite, linear_combination,
                               lp_feasible, mat_vec, solve_affine, unit_vector,
@@ -291,6 +297,94 @@ def oracle_express_combination(target, generators, nonneg):
             return CombinationOutcome(True, tuple(coeffs))
         probes.append(witness)
     raise RuntimeError("combination search exceeded its iteration bound")
+
+
+# ------------------------------------------------- residual exploration oracles
+
+def oracle_determinize_to_pda(a, max_states):
+    """Breadth-first residual exploration matching each new residual by a
+    pairwise scan of equivalence checks against every residual found so far."""
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    outcome = total_sum(a)
+    if not outcome.converges:
+        raise ValueError("the series diverges")
+    if outcome.value != 1:
+        raise ValueError("the series must have total mass 1")
+
+    discovered = [((), residual_automaton(a, ()))]
+    transitions = {}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        _, res = discovered[i]
+        for x in a.alphabet:
+            mass = prefix_weight(res, (x,))
+            if mass == 0:
+                continue
+            child = residual_automaton(res, (x,))
+            match = next((j for j, (_, known) in enumerate(discovered)
+                          if are_equivalent(child, known).equal), None)
+            if match is None:
+                if len(discovered) == max_states:
+                    return DeterminizationOutcome(None, len(discovered) + 1)
+                match = len(discovered)
+                discovered.append((discovered[i][0] + (x,), child))
+                queue.append(match)
+            transitions[(i, x)] = (mass, match)
+
+    names = [format_word(word, a.alphabet) for word, _ in discovered]
+    tau = {names[i]: res.evaluate(()) for i, (_, res) in enumerate(discovered)}
+    phi = {(names[i], x, names[j]): mass for (i, x), (mass, j) in transitions.items()}
+    pda = MultiplicityAutomaton(a.alphabet, names, {names[0]: F(1)}, tau, phi)
+    if not is_pda(pda):
+        raise ConstructionError("residual exploration produced a non-deterministic or "
+                                "non-probabilistic automaton; the input series is not "
+                                "a probability distribution")
+    return DeterminizationOutcome(pda, len(discovered))
+
+
+def oracle_minimal_residual_generators(a, depth):
+    """Residual generators by pairwise equivalence checks for deduplication and
+    one combination search per drop, stability and cover question."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    outcome = total_sum(a)
+    if not outcome.converges:
+        raise ValueError("the series diverges")
+    if outcome.value != 1:
+        raise ValueError("the series must have total mass 1")
+
+    survivors = []
+    for u in words_up_to(a.alphabet, depth):
+        try:
+            res = residual_automaton(a, u)
+        except ValueError:
+            continue
+        if not any(are_equivalent(res, known).equal for _, known in survivors):
+            survivors.append((u, res))
+
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(len(survivors))):
+            if len(survivors) == 1:
+                break
+            rest = [res for j, (_, res) in enumerate(survivors) if j != i]
+            if oracle_express_combination(survivors[i][1], rest, nonneg=True).expressible:
+                del survivors[i]
+                changed = True
+                break
+
+    generators = [res for _, res in survivors]
+    for _, res in survivors:
+        for x in a.alphabet:
+            shifted = letter_shift_automaton(res, (x,))
+            if not oracle_express_combination(shifted, generators, nonneg=True).expressible:
+                return None
+    if not oracle_express_combination(a, generators, nonneg=True).expressible:
+        return None
+    return [w for w, _ in survivors]
 
 
 # ------------------------------------------------------------ random instances

@@ -10,6 +10,7 @@ from stochlang import (MultiplicityAutomaton, empty_automaton, fixtures,
                        parse_word, rep_from_generator_relations,
                        state_series_automaton, weighted_sum, words_up_to)
 from stochlang.automata import letter_shift_automaton, merge_alphabets
+from stochlang.linalg import dot
 
 from helpers import eval_by_definition, eval_by_paths, max_abs_entry, random_ma
 
@@ -60,6 +61,21 @@ class TestEvaluate:
     def test_rejects_foreign_letter(self):
         with pytest.raises(ValueError):
             fixtures.build("fig2_A").evaluate(("z",))
+
+    def test_forward_composes_and_pairs_with_gamma(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            rep = random_ma(rng, 3, ("a", "b")).to_linear_representation()
+            for u in words_up_to(rep.alphabet, 2):
+                v = rep.forward(rep.lam, u)
+                for w in words_up_to(rep.alphabet, 2):
+                    assert rep.forward(v, w) == rep.forward(rep.lam, u + w)
+                    assert dot(rep.forward(v, w), rep.gamma) == rep.evaluate(u + w)
+        assert rep.forward(rep.lam, ()) == rep.lam
+        for push in (lambda: rep.forward(rep.lam, ("a", "z")),
+                     lambda: fixtures.build("fig2_A").evaluate_state("q0", ("z",))):
+            with pytest.raises(ValueError, match="^letter 'z' is not in the alphabet$"):
+                push()
 
     @given(small_mas())
     @settings(max_examples=25, deadline=None)

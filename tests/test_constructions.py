@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from stochlang import (ConstructionError, MultiplicityAutomaton, are_equivalent,
                        state_series_automaton, synthesize_pa,
                        to_prefixial_pra)
 
-from helpers import random_pda
+from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
+                     random_pda, ring_pa, split_copy)
 
 F = Fraction
 
@@ -186,7 +188,8 @@ class TestPrefixial:
 
     def test_bad_witness_rejected(self):
         a = fixtures.build("fig5")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^witness verification failure for state "
+                                             "'q1': the residual at aa differs at @$"):
             to_prefixial_pra(a, {"q0": (), "q1": ("a", "a")})
 
     def test_duplicate_witnesses_rejected(self):
@@ -227,3 +230,81 @@ class TestMinimalResidualGenerators:
     def test_depth_below_one_rejected(self, depth):
         with pytest.raises(ValueError, match="depth must be at least 1"):
             minimal_residual_generators(fixtures.build("fig2_A"), depth)
+
+
+# ------------------------------------------- residuals as values on backward rows
+
+def _oracle_inputs():
+    inputs = [(name, fixtures.build(name)) for name in fixtures.FIXTURE_NAMES]
+    inputs += [(f"ring{n}", ring_pa(n)) for n in range(2, 9)]
+    rng = random.Random(61)
+    pdas = [random_pda(rng, n, ("a", "b")) for n in (4, 6, 8)]
+    inputs += [(f"pda{a.n_states}", a) for a in pdas]
+    inputs += [(f"pda{a.n_states}-split", split_copy(a, rng)) for a in pdas]
+    return inputs
+
+
+ORACLE_INPUTS = _oracle_inputs()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_oracle_inputs_reach_sixteen_states():
+    assert max(a.n_states for _, a in ORACLE_INPUTS) == 16
+
+
+@pytest.mark.parametrize("bound", [3, 8, 16])
+@pytest.mark.parametrize("a", [a for _, a in ORACLE_INPUTS],
+                         ids=[name for name, _ in ORACLE_INPUTS])
+def test_determinize_matches_pairwise_oracle(a, bound):
+    assert _outcome(determinize_to_pda, a, bound) == _outcome(oracle_determinize_to_pda, a, bound)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("a", [a for _, a in ORACLE_INPUTS],
+                         ids=[name for name, _ in ORACLE_INPUTS])
+def test_minimal_generators_match_pairwise_oracle(a, depth):
+    assert (_outcome(minimal_residual_generators, a, depth)
+            == _outcome(oracle_minimal_residual_generators, a, depth))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of equivalence-layer calls, direct or nested, by function name."""
+    counts = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in ("stochlang.constructions", "stochlang.equivalence"):
+        mod = importlib.import_module(module)
+        for name in ("are_equivalent", "express_combination", "value_rows"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["fig2_A", "fig5", "example1_p"])
+def test_determinize_uses_one_closure_and_no_pairwise_check(calls, name):
+    determinize_to_pda(fixtures.build(name), 16)
+    assert calls == {"value_rows": 1}
+
+
+@pytest.mark.parametrize("name", ["fig2_A", "fig5", "example1_p"])
+def test_minimal_generators_use_one_closure_and_no_search(calls, name):
+    minimal_residual_generators(fixtures.build(name), 3)
+    assert calls == {"value_rows": 1}
+
+
+@pytest.mark.parametrize("name", ["fig2_A", "fig5"])
+def test_prefixial_runs_only_the_final_equivalence_check(calls, name):
+    to_prefixial_pra(fixtures.build(name), {"q0": (), "q1": ("a",)})
+    assert calls["are_equivalent"] == 1
+    assert calls["express_combination"] == 0
