@@ -1,4 +1,4 @@
-"""Byte-exact CLI output of the residual constructions on every fixture.
+"""Byte-exact CLI output of the decision commands on every fixture.
 
 ``tests/data/cli_golden/`` holds, per fixture and command, the exact stdout
 (``<fixture>.<case>.out``) and the exit code (``exit_codes.json``) of the
@@ -26,7 +26,15 @@ CASES = {
     "mingens3": ["minimal-gens", "--depth", "3"],
     "prefixial": ["prefixial"],
     "classify": ["classify"],
+    "rank": ["rank"],
+    "sums": ["sums"],
+    "reduce_field": ["reduce", "--mode", "field"],
+    "reduce_cone": ["reduce", "--mode", "cone"],
 }
+# equivalence of each fixture with each fixture: the right-hand document
+# is passed after the left one
+CASES.update({f"equiv_{other}": ["equiv", str(DATA / f"{other}.json")]
+              for other in FIXTURES})
 
 
 def run(fixture, case):
