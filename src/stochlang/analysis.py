@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .automata import MultiplicityAutomaton, replace_iota
+from .automata import LinearRepresentation, MultiplicityAutomaton, replace_iota
 from .linalg import (Matrix, Vector, dot, krylov_closure, linear_combination,
                      mat_vec, schur_stable)
 
@@ -80,8 +80,25 @@ def _minimal_recurrence(terms: Sequence[Fraction]) -> list[Fraction]:
     return c + [Fraction(0)] * (length + 1 - len(c))
 
 
-def _series_sum(m: Matrix, lam: Vector, gamma: Vector) -> SumOutcome:
-    """Decide and evaluate sum_k lam . M^k . gamma.
+def _gamma_powers(a: MultiplicityAutomaton) -> list[Vector]:
+    """The 2n vectors M^k . gamma, k < 2n, of an n-state automaton.
+
+    Every series that ``a``'s letter matrices and final vector start from
+    some initial vector v, such as a residual or a state's series, has the
+    length-summed terms v . M^k . gamma, so one table serves all their sums:
+    each costs 2n dot products (see :func:`_series_sum`).
+    """
+    m = letter_sum_matrix(a)
+    v = a.to_linear_representation().gamma
+    powers = []
+    for _ in range(2 * a.n_states):
+        powers.append(v)
+        v = mat_vec(m, v)
+    return powers
+
+
+def _series_sum(powers: Sequence[Vector], lam: Vector) -> SumOutcome:
+    """Decide and evaluate sum_k lam . M^k . gamma from the table of M^k . gamma.
 
     The terms s_k satisfy a recurrence of order at most n (Cayley-Hamilton),
     so 2n of them determine the minimal one, with connection polynomial C of
@@ -90,11 +107,7 @@ def _series_sum(m: Matrix, lam: Vector, gamma: Vector) -> SumOutcome:
     strictly inside the unit circle, that is iff z^L C(1/z) is Schur-stable,
     and then it equals P(1) / C(1).
     """
-    terms: list[Fraction] = []
-    v = gamma
-    for _ in range(2 * m.nrows):
-        terms.append(dot(lam, v))
-        v = mat_vec(m, v)
+    terms = [dot(lam, v) for v in powers]
     c = _minimal_recurrence(terms)
     if not schur_stable(c[::-1]):
         return SumOutcome.divergent()
@@ -106,8 +119,7 @@ def _series_sum(m: Matrix, lam: Vector, gamma: Vector) -> SumOutcome:
 
 def total_sum(a: MultiplicityAutomaton) -> SumOutcome:
     """Convergence decision and exact value of the sum of the series over all words."""
-    rep = a.to_linear_representation()
-    return _series_sum(letter_sum_matrix(a), rep.lam, rep.gamma)
+    return _series_sum(_gamma_powers(a), a.to_linear_representation().lam)
 
 
 def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
@@ -129,14 +141,26 @@ def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
     return dict(zip(a.states, sums))
 
 
-def _prefix_mass(a: MultiplicityAutomaton, u: Sequence[str]) -> tuple[Vector, Fraction]:
-    """The initial vector lam . mu(u) and the sum of the series it starts."""
-    rep = a.to_linear_representation()
-    v = rep.forward(rep.lam, u)
-    outcome = _series_sum(letter_sum_matrix(a), v, rep.gamma)
+def _mass(powers: Sequence[Vector], v: Vector) -> Fraction:
+    """Sum of the series started by initial vector v, from its automaton's table
+    of :func:`_gamma_powers`; ValueError when it diverges."""
+    outcome = _series_sum(powers, v)
     if not outcome.converges:
         raise ValueError("prefix mass diverges")
-    return v, outcome.value
+    return outcome.value
+
+
+def _residual_vector(rep: LinearRepresentation, powers: Sequence[Vector],
+                     u: Sequence[str]) -> Vector:
+    """Initial vector of the residual at u: lam . mu(u) divided by its mass.
+
+    ValueError when that mass diverges or is zero.
+    """
+    v = rep.forward(rep.lam, u)
+    mass = _mass(powers, v)
+    if mass == 0:
+        raise ValueError(f"prefix weight of {''.join(u) or 'the empty word'} is zero")
+    return tuple(x / mass for x in v)
 
 
 def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
@@ -144,7 +168,8 @@ def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
 
     Raises ValueError when the sum started by lam . mu(u) diverges.
     """
-    return _prefix_mass(a, u)[1]
+    rep = a.to_linear_representation()
+    return _mass(_gamma_powers(a), rep.forward(rep.lam, u))
 
 
 def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> MultiplicityAutomaton:
@@ -154,7 +179,5 @@ def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> Multiplici
     by the prefix weight, which must be finite and nonzero. Other states'
     sums may diverge; only the sum started by that vector matters.
     """
-    v, mass = _prefix_mass(a, u)
-    if mass == 0:
-        raise ValueError(f"prefix weight of {''.join(u) or 'the empty word'} is zero")
-    return replace_iota(a, tuple(x / mass for x in v))
+    return replace_iota(a, _residual_vector(a.to_linear_representation(),
+                                            _gamma_powers(a), u))

@@ -13,7 +13,8 @@ closure of that representation (:func:`~stochlang.equivalence.value_rows`)
 therefore serves every residual question of one call: a residual becomes
 the tuple of its values on those rows, equal tuples mean equal series, and
 a combination question between residuals is one exact solve on a table of
-such values.
+such values. Their masses share M and gamma too: one table of the vectors
+M^k gamma per call turns each prefix mass into 2n dot products.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .analysis import _prefix_mass, residual_automaton, total_sum
-from .automata import (MultiplicityAutomaton, Word, format_word,
-                       letter_shift_automaton, length_lex_key, replace_iota,
-                       state_series_automaton, words_up_to)
+from .analysis import (_gamma_powers, _mass, _residual_vector, _series_sum,
+                       total_sum)
+from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
+                       format_word, letter_shift_automaton, length_lex_key,
+                       replace_iota, state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
 from .equivalence import (are_equivalent, combination_on_rows, express_combination,
                           value_rows)
@@ -39,16 +41,28 @@ class ConstructionError(RuntimeError):
     probability distribution."""
 
 
-def _letter_step(res: MultiplicityAutomaton, x: str
-                 ) -> tuple[Fraction, MultiplicityAutomaton | None]:
-    """Prefix mass of one letter and the residual it leads to (None at mass zero).
+def _letter_step(rep: LinearRepresentation, powers: Sequence[Vector], v: Vector,
+                 x: str) -> tuple[Fraction, Vector | None]:
+    """Prefix mass of one letter from the residual with initial vector v, and the
+    initial vector of the residual it leads to (None at mass zero).
 
-    One sum per edge: the residual is built from the same vector and mass.
+    One sum per edge, 2n dot products on the table of :func:`_gamma_powers`;
+    the residual is built from the same vector and mass.
     """
-    v, mass = _prefix_mass(res, (x,))
+    w = rep.forward(v, (x,))
+    mass = _mass(powers, w)
     if mass == 0:
         return mass, None
-    return mass, replace_iota(res, tuple(c / mass for c in v))
+    return mass, tuple(c / mass for c in w)
+
+
+def _checked_total(rep: LinearRepresentation, powers: Sequence[Vector]) -> None:
+    """ValueError unless the series converges to total mass 1."""
+    outcome = _series_sum(powers, rep.lam)
+    if not outcome.converges:
+        raise ValueError("the series diverges")
+    if outcome.value != 1:
+        raise ValueError("the series must have total mass 1")
 
 
 def _values(v: Vector, rows: Sequence[Vector]) -> tuple[Fraction, ...]:
@@ -132,26 +146,23 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
-    outcome = total_sum(a)
-    if not outcome.converges:
-        raise ValueError("the series diverges")
-    if outcome.value != 1:
-        raise ValueError("the series must have total mass 1")
-
     rep = a.to_linear_representation()
+    powers = _gamma_powers(a)
+    _checked_total(rep, powers)
+
     rows = value_rows([rep])
-    discovered: list[tuple[Word, MultiplicityAutomaton]] = [((), residual_automaton(a, ()))]
+    discovered: list[tuple[Word, Vector]] = [((), rep.lam)]
     index = {_values(rep.lam, rows): 0}
     transitions: dict[tuple[int, str], tuple[Fraction, int]] = {}
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        _, res = discovered[i]
+        _, v = discovered[i]
         for x in a.alphabet:
-            mass, child = _letter_step(res, x)
+            mass, child = _letter_step(rep, powers, v, x)
             if child is None:
                 continue
-            key = _values(child.to_linear_representation().lam, rows)
+            key = _values(child, rows)
             match = index.get(key)
             if match is None:
                 if len(discovered) == max_states:
@@ -163,7 +174,7 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
 
     names = [format_word(word, a.alphabet) for word, _ in discovered]
     iota = {names[0]: Fraction(1)}
-    tau = {names[i]: res.evaluate(()) for i, (_, res) in enumerate(discovered)}
+    tau = {names[i]: dot(v, rep.gamma) for i, (_, v) in enumerate(discovered)}
     phi = {(names[i], x, names[j]): mass
            for (i, x), (mass, j) in transitions.items()}
     pda = MultiplicityAutomaton(a.alphabet, names, iota, tau, phi)
@@ -196,11 +207,13 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
         witness_words[q] = tuple(witnesses[q])
     if len(set(witness_words.values())) != len(witness_words):
         raise ValueError("witness words must be distinct")
-    rows = value_rows([a.to_linear_representation()])
+    rep = a.to_linear_representation()
+    powers = _gamma_powers(a)
+    rows = value_rows([rep])
     for i, (q, w) in enumerate(witness_words.items()):
-        res = residual_automaton(a, w)
-        if _values(res.to_linear_representation().lam, rows) != tuple(b[i] for b in rows):
-            check = are_equivalent(res, state_series_automaton(a, q))
+        res = _residual_vector(rep, powers, w)
+        if _values(res, rows) != tuple(b[i] for b in rows):
+            check = are_equivalent(replace_iota(a, res), state_series_automaton(a, q))
             raise ValueError(
                 f"witness verification failure for state {q!r}: the residual at "
                 f"{format_word(w, a.alphabet)} differs at "
@@ -210,14 +223,14 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     closure = {w[:i] for w in witness_words.values() for i in range(len(w) + 1)}
     ordered = sorted(closure, key=lambda w: length_lex_key(w, a.alphabet))
     names = {w: format_word(w, a.alphabet) for w in ordered}
-    residuals = {(): residual_automaton(a, ())}
+    residuals = {(): _residual_vector(rep, powers, ())}
 
     phi: dict[tuple[str, str, str], Fraction] = {}
     for w in ordered:
         for x in a.alphabet:
             extended = w + (x,)
             if extended in closure:
-                mass, residuals[extended] = _letter_step(residuals[w], x)
+                mass, residuals[extended] = _letter_step(rep, powers, residuals[w], x)
                 if residuals[extended] is None:
                     raise ValueError(f"prefix weight of {format_word(extended, a.alphabet)} "
                                      "is zero")
@@ -230,7 +243,7 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                         phi[(names[w], x, names[witness_words[r]])] = weight
 
     iota = {names[()]: Fraction(1)}
-    tau = {names[w]: residuals[w].evaluate(()) for w in ordered}
+    tau = {names[w]: dot(residuals[w], rep.gamma) for w in ordered}
     built = MultiplicityAutomaton(a.alphabet, [names[w] for w in ordered], iota, tau, phi)
     if not is_pa(built):
         raise ValueError("witness set does not induce a probabilistic automaton; "
@@ -258,18 +271,15 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    outcome = total_sum(a)
-    if not outcome.converges:
-        raise ValueError("the series diverges")
-    if outcome.value != 1:
-        raise ValueError("the series must have total mass 1")
-
     rep = a.to_linear_representation()
+    powers = _gamma_powers(a)
+    _checked_total(rep, powers)
+
     rows = value_rows([rep])
     found: dict[tuple[Fraction, ...], tuple[Word, Vector]] = {}
     for u in words_up_to(a.alphabet, depth):
         try:
-            v = residual_automaton(a, u).to_linear_representation().lam
+            v = _residual_vector(rep, powers, u)
         except ValueError:
             continue
         found.setdefault(_values(v, rows), (u, v))

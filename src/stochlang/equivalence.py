@@ -18,8 +18,6 @@ search for counterexample words.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -27,8 +25,9 @@ from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
-from .linalg import (Constraint, Matrix, SpanBasis, Vector, dot, lp_feasible,
-                     mat_vec, solve_affine, unit_vector, vec_mat)
+from .linalg import (Constraint, Matrix, SpanBasis, Vector, _closure,
+                     _integer_actions, _primitive, dot, lp_feasible, solve_affine,
+                     unit_vector)
 
 
 @dataclass(frozen=True)
@@ -41,32 +40,24 @@ class EquivalenceOutcome:
 
 
 def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
-    """Basis words with their forward vector pairs, spanning all reachable pairs."""
-    alphabet = a.alphabet
-    index = {x: i for i, x in enumerate(alphabet)}
+    """Basis words with their forward vector pairs, spanning all reachable pairs.
+
+    One closure of lam_a (+) lam_b under the letter matrices acting on the
+    right. Each pair (va, vb) comes back as coprime integers, a positive
+    multiple of (lam_a . mu_a(w), lam_b . mu_b(w)), and the two final
+    vectors share one positive scale too, so va . gamma_a == vb . gamma_b
+    holds iff it holds for the exact pair. Breadth-first order reaches the
+    words in length-lex order: each basis word is the length-lex least word
+    whose pair leaves the span of the pairs before it.
+    """
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
-    dim = ra.dim + rb.dim
-
-    span = SpanBasis(dim)
-    basis: list[tuple[Word, Vector, Vector]] = [((), ra.lam, rb.lam)]
-    span.add(ra.lam + rb.lam)
-    frontier: list[tuple[int, tuple[int, ...], Word, Vector, Vector]] = []
-
-    def push_children(word: Word, va: Vector, vb: Vector) -> None:
-        for x in alphabet:
-            child = word + (x,)
-            key = tuple(index[y] for y in child)
-            heapq.heappush(frontier, (len(child), key,
-                                      child, vec_mat(va, ra.mu[x]), vec_mat(vb, rb.mu[x])))
-
-    push_children((), ra.lam, rb.lam)
-    while frontier:
-        _, _, word, va, vb = heapq.heappop(frontier)
-        if span.add(va + vb):
-            basis.append((word, va, vb))
-            push_children(word, va, vb)
-    return basis, ra.gamma, rb.gamma
+    n = ra.dim
+    actions = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
+    basis = _closure(SpanBasis(n + rb.dim), ra.lam + rb.lam, actions)
+    gamma = _primitive(ra.gamma + rb.gamma)
+    return ([(tuple(a.alphabet[k] for k in path), v[:n], v[n:]) for path, v in basis],
+            gamma[:n], gamma[n:])
 
 
 def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> EquivalenceOutcome:
@@ -108,23 +99,17 @@ def value_rows(reps: Sequence[LinearRepresentation]) -> list[Vector]:
     rows. In particular, two initial vectors of one representation give
     equal series iff they agree on every row. Echelon rows are returned
     rather than the x(w) themselves: they span the same space, and a solve
-    over a subset of their columns starts almost reduced.
+    over a subset of their columns starts almost reduced. The closure
+    itself is fraction-free: it pushes coprime integer multiples of the
+    x(w) through letter matrices scaled to integers once per call, and only
+    the returned rows, the canonical reduced echelon form, are Fractions.
     """
     alphabet = reps[0].alphabet if reps else ()
     if any(r.alphabet != alphabet for r in reps):
         raise ValueError("alphabet mismatch")
-    bounds = list(accumulate((r.dim for r in reps), initial=0))
-
-    def shifted(v: Vector, x: str) -> Vector:
-        return tuple(y for r, lo, hi in zip(reps, bounds, bounds[1:])
-                     for y in mat_vec(r.mu[x], v[lo:hi]))
-
-    span = SpanBasis(bounds[-1])
-    queue = deque([tuple(y for r in reps for y in r.gamma)])
-    while queue:
-        v = queue.popleft()
-        if span.add(v):
-            queue.extend(shifted(v, x) for x in alphabet)
+    span = SpanBasis(sum(r.dim for r in reps))
+    actions = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
+    _closure(span, [y for r in reps for y in r.gamma], actions)
     return span.basis
 
 

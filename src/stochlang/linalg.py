@@ -1,9 +1,17 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Every scalar is a ``fractions.Fraction``, so each result is exact and every
-decision procedure here (rank, solvability, definiteness, contraction,
-feasibility) is free of rounding. Matrices are small and dense; the
-algorithms favour determinism and simplicity over asymptotics.
+Every scalar at the boundary is a ``fractions.Fraction``, so each result is
+exact and every decision procedure here (rank, solvability, definiteness,
+contraction, feasibility) is free of rounding. Matrices are small and
+dense; the algorithms favour determinism and simplicity over asymptotics.
+
+Span closures run fraction-free. Span membership does not depend on the
+scale of a vector, so :class:`SpanBasis` keeps its echelon rows as
+primitive integer vectors, and a closure pushes coprime integer vectors
+through letter matrices that are scaled to integers once per call. Only
+``SpanBasis.basis`` turns the rows back into the canonical reduced echelon
+form with ``Fraction`` entries, which is unique, so every result built on
+it is the same as with ``Fraction`` rows throughout.
 
 Contraction is a question about polynomials, not about a linear system: the
 Krylov closure of a vector under M yields its minimal polynomial, and the
@@ -14,8 +22,10 @@ test to the unit vectors.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -483,40 +493,56 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
     return add_vectors(part, linear_combination(null, y, n_vars))
 
 
+def _primitive(v: Iterable) -> list[int]:
+    """The coprime integer vector with the direction and sign of v (zero stays zero).
+
+    Entries may be ints or Fractions; ``denominator`` and ``numerator``
+    serve both.
+    """
+    v = list(v)
+    scale = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (scale // x.denominator) for x in v]
+    g = gcd(*w)
+    return w if g <= 1 else [x // g for x in w]
+
+
 class SpanBasis:
-    """Row space with incremental insertion, kept in reduced echelon form."""
+    """Row space with incremental insertion, kept in reduced echelon form.
+
+    Inside, each echelon row is a primitive integer vector, positive at its
+    pivot and zero at every other pivot: an incoming vector is scaled to
+    coprime integers and reduced by cross-multiplication, with the content
+    divided out after each step, so no Fraction is made until ``basis``
+    turns the rows into the canonical reduced echelon form.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[tuple[int, list[Fraction]]] = []
+        self._rows: list[tuple[int, list[int]]] = []
 
-    def _reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        v = list(v)
+    def _reduce(self, v: Iterable) -> list[int]:
+        v = _primitive(v)
+        if len(v) != self.dim:
+            raise ValueError(f"vector length {len(v)} does not match dimension {self.dim}")
         for pivot, row in self._rows:
             c = v[pivot]
             if c:
-                for i in range(pivot, self.dim):
-                    if row[i]:
-                        v[i] -= c * row[i]
+                v = _eliminate(v, row, pivot)
         return v
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Iterable) -> bool:
         return not any(self._reduce(v))
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Iterable) -> bool:
         """Insert v; True iff it enlarged the span."""
         r = self._reduce(v)
         pivot = next((i for i, x in enumerate(r) if x), None)
         if pivot is None:
             return False
-        inv = 1 / r[pivot]
-        r = [x * inv for x in r]
-        for _, row in self._rows:
-            c = row[pivot]
-            if c:
-                for i in range(pivot, self.dim):
-                    if r[i]:
-                        row[i] -= c * r[i]
+        if r[pivot] < 0:
+            r = [-x for x in r]
+        self._rows = [(p, _eliminate(row, r, pivot) if row[pivot] else row)
+                      for p, row in self._rows]
         self._rows.append((pivot, r))
         self._rows.sort(key=lambda pr: pr[0])
         return True
@@ -527,5 +553,73 @@ class SpanBasis:
 
     @property
     def basis(self) -> list[Vector]:
-        """The reduced echelon rows, in pivot order."""
-        return [tuple(row) for _, row in self._rows]
+        """The reduced echelon rows, in pivot order, with leading ones."""
+        return [tuple(Fraction(x, row[p]) for x in row) for p, row in self._rows]
+
+
+def _eliminate(v: list[int], row: list[int], pivot: int) -> list[int]:
+    """The primitive multiple of row[pivot] v - v[pivot] row, zero at the pivot.
+
+    ``row[pivot]`` is positive, so the result keeps the sign of v at every
+    column where row vanishes.
+    """
+    a, c = row[pivot], v[pivot]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    w = [a * x - c * y for x, y in zip(v, row)] if a != 1 else \
+        [x - c * y if y else x for x, y in zip(v, row)]
+    g = gcd(*w)
+    return w if g <= 1 else [x // g for x in w]
+
+
+_Action = list[list[tuple[int, int]]]
+
+
+def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool) -> list[_Action]:
+    """Block-diagonal letter matrices as sparse integer maps, under one common scale.
+
+    ``letters[k]`` lists the diagonal blocks of letter k's matrix M_k. Each
+    map holds, per output coordinate, the (input coordinate, coefficient)
+    pairs of s M_k v (``left``) or of s v M_k, where the positive integer s
+    clears every denominator of every letter. One scale for all letters
+    keeps each pushed vector a positive multiple of the exact one, which is
+    all a span closure or a sign-free zero test needs.
+    """
+    scale = lcm(*(x.denominator for blocks in letters for m in blocks
+                  for r in m.rows for x in r))
+    actions = []
+    for blocks in letters:
+        terms: _Action = []
+        offset = 0
+        for m in blocks:
+            lines = m.rows if left else m.transpose().rows
+            terms += [[(offset + j, x.numerator * (scale // x.denominator))
+                       for j, x in enumerate(line) if x] for line in lines]
+            offset += m.nrows
+        actions.append(terms)
+    return actions
+
+
+def _apply(action: _Action, v: list[int]) -> list[int]:
+    return [sum([c * v[j] for j, c in terms]) for terms in action]
+
+
+def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
+             ) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Breadth-first closure of a vector under integer maps, through ``span.add``.
+
+    Every vector that enlarges the span is pushed through each map, in
+    order, and its images join the queue. Returns the accepted vectors as
+    primitive integer lists, each with the path of map indices that reaches
+    it; the paths come out in length-lexicographic order, and the span ends
+    up holding every image of ``start`` under any product of the maps.
+    """
+    accepted = []
+    queue = deque([((), _primitive(start))])
+    while queue:
+        path, v = queue.popleft()
+        if span.add(v):
+            accepted.append((path, v))
+            queue.extend((path + (k,), _primitive(_apply(action, v)))
+                         for k, action in enumerate(actions))
+    return accepted

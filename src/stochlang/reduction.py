@@ -8,17 +8,20 @@ question into a question about the columns of its rows: one solve or one
 feasibility problem per state, and none of them is ever repeated on a new
 closure, since eliminating a state only drops its column. Over the field
 the iteration bottoms out at the rank of the series, which is computed
-independently from the pairing of the two one-sided closures.
+independently of any solve: the backward rows carry a representation of
+the series on their own span, and the rank is the dimension of the
+forward closure of its initial vector.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
 from .equivalence import combination_on_rows, value_rows
-from .linalg import Matrix, SpanBasis, Vector, dot, rref, vec_mat
+from .linalg import SpanBasis, Vector, _closure, _integer_actions, _primitive
 
 
 class ReductionMode(enum.Enum):
@@ -105,32 +108,41 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
 def hankel_rank(a: MultiplicityAutomaton) -> int:
     """Dimension of the span of all shifted versions of the series.
 
-    Computed as the rank of the pairing between the forward closure of the
-    initial vector (under right letter action) and the backward closure of
-    the final vector (under left letter action). This equals the dimension
-    of every minimal presentation of the series over the field.
+    Reduces the representation from both sides (Schützenberger): the
+    backward rows of :func:`value_rows` carry a representation of the same
+    series on their span, in which every coordinate vector is reached from
+    gamma; the dimension of the forward closure of its initial vector is
+    then the rank. This equals the dimension of every minimal presentation
+    of the series over the field. No pairing matrix is built and no
+    elimination beyond the two span closures runs.
     """
     rep = a.to_linear_representation()
     return _pairing_rank(rep, value_rows([rep]))
 
 
 def _pairing_rank(rep: LinearRepresentation, backward: list[Vector]) -> int:
-    """Rank of the pairing between the forward closure of lam and given backward rows."""
-    n = rep.dim
-    if n == 0:
-        return 0
+    """Rank of the series of ``rep``, given the echelon rows of its backward closure.
 
-    forward = []
-    fspan = SpanBasis(n)
-    stack = [rep.lam]
-    while stack:
-        v = stack.pop()
-        if fspan.add(v):
-            forward.append(v)
-            stack.extend(vec_mat(v, rep.mu[x]) for x in rep.alphabet)
-
-    if not forward or not backward:
-        return 0
-    pairing = Matrix([[dot(f, b) for b in backward] for f in forward], len(backward))
-    _, pivots = rref(pairing)
-    return len(pivots)
+    The rows b_i span every mu(w) . gamma, a space closed under
+    y -> mu(x) . y, and each has a leading one at its pivot p_i where the
+    other rows vanish, so a vector of that space has coordinate y[p_k] on
+    b_k. On that basis the series has initial vector lam_i = lam . b_i and
+    letter maps u -> A_x u with A_x[i][k] = (mu(x) . b_i)[p_k], and every
+    coordinate vector is reached from gamma's, so the rank is the dimension
+    of the closure of lam under the A_x. The same holds on the primitive
+    integer multiples of the rows, with coordinates y[p_k] / pivot_k; all
+    maps share one scale, so the closure runs on integers.
+    """
+    rows = [_primitive(b) for b in backward]
+    pivots = [next(i for i, x in enumerate(b) if x) for b in rows]
+    scale = lcm(*(b[p] for b, p in zip(rows, pivots)))
+    weights = [scale // b[p] for b, p in zip(rows, pivots)]
+    actions = []
+    for action in _integer_actions([[rep.mu[x]] for x in rep.alphabet], left=True):
+        pivot_rows = [action[p] for p in pivots]
+        a_x = [[w * sum([y * b[j] for j, y in terms]) for terms, w in zip(pivot_rows, weights)]
+               for b in rows]
+        actions.append([[(k, c) for k, c in enumerate(line) if c] for line in a_x])
+    lam = _primitive(rep.lam)
+    start = [sum([x * y for x, y in zip(lam, b) if x]) for b in rows]
+    return len(_closure(SpanBasis(len(rows)), start, actions))

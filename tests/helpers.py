@@ -10,8 +10,14 @@ combinations of series are found by the counterexample loop that the
 library replaced by one solve on a complete set of backward rows, and
 residual exploration matches residuals by pairwise equivalence checks,
 which the library replaced by their values on one set of backward rows.
+Span closures run on a Fraction echelon basis, which the library replaced
+by primitive integer rows; the word basis of an equivalence check is
+closed in heap order, and the rank of a series is the rank of the pairing
+matrix between its forward and backward closures, which the library
+replaced by a closure on the backward rows alone.
 """
 
+import heapq
 import itertools
 import random
 from collections import deque
@@ -24,10 +30,10 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        weighted_sum, words_up_to)
 from stochlang.analysis import letter_sum_matrix
 from stochlang.automata import letter_shift_automaton, replace_iota
-from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot, invert,
+from stochlang.linalg import (Constraint, Matrix, dot, invert,
                               is_positive_definite, linear_combination,
-                              lp_feasible, mat_vec, solve_affine, unit_vector,
-                              vec_mat)
+                              lp_feasible, mat_vec, rref, solve_affine,
+                              unit_vector, vec_mat)
 
 F = Fraction
 
@@ -125,6 +131,109 @@ def jury_lt_one_2x2(m):
     return abs(d) < 1 and 1 - t + d > 0 and 1 + t + d > 0
 
 
+# ------------------------------------------------------ span closure oracles
+
+class OracleSpanBasis:
+    """Row space with incremental insertion, kept in reduced echelon form
+    with Fraction rows and leading ones."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self._rows = []
+
+    def _reduce(self, v):
+        v = [F(x) for x in v]
+        for pivot, row in self._rows:
+            c = v[pivot]
+            if c:
+                for i in range(pivot, self.dim):
+                    if row[i]:
+                        v[i] -= c * row[i]
+        return v
+
+    def contains(self, v):
+        return not any(self._reduce(v))
+
+    def add(self, v):
+        """Insert v; True iff it enlarged the span."""
+        r = self._reduce(v)
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return False
+        inv = 1 / r[pivot]
+        r = [x * inv for x in r]
+        for _, row in self._rows:
+            c = row[pivot]
+            if c:
+                for i in range(pivot, self.dim):
+                    if r[i]:
+                        row[i] -= c * r[i]
+        self._rows.append((pivot, r))
+        self._rows.sort(key=lambda pr: pr[0])
+        return True
+
+    @property
+    def dimension(self):
+        return len(self._rows)
+
+    @property
+    def basis(self):
+        return [tuple(row) for _, row in self._rows]
+
+
+def oracle_word_basis(a, b):
+    """Basis words with their exact forward vector pairs, closed in heap order
+    (length, then letter indices) on a Fraction echelon basis."""
+    alphabet = a.alphabet
+    index = {x: i for i, x in enumerate(alphabet)}
+    ra = a.to_linear_representation()
+    rb = b.to_linear_representation()
+    span = OracleSpanBasis(ra.dim + rb.dim)
+    basis = [((), ra.lam, rb.lam)]
+    span.add(ra.lam + rb.lam)
+    frontier = []
+
+    def push_children(word, va, vb):
+        for x in alphabet:
+            child = word + (x,)
+            key = tuple(index[y] for y in child)
+            heapq.heappush(frontier, (len(child), key, child,
+                                      vec_mat(va, ra.mu[x]), vec_mat(vb, rb.mu[x])))
+
+    push_children((), ra.lam, rb.lam)
+    while frontier:
+        _, _, word, va, vb = heapq.heappop(frontier)
+        if span.add(va + vb):
+            basis.append((word, va, vb))
+            push_children(word, va, vb)
+    return basis, ra.gamma, rb.gamma
+
+
+def oracle_hankel_rank(a):
+    """Rank of the pairing matrix between the forward closure of the initial
+    vector and the backward closure of the final vector."""
+    rep = a.to_linear_representation()
+    n = rep.dim
+
+    def close(start, step):
+        span = OracleSpanBasis(n)
+        found = []
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if span.add(v):
+                found.append(v)
+                stack.extend(step(v, rep.mu[x]) for x in rep.alphabet)
+        return found
+
+    forward = close(rep.lam, vec_mat)
+    backward = close(rep.gamma, lambda v, m: mat_vec(m, v))
+    if not forward or not backward:
+        return 0
+    pairing = Matrix([[dot(f, b) for b in backward] for f in forward], len(backward))
+    return len(rref(pairing)[1])
+
+
 # --------------------------------------------------- matrix and sum oracles
 
 def matrix_power(m, k):
@@ -190,13 +299,13 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
     if n == 0:
         return F(0)
     e_vecs = []
-    span = SpanBasis(n)
+    span = OracleSpanBasis(n)
     v = tau
     while span.add(v):
         e_vecs.append(v)
         v = mat_vec(m, v)
     o_vecs = []
-    ospan = SpanBasis(n)
+    ospan = OracleSpanBasis(n)
     r = iota
     while ospan.add(r):
         o_vecs.append(r)
@@ -206,7 +315,7 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
         pairing = Matrix([[dot(o, e) for e in e_vecs] for o in o_vecs], len(e_vecs))
         sol = solve_affine(pairing, [F(0)] * len(o_vecs))
         h_vecs = [linear_combination(e_vecs, c, n) for c in sol.nullspace]
-    basis = SpanBasis(n)
+    basis = OracleSpanBasis(n)
     for h in h_vecs:
         basis.add(h)
     candidates = list(reversed(e_vecs)) if reverse_complement else e_vecs
@@ -541,6 +650,20 @@ def split_copy(a, rng):
             phi[(f"{q}.{k}", x, f"{r}.0")] = w * s
             phi[(f"{q}.{k}", x, f"{r}.1")] = w * (1 - s)
     return MultiplicityAutomaton(a.alphabet, states, iota, tau, phi)
+
+
+def nudged_copy(a, q):
+    """Same PA with 1/1000 of one leaving edge of q moved to q's final weight.
+
+    The series changes on the shortest word that reaches q through that
+    edge's source, so the copy differs from ``a`` and is still a PA.
+    """
+    key = next(k for k in sorted(a.phi) if k[0] == q and a.phi[k] > F(1, 1000))
+    phi = dict(a.phi)
+    phi[key] -= F(1, 1000)
+    tau = dict(a.tau)
+    tau[q] = tau.get(q, F(0)) + F(1, 1000)
+    return MultiplicityAutomaton(a.alphabet, a.states, a.iota, tau, phi)
 
 
 def plant_convex_state(a, rng):

@@ -125,15 +125,31 @@ class TestDeterminize:
         module = importlib.import_module("stochlang.constructions")
         calls = []
 
-        def counted(a, u):
-            calls.append(u)
-            return real(a, u)
-        real = module._prefix_mass
-        monkeypatch.setattr(module, "_prefix_mass", counted)
+        def counted(powers, v):
+            calls.append(v)
+            return real(powers, v)
+        real = module._mass
+        monkeypatch.setattr(module, "_mass", counted)
         a = fixtures.build("fig2_A")
         out = determinize_to_pda(a, 8)
         # the root residual is the series itself; every other sum is one edge
         assert len(calls) == out.discovered_residuals * len(a.alphabet)
+
+    @pytest.mark.parametrize("bound", [2, 8, 32])
+    def test_one_letter_sum_matrix_per_call(self, monkeypatch, bound):
+        # every residual shares M and gamma, so the table of M^k gamma is
+        # built once per call, however many residuals the call explores
+        analysis = importlib.import_module("stochlang.analysis")
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+        real = analysis.letter_sum_matrix
+        monkeypatch.setattr(analysis, "letter_sum_matrix", counted)
+        out = determinize_to_pda(ring_pa(8), bound)
+        assert out.discovered_residuals == bound + 1
+        assert len(calls) == 1
 
     def test_signed_unit_mass_series_is_a_construction_error(self):
         # values 2 on the empty word and -1 on "a": mass 1, not a distribution

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from stochlang import (MultiplicityAutomaton, SpanBasis, are_equivalent,
+from stochlang import (MultiplicityAutomaton, are_equivalent,
                        empty_automaton, express_combination, fixtures,
                        state_series_automaton, weighted_sum)
 from stochlang.automata import letter_shift_automaton, replace_iota
-from stochlang.equivalence import value_rows
+from stochlang.equivalence import EquivalenceOutcome, _word_basis, value_rows
+from stochlang.linalg import dot
 
-from helpers import (oracle_express_combination, permuted_copy, random_fraction,
-                     random_ma, random_pa, series_equal_up_to)
+from helpers import (OracleSpanBasis, nudged_copy, oracle_express_combination,
+                     oracle_word_basis, permuted_copy, random_fraction, random_ma,
+                     random_pa, ring_pa, series_equal_up_to, split_copy)
 
 F = Fraction
 
@@ -90,6 +92,29 @@ class TestAreEquivalent:
             b = random_ma(rng, rng.randint(1, 3), ("a", "b"))
             basis, _, _ = _word_basis(a, b)
             assert len(basis) <= max(1, a.n_states + b.n_states)
+
+
+def heap_oracle_outcome(a, b):
+    """Equivalence decided on the heap-ordered Fraction word basis."""
+    basis, gamma_a, gamma_b = oracle_word_basis(a, b)
+    for word, va, vb in basis:
+        if dot(va, gamma_a) != dot(vb, gamma_b):
+            return EquivalenceOutcome(False, word, a.evaluate(word), b.evaluate(word))
+    return EquivalenceOutcome(True)
+
+
+class TestWordBasisBeyondFiveStates:
+    @pytest.mark.parametrize("n", [8, 12, 16, 20])
+    def test_matches_heap_oracle_on_ring_copies(self, n):
+        ring = ring_pa(n)
+        split = split_copy(ring, random.Random(n))
+        nudged = nudged_copy(ring, ring.states[n // 2])
+        for a, b in ((ring, split), (split, ring), (ring, nudged), (split, nudged)):
+            words = [w for w, _, _ in _word_basis(a, b)[0]]
+            assert words == [w for w, _, _ in oracle_word_basis(a, b)[0]]
+            assert are_equivalent(a, b) == heap_oracle_outcome(a, b)
+        assert are_equivalent(ring, split).equal
+        assert not are_equivalent(ring, nudged).equal
 
 
 class TestExpressCombination:
@@ -179,7 +204,7 @@ class TestValueRows:
         for _ in range(20):
             a = random_ma(rng, rng.randint(1, 4), ("a", "b"))
             rows = value_rows([a.to_linear_representation()])
-            span = SpanBasis(a.n_states)
+            span = OracleSpanBasis(a.n_states)
             assert all(span.add(x) for x in rows)
             reducible = any(
                 oracle_express_combination(

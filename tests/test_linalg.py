@@ -11,7 +11,8 @@ from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot,
                               schur_stable, solve_affine,
                               spectral_radius_lt_one)
 
-from helpers import jury_lt_one_2x2, lyapunov_lt_one, matrix_power, max_abs_entry
+from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, matrix_power,
+                     max_abs_entry)
 
 F = Fraction
 
@@ -299,3 +300,55 @@ class TestSpanBasis:
         assert span.dimension == 2
         assert span.contains((F(3), F(5), F(3)))
         assert not span.contains((F(0), F(0), F(1)))
+
+
+entries_st = st.one_of(st.integers(-4, 4),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=6))
+scalars_st = st.one_of(st.integers(-3, 3).filter(bool),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+
+
+@st.composite
+def insertion_sequences(draw):
+    """A dimension and a sequence of (insert?, vector) steps whose vectors are
+    fresh, zero, repeated, scaled, negated or summed from earlier ones, with
+    int and Fraction entries mixed."""
+    dim = draw(st.integers(0, 8))
+    seen, steps = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "multiple", "negative",
+                                     "sum")))
+        if kind == "zero":
+            v = tuple(draw(st.sampled_from((0, F(0)))) for _ in range(dim))
+        elif kind == "fresh" or not seen:
+            v = tuple(draw(entries_st) for _ in range(dim))
+        elif kind == "repeat":
+            v = draw(st.sampled_from(seen))
+        elif kind == "multiple":
+            c = draw(scalars_st)
+            v = tuple(c * x for x in draw(st.sampled_from(seen)))
+        elif kind == "negative":
+            v = tuple(-x for x in draw(st.sampled_from(seen)))
+        else:
+            u, w = draw(st.sampled_from(seen)), draw(st.sampled_from(seen))
+            v = tuple(x + y for x, y in zip(u, w))
+        seen.append(v)
+        steps.append((draw(st.booleans()), v))
+    return dim, steps
+
+
+class TestSpanBasisAgainstFractionOracle:
+    @given(insertion_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdicts_dimension_and_basis(self, case):
+        dim, steps = case
+        span, oracle = SpanBasis(dim), OracleSpanBasis(dim)
+        for insert, v in steps:
+            if insert:
+                assert span.add(v) == oracle.add(v)
+            else:
+                assert span.contains(v) == oracle.contains(v)
+            assert span.dimension == oracle.dimension
+        basis = span.basis
+        assert basis == oracle.basis
+        assert all(type(x) is Fraction for row in basis for x in row)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError
                        are_equivalent, fixtures, hankel_rank, is_pa, is_reduced,
                        reduce, weighted_sum, words_up_to)
 
-from helpers import (duplicate_state, plant_convex_state, random_dense_ma,
-                     random_pa, ring_pa, split_copy)
+from helpers import (duplicate_state, oracle_hankel_rank, plant_convex_state,
+                     random_dense_ma, random_ma, random_pa, ring_pa, split_copy)
 
 F = Fraction
 
@@ -114,6 +115,48 @@ class TestHankelRank:
         for name in fixtures.FIXTURE_NAMES:
             a = fixtures.build(name)
             assert reduce(a, ReductionMode.FIELD).n_states == hankel_rank(a)
+
+
+class TestRankAgainstPairingOracle:
+    def test_fixtures(self):
+        for name in fixtures.FIXTURE_NAMES:
+            a = fixtures.build(name)
+            assert hankel_rank(a) == oracle_hankel_rank(a)
+
+    def test_random_signed_automata(self):
+        rng = random.Random(44)
+        for _ in range(50):
+            alphabet = ("a", "b") if rng.random() < 0.7 else ("a",)
+            a = random_ma(rng, rng.randint(1, 6), alphabet, density=rng.choice((0.3, 0.7)))
+            assert hankel_rank(a) == oracle_hankel_rank(a)
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+    def test_split_ring_copies(self, n):
+        split = split_copy(ring_pa(n), random.Random(n))
+        assert split.n_states == 2 * n
+        assert hankel_rank(split) == oracle_hankel_rank(split) == n
+
+    def test_no_elimination_call(self, monkeypatch):
+        # the rank comes from two span closures alone: no pairing matrix is
+        # reduced, and no solve runs
+        linalg = sys.modules["stochlang.linalg"]
+        real = linalg.rref
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        for module in [m for name, m in sys.modules.items() if name.startswith("stochlang")]:
+            if getattr(module, "rref", None) is real:
+                monkeypatch.setattr(module, "rref", counted)
+        linalg.solve_affine(linalg.Matrix.identity(1), [1])
+        assert len(calls) == 1  # the counter sees the library's own eliminations
+        calls.clear()
+        ranks = [hankel_rank(a) for a in
+                 [fixtures.build(name) for name in fixtures.FIXTURE_NAMES]
+                 + [split_copy(ring_pa(8), random.Random(8))]]
+        assert ranks[-1] == 8
+        assert calls == []
 
 
 def untrimmed_pair():
