@@ -1,10 +1,13 @@
 """Byte-exact CLI output of the decision commands on every fixture.
 
 ``tests/data/cli_golden/`` holds, per fixture and command, the exact stdout
-(``<fixture>.<case>.out``) and the exit code (``exit_codes.json``) of the
-CLI. Any change to these outputs is a change of public behaviour. To
-rewrite the files after a deliberate change, run
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+(``<fixture>.<case>.out``), the exit code (``exit_codes.json``) and the
+stderr (``stderr.json``) of the CLI. The documents in its ``inputs/``
+directory drive the error paths of the sum kernel (a divergent sum, a
+divergent or zero prefix mass, a total mass other than 1), whose
+``error:`` lines are pinned the same way under ``<input>.<case>`` keys.
+Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
+run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import io
@@ -18,6 +21,7 @@ from stochlang.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden"
+INPUTS = GOLDEN / "inputs"
 FIXTURES = sorted(p.stem for p in DATA.glob("*.json"))
 CASES = {
     "pda8": ["pda", "--max-states", "8"],
@@ -27,7 +31,9 @@ CASES = {
     "prefixial": ["prefixial"],
     "classify": ["classify"],
     "rank": ["rank"],
+    "sum": ["sum"],
     "sums": ["sums"],
+    "residual_empty": ["residual", "@"],
     "reduce_field": ["reduce", "--mode", "field"],
     "reduce_cone": ["reduce", "--mode", "cone"],
 }
@@ -35,30 +41,69 @@ CASES = {
 # is passed after the left one
 CASES.update({f"equiv_{other}": ["equiv", str(DATA / f"{other}.json")]
               for other in FIXTURES})
+# argument lists of the error-path cases, keyed <input>.<case>
+ERROR_CASES = {
+    "divergent.sum": ["sum", str(INPUTS / "divergent.json")],
+    "divergent.sums": ["sums", str(INPUTS / "divergent.json")],
+    "divergent.residual_empty": ["residual", str(INPUTS / "divergent.json"), "@"],
+    "divergent.pda8": ["pda", str(INPUTS / "divergent.json"), "--max-states", "8"],
+    "divergent.mingens2": ["minimal-gens", str(INPUTS / "divergent.json"), "--depth", "2"],
+    "divergent.classify": ["classify", str(INPUTS / "divergent.json")],
+    "mass_two.sum": ["sum", str(INPUTS / "mass_two.json")],
+    "mass_two.residual_a": ["residual", str(INPUTS / "mass_two.json"), "a"],
+    "mass_two.pda8": ["pda", str(INPUTS / "mass_two.json"), "--max-states", "8"],
+    "mass_two.mingens2": ["minimal-gens", str(INPUTS / "mass_two.json"), "--depth", "2"],
+    "mass_two.classify": ["classify", str(INPUTS / "mass_two.json")],
+    "prefix_divergent.sum": ["sum", str(INPUTS / "prefix_divergent.json")],
+    "prefix_divergent.residual_a": ["residual", str(INPUTS / "prefix_divergent.json"), "a"],
+    "prefix_divergent.residual_b": ["residual", str(INPUTS / "prefix_divergent.json"), "b"],
+    "prefix_divergent.pda8": ["pda", str(INPUTS / "prefix_divergent.json"),
+                              "--max-states", "8"],
+    "fig2_A.residual_aa": ["residual", str(DATA / "fig2_A.json"), "aa"],
+}
 
 
-def run(fixture, case):
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def fixture_argv(fixture, case):
     command, *options = CASES[case]
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main([command, str(DATA / f"{fixture}.json"), *options])
-    return code, out.getvalue()
+    return [command, str(DATA / f"{fixture}.json"), *options]
+
+
+def check(key, argv):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    errors = json.loads((GOLDEN / "stderr.json").read_text())
+    code, out, err = run(argv)
+    assert code == codes[key]
+    assert out == (GOLDEN / f"{key}.out").read_text()
+    assert err == errors[key]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_output_is_unchanged(fixture, case):
-    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    code, out = run(fixture, case)
-    assert code == codes[f"{fixture}.{case}"]
-    assert out == (GOLDEN / f"{fixture}.{case}.out").read_text()
+    check(f"{fixture}.{case}", fixture_argv(fixture, case))
+
+
+@pytest.mark.parametrize("key", sorted(ERROR_CASES))
+def test_error_path_output_is_unchanged(key):
+    check(key, ERROR_CASES[key])
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for fixture in FIXTURES:
-        for case in sorted(CASES):
-            codes[f"{fixture}.{case}"], out = run(fixture, case)
-            (GOLDEN / f"{fixture}.{case}.out").write_text(out)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    argvs = {f"{fixture}.{case}": fixture_argv(fixture, case)
+             for fixture in FIXTURES for case in sorted(CASES)}
+    argvs.update(ERROR_CASES)
+    codes, errors = {}, {}
+    for key, argv in argvs.items():
+        codes[key], out, errors[key] = run(argv)
+        (GOLDEN / f"{key}.out").write_text(out)
+    for name, table in (("exit_codes", codes), ("stderr", errors)):
+        (GOLDEN / f"{name}.json").write_text(
+            json.dumps(table, indent=2, sort_keys=True) + "\n")
