@@ -10,6 +10,17 @@ unit circle, which the Schur-Cohn recursion decides without computing a
 root. Directions of M that the initial vector never observes, or that the
 final vector never feeds, never enter the minimal recurrence, so they do
 not count against convergence.
+
+The kernel runs on integers and makes one Fraction per answer. With
+A = s M integral and iota, tau scaled to primitive integer vectors l and
+g, the terms are s_k = f u_k / s^k with integer u_k = l . A^k . g and one
+rational factor f. A recurrence of u is one of s_k with its j-th
+coefficient divided by s^j, so Berlekamp-Massey runs on u, fraction-free:
+each step cross-multiplies by the earlier discrepancy and divides out the
+content. The characteristic polynomial, the Schur-Cohn test
+(:func:`~stochlang.linalg._schur_cohn`) and the value P(1) / C(1) follow in
+integers. One table of the vectors A^k g per call serves every series
+that shares M and tau, such as the residuals of one automaton.
 """
 
 from __future__ import annotations
@@ -17,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from typing import Sequence
 
 from .automata import LinearRepresentation, MultiplicityAutomaton, replace_iota
-from .linalg import (Matrix, Vector, dot, krylov_closure, linear_combination,
-                     mat_vec, schur_stable)
+from .linalg import (Matrix, Vector, _apply, _integer_sum, _primitive_with_factor,
+                     _schur_cohn, krylov_closure, linear_combination, schur_stable)
 
 
 @dataclass(frozen=True)
@@ -49,77 +61,103 @@ def letter_sum_matrix(a: MultiplicityAutomaton) -> Matrix:
     return m
 
 
-def _minimal_recurrence(terms: Sequence[Fraction]) -> list[Fraction]:
-    """Berlekamp-Massey over Q: the shortest connection polynomial of a sequence.
+def _minimal_recurrence(terms: Sequence[int]) -> list[int]:
+    """Fraction-free Berlekamp-Massey: a shortest connection polynomial of a sequence.
 
-    Returns C with C[0] = 1 and length L + 1 for the least L such that
-    sum_j C[j] s_(k-j) = 0 for every L <= k < len(terms). When the sequence
-    satisfies a recurrence of order at most len(terms) / 2, C is its unique
-    minimal recurrence.
+    Returns integer coefficients c, coprime, with c[0] nonzero and length
+    L + 1 for the least L such that sum_j c[j] u_(k-j) = 0 for every
+    L <= k < len(terms). When the sequence satisfies a recurrence of order
+    at most len(terms) / 2, c / c[0] is its unique minimal recurrence. The
+    update b_disc c - disc z^shift b is b_disc times the update over Q, and
+    multiplying by the scale of c turns each discrepancy of Q into the
+    integer one, so every step stays a nonzero multiple of the step over Q.
     """
-    c = [Fraction(1)]
-    b = [Fraction(1)]
+    c = [1]
+    b = [1]
     length = 0
     shift = 1
-    b_disc = Fraction(1)
-    for k, s_k in enumerate(terms):
-        disc = s_k + sum(c[j] * terms[k - j] for j in range(1, min(len(c), k + 1)))
+    b_disc = 1
+    for k in range(len(terms)):
+        disc = sum([c[j] * terms[k - j] for j in range(min(len(c), k + 1))])
         if not disc:
             shift += 1
             continue
-        f = disc / b_disc
-        updated = c + [Fraction(0)] * max(0, len(b) + shift - len(c))
+        updated = [b_disc * x for x in c] + [0] * max(0, len(b) + shift - len(c))
         for j, x in enumerate(b):
-            updated[j + shift] -= f * x
+            updated[j + shift] -= disc * x
+        g = gcd(*updated)
+        if g > 1:
+            updated = [x // g for x in updated]
         if 2 * length <= k:
             b, b_disc, length, shift = c, disc, k + 1 - length, 1
         else:
             shift += 1
         c = updated
     c = c[:length + 1]
-    return c + [Fraction(0)] * (length + 1 - len(c))
+    return c + [0] * (length + 1 - len(c))
 
 
-def _gamma_powers(a: MultiplicityAutomaton) -> list[Vector]:
-    """The 2n vectors M^k . gamma, k < 2n, of an n-state automaton.
+@dataclass(frozen=True)
+class _SumTable:
+    """The integer vectors A^k g, k < 2n, of an n-state automaton.
 
-    Every series that ``a``'s letter matrices and final vector start from
-    some initial vector v, such as a residual or a state's series, has the
-    length-summed terms v . M^k . gamma, so one table serves all their sums:
-    each costs 2n dot products (see :func:`_series_sum`).
+    A = scale M is the integer letter-summed matrix and gamma = factor g,
+    with g primitive. Every series that the automaton's letter matrices and
+    final vector start from some initial vector v, such as a residual or a
+    state's series, has the terms v . M^k . gamma, so one table serves all
+    their sums (see :func:`_series_sum`).
     """
-    m = letter_sum_matrix(a)
-    v = a.to_linear_representation().gamma
+    powers: list[list[int]]
+    scale: int
+    factor: Fraction
+
+
+def _sum_table(a: MultiplicityAutomaton) -> _SumTable:
+    rep = a.to_linear_representation()
+    action, scale = _integer_sum(list(rep.mu.values()), rep.dim)
+    v, factor = _primitive_with_factor(rep.gamma)
     powers = []
-    for _ in range(2 * a.n_states):
+    for _ in range(2 * rep.dim):
         powers.append(v)
-        v = mat_vec(m, v)
-    return powers
+        v = _apply(action, v)
+    return _SumTable(powers, scale, factor)
 
 
-def _series_sum(powers: Sequence[Vector], lam: Vector) -> SumOutcome:
-    """Decide and evaluate sum_k lam . M^k . gamma from the table of M^k . gamma.
+def _series_sum(table: _SumTable, lam: Vector) -> SumOutcome:
+    """Decide and evaluate sum_k lam . M^k . gamma from the table of A^k g.
 
-    The terms s_k satisfy a recurrence of order at most n (Cayley-Hamilton),
-    so 2n of them determine the minimal one, with connection polynomial C of
-    order L. The generating function is P(z) / C(z) in lowest terms, with
-    P = (S C) mod z^L. The sum converges iff every characteristic root lies
-    strictly inside the unit circle, that is iff z^L C(1/z) is Schur-stable,
-    and then it equals P(1) / C(1).
+    The terms s_k = f u_k / s^k satisfy a recurrence of order at most n
+    (Cayley-Hamilton), so 2n of them determine the minimal one; with c the
+    integer recurrence of u and order L, the connection polynomial of s is
+    C(z) = sum_j c_j (z / s)^j / c_0. The generating function is
+    P(z) / C(z) in lowest terms, with P = (S C) mod z^L. The sum converges
+    iff every characteristic root lies strictly inside the unit circle, that
+    is iff z^L C(1/z), which is proportional to sum_j c_j s^(L-j) z^(L-j),
+    is Schur-stable, and then it equals P(1) / C(1), which is
+    f s E / sum_j c_j s^(L-j) with E = sum_(k<L) s^(L-1-k) sum_(j<=k) c_j u_(k-j).
     """
-    terms = [dot(lam, v) for v in powers]
+    w, f = _primitive_with_factor(lam)
+    support = [(i, x) for i, x in enumerate(w) if x]
+    terms = [sum([x * p[i] for i, x in support]) for p in table.powers]
     c = _minimal_recurrence(terms)
-    if not schur_stable(c[::-1]):
-        return SumOutcome.divergent()
     order = len(c) - 1
-    p_at_one = sum((c[j] * terms[k - j] for k in range(order) for j in range(k + 1)),
-                   Fraction(0))
-    return SumOutcome.converged(p_at_one / sum(c))
+    s = table.scale
+    char = []
+    power = 1
+    for j in reversed(range(order + 1)):
+        char.append(c[j] * power)
+        power *= s
+    if not _schur_cohn(char):
+        return SumOutcome.divergent()
+    numerator = 0
+    for k in range(order):
+        numerator = numerator * s + sum([c[j] * terms[k - j] for j in range(k + 1)])
+    return SumOutcome.converged(f * table.factor * Fraction(numerator * s, sum(char)))
 
 
 def total_sum(a: MultiplicityAutomaton) -> SumOutcome:
     """Convergence decision and exact value of the sum of the series over all words."""
-    return _series_sum(_gamma_powers(a), a.to_linear_representation().lam)
+    return _series_sum(_sum_table(a), a.to_linear_representation().lam)
 
 
 def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
@@ -141,23 +179,23 @@ def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
     return dict(zip(a.states, sums))
 
 
-def _mass(powers: Sequence[Vector], v: Vector) -> Fraction:
-    """Sum of the series started by initial vector v, from its automaton's table
-    of :func:`_gamma_powers`; ValueError when it diverges."""
-    outcome = _series_sum(powers, v)
+def _mass(table: _SumTable, v: Vector) -> Fraction:
+    """Sum of the series started by initial vector v, from its automaton's
+    :func:`_sum_table`; ValueError when it diverges."""
+    outcome = _series_sum(table, v)
     if not outcome.converges:
         raise ValueError("prefix mass diverges")
     return outcome.value
 
 
-def _residual_vector(rep: LinearRepresentation, powers: Sequence[Vector],
+def _residual_vector(rep: LinearRepresentation, table: _SumTable,
                      u: Sequence[str]) -> Vector:
     """Initial vector of the residual at u: lam . mu(u) divided by its mass.
 
     ValueError when that mass diverges or is zero.
     """
     v = rep.forward(rep.lam, u)
-    mass = _mass(powers, v)
+    mass = _mass(table, v)
     if mass == 0:
         raise ValueError(f"prefix weight of {''.join(u) or 'the empty word'} is zero")
     return tuple(x / mass for x in v)
@@ -169,7 +207,7 @@ def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
     Raises ValueError when the sum started by lam . mu(u) diverges.
     """
     rep = a.to_linear_representation()
-    return _mass(_gamma_powers(a), rep.forward(rep.lam, u))
+    return _mass(_sum_table(a), rep.forward(rep.lam, u))
 
 
 def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> MultiplicityAutomaton:
@@ -180,4 +218,4 @@ def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> Multiplici
     sums may diverge; only the sum started by that vector matters.
     """
     return replace_iota(a, _residual_vector(a.to_linear_representation(),
-                                            _gamma_powers(a), u))
+                                            _sum_table(a), u))

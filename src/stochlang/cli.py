@@ -22,6 +22,7 @@ mathematical negatives from operational errors:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -228,7 +229,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    Parsing does not change the parser, so one per process serves every
+    ``main`` call; building it costs more than many decisions.
+    """
     parser = argparse.ArgumentParser(
         prog="stochlang",
         description="Exact-rational multiplicity automata toolkit.",

@@ -13,8 +13,9 @@ closure of that representation (:func:`~stochlang.equivalence.value_rows`)
 therefore serves every residual question of one call: a residual becomes
 the tuple of its values on those rows, equal tuples mean equal series, and
 a combination question between residuals is one exact solve on a table of
-such values. Their masses share M and gamma too: one table of the vectors
-M^k gamma per call turns each prefix mass into 2n dot products.
+such values. Their masses share M and gamma too: one integer table of the
+vectors A^k g per call (``analysis._sum_table``) turns each prefix mass into
+2n integer dot products and one fraction-free recurrence.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .analysis import (_gamma_powers, _mass, _residual_vector, _series_sum,
-                       total_sum)
+from .analysis import (_mass, _residual_vector, _series_sum, _sum_table,
+                       _SumTable, total_sum)
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        format_word, letter_shift_automaton, length_lex_key,
                        replace_iota, state_series_automaton, words_up_to)
@@ -41,24 +42,24 @@ class ConstructionError(RuntimeError):
     probability distribution."""
 
 
-def _letter_step(rep: LinearRepresentation, powers: Sequence[Vector], v: Vector,
+def _letter_step(rep: LinearRepresentation, table: _SumTable, v: Vector,
                  x: str) -> tuple[Fraction, Vector | None]:
     """Prefix mass of one letter from the residual with initial vector v, and the
     initial vector of the residual it leads to (None at mass zero).
 
-    One sum per edge, 2n dot products on the table of :func:`_gamma_powers`;
+    One sum per edge, on the table of :func:`~stochlang.analysis._sum_table`;
     the residual is built from the same vector and mass.
     """
     w = rep.forward(v, (x,))
-    mass = _mass(powers, w)
+    mass = _mass(table, w)
     if mass == 0:
         return mass, None
     return mass, tuple(c / mass for c in w)
 
 
-def _checked_total(rep: LinearRepresentation, powers: Sequence[Vector]) -> None:
+def _checked_total(rep: LinearRepresentation, table: _SumTable) -> None:
     """ValueError unless the series converges to total mass 1."""
-    outcome = _series_sum(powers, rep.lam)
+    outcome = _series_sum(table, rep.lam)
     if not outcome.converges:
         raise ValueError("the series diverges")
     if outcome.value != 1:
@@ -147,8 +148,8 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
     rep = a.to_linear_representation()
-    powers = _gamma_powers(a)
-    _checked_total(rep, powers)
+    table = _sum_table(a)
+    _checked_total(rep, table)
 
     rows = value_rows([rep])
     discovered: list[tuple[Word, Vector]] = [((), rep.lam)]
@@ -159,7 +160,7 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
         i = queue.popleft()
         _, v = discovered[i]
         for x in a.alphabet:
-            mass, child = _letter_step(rep, powers, v, x)
+            mass, child = _letter_step(rep, table, v, x)
             if child is None:
                 continue
             key = _values(child, rows)
@@ -208,10 +209,10 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     if len(set(witness_words.values())) != len(witness_words):
         raise ValueError("witness words must be distinct")
     rep = a.to_linear_representation()
-    powers = _gamma_powers(a)
+    table = _sum_table(a)
     rows = value_rows([rep])
     for i, (q, w) in enumerate(witness_words.items()):
-        res = _residual_vector(rep, powers, w)
+        res = _residual_vector(rep, table, w)
         if _values(res, rows) != tuple(b[i] for b in rows):
             check = are_equivalent(replace_iota(a, res), state_series_automaton(a, q))
             raise ValueError(
@@ -223,14 +224,14 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     closure = {w[:i] for w in witness_words.values() for i in range(len(w) + 1)}
     ordered = sorted(closure, key=lambda w: length_lex_key(w, a.alphabet))
     names = {w: format_word(w, a.alphabet) for w in ordered}
-    residuals = {(): _residual_vector(rep, powers, ())}
+    residuals = {(): _residual_vector(rep, table, ())}
 
     phi: dict[tuple[str, str, str], Fraction] = {}
     for w in ordered:
         for x in a.alphabet:
             extended = w + (x,)
             if extended in closure:
-                mass, residuals[extended] = _letter_step(rep, powers, residuals[w], x)
+                mass, residuals[extended] = _letter_step(rep, table, residuals[w], x)
                 if residuals[extended] is None:
                     raise ValueError(f"prefix weight of {format_word(extended, a.alphabet)} "
                                      "is zero")
@@ -272,14 +273,14 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     rep = a.to_linear_representation()
-    powers = _gamma_powers(a)
-    _checked_total(rep, powers)
+    table = _sum_table(a)
+    _checked_total(rep, table)
 
     rows = value_rows([rep])
     found: dict[tuple[Fraction, ...], tuple[Word, Vector]] = {}
     for u in words_up_to(a.alphabet, depth):
         try:
-            v = _residual_vector(rep, powers, u)
+            v = _residual_vector(rep, table, u)
         except ValueError:
             continue
         found.setdefault(_values(v, rows), (u, v))

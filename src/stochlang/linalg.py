@@ -17,7 +17,11 @@ Contraction is a question about polynomials, not about a linear system: the
 Krylov closure of a vector under M yields its minimal polynomial, and the
 exact Schur-Cohn recursion decides whether all roots of a polynomial lie
 strictly inside the unit circle. ``spectral_radius_lt_one`` applies that
-test to the unit vectors.
+test to the unit vectors. The recursion runs fraction-free as well: roots
+do not depend on the scale of a polynomial, so ``schur_stable`` scales its
+input to coprime integers and each step cross-multiplies instead of
+dividing by the leading coefficient, with the content divided out. Series
+sums (``analysis``) call the same integer recursion.
 """
 
 from __future__ import annotations
@@ -311,22 +315,35 @@ def schur_stable(coeffs: Sequence[Fraction]) -> bool:
     """Decide exactly whether all roots of a polynomial lie inside the unit circle.
 
     ``coeffs`` runs from the constant term up to a nonzero leading term; a
-    root on the circle counts as unstable. Schur-Cohn recursion: a monic p of degree d with constant term a_0 is
-    stable iff |a_0| < 1 and (p(z) - a_0 z^d p(1/z)) / z, of degree d - 1,
-    is stable. Every step is first divided by its leading coefficient;
-    without that the rationals grow exponentially with the degree.
+    root on the circle counts as unstable. The coefficients are scaled to
+    coprime integers, which moves no root, and go to :func:`_schur_cohn`.
     """
     p = vector(coeffs)
     if not p or not p[-1]:
         raise ValueError("polynomial needs a nonzero leading coefficient")
+    return _schur_cohn(_primitive(p))
+
+
+def _schur_cohn(p: list[int]) -> bool:
+    """Schur-Cohn recursion on integer coefficients, constant term first.
+
+    A polynomial p of degree d with leading term l and constant term a_0 is
+    stable iff |a_0| < |l| and (l p(z) - a_0 z^d p(1/z)) / z, of degree
+    d - 1, is stable. That step is l^2 times the step on p / l, so it keeps
+    the roots of the monic recursion while staying in the integers; its
+    leading term l^2 - a_0^2 is positive whenever the test passes. The
+    content of each step is divided out, or the coefficients would grow
+    exponentially with the degree.
+    """
     while len(p) > 1:
-        lead = p[-1]
-        p = [c / lead for c in p]
-        a0 = p[0]
-        if abs(a0) >= 1:
+        lead, a0 = p[-1], p[0]
+        if abs(a0) >= abs(lead):
             return False
         d = len(p) - 1
-        p = [p[j + 1] - a0 * p[d - 1 - j] for j in range(d)]
+        p = [lead * p[j + 1] - a0 * p[d - 1 - j] for j in range(d)]
+        g = gcd(*p)
+        if g > 1:
+            p = [x // g for x in p]
     return True
 
 
@@ -493,6 +510,20 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
     return add_vectors(part, linear_combination(null, y, n_vars))
 
 
+def _primitive_with_factor(v: Iterable) -> tuple[list[int], Fraction]:
+    """The primitive integer vector w of v and the positive f with v = f w.
+
+    For the zero vector, w is zero and f is 1.
+    """
+    v = list(v)
+    scale = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (scale // x.denominator) for x in v]
+    g = gcd(*w)
+    if g <= 1:
+        return w, Fraction(g or 1, scale)
+    return [x // g for x in w], Fraction(g, scale)
+
+
 def _primitive(v: Iterable) -> list[int]:
     """The coprime integer vector with the direction and sign of v (zero stays zero).
 
@@ -598,6 +629,24 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool) -> list[_A
             offset += m.nrows
         actions.append(terms)
     return actions
+
+
+def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
+    """The sum M of n x n matrices as a sparse integer map, with its scale.
+
+    Returns the map v -> A v with A = s M and the least positive integer s
+    that makes A integral, so an integer vector pushed k times through the
+    map is s^k times its exact image.
+    """
+    scale = lcm(*(x.denominator for m in matrices for r in m.rows for x in r))
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for m in matrices:
+        for row, line in zip(rows, m.rows):
+            for j, x in enumerate(line):
+                if x:
+                    row[j] = row.get(j, 0) + x.numerator * (scale // x.denominator)
+    g = gcd(scale, *(c for row in rows for c in row.values()))
+    return [[(j, c // g) for j, c in row.items() if c] for row in rows], scale // g
 
 
 def _apply(action: _Action, v: list[int]) -> list[int]:

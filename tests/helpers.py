@@ -14,7 +14,10 @@ Span closures run on a Fraction echelon basis, which the library replaced
 by primitive integer rows; the word basis of an equivalence check is
 closed in heap order, and the rank of a series is the rank of the pairing
 matrix between its forward and backward closures, which the library
-replaced by a closure on the backward rows alone.
+replaced by a closure on the backward rows alone. Series sums run
+Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
+gamma, which the library replaced by the fraction-free recursions on
+integer terms.
 """
 
 import heapq
@@ -350,6 +353,73 @@ def oracle_state_sums(a, reverse_complement=False):
             return None
         sums[q] = value
     return sums
+
+
+def oracle_minimal_recurrence(terms):
+    """Berlekamp-Massey over Q: the shortest connection polynomial of a sequence.
+
+    Returns C with C[0] = 1 and length L + 1 for the least L such that
+    sum_j C[j] s_(k-j) = 0 for every L <= k < len(terms).
+    """
+    terms = [F(x) for x in terms]
+    c = [F(1)]
+    b = [F(1)]
+    length = 0
+    shift = 1
+    b_disc = F(1)
+    for k, s_k in enumerate(terms):
+        disc = s_k + sum(c[j] * terms[k - j] for j in range(1, min(len(c), k + 1)))
+        if not disc:
+            shift += 1
+            continue
+        f = disc / b_disc
+        updated = c + [F(0)] * max(0, len(b) + shift - len(c))
+        for j, x in enumerate(b):
+            updated[j + shift] -= f * x
+        if 2 * length <= k:
+            b, b_disc, length, shift = c, disc, k + 1 - length, 1
+        else:
+            shift += 1
+        c = updated
+    c = c[:length + 1]
+    return c + [F(0)] * (length + 1 - len(c))
+
+
+def oracle_schur_stable(coeffs):
+    """Schur-Cohn over Q, every step divided by its leading coefficient: a
+    monic p of degree d with constant term a_0 is stable iff |a_0| < 1 and
+    (p(z) - a_0 z^d p(1/z)) / z is stable."""
+    p = [F(x) for x in coeffs]
+    if not p or not p[-1]:
+        raise ValueError("polynomial needs a nonzero leading coefficient")
+    while len(p) > 1:
+        lead = p[-1]
+        p = [c / lead for c in p]
+        a0 = p[0]
+        if abs(a0) >= 1:
+            return False
+        d = len(p) - 1
+        p = [p[j + 1] - a0 * p[d - 1 - j] for j in range(d)]
+    return True
+
+
+def oracle_series_sum(a, lam):
+    """Sum of lam . M^k . gamma over k for the letter-summed M and final
+    vector of ``a``, or None if it diverges: Fraction Berlekamp-Massey on
+    the 2n terms, Fraction Schur-Cohn on the reversed recurrence, and
+    P(1) / C(1) with P = (S C) mod z^L."""
+    m = letter_sum_matrix(a)
+    v = a.to_linear_representation().gamma
+    terms = []
+    for _ in range(2 * a.n_states):
+        terms.append(dot(lam, v))
+        v = mat_vec(m, v)
+    c = oracle_minimal_recurrence(terms)
+    if not oracle_schur_stable(c[::-1]):
+        return None
+    order = len(c) - 1
+    p_at_one = sum((c[j] * terms[k - j] for k in range(order) for j in range(k + 1)), F(0))
+    return p_at_one / sum(c)
 
 
 # ------------------------------------------------------- combination oracle

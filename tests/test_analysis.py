@@ -1,16 +1,21 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent,
                        fixtures, is_pa, prefix_weight, residual_automaton,
                        state_sums, total_sum, words_up_to)
-from stochlang.analysis import letter_sum_matrix
+from stochlang.analysis import (_minimal_recurrence, _series_sum, _sum_table,
+                                letter_sum_matrix)
 from stochlang.linalg import Matrix, dot, solve_affine, spectral_radius_lt_one
 
-from helpers import (example1_residual_value, oracle_state_sums,
-                     oracle_total_sum, random_ma, random_pa, ring_pa)
+from helpers import (example1_residual_value, oracle_minimal_recurrence,
+                     oracle_series_sum, oracle_state_sums, oracle_total_sum,
+                     random_ma, random_pa, ring_pa)
 
 F = Fraction
 
@@ -18,15 +23,39 @@ ALL_FIXTURES = [fixtures.build(name) for name in fixtures.FIXTURE_NAMES]
 
 
 def check_against_decomposition_oracle(a):
-    """Compare total_sum and state_sums with the old kernel under both
-    complement orders; return the outcome and the state sums."""
+    """Compare total_sum and state_sums with the decomposition kernel under
+    both complement orders, and total_sum with the Fraction recurrence
+    kernel; return the outcome and the state sums."""
     outcome = total_sum(a)
     sums = state_sums(a)
+    value = outcome.value if outcome.converges else None
     for reverse in (False, True):
-        assert oracle_total_sum(a, reverse) == (
-            outcome.value if outcome.converges else None)
+        assert oracle_total_sum(a, reverse) == value
         assert oracle_state_sums(a, reverse) == sums
+    assert oracle_series_sum(a, a.to_linear_representation().lam) == value
     return outcome, sums
+
+
+def series_sum_value(a, lam):
+    outcome = _series_sum(_sum_table(a), lam)
+    return outcome.value if outcome.converges else None
+
+
+def planted_sequence(coeffs, start, length):
+    """Integer sequence with s_k = -(coeffs[0] s_(k-1) + ... ) after ``start``."""
+    terms = list(start)
+    while len(terms) < length:
+        k = len(terms)
+        terms.append(-sum(a * terms[k - 1 - j] for j, a in enumerate(coeffs)))
+    return terms[:length]
+
+
+def check_recurrence(terms):
+    """The integer recurrence is a coprime multiple of the Fraction one."""
+    c = _minimal_recurrence(terms)
+    assert all(isinstance(x, int) for x in c) and c[0]
+    assert [F(x, c[0]) for x in c] == oracle_minimal_recurrence(terms)
+    return c
 
 
 def partial_sums(a, up_to):
@@ -151,6 +180,78 @@ class TestTotalSum:
         assert checked >= 10
 
 
+small_ints = st.integers(-6, 6)
+
+
+class TestIntegerRecurrence:
+    """Fraction-free Berlekamp-Massey against the Fraction one."""
+
+    @given(st.integers(0, 9).flatmap(lambda order: st.tuples(
+        st.lists(small_ints, min_size=order, max_size=order),
+        st.lists(small_ints, min_size=order, max_size=order),
+        st.integers(0, 4))))
+    @settings(max_examples=150, deadline=None)
+    def test_planted_recurrences(self, planted):
+        coeffs, start, extra = planted
+        order = len(coeffs)
+        terms = planted_sequence(coeffs, start, 2 * order + extra)
+        c = check_recurrence(terms)
+        assert len(c) - 1 <= order
+        for k in range(len(c) - 1, len(terms)):
+            assert sum(x * terms[k - j] for j, x in enumerate(c)) == 0
+
+    @given(st.integers(0, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_all_zero_sequences(self, length):
+        assert check_recurrence([0] * length) == [1]
+
+    @given(st.lists(small_ints, max_size=6), st.integers(0, 6),
+           st.integers(0, 6).flatmap(lambda order: st.tuples(
+               st.lists(small_ints, min_size=order, max_size=order),
+               st.lists(small_ints, min_size=order, max_size=order))))
+    @settings(max_examples=150, deadline=None)
+    def test_transient_sequences(self, prefix, zeros, planted):
+        # an arbitrary prefix, a run of zeros, then a planted recurrence
+        coeffs, start = planted
+        tail = planted_sequence(coeffs, start, 2 * len(coeffs) + 2)
+        check_recurrence(prefix + [0] * zeros + tail)
+        check_recurrence(prefix + [0] * zeros)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_sequences(self, terms):
+        check_recurrence(terms)
+
+    def test_geometric_sequence(self):
+        assert check_recurrence([3 * 2 ** k for k in range(8)]) == [1, -2]
+
+
+class TestSeriesSumAgainstFractionOracle:
+    def test_every_fixture_residual(self):
+        for a in ALL_FIXTURES:
+            rep = a.to_linear_representation()
+            table = _sum_table(a)
+            for u in words_up_to(a.alphabet, 3):
+                v = rep.forward(rep.lam, u)
+                outcome = _series_sum(table, v)
+                assert (outcome.value if outcome.converges else None) == \
+                    oracle_series_sum(a, v)
+
+    def test_random_signed_automata_and_initial_vectors(self):
+        rng = random.Random(26)
+        counts = {"converges": 0, "diverges": 0}
+        for _ in range(200):
+            raw = random_ma(rng, rng.randint(1, 4), rng.choice([("a",), ("a", "b")]))
+            scale = rng.choice([2, 1, F(1, 2), F(1, 4)])
+            a = MultiplicityAutomaton(raw.alphabet, raw.states, raw.iota, raw.tau,
+                                      {k: w * scale for k, w in raw.phi.items()})
+            lam = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in a.states)
+            value = series_sum_value(a, lam)
+            assert value == oracle_series_sum(a, lam)
+            counts["converges" if value is not None else "diverges"] += 1
+        assert counts["converges"] >= 50 and counts["diverges"] >= 50
+
+
 class TestStateSums:
     def test_pa_fixtures_all_one(self):
         for name in ("fig2_A", "fig5", "example1_p"):
@@ -267,8 +368,38 @@ class TestResidualAutomaton:
                 assert res.evaluate(w) * mass == a.evaluate(u + w)
 
 
+def timed_total_sum(a, limit_s):
+    """total_sum of a, failing when it takes longer than limit_s seconds."""
+    start = time.perf_counter()
+    outcome = total_sum(a)
+    elapsed = time.perf_counter() - start
+    assert elapsed < limit_s, f"total_sum took {elapsed:.2f} s"
+    return outcome
+
+
+def planted_divergence(a):
+    # q0 feeds a state whose own loop already has mass 1
+    return MultiplicityAutomaton(
+        a.alphabet, a.states + ("d",), a.iota, {**a.tau, "d": F(1)},
+        {**a.phi, ("q0", "b", "d"): F(1, 8), ("d", "a", "d"): F(1)})
+
+
+def hidden_divergence(a):
+    # two copies of a divergent state are fed +w and -w and cancel: the
+    # series sum converges although the state sums do not
+    return MultiplicityAutomaton(
+        a.alphabet, a.states + ("d1", "d2"), a.iota,
+        {**a.tau, "d1": F(1), "d2": F(1)},
+        {**a.phi, ("q0", "b", "d1"): F(1, 8), ("q0", "b", "d2"): F(-1, 8),
+         ("d1", "a", "d1"): F(2), ("d2", "a", "d2"): F(2)})
+
+
 class TestBeyondFiveStates:
-    """Ring PAs with 8 to 20 states; the whole class must run well under a second."""
+    """Ring PAs with 8 to 40 states.
+
+    The decomposition oracle finishes up to 12 states, the Fraction
+    recurrence oracle at every size here.
+    """
 
     @pytest.mark.parametrize("n", [8, 12, 16, 20])
     def test_ring_pa_sums_are_one(self, n):
@@ -278,23 +409,31 @@ class TestBeyondFiveStates:
         sums = state_sums(a)
         assert sums is not None and all(v == 1 for v in sums.values())
 
+    @pytest.mark.parametrize("n,limit_s", [(16, 1.0), (24, 1.0), (32, 1.0), (40, 2.0)])
+    def test_ring_pa_total_sum_is_one_at_scale(self, n, limit_s):
+        a = ring_pa(n)
+        assert timed_total_sum(a, limit_s) == SumOutcome.converged(F(1))
+        assert oracle_series_sum(a, a.to_linear_representation().lam) == 1
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_ring_pa_agrees_with_decomposition_oracle(self, n):
+        a = ring_pa(n)
+        assert oracle_total_sum(a) == total_sum(a).value == 1
+
     def test_planted_divergent_state(self):
-        # q0 feeds a state whose own loop already has mass 1
-        a = ring_pa(12)
-        planted = MultiplicityAutomaton(
-            a.alphabet, a.states + ("d",), a.iota, {**a.tau, "d": F(1)},
-            {**a.phi, ("q0", "b", "d"): F(1, 8), ("d", "a", "d"): F(1)})
+        planted = planted_divergence(ring_pa(12))
         assert not total_sum(planted).converges
         assert state_sums(planted) is None
 
     def test_hidden_divergent_pair(self):
-        # two copies of a divergent state are fed +w and -w and cancel: the
-        # series sum converges although the state sums do not
-        a = ring_pa(12)
-        hidden = MultiplicityAutomaton(
-            a.alphabet, a.states + ("d1", "d2"), a.iota,
-            {**a.tau, "d1": F(1), "d2": F(1)},
-            {**a.phi, ("q0", "b", "d1"): F(1, 8), ("q0", "b", "d2"): F(-1, 8),
-             ("d1", "a", "d1"): F(2), ("d2", "a", "d2"): F(2)})
+        hidden = hidden_divergence(ring_pa(12))
         assert total_sum(hidden) == SumOutcome.converged(F(1))
         assert state_sums(hidden) is None
+
+    def test_planted_and_hidden_divergence_at_24_states(self):
+        a = ring_pa(24)
+        planted, hidden = planted_divergence(a), hidden_divergence(a)
+        assert not timed_total_sum(planted, 1.0).converges
+        assert timed_total_sum(hidden, 1.0) == SumOutcome.converged(F(1))
+        assert oracle_series_sum(planted, planted.to_linear_representation().lam) is None
+        assert oracle_series_sum(hidden, hidden.to_linear_representation().lam) == 1

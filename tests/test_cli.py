@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,6 +294,24 @@ class TestErrors:
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         assert main(["fixture", "nope"]) == 2
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes():
+    # the parser is built once per process; a usage error must leave it
+    # ready for the next call
+    calls = [["sum"], ["sum", str(DATA / "fig3_App.json")], ["fixture", "nope"],
+             ["sum", str(DATA / "fig2_A.json")]]
+    fresh = [subprocess.run([sys.executable, "-m", "stochlang", *argv],
+                            capture_output=True, text=True, timeout=30)
+             for argv in calls]
+    for argv, expected in zip(calls, fresh):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (expected.returncode, expected.stdout, expected.stderr)
+    assert fresh[0].returncode == fresh[2].returncode == 2
+    assert fresh[1].stdout == "converges: true\nvalue: 1\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -137,16 +137,16 @@ class TestDeterminize:
 
     @pytest.mark.parametrize("bound", [2, 8, 32])
     def test_one_letter_sum_matrix_per_call(self, monkeypatch, bound):
-        # every residual shares M and gamma, so the table of M^k gamma is
-        # built once per call, however many residuals the call explores
-        analysis = importlib.import_module("stochlang.analysis")
+        # every residual shares M and gamma, so the integer table of A^k g
+        # is built once per call, however many residuals the call explores
+        module = importlib.import_module("stochlang.constructions")
         calls = []
 
         def counted(a):
             calls.append(a)
             return real(a)
-        real = analysis.letter_sum_matrix
-        monkeypatch.setattr(analysis, "letter_sum_matrix", counted)
+        real = module._sum_table
+        monkeypatch.setattr(module, "_sum_table", counted)
         out = determinize_to_pda(ring_pa(8), bound)
         assert out.discovered_residuals == bound + 1
         assert len(calls) == 1

@@ -12,7 +12,7 @@ from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot,
                               spectral_radius_lt_one)
 
 from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, matrix_power,
-                     max_abs_entry)
+                     max_abs_entry, oracle_schur_stable)
 
 F = Fraction
 
@@ -202,6 +202,75 @@ class TestSchurStable:
             schur_stable([F(1), F(0)])
         with pytest.raises(ValueError):
             schur_stable([])
+
+
+def poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def binomial_power(root, k):
+    """(z - root)^k, constant term first."""
+    p = [F(1)]
+    for _ in range(k):
+        p = poly_mul(p, [-root, F(1)])
+    return p
+
+
+polynomials = st.lists(fractions_st, min_size=1, max_size=9).filter(lambda p: p[-1])
+roots = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+# (z - 1)^k, (z + 1)^k, z^d - 1 and z^d + 1: every root on the unit circle
+circle_polys = st.one_of(
+    st.tuples(st.sampled_from([F(1), F(-1)]), st.integers(1, 5)).map(
+        lambda rk: binomial_power(*rk)),
+    st.tuples(st.integers(1, 9), st.sampled_from([F(1), F(-1)])).map(
+        lambda ds: [ds[1]] + [F(0)] * (ds[0] - 1) + [F(1)]))
+
+
+class TestSchurAgainstFractionOracle:
+    """Fraction-free Schur-Cohn against the Fraction recursion."""
+
+    @given(polynomials)
+    @settings(max_examples=200, deadline=None)
+    def test_random_polynomials(self, p):
+        assert schur_stable(p) == oracle_schur_stable(p)
+
+    @given(st.lists(roots, min_size=1, max_size=8),
+           st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_products_of_linear_factors(self, rs, scale):
+        # a negative scale gives a negative leading coefficient
+        p = [F(1)]
+        for r in rs:
+            p = poly_mul(p, [-r, F(1)])
+        p = [scale * x for x in p]
+        expected = all(abs(r) < 1 for r in rs)
+        assert schur_stable(p) == oracle_schur_stable(p) == expected
+
+    @given(circle_polys, st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=6)
+                                  .filter(lambda r: abs(r) < 1), max_size=4),
+           st.sampled_from([F(1), F(-1), F(-3, 2), F(7)]))
+    @settings(max_examples=150, deadline=None)
+    def test_roots_on_the_unit_circle(self, circle, inside, scale):
+        p = circle
+        for r in inside:
+            p = poly_mul(p, [-r, F(1)])
+        p = [scale * x for x in p]
+        assert not schur_stable(p)
+        assert not oracle_schur_stable(p)
+
+    @given(polynomials)
+    @settings(max_examples=100, deadline=None)
+    def test_negative_leading_coefficient(self, p):
+        q = [-x for x in p]
+        assert schur_stable(q) == schur_stable(p) == oracle_schur_stable(q)
+
+    def test_integer_input(self):
+        assert schur_stable([1, -4, 4])                       # 4 (z - 1/2)^2
+        assert not schur_stable([-1, 0, 0, 1])                # z^3 - 1
 
 
 class TestKrylovClosure:
