@@ -67,10 +67,10 @@ def _minimal_recurrence(terms: Sequence[int]) -> list[int]:
     Returns integer coefficients c, coprime, with c[0] nonzero and length
     L + 1 for the least L such that sum_j c[j] u_(k-j) = 0 for every
     L <= k < len(terms). When the sequence satisfies a recurrence of order
-    at most len(terms) / 2, c / c[0] is its unique minimal recurrence. The
-    update b_disc c - disc z^shift b is b_disc times the update over Q, and
-    multiplying by the scale of c turns each discrepancy of Q into the
-    integer one, so every step stays a nonzero multiple of the step over Q.
+    at most len(terms) / 2, c / c[0] is its unique minimal recurrence.
+    Each of c and b is a nonzero multiple of its counterpart over Q, and
+    each discrepancy is the same multiple of the one over Q, so the update
+    b_disc c - disc z^shift b is a nonzero multiple of the update over Q.
     """
     c = [1]
     b = [1]

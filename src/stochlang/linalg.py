@@ -510,20 +510,6 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
     return add_vectors(part, linear_combination(null, y, n_vars))
 
 
-def _primitive_with_factor(v: Iterable) -> tuple[list[int], Fraction]:
-    """The primitive integer vector w of v and the positive f with v = f w.
-
-    For the zero vector, w is zero and f is 1.
-    """
-    v = list(v)
-    scale = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (scale // x.denominator) for x in v]
-    g = gcd(*w)
-    if g <= 1:
-        return w, Fraction(g or 1, scale)
-    return [x // g for x in w], Fraction(g, scale)
-
-
 def _primitive(v: Iterable) -> list[int]:
     """The coprime integer vector with the direction and sign of v (zero stays zero).
 
@@ -535,6 +521,13 @@ def _primitive(v: Iterable) -> list[int]:
     w = [x.numerator * (scale // x.denominator) for x in v]
     g = gcd(*w)
     return w if g <= 1 else [x // g for x in w]
+
+
+def _primitive_with_factor(v: Sequence) -> tuple[list[int], Fraction]:
+    """The primitive vector w of v and the positive f with v = f w (f = 1 at zero)."""
+    w = _primitive(v)
+    i = next((i for i, x in enumerate(w) if x), None)
+    return w, Fraction(1) if i is None else Fraction(v[i]) / w[i]
 
 
 class SpanBasis:
