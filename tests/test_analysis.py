@@ -369,10 +369,11 @@ class TestResidualAutomaton:
 
 
 def timed_total_sum(a, limit_s):
-    """total_sum of a, failing when it takes longer than limit_s seconds."""
-    start = time.perf_counter()
+    """total_sum of a, failing when it takes more than limit_s seconds of
+    process CPU time (other processes on the host do not count)."""
+    start = time.process_time()
     outcome = total_sum(a)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert elapsed < limit_s, f"total_sum took {elapsed:.2f} s"
     return outcome
 
