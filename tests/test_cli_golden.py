@@ -6,6 +6,8 @@ stderr (``stderr.json``) of the CLI. The documents in its ``inputs/``
 directory drive the error paths of the sum kernel (a divergent sum, a
 divergent or zero prefix mass, a total mass other than 1), whose
 ``error:`` lines are pinned the same way under ``<input>.<case>`` keys.
+``combine`` and ``synth-pa`` take a target and a list of generator
+fixtures; their outputs are pinned under ``<target>.<case>`` keys.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
 run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -63,6 +65,30 @@ ERROR_CASES = {
 }
 
 
+def _documents(*names):
+    return [str(DATA / f"{name}.json") for name in names]
+
+
+# argument lists of the cases over a target and generators, keyed
+# <target>.<case>; the list p1 p2 p is dependent, so its field
+# coefficients are the particular solution of the echelon form
+COMBINATION_CASES = {
+    "example1_p.combine_p1_p2": ["combine", *_documents(
+        "example1_p", "example1_p1", "example1_p2")],
+    "example1_p.combine_nonneg_p1_p2": ["combine", "--nonneg", *_documents(
+        "example1_p", "example1_p1", "example1_p2")],
+    "example1_p.combine_p1_p2_p": ["combine", *_documents(
+        "example1_p", "example1_p1", "example1_p2", "example1_p")],
+    "example1_p.combine_nonneg_p1_p2_p": ["combine", "--nonneg", *_documents(
+        "example1_p", "example1_p1", "example1_p2", "example1_p")],
+    "example1_p1.combine_nonneg_p_p2": ["combine", "--nonneg", *_documents(
+        "example1_p1", "example1_p", "example1_p2")],
+    "example1_p.synth_pa_p1_p2": ["synth-pa", *_documents(
+        "example1_p", "example1_p1", "example1_p2")],
+    "example1_p1.synth_pa_p": ["synth-pa", *_documents("example1_p1", "example1_p")],
+}
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -95,11 +121,17 @@ def test_error_path_output_is_unchanged(key):
     check(key, ERROR_CASES[key])
 
 
+@pytest.mark.parametrize("key", sorted(COMBINATION_CASES))
+def test_combination_output_is_unchanged(key):
+    check(key, COMBINATION_CASES[key])
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     argvs = {f"{fixture}.{case}": fixture_argv(fixture, case)
              for fixture in FIXTURES for case in sorted(CASES)}
     argvs.update(ERROR_CASES)
+    argvs.update(COMBINATION_CASES)
     codes, errors = {}, {}
     for key, argv in argvs.items():
         codes[key], out, errors[key] = run(argv)
