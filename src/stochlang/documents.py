@@ -141,10 +141,13 @@ def parse_dfa(text: str) -> Dfa:
     states = _name_list(data["states"], "states")
     state_set = set(states)
     initial = data["initial"]
+    if not isinstance(initial, str):
+        raise DocumentError(f"initial must be a state name, got {initial!r}")
     if initial not in state_set:
         raise DocumentError(f"initial: unknown state {initial!r}")
     finals = data.get("finals", [])
-    if not isinstance(finals, list) or not all(q in state_set for q in finals):
+    if not isinstance(finals, list) or not all(
+            isinstance(q, str) and q in state_set for q in finals):
         raise DocumentError("finals must list declared states")
     raw_transitions = data.get("transitions", [])
     if not isinstance(raw_transitions, list):

@@ -5,13 +5,17 @@ exact and every decision procedure here (rank, solvability, definiteness,
 contraction, feasibility) is free of rounding. Matrices are small and
 dense; the algorithms favour determinism and simplicity over asymptotics.
 
-Span closures run fraction-free. Span membership does not depend on the
-scale of a vector, so :class:`SpanBasis` keeps its echelon rows as
-primitive integer vectors, and a closure pushes coprime integer vectors
-through letter matrices that are scaled to integers once per call. Only
-``SpanBasis.basis`` turns the rows back into the canonical reduced echelon
-form with ``Fraction`` entries, which is unique, so every result built on
-it is the same as with ``Fraction`` rows throughout.
+Elimination runs fraction-free, on one kernel. Span membership does not
+depend on the scale of a vector, so :class:`SpanBasis` keeps its echelon
+rows as primitive integer vectors, and a closure pushes coprime integer
+vectors through letter matrices that are scaled to integers once per call.
+Only ``SpanBasis.basis`` turns the rows back into the canonical reduced
+echelon form with ``Fraction`` entries, which is unique, so every result
+built on it is the same as with ``Fraction`` rows throughout. ``rref`` is
+that basis for the rows of a matrix, so ``solve_affine``,
+``membership_in_span``, ``invert``, Krylov closures and the equality step
+of ``lp_feasible`` run on the same integer rows. Only ``determinant`` and
+Fourier-Motzkin still eliminate over ``Fraction``.
 
 Contraction is a question about polynomials, not about a linear system: the
 Krylov closure of a vector under M yields its minimal polynomial, and the
@@ -194,28 +198,16 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices.
 
-    Row space is preserved; pivots are leading ones and pivot columns are
-    cleared above and below.
+    The rows of m go into a :class:`SpanBasis`, whose canonical basis is the
+    unique reduced echelon form of the row space (leading ones, pivot
+    columns cleared above and below); zero rows pad it to m's shape.
     """
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(rows, m.ncols), tuple(pivots)
+    span = SpanBasis(m.ncols)
+    for r in m.rows:
+        span.add(r)
+    rows = span.basis
+    rows += [zero_vector(m.ncols)] * (m.nrows - len(rows))
+    return Matrix(rows, m.ncols), tuple(p for p, _ in span._rows)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ matrix between its forward and backward closures, which the library
 replaced by a closure on the backward rows alone. Series sums run
 Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
 gamma, which the library replaced by the fraction-free recursions on
-integer terms.
+integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
+which the library replaced by the integer rows of its span basis.
 """
 
 import heapq
@@ -33,10 +34,9 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        weighted_sum, words_up_to)
 from stochlang.analysis import letter_sum_matrix
 from stochlang.automata import letter_shift_automaton, replace_iota
-from stochlang.linalg import (Constraint, Matrix, dot, invert,
+from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
-                              lp_feasible, mat_vec, rref, solve_affine,
-                              unit_vector, vec_mat)
+                              lp_feasible, mat_vec, unit_vector, vec_mat)
 
 F = Fraction
 
@@ -132,6 +132,60 @@ def jury_lt_one_2x2(m):
     t = m[0, 0] + m[1, 1]
     d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return abs(d) < 1 and 1 - t + d > 0 and 1 + t + d > 0
+
+
+# ------------------------------------------------------- elimination oracles
+
+def oracle_rref(m):
+    """Reduced row-echelon form and pivot columns by Gauss-Jordan over Fractions."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(rows, m.ncols), tuple(pivots)
+
+
+def oracle_solve_affine(a, b):
+    """Solution set of A x = b read off the oracle echelon form of [A | b], or None."""
+    n = a.ncols
+    red, pivots = oracle_rref(Matrix([list(r) + [bi] for r, bi in zip(a.rows, b)], n + 1))
+    if n in pivots:
+        return None
+    particular = [F(0)] * n
+    for i, p in enumerate(pivots):
+        particular[p] = red[i, n]
+    nullspace = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i, f]
+        nullspace.append(tuple(v))
+    return AffineSolution(tuple(particular), tuple(nullspace))
+
+
+def oracle_invert(m):
+    """Inverse read off the oracle echelon form of [M | Id]."""
+    n = m.nrows
+    red, pivots = oracle_rref(Matrix([list(m.rows[i]) + [int(i == j) for j in range(n)]
+                                      for i in range(n)], 2 * n))
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix([r[n:] for r in red.rows], n)
 
 
 # ------------------------------------------------------ span closure oracles
@@ -234,7 +288,7 @@ def oracle_hankel_rank(a):
     if not forward or not backward:
         return 0
     pairing = Matrix([[dot(f, b) for b in backward] for f in forward], len(backward))
-    return len(rref(pairing)[1])
+    return len(oracle_rref(pairing)[1])
 
 
 # --------------------------------------------------- matrix and sum oracles
@@ -280,7 +334,7 @@ def lyapunov_lt_one(m):
         coeffs[index[(r, s)]] -= 1
         rows.append(coeffs)
         rhs.append(F(-1 if r == s else 0))
-    sol = solve_affine(Matrix(rows, len(pairs)), rhs)
+    sol = oracle_solve_affine(Matrix(rows, len(pairs)), rhs)
     if sol is None or sol.nullspace:
         return False
     p = Matrix([[sol.particular[index[(min(i, j), max(i, j))]] for j in range(n)]
@@ -316,7 +370,7 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
     h_vecs = []
     if e_vecs:
         pairing = Matrix([[dot(o, e) for e in e_vecs] for o in o_vecs], len(e_vecs))
-        sol = solve_affine(pairing, [F(0)] * len(o_vecs))
+        sol = oracle_solve_affine(pairing, [F(0)] * len(o_vecs))
         h_vecs = [linear_combination(e_vecs, c, n) for c in sol.nullspace]
     basis = OracleSpanBasis(n)
     for h in h_vecs:
@@ -327,11 +381,11 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
     f_vecs = [u for u in (unit_vector(n, i) for i in unit_order) if basis.add(u)]
     b = Matrix.from_columns(g_vecs + h_vecs + f_vecs, n)
     d = Matrix.diagonal([1 if i < len(g_vecs) else 0 for i in range(n)])
-    p_g = b @ d @ invert(b)
+    p_g = b @ d @ oracle_invert(b)
     compressed = p_g @ m @ p_g
     if not lyapunov_lt_one(compressed):
         return None
-    sol = solve_affine(Matrix.identity(n) - compressed, tau)
+    sol = oracle_solve_affine(Matrix.identity(n) - compressed, tau)
     return dot(iota, sol.particular)
 
 
@@ -467,7 +521,7 @@ def oracle_express_combination(target, generators, nonneg):
             constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
             coeffs = lp_feasible(constraints, n)
         else:
-            sol = solve_affine(Matrix(rows, n), rhs)
+            sol = oracle_solve_affine(Matrix(rows, n), rhs)
             coeffs = None if sol is None else sol.particular
         if coeffs is None:
             return CombinationOutcome(False)

@@ -14,8 +14,8 @@ from stochlang.analysis import (_minimal_recurrence, _series_sum, _sum_table,
 from stochlang.linalg import Matrix, dot, solve_affine, spectral_radius_lt_one
 
 from helpers import (example1_residual_value, oracle_minimal_recurrence,
-                     oracle_series_sum, oracle_state_sums, oracle_total_sum,
-                     random_ma, random_pa, ring_pa)
+                     oracle_series_sum, oracle_solve_affine, oracle_state_sums,
+                     oracle_total_sum, random_ma, random_pa, ring_pa, split_copy)
 
 F = Fraction
 
@@ -349,13 +349,13 @@ class TestResidualAutomaton:
                 assert res.evaluate(w) * mass == a.evaluate(u + w)
 
 
-def timed_total_sum(a, limit_s):
-    """total_sum of a, failing when it takes more than limit_s seconds of
-    process CPU time (other processes on the host do not count)."""
+def timed(decide, a, limit_s):
+    """decide(a), failing when it takes more than limit_s seconds of process
+    CPU time (other processes on the host do not count)."""
     start = time.process_time()
-    outcome = total_sum(a)
+    outcome = decide(a)
     elapsed = time.process_time() - start
-    assert elapsed < limit_s, f"total_sum took {elapsed:.2f} s"
+    assert elapsed < limit_s, f"{decide.__name__} took {elapsed:.2f} s"
     return outcome
 
 
@@ -380,7 +380,8 @@ class TestBeyondFiveStates:
     """Ring PAs with 8 to 40 states.
 
     The decomposition oracle finishes up to 12 states, the Fraction
-    recurrence oracle at every size here.
+    recurrence oracle and the Fraction solve of (Id - M) s = gamma at every
+    size here.
     """
 
     @pytest.mark.parametrize("n", [8, 12, 16, 20])
@@ -394,8 +395,23 @@ class TestBeyondFiveStates:
     @pytest.mark.parametrize("n,limit_s", [(16, 1.0), (24, 1.0), (32, 1.0), (40, 2.0)])
     def test_ring_pa_total_sum_is_one_at_scale(self, n, limit_s):
         a = ring_pa(n)
-        assert timed_total_sum(a, limit_s) == SumOutcome.converged(F(1))
+        assert timed(total_sum, a, limit_s) == SumOutcome.converged(F(1))
         assert oracle_series_sum(a, a.to_linear_representation().lam) == 1
+
+    @pytest.mark.parametrize("a,limit_s", [
+        (ring_pa(24), 1.0), (ring_pa(32), 1.0), (ring_pa(40), 2.5),
+        (split_copy(ring_pa(20), random.Random(20)), 1.0)],
+        ids=["ring24", "ring32", "ring40", "split20"])
+    def test_state_sums_at_scale(self, a, limit_s):
+        # every state of a ring PA, and each copy of a state, sums to 1; the
+        # oracle solves (Id - M) s = gamma by Gauss-Jordan over Fractions
+        sums = timed(state_sums, a, limit_s)
+        m = letter_sum_matrix(a)
+        sol = oracle_solve_affine(Matrix.identity(m.nrows) - m,
+                                  a.to_linear_representation().gamma)
+        assert sol.nullspace == ()
+        assert sums == dict(zip(a.states, sol.particular))
+        assert set(sums.values()) == {1}
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_ring_pa_agrees_with_decomposition_oracle(self, n):
@@ -415,7 +431,7 @@ class TestBeyondFiveStates:
     def test_planted_and_hidden_divergence_at_24_states(self):
         a = ring_pa(24)
         planted, hidden = planted_divergence(a), hidden_divergence(a)
-        assert not timed_total_sum(planted, 1.0).converges
-        assert timed_total_sum(hidden, 1.0) == SumOutcome.converged(F(1))
+        assert not timed(total_sum, planted, 1.0).converges
+        assert timed(total_sum, hidden, 1.0) == SumOutcome.converged(F(1))
         assert oracle_series_sum(planted, planted.to_linear_representation().lam) is None
         assert oracle_series_sum(hidden, hidden.to_linear_representation().lam) == 1

@@ -267,6 +267,22 @@ class TestHardness:
         assert is_pa(built)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("initial", ["s0"], "initial must be a state name, got ['s0']"),
+    ("finals", ["s0", ["s0"]], "finals must list declared states"),
+])
+def test_malformed_dfa_exits_3_without_traceback(tmp_path, key, value, message):
+    doc = {"alphabet": ["a"], "states": ["s0"], "initial": "s0", "finals": ["s0"],
+           "transitions": [["s0", "a", "s0"]], key: value}
+    path = tmp_path / "dfa.json"
+    path.write_text(json.dumps(doc))
+    out = subprocess.run([sys.executable, "-m", "stochlang", "hardness", str(path)],
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == f"error: {message}\n"
+
+
 class TestFixtureCommand:
     def test_round_trips_through_analysis(self, capsys, tmp_path):
         code, out = run_cli(capsys, "fixture", "fig3_App")

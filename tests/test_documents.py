@@ -144,3 +144,15 @@ class TestDfaDocuments:
         doc["initial"] = "ghost"
         with pytest.raises(DocumentError, match="ghost"):
             parse_dfa(json.dumps(doc))
+
+    def test_rejects_a_list_as_initial(self):
+        doc = self._doc()
+        doc["initial"] = ["s0"]
+        with pytest.raises(DocumentError, match="initial must be a state name"):
+            parse_dfa(json.dumps(doc))
+
+    def test_rejects_a_list_inside_finals(self):
+        doc = self._doc()
+        doc["finals"] = ["s0", ["s1"]]
+        with pytest.raises(DocumentError, match="finals must list declared states"):
+            parse_dfa(json.dumps(doc))

@@ -12,7 +12,8 @@ from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot,
                               spectral_radius_lt_one)
 
 from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, matrix_power,
-                     max_abs_entry, oracle_schur_stable)
+                     max_abs_entry, oracle_rref, oracle_schur_stable,
+                     oracle_solve_affine)
 
 F = Fraction
 
@@ -48,6 +49,54 @@ class TestRref:
         red, _ = rref(m)
         again, _ = rref(red)
         assert again == red
+
+
+# ints and Fractions with denominators up to 10^6, zero often
+mixed_st = st.one_of(st.just(0), st.integers(-9, 9),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=10**6))
+
+
+@st.composite
+def dependent_matrices(draw):
+    """0-12 rows of width 0-12: fresh rows, and zero, repeated, scaled or
+    negated copies of earlier ones."""
+    ncols = draw(st.integers(0, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scale", "negate"]))
+        if kind == "fresh" or (kind != "zero" and not rows):
+            rows.append(draw(st.lists(mixed_st, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            row = draw(st.sampled_from(rows))
+            c = {"repeat": 1, "negate": -1}.get(kind) or draw(mixed_st.filter(bool))
+            rows.append([c * x for x in row])
+    return Matrix(rows, ncols)
+
+
+class TestEliminationAgainstFractionOracle:
+    """rref, solve_affine and membership_in_span run on the integer rows of
+    SpanBasis; Gauss-Jordan over Fractions must give the same answers."""
+
+    @given(dependent_matrices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_echelon_form_solutions_and_coefficients(self, m, data):
+        assert rref(m) == oracle_rref(m)
+        # a right-hand side inside the column space, or an arbitrary one
+        x = data.draw(st.lists(mixed_st, min_size=m.ncols, max_size=m.ncols))
+        b = data.draw(st.one_of(
+            st.just(mat_vec(m, x)),
+            st.lists(mixed_st, min_size=m.nrows, max_size=m.nrows)))
+        assert solve_affine(m, b) == oracle_solve_affine(m, b)
+        # membership of a vector in the span of the rows
+        y = data.draw(st.lists(mixed_st, min_size=m.nrows, max_size=m.nrows))
+        v = data.draw(st.one_of(
+            st.just(mat_vec(m.transpose(), y)),
+            st.lists(mixed_st, min_size=m.ncols, max_size=m.ncols)))
+        expected = oracle_solve_affine(Matrix.from_columns(m.rows, m.ncols), v)
+        assert membership_in_span(v, m.rows) == (
+            None if expected is None else expected.particular)
 
 
 class TestSolveAffine:
