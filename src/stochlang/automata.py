@@ -175,17 +175,24 @@ class MultiplicityAutomaton:
         if self._rep is None:
             index = {q: i for i, q in enumerate(self.states)}
             n = len(self.states)
-            lam = [Fraction(0)] * n
+            zero = Fraction(0)
+            lam = [zero] * n
             for q, w in self.iota.items():
                 lam[index[q]] = w
-            gamma = [Fraction(0)] * n
+            gamma = [zero] * n
             for q, w in self.tau.items():
                 gamma[index[q]] = w
-            grids = {x: [[Fraction(0)] * n for _ in range(n)] for x in self.alphabet}
+            grids = {x: [[zero] * n for _ in range(n)] for x in self.alphabet}
+            nonzero: dict[str, list] = {x: [] for x in self.alphabet}
             for (q, x, r), w in self.phi.items():
-                grids[x][index[q]][index[r]] = w
+                i, j = index[q], index[r]
+                grids[x][i][j] = w
+                nonzero[x].append((i, j, w))
             self._rep = LinearRepresentation(
-                tuple(lam), {x: Matrix(grids[x], n) for x in self.alphabet}, tuple(gamma))
+                tuple(lam),
+                {x: Matrix._exact(tuple(map(tuple, grids[x])), n, tuple(nonzero[x]))
+                 for x in self.alphabet},
+                tuple(gamma))
         return self._rep
 
     def evaluate(self, word: Sequence[str]) -> Fraction:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import fixtures
 from .analysis import residual_automaton, state_sums, total_sum
-from .automata import MultiplicityAutomaton, format_word, parse_word
+from .automata import MultiplicityAutomaton, format_word, merge_alphabets, parse_word
 from .classify import (UNDECIDABILITY_NOTE, classify, pra_hardness_instance,
                        residual_witnesses)
 from .constructions import (ConstructionError, determinize_to_pda,
@@ -105,7 +105,7 @@ def _cmd_equiv(ns) -> int:
     _emit("equal", _bool(outcome.equal))
     if outcome.equal:
         return EXIT_OK
-    _emit("witness", format_word(outcome.witness, a.alphabet))
+    _emit("witness", format_word(outcome.witness, merge_alphabets(a.alphabet, b.alphabet)))
     _emit("left", outcome.left_value)
     _emit("right", outcome.right_value)
     return EXIT_DISTINCT

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
-from .linalg import (Constraint, Matrix, SpanBasis, Vector, _closure,
+from .linalg import (Constraint, Matrix, SpanBasis, Vector, _Action, _closure,
                      _integer_actions, _primitive, dot, lp_feasible, solve_affine,
                      unit_vector)
 
@@ -45,10 +46,11 @@ def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     One closure of lam_a (+) lam_b under the letter matrices acting on the
     right. Each pair (va, vb) comes back as coprime integers, a positive
     multiple of (lam_a . mu_a(w), lam_b . mu_b(w)), and the two final
-    vectors share one positive scale too, so va . gamma_a == vb . gamma_b
-    holds iff it holds for the exact pair. Breadth-first order reaches the
-    words in length-lex order: each basis word is the length-lex least word
-    whose pair leaves the span of the pairs before it.
+    vectors share one positive scale too, so the integer pairings
+    va . gamma_a and vb . gamma_b are equal iff the exact values are.
+    Breadth-first order reaches the words in length-lex order: each basis
+    word is the length-lex least word whose pair leaves the span of the
+    pairs before it.
     """
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
@@ -74,7 +76,7 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
     b = with_alphabet(b, alphabet)
     basis, gamma_a, gamma_b = _word_basis(a, b)
     for word, va, vb in basis:
-        if dot(va, gamma_a) != dot(vb, gamma_b):
+        if sum(map(mul, va, gamma_a)) != sum(map(mul, vb, gamma_b)):
             return EquivalenceOutcome(False, word, a.evaluate(word), b.evaluate(word))
     return EquivalenceOutcome(True)
 
@@ -104,13 +106,23 @@ def value_rows(reps: Sequence[LinearRepresentation]) -> list[Vector]:
     x(w) through letter matrices scaled to integers once per call, and only
     the returned rows, the canonical reduced echelon form, are Fractions.
     """
+    return _backward_closure(reps)[0].basis
+
+
+def _backward_closure(reps: Sequence[LinearRepresentation]
+                      ) -> tuple[SpanBasis, list[_Action]]:
+    """The span behind :func:`value_rows`, with the integer letter maps it was closed under.
+
+    The span keeps the rows as primitive integers; the maps are
+    v -> s mu(x) . v on the direct sum, one per letter in alphabet order.
+    """
     alphabet = reps[0].alphabet if reps else ()
     if any(r.alphabet != alphabet for r in reps):
         raise ValueError("alphabet mismatch")
     span = SpanBasis(sum(r.dim for r in reps))
     actions = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
     _closure(span, [y for r in reps for y in r.gamma], actions)
-    return span.basis
+    return span, actions
 
 
 def combination_on_rows(rows: Sequence[Sequence[Fraction]], target: int,

@@ -2,20 +2,23 @@
 
 Every scalar at the boundary is a ``fractions.Fraction``, so each result is
 exact and every decision procedure here (rank, solvability, definiteness,
-contraction, feasibility) is free of rounding. Matrices are small and
-dense; the algorithms favour determinism and simplicity over asymptotics.
+contraction, feasibility) is free of rounding. A ``Matrix`` stores its rows
+densely, but each one also knows its nonzero entries: an automaton's letter
+matrices are built with them, any other matrix finds them once, on first
+use, and span closures read only those entries.
 
 Elimination runs fraction-free, on one kernel. Span membership does not
 depend on the scale of a vector, so :class:`SpanBasis` keeps its echelon
 rows as primitive integer vectors, and a closure pushes coprime integer
-vectors through letter matrices that are scaled to integers once per call.
-Only ``SpanBasis.basis`` turns the rows back into the canonical reduced
+vectors through sparse letter maps that are scaled to integers once per
+call. ``SpanBasis.basis`` turns the rows back into the canonical reduced
 echelon form with ``Fraction`` entries, which is unique, so every result
 built on it is the same as with ``Fraction`` rows throughout. ``rref`` is
-that basis for the rows of a matrix, so ``solve_affine``,
-``membership_in_span``, ``invert``, Krylov closures and the equality step
-of ``lp_feasible`` run on the same integer rows. Only ``determinant`` and
-Fourier-Motzkin still eliminate over ``Fraction``.
+that basis for the rows of a matrix; ``solve_affine`` reads its solution
+off the integer rows directly, with one ``Fraction`` per entry it returns,
+so ``membership_in_span``, ``invert``, Krylov closures and the equality
+step of ``lp_feasible`` run on the same integer rows. Only ``determinant``
+and Fourier-Motzkin still eliminate over ``Fraction``.
 
 Contraction is a question about polynomials, not about a linear system: the
 Krylov closure of a vector under M yields its minimal polynomial, and the
@@ -87,7 +90,7 @@ class Matrix:
     are legal (``ncols`` must then be given explicitly for empty row lists).
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_nonzero")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(vector(r) for r in rows)
@@ -103,6 +106,27 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._nonzero = None
+
+    @classmethod
+    def _exact(cls, rows: tuple[Vector, ...], ncols: int,
+               nonzero: tuple[tuple[int, int, Fraction], ...]) -> "Matrix":
+        """A matrix on rows of Fractions taken as they are, with its nonzero entries.
+
+        Nothing is coerced or checked: the caller passes tuples of canonical
+        Fractions of width ``ncols`` and lists every nonzero cell once as
+        (row, column, value).
+        """
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols, m._nonzero = rows, len(rows), ncols, nonzero
+        return m
+
+    def _entries(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """The nonzero cells as (row, column, value), found on the first call."""
+        if self._nonzero is None:
+            self._nonzero = tuple((i, j, x) for i, r in enumerate(self.rows)
+                                  for j, x in enumerate(r) if x)
+        return self._nonzero
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -218,25 +242,39 @@ class AffineSolution:
 
 
 def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
-    """Solve A x = b exactly, returning the affine solution set or None."""
+    """Solve A x = b exactly, returning the affine solution set or None.
+
+    The rows of [A | b] go into a :class:`SpanBasis`; a pivot in the last
+    column means no solution. Otherwise the reduced echelon row with pivot
+    p gives x_p = b_i - sum of its free entries times x_free, each read as
+    one division of integer row entries by the pivot entry, so only the
+    entries that the solution holds become Fractions.
+    """
     b = vector(b)
     if len(b) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
-    aug = Matrix([list(r) + [bi] for r, bi in zip(a.rows, b)], a.ncols + 1)
-    red, pivots = rref(aug)
-    if a.ncols in pivots:
+    n = a.ncols
+    span = SpanBasis(n + 1)
+    for r, bi in zip(a.rows, b):
+        span.add(r + (bi,))
+    rows = span._rows
+    if rows and rows[-1][0] == n:
         return None
-    pivot_set = set(pivots)
-    free = [c for c in range(a.ncols) if c not in pivot_set]
-    particular = [Fraction(0)] * a.ncols
-    for i, p in enumerate(pivots):
-        particular[p] = red[i, a.ncols]
+    zero = Fraction(0)
+    particular = [zero] * n
+    for p, row in rows:
+        if row[n]:
+            particular[p] = Fraction(row[n], row[p])
+    pivots = {p for p, _ in rows}
     nullspace = []
-    for f in free:
-        v = [Fraction(0)] * a.ncols
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [zero] * n
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i, f]
+        for p, row in rows:
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         nullspace.append(tuple(v))
     return AffineSolution(tuple(particular), tuple(nullspace))
 
@@ -502,17 +540,25 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
     return add_vectors(part, linear_combination(null, y, n_vars))
 
 
-def _primitive(v: Iterable) -> list[int]:
+class _Primitive(list):
+    """A coprime integer vector as :func:`_primitive` returns it; never mutated."""
+
+
+def _primitive(v: Iterable) -> _Primitive:
     """The coprime integer vector with the direction and sign of v (zero stays zero).
 
     Entries may be ints or Fractions; ``denominator`` and ``numerator``
-    serve both.
+    serve both. A vector that is already a result of this function is
+    returned as it is, so a closure that scales its vectors before
+    inserting them into a :class:`SpanBasis` scales each one once.
     """
+    if type(v) is _Primitive:
+        return v
     v = list(v)
     scale = lcm(*(x.denominator for x in v))
     w = [x.numerator * (scale // x.denominator) for x in v]
     g = gcd(*w)
-    return w if g <= 1 else [x // g for x in w]
+    return _Primitive(w if g <= 1 else [x // g for x in w])
 
 
 def _primitive_with_factor(v: Sequence) -> tuple[list[int], Fraction]:
@@ -599,18 +645,25 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool) -> list[_A
     pairs of s M_k v (``left``) or of s v M_k, where the positive integer s
     clears every denominator of every letter. One scale for all letters
     keeps each pushed vector a positive multiple of the exact one, which is
-    all a span closure or a sign-free zero test needs.
+    all a span closure or a sign-free zero test needs. Only the nonzero
+    entries of each block are read: as rows of M_k for ``left``, and as its
+    columns, with the indices swapped, otherwise.
     """
     scale = lcm(*(x.denominator for blocks in letters for m in blocks
-                  for r in m.rows for x in r))
+                  for _, _, x in m._entries()))
     actions = []
     for blocks in letters:
         terms: _Action = []
         offset = 0
         for m in blocks:
-            lines = m.rows if left else m.transpose().rows
-            terms += [[(offset + j, x.numerator * (scale // x.denominator))
-                       for j, x in enumerate(line) if x] for line in lines]
+            lines: _Action = [[] for _ in range(m.nrows if left else m.ncols)]
+            for i, j, x in m._entries():
+                c = x.numerator * (scale // x.denominator)
+                if left:
+                    lines[i].append((offset + j, c))
+                else:
+                    lines[j].append((offset + i, c))
+            terms += lines
             offset += m.nrows
         actions.append(terms)
     return actions
@@ -621,15 +674,14 @@ def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
 
     Returns the map v -> A v with A = s M and the least positive integer s
     that makes A integral, so an integer vector pushed k times through the
-    map is s^k times its exact image.
+    map is s^k times its exact image. Only nonzero entries are read.
     """
-    scale = lcm(*(x.denominator for m in matrices for r in m.rows for x in r))
+    scale = lcm(*(x.denominator for m in matrices for _, _, x in m._entries()))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for m in matrices:
-        for row, line in zip(rows, m.rows):
-            for j, x in enumerate(line):
-                if x:
-                    row[j] = row.get(j, 0) + x.numerator * (scale // x.denominator)
+        for i, j, x in m._entries():
+            row = rows[i]
+            row[j] = row.get(j, 0) + x.numerator * (scale // x.denominator)
     g = gcd(scale, *(c for row in rows for c in row.values()))
     return [[(j, c // g) for j, c in row.items() if c] for row in rows], scale // g
 
@@ -643,10 +695,12 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
     """Breadth-first closure of a vector under integer maps, through ``span.add``.
 
     Every vector that enlarges the span is pushed through each map, in
-    order, and its images join the queue. Returns the accepted vectors as
-    primitive integer lists, each with the path of map indices that reaches
-    it; the paths come out in length-lexicographic order, and the span ends
-    up holding every image of ``start`` under any product of the maps.
+    order, and its images join the queue, each scaled to primitive form
+    once (``span.add`` does not scale it again). Returns the accepted
+    vectors as primitive integer lists, each with the path of map indices
+    that reaches it; the paths come out in length-lexicographic order, and
+    the span ends up holding every image of ``start`` under any product of
+    the maps.
     """
     accepted = []
     queue = deque([((), _primitive(start))])

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import lcm
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
-from .equivalence import combination_on_rows, value_rows
-from .linalg import SpanBasis, Vector, _closure, _integer_actions, _primitive
+from .equivalence import _backward_closure, combination_on_rows, value_rows
+from .linalg import SpanBasis, _Action, _closure, _primitive
 
 
 class ReductionMode(enum.Enum):
@@ -80,7 +80,8 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     :class:`ReductionStallError` instead of returning silently.
     """
     rep = a.to_linear_representation()
-    rows = value_rows([rep])
+    span, actions = _backward_closure([rep])
+    rows = span.basis
     nonneg = mode is ReductionMode.CONE
     columns = list(range(a.n_states))
     current = a
@@ -97,7 +98,7 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
                 changed = True
                 break
     if mode is ReductionMode.FIELD:
-        target_rank = _pairing_rank(rep, rows)
+        target_rank = _pairing_rank(rep, span, actions)
         if current.n_states != target_rank:
             raise ReductionStallError(
                 f"elimination stopped at {current.n_states} states but the series "
@@ -117,32 +118,35 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
     elimination beyond the two span closures runs.
     """
     rep = a.to_linear_representation()
-    return _pairing_rank(rep, value_rows([rep]))
+    return _pairing_rank(rep, *_backward_closure([rep]))
 
 
-def _pairing_rank(rep: LinearRepresentation, backward: list[Vector]) -> int:
-    """Rank of the series of ``rep``, given the echelon rows of its backward closure.
+def _pairing_rank(rep: LinearRepresentation, backward: SpanBasis,
+                  actions: list[_Action]) -> int:
+    """Rank of the series of ``rep``, given the span of its backward closure.
 
-    The rows b_i span every mu(w) . gamma, a space closed under
-    y -> mu(x) . y, and each has a leading one at its pivot p_i where the
-    other rows vanish, so a vector of that space has coordinate y[p_k] on
-    b_k. On that basis the series has initial vector lam_i = lam . b_i and
-    letter maps u -> A_x u with A_x[i][k] = (mu(x) . b_i)[p_k], and every
-    coordinate vector is reached from gamma's, so the rank is the dimension
-    of the closure of lam under the A_x. The same holds on the primitive
-    integer multiples of the rows, with coordinates y[p_k] / pivot_k; all
-    maps share one scale, so the closure runs on integers.
+    ``backward`` and ``actions`` come from ``equivalence._backward_closure``
+    of ``rep`` alone. Its echelon rows b_i span every mu(w) . gamma, a space
+    closed under y -> mu(x) . y, and each is a primitive integer vector,
+    positive at its pivot p_i where the other rows vanish, so a vector of
+    that space has coordinate y[p_k] / b_k[p_k] on b_k. On that basis the
+    series has initial vector lam_i = lam . b_i and letter maps u -> A_x u
+    with A_x[i][k] = (mu(x) . b_i)[p_k] / b_k[p_k], and every coordinate
+    vector is reached from gamma's, so the rank is the dimension of the
+    closure of lam under the A_x. The integer maps s mu(x) and one common
+    multiple of the pivot entries scale every A_x alike, so the closure
+    runs on integers.
     """
-    rows = [_primitive(b) for b in backward]
-    pivots = [next(i for i, x in enumerate(b) if x) for b in rows]
+    pivots = [p for p, _ in backward._rows]
+    rows = [b for _, b in backward._rows]
     scale = lcm(*(b[p] for b, p in zip(rows, pivots)))
     weights = [scale // b[p] for b, p in zip(rows, pivots)]
-    actions = []
-    for action in _integer_actions([[rep.mu[x]] for x in rep.alphabet], left=True):
+    pivot_actions = []
+    for action in actions:
         pivot_rows = [action[p] for p in pivots]
         a_x = [[w * sum([y * b[j] for j, y in terms]) for terms, w in zip(pivot_rows, weights)]
                for b in rows]
-        actions.append([[(k, c) for k, c in enumerate(line) if c] for line in a_x])
+        pivot_actions.append([[(k, c) for k, c in enumerate(line) if c] for line in a_x])
     lam = _primitive(rep.lam)
     start = [sum([x * y for x, y in zip(lam, b) if x]) for b in rows]
-    return len(_closure(SpanBasis(len(rows)), start, actions))
+    return len(_closure(SpanBasis(len(rows)), start, pivot_actions))

@@ -18,14 +18,19 @@ replaced by a closure on the backward rows alone. Series sums run
 Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
 gamma, which the library replaced by the fraction-free recursions on
 integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
-which the library replaced by the integer rows of its span basis.
+which the library replaced by the integer rows of its span basis. The
+integer letter maps of a closure come from a scan of every cell of every
+letter matrix, with a transpose for forward maps, which the library
+replaced by a pass over each matrix's nonzero entries.
 """
 
 import heapq
 import itertools
 import random
+import time
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 from stochlang import (CombinationOutcome, ConstructionError,
                        DeterminizationOutcome, MultiplicityAutomaton,
@@ -236,6 +241,38 @@ class OracleSpanBasis:
     @property
     def basis(self):
         return [tuple(row) for _, row in self._rows]
+
+
+def oracle_integer_actions(letters, left):
+    """Per letter, the sparse integer map of s M_k v (``left``) or s v M_k for
+    block-diagonal M_k, by a dense scan of every cell of every block; the
+    scale s is the lcm of every cell's denominator."""
+    scale = lcm(*(x.denominator for blocks in letters for m in blocks
+                  for r in m.rows for x in r))
+    actions = []
+    for blocks in letters:
+        terms = []
+        offset = 0
+        for m in blocks:
+            lines = m.rows if left else m.transpose().rows
+            terms += [[(offset + j, x.numerator * (scale // x.denominator))
+                       for j, x in enumerate(line) if x] for line in lines]
+            offset += m.nrows
+        actions.append(terms)
+    return actions
+
+
+def oracle_integer_sum(matrices, n):
+    """The map v -> s M v of the sum M of n x n matrices, with the least s that
+    makes s M integral, by a dense scan of every cell."""
+    scale = lcm(*(x.denominator for m in matrices for r in m.rows for x in r))
+    rows = [[0] * n for _ in range(n)]
+    for m in matrices:
+        for row, line in zip(rows, m.rows):
+            for j, x in enumerate(line):
+                row[j] += x.numerator * (scale // x.denominator)
+    g = gcd(scale, *(c for row in rows for c in row))
+    return [[(j, c // g) for j, c in enumerate(row) if c] for row in rows], scale // g
 
 
 def oracle_word_basis(a, b):
@@ -618,6 +655,18 @@ def oracle_minimal_residual_generators(a, depth):
     if not oracle_express_combination(a, generators, nonneg=True).expressible:
         return None
     return [w for w, _ in survivors]
+
+
+# ------------------------------------------------------------- time limits
+
+def timed(decide, *args, limit_s):
+    """decide(*args), failing when it takes more than limit_s seconds of
+    process CPU time (other processes on the host do not count)."""
+    start = time.process_time()
+    outcome = decide(*args)
+    elapsed = time.process_time() - start
+    assert elapsed < limit_s, f"{decide.__name__} took {elapsed:.2f} s"
+    return outcome
 
 
 # ------------------------------------------------------------ random instances

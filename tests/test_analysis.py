@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,8 @@ from stochlang.linalg import Matrix, dot, solve_affine, spectral_radius_lt_one
 
 from helpers import (example1_residual_value, oracle_minimal_recurrence,
                      oracle_series_sum, oracle_solve_affine, oracle_state_sums,
-                     oracle_total_sum, random_ma, random_pa, ring_pa, split_copy)
+                     oracle_total_sum, random_ma, random_pa, ring_pa, split_copy,
+                     timed)
 
 F = Fraction
 
@@ -349,16 +349,6 @@ class TestResidualAutomaton:
                 assert res.evaluate(w) * mass == a.evaluate(u + w)
 
 
-def timed(decide, a, limit_s):
-    """decide(a), failing when it takes more than limit_s seconds of process
-    CPU time (other processes on the host do not count)."""
-    start = time.process_time()
-    outcome = decide(a)
-    elapsed = time.process_time() - start
-    assert elapsed < limit_s, f"{decide.__name__} took {elapsed:.2f} s"
-    return outcome
-
-
 def planted_divergence(a):
     # q0 feeds a state whose own loop already has mass 1
     return MultiplicityAutomaton(
@@ -395,7 +385,7 @@ class TestBeyondFiveStates:
     @pytest.mark.parametrize("n,limit_s", [(16, 1.0), (24, 1.0), (32, 1.0), (40, 2.0)])
     def test_ring_pa_total_sum_is_one_at_scale(self, n, limit_s):
         a = ring_pa(n)
-        assert timed(total_sum, a, limit_s) == SumOutcome.converged(F(1))
+        assert timed(total_sum, a, limit_s=limit_s) == SumOutcome.converged(F(1))
         assert oracle_series_sum(a, a.to_linear_representation().lam) == 1
 
     @pytest.mark.parametrize("a,limit_s", [
@@ -405,7 +395,7 @@ class TestBeyondFiveStates:
     def test_state_sums_at_scale(self, a, limit_s):
         # every state of a ring PA, and each copy of a state, sums to 1; the
         # oracle solves (Id - M) s = gamma by Gauss-Jordan over Fractions
-        sums = timed(state_sums, a, limit_s)
+        sums = timed(state_sums, a, limit_s=limit_s)
         m = letter_sum_matrix(a)
         sol = oracle_solve_affine(Matrix.identity(m.nrows) - m,
                                   a.to_linear_representation().gamma)
@@ -431,7 +421,7 @@ class TestBeyondFiveStates:
     def test_planted_and_hidden_divergence_at_24_states(self):
         a = ring_pa(24)
         planted, hidden = planted_divergence(a), hidden_divergence(a)
-        assert not timed(total_sum, planted, 1.0).converges
-        assert timed(total_sum, hidden, 1.0) == SumOutcome.converged(F(1))
+        assert not timed(total_sum, planted, limit_s=1.0).converges
+        assert timed(total_sum, hidden, limit_s=1.0) == SumOutcome.converged(F(1))
         assert oracle_series_sum(planted, planted.to_linear_representation().lam) is None
         assert oracle_series_sum(hidden, hidden.to_linear_representation().lam) == 1

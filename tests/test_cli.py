@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from stochlang import (MultiplicityAutomaton, are_equivalent, classify, fixtures,
-                       parse_automaton, serialize_automaton)
+                       parse_automaton, parse_word, serialize_automaton)
+from stochlang.automata import merge_alphabets
 from stochlang.cli import main
 
 F = Fraction
@@ -109,6 +110,29 @@ class TestEquiv:
                             fixture_file("fig2_A"))
         assert code == 0
         assert keyvals(out)["equal"] == "true"
+
+    def test_witness_is_spelled_over_the_merged_alphabet(self, capsys, tmp_path):
+        # the right automaton reaches its final state again through a.bc, a
+        # word the left one gives 0; bare letters would spell it "abc"
+        left = MultiplicityAutomaton(("a",), ("p",), {"p": 1}, {"p": 1}, {})
+        right = MultiplicityAutomaton(
+            ("a", "bc"), ("p", "q"), {"p": 1}, {"p": 1},
+            {("p", "a", "q"): 1, ("q", "bc", "p"): 1})
+        paths = []
+        for name, a in (("left", left), ("right", right)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize_automaton(a))
+            paths.append(str(path))
+        merged = merge_alphabets(left.alphabet, right.alphabet)
+        for first, second in ((0, 1), (1, 0)):
+            a, b = (left, right)[first], (left, right)[second]
+            code, out = run_cli(capsys, "equiv", paths[first], paths[second])
+            assert code == 10
+            pairs = keyvals(out)
+            assert pairs["witness"] == "a.bc"
+            witness = are_equivalent(a, b).witness
+            assert witness == ("a", "bc")
+            assert parse_word(pairs["witness"], merged) == witness
 
 
 class TestCombine:

@@ -13,7 +13,7 @@ from stochlang.linalg import dot
 
 from helpers import (OracleSpanBasis, nudged_copy, oracle_express_combination,
                      oracle_word_basis, permuted_copy, random_fraction, random_ma,
-                     random_pa, ring_pa, series_equal_up_to, split_copy)
+                     random_pa, ring_pa, series_equal_up_to, split_copy, timed)
 
 F = Fraction
 
@@ -115,6 +115,19 @@ class TestWordBasisBeyondFiveStates:
             assert are_equivalent(a, b) == heap_oracle_outcome(a, b)
         assert are_equivalent(ring, split).equal
         assert not are_equivalent(ring, nudged).equal
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_ring_copies_at_scale(self, n):
+        # 64 and 80 states on the split side; the heap-ordered Fraction
+        # oracle finishes in under half a second here
+        ring = ring_pa(n)
+        split = split_copy(ring, random.Random(1))
+        nudged = nudged_copy(ring, ring.states[n // 2])
+        outcome = timed(are_equivalent, ring, split, limit_s=1.0)
+        assert outcome == heap_oracle_outcome(ring, split) == EquivalenceOutcome(True)
+        outcome = timed(are_equivalent, split, nudged, limit_s=1.0)
+        assert not outcome.equal
+        assert outcome == heap_oracle_outcome(split, nudged)
 
 
 class TestExpressCombination:

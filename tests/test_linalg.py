@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang.linalg import (Constraint, Matrix, SpanBasis, dot,
-                              is_positive_definite, krylov_closure,
-                              lp_feasible, mat_vec, membership_in_span, rref,
-                              schur_stable, solve_affine,
-                              spectral_radius_lt_one)
+from stochlang import MultiplicityAutomaton
+from stochlang.linalg import (Constraint, Matrix, SpanBasis, _integer_actions,
+                              _integer_sum, dot, is_positive_definite,
+                              krylov_closure, lp_feasible, mat_vec,
+                              membership_in_span, rref, schur_stable,
+                              solve_affine, spectral_radius_lt_one)
 
 from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, matrix_power,
-                     max_abs_entry, oracle_rref, oracle_schur_stable,
-                     oracle_solve_affine)
+                     max_abs_entry, oracle_integer_actions, oracle_integer_sum,
+                     oracle_rref, oracle_schur_stable, oracle_solve_affine,
+                     random_ma)
 
 F = Fraction
 
@@ -470,3 +472,62 @@ class TestSpanBasisAgainstFractionOracle:
         basis = span.basis
         assert basis == oracle.basis
         assert all(type(x) is Fraction for row in basis for x in row)
+
+
+LETTERS = ("a", "b", "c")
+
+
+@st.composite
+def signed_automata(draw):
+    """0-12 states with signed weights at densities 0 to 0.7; some letters
+    may carry no transition at all."""
+    n = draw(st.integers(0, 12))
+    a = random_ma(random.Random(draw(st.integers(0, 2**32))), n, LETTERS,
+                  density=draw(st.sampled_from((0.0, 0.1, 0.3, 0.7))))
+    silent = draw(st.sets(st.sampled_from(LETTERS)))
+    return MultiplicityAutomaton(LETTERS, a.states, a.iota, a.tau,
+                                 {t: w for t, w in a.phi.items() if t[1] not in silent})
+
+
+def dense_grid(a, x):
+    return [[a.weight(q, x, r) for r in a.states] for q in a.states]
+
+
+def line_sets(actions):
+    return [[set(line) for line in action] for action in actions]
+
+
+class TestIntegerLetterMapsAgainstDenseScan:
+    """The closures' integer maps read each letter matrix's nonzero entries;
+    a scan of every cell, with a transpose for forward maps, must give the
+    same pairs under the same scale."""
+
+    @given(st.lists(signed_automata(), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_maps_of_direct_sums_match_the_dense_scan(self, blocks):
+        reps = [a.to_linear_representation() for a in blocks]
+        dense = [{x: Matrix(dense_grid(a, x), a.n_states) for x in LETTERS} for a in blocks]
+        for left in (True, False):
+            oracle = oracle_integer_actions([[d[x] for d in dense] for x in LETTERS], left)
+            built = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
+            scanned = _integer_actions([[d[x] for d in dense] for x in LETTERS], left)
+            assert line_sets(built) == line_sets(scanned) == line_sets(oracle)
+            assert all(len(action) == sum(a.n_states for a in blocks) for action in built)
+        for a, rep in zip(blocks, reps):
+            action, scale = _integer_sum(list(rep.mu.values()), a.n_states)
+            oracle_action, oracle_scale = oracle_integer_sum(list(rep.mu.values()), a.n_states)
+            assert scale == oracle_scale
+            assert [set(line) for line in action] == [set(line) for line in oracle_action]
+
+    @given(signed_automata())
+    @settings(max_examples=150, deadline=None)
+    def test_representation_equals_the_dense_matrices(self, a):
+        rep = a.to_linear_representation()
+        for x in LETTERS:
+            dense = Matrix(dense_grid(a, x), a.n_states)
+            assert rep.mu[x] == dense and hash(rep.mu[x]) == hash(dense)
+            assert (rep.mu[x].nrows, rep.mu[x].ncols) == (dense.nrows, dense.ncols)
+            assert set(rep.mu[x]._entries()) == set(dense._entries())
+            assert all(type(v) is Fraction for row in rep.mu[x].rows for v in row)
+        assert rep.lam == tuple(a.iota_weight(q) for q in a.states)
+        assert rep.gamma == tuple(a.tau_weight(q) for q in a.states)

@@ -9,7 +9,8 @@ from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError
                        reduce, weighted_sum, words_up_to)
 
 from helpers import (duplicate_state, oracle_hankel_rank, plant_convex_state,
-                     random_dense_ma, random_ma, random_pa, ring_pa, split_copy)
+                     random_dense_ma, random_ma, random_pa, ring_pa, split_copy,
+                     timed)
 
 F = Fraction
 
@@ -140,17 +141,22 @@ class TestRankAgainstPairingOracle:
         # the rank comes from two span closures alone: no pairing matrix is
         # reduced, and no solve runs
         linalg = sys.modules["stochlang.linalg"]
-        real = linalg.rref
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-        for module in [m for name, m in sys.modules.items() if name.startswith("stochlang")]:
-            if getattr(module, "rref", None) is real:
-                monkeypatch.setattr(module, "rref", counted)
-        linalg.solve_affine(linalg.Matrix.identity(1), [1])
-        assert len(calls) == 1  # the counter sees the library's own eliminations
+        def counter(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+        for name in ("rref", "solve_affine"):
+            real = getattr(linalg, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counter(name, real))
+        # the counters see the library's own eliminations
+        linalg.membership_in_span([1], [[1]])
+        linalg.rref(linalg.Matrix.identity(1))
+        assert calls == ["solve_affine", "rref"]
         calls.clear()
         ranks = [hankel_rank(a) for a in
                  [fixtures.build(name) for name in fixtures.FIXTURE_NAMES]
@@ -177,6 +183,18 @@ class TestBeyondFiveStates:
         assert reduced.n_states == hankel_rank(split) == hankel_rank(ring)
         assert is_reduced(reduced, ReductionMode.FIELD)
         assert are_equivalent(reduced, ring).equal
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_rank_of_split_ring_at_scale(self, n):
+        # the split copy has the ring's series on 2n states; the pairing
+        # oracle takes 0.8 s on the n-state ring at n = 32 and more than 2 s
+        # at n = 40, so it runs at 32 only
+        ring = ring_pa(n)
+        split = split_copy(ring, random.Random(1))
+        rank = timed(hankel_rank, split, limit_s=1.0)
+        assert rank == hankel_rank(ring) == n
+        if n == 32:
+            assert rank == oracle_hankel_rank(ring)
 
     def test_cone_reduction_removes_planted_convex_state(self):
         ring = ring_pa(8)
