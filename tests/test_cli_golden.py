@@ -5,7 +5,10 @@
 stderr (``stderr.json``) of the CLI. The documents in its ``inputs/``
 directory drive the error paths of the sum kernel (a divergent sum, a
 divergent or zero prefix mass, a total mass other than 1), whose
-``error:`` lines are pinned the same way under ``<input>.<case>`` keys.
+``error:`` lines are pinned the same way under ``<input>.<case>`` keys,
+and the state sums of edge cases: no states, no letters, and two 8-state
+signed automata, one with state sums other than 1 and one whose total
+converges while a state sum diverges.
 ``combine`` and ``synth-pa`` take a target and a list of generator
 fixtures; their outputs are pinned under ``<target>.<case>`` keys.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
@@ -62,6 +65,12 @@ ERROR_CASES = {
     "prefix_divergent.pda8": ["pda", str(INPUTS / "prefix_divergent.json"),
                               "--max-states", "8"],
     "fig2_A.residual_aa": ["residual", str(DATA / "fig2_A.json"), "aa"],
+    "mass_two.sums": ["sums", str(INPUTS / "mass_two.json")],
+    "prefix_divergent.sums": ["sums", str(INPUTS / "prefix_divergent.json")],
+    "no_states.sums": ["sums", str(INPUTS / "no_states.json")],
+    "no_letters.sums": ["sums", str(INPUTS / "no_letters.json")],
+    "signed_sums.sums": ["sums", str(INPUTS / "signed_sums.json")],
+    "state_divergent.sums": ["sums", str(INPUTS / "state_divergent.json")],
 }
 
 
