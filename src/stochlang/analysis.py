@@ -20,7 +20,9 @@ each step cross-multiplies by the earlier discrepancy and divides out the
 content. The characteristic polynomial, the Schur-Cohn test
 (:func:`~stochlang.linalg._schur_cohn`) and the value P(1) / C(1) follow in
 integers. One table of the vectors A^k g per call serves every series
-that shares M and tau, such as the residuals of one automaton.
+that shares M and tau, such as the residuals of one automaton, and the
+state sums, which read the minimal polynomial of g under A off its first
+n + 1 vectors and need no other closure or solve.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from math import gcd
 from typing import Sequence
 
 from .automata import LinearRepresentation, MultiplicityAutomaton, replace_iota
-from .linalg import (Matrix, Vector, _apply, _integer_sum, _primitive_with_factor,
-                     _schur_cohn, krylov_closure, linear_combination, schur_stable)
+from .linalg import (Vector, _integer_sum, _minimal_polynomial, _powers,
+                     _primitive_with_factor, _schur_cohn, linear_combination,
+                     schur_stable)
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,6 @@ class SumOutcome:
     @staticmethod
     def converged(value: Fraction) -> "SumOutcome":
         return SumOutcome(True, value)
-
-
-def letter_sum_matrix(a: MultiplicityAutomaton) -> Matrix:
-    """M[i, j] = total transition weight from state i to state j over all letters."""
-    rep = a.to_linear_representation()
-    n = rep.dim
-    m = Matrix.zeros(n, n)
-    for grid in rep.mu.values():
-        m = m + grid
-    return m
 
 
 def _minimal_recurrence(terms: Sequence[int]) -> list[int]:
@@ -116,11 +109,7 @@ def _sum_table(a: MultiplicityAutomaton) -> _SumTable:
     rep = a.to_linear_representation()
     action, scale = _integer_sum(list(rep.mu.values()), rep.dim)
     v, factor = _primitive_with_factor(rep.gamma)
-    powers = []
-    for _ in range(2 * rep.dim):
-        powers.append(v)
-        v = _apply(action, v)
-    return _SumTable(powers, scale, factor)
+    return _SumTable(_powers(action, v, 2 * rep.dim), scale, factor)
 
 
 def _series_sum(table: _SumTable, lam: Vector) -> SumOutcome:
@@ -164,19 +153,21 @@ def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
     """Per-state series sums; None as soon as any state's sum diverges.
 
     The vectors M^k gamma obey the minimal polynomial mu of gamma under M, so
-    every state's sum converges iff mu is Schur-stable. The sum vector
+    every state's sum converges iff mu is Schur-stable; mu is read off the
+    first n + 1 vectors A^k g of the :func:`_sum_table`. The sum vector
     (Id - M)^-1 gamma is then q(M) gamma with
-    q(z) = (mu(1) - mu(z)) / (mu(1) (1 - z)), evaluated on the Krylov
-    vectors; the coefficient of z^j in q is (mu_(j+1) + ... + mu_d) / mu(1).
+    q(z) = (mu(1) - mu(z)) / (mu(1) (1 - z)); the coefficient of z^j in q is
+    (mu_(j+1) + ... + mu_d) / mu(1), and M^j gamma = f A^j g / s^j.
     """
-    rep = a.to_linear_representation()
-    vecs, mu = krylov_closure(letter_sum_matrix(a), rep.gamma)
+    table = _sum_table(a)
+    n = a.n_states
+    mu = _minimal_polynomial(table.powers[:n + 1], table.scale)
     if not schur_stable(mu):
         return None
     mu_at_one = sum(mu, Fraction(0))
     tails = list(accumulate(reversed(mu[1:])))[::-1]
-    sums = linear_combination(vecs, [t / mu_at_one for t in tails], a.n_states)
-    return dict(zip(a.states, sums))
+    coeffs = [table.factor * t / (mu_at_one * table.scale ** j) for j, t in enumerate(tails)]
+    return dict(zip(a.states, linear_combination(table.powers, coeffs, n)))
 
 
 def _mass(table: _SumTable, v: Vector) -> Fraction:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .automata import MultiplicityAutomaton
 from .classify import Dfa
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class DocumentError(ValueError):
@@ -27,7 +27,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: object, where: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise DocumentError(f"{where}: malformed rational {text!r}")
     if "/" in text:
         num, den = text.split("/")

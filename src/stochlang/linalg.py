@@ -16,19 +16,23 @@ echelon form with ``Fraction`` entries, which is unique, so every result
 built on it is the same as with ``Fraction`` rows throughout. ``rref`` is
 that basis for the rows of a matrix; ``solve_affine`` reads its solution
 off the integer rows directly, with one ``Fraction`` per entry it returns,
-so ``membership_in_span``, ``invert``, Krylov closures and the equality
-step of ``lp_feasible`` run on the same integer rows. Only ``determinant``
-and Fourier-Motzkin still eliminate over ``Fraction``.
+so ``membership_in_span``, ``invert`` and the equality step of
+``lp_feasible`` run on the same integer rows. Only ``determinant`` and
+Fourier-Motzkin still eliminate over ``Fraction``.
 
-Contraction is a question about polynomials, not about a linear system: the
-Krylov closure of a vector under M yields its minimal polynomial, and the
-exact Schur-Cohn recursion decides whether all roots of a polynomial lie
-strictly inside the unit circle. ``spectral_radius_lt_one`` applies that
-test to the unit vectors. The recursion runs fraction-free as well: roots
-do not depend on the scale of a polynomial, so ``schur_stable`` scales its
-input to coprime integers and each step cross-multiplies instead of
-dividing by the leading coefficient, with the content divided out. Series
-sums (``analysis``) call the same integer recursion.
+Contraction is a question about polynomials, not about a linear system.
+The minimal polynomial of a vector v under M is read off the integer
+vectors A^k v, k <= n, with A = s M integral: one ``SpanBasis`` of the
+rows of [v, Av, ..., A^n v] holds its coefficients in the column after its
+pivots (:func:`_minimal_polynomial`). The exact Schur-Cohn recursion then
+decides whether all roots of a polynomial lie strictly inside the unit
+circle. ``spectral_radius_lt_one`` applies that test to the unit vectors,
+and ``analysis.state_sums`` to the final vector. The recursion runs
+fraction-free as well: roots do not depend on the scale of a polynomial,
+so ``schur_stable`` scales its input to coprime integers and each step
+cross-multiplies instead of dividing by the leading coefficient, with the
+content divided out. Series sums (``analysis``) call the same integer
+recursion.
 """
 
 from __future__ import annotations
@@ -212,13 +216,6 @@ def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
     return tuple(out)
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    """Matrix times column vector."""
-    if len(v) != m.ncols:
-        raise ValueError(f"vector length {len(v)} does not match {m.ncols} columns")
-    return tuple(sum((x * vj for x, vj in zip(r, v) if x), Fraction(0)) for r in m.rows)
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices.
 
@@ -377,45 +374,29 @@ def _schur_cohn(p: list[int]) -> bool:
     return True
 
 
-def krylov_closure(m: Matrix, v: Sequence[Fraction]) -> tuple[list[Vector], Vector]:
-    """Krylov basis of v under a square matrix and the minimal polynomial of v.
-
-    Returns the independent vectors v, M v, ..., M^(d-1) v, which span the
-    smallest M-invariant space containing v, and the monic polynomial mu of
-    least degree with mu(M) v = 0, as coefficients from the constant term up.
-    """
-    if not m.is_square():
-        raise ValueError("Krylov closure under a non-square matrix")
-    span = SpanBasis(m.nrows)
-    vecs: list[Vector] = []
-    v = vector(v)
-    while span.add(v):
-        vecs.append(v)
-        v = mat_vec(m, v)
-    alpha = membership_in_span(v, vecs)
-    return vecs, tuple(-a for a in alpha) + (Fraction(1),)
-
-
 def spectral_radius_lt_one(m: Matrix) -> bool:
     """Decide exactly whether the powers of a square matrix converge to zero.
 
     M^k tends to zero iff M^k e_i does for every unit vector e_i, that is iff
-    the minimal polynomial of each e_i under M is Schur-stable. A unit vector
-    inside the invariant space spanned by earlier Krylov vectors is skipped:
-    its minimal polynomial divides theirs.
+    the minimal polynomial of each e_i under M is Schur-stable; each one is
+    read off the integer vectors A^k e_i (:func:`_minimal_polynomial`). A
+    unit vector inside the invariant space spanned by earlier Krylov vectors
+    is skipped: its minimal polynomial divides theirs.
     """
     if not m.is_square():
         raise ValueError("spectral test of a non-square matrix")
     n = m.nrows
+    action, scale = _integer_sum([m], n)
     covered = SpanBasis(n)
     for i in range(n):
-        e = unit_vector(n, i)
+        e = [int(j == i) for j in range(n)]
         if covered.contains(e):
             continue
-        vecs, mu = krylov_closure(m, e)
+        powers = _powers(action, e, n + 1)
+        mu = _minimal_polynomial(powers, scale)
         if not schur_stable(mu):
             return False
-        for v in vecs:
+        for v in powers[:len(mu) - 1]:
             covered.add(v)
     return True
 
@@ -688,6 +669,35 @@ def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
 
 def _apply(action: _Action, v: list[int]) -> list[int]:
     return [sum([c * v[j] for j, c in terms]) for terms in action]
+
+
+def _powers(action: _Action, v: list[int], count: int) -> list[list[int]]:
+    """The vectors A^k v, k < count, for the integer map A of ``action``."""
+    powers = []
+    for _ in range(count):
+        powers.append(v)
+        v = _apply(action, v)
+    return powers
+
+
+def _minimal_polynomial(powers: Sequence[list[int]], scale: int) -> Vector:
+    """Monic minimal polynomial of v under M, from the integer vectors A^k v.
+
+    ``powers`` holds A^k v for k = 0..n, where n is the length of v and
+    A = scale M. The n rows of the matrix whose columns they are go into one
+    :class:`SpanBasis`. Once a Krylov vector depends on the earlier ones,
+    every later one does, so the pivots are the columns 0..d-1, d the degree
+    of the polynomial, and the reduced row with pivot i holds at column d
+    the coefficient alpha_i of A^d v = sum_i alpha_i A^i v. As A^k = s^k M^k,
+    the coefficient of z^i in the polynomial is -alpha_i / s^(d-i). The
+    coefficients run from the constant term up.
+    """
+    span = SpanBasis(len(powers))
+    for row in zip(*powers):
+        span.add(row)
+    d = span.dimension
+    return tuple(Fraction(-row[d], row[i] * scale ** (d - i))
+                 for i, row in span._rows) + (Fraction(1),)
 
 
 def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]

@@ -21,7 +21,10 @@ integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
 which the library replaced by the integer rows of its span basis. The
 integer letter maps of a closure come from a scan of every cell of every
 letter matrix, with a transpose for forward maps, which the library
-replaced by a pass over each matrix's nonzero entries.
+replaced by a pass over each matrix's nonzero entries. The minimal
+polynomial of a vector comes from its Krylov closure under the dense
+letter-summed matrix and a solve for the first dependent vector, which the
+library replaced by one echelon form of its integer sum table.
 """
 
 import heapq
@@ -37,11 +40,10 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        are_equivalent, empty_automaton, format_word, is_pda,
                        prefix_weight, residual_automaton, total_sum,
                        weighted_sum, words_up_to)
-from stochlang.analysis import letter_sum_matrix
 from stochlang.automata import letter_shift_automaton, replace_iota
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
-                              lp_feasible, mat_vec, unit_vector, vec_mat)
+                              lp_feasible, unit_vector, vec_mat)
 
 F = Fraction
 
@@ -329,6 +331,34 @@ def oracle_hankel_rank(a):
 
 
 # --------------------------------------------------- matrix and sum oracles
+
+def mat_vec(m, v):
+    """Matrix times column vector."""
+    return tuple(sum((x * vj for x, vj in zip(r, v) if x), F(0)) for r in m.rows)
+
+
+def letter_sum_matrix(a):
+    """M[i, j] = total transition weight from state i to state j over all letters."""
+    rep = a.to_linear_representation()
+    m = Matrix.zeros(rep.dim, rep.dim)
+    for grid in rep.mu.values():
+        m = m + grid
+    return m
+
+
+def oracle_krylov_closure(m, v):
+    """Krylov basis v, M v, ..., M^(d-1) v of v under a square matrix, closed
+    on a Fraction echelon basis, and the monic minimal polynomial of v (from
+    the constant term up), solved for M^d v by Gauss-Jordan over Fractions."""
+    span = OracleSpanBasis(m.nrows)
+    vecs = []
+    v = tuple(F(x) for x in v)
+    while span.add(v):
+        vecs.append(v)
+        v = mat_vec(m, v)
+    alpha = oracle_solve_affine(Matrix.from_columns(vecs, m.nrows), v).particular
+    return vecs, tuple(-x for x in alpha) + (F(1),)
+
 
 def matrix_power(m, k):
     """M^k by repeated squaring."""

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent,
                        fixtures, is_pa, prefix_weight, residual_automaton,
                        state_sums, total_sum, words_up_to)
-from stochlang.analysis import (_minimal_recurrence, _series_sum, _sum_table,
-                                letter_sum_matrix)
+from stochlang.analysis import _minimal_recurrence, _series_sum, _sum_table
 from stochlang.linalg import Matrix, dot, solve_affine, spectral_radius_lt_one
 
-from helpers import (example1_residual_value, oracle_minimal_recurrence,
-                     oracle_series_sum, oracle_solve_affine, oracle_state_sums,
-                     oracle_total_sum, random_ma, random_pa, ring_pa, split_copy,
-                     timed)
+from helpers import (example1_residual_value, letter_sum_matrix,
+                     oracle_minimal_recurrence, oracle_series_sum,
+                     oracle_solve_affine, oracle_state_sums, oracle_total_sum,
+                     random_ma, random_pa, ring_pa, split_copy, timed)
 
 F = Fraction
 
@@ -253,6 +253,33 @@ class TestStateSums:
             a = random_pa(rng, rng.randint(2, 4), ("a", "b"))
             sums = state_sums(a)
             assert sums is not None and all(v == 1 for v in sums.values())
+
+    def test_one_sum_table_and_no_solve(self, monkeypatch):
+        # the minimal polynomial and the sums come from the table of A^k g
+        # alone: no membership solve and no separate echelon form
+        calls = []
+
+        def counter(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+        linalg = sys.modules["stochlang.linalg"]
+        for name in ("membership_in_span", "solve_affine", "rref"):
+            real = getattr(linalg, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counter(name, real))
+        analysis = sys.modules["stochlang.analysis"]
+        monkeypatch.setattr(analysis, "_sum_table", counter("_sum_table", analysis._sum_table))
+        # the counters see the library's own eliminations
+        linalg.membership_in_span([1], [[1]])
+        linalg.rref(Matrix.identity(1))
+        assert calls == ["membership_in_span", "solve_affine", "rref"]
+        for a in ALL_FIXTURES + [ring_pa(8), hidden_divergence(ring_pa(8))]:
+            calls.clear()
+            state_sums(a)
+            assert calls == ["_sum_table"]
 
 
 class TestPrefixWeight:

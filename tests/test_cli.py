@@ -335,6 +335,16 @@ class TestErrors:
     def test_unknown_fixture_is_usage_error(self, capsys):
         assert main(["fixture", "nope"]) == 2
 
+    def test_weight_with_a_trailing_newline_exits_3(self, capsys, tmp_path):
+        doc = {"alphabet": ["a"], "states": ["q0"], "initial": {"q0": "1\n"},
+               "final": {"q0": "1"}}
+        path = tmp_path / "newline.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sum", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: initial['q0']: malformed rational '1\\n'\n"
+
 
 def test_repeated_calls_in_one_process_match_fresh_processes():
     # the parser is built once per process; a usage error must leave it

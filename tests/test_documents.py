@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stochlang import (DocumentError, fixtures, parse_automaton, parse_dfa,
                        serialize_automaton, serialize_dfa)
 from stochlang.classify import Dfa
+from stochlang.documents import parse_rational
 
 from helpers import random_ma
 
@@ -37,6 +38,17 @@ class TestParse:
     def test_malformed_rational(self):
         doc = fig2_doc()
         doc["initial"]["q0"] = "0.5"
+        with pytest.raises(DocumentError, match="malformed rational"):
+            parse_automaton(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["1\n", "1/2\n", "\u0661/\uff12", "\u0663"])
+    def test_rational_is_ascii_digits_and_nothing_after(self, text):
+        # a final newline and non-ASCII decimal digits (an Arabic-Indic one,
+        # a fullwidth two) lie outside the decimal-integer grammar
+        with pytest.raises(DocumentError, match="malformed rational"):
+            parse_rational(text, "initial['q0']")
+        doc = fig2_doc()
+        doc["transitions"][0][3] = text
         with pytest.raises(DocumentError, match="malformed rational"):
             parse_automaton(json.dumps(doc))
 

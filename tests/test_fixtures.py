@@ -6,8 +6,8 @@ import pytest
 from stochlang import (check_stochastic_bounded, fixtures, prefix_weight,
                        residual_automaton, total_sum, words_up_to)
 
-from helpers import (example1_residual_value, fig3_value, lucas, p1_value,
-                     p2_value, p_value, t_value)
+from helpers import (example1_residual_value, fig3_value, letter_sum_matrix,
+                     lucas, p1_value, p2_value, p_value, t_value)
 
 F = Fraction
 
@@ -80,7 +80,6 @@ class TestFig3:
             assert ap(("b",) + w) == F(1, 6) * p(w)
 
     def test_letter_sum_matrix_is_three_quarters_identity(self):
-        from stochlang.analysis import letter_sum_matrix
         from stochlang.linalg import Matrix
         m = letter_sum_matrix(fixtures.build("fig3_App"))
         assert m == F(3, 4) * Matrix.identity(2)

@@ -2,20 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochlang import MultiplicityAutomaton
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _integer_actions,
-                              _integer_sum, dot, is_positive_definite,
-                              krylov_closure, lp_feasible, mat_vec,
-                              membership_in_span, rref, schur_stable,
-                              solve_affine, spectral_radius_lt_one)
+                              _integer_sum, _minimal_polynomial, _powers,
+                              _primitive, dot, is_positive_definite,
+                              lp_feasible, membership_in_span, rref,
+                              schur_stable, solve_affine, spectral_radius_lt_one)
 
-from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, matrix_power,
-                     max_abs_entry, oracle_integer_actions, oracle_integer_sum,
-                     oracle_rref, oracle_schur_stable, oracle_solve_affine,
-                     random_ma)
+from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, mat_vec,
+                     matrix_power, max_abs_entry, oracle_integer_actions,
+                     oracle_integer_sum, oracle_krylov_closure, oracle_rref,
+                     oracle_schur_stable, oracle_solve_affine, random_ma)
 
 F = Fraction
 
@@ -324,29 +324,66 @@ class TestSchurAgainstFractionOracle:
         assert not schur_stable([-1, 0, 0, 1])                # z^3 - 1
 
 
-class TestKrylovClosure:
-    def test_minimal_polynomial_annihilates(self):
-        rng = random.Random(15)
-        for _ in range(30):
-            n = rng.randint(1, 4)
-            m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-                        for _ in range(n)])
-            v = tuple(F(rng.randint(-2, 2)) for _ in range(n))
-            vecs, mu = krylov_closure(m, v)
-            assert len(mu) == len(vecs) + 1 and mu[-1] == 1
-            image = v
-            total = tuple(mu[0] * x for x in v)
-            for c in mu[1:]:
-                image = mat_vec(m, image)
-                total = tuple(t + c * x for t, x in zip(total, image))
-            assert not any(total)
+krylov_entries = st.fractions(min_value=-9, max_value=9, max_denominator=10**3)
 
-    def test_zero_vector(self):
-        assert krylov_closure(Matrix.identity(2), (F(0), F(0))) == ([], (F(1),))
 
-    def test_eigenvector(self):
-        vecs, mu = krylov_closure(Matrix([[2, 0], [0, 3]]), (F(0), F(1)))
-        assert vecs == [(F(0), F(1))] and mu == (F(-3), F(1))
+@st.composite
+def krylov_cases(draw):
+    """A square matrix of size 0-8 (zero, nilpotent, diagonal, or random with
+    denominators up to 10^3) and a start vector (zero, unit, random, or an
+    eigenvector, planted by a rank-one change of one column)."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["zero", "nilpotent", "diagonal", "random"]))
+    free = {"zero": lambda i, j: False, "nilpotent": lambda i, j: j > i,
+            "diagonal": lambda i, j: i == j, "random": lambda i, j: True}[kind]
+    cells = [[draw(krylov_entries) if free(i, j) else F(0) for j in range(n)]
+             for i in range(n)]
+    start = draw(st.sampled_from(["zero", "unit", "random", "eigenvector"]))
+    if start == "zero" or n == 0:
+        return Matrix(cells, n), (F(0),) * n
+    if start == "unit":
+        i = draw(st.integers(0, n - 1))
+        return Matrix(cells, n), tuple(F(int(j == i)) for j in range(n))
+    v = tuple(draw(st.lists(krylov_entries, min_size=n, max_size=n).filter(any)))
+    if start == "eigenvector":
+        # M + (lam v - M v) e_j^T / v_j maps v to lam v
+        lam = draw(krylov_entries)
+        j = next(j for j, x in enumerate(v) if x)
+        image = mat_vec(Matrix(cells, n), v)
+        for i in range(n):
+            cells[i][j] += (lam * v[i] - image[i]) / v[j]
+    return Matrix(cells, n), v
+
+
+def kernel_minimal_polynomial(m, v):
+    """The library's minimal polynomial of v under m, from its integer powers."""
+    action, scale = _integer_sum([m], m.nrows)
+    return _minimal_polynomial(_powers(action, _primitive(v), m.nrows + 1), scale)
+
+
+class TestMinimalPolynomial:
+    """The minimal polynomial read off one echelon form of the integer vectors
+    A^k v against the Krylov closure and solve over Fractions."""
+
+    @given(krylov_cases())
+    @example((Matrix.identity(2), (F(0), F(0))))                # zero vector
+    @example((Matrix([[2, 0], [0, 3]]), (F(0), F(1))))          # eigenvector
+    @example((Matrix([[F(1, 2), -1, 0], [F(1, 3), 0, 2], [0, 1, F(-3, 2)]]),
+              (F(1), F(-2), F(1))))                             # degree 3
+    @settings(max_examples=200, deadline=None)
+    def test_same_degree_and_polynomial_as_fraction_closure(self, case):
+        m, v = case
+        vecs, expected = oracle_krylov_closure(m, v)
+        mu = kernel_minimal_polynomial(m, v)
+        assert len(mu) - 1 == len(vecs)
+        assert mu == expected
+        # mu(M) v = 0
+        image = v
+        total = tuple(mu[0] * x for x in v)
+        for c in mu[1:]:
+            image = mat_vec(m, image)
+            total = tuple(t + c * x for t, x in zip(total, image))
+        assert not any(total)
 
 
 class TestLpFeasible:
