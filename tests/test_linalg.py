@@ -386,6 +386,38 @@ class TestMinimalPolynomial:
         assert not any(total)
 
 
+class TestKrylovClosure:
+    """The library's minimal polynomial on small fixed cases, with the Krylov
+    vectors of the Fraction closure beside it."""
+
+    def test_minimal_polynomial_annihilates(self):
+        rng = random.Random(15)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(n)])
+            v = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            vecs, _ = oracle_krylov_closure(m, v)
+            mu = kernel_minimal_polynomial(m, v)
+            assert len(mu) == len(vecs) + 1 and mu[-1] == 1
+            image = v
+            total = tuple(mu[0] * x for x in v)
+            for c in mu[1:]:
+                image = mat_vec(m, image)
+                total = tuple(t + c * x for t, x in zip(total, image))
+            assert not any(total)
+
+    def test_zero_vector(self):
+        v = (F(0), F(0))
+        assert oracle_krylov_closure(Matrix.identity(2), v)[0] == []
+        assert kernel_minimal_polynomial(Matrix.identity(2), v) == (F(1),)
+
+    def test_eigenvector(self):
+        m, v = Matrix([[2, 0], [0, 3]]), (F(0), F(1))
+        assert oracle_krylov_closure(m, v)[0] == [(F(0), F(1))]
+        assert kernel_minimal_polynomial(m, v) == (F(-3), F(1))
+
+
 class TestLpFeasible:
     def test_interval(self):
         point = lp_feasible([Constraint.ge((1,), 0), Constraint.ge((-1,), 1)])
