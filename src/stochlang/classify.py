@@ -22,6 +22,14 @@ UNDECIDABILITY_NOTE = ("bounded check only: nonnegativity was tested up to the s
                        "length, and no algorithm can decide the unbounded question")
 
 
+def _leaving_mass(a: MultiplicityAutomaton) -> dict[str, Fraction]:
+    """Per state, its final weight plus its total transition weight, in one pass over phi."""
+    mass = {q: a.tau_weight(q) for q in a.states}
+    for (q, _, _), w in a.phi.items():
+        mass[q] += w
+    return mass
+
+
 def is_semi_pa(a: MultiplicityAutomaton) -> bool:
     """All weights in [0, 1], initial mass <= 1, per-state leaving mass <= 1."""
     weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
@@ -29,7 +37,7 @@ def is_semi_pa(a: MultiplicityAutomaton) -> bool:
         return False
     if sum(a.iota.values(), Fraction(0)) > 1:
         return False
-    return all(a.tau_weight(q) + a.out_weight(q) <= 1 for q in a.states)
+    return all(m <= 1 for m in _leaving_mass(a).values())
 
 
 def is_pa(a: MultiplicityAutomaton) -> bool:
@@ -38,7 +46,7 @@ def is_pa(a: MultiplicityAutomaton) -> bool:
         return False
     if sum(a.iota.values(), Fraction(0)) != 1:
         return False
-    return all(a.tau_weight(q) + a.out_weight(q) == 1 for q in a.states)
+    return all(m == 1 for m in _leaving_mass(a).values())
 
 
 def is_pda(a: MultiplicityAutomaton) -> bool:

@@ -26,9 +26,8 @@ from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
-from .linalg import (Constraint, Matrix, SpanBasis, Vector, _Action, _closure,
-                     _integer_actions, _primitive, dot, lp_feasible, solve_affine,
-                     unit_vector)
+from .linalg import (Constraint, SpanBasis, Vector, _Action, _closure, _integer_actions,
+                     _particular, _primitive, dot, lp_feasible, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -125,26 +124,27 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     return span, actions
 
 
-def combination_on_rows(rows: Sequence[Sequence[Fraction]], target: int,
+def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
                         columns: Sequence[int], nonneg: bool) -> CombinationOutcome:
     """Coefficients c with row[target] = sum_j c_j row[columns[j]] on every row.
 
-    Each row holds the values of several series on one backward vector, as
-    built from :func:`value_rows`. Over the field the answer is the
-    particular solution of the reduced row-echelon form, which depends only
-    on the row space; with ``nonneg`` it is the exact feasible point of the
-    same equations with every coefficient >= 0.
+    Each row holds the values of several series on one backward vector, or
+    a multiple of them, as built from :func:`value_rows` or from the
+    integer rows of its span; scaling a row changes no solution. Over the
+    field the rows [columns | target] go straight into the fraction-free
+    solve (``linalg._particular``), and the answer is the particular
+    solution of the reduced row-echelon form, which depends only on the
+    row space; with ``nonneg`` it is the exact feasible point of the same
+    equations with every coefficient >= 0.
     """
     n = len(columns)
-    lhs = [[row[j] for j in columns] for row in rows]
-    rhs = [row[target] for row in rows]
     if nonneg:
-        constraints = [Constraint.eq(coeffs, -value) for coeffs, value in zip(lhs, rhs)]
+        constraints = [Constraint.eq([row[j] for j in columns], -row[target]) for row in rows]
         constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
         coeffs = lp_feasible(constraints, n)
     else:
-        sol = solve_affine(Matrix(lhs, n), rhs)
-        coeffs = None if sol is None else sol.particular
+        solved = _particular(([row[j] for j in columns] + [row[target]] for row in rows), n)
+        coeffs = None if solved is None else solved[0]
     if coeffs is None:
         return CombinationOutcome(False)
     return CombinationOutcome(True, tuple(coeffs))

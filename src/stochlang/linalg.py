@@ -11,13 +11,17 @@ Elimination runs fraction-free, on one kernel. Span membership does not
 depend on the scale of a vector, so :class:`SpanBasis` keeps its echelon
 rows as primitive integer vectors, and a closure pushes coprime integer
 vectors through sparse letter maps that are scaled to integers once per
-call. ``SpanBasis.basis`` turns the rows back into the canonical reduced
-echelon form with ``Fraction`` entries, which is unique, so every result
-built on it is the same as with ``Fraction`` rows throughout. ``rref`` is
-that basis for the rows of a matrix; ``solve_affine`` reads its solution
-off the integer rows directly, with one ``Fraction`` per entry it returns,
-so ``membership_in_span``, ``invert`` and the equality step of
-``lp_feasible`` run on the same integer rows. Only ``determinant`` and
+call. The echelon rows are stored sparse, as their nonzero entries: kept
+fully reduced they stay sparse, so a vector is reduced only against the
+rows at the pivots in its support, each on its own nonzero entries, and a
+new pivot is cleared only from the rows that hold it. The rows are the
+canonical reduced echelon form up to scale, which is unique, so
+``SpanBasis.basis``, their ``Fraction`` form, and every result built on
+them are the same as with ``Fraction`` rows throughout. ``rref`` is that
+basis for the rows of a matrix; ``solve_affine`` reads its solution off
+the sparse integer rows directly, with one ``Fraction`` per nonzero entry
+it returns, so ``membership_in_span``, ``invert`` and the equality step of
+``lp_feasible`` run on the same rows. Only ``determinant`` and
 Fourier-Motzkin still eliminate over ``Fraction``.
 
 Contraction is a question about polynomials, not about a linear system.
@@ -228,7 +232,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         span.add(r)
     rows = span.basis
     rows += [zero_vector(m.ncols)] * (m.nrows - len(rows))
-    return Matrix(rows, m.ncols), tuple(p for p, _ in span._rows)
+    return Matrix(rows, m.ncols), tuple(span._rows)
 
 
 @dataclass(frozen=True)
@@ -241,39 +245,54 @@ class AffineSolution:
 def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     """Solve A x = b exactly, returning the affine solution set or None.
 
-    The rows of [A | b] go into a :class:`SpanBasis`; a pivot in the last
-    column means no solution. Otherwise the reduced echelon row with pivot
-    p gives x_p = b_i - sum of its free entries times x_free, each read as
-    one division of integer row entries by the pivot entry, so only the
-    entries that the solution holds become Fractions.
+    The rows of [A | b] go into a :class:`SpanBasis` (:func:`_particular`);
+    a pivot in the last column means no solution. Otherwise the reduced
+    echelon row with pivot p gives x_p = b_i - sum of its free entries
+    times x_free, each read as one division of an integer row entry by the
+    pivot entry, so only the nonzero entries that the solution holds
+    become Fractions.
     """
     b = vector(b)
     if len(b) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
     n = a.ncols
-    span = SpanBasis(n + 1)
-    for r, bi in zip(a.rows, b):
-        span.add(r + (bi,))
-    rows = span._rows
-    if rows and rows[-1][0] == n:
+    solved = _particular((r + (bi,) for r, bi in zip(a.rows, b)), n)
+    if solved is None:
         return None
+    particular, rows = solved
     zero = Fraction(0)
-    particular = [zero] * n
-    for p, row in rows:
-        if row[n]:
-            particular[p] = Fraction(row[n], row[p])
-    pivots = {p for p, _ in rows}
-    nullspace = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [zero] * n
+    nullspace = {f: [zero] * n for f in range(n) if f not in rows}
+    for f, v in nullspace.items():
         v[f] = Fraction(1)
-        for p, row in rows:
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        nullspace.append(tuple(v))
-    return AffineSolution(tuple(particular), tuple(nullspace))
+    for p, row in rows.items():
+        for j, y in row.items():
+            if j != p and j != n:
+                nullspace[j][p] = Fraction(-y, row[p])
+    return AffineSolution(particular, tuple(tuple(v) for v in nullspace.values()))
+
+
+def _particular(rows: Iterable[Sequence], n: int
+                ) -> tuple[Vector, dict[int, dict[int, int]]] | None:
+    """The solution of A x = b that is zero at every free unknown, or None.
+
+    ``rows`` are the rows of [A | b] for n unknowns, with int or Fraction
+    entries; they go into one :class:`SpanBasis`, and a pivot in column n
+    means no solution. Otherwise x_p = b_i / row_i[p] on the reduced row
+    with pivot p. Returns the solution with the span's sparse integer rows,
+    keyed by pivot.
+    """
+    span = SpanBasis(n + 1)
+    for r in rows:
+        span.add(r)
+    echelon = span._rows
+    if n in echelon:
+        return None
+    x = [Fraction(0)] * n
+    for p, row in echelon.items():
+        bi = row.get(n)
+        if bi:
+            x[p] = Fraction(bi, row[p])
+    return tuple(x), echelon
 
 
 def membership_in_span(v: Sequence[Fraction],
@@ -537,7 +556,11 @@ def _primitive(v: Iterable) -> _Primitive:
         return v
     v = list(v)
     scale = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (scale // x.denominator) for x in v]
+    return _content_free([x.numerator * (scale // x.denominator) for x in v])
+
+
+def _content_free(w: list[int]) -> _Primitive:
+    """The integer vector w divided by the gcd of its entries."""
     g = gcd(*w)
     return _Primitive(w if g <= 1 else [x // g for x in w])
 
@@ -553,25 +576,46 @@ class SpanBasis:
     """Row space with incremental insertion, kept in reduced echelon form.
 
     Inside, each echelon row is a primitive integer vector, positive at its
-    pivot and zero at every other pivot: an incoming vector is scaled to
-    coprime integers and reduced by cross-multiplication, with the content
-    divided out after each step, so no Fraction is made until ``basis``
-    turns the rows into the canonical reduced echelon form.
+    pivot and zero at every other pivot, stored as its nonzero entries only:
+    ``_rows`` maps each pivot, in increasing order, to a ``{column: int}``
+    dict. The rows stay reduced, and reduced rows stay sparse: clearing
+    every pivot keeps out the fill-in that a forward-only echelon collects.
+
+    No row touches another row's pivot, so an incoming vector v meets the
+    row with pivot p with the coefficient v[p] / row[p], in whatever order
+    the rows are taken. :meth:`_reduce` therefore scales v once, by the
+    least integer that makes each of these coefficients integral, and
+    subtracts only the rows at the pivots in v's support, each on its
+    nonzero entries. ``add`` divides the content out once and clears the
+    new pivot from the rows that hold it. No Fraction is made until
+    ``basis`` turns the rows into the canonical reduced echelon form.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[tuple[int, list[int]]] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     def _reduce(self, v: Iterable) -> list[int]:
+        """A positive integer multiple of v minus its part in the span.
+
+        The result is zero at every pivot; its content is not divided out.
+        """
         v = _primitive(v)
         if len(v) != self.dim:
             raise ValueError(f"vector length {len(v)} does not match dimension {self.dim}")
-        for pivot, row in self._rows:
-            c = v[pivot]
-            if c:
-                v = _eliminate(v, row, pivot)
-        return v
+        hits = [(x, row, row[p]) for p, row in self._rows.items() if (x := v[p])]
+        if not hits:
+            return v
+        scale = 1
+        for x, _, a in hits:
+            if a != 1:
+                scale = lcm(scale, a // gcd(a, x))
+        acc = [scale * x for x in v] if scale != 1 else list(v)
+        for x, row, a in hits:
+            c = x * scale // a
+            for j, y in row.items():
+                acc[j] -= c * y
+        return acc
 
     def contains(self, v: Iterable) -> bool:
         return not any(self._reduce(v))
@@ -579,15 +623,25 @@ class SpanBasis:
     def add(self, v: Iterable) -> bool:
         """Insert v; True iff it enlarged the span."""
         r = self._reduce(v)
-        pivot = next((i for i, x in enumerate(r) if x), None)
-        if pivot is None:
+        if not any(r):
             return False
-        if r[pivot] < 0:
-            r = [-x for x in r]
-        self._rows = [(p, _eliminate(row, r, pivot) if row[pivot] else row)
-                      for p, row in self._rows]
-        self._rows.append((pivot, r))
-        self._rows.sort(key=lambda pr: pr[0])
+        new = {j: x for j, x in enumerate(r) if x}
+        pivot = next(iter(new))
+        g = gcd(*new.values()) if new[pivot] > 0 else -gcd(*new.values())
+        if g != 1:
+            new = {j: x // g for j, x in new.items()}
+        a = new[pivot]
+        rows = self._rows
+        for p, row in rows.items():
+            if p > pivot:
+                break
+            c = row.get(pivot)
+            if c:
+                rows[p] = _clear(row, a, c, new)
+        last = next(reversed(rows), -1)
+        rows[pivot] = new
+        if pivot < last:
+            self._rows = dict(sorted(rows.items()))
         return True
 
     @property
@@ -597,22 +651,45 @@ class SpanBasis:
     @property
     def basis(self) -> list[Vector]:
         """The reduced echelon rows, in pivot order, with leading ones."""
-        return [tuple(Fraction(x, row[p]) for x in row) for p, row in self._rows]
+        zero = Fraction(0)
+        out = []
+        for p, row in self._rows.items():
+            a = row[p]
+            line = [zero] * self.dim
+            for j, y in row.items():
+                line[j] = Fraction(y, a)
+            out.append(tuple(line))
+        return out
+
+    @property
+    def integer_rows(self) -> list[list[int]]:
+        """The primitive integer echelon rows, dense, in pivot order."""
+        out = []
+        for row in self._rows.values():
+            line = [0] * self.dim
+            for j, y in row.items():
+                line[j] = y
+            out.append(line)
+        return out
 
 
-def _eliminate(v: list[int], row: list[int], pivot: int) -> list[int]:
-    """The primitive multiple of row[pivot] v - v[pivot] row, zero at the pivot.
+def _clear(row: dict[int, int], a: int, c: int, new: dict[int, int]) -> dict[int, int]:
+    """The primitive multiple of a row - c new, sparse, for a = new's pivot entry > 0.
 
-    ``row[pivot]`` is positive, so the result keeps the sign of v at every
-    column where row vanishes.
+    With c the entry of row at new's pivot, the result vanishes there; it
+    keeps row's pivot and its sign, and is zero wherever both are.
     """
-    a, c = row[pivot], v[pivot]
     g = gcd(a, c)
     a, c = a // g, c // g
-    w = [a * x - c * y for x, y in zip(v, row)] if a != 1 else \
-        [x - c * y if y else x for x, y in zip(v, row)]
-    g = gcd(*w)
-    return w if g <= 1 else [x // g for x in w]
+    out = dict(row) if a == 1 else {j: a * y for j, y in row.items()}
+    for j, y in new.items():
+        x = out.get(j, 0) - c * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return out if g == 1 else {j: y // g for j, y in out.items()}
 
 
 _Action = list[list[tuple[int, int]]]
@@ -696,8 +773,8 @@ def _minimal_polynomial(powers: Sequence[list[int]], scale: int) -> Vector:
     for row in zip(*powers):
         span.add(row)
     d = span.dimension
-    return tuple(Fraction(-row[d], row[i] * scale ** (d - i))
-                 for i, row in span._rows) + (Fraction(1),)
+    return tuple(Fraction(-row.get(d, 0), row[i] * scale ** (d - i))
+                 for i, row in span._rows.items()) + (Fraction(1),)
 
 
 def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
@@ -705,12 +782,12 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
     """Breadth-first closure of a vector under integer maps, through ``span.add``.
 
     Every vector that enlarges the span is pushed through each map, in
-    order, and its images join the queue, each scaled to primitive form
-    once (``span.add`` does not scale it again). Returns the accepted
-    vectors as primitive integer lists, each with the path of map indices
-    that reaches it; the paths come out in length-lexicographic order, and
-    the span ends up holding every image of ``start`` under any product of
-    the maps.
+    order, and its images, integer vectors, join the queue, each divided by
+    its content once (``span.add`` does not scale it again). Returns the
+    accepted vectors as primitive integer lists, each with the path of map
+    indices that reaches it; the paths come out in length-lexicographic
+    order, and the span ends up holding every image of ``start`` under any
+    product of the maps.
     """
     accepted = []
     queue = deque([((), _primitive(start))])
@@ -718,6 +795,6 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
         path, v = queue.popleft()
         if span.add(v):
             accepted.append((path, v))
-            queue.extend((path + (k,), _primitive(_apply(action, v)))
+            queue.extend((path + (k,), _content_free(_apply(action, v)))
                          for k, action in enumerate(actions))
     return accepted

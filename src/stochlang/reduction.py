@@ -81,7 +81,7 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     """
     rep = a.to_linear_representation()
     span, actions = _backward_closure([rep])
-    rows = span.basis
+    rows = span.integer_rows
     nonneg = mode is ReductionMode.CONE
     columns = list(range(a.n_states))
     current = a
@@ -137,16 +137,17 @@ def _pairing_rank(rep: LinearRepresentation, backward: SpanBasis,
     multiple of the pivot entries scale every A_x alike, so the closure
     runs on integers.
     """
-    pivots = [p for p, _ in backward._rows]
-    rows = [b for _, b in backward._rows]
-    scale = lcm(*(b[p] for b, p in zip(rows, pivots)))
-    weights = [scale // b[p] for b, p in zip(rows, pivots)]
+    pivots = list(backward._rows)
+    rows = list(backward._rows.values())
+    scale = lcm(*(b[p] for p, b in backward._rows.items()))
+    weights = [scale // b[p] for p, b in backward._rows.items()]
     pivot_actions = []
     for action in actions:
         pivot_rows = [action[p] for p in pivots]
-        a_x = [[w * sum([y * b[j] for j, y in terms]) for terms, w in zip(pivot_rows, weights)]
+        a_x = [[w * sum([y * b.get(j, 0) for j, y in terms])
+                for terms, w in zip(pivot_rows, weights)]
                for b in rows]
         pivot_actions.append([[(k, c) for k, c in enumerate(line) if c] for line in a_x])
     lam = _primitive(rep.lam)
-    start = [sum([x * y for x, y in zip(lam, b) if x]) for b in rows]
+    start = [sum([lam[j] * y for j, y in b.items()]) for b in rows]
     return len(_closure(SpanBasis(len(rows)), start, pivot_actions))

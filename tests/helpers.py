@@ -11,7 +11,9 @@ library replaced by one solve on a complete set of backward rows, and
 residual exploration matches residuals by pairwise equivalence checks,
 which the library replaced by their values on one set of backward rows.
 Span closures run on a Fraction echelon basis, which the library replaced
-by primitive integer rows; the word basis of an equivalence check is
+by primitive integer rows, and on dense primitive integer rows reduced one
+pivot at a time over every column, which the library replaced by sparse
+rows reduced in one pass over the rows its support meets; the word basis of an equivalence check is
 closed in heap order, and the rank of a series is the rank of the pairing
 matrix between its forward and backward closures, which the library
 replaced by a closure on the backward rows alone. Series sums run
@@ -40,7 +42,7 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        are_equivalent, empty_automaton, format_word, is_pda,
                        prefix_weight, residual_automaton, total_sum,
                        weighted_sum, words_up_to)
-from stochlang.automata import letter_shift_automaton, replace_iota
+from stochlang.automata import is_trimmed, letter_shift_automaton, replace_iota
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
                               lp_feasible, unit_vector, vec_mat)
@@ -243,6 +245,78 @@ class OracleSpanBasis:
     @property
     def basis(self):
         return [tuple(row) for _, row in self._rows]
+
+
+def oracle_primitive(v):
+    """The coprime integer vector with the direction and sign of v (zero stays zero)."""
+    v = list(v)
+    scale = lcm(*(F(x).denominator for x in v))
+    w = [int(F(x) * scale) for x in v]
+    g = gcd(*w)
+    return w if g <= 1 else [x // g for x in w]
+
+
+def oracle_eliminate(v, row, pivot):
+    """The primitive multiple of row[pivot] v - v[pivot] row, zero at the pivot,
+    on every column of both dense integer vectors."""
+    a, c = row[pivot], v[pivot]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    w = [a * x - c * y for x, y in zip(v, row)]
+    g = gcd(*w)
+    return w if g <= 1 else [x // g for x in w]
+
+
+class OracleIntegerSpanBasis:
+    """Row space with incremental insertion, kept in reduced echelon form
+    with dense primitive integer rows, positive at their pivots: each step
+    eliminates one pivot on every column and divides the content out."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self._rows = []
+
+    def _reduce(self, v):
+        v = oracle_primitive(v)
+        if len(v) != self.dim:
+            raise ValueError(f"vector length {len(v)} does not match dimension {self.dim}")
+        for pivot, row in self._rows:
+            if v[pivot]:
+                v = oracle_eliminate(v, row, pivot)
+        return v
+
+    def contains(self, v):
+        return not any(self._reduce(v))
+
+    def add(self, v):
+        """Insert v; True iff it enlarged the span."""
+        r = self._reduce(v)
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return False
+        if r[pivot] < 0:
+            r = [-x for x in r]
+        self._rows = [(p, oracle_eliminate(row, r, pivot) if row[pivot] else row)
+                      for p, row in self._rows]
+        self._rows.append((pivot, r))
+        self._rows.sort(key=lambda pr: pr[0])
+        return True
+
+    @property
+    def dimension(self):
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return tuple(p for p, _ in self._rows)
+
+    @property
+    def integer_rows(self):
+        return [row for _, row in self._rows]
+
+    @property
+    def basis(self):
+        return [tuple(F(x, row[p]) for x in row) for p, row in self._rows]
 
 
 def oracle_integer_actions(letters, left):
@@ -544,6 +618,23 @@ def oracle_series_sum(a, lam):
 
 
 # ------------------------------------------------------- combination oracle
+
+def oracle_is_semi_pa(a):
+    """Semi-PA by the per-state definition: every weight in [0, 1], initial
+    mass <= 1, and tau(q) plus the weight of every transition leaving q at
+    most 1, summed state by state."""
+    weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
+    return (all(0 <= w <= 1 for w in weights) and sum(a.iota.values(), F(0)) <= 1
+            and all(a.tau_weight(q) + a.out_weight(q) <= 1 for q in a.states))
+
+
+def oracle_is_pa(a):
+    """PA by the per-state definition: a trimmed semi-PA with initial mass 1
+    and every state's leaving mass exactly 1."""
+    return (bool(a.states) and is_trimmed(a) and oracle_is_semi_pa(a)
+            and sum(a.iota.values(), F(0)) == 1
+            and all(a.tau_weight(q) + a.out_weight(q) == 1 for q in a.states))
+
 
 def _combination_counterexample(target, generators, coeffs):
     """Word where the candidate combination misses the target, or None."""

@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlang import (Dfa, MultiplicityAutomaton, ReductionMode,
                        check_stochastic_bounded, classify, fixtures, is_pa,
                        is_pda, is_pra_reduced, is_reduced, is_semi_pa,
                        pra_hardness_instance, state_sums, total_sum)
 
-from stochlang.classify import residual_witnesses
+from stochlang.classify import _leaving_mass, residual_witnesses
 
-from helpers import random_pa
+from helpers import oracle_is_pa, oracle_is_semi_pa, random_ma, random_pa
 
 F = Fraction
 
@@ -52,6 +54,47 @@ class TestPa:
             ("a",), ("q0", "sink"), {"q0": 1}, {"q0": F(1, 2)},
             {("q0", "a", "sink"): F(1, 2), ("sink", "a", "sink"): 1})
         assert not is_pa(a)
+
+
+@st.composite
+def weight_condition_automata(draw):
+    """Random signed and nonnegative automata, PAs, and PAs with one weight
+    lowered, raised or moved to a new state."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("signed", "nonneg", "pa", "lower", "raise", "unreached")))
+    if kind == "signed":
+        return random_ma(rng, n, ("a", "b"), density=draw(st.sampled_from((0.2, 0.6))))
+    if kind == "nonneg":
+        a = random_ma(rng, n, ("a", "b"), density=0.3, signed=False)
+        return MultiplicityAutomaton(a.alphabet, a.states,
+                                     {q: w / 8 for q, w in a.iota.items()},
+                                     {q: w / 8 for q, w in a.tau.items()},
+                                     {t: w / 8 for t, w in a.phi.items()})
+    a = random_pa(rng, n, ("a", "b"))
+    if kind == "pa":
+        return a
+    if kind == "unreached":
+        return MultiplicityAutomaton(a.alphabet, list(a.states) + ["extra"], a.iota,
+                                     {**a.tau, "extra": 1}, a.phi)
+    weights = {**a.tau, **a.phi}
+    key = rng.choice(sorted(weights, key=str))
+    weights[key] = weights[key] / 2 if kind == "lower" else min(weights[key] + F(1, 7), F(1))
+    return MultiplicityAutomaton(a.alphabet, a.states, a.iota,
+                                 {q: weights[q] for q in a.tau},
+                                 {t: weights[t] for t in a.phi})
+
+
+class TestWeightConditionsAgainstPerStateDefinition:
+    """The leaving masses come from one pass over phi; summing each state's
+    transitions separately must give the same masses and verdicts."""
+
+    @given(weight_condition_automata())
+    @settings(max_examples=200, deadline=None)
+    def test_same_masses_and_verdicts(self, a):
+        assert _leaving_mass(a) == {q: a.tau_weight(q) + a.out_weight(q) for q in a.states}
+        assert is_semi_pa(a) == oracle_is_semi_pa(a)
+        assert is_pa(a) == oracle_is_pa(a)
 
 
 class TestPda:

@@ -3,17 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlang import (MultiplicityAutomaton, are_equivalent,
                        empty_automaton, express_combination, fixtures,
                        state_series_automaton, weighted_sum)
 from stochlang.automata import letter_shift_automaton, replace_iota
-from stochlang.equivalence import EquivalenceOutcome, _word_basis, value_rows
+from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _word_basis,
+                                   combination_on_rows, value_rows)
 from stochlang.linalg import dot
 
-from helpers import (OracleSpanBasis, nudged_copy, oracle_express_combination,
-                     oracle_word_basis, permuted_copy, random_fraction, random_ma,
-                     random_pa, ring_pa, series_equal_up_to, split_copy, timed)
+from helpers import (OracleSpanBasis, duplicate_state, nudged_copy,
+                     oracle_express_combination, oracle_word_basis, permuted_copy,
+                     plant_convex_state, random_fraction, random_ma, random_pa, ring_pa,
+                     series_equal_up_to, split_copy, timed)
 
 F = Fraction
 
@@ -251,6 +255,46 @@ class TestValueRows:
         with pytest.raises(ValueError):
             value_rows([fixtures.build("fig2_A").to_linear_representation(),
                         fixtures.build("fig5").to_linear_representation()])
+
+
+@st.composite
+def combination_automata(draw):
+    """Signed automata and PAs of 1-6 states, some with a cloned state or a
+    state whose series mixes two others, so that both answers occur."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("signed", "sparse", "pa")))
+    if kind == "pa":
+        a = random_pa(rng, max(n, 2), ("a", "b"))
+    else:
+        a = random_ma(rng, n, ("a", "b"), density=0.7 if kind == "signed" else 0.3)
+    plant = draw(st.sampled_from((None, "duplicate", "mix")))
+    if plant == "duplicate":
+        a = duplicate_state(a, rng)
+    elif plant == "mix" and a.n_states >= 2 and any(k[0] == a.states[-1] for k in a.phi):
+        a = plant_convex_state(a, rng)
+    return a
+
+
+class TestCombinationOnIntegerRows:
+    """Field ``reduce`` hands the primitive integer rows of the backward span
+    to ``combination_on_rows``; each is a positive multiple of a Fraction row
+    of ``value_rows``, so every outcome, coefficients included, must be the
+    same on both, over the field and over the cone."""
+
+    @given(combination_automata())
+    @settings(max_examples=80, deadline=None)
+    def test_same_outcome_on_integer_and_fraction_rows(self, a):
+        span, _ = _backward_closure([a.to_linear_representation()])
+        ints, fracs = span.integer_rows, span.basis
+        assert fracs == value_rows([a.to_linear_representation()])
+        assert all(type(x) is int for row in ints for x in row)
+        n = a.n_states
+        for q in range(n):
+            others = [s for s in range(n) if s != q]
+            for nonneg in (False, True):
+                assert combination_on_rows(ints, q, others, nonneg) == \
+                    combination_on_rows(fracs, q, others, nonneg)
 
 
 class TestAgainstCounterexampleOracle:

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochlang import MultiplicityAutomaton
-from stochlang.linalg import (Constraint, Matrix, SpanBasis, _integer_actions,
+from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_actions,
                               _integer_sum, _minimal_polynomial, _powers,
                               _primitive, dot, is_positive_definite,
                               lp_feasible, membership_in_span, rref,
                               schur_stable, solve_affine, spectral_radius_lt_one)
 
-from helpers import (OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, mat_vec,
+from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, mat_vec,
                      matrix_power, max_abs_entry, oracle_integer_actions,
                      oracle_integer_sum, oracle_krylov_closure, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, random_ma)
@@ -526,21 +526,106 @@ def insertion_sequences(draw):
     return dim, steps
 
 
+def assert_same_rows(span, oracle):
+    """The sparse rows of ``span`` hold exactly the nonzero entries of the
+    oracle's dense primitive integer rows, under the same pivots."""
+    assert tuple(span._rows) == oracle.pivots
+    assert span.integer_rows == oracle.integer_rows
+    for (p, row), line in zip(span._rows.items(), oracle.integer_rows):
+        assert row == {j: y for j, y in enumerate(line) if y}
+        assert row[p] > 0 and all(q == p or q not in row for q in span._rows)
+
+
+@st.composite
+def wide_insertion_sequences(draw):
+    """Dimension 0-48, densities 0.05-1, supports anywhere or inside one
+    block of a block diagonal, entries of up to 200 bits as ints or
+    Fractions; vectors are fresh, zero, repeated, scaled, negated or
+    combined from earlier ones with coefficients as large as the entries."""
+    dim = draw(st.integers(0, 48))
+    density = draw(st.sampled_from((0.05, 0.1, 0.25, 0.5, 1.0)))
+    bits = draw(st.sampled_from((1, 8, 64, 200)))
+    fractions = draw(st.booleans())
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=4))) if dim > 1 else []
+    blocks = [range(lo, hi) for lo, hi in zip([0] + cuts, cuts + [dim]) if lo < hi]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        x = rng.randint(1, 2**bits) * rng.choice((-1, 1))
+        return F(x, rng.randint(1, 2**bits)) if fractions and rng.random() < 0.5 else x
+
+    def fresh():
+        support = rng.choice(blocks) if blocks else ()
+        v = [0] * dim
+        for j in support:
+            if rng.random() < density:
+                v[j] = entry()
+        return v
+
+    seen, steps = [], []
+    for _ in range(rng.randint(1, 2 * dim + 4)):
+        kind = rng.choice(("fresh", "fresh", "zero", "repeat", "multiple", "negative",
+                           "combination"))
+        if kind == "zero":
+            v = [0] * dim
+        elif kind == "fresh" or not seen:
+            v = fresh()
+        elif kind == "repeat":
+            v = rng.choice(seen)
+        elif kind == "multiple":
+            c = entry()
+            v = [c * x for x in rng.choice(seen)]
+        elif kind == "negative":
+            v = [-x for x in rng.choice(seen)]
+        else:
+            v = [0] * dim
+            for u in rng.sample(seen, min(len(seen), rng.randint(2, 4))):
+                c = entry()
+                v = [x + c * y for x, y in zip(v, u)]
+        seen.append(v)
+        steps.append((rng.random() < 0.7, v))
+    return dim, steps
+
+
 class TestSpanBasisAgainstFractionOracle:
     @given(insertion_sequences())
     @settings(max_examples=200, deadline=None)
     def test_same_verdicts_dimension_and_basis(self, case):
         dim, steps = case
-        span, oracle = SpanBasis(dim), OracleSpanBasis(dim)
+        span, oracle, dense = SpanBasis(dim), OracleSpanBasis(dim), OracleIntegerSpanBasis(dim)
         for insert, v in steps:
             if insert:
-                assert span.add(v) == oracle.add(v)
+                assert span.add(v) == oracle.add(v) == dense.add(v)
             else:
-                assert span.contains(v) == oracle.contains(v)
-            assert span.dimension == oracle.dimension
+                assert span.contains(v) == oracle.contains(v) == dense.contains(v)
+            assert span.dimension == oracle.dimension == dense.dimension
         basis = span.basis
-        assert basis == oracle.basis
+        assert basis == oracle.basis == dense.basis
         assert all(type(x) is Fraction for row in basis for x in row)
+        assert_same_rows(span, dense)
+
+    @given(wide_insertion_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_rows_equal_the_dense_integer_rows(self, case):
+        """Wide, sparse, block-diagonal and 200-bit inputs, so that pivot
+        entries other than 1 and content division are exercised."""
+        dim, steps = case
+        span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
+        for insert, v in steps:
+            if insert:
+                assert span.add(v) == dense.add(v)
+                assert_same_rows(span, dense)
+            else:
+                assert span.contains(v) == dense.contains(v)
+            assert span.dimension == dense.dimension
+        assert span.basis == dense.basis
+
+    def test_pivot_entries_other_than_one(self):
+        span, dense = SpanBasis(3), OracleIntegerSpanBasis(3)
+        for v in ((6, 4, 0), (0, 9, 15), (3, 5, 7), (12, 2, 1)):
+            assert span.add(v) == dense.add(v)
+            assert_same_rows(span, dense)
+        assert span.dimension == 3 and span.integer_rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 LETTERS = ("a", "b", "c")
@@ -600,3 +685,23 @@ class TestIntegerLetterMapsAgainstDenseScan:
             assert all(type(v) is Fraction for row in rep.mu[x].rows for v in row)
         assert rep.lam == tuple(a.iota_weight(q) for q in a.states)
         assert rep.gamma == tuple(a.tau_weight(q) for q in a.states)
+
+
+class TestClosureAgainstDenseIntegerRows:
+    """``_closure`` on the sparse rows against the same closure on the dense
+    integer rows, backward and forward, on single automata and direct sums."""
+
+    @given(st.lists(signed_automata(), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_paths_and_vectors(self, blocks):
+        reps = [a.to_linear_representation() for a in blocks]
+        dim = sum(a.n_states for a in blocks)
+        for left in (True, False):
+            actions = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
+            start = [y for r in reps for y in (r.gamma if left else r.lam)]
+            span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
+            found = _closure(span, start, actions)
+            expected = _closure(dense, start, actions)
+            assert [(path, list(v)) for path, v in found] == \
+                [(path, list(v)) for path, v in expected]
+            assert_same_rows(span, dense)
