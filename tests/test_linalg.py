@@ -12,8 +12,8 @@ from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_
                               lp_feasible, membership_in_span, rref,
                               schur_stable, solve_affine, spectral_radius_lt_one)
 
-from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, jury_lt_one_2x2, lyapunov_lt_one, mat_vec,
-                     matrix_power, max_abs_entry, oracle_integer_actions,
+from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, jury_lt_one_2x2,
+                     lyapunov_lt_one, mat_vec, matrix_power, max_abs_entry, oracle_integer_actions,
                      oracle_integer_sum, oracle_krylov_closure, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, random_ma)
 
