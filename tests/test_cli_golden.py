@@ -9,6 +9,11 @@ divergent or zero prefix mass, a total mass other than 1), whose
 and the state sums of edge cases: no states, no letters, and two 8-state
 signed automata, one with state sums other than 1 and one whose total
 converges while a state sum diverges.
+Larger inputs there pin the cone decisions beyond the fixtures: cone
+reduction of a ring PA with two planted convex states and of a signed
+automaton that keeps a field-only dependency, ``combine`` over four
+generators of which two share one structure, and ``classify`` on the
+union-universality instance of three mod-3 counters.
 ``combine`` and ``synth-pa`` take a target and a list of generator
 fixtures; their outputs are pinned under ``<target>.<case>`` keys.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
@@ -98,6 +103,23 @@ COMBINATION_CASES = {
 }
 
 
+# argument lists of the cases on the larger inputs, keyed <input>.<case>
+GENERATORS = [str(INPUTS / f"{name}.json")
+              for name in ("gen_shared_1", "gen_shared_2", "gen_3", "gen_4")]
+LARGER_CASES = {
+    "ring_two_convex.reduce_cone": ["reduce", str(INPUTS / "ring_two_convex.json"),
+                                    "--mode", "cone"],
+    "signed_cone.reduce_cone": ["reduce", str(INPUTS / "signed_cone.json"), "--mode", "cone"],
+    "signed_cone.reduce_field": ["reduce", str(INPUTS / "signed_cone.json"), "--mode", "field"],
+    "mix_feasible.combine_nonneg_4": ["combine", "--nonneg", str(INPUTS / "mix_feasible.json"),
+                                      *GENERATORS],
+    "mix_infeasible.combine_nonneg_4": ["combine", "--nonneg",
+                                        str(INPUTS / "mix_infeasible.json"), *GENERATORS],
+    "mix_infeasible.combine_4": ["combine", str(INPUTS / "mix_infeasible.json"), *GENERATORS],
+    "hardness_k3.classify": ["classify", str(INPUTS / "hardness_k3.json")],
+}
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -135,12 +157,18 @@ def test_combination_output_is_unchanged(key):
     check(key, COMBINATION_CASES[key])
 
 
+@pytest.mark.parametrize("key", sorted(LARGER_CASES))
+def test_larger_input_output_is_unchanged(key):
+    check(key, LARGER_CASES[key])
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     argvs = {f"{fixture}.{case}": fixture_argv(fixture, case)
              for fixture in FIXTURES for case in sorted(CASES)}
     argvs.update(ERROR_CASES)
     argvs.update(COMBINATION_CASES)
+    argvs.update(LARGER_CASES)
     codes, errors = {}, {}
     for key, argv in argvs.items():
         codes[key], out, errors[key] = run(argv)
