@@ -30,32 +30,39 @@ def _leaving_mass(a: MultiplicityAutomaton) -> dict[str, Fraction]:
     return mass
 
 
-def is_semi_pa(a: MultiplicityAutomaton) -> bool:
-    """All weights in [0, 1], initial mass <= 1, per-state leaving mass <= 1."""
+def _weight_conditions(a: MultiplicityAutomaton, trimmed: bool) -> tuple[bool, bool]:
+    """Semi-PA and PA verdicts, given trimmedness, from one pass over the weights."""
     weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
     if any(w < 0 or w > 1 for w in weights):
-        return False
-    if sum(a.iota.values(), Fraction(0)) > 1:
-        return False
-    return all(m <= 1 for m in _leaving_mass(a).values())
+        return False, False
+    initial = sum(a.iota.values(), Fraction(0))
+    mass = _leaving_mass(a).values()
+    semi_pa = initial <= 1 and all(m <= 1 for m in mass)
+    pa = (semi_pa and bool(a.states) and trimmed and initial == 1
+          and all(m == 1 for m in mass))
+    return semi_pa, pa
+
+
+def is_semi_pa(a: MultiplicityAutomaton) -> bool:
+    """All weights in [0, 1], initial mass <= 1, per-state leaving mass <= 1."""
+    return _weight_conditions(a, False)[0]
 
 
 def is_pa(a: MultiplicityAutomaton) -> bool:
     """Trimmed semi-PA whose initial mass and per-state leaving masses are exactly 1."""
-    if not a.states or not is_trimmed(a) or not is_semi_pa(a):
+    return bool(a.states) and is_trimmed(a) and _weight_conditions(a, True)[1]
+
+
+def _deterministic_support(a: MultiplicityAutomaton) -> bool:
+    """One initial state and at most one successor per state and letter."""
+    if len(a.initial_states()) != 1:
         return False
-    if sum(a.iota.values(), Fraction(0)) != 1:
-        return False
-    return all(m == 1 for m in _leaving_mass(a).values())
+    return all(len(targets) <= 1 for targets in a.support_delta().values())
 
 
 def is_pda(a: MultiplicityAutomaton) -> bool:
     """PA whose support is deterministic: one initial state, one successor per letter."""
-    if not is_pa(a):
-        return False
-    if len(a.initial_states()) != 1:
-        return False
-    return all(len(targets) <= 1 for targets in a.support_delta().values())
+    return is_pa(a) and _deterministic_support(a)
 
 
 def _singleton_witnesses(a: MultiplicityAutomaton) -> dict[str, Word]:
@@ -91,7 +98,13 @@ def residual_witnesses(a: MultiplicityAutomaton) -> tuple[bool, dict[str, Word] 
     reducedness, as for the output of ``reduce(..., ReductionMode.CONE)``;
     :func:`is_pra_reduced` checks both.
     """
-    if not is_pa(a):
+    return _residual_witnesses(a, is_pa(a))
+
+
+def _residual_witnesses(a: MultiplicityAutomaton, pa: bool
+                        ) -> tuple[bool, dict[str, Word] | None]:
+    """:func:`residual_witnesses`, given the PA verdict ``pa`` of ``a``."""
+    if not pa:
         raise ValueError("input is not a probabilistic automaton")
     witnesses = _singleton_witnesses(a)
     if all(q in witnesses for q in a.states):
@@ -165,19 +178,25 @@ def classify(a: MultiplicityAutomaton, max_len: int = 8) -> ClassReport:
     cone-reduced is reduced first and the verdict refers to the reduction
     (which generates the same series and preserves the property). Cone
     reduction returns its input exactly when that input is cone-reduced, so
-    reducedness is decided once.
+    reducedness is decided once. The weight conditions are checked once as
+    well: trimmedness and one pass over the weights give the semi-PA, PA
+    and PDA verdicts, and the PA verdict of the input serves the residual
+    test when the reduction returns the input.
     """
     stochastic = check_stochastic_bounded(a, max_len)
-    pa = is_pa(a)
+    trimmed = is_trimmed(a)
+    semi_pa, pa = _weight_conditions(a, trimmed)
     pra = None
     if pa:
         reduced = reduce(a, ReductionMode.CONE)
-        pra = PraVerdict(*residual_witnesses(reduced), on_reduction=reduced is not a)
+        changed = reduced is not a
+        pra = PraVerdict(*_residual_witnesses(reduced, is_pa(reduced) if changed else pa),
+                         on_reduction=changed)
     return ClassReport(
-        trimmed=is_trimmed(a),
-        semi_pa=is_semi_pa(a),
+        trimmed=trimmed,
+        semi_pa=semi_pa,
         pa=pa,
-        pda=is_pda(a),
+        pda=pa and _deterministic_support(a),
         pra_reduced=pra,
         stochastic=stochastic)
 
@@ -192,6 +211,7 @@ class Dfa:
     delta: Mapping[tuple[str, str], str]
 
     def __post_init__(self):
+        object.__setattr__(self, "finals", frozenset(self.finals))
         state_set = set(self.states)
         if self.initial not in state_set:
             raise ValueError(f"unknown initial state {self.initial!r}")

@@ -21,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
-from .linalg import (Constraint, SpanBasis, Vector, _Action, _closure, _integer_actions,
-                     _particular, _primitive, dot, lp_feasible, unit_vector)
+from .linalg import (SpanBasis, Vector, _Action, _closure, _fourier_motzkin,
+                     _integer_actions, _nullspace, _particular, _primitive, add_vectors,
+                     linear_combination)
 
 
 @dataclass(frozen=True)
@@ -130,23 +132,28 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
 
     Each row holds the values of several series on one backward vector, or
     a multiple of them, as built from :func:`value_rows` or from the
-    integer rows of its span; scaling a row changes no solution. Over the
-    field the rows [columns | target] go straight into the fraction-free
-    solve (``linalg._particular``), and the answer is the particular
+    integer rows of its span; scaling a row changes no solution. The rows
+    [columns | target] go straight into the fraction-free solve
+    (``linalg._particular``). Over the field the answer is the particular
     solution of the reduced row-echelon form, which depends only on the
-    row space; with ``nonneg`` it is the exact feasible point of the same
-    equations with every coefficient >= 0.
+    row space. With ``nonneg`` every solution is x = p + N y, p that
+    particular solution and N the nullspace read off the same echelon rows
+    (``linalg._nullspace``); the rows x_i >= 0 in y go to Fourier-Motzkin,
+    the same input ``lp_feasible`` builds for these equations with x >= 0,
+    so the answer is its exact feasible point.
     """
     n = len(columns)
-    if nonneg:
-        constraints = [Constraint.eq([row[j] for j in columns], -row[target]) for row in rows]
-        constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
-        coeffs = lp_feasible(constraints, n)
-    else:
-        solved = _particular(([row[j] for j in columns] + [row[target]] for row in rows), n)
-        coeffs = None if solved is None else solved[0]
-    if coeffs is None:
+    solved = _particular(([row[j] for j in columns] + [row[target]] for row in rows), n)
+    if solved is None:
         return CombinationOutcome(False)
+    coeffs, echelon = solved
+    if nonneg:
+        null = _nullspace(echelon, n)
+        y = _fourier_motzkin([(tuple(v[i] for v in null), coeffs[i]) for i in range(n)],
+                             len(null))
+        if y is None:
+            return CombinationOutcome(False)
+        coeffs = add_vectors(coeffs, linear_combination(null, y, n))
     return CombinationOutcome(True, tuple(coeffs))
 
 
@@ -157,15 +164,17 @@ def express_combination(target: MultiplicityAutomaton,
 
     The series are grouped into one block per distinct structure (states,
     final weights and transitions); series in one block differ only in their
-    initial vector. One backward closure of the blocks' direct sum
-    (:func:`value_rows`) yields rows x on which each series takes the value
-    lam . x[its block]. The rows span every x(w), so the equations on them
-    are complete: they imply target(w) = sum c_j generator_j(w) on every
-    word. One exact solve therefore decides the question, or with
-    ``nonneg`` one exact feasibility problem with every coefficient >= 0,
-    and no candidate needs checking afterwards. Over the field the
-    coefficients are the reduced row-echelon particular solution of the
-    complete system.
+    initial vector. One backward closure of the blocks' direct sum (the span
+    behind :func:`value_rows`) yields rows x on which each series takes the
+    value lam . x[its block]. The rows span every x(w), so the equations on
+    them are complete: they imply target(w) = sum c_j generator_j(w) on
+    every word, and no candidate needs checking afterwards. The initial
+    vectors are scaled to integers by one common denominator and paired
+    with the span's sparse integer rows; neither that scale nor the scale
+    of a row changes a solution. One call to :func:`combination_on_rows`
+    then decides the question: over the field the coefficients are the
+    reduced row-echelon particular solution of the complete system, and
+    with ``nonneg`` the exact feasible point with every coefficient >= 0.
     """
     generators = list(generators)
     if any(g.alphabet != target.alphabet for g in generators):
@@ -181,7 +190,15 @@ def express_combination(target: MultiplicityAutomaton,
             blocks.append(s)
         block_of.append(k)
     bounds = list(accumulate((b.n_states for b in blocks), initial=0))
-    lams = [tuple(s.iota_weight(q) for q in s.states) for s in series]
-    values = [[dot(lam, x[bounds[k]:bounds[k + 1]]) for lam, k in zip(lams, block_of)]
-              for x in value_rows([b.to_linear_representation() for b in blocks])]
+    scale = lcm(*(w.denominator for s in series for w in s.iota.values()))
+    lams = []
+    for s, k in zip(series, block_of):
+        lam = [0] * bounds[-1]
+        for j, q in enumerate(s.states, start=bounds[k]):
+            w = s.iota_weight(q)
+            lam[j] = w.numerator * (scale // w.denominator)
+        lams.append(lam)
+    span, _ = _backward_closure([b.to_linear_representation() for b in blocks])
+    values = [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]
+              for row in span._rows.values()]
     return combination_on_rows(values, 0, range(1, len(series)), nonneg)

@@ -249,8 +249,8 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     a pivot in the last column means no solution. Otherwise the reduced
     echelon row with pivot p gives x_p = b_i - sum of its free entries
     times x_free, each read as one division of an integer row entry by the
-    pivot entry, so only the nonzero entries that the solution holds
-    become Fractions.
+    pivot entry (:func:`_nullspace`), so only the nonzero entries that the
+    solution holds become Fractions.
     """
     b = vector(b)
     if len(b) != a.nrows:
@@ -260,15 +260,7 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     if solved is None:
         return None
     particular, rows = solved
-    zero = Fraction(0)
-    nullspace = {f: [zero] * n for f in range(n) if f not in rows}
-    for f, v in nullspace.items():
-        v[f] = Fraction(1)
-    for p, row in rows.items():
-        for j, y in row.items():
-            if j != p and j != n:
-                nullspace[j][p] = Fraction(-y, row[p])
-    return AffineSolution(particular, tuple(tuple(v) for v in nullspace.values()))
+    return AffineSolution(particular, tuple(map(tuple, _nullspace(rows, n))))
 
 
 def _particular(rows: Iterable[Sequence], n: int
@@ -293,6 +285,24 @@ def _particular(rows: Iterable[Sequence], n: int
         if bi:
             x[p] = Fraction(bi, row[p])
     return tuple(x), echelon
+
+
+def _nullspace(echelon: dict[int, dict[int, int]], n: int) -> list[list[Fraction]]:
+    """A basis of the solutions of A x = 0, from the echelon rows of [A | b] for n unknowns.
+
+    One vector per free unknown f, in increasing f: 1 at f, and
+    -row[f] / row[p] at the pivot p of each reduced row, so only the
+    nonzero entries of the integer rows become Fractions.
+    """
+    zero = Fraction(0)
+    nullspace = {f: [zero] * n for f in range(n) if f not in echelon}
+    for f, v in nullspace.items():
+        v[f] = Fraction(1)
+    for p, row in echelon.items():
+        for j, y in row.items():
+            if j != p and j != n:
+                nullspace[j][p] = Fraction(-y, row[p])
+    return list(nullspace.values())
 
 
 def membership_in_span(v: Sequence[Fraction],

@@ -3,11 +3,18 @@
 A state whose series is a combination of the other states' series can be
 eliminated without changing any remaining state series. State q's series
 takes the value x[q] on each backward vector x = mu(w) . gamma, so one
-backward closure (``equivalence.value_rows``) turns every reducedness
-question into a question about the columns of its rows: one solve or one
-feasibility problem per state, and none of them is ever repeated on a new
-closure, since eliminating a state only drops its column. Over the field
-the iteration bottoms out at the rank of the series, which is computed
+backward closure (``equivalence._backward_closure``, the span behind
+``value_rows``) turns every reducedness question into a question about the
+columns of its integer rows, and none of them is ever asked of a new
+closure, since eliminating a state only drops its column. The columns
+number at least the rows, and a state can be a combination of the others
+only when its column lies in the support of the kernel of the rows: one
+echelon form of the rows on the kept columns finds that support
+(:func:`_dependent`). When the kept columns number the rows no state is a
+combination. Over the field each state is one solve; over the cone only
+the states in the support get a feasibility problem, and a state outside
+it is no field combination, so no cone one either. Over the field the
+iteration bottoms out at the rank of the series, which is computed
 independently of any solve: the backward rows carry a representation of
 the series on their own span, and the rank is the dimension of the
 forward closure of its initial vector.
@@ -20,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
-from .equivalence import _backward_closure, combination_on_rows, value_rows
+from .equivalence import _backward_closure, combination_on_rows
 from .linalg import SpanBasis, _Action, _closure, _primitive
 
 
@@ -37,19 +44,38 @@ class ReductionStallError(RuntimeError):
 def is_reduced(a: MultiplicityAutomaton, mode: ReductionMode) -> bool:
     """True iff no state's series is a mode-valid combination of the others'.
 
-    State q's series takes the value x[q] on every backward vector x of
-    :func:`value_rows`, so the question is about the columns of those rows.
-    Over the field they are independent iff there are as many rows as
-    states; over the cone each state is one feasibility problem on the
-    other columns.
+    State q's series takes the value x[q] on every backward vector x, so
+    the question is about the columns of the integer rows of the backward
+    span. Over the field they are independent iff there are as many rows as
+    states; over the cone each state in the support of the kernel of the
+    rows (:func:`_dependent`) is one feasibility problem on the other
+    columns, and no other state can be a combination.
     """
-    rows = value_rows([a.to_linear_representation()])
+    rows = _backward_closure([a.to_linear_representation()])[0].integer_rows
     n = a.n_states
-    if mode is ReductionMode.FIELD:
+    if mode is ReductionMode.FIELD or len(rows) == n:
         return len(rows) == n
-    return not any(combination_on_rows(rows, q, [s for s in range(n) if s != q],
+    columns = list(range(n))
+    return not any(combination_on_rows(rows, q, columns[:q] + columns[q + 1:],
                                        nonneg=True).expressible
-                   for q in range(n))
+                   for q in _dependent(rows, columns))
+
+
+def _dependent(rows: list[list[int]], columns: list[int]) -> list[int]:
+    """Positions of the columns in the support of the kernel of the rows on ``columns``.
+
+    Column i is a combination of the other columns iff some c with
+    R c = 0 has c_i != 0, R the rows restricted to ``columns``. In the
+    reduced echelon form of R the kernel has one vector per free column f,
+    1 at f and -row[f] / row[p] at each pivot p, so the support is the free
+    columns and each pivot whose reduced row is nonzero at a free column. A
+    reduced row vanishes at every other pivot, so that is a row with more
+    than one nonzero entry.
+    """
+    span = SpanBasis(len(columns))
+    for row in rows:
+        span.add([row[j] for j in columns])
+    return [i for i in range(len(columns)) if len(span._rows.get(i, ())) != 1]
 
 
 def _eliminate(a: MultiplicityAutomaton, q: str,
@@ -74,9 +100,13 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     removed each round; the input itself is returned when none is. The
     backward rows of the input are built once: elimination leaves every
     kept state's series unchanged, so removing a state only drops its
-    column, and each later decision is one solve (field) or one feasibility
-    problem (cone) on the remaining columns. In field mode the final state
-    count must match the series rank; a mismatch raises
+    column. The rounds stop once the kept columns number the rows, since
+    the columns are then independent. Otherwise each state is one solve
+    (field), or, if its column is in the support of the kernel of the rows
+    on the kept columns (:func:`_dependent`, once per round), one
+    feasibility problem (cone); skipping the others changes neither the
+    state removed nor its coefficients. In field mode the final state count
+    must match the series rank; a mismatch raises
     :class:`ReductionStallError` instead of returning silently.
     """
     rep = a.to_linear_representation()
@@ -86,14 +116,15 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     columns = list(range(a.n_states))
     current = a
     changed = True
-    while changed:
+    while changed and len(columns) > len(rows):
         changed = False
-        for i, q in enumerate(current.states):
-            others = columns[:i] + columns[i + 1:]
-            outcome = combination_on_rows(rows, columns[i], others, nonneg)
+        for i in _dependent(rows, columns) if nonneg else range(len(columns)):
+            outcome = combination_on_rows(rows, columns[i], columns[:i] + columns[i + 1:],
+                                          nonneg)
             if outcome.expressible:
                 kept = current.states[:i] + current.states[i + 1:]
-                current = _eliminate(current, q, dict(zip(kept, outcome.coefficients)))
+                current = _eliminate(current, current.states[i],
+                                     dict(zip(kept, outcome.coefficients)))
                 del columns[i]
                 changed = True
                 break
@@ -110,7 +141,7 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
     """Dimension of the span of all shifted versions of the series.
 
     Reduces the representation from both sides (Schützenberger): the
-    backward rows of :func:`value_rows` carry a representation of the same
+    backward rows of ``equivalence.value_rows`` carry a representation of the same
     series on their span, in which every coordinate vector is reached from
     gamma; the dimension of the forward closure of its initial vector is
     then the rank. This equals the dimension of every minimal presentation

@@ -26,7 +26,11 @@ letter matrix, with a transpose for forward maps, which the library
 replaced by a pass over each matrix's nonzero entries. The minimal
 polynomial of a vector comes from its Krylov closure under the dense
 letter-summed matrix and a solve for the first dependent vector, which the
-library replaced by one echelon form of its integer sum table.
+library replaced by one echelon form of its integer sum table. Cone
+reduction asks one ``lp_feasible`` question per state on the Fraction
+value rows, which the library replaced by a feasibility problem on the
+integer echelon rows for only the states in the support of the kernel of
+the backward rows.
 """
 
 import heapq
@@ -43,9 +47,11 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        prefix_weight, residual_automaton, total_sum,
                        weighted_sum, words_up_to)
 from stochlang.automata import is_trimmed, letter_shift_automaton, replace_iota
+from stochlang.equivalence import value_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
                               lp_feasible, unit_vector, vec_mat)
+from stochlang.reduction import _eliminate
 
 F = Fraction
 
@@ -690,6 +696,46 @@ def oracle_express_combination(target, generators, nonneg):
     raise RuntimeError("combination search exceeded its iteration bound")
 
 
+# ------------------------------------------------------ cone reduction oracle
+
+def oracle_cone_combination(rows, target, columns):
+    """Nonnegative c with row[target] = sum_j c_j row[columns[j]] on every row,
+    or None: the equalities and c >= 0 as ``Constraint``s for ``lp_feasible``."""
+    n = len(columns)
+    constraints = [Constraint.eq([row[j] for j in columns], -row[target]) for row in rows]
+    constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
+    return lp_feasible(constraints, n)
+
+
+def oracle_is_cone_reduced(a):
+    """Cone-reducedness with one feasibility problem per state on the value rows."""
+    rows = value_rows([a.to_linear_representation()])
+    n = a.n_states
+    return all(oracle_cone_combination(rows, q, [s for s in range(n) if s != q]) is None
+               for q in range(n))
+
+
+def oracle_cone_reduce(a):
+    """Cone reduction that tries every state in declared order, each round,
+    with one feasibility problem on the value rows of the input, and removes
+    the first state that is a nonnegative combination of the others."""
+    rows = value_rows([a.to_linear_representation()])
+    columns = list(range(a.n_states))
+    current = a
+    changed = True
+    while changed:
+        changed = False
+        for i, q in enumerate(current.states):
+            coeffs = oracle_cone_combination(rows, columns[i], columns[:i] + columns[i + 1:])
+            if coeffs is not None:
+                kept = current.states[:i] + current.states[i + 1:]
+                current = _eliminate(current, q, dict(zip(kept, coeffs)))
+                del columns[i]
+                changed = True
+                break
+    return current
+
+
 # ------------------------------------------------- residual exploration oracles
 
 def oracle_determinize_to_pda(a, max_states):
@@ -980,3 +1026,29 @@ def plant_convex_state(a, rng):
     tau = dict(a.tau)
     tau["mix"] = alpha * a.tau_weight(qi) + (1 - alpha) * a.tau_weight(qj)
     return MultiplicityAutomaton(a.alphabet, list(a.states) + ["mix"], a.iota, tau, phi)
+
+
+def plant_mixture_state(a, rng, name, parts):
+    """Add a state ``name`` whose series is sum c * (q's series) over ``parts``.
+
+    ``parts`` lists (q, c) pairs; the new state's final weight and leaving
+    edges are the same combination of those of the q, so no other state's
+    series changes. Half the initial weight of a random initial state moves
+    to it, which keeps a PA a PA when the c are convex weights.
+    """
+    tau = dict(a.tau)
+    phi = dict(a.phi)
+    final = sum((c * a.tau_weight(q) for q, c in parts), F(0))
+    if final:
+        tau[name] = final
+    for x in a.alphabet:
+        for r in a.states:
+            w = sum((c * a.weight(q, x, r) for q, c in parts), F(0))
+            if w:
+                phi[(name, x, r)] = w
+    iota = dict(a.iota)
+    if iota:
+        q = rng.choice(sorted(iota))
+        iota[q] /= 2
+        iota[name] = iota[q]
+    return MultiplicityAutomaton(a.alphabet, list(a.states) + [name], iota, tau, phi)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang import (Dfa, MultiplicityAutomaton, ReductionMode,
+from stochlang import (Dfa, MultiplicityAutomaton, PraVerdict, ReductionMode,
                        check_stochastic_bounded, classify, fixtures, is_pa,
-                       is_pda, is_pra_reduced, is_reduced, is_semi_pa,
-                       pra_hardness_instance, state_sums, total_sum)
+                       is_pda, is_pra_reduced, is_reduced, is_semi_pa, is_trimmed,
+                       pra_hardness_instance, reduce, state_sums, total_sum)
 
 from stochlang.classify import _leaving_mass, residual_witnesses
 
-from helpers import oracle_is_pa, oracle_is_semi_pa, random_ma, random_pa
+from helpers import (oracle_is_pa, oracle_is_semi_pa, plant_mixture_state, random_ma,
+                     random_pa)
 
 F = Fraction
 
@@ -95,6 +96,42 @@ class TestWeightConditionsAgainstPerStateDefinition:
         assert _leaving_mass(a) == {q: a.tau_weight(q) + a.out_weight(q) for q in a.states}
         assert is_semi_pa(a) == oracle_is_semi_pa(a)
         assert is_pa(a) == oracle_is_pa(a)
+
+
+@st.composite
+def report_automata(draw):
+    """The automata of the weight-condition tests, and PAs of 2-5 states with
+    a planted state whose series is a convex combination of two others, so
+    that classify reports on a cone reduction."""
+    if draw(st.booleans()):
+        return draw(weight_condition_automata())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = random_pa(rng, draw(st.integers(2, 5)), ("a", "b"))
+    qi, qj = rng.sample(a.states, 2)
+    alpha = F(rng.randint(1, 4), 5)
+    return plant_mixture_state(a, rng, "mix", [(qi, alpha), (qj, 1 - alpha)])
+
+
+class TestClassReportAgainstPredicates:
+    """classify checks trimmedness and the weights once and derives the
+    semi-PA, PA and PDA verdicts from them; the report must equal the
+    separate public predicates."""
+
+    @given(report_automata())
+    @settings(max_examples=150, deadline=None)
+    def test_report_equals_the_separate_predicates(self, a):
+        report = classify(a, max_len=3)
+        assert report.trimmed == is_trimmed(a)
+        assert report.semi_pa == is_semi_pa(a)
+        assert report.pa == is_pa(a)
+        assert report.pda == is_pda(a)
+        assert report.stochastic == check_stochastic_bounded(a, 3)
+        if report.pa:
+            reduced = reduce(a, ReductionMode.CONE)
+            assert report.pra_reduced == PraVerdict(*residual_witnesses(reduced),
+                                                    on_reduction=reduced is not a)
+        else:
+            assert report.pra_reduced is None
 
 
 class TestPda:
@@ -341,6 +378,16 @@ class TestHardnessInstance:
         assert report.pa and not report.pra_reduced.on_reduction
         assert report.pra_reduced.is_pra == (not universal)
         assert (report.pra_reduced.witnesses is None) == universal
+
+    def test_dfa_takes_a_list_of_final_states(self):
+        d = Dfa(("a",), ("s0", "s1"), "s0", ["s1"], {("s0", "a"): "s1"})
+        assert d.finals == frozenset({"s1"})
+        assert isinstance(d.finals, frozenset)
+        assert d.accepts(("a",)) and not d.accepts(())
+
+    def test_dfa_rejects_an_undeclared_final_state(self):
+        with pytest.raises(ValueError, match="final states must be declared states"):
+            Dfa(("a",), ("s0",), "s0", ["s9"], {("s0", "a"): "s0"})
 
     def test_rejects_empty_language(self):
         d = Dfa(("a",), ("s0",), "s0", frozenset(), {("s0", "a"): "s0"})

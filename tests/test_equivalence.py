@@ -12,9 +12,9 @@ from stochlang import (MultiplicityAutomaton, are_equivalent,
 from stochlang.automata import letter_shift_automaton, replace_iota
 from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _word_basis,
                                    combination_on_rows, value_rows)
-from stochlang.linalg import dot
+from stochlang.linalg import _primitive, dot
 
-from helpers import (OracleSpanBasis, duplicate_state, nudged_copy,
+from helpers import (OracleSpanBasis, duplicate_state, nudged_copy, oracle_cone_combination,
                      oracle_express_combination, oracle_word_basis, permuted_copy,
                      plant_convex_state, random_fraction, random_ma, random_pa, ring_pa,
                      series_equal_up_to, split_copy, timed)
@@ -295,6 +295,55 @@ class TestCombinationOnIntegerRows:
             for nonneg in (False, True):
                 assert combination_on_rows(ints, q, others, nonneg) == \
                     combination_on_rows(fracs, q, others, nonneg)
+
+
+@st.composite
+def cone_systems(draw):
+    """Rows [A | b] of 0-7 equations in 0-6 unknowns with small signed
+    entries and many zeros. Some systems get b = A x for a drawn x, x >= 0
+    or signed, so that consistent systems with several free unknowns occur
+    both feasible and infeasible; some get a row
+    repeated or scaled, and some are made inconsistent by a row 0 = 1 or by
+    a copy of a row with another right-hand side."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=4))
+    rows = [draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+            for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        low = draw(st.sampled_from((0, -3)))
+        x = draw(st.lists(st.fractions(low, 3, max_denominator=3), min_size=n, max_size=n))
+        rows = [row[:n] + [sum((a * c for a, c in zip(row, x)), F(0))] for row in rows]
+    kind = draw(st.sampled_from(("as drawn", "repeated", "scaled", "zero row", "conflict")))
+    if rows and kind in ("repeated", "scaled", "conflict"):
+        row = draw(st.sampled_from(rows))
+        if kind == "repeated":
+            rows.append(list(row))
+        elif kind == "scaled":
+            rows.append([F(-3, 2) * y for y in row])
+        else:
+            rows.append(row[:n] + [row[n] + 1])
+    elif kind == "zero row":
+        rows.append([F(0)] * n + [F(1)])
+    return draw(st.permutations(rows)), n
+
+
+class TestConeSolveAgainstLpFeasible:
+    """The cone path of ``combination_on_rows`` reads the particular
+    solution and the nullspace off the integer echelon rows and hands
+    Fourier-Motzkin the rows x >= 0 that ``lp_feasible`` builds from the
+    same equalities, so both must return the same point."""
+
+    @given(cone_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_same_point_as_lp_feasible(self, system):
+        rows, n = system
+        outcome = combination_on_rows(rows, n, range(n), nonneg=True)
+        expected = oracle_cone_combination(rows, n, list(range(n)))
+        assert outcome.expressible == (expected is not None)
+        assert outcome.coefficients == expected
+        integer = combination_on_rows([_primitive(row) for row in rows], n, range(n),
+                                      nonneg=True)
+        assert integer == outcome
 
 
 class TestAgainstCounterexampleOracle:

@@ -3,14 +3,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError,
+from stochlang import (Dfa, MultiplicityAutomaton, ReductionMode, ReductionStallError,
                        are_equivalent, fixtures, hankel_rank, is_pa, is_reduced,
-                       reduce, weighted_sum, words_up_to)
+                       pra_hardness_instance, reduce, weighted_sum, words_up_to)
+from stochlang.equivalence import combination_on_rows, value_rows
+from stochlang.reduction import _dependent
 
-from helpers import (duplicate_state, oracle_hankel_rank, plant_convex_state,
-                     random_dense_ma, random_ma, random_pa, ring_pa, split_copy,
-                     timed)
+from helpers import (duplicate_state, oracle_cone_reduce, oracle_hankel_rank,
+                     oracle_is_cone_reduced, plant_convex_state, plant_mixture_state,
+                     random_dense_ma, random_fraction, random_ma, random_pa, ring_pa,
+                     split_copy, timed)
 
 F = Fraction
 
@@ -216,3 +221,90 @@ class TestStall:
         with pytest.raises(ReductionStallError,
                            match="elimination stopped at 2 states but the series rank is 1"):
             reduce(a, ReductionMode.FIELD)
+
+
+@st.composite
+def cone_automata(draw):
+    """PAs of 2-6 states with 1-3 planted states whose series are convex
+    combinations of two or three others, and signed automata of 0-10 states
+    with up to two planted states whose series are signed or nonnegative
+    combinations of one or two others; the states come in a drawn order."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        a = random_pa(rng, draw(st.integers(2, 6)), ("a", "b"))
+        for k in range(draw(st.integers(1, 3))):
+            chosen = rng.sample(a.states, min(a.n_states, rng.randint(2, 3)))
+            raw = [rng.randint(1, 4) for _ in chosen]
+            a = plant_mixture_state(a, rng, f"mix{k}",
+                                    [(q, F(w, sum(raw))) for q, w in zip(chosen, raw)])
+    else:
+        n = draw(st.integers(0, 10))
+        a = random_ma(rng, n, ("a", "b"), density=draw(st.sampled_from((0.15, 0.4, 0.7))))
+        for k in range(draw(st.integers(0, 2)) if n else 0):
+            chosen = rng.sample(a.states, min(n, rng.randint(1, 2)))
+            signed = draw(st.booleans())
+            a = plant_mixture_state(a, rng, f"mix{k}",
+                                    [(q, random_fraction(rng, signed=signed)) for q in chosen])
+    order = draw(st.permutations(a.states))
+    return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
+
+
+class TestConeAgainstPerStateOracle:
+    """Cone decisions run a feasibility problem only for the states in the
+    support of the kernel of the backward rows; the per-state loop on the
+    Fraction value rows must give the same automaton and verdict."""
+
+    @given(cone_automata())
+    @settings(max_examples=150, deadline=None)
+    def test_same_automaton_and_verdict(self, a):
+        reduced, expected = reduce(a, ReductionMode.CONE), oracle_cone_reduce(a)
+        assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
+            (expected.states, expected.iota, expected.tau, expected.phi)
+        verdict = is_reduced(a, ReductionMode.CONE)
+        assert verdict == oracle_is_cone_reduced(a)
+        assert verdict == (reduced is a)
+
+    @given(cone_automata())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_support_is_the_field_expressible_states(self, a):
+        rows = value_rows([a.to_linear_representation()])
+        columns = list(range(a.n_states))
+        expressible = [q for q in columns
+                       if combination_on_rows(rows, q, columns[:q] + columns[q + 1:],
+                                              nonneg=False).expressible]
+        assert _dependent(rows, columns) == expressible
+
+
+def mod_counter(k, residue):
+    states = tuple(f"r{i}" for i in range(k))
+    delta = {(states[i], x): states[(i + 1) % k] if x == "a" else states[i]
+             for i in range(k) for x in ("a", "b")}
+    return Dfa(("a", "b"), states, states[0], frozenset({states[residue]}), delta)
+
+
+class TestConeDecisionsOnIndependentColumns:
+    def test_field_reduced_input_makes_no_solve(self, monkeypatch):
+        # 13 states and 13 backward rows: no column is a combination of the
+        # others, so neither a solve nor a feasibility problem runs
+        b = pra_hardness_instance([mod_counter(3, r) for r in range(3)])
+        assert b.n_states == len(value_rows([b.to_linear_representation()])) == 13
+        linalg = sys.modules["stochlang.linalg"]
+        calls = []
+
+        def counter(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+        for name in ("_particular", "_fourier_motzkin"):
+            real = getattr(linalg, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counter(name, real))
+        # the counters see the cone solve
+        assert combination_on_rows([[1, 1]], 0, [1], nonneg=True).coefficients == (1,)
+        assert calls == ["_particular", "_fourier_motzkin"]
+        calls.clear()
+        assert reduce(b, ReductionMode.CONE) is b
+        assert is_reduced(b, ReductionMode.CONE)
+        assert calls == []
