@@ -22,7 +22,10 @@ basis for the rows of a matrix; ``solve_affine`` reads its solution off
 the sparse integer rows directly, with one ``Fraction`` per nonzero entry
 it returns, so ``membership_in_span``, ``invert`` and the equality step of
 ``lp_feasible`` run on the same rows. Only ``determinant`` and
-Fourier-Motzkin still eliminate over ``Fraction``.
+Fourier-Motzkin still eliminate over ``Fraction``; the cone solve of
+``equivalence.combination_on_rows`` gives Fourier-Motzkin the rows x >= 0
+in the coordinates of the nullspace read off the integer echelon rows
+(:func:`_particular`, :func:`_nullspace`).
 
 Contraction is a question about polynomials, not about a linear system.
 The minimal polynomial of a vector v under M is read off the integer

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from stochlang import (CombinationOutcome, ConstructionError,
-                       DeterminizationOutcome, MultiplicityAutomaton,
+                       DeterminizationOutcome, Dfa, MultiplicityAutomaton,
                        are_equivalent, empty_automaton, format_word, is_pda,
                        prefix_weight, residual_automaton, total_sum,
                        weighted_sum, words_up_to)
@@ -1009,9 +1009,10 @@ def nudged_copy(a, q):
 def plant_convex_state(a, rng):
     """Add a state "mix" whose series is a convex mixture of two states' series.
 
-    Its final weight and leaving edges mix the rows of two random states, and
-    half of one edge of the last state is redirected into it. Returns the
-    automaton, which stays a PA when ``a`` is one.
+    Half of one edge of the last state is redirected into it, and its final
+    weight and leaving edges mix the rows of two random states after that
+    redirection, so the mixture also holds when one of them is the last
+    state. Returns the automaton, which stays a PA when ``a`` is one.
     """
     qi, qj = rng.sample(a.states, 2)
     alpha = F(rng.randint(1, 4), 5)
@@ -1019,7 +1020,7 @@ def plant_convex_state(a, rng):
     key = next(k for k in sorted(a.phi) if k[0] == a.states[-1])
     phi[key] /= 2
     phi[(key[0], key[1], "mix")] = a.phi[key] / 2
-    for (q, x, r), w in a.phi.items():
+    for (q, x, r), w in list(phi.items()):
         if q in (qi, qj):
             share = alpha if q == qi else 1 - alpha
             phi[("mix", x, r)] = phi.get(("mix", x, r), F(0)) + share * w
@@ -1052,3 +1053,11 @@ def plant_mixture_state(a, rng, name, parts):
         iota[q] /= 2
         iota[name] = iota[q]
     return MultiplicityAutomaton(a.alphabet, list(a.states) + [name], iota, tau, phi)
+
+
+def dfa_a_count_mod_k(k, residue, alphabet=("a", "b")):
+    """Counts the letter a modulo k and accepts at the given residue."""
+    states = tuple(f"r{i}" for i in range(k))
+    delta = {(states[i], x): states[(i + 1) % k] if x == "a" else states[i]
+             for i in range(k) for x in alphabet}
+    return Dfa(alphabet, states, states[0], frozenset({states[residue]}), delta)

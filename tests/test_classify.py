@@ -14,8 +14,8 @@ from stochlang import (Dfa, MultiplicityAutomaton, PraVerdict, ReductionMode,
 
 from stochlang.classify import _leaving_mass, residual_witnesses
 
-from helpers import (oracle_is_pa, oracle_is_semi_pa, plant_mixture_state, random_ma,
-                     random_pa)
+from helpers import (dfa_a_count_mod_k, oracle_is_pa, oracle_is_semi_pa,
+                     plant_mixture_state, random_ma, random_pa)
 
 F = Fraction
 
@@ -302,14 +302,6 @@ def dfa_a_count_mod(residue, alphabet=("a", "b")):
         delta[("e", x)] = "o" if x == "a" else "e"
         delta[("o", x)] = "e" if x == "a" else "o"
     return Dfa(alphabet, ("e", "o"), "e", frozenset({"e" if residue == 0 else "o"}), delta)
-
-
-def dfa_a_count_mod_k(k, residue, alphabet=("a", "b")):
-    """Counts the letter a modulo k and accepts at the given residue."""
-    states = tuple(f"r{i}" for i in range(k))
-    delta = {(states[i], x): states[(i + 1) % k] if x == "a" else states[i]
-             for i in range(k) for x in alphabet}
-    return Dfa(alphabet, states, states[0], frozenset({states[residue]}), delta)
 
 
 def union_covers_all(dfas, max_len):

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang import (Dfa, MultiplicityAutomaton, ReductionMode, ReductionStallError,
+from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError,
                        are_equivalent, fixtures, hankel_rank, is_pa, is_reduced,
                        pra_hardness_instance, reduce, weighted_sum, words_up_to)
 from stochlang.equivalence import combination_on_rows, value_rows
 from stochlang.reduction import _dependent
 
-from helpers import (duplicate_state, oracle_cone_reduce, oracle_hankel_rank,
-                     oracle_is_cone_reduced, plant_convex_state, plant_mixture_state,
-                     random_dense_ma, random_fraction, random_ma, random_pa, ring_pa,
-                     split_copy, timed)
+from helpers import (dfa_a_count_mod_k, duplicate_state, oracle_cone_reduce,
+                     oracle_hankel_rank, oracle_is_cone_reduced, plant_convex_state,
+                     plant_mixture_state, random_dense_ma, random_fraction, random_ma,
+                     random_pa, ring_pa, split_copy, timed)
 
 F = Fraction
 
@@ -275,18 +275,11 @@ class TestConeAgainstPerStateOracle:
         assert _dependent(rows, columns) == expressible
 
 
-def mod_counter(k, residue):
-    states = tuple(f"r{i}" for i in range(k))
-    delta = {(states[i], x): states[(i + 1) % k] if x == "a" else states[i]
-             for i in range(k) for x in ("a", "b")}
-    return Dfa(("a", "b"), states, states[0], frozenset({states[residue]}), delta)
-
-
 class TestConeDecisionsOnIndependentColumns:
     def test_field_reduced_input_makes_no_solve(self, monkeypatch):
         # 13 states and 13 backward rows: no column is a combination of the
         # others, so neither a solve nor a feasibility problem runs
-        b = pra_hardness_instance([mod_counter(3, r) for r in range(3)])
+        b = pra_hardness_instance([dfa_a_count_mod_k(3, r) for r in range(3)])
         assert b.n_states == len(value_rows([b.to_linear_representation()])) == 13
         linalg = sys.modules["stochlang.linalg"]
         calls = []
