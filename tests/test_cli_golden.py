@@ -14,6 +14,11 @@ reduction of a ring PA with two planted convex states and of a signed
 automaton that keeps a field-only dependency, ``combine`` over four
 generators of which two share one structure, and ``classify`` on the
 union-universality instance of three mod-3 counters.
+Others pin residual exploration: ``pda`` on an 8-state split copy of a
+4-state deterministic PA and on a signed automaton of total mass 1 whose
+residual masses take both signs and vanish on one edge (a construction
+error), and ``minimal-gens`` and ``prefixial`` (witness words up to length
+3) on that 4-state PA.
 ``combine`` and ``synth-pa`` take a target and a list of generator
 fixtures; their outputs are pinned under ``<target>.<case>`` keys.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
@@ -117,6 +122,11 @@ LARGER_CASES = {
                                         str(INPUTS / "mix_infeasible.json"), *GENERATORS],
     "mix_infeasible.combine_4": ["combine", str(INPUTS / "mix_infeasible.json"), *GENERATORS],
     "hardness_k3.classify": ["classify", str(INPUTS / "hardness_k3.json")],
+    "pda4_split.pda16": ["pda", str(INPUTS / "pda4_split.json"), "--max-states", "16"],
+    "signed_residuals.pda8": ["pda", str(INPUTS / "signed_residuals.json"),
+                              "--max-states", "8"],
+    "pda4.mingens3": ["minimal-gens", str(INPUTS / "pda4.json"), "--depth", "3"],
+    "pda4.prefixial": ["prefixial", str(INPUTS / "pda4.json")],
 }
 
 
