@@ -30,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .automata import LinearRepresentation, MultiplicityAutomaton, replace_iota
 from .linalg import (Vector, _integer_sum, _minimal_polynomial, _powers,
-                     _primitive_with_factor, _schur_cohn, linear_combination,
-                     schur_stable)
+                     _primitive_with_factor, _schur_cohn, schur_stable)
 
 
 @dataclass(frozen=True)
@@ -153,21 +152,39 @@ def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
     """Per-state series sums; None as soon as any state's sum diverges.
 
     The vectors M^k gamma obey the minimal polynomial mu of gamma under M, so
-    every state's sum converges iff mu is Schur-stable; mu is read off the
-    first n + 1 vectors A^k g of the :func:`_sum_table`. The sum vector
-    (Id - M)^-1 gamma is then q(M) gamma with
-    q(z) = (mu(1) - mu(z)) / (mu(1) (1 - z)); the coefficient of z^j in q is
-    (mu_(j+1) + ... + mu_d) / mu(1), and M^j gamma = f A^j g / s^j.
+    every state's sum converges iff mu is Schur-stable; see
+    :func:`_state_sum_vector`, which reads mu off the :func:`_sum_table`.
     """
-    table = _sum_table(a)
-    n = a.n_states
+    sums = _state_sum_vector(_sum_table(a), a.n_states)
+    if sums is None:
+        return None
+    vector, unit = sums
+    return {q: unit * x for q, x in zip(a.states, vector)}
+
+
+def _state_sum_vector(table: _SumTable, n: int) -> tuple[list[int], Fraction] | None:
+    """The state-sum vector (Id - M)^-1 gamma of an n-state automaton as r S,
+    S a coprime integer vector and r > 0, from its :func:`_sum_table`.
+
+    None unless the minimal polynomial mu of gamma under M, read off the
+    first n + 1 vectors A^k g, is Schur-stable. Then the sum vector is
+    q(M) gamma with q(z) = (mu(1) - mu(z)) / (mu(1) (1 - z)); the coefficient
+    of z^j in q is (mu_(j+1) + ... + mu_d) / mu(1), and M^j gamma = f A^j g / s^j.
+    The weights t_j / s^j of the A^j g are scaled to integers by one common
+    denominator, so S comes from integer products only. mu(1) is positive
+    for a Schur-stable monic real polynomial, and so is r.
+    """
     mu = _minimal_polynomial(table.powers[:n + 1], table.scale)
     if not schur_stable(mu):
         return None
-    mu_at_one = sum(mu, Fraction(0))
     tails = list(accumulate(reversed(mu[1:])))[::-1]
-    coeffs = [table.factor * t / (mu_at_one * table.scale ** j) for j, t in enumerate(tails)]
-    return dict(zip(a.states, linear_combination(table.powers, coeffs, n)))
+    weights = [t / table.scale ** j for j, t in enumerate(tails)]
+    denominator = lcm(*(w.denominator for w in weights))
+    coeffs = [w.numerator * (denominator // w.denominator) for w in weights]
+    raw = [sum([c * p[i] for c, p in zip(coeffs, table.powers)]) for i in range(n)]
+    g = gcd(*raw) or 1
+    unit = table.factor * g / (sum(mu, Fraction(0)) * denominator)
+    return [x // g for x in raw], unit
 
 
 def _mass(table: _SumTable, v: Vector) -> Fraction:

@@ -7,15 +7,22 @@ solving. Failures are honest: a returned None means the required nonnegative
 coefficients do not exist at this level, and a bound report means the search
 was cut off, never that the answer is known to be negative.
 
-Every residual of a series, and every letter shift of one, is the input's
-own linear representation with another initial vector. One backward
-closure of that representation (:func:`~stochlang.equivalence.value_rows`)
-therefore serves every residual question of one call: a residual becomes
-the tuple of its values on those rows, equal tuples mean equal series, and
-a combination question between residuals is one exact solve on a table of
-such values. Their masses share M and gamma too: one integer table of the
-vectors A^k g per call (``analysis._sum_table``) turns each prefix mass into
-2n integer dot products and one fraction-free recurrence.
+Every residual u^-1 p = p(u .) / p(u Sigma*) of a series, and every letter
+shift of one, is the input's own linear representation with another
+initial vector, so residual exploration runs on the integers of one object
+per call (:class:`_Residuals`). A residual is a coprime integer vector p
+with its mass m, and one letter step is p A_x for the integer letter map
+A_x = s M_x followed by one content division. Its mass is the dot product
+with the state-sum vector (Id - M)^-1 gamma, read off the same table of
+the vectors A^k g that ``state_sums`` uses (``analysis._sum_table``); only
+when the minimal polynomial of gamma under M is not Schur-stable does each
+mass run its own fraction-free recurrence on that table, since the paper
+defines a residual whenever its own prefix sum converges. One backward
+closure of the representation gives each residual a key, the coprime
+integer tuple of its pairings with the span's rows times the sign of its
+mass: equal keys mean equal series, so a dict finds every known residual,
+and a combination question between residuals is one exact solve on a table
+of keys. Fractions are made only for the weights of the automaton built.
 """
 
 from __future__ import annotations
@@ -23,17 +30,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Mapping, Sequence
 
-from .analysis import (_mass, _residual_vector, _series_sum, _sum_table,
-                       _SumTable, total_sum)
-from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
-                       format_word, letter_shift_automaton, length_lex_key,
-                       replace_iota, state_series_automaton, words_up_to)
+from .analysis import _series_sum, _state_sum_vector, _sum_table, total_sum
+from .automata import (MultiplicityAutomaton, Word, format_word, letter_shift_automaton,
+                       length_lex_key, replace_iota, state_series_automaton,
+                       words_up_to)
 from .classify import is_pa, is_pda
-from .equivalence import (are_equivalent, combination_on_rows, express_combination,
-                          value_rows)
-from .linalg import Vector, dot
+from .equivalence import (_backward_closure, are_equivalent, combination_on_rows,
+                          express_combination)
+from .linalg import _apply, _integer_actions, _primitive_with_factor
 
 
 class ConstructionError(RuntimeError):
@@ -42,37 +50,99 @@ class ConstructionError(RuntimeError):
     probability distribution."""
 
 
-def _letter_step(rep: LinearRepresentation, table: _SumTable, v: Vector,
-                 x: str) -> tuple[Fraction, Vector | None]:
-    """Prefix mass of one letter from the residual with initial vector v, and the
-    initial vector of the residual it leads to (None at mass zero).
+Mass = int | Fraction
 
-    One sum per edge, on the table of :func:`~stochlang.analysis._sum_table`;
-    the residual is built from the same vector and mass.
+
+class _Residuals:
+    """The derived data of one automaton that residual exploration reads.
+
+    It holds the sum table (``analysis._sum_table``), the right-acting
+    integer letter maps A_x = scale M_x, the integer rows of the backward
+    span (``equivalence._backward_closure``) and, when it exists, the
+    state-sum vector s = unit S, S a coprime integer vector, read off the
+    same table. A residual is a coprime integer vector p with its mass m
+    over the positive ``unit``, so the residual's initial vector is
+    p / (unit m). With s, m is the integer p . S; without it, unit is 1 and
+    m is the exact mass, from one recurrence on the table.
     """
-    w = rep.forward(v, (x,))
-    mass = _mass(table, w)
-    if mass == 0:
-        return mass, None
-    return mass, tuple(c / mass for c in w)
+
+    def __init__(self, a: MultiplicityAutomaton):
+        rep = a.to_linear_representation()
+        self.table = _sum_table(a)
+        actions, self.scale = _integer_actions([[rep.mu[x]] for x in a.alphabet], left=False)
+        self.actions = dict(zip(a.alphabet, actions))
+        self.rows = list(_backward_closure([rep])[0]._rows.values())
+        self.sums = _state_sum_vector(self.table, rep.dim)
+        self.unit = Fraction(1) if self.sums is None else self.sums[1]
+        self.gamma, gamma_factor = _primitive_with_factor(rep.gamma)
+        self.tau_factor = gamma_factor / self.unit
+        self.start, lam_factor = _primitive_with_factor(rep.lam)
+        self.start_factor = lam_factor * self.unit
+
+    def step(self, p: list[int], x: str) -> tuple[int, list[int]]:
+        """The content g and the coprime vector q with g q = p A_x, A_x = scale M_x."""
+        action = self.actions.get(x)
+        if action is None:
+            raise ValueError(f"letter {x!r} is not in the alphabet")
+        q = _apply(action, p)
+        g = gcd(*q)
+        return g, q if g <= 1 else [y // g for y in q]
+
+    def mass(self, p: list[int]) -> Mass:
+        """The mass of p over the unit; ValueError when the sum started by p diverges."""
+        if self.sums is not None:
+            return sum(map(mul, p, self.sums[0]))
+        outcome = _series_sum(self.table, p)
+        if not outcome.converges:
+            raise ValueError("prefix mass diverges")
+        return outcome.value
+
+    def key(self, p: list[int], m: Mass) -> tuple[int, ...]:
+        """The coprime pairings of p with the backward rows, times the sign of m.
+
+        The rows span every mu(w) . gamma, so the residuals p / (unit m) and
+        p' / (unit m') are equal iff their pairings are proportional; both
+        have mass 1, so the factor is positive, and the sign of m turns the
+        content-free pairings of p and of -p into one key.
+        """
+        values = [sum([p[j] * y for j, y in row.items()]) for row in self.rows]
+        g = gcd(*values)
+        if m < 0:
+            g = -g
+        if g in (0, 1):
+            return tuple(values)
+        return tuple(x // g for x in values)
+
+    def is_state_series(self, p: list[int], m: Mass, i: int) -> bool:
+        """Whether the residual of p is exactly the series of state i: its
+        pairings over its exact mass equal column i of the backward rows."""
+        exact = self.unit * m
+        num, den = exact.numerator, exact.denominator
+        return all(sum([p[j] * y for j, y in row.items()]) * den == row.get(i, 0) * num
+                   for row in self.rows)
+
+    def weight(self, g: int, mq: Mass, m: Mass) -> Fraction:
+        """Mass of the letter step g q = p A_x from the residual of p, the step
+        reaching the residual of q (masses over one unit)."""
+        return Fraction(g * mq, self.scale * m)
+
+    def tau(self, p: list[int], m: Mass) -> Fraction:
+        """Final weight of the residual of p: p . gamma over its exact mass."""
+        return Fraction(sum(map(mul, p, self.gamma)), m) * self.tau_factor
 
 
-def _checked_total(rep: LinearRepresentation, table: _SumTable) -> None:
-    """ValueError unless the series converges to total mass 1."""
-    outcome = _series_sum(table, rep.lam)
-    if not outcome.converges:
-        raise ValueError("the series diverges")
-    if outcome.value != 1:
+def _checked_total(res: _Residuals) -> Mass:
+    """Mass of the series over the unit; ValueError unless it converges to 1."""
+    if res.sums is None:
+        outcome = _series_sum(res.table, res.start)
+        if not outcome.converges:
+            raise ValueError("the series diverges")
+        m = outcome.value
+    else:
+        m = res.mass(res.start)
+    if res.start_factor * m != 1:
         raise ValueError("the series must have total mass 1")
-
-
-def _values(v: Vector, rows: Sequence[Vector]) -> tuple[Fraction, ...]:
-    """Values on backward rows of the series started by initial vector v.
-
-    The rows span every mu(w) . gamma of the representation, so two initial
-    vectors start the same series iff their values are equal tuples.
-    """
-    return tuple(dot(v, b) for b in rows)
+    return m
 
 
 def synthesize_pa(target: MultiplicityAutomaton,
@@ -140,42 +210,41 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
 
     Two words whose residual series coincide share a state; each state keeps
     its smallest witness word as its name. Residuals are told apart by their
-    values on the backward rows of the input, looked up in a dict, so no
-    pair of residuals is ever compared. Exceeding ``max_states`` distinct
+    keys (:meth:`_Residuals.key`), looked up in a dict, so no pair of
+    residuals is ever compared. Exceeding ``max_states`` distinct
     residuals aborts with the count discovered so far, which is not a proof
     that infinitely many exist. The input series must have total mass 1.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
-    rep = a.to_linear_representation()
-    table = _sum_table(a)
-    _checked_total(rep, table)
+    res = _Residuals(a)
+    m = _checked_total(res)
 
-    rows = value_rows([rep])
-    discovered: list[tuple[Word, Vector]] = [((), rep.lam)]
-    index = {_values(rep.lam, rows): 0}
+    discovered: list[tuple[Word, list[int], Mass]] = [((), res.start, m)]
+    index = {res.key(res.start, m): 0}
     transitions: dict[tuple[int, str], tuple[Fraction, int]] = {}
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        _, v = discovered[i]
+        word, p, m = discovered[i]
         for x in a.alphabet:
-            mass, child = _letter_step(rep, table, v, x)
-            if child is None:
+            g, q = res.step(p, x)
+            mq = res.mass(q)
+            if not mq:
                 continue
-            key = _values(child, rows)
+            key = res.key(q, mq)
             match = index.get(key)
             if match is None:
                 if len(discovered) == max_states:
                     return DeterminizationOutcome(None, len(discovered) + 1)
                 match = index[key] = len(discovered)
-                discovered.append((discovered[i][0] + (x,), child))
+                discovered.append((word + (x,), q, mq))
                 queue.append(match)
-            transitions[(i, x)] = (mass, match)
+            transitions[(i, x)] = (res.weight(g, mq, m), match)
 
-    names = [format_word(word, a.alphabet) for word, _ in discovered]
+    names = [format_word(word, a.alphabet) for word, _, _ in discovered]
     iota = {names[0]: Fraction(1)}
-    tau = {names[i]: dot(v, rep.gamma) for i, (_, v) in enumerate(discovered)}
+    tau = {names[i]: res.tau(p, m) for i, (_, p, m) in enumerate(discovered)}
     phi = {(names[i], x, names[j]): mass
            for (i, x), (mass, j) in transitions.items()}
     pda = MultiplicityAutomaton(a.alphabet, names, iota, tau, phi)
@@ -191,13 +260,15 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     """Rebuild a PA over the prefix closure of its residual witness words.
 
     Each state q must come with a word w_q whose residual equals the state's
-    series (distinct words per state). Each witness is verified exactly by
-    comparing the residual's values on the input's backward rows with column
-    q of those rows; only a mismatch runs an equivalence check, to name the
-    word where the two series differ. States of the result are the prefixes
-    of the witness set: the empty word carries all initial mass, tree edges
-    carry residual prefix weights, and each witness state routes its
-    remaining letters through the original transitions.
+    series (distinct words per state). Each residual of the prefix closure
+    is computed once, by one letter step from its parent. Each witness is
+    verified exactly: the residual's pairings with the input's backward
+    rows, over its exact mass, must equal column q of those rows; only a
+    mismatch runs an equivalence check, to name the word where the two
+    series differ. States of the result are the prefixes of the witness
+    set: the empty word carries all initial mass, tree edges carry residual
+    prefix weights, and each witness state routes its remaining letters
+    through the original transitions.
     """
     if not is_pa(a):
         raise ValueError("input is not a probabilistic automaton")
@@ -208,34 +279,44 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
         witness_words[q] = tuple(witnesses[q])
     if len(set(witness_words.values())) != len(witness_words):
         raise ValueError("witness words must be distinct")
-    rep = a.to_linear_representation()
-    table = _sum_table(a)
-    rows = value_rows([rep])
+    res = _Residuals(a)
+    vectors: dict[Word, tuple[int, list[int]]] = {(): (1, res.start)}
+    masses: dict[Word, Mass] = {}
     for i, (q, w) in enumerate(witness_words.items()):
-        res = _residual_vector(rep, table, w)
-        if _values(res, rows) != tuple(b[i] for b in rows):
-            check = are_equivalent(replace_iota(a, res), state_series_automaton(a, q))
+        for k in range(1, len(w) + 1):
+            if w[:k] not in vectors:
+                vectors[w[:k]] = res.step(vectors[w[:k - 1]][1], w[k - 1])
+        p = vectors[w][1]
+        m = masses[w] = res.mass(p)
+        if not m:
+            raise ValueError(f"prefix weight of {''.join(w) or 'the empty word'} is zero")
+        if not res.is_state_series(p, m, i):
+            residual = tuple(x / (res.unit * m) for x in p)
+            check = are_equivalent(replace_iota(a, residual), state_series_automaton(a, q))
             raise ValueError(
                 f"witness verification failure for state {q!r}: the residual at "
                 f"{format_word(w, a.alphabet)} differs at "
                 f"{format_word(check.witness, a.alphabet)}")
 
     word_of = {w: q for q, w in witness_words.items()}
-    closure = {w[:i] for w in witness_words.values() for i in range(len(w) + 1)}
-    ordered = sorted(closure, key=lambda w: length_lex_key(w, a.alphabet))
+    ordered = sorted(vectors, key=lambda w: length_lex_key(w, a.alphabet))
     names = {w: format_word(w, a.alphabet) for w in ordered}
-    residuals = {(): _residual_vector(rep, table, ())}
+
+    def mass(w: Word) -> Mass:
+        if w not in masses:
+            masses[w] = res.mass(vectors[w][1])
+        return masses[w]
 
     phi: dict[tuple[str, str, str], Fraction] = {}
     for w in ordered:
         for x in a.alphabet:
             extended = w + (x,)
-            if extended in closure:
-                mass, residuals[extended] = _letter_step(rep, table, residuals[w], x)
-                if residuals[extended] is None:
+            if extended in vectors:
+                if not mass(extended):
                     raise ValueError(f"prefix weight of {format_word(extended, a.alphabet)} "
                                      "is zero")
-                phi[(names[w], x, names[extended])] = mass
+                phi[(names[w], x, names[extended])] = res.weight(
+                    vectors[extended][0], mass(extended), mass(w))
             elif w in word_of:
                 q = word_of[w]
                 for r in a.states:
@@ -244,7 +325,7 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                         phi[(names[w], x, names[witness_words[r]])] = weight
 
     iota = {names[()]: Fraction(1)}
-    tau = {names[w]: dot(residuals[w], rep.gamma) for w in ordered}
+    tau = {names[w]: res.tau(vectors[w][1], mass(w)) for w in ordered}
     built = MultiplicityAutomaton(a.alphabet, [names[w] for w in ordered], iota, tau, phi)
     if not is_pa(built):
         raise ValueError("witness set does not induce a probabilistic automaton; "
@@ -263,32 +344,38 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     Collects residuals of all words up to ``depth``, drops any residual that
     is a nonnegative combination of the remaining ones, then verifies the
     survivors form a stable family containing the series. Residuals are
-    deduplicated by their values on the input's backward rows; one table of
-    those values holds a column per residual, per residual letter shift and
-    for the series itself, and each drop, stability and cover question is one
-    feasibility problem over some of its columns. None means the
-    check failed at this depth and is inconclusive, not that no finite
-    generating set exists.
+    deduplicated by their keys (:meth:`_Residuals.key`); one table holds a
+    column per residual, per residual letter shift and for the series
+    itself, each a positive multiple of its values on the input's backward
+    rows, and each drop, stability and cover question is one feasibility
+    problem over some of its columns, which no positive column scale
+    changes. None means the check failed at this depth and is
+    inconclusive, not that no finite generating set exists.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    rep = a.to_linear_representation()
-    table = _sum_table(a)
-    _checked_total(rep, table)
+    res = _Residuals(a)
+    m = _checked_total(res)
 
-    rows = value_rows([rep])
-    found: dict[tuple[Fraction, ...], tuple[Word, Vector]] = {}
+    found: dict[tuple[int, ...], tuple[Word, list[int], Mass]] = {}
+    vectors = {(): res.start}
     for u in words_up_to(a.alphabet, depth):
+        if u:
+            p = vectors[u] = res.step(vectors[u[:-1]], u[-1])[1]
+        else:
+            p = res.start
         try:
-            v = _residual_vector(rep, table, u)
+            mass = res.mass(p)
         except ValueError:
             continue
-        found.setdefault(_values(v, rows), (u, v))
-    # columns: the k residuals, then their letter shifts, then the series
+        if mass:
+            found.setdefault(res.key(p, mass), (u, p, mass))
+    # columns: the k residuals, then their letter shifts, then the series,
+    # each a positive multiple of its values on the backward rows
     k, letters = len(found), len(a.alphabet)
-    columns = list(found) + [_values(rep.forward(v, (x,)), rows)
-                             for _, v in found.values() for x in a.alphabet]
-    table = list(zip(*columns, _values(rep.lam, rows)))
+    columns = list(found) + [res.key(res.step(p, x)[1], mass)
+                             for _, p, mass in found.values() for x in a.alphabet]
+    table = list(zip(*columns, res.key(res.start, m)))
 
     def covered(target: int, columns: list[int]) -> bool:
         return combination_on_rows(table, target, columns, nonneg=True).expressible
@@ -303,5 +390,5 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     needed = [k + i * letters + j for i in alive for j in range(letters)] + [k * (1 + letters)]
     if not all(covered(t, alive) for t in needed):
         return None
-    words = [u for u, _ in found.values()]
+    words = [u for u, _, _ in found.values()]
     return [words[i] for i in alive]

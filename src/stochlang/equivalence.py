@@ -27,9 +27,8 @@ from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
-from .linalg import (SpanBasis, Vector, _Action, _closure, _fourier_motzkin,
-                     _integer_actions, _nullspace, _particular, _primitive, add_vectors,
-                     linear_combination)
+from .linalg import (SpanBasis, _Action, _closure, _fourier_motzkin, _integer_actions,
+                     _nullspace, _particular, _primitive, add_vectors, linear_combination)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
     n = ra.dim
-    actions = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
+    actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
     basis = _closure(SpanBasis(n + rb.dim), ra.lam + rb.lam, actions)
     gamma = _primitive(ra.gamma + rb.gamma)
     return ([(tuple(a.alphabet[k] for k in path), v[:n], v[n:]) for path, v in basis],
@@ -89,8 +88,10 @@ class CombinationOutcome:
     coefficients: tuple[Fraction, ...] | None = None
 
 
-def value_rows(reps: Sequence[LinearRepresentation]) -> list[Vector]:
-    """Reduced echelon basis of the span of every x(w) = mu(w) . gamma of a direct sum.
+def _backward_closure(reps: Sequence[LinearRepresentation]
+                      ) -> tuple[SpanBasis, list[_Action]]:
+    """The span of every x(w) = mu(w) . gamma of a direct sum, with the integer
+    letter maps it was closed under.
 
     The representations share one alphabet. Their direct sum has the
     concatenated final vectors and block-diagonal letter matrices, so block i
@@ -98,30 +99,18 @@ def value_rows(reps: Sequence[LinearRepresentation]) -> list[Vector]:
     gamma and extends every vector that enlarges the span by each letter on
     the left, so the span reached holds every x(w). A series with initial
     vector lam on block i takes the value lam . x(w)[i] on w, so a linear
-    equation between such series holds on every word iff it holds on these
-    rows. In particular, two initial vectors of one representation give
-    equal series iff they agree on every row. Echelon rows are returned
-    rather than the x(w) themselves: they span the same space, and a solve
-    over a subset of their columns starts almost reduced. The closure
-    itself is fraction-free: it pushes coprime integer multiples of the
-    x(w) through letter matrices scaled to integers once per call, and only
-    the returned rows, the canonical reduced echelon form, are Fractions.
-    """
-    return _backward_closure(reps)[0].basis
-
-
-def _backward_closure(reps: Sequence[LinearRepresentation]
-                      ) -> tuple[SpanBasis, list[_Action]]:
-    """The span behind :func:`value_rows`, with the integer letter maps it was closed under.
-
-    The span keeps the rows as primitive integers; the maps are
-    v -> s mu(x) . v on the direct sum, one per letter in alphabet order.
+    equation between such series holds on every word iff it holds on the
+    span's rows; in particular, two initial vectors of one representation
+    give equal series iff they agree on every row. The closure is
+    fraction-free: the span keeps its reduced echelon rows as primitive
+    integers, and the maps are v -> s mu(x) . v on the direct sum, one per
+    letter in alphabet order, with one scale s per call.
     """
     alphabet = reps[0].alphabet if reps else ()
     if any(r.alphabet != alphabet for r in reps):
         raise ValueError("alphabet mismatch")
     span = SpanBasis(sum(r.dim for r in reps))
-    actions = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
+    actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
     _closure(span, [y for r in reps for y in r.gamma], actions)
     return span, actions
 
@@ -131,8 +120,10 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     """Coefficients c with row[target] = sum_j c_j row[columns[j]] on every row.
 
     Each row holds the values of several series on one backward vector, or
-    a multiple of them, as built from :func:`value_rows` or from the
-    integer rows of its span; scaling a row changes no solution. The rows
+    a multiple of them, as built from the integer rows of
+    :func:`_backward_closure`; scaling a row changes no solution, and where
+    only feasibility is read, neither does scaling a column by a positive
+    factor. The rows
     [columns | target] go straight into the fraction-free solve
     (``linalg._particular``). Over the field the answer is the particular
     solution of the reduced row-echelon form, which depends only on the
@@ -164,8 +155,8 @@ def express_combination(target: MultiplicityAutomaton,
 
     The series are grouped into one block per distinct structure (states,
     final weights and transitions); series in one block differ only in their
-    initial vector. One backward closure of the blocks' direct sum (the span
-    behind :func:`value_rows`) yields rows x on which each series takes the
+    initial vector. One backward closure of the blocks' direct sum
+    (:func:`_backward_closure`) yields rows x on which each series takes the
     value lam . x[its block]. The rows span every x(w), so the equations on
     them are complete: they imply target(w) = sum c_j generator_j(w) on
     every word, and no candidate needs checking afterwards. The initial

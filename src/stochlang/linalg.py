@@ -708,8 +708,9 @@ def _clear(row: dict[int, int], a: int, c: int, new: dict[int, int]) -> dict[int
 _Action = list[list[tuple[int, int]]]
 
 
-def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool) -> list[_Action]:
-    """Block-diagonal letter matrices as sparse integer maps, under one common scale.
+def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool
+                     ) -> tuple[list[_Action], int]:
+    """Block-diagonal letter matrices as sparse integer maps, with their common scale.
 
     ``letters[k]`` lists the diagonal blocks of letter k's matrix M_k. Each
     map holds, per output coordinate, the (input coordinate, coefficient)
@@ -718,7 +719,8 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool) -> list[_A
     keeps each pushed vector a positive multiple of the exact one, which is
     all a span closure or a sign-free zero test needs. Only the nonzero
     entries of each block are read: as rows of M_k for ``left``, and as its
-    columns, with the indices swapped, otherwise.
+    columns, with the indices swapped, otherwise. Returns the maps, in the
+    order of ``letters``, and s.
     """
     scale = lcm(*(x.denominator for blocks in letters for m in blocks
                   for _, _, x in m._entries()))
@@ -737,7 +739,7 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool) -> list[_A
             terms += lines
             offset += m.nrows
         actions.append(terms)
-    return actions
+    return actions, scale
 
 
 def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:

@@ -3,10 +3,10 @@
 A state whose series is a combination of the other states' series can be
 eliminated without changing any remaining state series. State q's series
 takes the value x[q] on each backward vector x = mu(w) . gamma, so one
-backward closure (``equivalence._backward_closure``, the span behind
-``value_rows``) turns every reducedness question into a question about the
-columns of its integer rows, and none of them is ever asked of a new
-closure, since eliminating a state only drops its column. The columns
+backward closure (``equivalence._backward_closure``) turns every
+reducedness question into a question about the columns of its integer
+rows, and none of them is ever asked of a new closure, since eliminating a
+state only drops its column. The columns
 number at least the rows, and a state can be a combination of the others
 only when its column lies in the support of the kernel of the rows: one
 echelon form of the rows on the kept columns finds that support
@@ -141,7 +141,7 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
     """Dimension of the span of all shifted versions of the series.
 
     Reduces the representation from both sides (Schützenberger): the
-    backward rows of ``equivalence.value_rows`` carry a representation of the same
+    backward rows of ``equivalence._backward_closure`` carry a representation of the same
     series on their span, in which every coordinate vector is reached from
     gamma; the dimension of the forward closure of its initial vector is
     then the rank. This equals the dimension of every minimal presentation

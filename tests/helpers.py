@@ -30,7 +30,13 @@ library replaced by one echelon form of its integer sum table. Cone
 reduction asks one ``lp_feasible`` question per state on the Fraction
 value rows, which the library replaced by a feasibility problem on the
 integer echelon rows for only the states in the support of the kernel of
-the backward rows.
+the backward rows. The value rows themselves (``value_rows``) are the
+Fraction form of the backward span, which the library pairs with its
+integer rows instead. Residual exploration weighs each edge by the prefix
+weight of a residual automaton, one recurrence per edge, and the prefixial
+rebuild checks each witness with an equivalence check, which the library
+replaced by integer letter steps, masses read off the state-sum vector and
+integer keys on the backward rows.
 """
 
 import heapq
@@ -43,11 +49,12 @@ from math import gcd, lcm
 
 from stochlang import (CombinationOutcome, ConstructionError,
                        DeterminizationOutcome, Dfa, MultiplicityAutomaton,
-                       are_equivalent, empty_automaton, format_word, is_pda,
-                       prefix_weight, residual_automaton, total_sum,
-                       weighted_sum, words_up_to)
-from stochlang.automata import is_trimmed, letter_shift_automaton, replace_iota
-from stochlang.equivalence import value_rows
+                       are_equivalent, empty_automaton, format_word, is_pa, is_pda,
+                       prefix_weight, residual_automaton, state_series_automaton,
+                       total_sum, weighted_sum, words_up_to)
+from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
+                                replace_iota)
+from stochlang.equivalence import _backward_closure
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
                               lp_feasible, unit_vector, vec_mat)
@@ -327,8 +334,8 @@ class OracleIntegerSpanBasis:
 
 def oracle_integer_actions(letters, left):
     """Per letter, the sparse integer map of s M_k v (``left``) or s v M_k for
-    block-diagonal M_k, by a dense scan of every cell of every block; the
-    scale s is the lcm of every cell's denominator."""
+    block-diagonal M_k, by a dense scan of every cell of every block, and the
+    scale s, the lcm of every cell's denominator."""
     scale = lcm(*(x.denominator for blocks in letters for m in blocks
                   for r in m.rows for x in r))
     actions = []
@@ -341,7 +348,7 @@ def oracle_integer_actions(letters, left):
                        for j, x in enumerate(line) if x] for line in lines]
             offset += m.nrows
         actions.append(terms)
-    return actions
+    return actions, scale
 
 
 def oracle_integer_sum(matrices, n):
@@ -623,6 +630,22 @@ def oracle_series_sum(a, lam):
     return p_at_one / sum(c)
 
 
+# ------------------------------------------------------------ value rows
+
+def value_rows(reps):
+    """The reduced echelon rows, as Fractions with leading ones, of the span of
+    every x(w) = mu(w) . gamma of the direct sum of ``reps``.
+
+    A series with initial vector lam on block i takes the value
+    lam . x(w)[i] on w, so a linear equation between such series holds on
+    every word iff it holds on these rows; two initial vectors of one
+    representation give equal series iff they agree on every row. The
+    library pairs vectors with the span's primitive integer rows instead,
+    which are positive multiples of these.
+    """
+    return _backward_closure(reps)[0].basis
+
+
 # ------------------------------------------------------- combination oracle
 
 def oracle_is_semi_pa(a):
@@ -824,6 +847,62 @@ def oracle_minimal_residual_generators(a, depth):
     return [w for w, _ in survivors]
 
 
+def oracle_to_prefixial_pra(a, witnesses):
+    """The prefixial rebuild with each witness checked by an equivalence check
+    of its residual automaton against the state's series, and each tree edge
+    weighed by the prefix weight of its letter in the residual automaton of
+    its source, which is then built again for the edge's target."""
+    if not is_pa(a):
+        raise ValueError("input is not a probabilistic automaton")
+    witness_words = {}
+    for q in a.states:
+        if q not in witnesses:
+            raise ValueError(f"missing witness for state {q!r}")
+        witness_words[q] = tuple(witnesses[q])
+    if len(set(witness_words.values())) != len(witness_words):
+        raise ValueError("witness words must be distinct")
+    for q, w in witness_words.items():
+        check = are_equivalent(residual_automaton(a, w), state_series_automaton(a, q))
+        if not check.equal:
+            raise ValueError(
+                f"witness verification failure for state {q!r}: the residual at "
+                f"{format_word(w, a.alphabet)} differs at "
+                f"{format_word(check.witness, a.alphabet)}")
+
+    word_of = {w: q for q, w in witness_words.items()}
+    closure = {w[:i] for w in witness_words.values() for i in range(len(w) + 1)}
+    ordered = sorted(closure, key=lambda w: length_lex_key(w, a.alphabet))
+    names = {w: format_word(w, a.alphabet) for w in ordered}
+    residuals = {(): residual_automaton(a, ())}
+    phi = {}
+    for w in ordered:
+        for x in a.alphabet:
+            extended = w + (x,)
+            if extended in closure:
+                mass = prefix_weight(residuals[w], (x,))
+                if mass == 0:
+                    raise ValueError(f"prefix weight of {format_word(extended, a.alphabet)} "
+                                     "is zero")
+                residuals[extended] = residual_automaton(residuals[w], (x,))
+                phi[(names[w], x, names[extended])] = mass
+            elif w in word_of:
+                for r in a.states:
+                    weight = a.weight(word_of[w], x, r)
+                    if weight:
+                        phi[(names[w], x, names[witness_words[r]])] = weight
+    tau = {names[w]: residuals[w].evaluate(()) for w in ordered}
+    built = MultiplicityAutomaton(a.alphabet, [names[w] for w in ordered],
+                                  {names[()]: F(1)}, tau, phi)
+    if not is_pa(built):
+        raise ValueError("witness set does not induce a probabilistic automaton; "
+                         "an interior prefix loses mass outside the closure")
+    check = are_equivalent(a, built)
+    if not check.equal:
+        raise ValueError("prefixial rebuild changed the series at "
+                         f"{format_word(check.witness, a.alphabet)}")
+    return built
+
+
 # ------------------------------------------------------------- time limits
 
 def timed(decide, *args, limit_s):
@@ -859,6 +938,37 @@ def random_ma(rng, n_states, alphabet, density=0.7, signed=True):
                 if rng.random() < density:
                     phi[(q, x, r)] = random_fraction(rng, signed=signed)
     return MultiplicityAutomaton(alphabet, states, iota, tau, phi)
+
+
+def random_unit_mass_ma(rng, n_states, alphabet):
+    """Random signed automaton scaled to total mass 1, or None when its sum
+    diverges or vanishes. Transition weights are quartered so that most
+    sums converge; half the weights are absent, so some prefixes carry no
+    vector at all, and residual masses of either sign are common."""
+    a = random_ma(rng, n_states, alphabet, density=0.5)
+    a = MultiplicityAutomaton(a.alphabet, a.states, a.iota, a.tau,
+                              {key: w / 4 for key, w in a.phi.items()})
+    outcome = total_sum(a)
+    if not outcome.converges or not outcome.value:
+        return None
+    return replace_iota(a, tuple(x / outcome.value for x in a.to_linear_representation().lam))
+
+
+def with_cancelling_copies(a):
+    """Same series plus two copies of a divergent state with initial weights
+    +1 and -1: each copy loops on every letter with weight 1, stops with
+    weight 1 and feeds the first state of ``a`` with weight 1/2 on the first
+    letter. The copies cancel on every word, so the total sum is that of
+    ``a``, while their own sums diverge and no state-sum vector exists."""
+    copies = ("d+", "d-")
+    iota = dict(a.iota, **{"d+": F(1), "d-": F(-1)})
+    tau = dict(a.tau, **{d: F(1) for d in copies})
+    phi = dict(a.phi)
+    for d in copies:
+        for x in a.alphabet:
+            phi[(d, x, d)] = F(1)
+        phi[(d, a.alphabet[0], a.states[0])] = F(1, 2)
+    return MultiplicityAutomaton(a.alphabet, a.states + copies, iota, tau, phi)
 
 
 def random_dense_ma(rng, n_states, alphabet):

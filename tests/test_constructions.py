@@ -2,19 +2,43 @@ import importlib
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from stochlang import (ConstructionError, MultiplicityAutomaton, are_equivalent,
+from stochlang import (ConstructionError, MultiplicityAutomaton, ReductionMode,
+                       are_equivalent,
                        determinize_to_pda, fixtures, is_pa, is_pda,
-                       minimal_residual_generators, residual_automaton,
-                       state_series_automaton, synthesize_pa,
-                       to_prefixial_pra)
+                       minimal_residual_generators, parse_automaton, prefix_weight,
+                       reduce, residual_automaton, state_series_automaton, state_sums,
+                       synthesize_pa, to_prefixial_pra, words_up_to)
+from stochlang.classify import residual_witnesses
 
 from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
-                     random_pda, ring_pa, split_copy)
+                     oracle_to_prefixial_pra, random_pda, random_unit_mass_ma, ring_pa,
+                     split_copy, timed, with_cancelling_copies)
 
 F = Fraction
+GOLDEN_INPUTS = Path(__file__).parent / "data" / "cli_golden" / "inputs"
+
+
+def golden_input(name):
+    return parse_automaton((GOLDEN_INPUTS / f"{name}.json").read_text())
+
+
+def counted_calls(monkeypatch, owner, name):
+    """The arguments of every later call of ``owner.name``; ``owner`` is an
+    object or the name of a module."""
+    if isinstance(owner, str):
+        owner = importlib.import_module(owner)
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def single_state_pa():
@@ -122,18 +146,25 @@ class TestDeterminize:
         assert out.pda.n_states == out.discovered_residuals
 
     def test_one_sum_per_explored_edge(self, monkeypatch):
-        module = importlib.import_module("stochlang.constructions")
-        calls = []
-
-        def counted(powers, v):
-            calls.append(v)
-            return real(powers, v)
-        real = module._mass
-        monkeypatch.setattr(module, "_mass", counted)
+        # with a state-sum vector s every mass is the dot product with s: one
+        # per explored edge plus the total, and no recurrence at all
+        constructions = importlib.import_module("stochlang.constructions")
+        recurrences = counted_calls(monkeypatch, "stochlang.analysis", "_minimal_recurrence")
+        masses = counted_calls(monkeypatch, constructions._Residuals, "mass")
         a = fixtures.build("fig2_A")
         out = determinize_to_pda(a, 8)
-        # the root residual is the series itself; every other sum is one edge
-        assert len(calls) == out.discovered_residuals * len(a.alphabet)
+        assert len(masses) == 1 + out.discovered_residuals * len(a.alphabet)
+        assert recurrences == []
+
+    @pytest.mark.parametrize("a", [with_cancelling_copies(fixtures.build("fig2_A")),
+                                   with_cancelling_copies(golden_input("pda4"))],
+                             ids=["fig2_A", "pda4"])
+    def test_one_recurrence_per_edge_without_state_sums(self, monkeypatch, a):
+        # divergent state sums: the total and every edge mass run one recurrence
+        recurrences = counted_calls(monkeypatch, "stochlang.analysis", "_minimal_recurrence")
+        out = determinize_to_pda(a, 16)
+        assert not out.bound_exceeded
+        assert len(recurrences) == 1 + out.discovered_residuals * len(a.alphabet)
 
     @pytest.mark.parametrize("bound", [2, 8, 32])
     def test_one_letter_sum_matrix_per_call(self, monkeypatch, bound):
@@ -248,7 +279,7 @@ class TestMinimalResidualGenerators:
             minimal_residual_generators(fixtures.build("fig2_A"), depth)
 
 
-# ------------------------------------------- residuals as values on backward rows
+# ----------------------------------------- residuals as integer keys on backward rows
 
 def _oracle_inputs():
     inputs = [(name, fixtures.build(name)) for name in fixtures.FIXTURE_NAMES]
@@ -257,6 +288,28 @@ def _oracle_inputs():
     pdas = [random_pda(rng, n, ("a", "b")) for n in (4, 6, 8)]
     inputs += [(f"pda{a.n_states}", a) for a in pdas]
     inputs += [(f"pda{a.n_states}-split", split_copy(a, rng)) for a in pdas]
+    # signed series of total mass 1: residual masses of both signs, prefixes
+    # of mass zero, and bounds hit, finished or ended in a ConstructionError
+    inputs.append(("signed-residuals", golden_input("signed_residuals")))
+    rng = random.Random(71)
+    signed = []
+    while len(signed) < 8:
+        a = random_unit_mass_ma(rng, rng.randint(2, 4), ("a", "b"))
+        if a is not None:
+            signed.append(a)
+    inputs += [(f"signed{i}-{a.n_states}", a) for i, a in enumerate(signed)]
+    # divergent state sums under a convergent total: every mass falls back
+    # to its own recurrence
+    for name, a in (("fig2_A", fixtures.build("fig2_A")), ("fig5", fixtures.build("fig5")),
+                    ("example1_p", fixtures.build("example1_p")), ("pda4", pdas[0]),
+                    ("signed0", signed[0])):
+        inputs.append((f"{name}-cancelling", with_cancelling_copies(a)))
+    # the words a a^k and b a^k take the values 1 and -1: the total is 1, but
+    # the prefix masses of a and b diverge
+    inputs.append(("opposite-prefixes", MultiplicityAutomaton(
+        ("a", "b"), ("s", "d1", "d2"), {"s": 1}, {"s": 1, "d1": 1, "d2": -1},
+        {("s", "a", "d1"): 1, ("s", "b", "d2"): 1, ("d1", "a", "d1"): 1,
+         ("d2", "a", "d2"): 1})))
     return inputs
 
 
@@ -289,9 +342,71 @@ def test_minimal_generators_match_pairwise_oracle(a, depth):
             == _outcome(oracle_minimal_residual_generators, a, depth))
 
 
+def test_oracle_inputs_cover_signed_and_divergent_state_sums():
+    outcomes = [_outcome(determinize_to_pda, a, 16) for _, a in ORACLE_INPUTS]
+    assert any(type(out) is tuple and out[0] is ConstructionError for out in outcomes)
+    assert sum(state_sums(a) is None for _, a in ORACLE_INPUTS) >= 6
+    assert (ValueError, "prefix mass diverges") in outcomes
+    masses = [prefix_weight(a, u) for name, a in ORACLE_INPUTS if name.startswith("signed")
+              for u in words_up_to(a.alphabet, 2)]
+    assert min(masses) < 0 and 0 in masses
+
+
+def _prefixial_cases():
+    """PAs with witness maps: the residual witnesses of cone-reduced PRAs
+    (words up to length 3), and distinct random words up to length 3, which
+    mostly fail verification, some on a word of prefix weight zero."""
+    rng = random.Random(73)
+    pas = [fixtures.build("fig2_A"), fixtures.build("fig5"), golden_input("pda4")]
+    pas += [random_pda(rng, n, ("a", "b")) for n in (2, 3, 4, 4, 5, 6)]
+    cases = []
+    for i, a in enumerate(pas):
+        a = reduce(a, ReductionMode.CONE)
+        verdict, witnesses = residual_witnesses(a)
+        if verdict:
+            cases.append((f"witnesses{i}", a, witnesses))
+        words = list(words_up_to(a.alphabet, 3))
+        for k in range(3):
+            cases.append((f"random{i}-{k}", a,
+                          dict(zip(a.states, rng.sample(words, a.n_states)))))
+    return cases
+
+
+PREFIXIAL_CASES = _prefixial_cases()
+
+
+@pytest.mark.parametrize("a, witnesses", [case[1:] for case in PREFIXIAL_CASES],
+                         ids=[case[0] for case in PREFIXIAL_CASES])
+def test_prefixial_matches_per_witness_oracle(a, witnesses):
+    assert (_outcome(to_prefixial_pra, a, witnesses)
+            == _outcome(oracle_to_prefixial_pra, a, witnesses))
+
+
+def test_prefixial_cases_cover_rebuilds_and_each_witness_error():
+    outcomes = [_outcome(to_prefixial_pra, a, w) for _, a, w in PREFIXIAL_CASES]
+    assert sum(isinstance(out, MultiplicityAutomaton) for out in outcomes) >= 5
+    assert max(len(w) for name, _, ws in PREFIXIAL_CASES if name.startswith("witnesses")
+               for w in ws.values()) >= 2
+    messages = [out[1] for out in outcomes if type(out) is tuple]
+    assert any(m.startswith("witness verification failure") for m in messages)
+    assert any(m.startswith("prefix weight of") for m in messages)
+
+
+def test_determinize_at_scale():
+    # 65 distinct residuals of a 32-state ring PA: one mass per edge is v . s
+    out = timed(determinize_to_pda, ring_pa(32), 64, limit_s=2.0)
+    assert out.bound_exceeded and out.discovered_residuals == 65
+
+
+def test_minimal_generators_at_scale():
+    # the 15 residuals of depth 3 of a 24-state ring PA cover no stable family
+    assert timed(minimal_residual_generators, ring_pa(24), 3, limit_s=2.0) is None
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of equivalence-layer calls, direct or nested, by function name."""
+    """Counts of equivalence-layer calls, backward closures and sum tables,
+    direct or nested, by function name."""
     counts = Counter()
 
     def counted(name, real):
@@ -300,9 +415,12 @@ def calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for module in ("stochlang.constructions", "stochlang.equivalence"):
+    for module, names in (("stochlang.constructions", ("are_equivalent", "express_combination",
+                                                       "_backward_closure", "_sum_table")),
+                          ("stochlang.equivalence", ("are_equivalent", "express_combination",
+                                                     "_backward_closure"))):
         mod = importlib.import_module(module)
-        for name in ("are_equivalent", "express_combination", "value_rows"):
+        for name in names:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     return counts
 
@@ -310,13 +428,13 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("name", ["fig2_A", "fig5", "example1_p"])
 def test_determinize_uses_one_closure_and_no_pairwise_check(calls, name):
     determinize_to_pda(fixtures.build(name), 16)
-    assert calls == {"value_rows": 1}
+    assert calls == {"_backward_closure": 1, "_sum_table": 1}
 
 
 @pytest.mark.parametrize("name", ["fig2_A", "fig5", "example1_p"])
 def test_minimal_generators_use_one_closure_and_no_search(calls, name):
     minimal_residual_generators(fixtures.build(name), 3)
-    assert calls == {"value_rows": 1}
+    assert calls == {"_backward_closure": 1, "_sum_table": 1}
 
 
 @pytest.mark.parametrize("name", ["fig2_A", "fig5"])

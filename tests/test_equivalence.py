@@ -11,13 +11,13 @@ from stochlang import (MultiplicityAutomaton, are_equivalent,
                        state_series_automaton, weighted_sum)
 from stochlang.automata import letter_shift_automaton, replace_iota
 from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _word_basis,
-                                   combination_on_rows, value_rows)
+                                   combination_on_rows)
 from stochlang.linalg import _primitive, dot
 
 from helpers import (OracleSpanBasis, duplicate_state, nudged_copy, oracle_cone_combination,
                      oracle_express_combination, oracle_word_basis, permuted_copy,
                      plant_convex_state, random_fraction, random_ma, random_pa, ring_pa,
-                     series_equal_up_to, split_copy, timed)
+                     series_equal_up_to, split_copy, timed, value_rows)
 
 F = Fraction
 

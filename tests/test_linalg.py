@@ -662,10 +662,12 @@ class TestIntegerLetterMapsAgainstDenseScan:
         reps = [a.to_linear_representation() for a in blocks]
         dense = [{x: Matrix(dense_grid(a, x), a.n_states) for x in LETTERS} for a in blocks]
         for left in (True, False):
-            oracle = oracle_integer_actions([[d[x] for d in dense] for x in LETTERS], left)
-            built = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
-            scanned = _integer_actions([[d[x] for d in dense] for x in LETTERS], left)
+            oracle, oracle_scale = oracle_integer_actions([[d[x] for d in dense]
+                                                           for x in LETTERS], left)
+            built, scale = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
+            scanned, _ = _integer_actions([[d[x] for d in dense] for x in LETTERS], left)
             assert line_sets(built) == line_sets(scanned) == line_sets(oracle)
+            assert scale == oracle_scale
             assert all(len(action) == sum(a.n_states for a in blocks) for action in built)
         for a, rep in zip(blocks, reps):
             action, scale = _integer_sum(list(rep.mu.values()), a.n_states)
@@ -697,7 +699,7 @@ class TestClosureAgainstDenseIntegerRows:
         reps = [a.to_linear_representation() for a in blocks]
         dim = sum(a.n_states for a in blocks)
         for left in (True, False):
-            actions = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
+            actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
             start = [y for r in reps for y in (r.gamma if left else r.lam)]
             span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
             found = _closure(span, start, actions)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError,
                        are_equivalent, fixtures, hankel_rank, is_pa, is_reduced,
                        pra_hardness_instance, reduce, weighted_sum, words_up_to)
-from stochlang.equivalence import combination_on_rows, value_rows
+from stochlang.equivalence import combination_on_rows
 from stochlang.reduction import _dependent
 
 from helpers import (dfa_a_count_mod_k, duplicate_state, oracle_cone_reduce,
                      oracle_hankel_rank, oracle_is_cone_reduced, plant_convex_state,
                      plant_mixture_state, random_dense_ma, random_fraction, random_ma,
-                     random_pa, ring_pa, split_copy, timed)
+                     random_pa, ring_pa, split_copy, timed, value_rows)
 
 F = Fraction
 
