@@ -133,13 +133,10 @@ class _Residuals:
 
 def _checked_total(res: _Residuals) -> Mass:
     """Mass of the series over the unit; ValueError unless it converges to 1."""
-    if res.sums is None:
-        outcome = _series_sum(res.table, res.start)
-        if not outcome.converges:
-            raise ValueError("the series diverges")
-        m = outcome.value
-    else:
+    try:
         m = res.mass(res.start)
+    except ValueError:
+        raise ValueError("the series diverges") from None
     if res.start_factor * m != 1:
         raise ValueError("the series must have total mass 1")
     return m
