@@ -123,9 +123,8 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     a multiple of them, as built from the integer rows of
     :func:`_backward_closure`; scaling a row changes no solution, and where
     only feasibility is read, neither does scaling a column by a positive
-    factor. The rows
-    [columns | target] go straight into the fraction-free solve
-    (``linalg._particular``). Over the field the answer is the particular
+    factor. The rows [columns | target] go straight into the fraction-free
+    solve (``linalg._particular``). Over the field the answer is the particular
     solution of the reduced row-echelon form, which depends only on the
     row space. With ``nonneg`` every solution is x = p + N y, p that
     particular solution and N the nullspace read off the same echelon rows
