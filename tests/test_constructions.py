@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlang import (ConstructionError, MultiplicityAutomaton, ReductionMode,
                        are_equivalent,
@@ -340,6 +342,25 @@ def test_determinize_matches_pairwise_oracle(a, bound):
 def test_minimal_generators_match_pairwise_oracle(a, depth):
     assert (_outcome(minimal_residual_generators, a, depth)
             == _outcome(oracle_minimal_residual_generators, a, depth))
+
+
+@st.composite
+def unit_mass_series(draw):
+    """Random signed automata of 1-4 states scaled to total mass 1, half of
+    them with cancelling divergent copies, so that no state-sum vector exists."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = None
+    while a is None:
+        a = random_unit_mass_ma(rng, rng.randint(1, 4), ("a", "b"))
+    return with_cancelling_copies(a) if draw(st.booleans()) else a
+
+
+@given(unit_mass_series())
+@settings(max_examples=40, deadline=None)
+def test_exploration_matches_the_oracles_on_random_unit_mass_series(a):
+    assert _outcome(determinize_to_pda, a, 8) == _outcome(oracle_determinize_to_pda, a, 8)
+    assert (_outcome(minimal_residual_generators, a, 2)
+            == _outcome(oracle_minimal_residual_generators, a, 2))
 
 
 def test_oracle_inputs_cover_signed_and_divergent_state_sums():
