@@ -11,9 +11,12 @@ signed automata, one with state sums other than 1 and one whose total
 converges while a state sum diverges.
 Larger inputs there pin the cone decisions beyond the fixtures: cone
 reduction of a ring PA with two planted convex states and of a signed
-automaton that keeps a field-only dependency, ``combine`` over four
-generators of which two share one structure, and ``classify`` on the
-union-universality instance of three mod-3 counters.
+automaton that keeps a field-only dependency, field and cone reduction of
+split copies that halve their state count (8 to 4 states, and 16 to 8 on a
+split copy of an 8-state ring PA), the field stall of an automaton with an
+unreachable state, ``combine`` over four generators of which two share one
+structure, and ``classify`` on the union-universality instance of three
+mod-3 counters.
 Others pin residual exploration: ``pda`` on an 8-state split copy of a
 4-state deterministic PA and on a signed automaton of total mass 1 whose
 residual masses take both signs and vanish on one edge (a construction
@@ -116,6 +119,12 @@ LARGER_CASES = {
                                     "--mode", "cone"],
     "signed_cone.reduce_cone": ["reduce", str(INPUTS / "signed_cone.json"), "--mode", "cone"],
     "signed_cone.reduce_field": ["reduce", str(INPUTS / "signed_cone.json"), "--mode", "field"],
+    "pda4_split.reduce_field": ["reduce", str(INPUTS / "pda4_split.json"), "--mode", "field"],
+    "pda4_split.reduce_cone": ["reduce", str(INPUTS / "pda4_split.json"), "--mode", "cone"],
+    "split_ring8.reduce_field": ["reduce", str(INPUTS / "split_ring8.json"), "--mode", "field"],
+    "split_ring8.reduce_cone": ["reduce", str(INPUTS / "split_ring8.json"), "--mode", "cone"],
+    "untrimmed_pair.reduce_field": ["reduce", str(INPUTS / "untrimmed_pair.json"),
+                                    "--mode", "field"],
     "mix_feasible.combine_nonneg_4": ["combine", "--nonneg", str(INPUTS / "mix_feasible.json"),
                                       *GENERATORS],
     "mix_infeasible.combine_nonneg_4": ["combine", "--nonneg",
