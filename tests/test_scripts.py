@@ -7,7 +7,7 @@ import pytest
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script", ["tour.py", "residual_chain.py",
+@pytest.mark.parametrize("script", ["tour.py", "residual_chain.py", "code_lines.py",
                                     "union_universality_demo.py"])
 def test_script_exits_cleanly(script):
     out = subprocess.run([sys.executable, str(SCRIPTS / script)],
