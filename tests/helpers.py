@@ -26,11 +26,16 @@ letter matrix, with a transpose for forward maps, which the library
 replaced by a pass over each matrix's nonzero entries. The minimal
 polynomial of a vector comes from its Krylov closure under the dense
 letter-summed matrix and a solve for the first dependent vector, which the
-library replaced by one echelon form of its integer sum table. Cone
-reduction asks one ``lp_feasible`` question per state on the Fraction
-value rows, which the library replaced by a feasibility problem on the
-integer echelon rows for only the states in the support of the kernel of
-the backward rows. The value rows themselves (``value_rows``) are the
+library replaced by one echelon form of its integer sum table. Field
+reduction solves for each state in turn and rebuilds the automaton on the
+dense grid of state pairs after each removal, which the library replaced
+by one echelon form of the backward rows, read for the states kept and
+the coefficients of the others, and one elimination that walks the
+transitions; cone reduction keeps its order of removals but eliminates
+the same way. Cone reduction asks one ``lp_feasible`` question per state
+on the Fraction value rows, which the library replaced by a feasibility
+problem on the integer echelon rows for only the states in the support of
+the kernel of the backward rows. The value rows themselves (``value_rows``) are the
 Fraction form of the backward span, which the library pairs with its
 integer rows instead. Residual exploration weighs each edge by the prefix
 weight of a residual automaton, one recurrence per edge, and the prefixial
@@ -49,16 +54,15 @@ from math import gcd, lcm
 
 from stochlang import (CombinationOutcome, ConstructionError,
                        DeterminizationOutcome, Dfa, MultiplicityAutomaton,
-                       are_equivalent, empty_automaton, format_word, is_pa, is_pda,
+                       ReductionStallError, are_equivalent, empty_automaton, format_word, is_pa, is_pda,
                        prefix_weight, residual_automaton, state_series_automaton,
                        total_sum, weighted_sum, words_up_to)
 from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
                                 replace_iota)
-from stochlang.equivalence import _backward_closure
+from stochlang.equivalence import _backward_closure, combination_on_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
                               lp_feasible, unit_vector, vec_mat)
-from stochlang.reduction import _eliminate
 
 F = Fraction
 
@@ -719,7 +723,52 @@ def oracle_express_combination(target, generators, nonneg):
     raise RuntimeError("combination search exceeded its iteration bound")
 
 
-# ------------------------------------------------------ cone reduction oracle
+# ------------------------------------------------------- reduction oracles
+
+def eliminate_state(a, q, coeffs):
+    """Drop state q, whose series is sum_s coeffs[s] series_s over the other
+    states, rebuilding every weight on the dense grid of kept state pairs:
+    each weight into q moves to every kept s times coeffs[s]."""
+    keep = [s for s in a.states if s != q]
+    iota = {r: a.iota_weight(r) + coeffs[r] * a.iota_weight(q) for r in keep}
+    tau = {r: a.tau_weight(r) for r in keep}
+    phi = {}
+    for r in keep:
+        for x in a.alphabet:
+            for s in keep:
+                w = a.weight(r, x, s) + coeffs[s] * a.weight(r, x, q)
+                if w:
+                    phi[(r, x, s)] = w
+    return MultiplicityAutomaton(a.alphabet, keep, iota, tau, phi)
+
+
+def oracle_field_reduce(a):
+    """Field reduction that tries every state in declared order, each round,
+    with one solve on the value rows of the input, and removes the first
+    state that is a combination of the others, rebuilding the automaton
+    after each removal; it raises the library's stall error when it stops
+    above the rank of the pairing matrix."""
+    rows = value_rows([a.to_linear_representation()])
+    columns = list(range(a.n_states))
+    current = a
+    changed = True
+    while changed:
+        changed = False
+        for i, q in enumerate(current.states):
+            outcome = combination_on_rows(rows, columns[i], columns[:i] + columns[i + 1:],
+                                          nonneg=False)
+            if outcome.expressible:
+                kept = current.states[:i] + current.states[i + 1:]
+                current = eliminate_state(current, q, dict(zip(kept, outcome.coefficients)))
+                del columns[i]
+                changed = True
+                break
+    rank = oracle_hankel_rank(a)
+    if current.n_states != rank:
+        raise ReductionStallError(f"elimination stopped at {current.n_states} states but "
+                                  f"the series rank is {rank}")
+    return current
+
 
 def oracle_cone_combination(rows, target, columns):
     """Nonnegative c with row[target] = sum_j c_j row[columns[j]] on every row,
@@ -752,7 +801,7 @@ def oracle_cone_reduce(a):
             coeffs = oracle_cone_combination(rows, columns[i], columns[:i] + columns[i + 1:])
             if coeffs is not None:
                 kept = current.states[:i] + current.states[i + 1:]
-                current = _eliminate(current, q, dict(zip(kept, coeffs)))
+                current = eliminate_state(current, q, dict(zip(kept, coeffs)))
                 del columns[i]
                 changed = True
                 break

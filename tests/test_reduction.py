@@ -13,9 +13,10 @@ from stochlang.equivalence import combination_on_rows
 from stochlang.reduction import _dependent
 
 from helpers import (dfa_a_count_mod_k, duplicate_state, oracle_cone_reduce,
-                     oracle_hankel_rank, oracle_is_cone_reduced, plant_convex_state,
-                     plant_mixture_state, random_dense_ma, random_fraction, random_ma,
-                     random_pa, ring_pa, split_copy, timed, value_rows)
+                     oracle_field_reduce, oracle_hankel_rank, oracle_is_cone_reduced,
+                     plant_convex_state, plant_mixture_state, random_dense_ma,
+                     random_fraction, random_ma, random_pa, ring_pa, split_copy, timed,
+                     value_rows)
 
 F = Fraction
 
@@ -201,6 +202,16 @@ class TestBeyondFiveStates:
         if n == 32:
             assert rank == oracle_hankel_rank(ring)
 
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_field_reduction_of_split_ring_at_scale(self, n):
+        # one echelon form of the backward rows and one elimination: the
+        # per-state loop took 1.5 s at n = 32 and 3.1 s at n = 40
+        ring = ring_pa(n)
+        reduced = timed(reduce, split_copy(ring, random.Random(1)), ReductionMode.FIELD,
+                        limit_s=1.0)
+        assert reduced.n_states == n
+        assert are_equivalent(reduced, ring).equal
+
     def test_cone_reduction_removes_planted_convex_state(self):
         ring = ring_pa(8)
         a = plant_convex_state(ring, random.Random(8))
@@ -273,6 +284,62 @@ class TestConeAgainstPerStateOracle:
                        if combination_on_rows(rows, q, columns[:q] + columns[q + 1:],
                                               nonneg=False).expressible]
         assert _dependent(rows, columns) == expressible
+
+
+@st.composite
+def split_ring_copies(draw):
+    """Split copies of ring PAs with 2-8 states, in a drawn state order."""
+    a = split_copy(ring_pa(draw(st.integers(2, 8))), random.Random(draw(st.integers(0, 2**32))))
+    order = draw(st.permutations(a.states))
+    return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
+
+
+class TestFieldAgainstPerStateOracle:
+    """Field reduction reads the states it keeps, and every coefficient, off
+    one echelon form of the backward rows; the per-state loop, one solve and
+    one rebuild per removed state, must give the same automaton or stall."""
+
+    @given(st.one_of(cone_automata(), split_ring_copies()))
+    @settings(max_examples=150, deadline=None)
+    def test_same_automaton_or_stall(self, a):
+        try:
+            expected = oracle_field_reduce(a)
+        except ReductionStallError as stall:
+            with pytest.raises(ReductionStallError) as raised:
+                reduce(a, ReductionMode.FIELD)
+            assert str(raised.value) == str(stall)
+            return
+        reduced = reduce(a, ReductionMode.FIELD)
+        assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
+            (expected.states, expected.iota, expected.tau, expected.phi)
+        assert (reduced is a) == (reduced.n_states == a.n_states)
+
+    def test_no_solve_and_one_automaton(self, monkeypatch):
+        a = split_copy(ring_pa(8), random.Random(8))
+        calls = []
+
+        def counter(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+        for module_name, name in (("stochlang.equivalence", "combination_on_rows"),
+                                  ("stochlang.linalg", "_particular")):
+            real = getattr(sys.modules[module_name], name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counter(name, real))
+        monkeypatch.setattr(MultiplicityAutomaton, "__init__",
+                            counter("automaton", MultiplicityAutomaton.__init__))
+        # the counters see a solve and a construction
+        sys.modules["stochlang.equivalence"].combination_on_rows([[1, 1]], 0, [1], nonneg=False)
+        MultiplicityAutomaton(("a",), (), {}, {}, {})
+        assert calls == ["combination_on_rows", "_particular", "automaton"]
+        calls.clear()
+        reduced = reduce(a, ReductionMode.FIELD)
+        assert calls == ["automaton"]
+        assert reduced.n_states == 8
+        assert are_equivalent(reduced, a).equal
 
 
 class TestConeDecisionsOnIndependentColumns:
