@@ -22,6 +22,12 @@ Others pin residual exploration: ``pda`` on an 8-state split copy of a
 residual masses take both signs and vanish on one edge (a construction
 error), and ``minimal-gens`` and ``prefixial`` (witness words up to length
 3) on that 4-state PA.
+``synth-pa`` runs on the four state series of that PA, each split into 8
+states, and on a convex mixture of two of them: with the PA as target, and
+with the mixture as target and first generator, where the coefficients are
+not unique and the output pins the point that the cone solve picks. Two
+more ``synth-pa`` cases pin an infeasible family and the mass check of a
+generator with no states.
 ``combine`` and ``synth-pa`` take a target and a list of generator
 fixtures; their outputs are pinned under ``<target>.<case>`` keys.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
@@ -114,6 +120,8 @@ COMBINATION_CASES = {
 # argument lists of the cases on the larger inputs, keyed <input>.<case>
 GENERATORS = [str(INPUTS / f"{name}.json")
               for name in ("gen_shared_1", "gen_shared_2", "gen_3", "gen_4")]
+# the four state series of pda4, each trimmed and split into 8 states
+PDA4_GENERATORS = [str(INPUTS / f"pda4_gen_q{i}.json") for i in range(4)]
 LARGER_CASES = {
     "ring_two_convex.reduce_cone": ["reduce", str(INPUTS / "ring_two_convex.json"),
                                     "--mode", "cone"],
@@ -136,6 +144,15 @@ LARGER_CASES = {
                               "--max-states", "8"],
     "pda4.mingens3": ["minimal-gens", str(INPUTS / "pda4.json"), "--depth", "3"],
     "pda4.prefixial": ["prefixial", str(INPUTS / "pda4.json")],
+    "pda4.synth_pa_q0_q3_mix": ["synth-pa", str(INPUTS / "pda4.json"), *PDA4_GENERATORS,
+                                str(INPUTS / "pda4_gen_mix.json")],
+    "pda4_gen_mix.synth_pa_mix_q0_q3": ["synth-pa", str(INPUTS / "pda4_gen_mix.json"),
+                                        str(INPUTS / "pda4_gen_mix.json"), *PDA4_GENERATORS],
+    "fig2_A.synth_pa_fig2_A": ["synth-pa", *_documents("fig2_A", "fig2_A")],
+    "pda4.synth_pa_no_states": ["synth-pa", str(INPUTS / "pda4.json"),
+                                str(INPUTS / "no_states.json")],
+    "mass_two.synth_pa_no_states": ["synth-pa", str(INPUTS / "mass_two.json"),
+                                    str(INPUTS / "no_states.json")],
 }
 
 
