@@ -39,8 +39,8 @@ from .automata import (MultiplicityAutomaton, Word, format_word, letter_shift_au
                        length_lex_key, replace_iota, state_series_automaton,
                        words_up_to)
 from .classify import is_pa, is_pda
-from .equivalence import (_backward_closure, are_equivalent, combination_on_rows,
-                          express_combination)
+from .equivalence import (_backward_closure, _value_table, are_equivalent,
+                          combination_on_rows)
 from .linalg import _apply, _integer_actions, _primitive_with_factor
 
 
@@ -150,9 +150,14 @@ def synthesize_pa(target: MultiplicityAutomaton,
     Requires every generator series to have total mass exactly 1. Finds
     nonnegative coefficients expressing the target over the generators and,
     for every generator and letter, nonnegative coefficients expressing the
-    letter shift over the generators. Absent if any of those systems is
-    infeasible; otherwise the assembled automaton (one state per generator)
-    is trimmed and returned.
+    letter shift over the generators. A shift is its generator with another
+    initial vector, so one table (``equivalence._value_table``) holds a
+    column for the target, for each generator and for each shift, and every
+    question is one feasibility problem on it, asked in that order. Absent
+    at the first infeasible question. The generators have mass 1, so the
+    target's mass is the sum of its coefficients, and ValueError is raised
+    unless that sum is 1; otherwise the assembled automaton (one state per
+    generator) is trimmed and returned.
     """
     generators = list(generators)
     if not generators:
@@ -164,26 +169,28 @@ def synthesize_pa(target: MultiplicityAutomaton,
         if not outcome.converges or outcome.value != 1:
             raise ValueError(f"generator {i} does not have total mass 1")
 
-    mix = express_combination(target, generators, nonneg=True)
-    if not mix.expressible:
-        return None
-    stability: dict[tuple[int, str], tuple[Fraction, ...]] = {}
-    for i, g in enumerate(generators):
-        for x in target.alphabet:
-            shifted = letter_shift_automaton(g, (x,))
-            outcome = express_combination(shifted, generators, nonneg=True)
-            if not outcome.expressible:
-                return None
-            stability[(i, x)] = outcome.coefficients
+    k = len(generators)
+    shifts = [letter_shift_automaton(g, (x,)) for g in generators for x in target.alphabet]
+    table = _value_table([target, *generators, *shifts])
+    answers = []
+    for t in [0, *range(k + 1, k + 1 + len(shifts))]:
+        outcome = combination_on_rows(table, t, range(1, k + 1), nonneg=True)
+        if not outcome.expressible:
+            return None
+        answers.append(outcome.coefficients)
+    mix, *stability = answers
+    if sum(mix) != 1:
+        raise ValueError("the series must have total mass 1")
 
-    states = [f"s{i}" for i in range(len(generators))]
-    iota = {states[i]: mix.coefficients[i] for i in range(len(generators))}
-    tau = {states[i]: generators[i].evaluate(()) for i in range(len(generators))}
+    states = [f"s{i}" for i in range(k)]
+    iota = {states[i]: mix[i] for i in range(k)}
+    tau = {states[i]: generators[i].evaluate(()) for i in range(k)}
     phi = {}
-    for (i, x), coeffs in stability.items():
+    for s, coeffs in enumerate(stability):
+        i, x = divmod(s, len(target.alphabet))
         for j, c in enumerate(coeffs):
             if c:
-                phi[(states[i], x, states[j])] = c
+                phi[(states[i], target.alphabet[x], states[j])] = c
     built = MultiplicityAutomaton(target.alphabet, states, iota, tau, phi).trim()
     if not is_pa(built):
         raise ConstructionError("assembled automaton fails the probabilistic weight checks; "

@@ -147,29 +147,20 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     return CombinationOutcome(True, tuple(coeffs))
 
 
-def express_combination(target: MultiplicityAutomaton,
-                        generators: Sequence[MultiplicityAutomaton],
-                        nonneg: bool) -> CombinationOutcome:
-    """Coefficients expressing the target series over the generators' series.
+def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
+    """Rows of integers, one column per series, on which every linear
+    equation between the series holds iff it holds on every word.
 
     The series are grouped into one block per distinct structure (states,
     final weights and transitions); series in one block differ only in their
     initial vector. One backward closure of the blocks' direct sum
     (:func:`_backward_closure`) yields rows x on which each series takes the
-    value lam . x[its block]. The rows span every x(w), so the equations on
-    them are complete: they imply target(w) = sum c_j generator_j(w) on
-    every word, and no candidate needs checking afterwards. The initial
+    value lam . x[its block], and the rows span every x(w). The initial
     vectors are scaled to integers by one common denominator and paired
-    with the span's sparse integer rows; neither that scale nor the scale
-    of a row changes a solution. One call to :func:`combination_on_rows`
-    then decides the question: over the field the coefficients are the
-    reduced row-echelon particular solution of the complete system, and
-    with ``nonneg`` the exact feasible point with every coefficient >= 0.
+    with the span's sparse integer rows; neither that positive scale, which
+    every column shares, nor the scale of a row changes a solution of
+    :func:`combination_on_rows`.
     """
-    generators = list(generators)
-    if any(g.alphabet != target.alphabet for g in generators):
-        raise ValueError("alphabet mismatch")
-    series = [target] + generators
     blocks: list[MultiplicityAutomaton] = []
     block_of: list[int] = []
     for s in series:
@@ -189,6 +180,25 @@ def express_combination(target: MultiplicityAutomaton,
             lam[j] = w.numerator * (scale // w.denominator)
         lams.append(lam)
     span, _ = _backward_closure([b.to_linear_representation() for b in blocks])
-    values = [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]
-              for row in span._rows.values()]
-    return combination_on_rows(values, 0, range(1, len(series)), nonneg)
+    return [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]
+            for row in span._rows.values()]
+
+
+def express_combination(target: MultiplicityAutomaton,
+                        generators: Sequence[MultiplicityAutomaton],
+                        nonneg: bool) -> CombinationOutcome:
+    """Coefficients expressing the target series over the generators' series.
+
+    One table of the series' values on the backward rows of their blocks
+    (:func:`_value_table`) holds equations that are complete: they imply
+    target(w) = sum c_j generator_j(w) on every word, and no candidate
+    needs checking afterwards. One call to :func:`combination_on_rows` then
+    decides the question: over the field the coefficients are the reduced
+    row-echelon particular solution of the complete system, and with
+    ``nonneg`` the exact feasible point with every coefficient >= 0.
+    """
+    generators = list(generators)
+    if any(g.alphabet != target.alphabet for g in generators):
+        raise ValueError("alphabet mismatch")
+    return combination_on_rows(_value_table([target] + generators), 0,
+                               range(1, len(generators) + 1), nonneg)

@@ -54,7 +54,8 @@ from math import gcd, lcm
 
 from stochlang import (CombinationOutcome, ConstructionError,
                        DeterminizationOutcome, Dfa, MultiplicityAutomaton,
-                       ReductionStallError, are_equivalent, empty_automaton, format_word, is_pa, is_pda,
+                       ReductionStallError, are_equivalent, empty_automaton,
+                       express_combination, format_word, is_pa, is_pda,
                        prefix_weight, residual_automaton, state_series_automaton,
                        total_sum, weighted_sum, words_up_to)
 from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
@@ -721,6 +722,45 @@ def oracle_express_combination(target, generators, nonneg):
             return CombinationOutcome(True, tuple(coeffs))
         probes.append(witness)
     raise RuntimeError("combination search exceeded its iteration bound")
+
+
+def oracle_synthesize_pa(target, generators):
+    """PA synthesis with one ``express_combination`` call, and so one backward
+    closure, per question: the mix, then each generator's letter shifts,
+    stopping at the first infeasible one. The target's mass is checked
+    after every question, as the sum of the mix coefficients."""
+    generators = list(generators)
+    if not generators:
+        return None
+    if any(g.alphabet != target.alphabet for g in generators):
+        raise ValueError("alphabet mismatch")
+    for i, g in enumerate(generators):
+        outcome = total_sum(g)
+        if not outcome.converges or outcome.value != 1:
+            raise ValueError(f"generator {i} does not have total mass 1")
+    mix = express_combination(target, generators, nonneg=True)
+    if not mix.expressible:
+        return None
+    stability = {}
+    for i, g in enumerate(generators):
+        for x in target.alphabet:
+            outcome = express_combination(letter_shift_automaton(g, (x,)), generators,
+                                          nonneg=True)
+            if not outcome.expressible:
+                return None
+            stability[(i, x)] = outcome.coefficients
+    if sum(mix.coefficients) != 1:
+        raise ValueError("the series must have total mass 1")
+    states = [f"s{i}" for i in range(len(generators))]
+    iota = {states[i]: c for i, c in enumerate(mix.coefficients)}
+    tau = {states[i]: g.evaluate(()) for i, g in enumerate(generators)}
+    phi = {(states[i], x, states[j]): c for (i, x), coeffs in stability.items()
+           for j, c in enumerate(coeffs) if c}
+    built = MultiplicityAutomaton(target.alphabet, states, iota, tau, phi).trim()
+    if not is_pa(built):
+        raise ConstructionError("assembled automaton fails the probabilistic weight checks; "
+                                "a generator is not a bounded stochastic series")
+    return built
 
 
 # ------------------------------------------------------- reduction oracles

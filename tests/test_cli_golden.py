@@ -4,7 +4,8 @@
 (``<fixture>.<case>.out``), the exit code (``exit_codes.json``) and the
 stderr (``stderr.json``) of the CLI. The documents in its ``inputs/``
 directory drive the error paths of the sum kernel (a divergent sum, a
-divergent or zero prefix mass, a total mass other than 1), whose
+divergent or zero prefix mass, a total mass other than 1, also as the
+target of ``synth-pa``), whose
 ``error:`` lines are pinned the same way under ``<input>.<case>`` keys,
 and the state sums of edge cases: no states, no letters, and two 8-state
 signed automata, one with state sums other than 1 and one whose total
@@ -78,6 +79,8 @@ ERROR_CASES = {
     "mass_two.pda8": ["pda", str(INPUTS / "mass_two.json"), "--max-states", "8"],
     "mass_two.mingens2": ["minimal-gens", str(INPUTS / "mass_two.json"), "--depth", "2"],
     "mass_two.classify": ["classify", str(INPUTS / "mass_two.json")],
+    "mass_two.synth_pa_p1": ["synth-pa", str(INPUTS / "mass_two.json"),
+                             str(DATA / "example1_p1.json")],
     "prefix_divergent.sum": ["sum", str(INPUTS / "prefix_divergent.json")],
     "prefix_divergent.residual_a": ["residual", str(INPUTS / "prefix_divergent.json"), "a"],
     "prefix_divergent.residual_b": ["residual", str(INPUTS / "prefix_divergent.json"), "b"],

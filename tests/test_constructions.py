@@ -13,12 +13,12 @@ from stochlang import (ConstructionError, MultiplicityAutomaton, ReductionMode,
                        determinize_to_pda, fixtures, is_pa, is_pda,
                        minimal_residual_generators, parse_automaton, prefix_weight,
                        reduce, residual_automaton, state_series_automaton, state_sums,
-                       synthesize_pa, to_prefixial_pra, words_up_to)
+                       synthesize_pa, to_prefixial_pra, weighted_sum, words_up_to)
 from stochlang.classify import residual_witnesses
 
 from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
-                     oracle_to_prefixial_pra, random_pda, random_unit_mass_ma, ring_pa,
-                     split_copy, timed, with_cancelling_copies)
+                     oracle_synthesize_pa, oracle_to_prefixial_pra, random_pa, random_pda,
+                     random_unit_mass_ma, ring_pa, split_copy, timed, with_cancelling_copies)
 
 F = Fraction
 GOLDEN_INPUTS = Path(__file__).parent / "data" / "cli_golden" / "inputs"
@@ -79,7 +79,6 @@ class TestSynthesizePa:
 
     def test_success_invariants_on_random_mixtures(self):
         # single-state generators form shift-stable families by construction
-        from stochlang import weighted_sum
         rng = random.Random(61)
 
         def geometric(stop_num, stop_den):
@@ -95,6 +94,67 @@ class TestSynthesizePa:
             assert built is not None
             assert is_pa(built)
             assert are_equivalent(built, target).equal
+
+    def test_target_mass_other_than_one_is_rejected(self):
+        # twice the series of the mass-1 generator: every question is
+        # feasible, and the mix coefficient 2 is the target's mass
+        with pytest.raises(ValueError, match="^the series must have total mass 1$"):
+            synthesize_pa(golden_input("mass_two"), [fixtures.build("example1_p1")])
+
+    def test_generator_of_mass_one_that_is_no_distribution_fails_assembly(self):
+        # g1 has mass 1 but the value -1/2 on the empty word; its shift by a
+        # is 3 times example1_p1, so the assembled automaton has a negative
+        # final weight and a transition of weight 3
+        g1 = MultiplicityAutomaton(("a",), ("q0", "q1"), {"q0": 1},
+                                   {"q0": F(-1, 2), "q1": F(1, 2)},
+                                   {("q0", "a", "q1"): F(3, 2), ("q1", "a", "q1"): F(1, 2)})
+        with pytest.raises(ConstructionError):
+            synthesize_pa(g1, [g1, fixtures.build("example1_p1")])
+
+
+def ring_state_series(n):
+    """ring_pa(n) and its n state series, each trimmed and split in two with
+    Random(i)."""
+    a = ring_pa(n)
+    return a, [split_copy(state_series_automaton(a, q).trim(), random.Random(i))
+               for i, q in enumerate(a.states)]
+
+
+@st.composite
+def synthesis_families(draw):
+    """A target and a shuffled family: the split state series of a random PA
+    with 2-5 states and 1-3 convex mixtures of two of those series, so the
+    coefficients are not unique. The target is the PA or one of the
+    mixtures. Half of the families lose one member, which may leave them
+    unstable or unable to express the target."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pa = random_pa(rng, rng.randint(2, 5), ("a", "b"))
+    series = [state_series_automaton(pa, q).trim() for q in pa.states]
+    mixtures = []
+    for _ in range(rng.randint(1, 3)):
+        c = F(rng.randint(1, 4), 5)
+        mixtures.append(weighted_sum(rng.sample(series, 2), (c, 1 - c)))
+    family = [split_copy(a, rng) for a in series] + mixtures
+    rng.shuffle(family)
+    if draw(st.booleans()):
+        family.pop()
+    return rng.choice([pa, *mixtures]), family
+
+
+@given(synthesis_families())
+@settings(max_examples=30, deadline=None)
+def test_synthesis_matches_the_per_question_oracle(family):
+    target, generators = family
+    assert (_outcome(synthesize_pa, target, generators)
+            == _outcome(oracle_synthesize_pa, target, generators))
+
+
+def test_synthesize_at_scale():
+    # 1 + 16 * 2 questions over 16 generators of 32 states, on one table
+    a, gens = ring_state_series(16)
+    built = timed(synthesize_pa, a, gens, limit_s=1.0)
+    assert built.n_states == 16
+    assert are_equivalent(built, a).equal
 
 
 class TestDeterminize:
@@ -436,8 +496,8 @@ def calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for module, names in (("stochlang.constructions", ("are_equivalent", "express_combination",
-                                                       "_backward_closure", "_sum_table")),
+    for module, names in (("stochlang.constructions", ("are_equivalent", "_backward_closure",
+                                                       "_sum_table")),
                           ("stochlang.equivalence", ("are_equivalent", "express_combination",
                                                      "_backward_closure"))):
         mod = importlib.import_module(module)
@@ -463,3 +523,15 @@ def test_prefixial_runs_only_the_final_equivalence_check(calls, name):
     to_prefixial_pra(fixtures.build(name), {"q0": (), "q1": ("a",)})
     assert calls["are_equivalent"] == 1
     assert calls["express_combination"] == 0
+
+
+@pytest.mark.parametrize("family", ["example1", "ring4"])
+def test_synthesis_uses_one_closure_and_no_per_question_solve(calls, family):
+    # the per-question loop closes 1 + 2 * 1 and 1 + 4 * 2 times
+    if family == "ring4":
+        a, gens = ring_state_series(4)
+    else:
+        a, gens = (fixtures.build("example1_p"),
+                   [fixtures.build("example1_p1"), fixtures.build("example1_p2")])
+    assert synthesize_pa(a, gens) is not None
+    assert calls == {"_backward_closure": 1}
