@@ -157,9 +157,6 @@ class MultiplicityAutomaton:
     def initial_states(self) -> tuple[str, ...]:
         return tuple(q for q in self.states if q in self.iota)
 
-    def terminal_states(self) -> tuple[str, ...]:
-        return tuple(q for q in self.states if q in self.tau)
-
     def out_weight(self, q: str) -> Fraction:
         """Total transition weight leaving q, over all letters and targets."""
         return sum((w for (s, _, _), w in self.phi.items() if s == q), Fraction(0))

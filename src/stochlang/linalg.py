@@ -80,10 +80,6 @@ def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def scale_vector(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in v)
-
-
 def linear_combination(vectors_: Sequence[Sequence[Fraction]],
                        coeffs: Sequence[Fraction], dim: int) -> Vector:
     out = [Fraction(0)] * dim
@@ -140,14 +136,6 @@ class Matrix:
         return self._nonzero
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
@@ -155,15 +143,6 @@ class Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]], nrows: int) -> "Matrix":
         return cls([[col[i] for col in columns] for i in range(nrows)], len(columns))
-
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.ncols)], self.nrows)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -176,27 +155,6 @@ class Matrix:
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.rows[i][j]
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
-                             f"{other.nrows}x{other.ncols}")
-        return Matrix(
-            [[dot(r, other.column(j)) for j in range(other.ncols)] for r in self.rows],
-            other.ncols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix([add_vectors(r, s) for r, s in zip(self.rows, other.rows)],
-                      self.ncols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "Matrix":
-        c = frac(scalar)
-        return Matrix([scale_vector(c, r) for r in self.rows], self.ncols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.ncols == other.ncols

@@ -41,7 +41,9 @@ integer rows instead. Residual exploration weighs each edge by the prefix
 weight of a residual automaton, one recurrence per edge, and the prefixial
 rebuild checks each witness with an equivalence check, which the library
 replaced by integer letter steps, masses read off the state-sum vector and
-integer keys on the backward rows.
+integer keys on the backward rows. PA synthesis asks one
+``express_combination`` per question, each on its own backward closure,
+which the library replaced by one table of values for every question.
 """
 
 import heapq
@@ -348,7 +350,7 @@ def oracle_integer_actions(letters, left):
         terms = []
         offset = 0
         for m in blocks:
-            lines = m.rows if left else m.transpose().rows
+            lines = m.rows if left else transpose(m).rows
             terms += [[(offset + j, x.numerator * (scale // x.denominator))
                        for j, x in enumerate(line) if x] for line in lines]
             offset += m.nrows
@@ -429,13 +431,35 @@ def mat_vec(m, v):
     return tuple(sum((x * vj for x, vj in zip(r, v) if x), F(0)) for r in m.rows)
 
 
+def identity(n):
+    """The n x n identity matrix."""
+    return Matrix.diagonal([1] * n)
+
+
+def transpose(m):
+    return Matrix([[r[j] for r in m.rows] for j in range(m.ncols)], m.nrows)
+
+
+def mat_mul(a, b):
+    """The product a b of two matrices."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
+    return Matrix([[dot(r, c) for c in transpose(b).rows] for r in a.rows], b.ncols)
+
+
+def mat_sub(a, b):
+    """The difference a - b of two matrices of one shape."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    return Matrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)], a.ncols)
+
+
 def letter_sum_matrix(a):
     """M[i, j] = total transition weight from state i to state j over all letters."""
     rep = a.to_linear_representation()
-    m = Matrix.zeros(rep.dim, rep.dim)
-    for grid in rep.mu.values():
-        m = m + grid
-    return m
+    grids = list(rep.mu.values())
+    return Matrix([[sum((g[i, j] for g in grids), F(0)) for j in range(rep.dim)]
+                   for i in range(rep.dim)], rep.dim)
 
 
 def oracle_krylov_closure(m, v):
@@ -456,12 +480,12 @@ def matrix_power(m, k):
     """M^k by repeated squaring."""
     if not m.is_square():
         raise ValueError("power of a non-square matrix")
-    out = Matrix.identity(m.nrows)
+    out = identity(m.nrows)
     base = m
     while k:
         if k & 1:
-            out = out @ base
-        base = base @ base
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
         k >>= 1
     return out
 
@@ -540,11 +564,11 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
     f_vecs = [u for u in (unit_vector(n, i) for i in unit_order) if basis.add(u)]
     b = Matrix.from_columns(g_vecs + h_vecs + f_vecs, n)
     d = Matrix.diagonal([1 if i < len(g_vecs) else 0 for i in range(n)])
-    p_g = b @ d @ oracle_invert(b)
-    compressed = p_g @ m @ p_g
+    p_g = mat_mul(mat_mul(b, d), oracle_invert(b))
+    compressed = mat_mul(mat_mul(p_g, m), p_g)
     if not lyapunov_lt_one(compressed):
         return None
-    sol = oracle_solve_affine(Matrix.identity(n) - compressed, tau)
+    sol = oracle_solve_affine(mat_sub(identity(n), compressed), tau)
     return dot(iota, sol.particular)
 
 

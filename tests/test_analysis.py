@@ -10,9 +10,9 @@ from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent,
                        fixtures, is_pa, prefix_weight, residual_automaton,
                        state_sums, total_sum, words_up_to)
 from stochlang.analysis import _minimal_recurrence, _series_sum, _sum_table
-from stochlang.linalg import Matrix, dot, solve_affine, spectral_radius_lt_one
+from stochlang.linalg import dot, solve_affine, spectral_radius_lt_one
 
-from helpers import (example1_residual_value, letter_sum_matrix,
+from helpers import (example1_residual_value, identity, letter_sum_matrix, mat_sub,
                      oracle_minimal_recurrence, oracle_series_sum,
                      oracle_solve_affine, oracle_state_sums, oracle_total_sum,
                      random_ma, random_pa, ring_pa, split_copy, timed)
@@ -81,7 +81,7 @@ class TestTotalSum:
         rep = a.to_linear_representation()
         m = letter_sum_matrix(a)
         assert spectral_radius_lt_one(m)
-        sol = solve_affine(Matrix.identity(m.nrows) - m, rep.gamma)
+        sol = solve_affine(mat_sub(identity(m.nrows), m), rep.gamma)
         assert dot(rep.lam, sol.particular) == total_sum(a).value
 
     def test_self_loop_diverges(self):
@@ -169,7 +169,7 @@ class TestTotalSum:
             m = letter_sum_matrix(a)
             if not spectral_radius_lt_one(m):
                 continue
-            sol = solve_affine(Matrix.identity(m.nrows) - m, rep.gamma)
+            sol = solve_affine(mat_sub(identity(m.nrows), m), rep.gamma)
             assert total_sum(a).value == dot(rep.lam, sol.particular)
             checked += 1
         assert checked >= 10
@@ -274,7 +274,7 @@ class TestStateSums:
         monkeypatch.setattr(analysis, "_sum_table", counter("_sum_table", analysis._sum_table))
         # the counters see the library's own eliminations
         linalg.membership_in_span([1], [[1]])
-        linalg.rref(Matrix.identity(1))
+        linalg.rref(identity(1))
         assert calls == ["membership_in_span", "solve_affine", "rref"]
         for a in ALL_FIXTURES + [ring_pa(8), hidden_divergence(ring_pa(8))]:
             calls.clear()
@@ -424,7 +424,7 @@ class TestBeyondFiveStates:
         # oracle solves (Id - M) s = gamma by Gauss-Jordan over Fractions
         sums = timed(state_sums, a, limit_s=limit_s)
         m = letter_sum_matrix(a)
-        sol = oracle_solve_affine(Matrix.identity(m.nrows) - m,
+        sol = oracle_solve_affine(mat_sub(identity(m.nrows), m),
                                   a.to_linear_representation().gamma)
         assert sol.nullspace == ()
         assert sums == dict(zip(a.states, sol.particular))

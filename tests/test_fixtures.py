@@ -82,7 +82,7 @@ class TestFig3:
     def test_letter_sum_matrix_is_three_quarters_identity(self):
         from stochlang.linalg import Matrix
         m = letter_sum_matrix(fixtures.build("fig3_App"))
-        assert m == F(3, 4) * Matrix.identity(2)
+        assert m == Matrix.diagonal([F(3, 4)] * 2)
 
     def test_total_sum_is_one(self):
         outcome = total_sum(fixtures.build("fig3_App"))

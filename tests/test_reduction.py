@@ -12,7 +12,7 @@ from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError
 from stochlang.equivalence import combination_on_rows
 from stochlang.reduction import _dependent
 
-from helpers import (dfa_a_count_mod_k, duplicate_state, oracle_cone_reduce,
+from helpers import (dfa_a_count_mod_k, duplicate_state, identity, oracle_cone_reduce,
                      oracle_field_reduce, oracle_hankel_rank, oracle_is_cone_reduced,
                      plant_convex_state, plant_mixture_state, random_dense_ma,
                      random_fraction, random_ma, random_pa, ring_pa, split_copy, timed,
@@ -161,7 +161,7 @@ class TestRankAgainstPairingOracle:
                     monkeypatch.setattr(module, name, counter(name, real))
         # the counters see the library's own eliminations
         linalg.membership_in_span([1], [[1]])
-        linalg.rref(linalg.Matrix.identity(1))
+        linalg.rref(identity(1))
         assert calls == ["solve_affine", "rref"]
         calls.clear()
         ranks = [hankel_rank(a) for a in
