@@ -23,6 +23,12 @@ integer tuple of its pairings with the span's rows times the sign of its
 mass: equal keys mean equal series, so a dict finds every known residual,
 and a combination question between residuals is one exact solve on a table
 of keys. Fractions are made only for the weights of the automaton built.
+
+PA synthesis asks its questions the same way. A letter shift of a
+generator is the generator with another initial vector, so one table of
+values on one backward closure (``equivalence._value_table``) holds a
+column for the target, for every generator and for every shift, and the
+mix and every stability question are one feasibility problem each on it.
 """
 
 from __future__ import annotations
