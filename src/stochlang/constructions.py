@@ -40,14 +40,14 @@ from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .analysis import _series_sum, _state_sum_vector, _sum_table, total_sum
+from .analysis import _series_sum, _state_sum_vector, _sum_table
 from .automata import (MultiplicityAutomaton, Word, format_word, letter_shift_automaton,
                        length_lex_key, replace_iota, state_series_automaton,
                        words_up_to)
 from .classify import is_pa, is_pda
-from .equivalence import (_backward_closure, _value_table, are_equivalent,
+from .equivalence import (_backward_closure, _blocks, _value_table, are_equivalent,
                           combination_on_rows)
-from .linalg import _apply, _integer_actions, _primitive_with_factor
+from .linalg import _integer_actions, _primitive_with_factor
 
 
 class ConstructionError(RuntimeError):
@@ -90,7 +90,11 @@ class _Residuals:
         action = self.actions.get(x)
         if action is None:
             raise ValueError(f"letter {x!r} is not in the alphabet")
-        q = _apply(action, p)
+        q = [0] * len(p)
+        for j, x in enumerate(p):
+            if x:
+                for i, c in action[j]:
+                    q[i] += c * x
         g = gcd(*q)
         return g, q if g <= 1 else [y // g for y in q]
 
@@ -153,7 +157,10 @@ def synthesize_pa(target: MultiplicityAutomaton,
                   ) -> MultiplicityAutomaton | None:
     """Probabilistic automaton for the target series over the given generators.
 
-    Requires every generator series to have total mass exactly 1. Finds
+    Requires every generator series to have total mass exactly 1; the
+    generators of one structure (``equivalence._blocks``) differ only in
+    their initial vector, so their masses are read off one sum table
+    (``analysis._series_sum``). Finds
     nonnegative coefficients expressing the target over the generators and,
     for every generator and letter, nonnegative coefficients expressing the
     letter shift over the generators. A shift is its generator with another
@@ -170,8 +177,10 @@ def synthesize_pa(target: MultiplicityAutomaton,
         return None
     if any(g.alphabet != target.alphabet for g in generators):
         raise ValueError("alphabet mismatch")
-    for i, g in enumerate(generators):
-        outcome = total_sum(g)
+    blocks, block_of = _blocks(generators)
+    tables = [_sum_table(b) for b in blocks]
+    for i, (g, k) in enumerate(zip(generators, block_of)):
+        outcome = _series_sum(tables[k], g.to_linear_representation().lam)
         if not outcome.converges or outcome.value != 1:
             raise ValueError(f"generator {i} does not have total mass 1")
 

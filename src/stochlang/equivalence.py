@@ -5,7 +5,12 @@ tracking, for each word, the pair of forward vectors (lam . mu(w) on both
 sides). The pair extends linearly on the right, so the closure computes the
 span of all reachable pairs; the two series agree iff the final-weight
 functional vanishes on that span. A failing basis word is a counterexample
-and its length never exceeds the combined state count.
+and its length never exceeds the combined state count. The vectors the
+closure extends are not the pairs themselves but the echelon rows they
+add to the span: each pair reduced against the earlier rows, often
+sparser than the pairs, whose entries grow with the word. Each row is a
+nonzero multiple of its pair plus a combination of the earlier pairs, so
+the functional is nonzero first on the same word (:func:`_word_basis`).
 
 Combinations close from the other side. The backward vectors x(w) = mu(w) . gamma
 of a direct sum of automata, closed under left letter action, span every
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import mul
 from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
@@ -41,32 +45,37 @@ class EquivalenceOutcome:
 
 
 def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
-    """Basis words with their forward vector pairs, spanning all reachable pairs.
+    """Basis words with sparse integer rows, spanning all reachable pairs, and
+    the functional that compares the two series.
 
     One closure of lam_a (+) lam_b under the letter matrices acting on the
-    right. Each pair (va, vb) comes back as coprime integers, a positive
-    multiple of (lam_a . mu_a(w), lam_b . mu_b(w)), and the two final
-    vectors share one positive scale too, so the integer pairings
-    va . gamma_a and vb . gamma_b are equal iff the exact values are.
-    Breadth-first order reaches the words in length-lex order: each basis
-    word is the length-lex least word whose pair leaves the span of the
-    pairs before it.
+    right. Breadth-first order reaches the words in length-lex order: each
+    basis word is the length-lex least word whose pair
+    (lam_a . mu_a(w), lam_b . mu_b(w)) leaves the span of the pairs before
+    it. The row that comes back with a word is not a multiple of that pair
+    but the echelon row that the pair added to the span: the pair reduced
+    against the rows before it and divided by its content, so c times the
+    pair, c != 0, plus a combination of the pairs of the earlier words. The
+    functional f is (gamma_a, -gamma_b) as coprime integers, one positive
+    scale for both, so f on a pair is a positive multiple of the difference
+    of the series on its word. Once f vanishes on every earlier row, f on a
+    row is c times that difference: the first row on which f is nonzero
+    belongs to the first basis word on which the series differ.
     """
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
-    n = ra.dim
     actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
-    basis = _closure(SpanBasis(n + rb.dim), ra.lam + rb.lam, actions)
-    gamma = _primitive(ra.gamma + rb.gamma)
-    return ([(tuple(a.alphabet[k] for k in path), v[:n], v[n:]) for path, v in basis],
-            gamma[:n], gamma[n:])
+    basis = _closure(SpanBasis(ra.dim + rb.dim), ra.lam + rb.lam, actions)
+    gamma = _primitive(ra.gamma + tuple(-y for y in rb.gamma))
+    return [(tuple(a.alphabet[k] for k in path), row) for path, row in basis], gamma
 
 
 def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> EquivalenceOutcome:
     """Decide whether two automata generate the same series.
 
     On a mismatch the returned witness is the length-lex smallest basis word
-    whose values differ, with both values re-evaluated on the inputs.
+    whose values differ (:func:`_word_basis`), with both values re-evaluated
+    on the inputs.
 
     Alphabets may differ as long as their shared letters agree in order; the
     comparison then runs over the union, missing letters meaning weight zero.
@@ -74,9 +83,9 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
     a = with_alphabet(a, alphabet)
     b = with_alphabet(b, alphabet)
-    basis, gamma_a, gamma_b = _word_basis(a, b)
-    for word, va, vb in basis:
-        if sum(map(mul, va, gamma_a)) != sum(map(mul, vb, gamma_b)):
+    basis, gamma = _word_basis(a, b)
+    for word, row in basis:
+        if sum([gamma[j] * y for j, y in row.items()]):
             return EquivalenceOutcome(False, word, a.evaluate(word), b.evaluate(word))
     return EquivalenceOutcome(True)
 
@@ -96,15 +105,16 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     The representations share one alphabet. Their direct sum has the
     concatenated final vectors and block-diagonal letter matrices, so block i
     of x(w) is representation i's own mu(w) . gamma. The closure starts from
-    gamma and extends every vector that enlarges the span by each letter on
-    the left, so the span reached holds every x(w). A series with initial
-    vector lam on block i takes the value lam . x(w)[i] on w, so a linear
-    equation between such series holds on every word iff it holds on the
-    span's rows; in particular, two initial vectors of one representation
-    give equal series iff they agree on every row. The closure is
-    fraction-free: the span keeps its reduced echelon rows as primitive
-    integers, and the maps are v -> s mu(x) . v on the direct sum, one per
-    letter in alphabet order, with one scale s per call.
+    gamma and extends, by each letter on the left, the echelon row that
+    each vector enlarging the span adds (``linalg._closure``), so the span
+    reached holds every x(w). A series with initial vector lam on block i
+    takes the value lam . x(w)[i] on w, so a linear equation between such
+    series holds on every word iff it holds on the span's rows; in
+    particular, two initial vectors of one representation give equal
+    series iff they agree on every row. The closure is fraction-free: the
+    span keeps its reduced echelon rows as primitive integers, and the maps
+    are v -> s mu(x) . v on the direct sum, one per letter in alphabet
+    order, with one scale s per call, stored per input coordinate.
     """
     alphabet = reps[0].alphabet if reps else ()
     if any(r.alphabet != alphabet for r in reps):
@@ -147,19 +157,13 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     return CombinationOutcome(True, tuple(coeffs))
 
 
-def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
-    """Rows of integers, one column per series, on which every linear
-    equation between the series holds iff it holds on every word.
+def _blocks(series: Sequence[MultiplicityAutomaton]
+            ) -> tuple[list[MultiplicityAutomaton], list[int]]:
+    """The first series of each distinct structure (states, final weights and
+    transitions), in order, and the index of each series' block.
 
-    The series are grouped into one block per distinct structure (states,
-    final weights and transitions); series in one block differ only in their
-    initial vector. One backward closure of the blocks' direct sum
-    (:func:`_backward_closure`) yields rows x on which each series takes the
-    value lam . x[its block], and the rows span every x(w). The initial
-    vectors are scaled to integers by one common denominator and paired
-    with the span's sparse integer rows; neither that positive scale, which
-    every column shares, nor the scale of a row changes a solution of
-    :func:`combination_on_rows`.
+    Series in one block differ only in their initial vector, so they share
+    every derived object that the initial vector does not enter.
     """
     blocks: list[MultiplicityAutomaton] = []
     block_of: list[int] = []
@@ -170,6 +174,23 @@ def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
             k = len(blocks)
             blocks.append(s)
         block_of.append(k)
+    return blocks, block_of
+
+
+def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
+    """Rows of integers, one column per series, on which every linear
+    equation between the series holds iff it holds on every word.
+
+    The series are grouped into one block per distinct structure
+    (:func:`_blocks`). One backward closure of the blocks' direct sum
+    (:func:`_backward_closure`) yields rows x on which each series takes the
+    value lam . x[its block], and the rows span every x(w). The initial
+    vectors are scaled to integers by one common denominator and paired
+    with the span's sparse integer rows; neither that positive scale, which
+    every column shares, nor the scale of a row changes a solution of
+    :func:`combination_on_rows`.
+    """
+    blocks, block_of = _blocks(series)
     bounds = list(accumulate((b.n_states for b in blocks), initial=0))
     scale = lcm(*(w.denominator for s in series for w in s.iota.values()))
     lams = []

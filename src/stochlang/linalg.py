@@ -9,13 +9,16 @@ use, and span closures read only those entries.
 
 Elimination runs fraction-free, on one kernel. Span membership does not
 depend on the scale of a vector, so :class:`SpanBasis` keeps its echelon
-rows as primitive integer vectors, and a closure pushes coprime integer
-vectors through sparse letter maps that are scaled to integers once per
-call. The echelon rows are stored sparse, as their nonzero entries: kept
-fully reduced they stay sparse, so a vector is reduced only against the
-rows at the pivots in its support, each on its own nonzero entries, and a
-new pivot is cleared only from the rows that hold it. The rows are the
-canonical reduced echelon form up to scale, which is unique, so
+rows as primitive integer vectors. The echelon rows are stored sparse, as
+their nonzero entries: kept fully reduced they stay sparse, so a vector is
+reduced only against the rows at the pivots in its support, each on its
+own nonzero entries, and a new pivot is cleared only from the rows that
+hold it. A span closure (:func:`_closure`) pushes, for each vector that
+enlarges the span, the sparse row it added rather than the vector, whose
+entries grow with the length of its word, through letter maps that are
+scaled to integers once per call and stored per input coordinate, so an
+image costs the row's nonzero entries times their column degrees. The
+rows are the canonical reduced echelon form up to scale, which is unique, so
 ``SpanBasis.basis``, their ``Fraction`` form, and every result built on
 them are the same as with ``Fraction`` rows throughout. ``rref`` is that
 basis for the rows of a matrix; ``solve_affine`` reads its solution off
@@ -511,29 +514,17 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
     return add_vectors(part, linear_combination(null, y, n_vars))
 
 
-class _Primitive(list):
-    """A coprime integer vector as :func:`_primitive` returns it; never mutated."""
-
-
-def _primitive(v: Iterable) -> _Primitive:
+def _primitive(v: Iterable) -> list[int]:
     """The coprime integer vector with the direction and sign of v (zero stays zero).
 
     Entries may be ints or Fractions; ``denominator`` and ``numerator``
-    serve both. A vector that is already a result of this function is
-    returned as it is, so a closure that scales its vectors before
-    inserting them into a :class:`SpanBasis` scales each one once.
+    serve both.
     """
-    if type(v) is _Primitive:
-        return v
     v = list(v)
     scale = lcm(*(x.denominator for x in v))
-    return _content_free([x.numerator * (scale // x.denominator) for x in v])
-
-
-def _content_free(w: list[int]) -> _Primitive:
-    """The integer vector w divided by the gcd of its entries."""
+    w = [x.numerator * (scale // x.denominator) for x in v]
     g = gcd(*w)
-    return _Primitive(w if g <= 1 else [x // g for x in w])
+    return w if g <= 1 else [x // g for x in w]
 
 
 def _primitive_with_factor(v: Sequence) -> tuple[list[int], Fraction]:
@@ -557,47 +548,64 @@ class SpanBasis:
     the rows are taken. :meth:`_reduce` therefore scales v once, by the
     least integer that makes each of these coefficients integral, and
     subtracts only the rows at the pivots in v's support, each on its
-    nonzero entries. ``add`` divides the content out once and clears the
-    new pivot from the rows that hold it. No Fraction is made until
-    ``basis`` turns the rows into the canonical reduced echelon form.
+    nonzero entries; v itself may come sparse, so a vector costs its own
+    nonzero entries and never the dimension. ``add`` divides the content
+    out once, clears the new pivot from the rows that hold it and returns
+    the new row. No Fraction is made until ``basis`` turns the rows into
+    the canonical reduced echelon form.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows: dict[int, dict[int, int]] = {}
 
-    def _reduce(self, v: Iterable) -> list[int]:
-        """A positive integer multiple of v minus its part in the span.
+    def _reduce(self, v: Iterable | dict[int, int]) -> dict[int, int]:
+        """A positive integer multiple of v minus its part in the span, sparse.
 
-        The result is zero at every pivot; its content is not divided out.
+        v is a dense vector of ints or Fractions, or a ``{column: int}``
+        dict of nonzero integer entries, which is read and not changed. The
+        result is zero at every pivot; its content is not divided out.
         """
-        v = _primitive(v)
-        if len(v) != self.dim:
-            raise ValueError(f"vector length {len(v)} does not match dimension {self.dim}")
-        hits = [(x, row, row[p]) for p, row in self._rows.items() if (x := v[p])]
+        if type(v) is dict:
+            g = gcd(*v.values())
+            if g > 1:
+                v = {j: x // g for j, x in v.items()}
+        else:
+            w = _primitive(v)
+            if len(w) != self.dim:
+                raise ValueError(f"vector length {len(w)} does not match dimension {self.dim}")
+            v = {j: x for j, x in enumerate(w) if x}
+        rows = self._rows
+        hits = [(x, row, row[j]) for j, x in v.items() if (row := rows.get(j))]
         if not hits:
             return v
         scale = 1
         for x, _, a in hits:
             if a != 1:
                 scale = lcm(scale, a // gcd(a, x))
-        acc = [scale * x for x in v] if scale != 1 else list(v)
+        acc = {j: scale * x for j, x in v.items()} if scale != 1 else dict(v)
+        get = acc.get
         for x, row, a in hits:
             c = x * scale // a
             for j, y in row.items():
-                acc[j] -= c * y
-        return acc
+                acc[j] = get(j, 0) - c * y
+        return {j: z for j, z in acc.items() if z}
 
-    def contains(self, v: Iterable) -> bool:
-        return not any(self._reduce(v))
+    def contains(self, v: Iterable | dict[int, int]) -> bool:
+        return not self._reduce(v)
 
-    def add(self, v: Iterable) -> bool:
-        """Insert v; True iff it enlarged the span."""
-        r = self._reduce(v)
-        if not any(r):
-            return False
-        new = {j: x for j, x in enumerate(r) if x}
-        pivot = next(iter(new))
+    def add(self, v: Iterable | dict[int, int]) -> dict[int, int] | None:
+        """Insert v; the new echelon row, or None when v is in the span already.
+
+        The row is v reduced against the rows already there and divided by
+        its content, positive at its pivot. Later insertions replace rows
+        rather than change them, so it stays as returned; a dict v may
+        become the row itself, so the caller must not change it afterwards.
+        """
+        new = self._reduce(v)
+        if not new:
+            return None
+        pivot = min(new)
         g = gcd(*new.values()) if new[pivot] > 0 else -gcd(*new.values())
         if g != 1:
             new = {j: x // g for j, x in new.items()}
@@ -613,7 +621,7 @@ class SpanBasis:
         rows[pivot] = new
         if pivot < last:
             self._rows = dict(sorted(rows.items()))
-        return True
+        return new
 
     @property
     def dimension(self) -> int:
@@ -671,14 +679,16 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool
     """Block-diagonal letter matrices as sparse integer maps, with their common scale.
 
     ``letters[k]`` lists the diagonal blocks of letter k's matrix M_k. Each
-    map holds, per output coordinate, the (input coordinate, coefficient)
-    pairs of s M_k v (``left``) or of s v M_k, where the positive integer s
-    clears every denominator of every letter. One scale for all letters
-    keeps each pushed vector a positive multiple of the exact one, which is
-    all a span closure or a sign-free zero test needs. Only the nonzero
-    entries of each block are read: as rows of M_k for ``left``, and as its
-    columns, with the indices swapped, otherwise. Returns the maps, in the
-    order of ``letters``, and s.
+    map holds, per input coordinate j, the (output coordinate, coefficient)
+    pairs that j scatters to under v -> s M_k v (``left``) or v -> s v M_k,
+    where the positive integer s clears every denominator of every letter,
+    so pushing a sparse vector (:func:`_push`) costs its nonzero entries
+    times their column degrees. One scale for all letters keeps each pushed
+    vector a positive multiple of the exact one, which is all a span
+    closure or a sign-free zero test needs. Only the nonzero entries of
+    each block are read: as columns of M_k, with the indices swapped, for
+    ``left``, and as its rows otherwise. Returns the maps, in the order of
+    ``letters``, and s.
     """
     scale = lcm(*(x.denominator for blocks in letters for m in blocks
                   for _, _, x in m._entries()))
@@ -687,17 +697,28 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool
         terms: _Action = []
         offset = 0
         for m in blocks:
-            lines: _Action = [[] for _ in range(m.nrows if left else m.ncols)]
+            lines: _Action = [[] for _ in range(m.ncols if left else m.nrows)]
             for i, j, x in m._entries():
                 c = x.numerator * (scale // x.denominator)
                 if left:
-                    lines[i].append((offset + j, c))
-                else:
                     lines[j].append((offset + i, c))
+                else:
+                    lines[i].append((offset + j, c))
             terms += lines
             offset += m.nrows
         actions.append(terms)
     return actions, scale
+
+
+def _push(action: _Action, v: dict[int, int]) -> dict[int, int]:
+    """The image of a sparse integer vector under a map of :func:`_integer_actions`,
+    as its nonzero entries."""
+    out: dict[int, int] = {}
+    get = out.get
+    for j, x in v.items():
+        for i, c in action[j]:
+            out[i] = get(i, 0) + c * x
+    return {i: y for i, y in out.items() if y}
 
 
 def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
@@ -705,7 +726,10 @@ def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
 
     Returns the map v -> A v with A = s M and the least positive integer s
     that makes A integral, so an integer vector pushed k times through the
-    map is s^k times its exact image. Only nonzero entries are read.
+    map is s^k times its exact image. Only nonzero entries are read. Unlike
+    the maps of :func:`_integer_actions`, this one holds per output
+    coordinate i the (input coordinate, coefficient) pairs that i gathers,
+    for the dense vectors that :func:`_powers` takes.
     """
     scale = lcm(*(x.denominator for m in matrices for _, _, x in m._entries()))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
@@ -717,16 +741,12 @@ def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
     return [[(j, c // g) for j, c in row.items() if c] for row in rows], scale // g
 
 
-def _apply(action: _Action, v: list[int]) -> list[int]:
-    return [sum([c * v[j] for j, c in terms]) for terms in action]
-
-
 def _powers(action: _Action, v: list[int], count: int) -> list[list[int]]:
     """The vectors A^k v, k < count, for the integer map A of ``action``."""
     powers = []
     for _ in range(count):
         powers.append(v)
-        v = _apply(action, v)
+        v = [sum([c * v[j] for j, c in terms]) for terms in action]
     return powers
 
 
@@ -751,23 +771,35 @@ def _minimal_polynomial(powers: Sequence[list[int]], scale: int) -> Vector:
 
 
 def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
-             ) -> list[tuple[tuple[int, ...], list[int]]]:
+             ) -> list[tuple[tuple[int, ...], dict[int, int]]]:
     """Breadth-first closure of a vector under integer maps, through ``span.add``.
 
-    Every vector that enlarges the span is pushed through each map, in
-    order, and its images, integer vectors, join the queue, each divided by
-    its content once (``span.add`` does not scale it again). Returns the
-    accepted vectors as primitive integer lists, each with the path of map
-    indices that reaches it; the paths come out in length-lexicographic
-    order, and the span ends up holding every image of ``start`` under any
-    product of the maps.
+    ``span`` starts empty, and ``actions`` hold per input coordinate the
+    (output coordinate, coefficient) pairs of integer maps, as
+    :func:`_integer_actions` builds them. Each vector that enlarges the span
+    contributes the echelon row that ``span.add`` returns: the vector
+    reduced against the rows already there and divided by its content.
+    That sparse row, not the vector, is pushed through each map
+    (:func:`_push`), in order, and its sparse images join the queue.
+    Returns the new rows, each with the path of map indices that reached
+    it; the paths come out in length-lexicographic order, and the span ends
+    up holding every image of ``start`` under any product of the maps.
+
+    The paths and the span after each of them are those of pushing the
+    images x(path) of ``start`` themselves. By induction, the row r of an
+    accepted path is c x(path), c != 0, plus a combination of the x of the
+    paths accepted before it. In breadth-first order, every image of those
+    earlier x has been tested, and so lies in the span, by the time an
+    image of r is, so A r lies in the span exactly when A x(path) does. A
+    reduced echelon form depends only on its span, so every row is the
+    same too.
     """
     accepted = []
-    queue = deque([((), _primitive(start))])
+    queue = deque([((), start)])
     while queue:
         path, v = queue.popleft()
-        if span.add(v):
-            accepted.append((path, v))
-            queue.extend((path + (k,), _content_free(_apply(action, v)))
-                         for k, action in enumerate(actions))
+        row = span.add(v)
+        if row is not None:
+            accepted.append((path, row))
+            queue.extend((path + (k,), _push(action, row)) for k, action in enumerate(actions))
     return accepted

@@ -32,7 +32,7 @@ from math import lcm
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
 from .equivalence import _backward_closure, combination_on_rows
-from .linalg import SpanBasis, _Action, _closure, _primitive
+from .linalg import SpanBasis, _Action, _closure, _primitive, _push
 
 
 class ReductionMode(enum.Enum):
@@ -210,19 +210,23 @@ def _pairing_rank(rep: LinearRepresentation, backward: SpanBasis,
     vector is reached from gamma's, so the rank is the dimension of the
     closure of lam under the A_x. The integer maps s mu(x) and one common
     multiple of the pivot entries scale every A_x alike, so the closure
-    runs on integers.
+    runs on integers. Row i of A_x is read off the image of b_i, which
+    costs the row's nonzero entries times their column degrees, and each
+    A_x is stored per input coordinate k, as ``linalg._closure`` takes it.
     """
-    pivots = list(backward._rows)
+    index = {p: k for k, p in enumerate(backward._rows)}
     rows = list(backward._rows.values())
     scale = lcm(*(b[p] for p, b in backward._rows.items()))
     weights = [scale // b[p] for p, b in backward._rows.items()]
     pivot_actions = []
     for action in actions:
-        pivot_rows = [action[p] for p in pivots]
-        a_x = [[w * sum([y * b.get(j, 0) for j, y in terms])
-                for terms, w in zip(pivot_rows, weights)]
-               for b in rows]
-        pivot_actions.append([[(k, c) for k, c in enumerate(line) if c] for line in a_x])
+        columns: _Action = [[] for _ in rows]
+        for i, b in enumerate(rows):
+            for p, y in _push(action, b).items():
+                k = index.get(p)
+                if k is not None:
+                    columns[k].append((i, weights[k] * y))
+        pivot_actions.append(columns)
     lam = _primitive(rep.lam)
     start = [sum([lam[j] * y for j, y in b.items()]) for b in rows]
     return len(_closure(SpanBasis(len(rows)), start, pivot_actions))

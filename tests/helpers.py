@@ -22,9 +22,11 @@ gamma, which the library replaced by the fraction-free recursions on
 integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
 which the library replaced by the integer rows of its span basis. The
 integer letter maps of a closure come from a scan of every cell of every
-letter matrix, with a transpose for forward maps, which the library
-replaced by a pass over each matrix's nonzero entries. The minimal
-polynomial of a vector comes from its Krylov closure under the dense
+letter matrix, with a transpose for backward maps, which the library
+replaced by a pass over each matrix's nonzero entries. A closure pushes
+each accepted vector itself, dense, through the maps, which the library
+replaced by pushing the sparse echelon row the vector added to the span.
+The minimal polynomial of a vector comes from its Krylov closure under the dense
 letter-summed matrix and a solve for the first dependent vector, which the
 library replaced by one echelon form of its integer sum table. Field
 reduction solves for each state in turn and rebuilds the automaton on the
@@ -341,8 +343,10 @@ class OracleIntegerSpanBasis:
 
 def oracle_integer_actions(letters, left):
     """Per letter, the sparse integer map of s M_k v (``left``) or s v M_k for
-    block-diagonal M_k, by a dense scan of every cell of every block, and the
-    scale s, the lcm of every cell's denominator."""
+    block-diagonal M_k, as the (output, coefficient) pairs of each input
+    coordinate, by a dense scan of every cell of every block, with a
+    transpose for backward maps, and the scale s, the lcm of every cell's
+    denominator."""
     scale = lcm(*(x.denominator for blocks in letters for m in blocks
                   for r in m.rows for x in r))
     actions = []
@@ -350,12 +354,40 @@ def oracle_integer_actions(letters, left):
         terms = []
         offset = 0
         for m in blocks:
-            lines = m.rows if left else transpose(m).rows
+            lines = transpose(m).rows if left else m.rows
             terms += [[(offset + j, x.numerator * (scale // x.denominator))
                        for j, x in enumerate(line) if x] for line in lines]
             offset += m.nrows
         actions.append(terms)
     return actions, scale
+
+
+def oracle_closure(span, start, actions):
+    """Breadth-first closure that pushes each accepted vector itself, dense.
+
+    ``actions`` are maps as ``linalg._integer_actions`` builds them, the
+    pairs of each input coordinate; they are turned around to give each
+    output coordinate its pairs, and every vector that enlarges ``span``
+    goes through each of them, in order, its images divided by their
+    content. Returns the accepted primitive vectors with their paths of map
+    indices."""
+    gathers = []
+    for action in actions:
+        lines = [[] for _ in action]
+        for j, pairs in enumerate(action):
+            for i, c in pairs:
+                lines[i].append((j, c))
+        gathers.append(lines)
+    accepted = []
+    queue = deque([((), oracle_primitive(start))])
+    while queue:
+        path, v = queue.popleft()
+        if span.add(v):
+            accepted.append((path, v))
+            queue.extend((path + (k,), oracle_primitive([sum(c * v[j] for j, c in line)
+                                                         for line in lines]))
+                         for k, lines in enumerate(gathers))
+    return accepted
 
 
 def oracle_integer_sum(matrices, n):

@@ -14,6 +14,7 @@ from stochlang import (ConstructionError, MultiplicityAutomaton, ReductionMode,
                        minimal_residual_generators, parse_automaton, prefix_weight,
                        reduce, residual_automaton, state_series_automaton, state_sums,
                        synthesize_pa, to_prefixial_pra, weighted_sum, words_up_to)
+from stochlang.automata import replace_iota
 from stochlang.classify import residual_witnesses
 
 from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
@@ -100,6 +101,21 @@ class TestSynthesizePa:
         # feasible, and the mix coefficient 2 is the target's mass
         with pytest.raises(ValueError, match="^the series must have total mass 1$"):
             synthesize_pa(golden_input("mass_two"), [fixtures.build("example1_p1")])
+
+    def test_mass_error_names_the_first_failing_generator(self):
+        # the state series of ring4 share one structure and one sum table;
+        # doubling one of them, or making one diverge, blames that one
+        a = ring_pa(4)
+        gens = [state_series_automaton(a, q) for q in a.states]
+        doubled = list(gens)
+        doubled[2] = replace_iota(gens[2], tuple(2 * x for x in
+                                                 gens[2].to_linear_representation().lam))
+        with pytest.raises(ValueError, match="^generator 2 does not have total mass 1$"):
+            synthesize_pa(a, doubled)
+        looped = MultiplicityAutomaton(a.alphabet, ("q",), {"q": 1}, {"q": 1},
+                                       {("q", "a", "q"): 1})
+        with pytest.raises(ValueError, match="^generator 1 does not have total mass 1$"):
+            synthesize_pa(a, [gens[0], looped, doubled[2]])
 
     def test_generator_of_mass_one_that_is_no_distribution_fails_assembly(self):
         # g1 has mass 1 but the value -1/2 on the empty word; its shift by a
@@ -525,13 +541,21 @@ def test_prefixial_runs_only_the_final_equivalence_check(calls, name):
     assert calls["express_combination"] == 0
 
 
-@pytest.mark.parametrize("family", ["example1", "ring4"])
+@pytest.mark.parametrize("family", ["example1", "ring4", "ring4_shared"])
 def test_synthesis_uses_one_closure_and_no_per_question_solve(calls, family):
-    # the per-question loop closes 1 + 2 * 1 and 1 + 4 * 2 times
+    # the per-question loop closes 1 + 2 * 1 and 1 + 4 * 2 times; the mass
+    # checks build one sum table per structure: p1 and p2 differ, the split
+    # series differ, and the unsplit state series of ring4 share one
     if family == "ring4":
         a, gens = ring_state_series(4)
+        structures = 4
+    elif family == "ring4_shared":
+        a = ring_pa(4)
+        gens = [state_series_automaton(a, q) for q in a.states]
+        structures = 1
     else:
         a, gens = (fixtures.build("example1_p"),
                    [fixtures.build("example1_p1"), fixtures.build("example1_p2")])
+        structures = 2
     assert synthesize_pa(a, gens) is not None
-    assert calls == {"_backward_closure": 1}
+    assert calls == {"_backward_closure": 1, "_sum_table": structures}

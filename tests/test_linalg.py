@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochlang import MultiplicityAutomaton
+from stochlang import MultiplicityAutomaton, hankel_rank
+from stochlang.equivalence import _backward_closure
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_actions,
                               _integer_sum, _minimal_polynomial, _powers,
                               _primitive, dot, is_positive_definite,
@@ -14,9 +17,9 @@ from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_
 
 from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, identity, jury_lt_one_2x2,
                      lyapunov_lt_one, mat_mul, mat_sub, mat_vec, matrix_power, max_abs_entry,
-                     oracle_integer_actions, oracle_integer_sum, oracle_krylov_closure,
-                     oracle_rref, oracle_schur_stable, oracle_solve_affine, random_ma,
-                     transpose)
+                     oracle_closure, oracle_integer_actions, oracle_integer_sum,
+                     oracle_krylov_closure, oracle_rref, oracle_schur_stable,
+                     oracle_solve_affine, random_ma, ring_pa, split_copy, transpose)
 
 F = Fraction
 
@@ -527,6 +530,23 @@ def insertion_sequences(draw):
     return dim, steps
 
 
+def inserted(span, v):
+    """``span.add(v)`` as a verdict; a new row must come back as the span's
+    own row at its pivot."""
+    row = span.add(v)
+    if row is None:
+        return False
+    assert span._rows[min(row)] is row
+    return True
+
+
+def sparse(v):
+    """v as ``SpanBasis`` takes a sparse vector: the nonzero entries of an
+    integer multiple of v, its content not divided out."""
+    scale = lcm(*(F(x).denominator for x in v))
+    return {j: int(x * scale) for j, x in enumerate(v) if x}
+
+
 def assert_same_rows(span, oracle):
     """The sparse rows of ``span`` hold exactly the nonzero entries of the
     oracle's dense primitive integer rows, under the same pivots."""
@@ -596,7 +616,7 @@ class TestSpanBasisAgainstFractionOracle:
         span, oracle, dense = SpanBasis(dim), OracleSpanBasis(dim), OracleIntegerSpanBasis(dim)
         for insert, v in steps:
             if insert:
-                assert span.add(v) == oracle.add(v) == dense.add(v)
+                assert inserted(span, v) == oracle.add(v) == dense.add(v)
             else:
                 assert span.contains(v) == oracle.contains(v) == dense.contains(v)
             assert span.dimension == oracle.dimension == dense.dimension
@@ -609,22 +629,24 @@ class TestSpanBasisAgainstFractionOracle:
     @settings(max_examples=150, deadline=None)
     def test_sparse_rows_equal_the_dense_integer_rows(self, case):
         """Wide, sparse, block-diagonal and 200-bit inputs, so that pivot
-        entries other than 1 and content division are exercised."""
+        entries other than 1 and content division are exercised; every
+        other vector goes in sparse."""
         dim, steps = case
         span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
-        for insert, v in steps:
+        for k, (insert, v) in enumerate(steps):
+            given_v = sparse(v) if k % 2 else v
             if insert:
-                assert span.add(v) == dense.add(v)
+                assert inserted(span, given_v) == dense.add(v)
                 assert_same_rows(span, dense)
             else:
-                assert span.contains(v) == dense.contains(v)
+                assert span.contains(given_v) == dense.contains(v)
             assert span.dimension == dense.dimension
         assert span.basis == dense.basis
 
     def test_pivot_entries_other_than_one(self):
         span, dense = SpanBasis(3), OracleIntegerSpanBasis(3)
         for v in ((6, 4, 0), (0, 9, 15), (3, 5, 7), (12, 2, 1)):
-            assert span.add(v) == dense.add(v)
+            assert inserted(span, v) == dense.add(v)
             assert_same_rows(span, dense)
         assert span.dimension == 3 and span.integer_rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -691,8 +713,10 @@ class TestIntegerLetterMapsAgainstDenseScan:
 
 
 class TestClosureAgainstDenseIntegerRows:
-    """``_closure`` on the sparse rows against the same closure on the dense
-    integer rows, backward and forward, on single automata and direct sums."""
+    """``_closure``, which pushes the sparse echelon row each accepted vector
+    adds, against ``oracle_closure``, which pushes the dense vector itself
+    through the same maps, backward and forward, on single automata and
+    direct sums."""
 
     @given(st.lists(signed_automata(), min_size=1, max_size=3))
     @settings(max_examples=150, deadline=None)
@@ -704,7 +728,36 @@ class TestClosureAgainstDenseIntegerRows:
             start = [y for r in reps for y in (r.gamma if left else r.lam)]
             span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
             found = _closure(span, start, actions)
-            expected = _closure(dense, start, actions)
-            assert [(path, list(v)) for path, v in found] == \
-                [(path, list(v)) for path, v in expected]
+            expected = oracle_closure(dense, start, actions)
+            assert [path for path, _ in found] == [path for path, _ in expected]
             assert_same_rows(span, dense)
+            # each row lies in the span of the oracle's vectors up to its
+            # path, and outside the span of those before it
+            prefix = OracleIntegerSpanBasis(dim)
+            for (_, row), (_, v) in zip(found, expected):
+                line = [row.get(j, 0) for j in range(dim)]
+                assert not prefix.contains(line)
+                prefix.add(v)
+                assert prefix.contains(line)
+                assert row[min(row)] > 0 and gcd(*row.values()) == 1
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_backward_rows_and_rank_at_scale(self, n):
+        """On a split ring copy (2n states) the backward rows equal the
+        oracle closure's, and the rank is the rank of the pairings of the
+        oracle's forward and backward vectors."""
+        a = split_copy(ring_pa(n), random.Random(n))
+        rep = a.to_linear_representation()
+        dim = a.n_states
+        span, _ = _backward_closure([rep])
+        letters = {left: oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], left)[0]
+                   for left in (True, False)}
+        dense = OracleIntegerSpanBasis(dim)
+        backward = [v for _, v in oracle_closure(dense, rep.gamma, letters[True])]
+        assert_same_rows(span, dense)
+        forward = [v for _, v in oracle_closure(OracleIntegerSpanBasis(dim), rep.lam,
+                                                letters[False])]
+        pairings = OracleIntegerSpanBasis(len(backward))
+        for f in forward:
+            pairings.add([sum(map(mul, f, b)) for b in backward])
+        assert hankel_rank(a) == pairings.dimension == n
