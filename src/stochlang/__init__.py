@@ -23,8 +23,8 @@ from .documents import (DocumentError, parse_automaton, parse_dfa,
 from .equivalence import (CombinationOutcome, EquivalenceOutcome,
                           are_equivalent, express_combination)
 from .linalg import (Constraint, Matrix, SpanBasis, Vector, lp_feasible,
-                     is_positive_definite, membership_in_span, rref,
-                     solve_affine, spectral_radius_lt_one)
+                     is_positive_definite, rref, solve_affine,
+                     spectral_radius_lt_one)
 from .reduction import (ReductionMode, ReductionStallError, hankel_rank,
                         is_reduced, reduce)
 from . import fixtures
@@ -39,7 +39,7 @@ __all__ = [
     "determinize_to_pda", "empty_automaton", "express_combination", "fixtures",
     "format_word", "from_linear_representation", "hankel_rank",
     "is_pa", "is_pda", "is_positive_definite", "is_pra_reduced", "is_reduced",
-    "is_semi_pa", "is_trimmed", "lp_feasible", "membership_in_span",
+    "is_semi_pa", "is_trimmed", "lp_feasible",
     "minimal_residual_generators", "parse_automaton", "parse_dfa", "parse_word",
     "pra_hardness_instance", "prefix_weight", "reduce",
     "rep_from_generator_relations", "residual_automaton", "rref",

@@ -35,7 +35,8 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     if text == EPSILON_SPELLING:
         return ()
     letters = tuple(text) if all(len(x) == 1 for x in alphabet) else tuple(text.split("."))
-    unknown = [x for x in letters if x not in set(alphabet)]
+    known = set(alphabet)
+    unknown = [x for x in letters if x not in known]
     if unknown:
         raise ValueError(f"letter {unknown[0]!r} is not in the alphabet")
     return letters
@@ -173,23 +174,13 @@ class MultiplicityAutomaton:
             index = {q: i for i, q in enumerate(self.states)}
             n = len(self.states)
             zero = Fraction(0)
-            lam = [zero] * n
-            for q, w in self.iota.items():
-                lam[index[q]] = w
-            gamma = [zero] * n
-            for q, w in self.tau.items():
-                gamma[index[q]] = w
-            grids = {x: [[zero] * n for _ in range(n)] for x in self.alphabet}
-            nonzero: dict[str, list] = {x: [] for x in self.alphabet}
+            entries = {x: [{} for _ in range(n)] for x in self.alphabet}
             for (q, x, r), w in self.phi.items():
-                i, j = index[q], index[r]
-                grids[x][i][j] = w
-                nonzero[x].append((i, j, w))
+                entries[x][index[q]][index[r]] = w
             self._rep = LinearRepresentation(
-                tuple(lam),
-                {x: Matrix._exact(tuple(map(tuple, grids[x])), n, tuple(nonzero[x]))
-                 for x in self.alphabet},
-                tuple(gamma))
+                tuple(self.iota.get(q, zero) for q in self.states),
+                {x: Matrix.from_entries(rows, n) for x, rows in entries.items()},
+                tuple(self.tau.get(q, zero) for q in self.states))
         return self._rep
 
     def evaluate(self, word: Sequence[str]) -> Fraction:
@@ -270,10 +261,9 @@ def from_linear_representation(rep: LinearRepresentation,
     tau = {states[i]: rep.gamma[i] for i in range(n)}
     phi = {}
     for x, m in rep.mu.items():
-        for i in range(n):
-            for j in range(n):
-                if m[i, j]:
-                    phi[(states[i], x, states[j])] = m[i, j]
+        for i, row in enumerate(m.entries):
+            for j, w in row.items():
+                phi[(states[i], x, states[j])] = w
     return MultiplicityAutomaton(rep.alphabet, states, iota, tau, phi)
 
 

@@ -213,6 +213,7 @@ class Dfa:
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
         state_set = set(self.states)
+        letter_set = set(self.alphabet)
         if self.initial not in state_set:
             raise ValueError(f"unknown initial state {self.initial!r}")
         if not self.finals <= state_set:
@@ -220,7 +221,7 @@ class Dfa:
         for (q, x), r in self.delta.items():
             if q not in state_set or r not in state_set:
                 raise ValueError(f"transition ({q!r}, {x!r}) uses an unknown state")
-            if x not in set(self.alphabet):
+            if x not in letter_set:
                 raise ValueError(f"transition ({q!r}, {x!r}) uses an unknown letter")
 
     def step(self, q: str | None, x: str) -> str | None:

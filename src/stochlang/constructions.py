@@ -42,8 +42,7 @@ from typing import Mapping, Sequence
 
 from .analysis import _series_sum, _state_sum_vector, _sum_table
 from .automata import (MultiplicityAutomaton, Word, format_word, letter_shift_automaton,
-                       length_lex_key, replace_iota, state_series_automaton,
-                       words_up_to)
+                       replace_iota, state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
 from .equivalence import (_backward_closure, _blocks, _value_table, are_equivalent,
                           combination_on_rows)
@@ -318,7 +317,8 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                 f"{format_word(check.witness, a.alphabet)}")
 
     word_of = {w: q for q, w in witness_words.items()}
-    ordered = sorted(vectors, key=lambda w: length_lex_key(w, a.alphabet))
+    index = {x: i for i, x in enumerate(a.alphabet)}
+    ordered = sorted(vectors, key=lambda w: (len(w), [index[x] for x in w]))
     names = {w: format_word(w, a.alphabet) for w in ordered}
 
     def mass(w: Word) -> Mass:

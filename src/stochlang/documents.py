@@ -58,14 +58,20 @@ def _name_list(data: object, what: str, forbid_dots: bool = False) -> list[str]:
     return data
 
 
-def parse_automaton(text: str) -> MultiplicityAutomaton:
-    """Parse an automaton document, rejecting anything structurally unsound."""
+def _load_json(text: str) -> dict:
+    """The JSON object of a document; malformed or too deeply nested text is invalid."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid document: {exc}") from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
+    return data
+
+
+def parse_automaton(text: str) -> MultiplicityAutomaton:
+    """Parse an automaton document, rejecting anything structurally unsound."""
+    data = _load_json(text)
     _require_keys(data, {"alphabet", "states", "initial", "final", "transitions"},
                   {"alphabet", "states"}, "document")
     alphabet = _name_list(data["alphabet"], "alphabet", forbid_dots=True)
@@ -129,17 +135,13 @@ def serialize_automaton(a: MultiplicityAutomaton) -> str:
 
 def parse_dfa(text: str) -> Dfa:
     """Parse a DFA document: keys alphabet, states, initial, finals, transitions."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid document: {exc}") from None
-    if not isinstance(data, dict):
-        raise DocumentError("document must be a JSON object")
+    data = _load_json(text)
     _require_keys(data, {"alphabet", "states", "initial", "finals", "transitions"},
                   {"alphabet", "states", "initial"}, "document")
     alphabet = _name_list(data["alphabet"], "alphabet", forbid_dots=True)
     states = _name_list(data["states"], "states")
     state_set = set(states)
+    letter_set = set(alphabet)
     initial = data["initial"]
     if not isinstance(initial, str):
         raise DocumentError(f"initial must be a state name, got {initial!r}")
@@ -161,7 +163,7 @@ def parse_dfa(text: str) -> Dfa:
         where = f"transition [{q!r}, {x!r}, {r!r}]"
         if q not in state_set or r not in state_set:
             raise DocumentError(f"{where}: unknown state")
-        if x not in set(alphabet):
+        if x not in letter_set:
             raise DocumentError(f"{where}: unknown letter {x!r}")
         if (q, x) in delta:
             raise DocumentError(f"{where}: second transition for this state and letter")

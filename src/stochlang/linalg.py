@@ -2,10 +2,12 @@
 
 Every scalar at the boundary is a ``fractions.Fraction``, so each result is
 exact and every decision procedure here (rank, solvability, definiteness,
-contraction, feasibility) is free of rounding. A ``Matrix`` stores its rows
-densely, but each one also knows its nonzero entries: an automaton's letter
-matrices are built with them, any other matrix finds them once, on first
-use, and span closures read only those entries.
+contraction, feasibility) is free of rounding. A ``Matrix`` stores only
+its nonzero entries, one ``{column: Fraction}`` dict per row: an
+automaton's letter matrices are filled straight from its transitions, and
+``vec_mat``, the integer letter maps and span closures read only those
+entries. The dense rows are made on demand, for the eliminations that
+work on them.
 
 Elimination runs fraction-free, on one kernel. Span membership does not
 depend on the scale of a vector, so :class:`SpanBasis` keeps its echelon
@@ -23,9 +25,9 @@ rows are the canonical reduced echelon form up to scale, which is unique, so
 them are the same as with ``Fraction`` rows throughout. ``rref`` is that
 basis for the rows of a matrix; ``solve_affine`` reads its solution off
 the sparse integer rows directly, with one ``Fraction`` per nonzero entry
-it returns, so ``membership_in_span``, ``invert`` and the equality step of
-``lp_feasible`` run on the same rows. Only ``determinant`` and
-Fourier-Motzkin still eliminate over ``Fraction``; the cone solve of
+it returns, so ``invert`` and the equality step of ``lp_feasible`` run on
+the same rows. Only ``determinant`` and Fourier-Motzkin still eliminate
+over ``Fraction``; the cone solve of
 ``equivalence.combination_on_rows`` gives Fourier-Motzkin the rows x >= 0
 in the coordinates of the nullspace read off the integer echelon rows
 (:func:`_particular`, :func:`_nullspace`).
@@ -51,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -94,16 +96,20 @@ def linear_combination(vectors_: Sequence[Sequence[Fraction]],
 
 
 class Matrix:
-    """Immutable dense rational matrix with an explicit shape.
+    """Immutable rational matrix with an explicit shape, stored as its nonzero entries.
 
-    The shape is fixed at construction; zero-row and zero-column matrices
-    are legal (``ncols`` must then be given explicitly for empty row lists).
+    ``entries[i]`` maps each column of a nonzero entry of row i to its
+    value, a nonzero ``Fraction``; treat it as read-only. ``Matrix(rows,
+    ncols)`` takes dense rows and :meth:`from_entries` the entries
+    themselves. The shape is fixed at construction; zero-row and zero-column
+    matrices are legal (``ncols`` must then be given explicitly for empty
+    row lists).
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_nonzero")
+    __slots__ = ("entries", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rows = tuple(vector(r) for r in rows)
+        rows = [vector(r) for r in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -113,55 +119,45 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self.rows = rows
+        self.entries = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
         self.nrows = len(rows)
         self.ncols = ncols
-        self._nonzero = None
 
     @classmethod
-    def _exact(cls, rows: tuple[Vector, ...], ncols: int,
-               nonzero: tuple[tuple[int, int, Fraction], ...]) -> "Matrix":
-        """A matrix on rows of Fractions taken as they are, with its nonzero entries.
-
-        Nothing is coerced or checked: the caller passes tuples of canonical
-        Fractions of width ``ncols`` and lists every nonzero cell once as
-        (row, column, value).
-        """
+    def from_entries(cls, entries: Iterable[Mapping[int, object]], ncols: int) -> "Matrix":
+        """The matrix whose row i holds the ``{column: value}`` map entries[i]
+        and zeros elsewhere; zero values are dropped."""
         m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols, m._nonzero = rows, len(rows), ncols, nonzero
+        m.entries = tuple({j: y for j, x in row.items() if (y := frac(x))} for row in entries)
+        if any(not 0 <= j < ncols for row in m.entries for j in row):
+            raise ValueError(f"column index out of range for {ncols} columns")
+        m.nrows, m.ncols = len(m.entries), ncols
         return m
 
-    def _entries(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """The nonzero cells as (row, column, value), found on the first call."""
-        if self._nonzero is None:
-            self._nonzero = tuple((i, j, x) for i, r in enumerate(self.rows)
-                                  for j, x in enumerate(r) if x)
-        return self._nonzero
-
-    @classmethod
-    def diagonal(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]], nrows: int) -> "Matrix":
-        return cls([[col[i] for col in columns] for i in range(nrows)], len(columns))
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The dense rows, made on each call."""
+        zero = Fraction(0)
+        return tuple(tuple(_dense(row, self.ncols, zero)) for row in self.entries)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
         return self.is_square() and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows) for j in range(i + 1, self.ncols))
+            self.entries[j].get(i) == x for i, row in enumerate(self.entries)
+            for j, x in row.items())
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.rows[i][j]
+        row = self.entries[i]
+        if not -self.ncols <= j < self.ncols:
+            raise IndexError("column index out of range")
+        return row.get(j % self.ncols, Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and self.entries == other.entries)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.ncols))
@@ -171,16 +167,23 @@ class Matrix:
         return f"Matrix([{body}], ncols={self.ncols})"
 
 
+def _dense(row: Mapping[int, object], dim: int, zero=0) -> list:
+    """The dense form of length dim of a ``{column: value}`` map, ``zero`` elsewhere."""
+    line = [zero] * dim
+    for j, x in row.items():
+        line[j] = x
+    return line
+
+
 def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
-    """Row vector times matrix."""
+    """Row vector times matrix, over the matrix's nonzero entries."""
     if len(v) != m.nrows:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows} rows")
     out = [Fraction(0)] * m.ncols
-    for vi, row in zip(v, m.rows):
+    for vi, row in zip(v, m.entries):
         if vi:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += vi * x
+            for j, x in row.items():
+                out[j] += vi * x
     return tuple(out)
 
 
@@ -269,18 +272,6 @@ def _nullspace(echelon: dict[int, dict[int, int]], n: int) -> list[list[Fraction
     return list(nullspace.values())
 
 
-def membership_in_span(v: Sequence[Fraction],
-                       basis: Sequence[Sequence[Fraction]]) -> Vector | None:
-    """Coefficients c with sum(c_i * basis_i) = v, or None if v is outside the span."""
-    v = vector(v)
-    basis = [vector(bv) for bv in basis]
-    if any(len(bv) != len(v) for bv in basis):
-        raise ValueError("basis vectors must share the target dimension")
-    a = Matrix.from_columns(basis, len(v))
-    sol = solve_affine(a, v)
-    return None if sol is None else sol.particular
-
-
 def determinant(m: Matrix) -> Fraction:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -307,8 +298,8 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.nrows
-    aug = Matrix([list(m.rows[i]) + [1 if i == j else 0 for j in range(n)]
-                  for i in range(n)], 2 * n)
+    aug = Matrix([list(r) + [1 if i == j else 0 for j in range(n)]
+                  for i, r in enumerate(m.rows)], 2 * n)
     red, pivots = rref(aug)
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
@@ -324,8 +315,9 @@ def is_positive_definite(p: Matrix) -> bool:
         raise ValueError("positive definiteness of a non-square matrix")
     if not p.is_symmetric():
         raise ValueError("matrix is not symmetric")
+    rows = p.rows
     for k in range(1, p.nrows + 1):
-        minor = Matrix([r[:k] for r in p.rows[:k]], k)
+        minor = Matrix([r[:k] for r in rows[:k]], k)
         if determinant(minor) <= 0:
             return False
     return True
@@ -631,25 +623,13 @@ class SpanBasis:
     def basis(self) -> list[Vector]:
         """The reduced echelon rows, in pivot order, with leading ones."""
         zero = Fraction(0)
-        out = []
-        for p, row in self._rows.items():
-            a = row[p]
-            line = [zero] * self.dim
-            for j, y in row.items():
-                line[j] = Fraction(y, a)
-            out.append(tuple(line))
-        return out
+        return [tuple(_dense({j: Fraction(y, row[p]) for j, y in row.items()}, self.dim, zero))
+                for p, row in self._rows.items()]
 
     @property
     def integer_rows(self) -> list[list[int]]:
         """The primitive integer echelon rows, dense, in pivot order."""
-        out = []
-        for row in self._rows.values():
-            line = [0] * self.dim
-            for j, y in row.items():
-                line[j] = y
-            out.append(line)
-        return out
+        return [_dense(row, self.dim) for row in self._rows.values()]
 
 
 def _clear(row: dict[int, int], a: int, c: int, new: dict[int, int]) -> dict[int, int]:
@@ -691,19 +671,20 @@ def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool
     ``letters``, and s.
     """
     scale = lcm(*(x.denominator for blocks in letters for m in blocks
-                  for _, _, x in m._entries()))
+                  for row in m.entries for x in row.values()))
     actions = []
     for blocks in letters:
         terms: _Action = []
         offset = 0
         for m in blocks:
-            lines: _Action = [[] for _ in range(m.ncols if left else m.nrows)]
-            for i, j, x in m._entries():
-                c = x.numerator * (scale // x.denominator)
-                if left:
-                    lines[j].append((offset + i, c))
-                else:
-                    lines[i].append((offset + j, c))
+            if left:
+                lines: _Action = [[] for _ in range(m.ncols)]
+                for i, row in enumerate(m.entries, offset):
+                    for j, x in row.items():
+                        lines[j].append((i, x.numerator * (scale // x.denominator)))
+            else:
+                lines = [[(offset + j, x.numerator * (scale // x.denominator))
+                          for j, x in row.items()] for row in m.entries]
             terms += lines
             offset += m.nrows
         actions.append(terms)
@@ -731,12 +712,12 @@ def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
     coordinate i the (input coordinate, coefficient) pairs that i gathers,
     for the dense vectors that :func:`_powers` takes.
     """
-    scale = lcm(*(x.denominator for m in matrices for _, _, x in m._entries()))
+    scale = lcm(*(x.denominator for m in matrices for row in m.entries for x in row.values()))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for m in matrices:
-        for i, j, x in m._entries():
-            row = rows[i]
-            row[j] = row.get(j, 0) + x.numerator * (scale // x.denominator)
+        for row, line in zip(rows, m.entries):
+            for j, x in line.items():
+                row[j] = row.get(j, 0) + x.numerator * (scale // x.denominator)
     g = gcd(scale, *(c for row in rows for c in row.values()))
     return [[(j, c // g) for j, c in row.items() if c] for row in rows], scale // g
 

@@ -20,10 +20,13 @@ replaced by a closure on the backward rows alone. Series sums run
 Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
 gamma, which the library replaced by the fraction-free recursions on
 integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
-which the library replaced by the integer rows of its span basis. The
-integer letter maps of a closure come from a scan of every cell of every
-letter matrix, with a transpose for backward maps, which the library
-replaced by a pass over each matrix's nonzero entries. A closure pushes
+which the library replaced by the integer rows of its span basis. A row
+vector goes through a letter matrix by a scan of every cell of its dense
+rows (``oracle_vec_mat``), which the library replaced by a pass over the
+matrix's nonzero entries. The integer letter maps of a closure come from
+a scan of every cell of every letter matrix, with a transpose for
+backward maps, which the library replaced by a pass over each matrix's
+nonzero entries. A closure pushes
 each accepted vector itself, dense, through the maps, which the library
 replaced by pushing the sparse echelon row the vector added to the span.
 The minimal polynomial of a vector comes from its Krylov closure under the dense
@@ -67,7 +70,7 @@ from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automat
 from stochlang.equivalence import _backward_closure, combination_on_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
-                              lp_feasible, unit_vector, vec_mat)
+                              lp_feasible, solve_affine, unit_vector)
 
 F = Fraction
 
@@ -212,8 +215,8 @@ def oracle_solve_affine(a, b):
 def oracle_invert(m):
     """Inverse read off the oracle echelon form of [M | Id]."""
     n = m.nrows
-    red, pivots = oracle_rref(Matrix([list(m.rows[i]) + [int(i == j) for j in range(n)]
-                                      for i in range(n)], 2 * n))
+    red, pivots = oracle_rref(Matrix([list(r) + [int(i == j) for j in range(n)]
+                                      for i, r in enumerate(m.rows)], 2 * n))
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Matrix([r[n:] for r in red.rows], n)
@@ -419,8 +422,8 @@ def oracle_word_basis(a, b):
         for x in alphabet:
             child = word + (x,)
             key = tuple(index[y] for y in child)
-            heapq.heappush(frontier, (len(child), key, child,
-                                      vec_mat(va, ra.mu[x]), vec_mat(vb, rb.mu[x])))
+            heapq.heappush(frontier, (len(child), key, child, oracle_vec_mat(va, ra.mu[x]),
+                                      oracle_vec_mat(vb, rb.mu[x])))
 
     push_children((), ra.lam, rb.lam)
     while frontier:
@@ -448,7 +451,7 @@ def oracle_hankel_rank(a):
                 stack.extend(step(v, rep.mu[x]) for x in rep.alphabet)
         return found
 
-    forward = close(rep.lam, vec_mat)
+    forward = close(rep.lam, oracle_vec_mat)
     backward = close(rep.gamma, lambda v, m: mat_vec(m, v))
     if not forward or not backward:
         return 0
@@ -458,6 +461,41 @@ def oracle_hankel_rank(a):
 
 # --------------------------------------------------- matrix and sum oracles
 
+def oracle_vec_mat(v, m):
+    """Row vector times matrix, by a scan of every cell of the dense rows."""
+    if len(v) != m.nrows:
+        raise ValueError(f"vector length {len(v)} does not match {m.nrows} rows")
+    out = [F(0)] * m.ncols
+    for vi, row in zip(v, m.rows):
+        if vi:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += vi * x
+    return tuple(out)
+
+
+def diagonal(entries):
+    """The square matrix with the given diagonal and zeros elsewhere."""
+    n = len(entries)
+    return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+
+def from_columns(columns, nrows):
+    """The nrows x len(columns) matrix whose columns are the given vectors."""
+    return Matrix([[col[i] for col in columns] for i in range(nrows)], len(columns))
+
+
+def membership_in_span(v, basis):
+    """Coefficients c with sum(c_i * basis_i) = v, from ``solve_affine`` on the
+    matrix whose columns are the basis vectors, or None if v is outside the span."""
+    v = tuple(F(x) for x in v)
+    basis = [tuple(F(x) for x in bv) for bv in basis]
+    if any(len(bv) != len(v) for bv in basis):
+        raise ValueError("basis vectors must share the target dimension")
+    sol = solve_affine(from_columns(basis, len(v)), v)
+    return None if sol is None else sol.particular
+
+
 def mat_vec(m, v):
     """Matrix times column vector."""
     return tuple(sum((x * vj for x, vj in zip(r, v) if x), F(0)) for r in m.rows)
@@ -465,18 +503,20 @@ def mat_vec(m, v):
 
 def identity(n):
     """The n x n identity matrix."""
-    return Matrix.diagonal([1] * n)
+    return diagonal([1] * n)
 
 
 def transpose(m):
-    return Matrix([[r[j] for r in m.rows] for j in range(m.ncols)], m.nrows)
+    rows = m.rows
+    return Matrix([[r[j] for r in rows] for j in range(m.ncols)], m.nrows)
 
 
 def mat_mul(a, b):
     """The product a b of two matrices."""
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    return Matrix([[dot(r, c) for c in transpose(b).rows] for r in a.rows], b.ncols)
+    columns = transpose(b).rows
+    return Matrix([[dot(r, c) for c in columns] for r in a.rows], b.ncols)
 
 
 def mat_sub(a, b):
@@ -504,7 +544,7 @@ def oracle_krylov_closure(m, v):
     while span.add(v):
         vecs.append(v)
         v = mat_vec(m, v)
-    alpha = oracle_solve_affine(Matrix.from_columns(vecs, m.nrows), v).particular
+    alpha = oracle_solve_affine(from_columns(vecs, m.nrows), v).particular
     return vecs, tuple(-x for x in alpha) + (F(1),)
 
 
@@ -581,7 +621,7 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
     r = iota
     while ospan.add(r):
         o_vecs.append(r)
-        r = vec_mat(r, m)
+        r = oracle_vec_mat(r, m)
     h_vecs = []
     if e_vecs:
         pairing = Matrix([[dot(o, e) for e in e_vecs] for o in o_vecs], len(e_vecs))
@@ -594,8 +634,8 @@ def decomposition_sum(m, iota, tau, reverse_complement=False):
     g_vecs = [e for e in candidates if basis.add(e)]
     unit_order = reversed(range(n)) if reverse_complement else range(n)
     f_vecs = [u for u in (unit_vector(n, i) for i in unit_order) if basis.add(u)]
-    b = Matrix.from_columns(g_vecs + h_vecs + f_vecs, n)
-    d = Matrix.diagonal([1 if i < len(g_vecs) else 0 for i in range(n)])
+    b = from_columns(g_vecs + h_vecs + f_vecs, n)
+    d = diagonal([1 if i < len(g_vecs) else 0 for i in range(n)])
     p_g = mat_mul(mat_mul(b, d), oracle_invert(b))
     compressed = mat_mul(mat_mul(p_g, m), p_g)
     if not lyapunov_lt_one(compressed):

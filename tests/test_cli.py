@@ -307,6 +307,18 @@ def test_malformed_dfa_exits_3_without_traceback(tmp_path, key, value, message):
     assert out.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["sum", "hardness"])
+def test_deeply_nested_document_exits_3_without_traceback(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    out = subprocess.run([sys.executable, "-m", "stochlang", command, str(path)],
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: invalid document: ")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+
 class TestFixtureCommand:
     def test_round_trips_through_analysis(self, capsys, tmp_path):
         code, out = run_cli(capsys, "fixture", "fig3_App")

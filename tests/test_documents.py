@@ -86,6 +86,15 @@ class TestParse:
         with pytest.raises(DocumentError):
             parse_automaton("not a document")
 
+    @pytest.mark.parametrize("parse", [parse_automaton, parse_dfa])
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 5_000 + "]" * 5_000,
+                                      '{"alphabet": ' + "[" * 5_000 + "]" * 5_000 + "}"],
+                             ids=["unclosed", "balanced", "inside-a-key"])
+    def test_deeply_nested_json_is_an_invalid_document(self, parse, text):
+        # the JSON decoder gives up on deep nesting with a RecursionError
+        with pytest.raises(DocumentError, match="^invalid document: "):
+            parse(text)
+
     def test_reserved_letter_names(self):
         doc = fig2_doc()
         doc["alphabet"] = ["a", "@"]

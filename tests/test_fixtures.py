@@ -6,7 +6,7 @@ import pytest
 from stochlang import (check_stochastic_bounded, fixtures, prefix_weight,
                        residual_automaton, total_sum, words_up_to)
 
-from helpers import (example1_residual_value, fig3_value, letter_sum_matrix,
+from helpers import (diagonal, example1_residual_value, fig3_value, letter_sum_matrix,
                      lucas, p1_value, p2_value, p_value, t_value)
 
 F = Fraction
@@ -80,9 +80,8 @@ class TestFig3:
             assert ap(("b",) + w) == F(1, 6) * p(w)
 
     def test_letter_sum_matrix_is_three_quarters_identity(self):
-        from stochlang.linalg import Matrix
         m = letter_sum_matrix(fixtures.build("fig3_App"))
-        assert m == Matrix.diagonal([F(3, 4)] * 2)
+        assert m == diagonal([F(3, 4)] * 2)
 
     def test_total_sum_is_one(self):
         outcome = total_sum(fixtures.build("fig3_App"))

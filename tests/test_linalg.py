@@ -12,14 +12,15 @@ from stochlang.equivalence import _backward_closure
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_actions,
                               _integer_sum, _minimal_polynomial, _powers,
                               _primitive, dot, is_positive_definite,
-                              lp_feasible, membership_in_span, rref,
-                              schur_stable, solve_affine, spectral_radius_lt_one)
+                              lp_feasible, rref, schur_stable, solve_affine,
+                              spectral_radius_lt_one)
 
-from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, identity, jury_lt_one_2x2,
-                     lyapunov_lt_one, mat_mul, mat_sub, mat_vec, matrix_power, max_abs_entry,
-                     oracle_closure, oracle_integer_actions, oracle_integer_sum,
-                     oracle_krylov_closure, oracle_rref, oracle_schur_stable,
-                     oracle_solve_affine, random_ma, ring_pa, split_copy, transpose)
+from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, diagonal, from_columns,
+                     identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul, mat_sub, mat_vec,
+                     matrix_power, max_abs_entry, membership_in_span, oracle_closure,
+                     oracle_integer_actions, oracle_integer_sum, oracle_krylov_closure,
+                     oracle_rref, oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
+                     random_ma, ring_pa, split_copy, transpose)
 
 F = Fraction
 
@@ -57,6 +58,35 @@ class TestRref:
         assert again == red
 
 
+class TestMatrixSurface:
+    def test_entries_rows_and_cells(self):
+        m = Matrix([[0, "1/2", 0], [0, 0, 0]])
+        assert m.entries == ({1: F(1, 2)}, {})
+        assert m.rows == ((F(0), F(1, 2), F(0)), (F(0), F(0), F(0)))
+        assert (m[0, 1], m[1, 2], m[-2, -2]) == (F(1, 2), F(0), F(1, 2))
+        assert all(type(m[i, j]) is Fraction for i in range(2) for j in range(3))
+        for key in [(2, 0), (0, 3), (0, -4)]:
+            with pytest.raises(IndexError):
+                m[key]
+        assert repr(m) == "Matrix([[0, 1/2, 0], [0, 0, 0]], ncols=3)"
+        assert hash(m) == hash((m.rows, 3))
+
+    def test_from_entries_coerces_and_drops_zeros(self):
+        m = Matrix.from_entries([{1: "1/2", 2: 0}, {}], 3)
+        assert m == Matrix([[0, "1/2", 0], [0, 0, 0]])
+        assert m.entries == ({1: F(1, 2)}, {}) and (m.nrows, m.ncols) == (2, 3)
+        assert Matrix.from_entries([], 2) == Matrix([], 2) != Matrix([], 3)
+        for column in (3, -1):
+            with pytest.raises(ValueError):
+                Matrix.from_entries([{column: 1}], 3)
+
+    def test_is_symmetric(self):
+        assert Matrix([[1, 2], [2, 0]]).is_symmetric()
+        assert not Matrix([[1, 2], [0, 1]]).is_symmetric()
+        assert not Matrix([[1, 0], [2, 1]]).is_symmetric()
+        assert not Matrix([[1, 2]]).is_symmetric()
+
+
 # ints and Fractions with denominators up to 10^6, zero often
 mixed_st = st.one_of(st.just(0), st.integers(-9, 9),
                      st.fractions(min_value=-9, max_value=9, max_denominator=10**6))
@@ -82,8 +112,9 @@ def dependent_matrices(draw):
 
 
 class TestEliminationAgainstFractionOracle:
-    """rref, solve_affine and membership_in_span run on the integer rows of
-    SpanBasis; Gauss-Jordan over Fractions must give the same answers."""
+    """rref and solve_affine run on the integer rows of SpanBasis, also on
+    the column matrix of a membership question; Gauss-Jordan over Fractions
+    must give the same answers."""
 
     @given(dependent_matrices(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -100,7 +131,7 @@ class TestEliminationAgainstFractionOracle:
         v = data.draw(st.one_of(
             st.just(mat_vec(transpose(m), y)),
             st.lists(mixed_st, min_size=m.ncols, max_size=m.ncols)))
-        expected = oracle_solve_affine(Matrix.from_columns(m.rows, m.ncols), v)
+        expected = oracle_solve_affine(from_columns(m.rows, m.ncols), v)
         assert membership_in_span(v, m.rows) == (
             None if expected is None else expected.particular)
 
@@ -163,7 +194,7 @@ class TestSpectralRadius:
         assert spectral_radius_lt_one(m)
         # the associated quadratic-form solution is (16/7) Id, check by substitution
         p = Matrix([[F(16, 7), 0], [0, F(16, 7)]])
-        assert mat_sub(mat_mul(mat_mul(transpose(m), p), m), p) == Matrix.diagonal([-1, -1])
+        assert mat_sub(mat_mul(mat_mul(transpose(m), p), m), p) == diagonal([-1, -1])
 
     def test_identity_is_not(self):
         assert not spectral_radius_lt_one(identity(1))
@@ -702,14 +733,36 @@ class TestIntegerLetterMapsAgainstDenseScan:
     @settings(max_examples=150, deadline=None)
     def test_representation_equals_the_dense_matrices(self, a):
         rep = a.to_linear_representation()
+        n = a.n_states
         for x in LETTERS:
-            dense = Matrix(dense_grid(a, x), a.n_states)
-            assert rep.mu[x] == dense and hash(rep.mu[x]) == hash(dense)
-            assert (rep.mu[x].nrows, rep.mu[x].ncols) == (dense.nrows, dense.ncols)
-            assert set(rep.mu[x]._entries()) == set(dense._entries())
-            assert all(type(v) is Fraction for row in rep.mu[x].rows for v in row)
+            m, grid = rep.mu[x], dense_grid(a, x)
+            dense = Matrix(grid, n)
+            assert m == dense and hash(m) == hash(dense)
+            assert (m.nrows, m.ncols) == (dense.nrows, dense.ncols) == (n, n)
+            # the entries are exactly the transitions on x, as nonzero Fractions
+            assert m.entries == dense.entries == tuple(
+                {j: w for j, w in enumerate(row) if w} for row in grid)
+            assert {(a.states[i], x, a.states[j]): w for i, row in enumerate(m.entries)
+                    for j, w in row.items()} == {t: w for t, w in a.phi.items() if t[1] == x}
+            assert all(type(w) is Fraction and w for row in m.entries for w in row.values())
+            assert m.rows == tuple(map(tuple, grid))
+            assert all(type(v) is Fraction for row in m.rows for v in row)
+            assert all(m[i, j] == grid[i][j] for i in range(n) for j in range(n))
         assert rep.lam == tuple(a.iota_weight(q) for q in a.states)
         assert rep.gamma == tuple(a.tau_weight(q) for q in a.states)
+
+    @given(signed_automata(), st.lists(st.sampled_from(LETTERS), max_size=6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_forward_matches_the_dense_oracle(self, a, word, data):
+        rep = a.to_linear_representation()
+        v = tuple(data.draw(st.lists(fractions_st, min_size=a.n_states,
+                                     max_size=a.n_states)))
+        for start in (rep.lam, v):
+            expected = start
+            for x in word:
+                expected = oracle_vec_mat(expected, rep.mu[x])
+            assert rep.forward(start, word) == expected
+        assert rep.evaluate(word) == dot(rep.forward(rep.lam, word), rep.gamma)
 
 
 class TestClosureAgainstDenseIntegerRows:
