@@ -103,6 +103,19 @@ def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def _state_weights(kind: str, weights: Mapping[str, object],
+                   states: set[str]) -> dict[str, Fraction]:
+    """The nonzero weights of a map from declared states to rationals."""
+    out = {}
+    for q, w in weights.items():
+        if q not in states:
+            raise ValueError(f"{kind} weight for unknown state {q!r}")
+        w = frac(w)
+        if w:
+            out[q] = w
+    return out
+
+
 class MultiplicityAutomaton:
     """States, alphabet and the weight maps iota, tau, phi.
 
@@ -117,20 +130,8 @@ class MultiplicityAutomaton:
         self.states = _checked_names("state", states)
         state_set = set(self.states)
         letter_set = set(self.alphabet)
-        self.iota: dict[str, Fraction] = {}
-        for q, w in iota.items():
-            if q not in state_set:
-                raise ValueError(f"initial weight for unknown state {q!r}")
-            w = frac(w)
-            if w:
-                self.iota[q] = w
-        self.tau: dict[str, Fraction] = {}
-        for q, w in tau.items():
-            if q not in state_set:
-                raise ValueError(f"final weight for unknown state {q!r}")
-            w = frac(w)
-            if w:
-                self.tau[q] = w
+        self.iota = _state_weights("initial", iota, state_set)
+        self.tau = _state_weights("final", tau, state_set)
         self.phi: dict[tuple[str, str, str], Fraction] = {}
         for (q, x, r), w in phi.items():
             if q not in state_set or r not in state_set:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .analysis import total_sum
-from .automata import (MultiplicityAutomaton, Word, is_trimmed, words_up_to)
+from .automata import MultiplicityAutomaton, Word, _checked_names, is_trimmed, words_up_to
 from .reduction import ReductionMode, is_reduced, reduce
 
 UNDECIDABILITY_NOTE = ("bounded check only: nonnegativity was tested up to the stated "
@@ -66,7 +66,13 @@ def is_pda(a: MultiplicityAutomaton) -> bool:
 
 
 def _singleton_witnesses(a: MultiplicityAutomaton) -> dict[str, Word]:
-    """Smallest word steering the support powerset to each singleton state set."""
+    """Smallest word steering the support powerset to each singleton state set.
+
+    The search is breadth-first over the state sets reachable in the support
+    powerset, so it can visit up to 2^n of them for n states. No general
+    shortcut is expected: the source paper shows that deciding whether a PA
+    is a residual automaton is PSPACE-hard (see ``pra_hardness_instance``).
+    """
     delta = a.support_delta()
     start = frozenset(a.initial_states())
     witnesses: dict[str, Word] = {}
@@ -96,7 +102,9 @@ def residual_witnesses(a: MultiplicityAutomaton) -> tuple[bool, dict[str, Word] 
     The verdict means something only for a cone-reduced PA. This function
     checks the PA conditions (ValueError) but trusts the caller on
     reducedness, as for the output of ``reduce(..., ReductionMode.CONE)``;
-    :func:`is_pra_reduced` checks both.
+    :func:`is_pra_reduced` checks both. The witness search runs over the
+    support powerset and can take time exponential in the number of states
+    (up to 2^n state sets); the question is PSPACE-hard.
     """
     return _residual_witnesses(a, is_pa(a))
 
@@ -211,6 +219,8 @@ class Dfa:
     delta: Mapping[tuple[str, str], str]
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", _checked_names("letter", self.alphabet))
+        object.__setattr__(self, "states", _checked_names("state", self.states))
         object.__setattr__(self, "finals", frozenset(self.finals))
         state_set = set(self.states)
         letter_set = set(self.alphabet)
@@ -220,9 +230,9 @@ class Dfa:
             raise ValueError("final states must be declared states")
         for (q, x), r in self.delta.items():
             if q not in state_set or r not in state_set:
-                raise ValueError(f"transition ({q!r}, {x!r}) uses an unknown state")
+                raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown state")
             if x not in letter_set:
-                raise ValueError(f"transition ({q!r}, {x!r}) uses an unknown letter")
+                raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown letter")
 
     def step(self, q: str | None, x: str) -> str | None:
         if q is None:

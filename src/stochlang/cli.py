@@ -49,6 +49,11 @@ EXIT_DIVERGENT = 13
 EXIT_NOT_PRA = 14
 EXIT_INCONCLUSIVE = 15
 
+# The interpreter's bound on int/str conversion (Python >= 3.10.7), which
+# ``main`` lifts so that every exact result prints.
+_get_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -320,11 +325,15 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = _get_int_digits()
+    _set_int_digits(0)
     try:
         return ns.handler(ns)
     except (DocumentError, ValueError, ReductionStallError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        _set_int_digits(limit)
 
 
 if __name__ == "__main__":

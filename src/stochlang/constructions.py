@@ -79,8 +79,9 @@ class _Residuals:
         self.rows = list(_backward_closure([rep])[0]._rows.values())
         self.sums = _state_sum_vector(self.table, rep.dim)
         self.unit = Fraction(1) if self.sums is None else self.sums[1]
-        self.gamma, gamma_factor = _primitive_with_factor(rep.gamma)
-        self.tau_factor = gamma_factor / self.unit
+        # gamma = factor g, and g = A^0 g is the table's first vector (none at n = 0)
+        self.gamma = self.table.powers[0] if self.table.powers else []
+        self.tau_factor = self.table.factor / self.unit
         self.start, lam_factor = _primitive_with_factor(rep.lam)
         self.start_factor = lam_factor * self.unit
 

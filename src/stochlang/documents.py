@@ -1,9 +1,15 @@
 """Text document format for automata, and a companion format for DFAs.
 
 Documents are JSON with a fixed key set. All weights are rational strings
-"p" or "p/q" with decimal integers and q > 0; omitted entries mean weight
-zero. Serialization is canonical: parsing a document and serialising the
-result is byte-identical once weights are in lowest terms.
+"p" or "p/q" with decimal integers of at most ``MAX_DIGITS`` digits and
+q > 0; omitted entries mean weight zero. No JSON object may repeat a key.
+Serialization is canonical: parsing a document and serialising the result
+is byte-identical once weights are in lowest terms.
+
+The parser checks only this syntax. Whether the names and the state and
+letter references describe an automaton is checked by the constructors of
+:class:`MultiplicityAutomaton` and :class:`Dfa`, whose ``ValueError``
+becomes a :class:`DocumentError`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,11 @@ from .classify import Dfa
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
+# Most decimal digits in a numerator or denominator: the interpreter's
+# default bound on int/str conversion, so a document parses the same with
+# that bound in force or lifted.
+MAX_DIGITS = 4300
+
 
 class DocumentError(ValueError):
     """A document failed validation; the message names the offending item."""
@@ -29,12 +40,14 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: object, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise DocumentError(f"{where}: malformed rational {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise DocumentError(f"{where}: malformed rational {text!r} (zero denominator)")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
+        raise DocumentError(f"{where}: rational with more than {MAX_DIGITS} digits")
+    if not den:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise DocumentError(f"{where}: malformed rational {text!r} (zero denominator)")
+    return Fraction(int(num), int(den))
 
 
 def _require_keys(data: dict, allowed: set[str], required: set[str], what: str) -> None:
@@ -46,27 +59,47 @@ def _require_keys(data: dict, allowed: set[str], required: set[str], what: str) 
         raise DocumentError(f"{what}: missing key {sorted(missing)[0]!r}")
 
 
-def _name_list(data: object, what: str, forbid_dots: bool = False) -> list[str]:
-    if not isinstance(data, list) or not all(isinstance(x, str) and x for x in data):
-        raise DocumentError(f"{what} must be a list of non-empty strings")
-    if len(set(data)) != len(data):
-        raise DocumentError(f"duplicate entry in {what}")
-    if forbid_dots:
-        for x in data:
-            if "." in x or x == "@":
-                raise DocumentError(f"{what}: name {x!r} is reserved for word syntax")
+def _name_list(data: object, what: str) -> list[str]:
+    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise DocumentError(f"{what} must be a list of strings")
+    return data
+
+
+def _alphabet(data: object) -> list[str]:
+    """The letters of a document; '.' and '@' belong to the word syntax."""
+    for x in _name_list(data, "alphabet"):
+        if "." in x or x == "@":
+            raise DocumentError(f"alphabet: name {x!r} is reserved for word syntax")
+    return data
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
     return data
 
 
 def _load_json(text: str) -> dict:
-    """The JSON object of a document; malformed or too deeply nested text is invalid."""
+    """The JSON object of a document; malformed, too deeply nested text or a
+    repeated key in one object is invalid."""
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid document: {exc}") from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     return data
+
+
+def _build(cls, *args):
+    """``cls(*args)``, its ValueError raised again as a DocumentError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def parse_automaton(text: str) -> MultiplicityAutomaton:
@@ -74,21 +107,14 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
     data = _load_json(text)
     _require_keys(data, {"alphabet", "states", "initial", "final", "transitions"},
                   {"alphabet", "states"}, "document")
-    alphabet = _name_list(data["alphabet"], "alphabet", forbid_dots=True)
+    alphabet = _alphabet(data["alphabet"])
     states = _name_list(data["states"], "states")
-    state_set = set(states)
-    letter_set = set(alphabet)
 
     def weight_map(key: str) -> dict[str, Fraction]:
         raw = data.get(key, {})
         if not isinstance(raw, dict):
             raise DocumentError(f"{key} must be an object mapping states to rationals")
-        out = {}
-        for q, w in raw.items():
-            if q not in state_set:
-                raise DocumentError(f"{key}[{q!r}]: unknown state")
-            out[q] = parse_rational(w, f"{key}[{q!r}]")
-        return out
+        return {q: parse_rational(w, f"{key}[{q!r}]") for q, w in raw.items()}
 
     iota = weight_map("initial")
     tau = weight_map("final")
@@ -103,16 +129,10 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
             raise DocumentError(f"transition {item!r} must be [from, letter, to, weight]")
         q, x, r, w = item
         where = f"transition [{q!r}, {x!r}, {r!r}]"
-        if q not in state_set:
-            raise DocumentError(f"{where}: unknown source state {q!r}")
-        if r not in state_set:
-            raise DocumentError(f"{where}: unknown target state {r!r}")
-        if x not in letter_set:
-            raise DocumentError(f"{where}: unknown letter {x!r}")
         if (q, x, r) in phi:
             raise DocumentError(f"duplicate {where}")
         phi[(q, x, r)] = parse_rational(w, where)
-    return MultiplicityAutomaton(alphabet, states, iota, tau, phi)
+    return _build(MultiplicityAutomaton, alphabet, states, iota, tau, phi)
 
 
 def serialize_automaton(a: MultiplicityAutomaton) -> str:
@@ -138,18 +158,13 @@ def parse_dfa(text: str) -> Dfa:
     data = _load_json(text)
     _require_keys(data, {"alphabet", "states", "initial", "finals", "transitions"},
                   {"alphabet", "states", "initial"}, "document")
-    alphabet = _name_list(data["alphabet"], "alphabet", forbid_dots=True)
+    alphabet = _alphabet(data["alphabet"])
     states = _name_list(data["states"], "states")
-    state_set = set(states)
-    letter_set = set(alphabet)
     initial = data["initial"]
     if not isinstance(initial, str):
         raise DocumentError(f"initial must be a state name, got {initial!r}")
-    if initial not in state_set:
-        raise DocumentError(f"initial: unknown state {initial!r}")
     finals = data.get("finals", [])
-    if not isinstance(finals, list) or not all(
-            isinstance(q, str) and q in state_set for q in finals):
+    if not isinstance(finals, list) or not all(isinstance(q, str) for q in finals):
         raise DocumentError("finals must list declared states")
     raw_transitions = data.get("transitions", [])
     if not isinstance(raw_transitions, list):
@@ -160,15 +175,11 @@ def parse_dfa(text: str) -> Dfa:
                 isinstance(x, str) for x in item):
             raise DocumentError(f"transition {item!r} must be [from, letter, to]")
         q, x, r = item
-        where = f"transition [{q!r}, {x!r}, {r!r}]"
-        if q not in state_set or r not in state_set:
-            raise DocumentError(f"{where}: unknown state")
-        if x not in letter_set:
-            raise DocumentError(f"{where}: unknown letter {x!r}")
         if (q, x) in delta:
-            raise DocumentError(f"{where}: second transition for this state and letter")
+            raise DocumentError(f"transition [{q!r}, {x!r}, {r!r}]: "
+                                "second transition for this state and letter")
         delta[(q, x)] = r
-    return Dfa(tuple(alphabet), tuple(states), initial, frozenset(finals), delta)
+    return _build(Dfa, alphabet, states, initial, finals, delta)
 
 
 def serialize_dfa(d: Dfa) -> str:

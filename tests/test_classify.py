@@ -381,6 +381,20 @@ class TestHardnessInstance:
         with pytest.raises(ValueError, match="final states must be declared states"):
             Dfa(("a",), ("s0",), "s0", ["s9"], {("s0", "a"): "s0"})
 
+    @pytest.mark.parametrize("alphabet,states,message", [
+        (("a",), ("s0", "s0"), "duplicate state name"),
+        (("a", "a"), ("s0",), "duplicate letter name"),
+        (("a",), ("s0", ""), "state names must be non-empty strings, got ''"),
+        (("",), ("s0",), "letter names must be non-empty strings, got ''"),
+    ])
+    def test_dfa_checks_its_names(self, alphabet, states, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dfa(alphabet, states, "s0", ["s0"], {})
+
+    def test_dfa_stores_its_names_as_tuples(self):
+        d = Dfa(["a"], ["s0"], "s0", ["s0"], {("s0", "a"): "s0"})
+        assert d.alphabet == ("a",) and d.states == ("s0",)
+
     def test_rejects_empty_language(self):
         d = Dfa(("a",), ("s0",), "s0", frozenset(), {("s0", "a"): "s0"})
         with pytest.raises(ValueError):

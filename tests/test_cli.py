@@ -319,6 +319,97 @@ def test_deeply_nested_document_exits_3_without_traceback(tmp_path, command):
     assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
 
+AUTOMATON_DOC = {"alphabet": ["a"], "states": ["q0", "q1"], "initial": {"q0": "1"},
+                 "final": {"q1": "1/2"}, "transitions": [["q0", "a", "q1", "1/2"]]}
+DFA_DOC = {"alphabet": ["a"], "states": ["s0"], "initial": "s0", "finals": ["s0"],
+           "transitions": [["s0", "a", "s0"]]}
+
+
+def run_on_document(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command,base,edit,message", [
+    ("sum", AUTOMATON_DOC, lambda doc: doc["initial"].update(ghost="1"),
+     "initial weight for unknown state 'ghost'"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["final"].update(ghost="1"),
+     "final weight for unknown state 'ghost'"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["transitions"].append(["q0", "a", "ghost", "1"]),
+     "transition ('q0', 'a', 'ghost') uses an unknown state"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["transitions"].append(["q0", "z", "q1", "1"]),
+     "transition ('q0', 'z', 'q1') uses an unknown letter"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["states"].append(""),
+     "state names must be non-empty strings, got ''"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["alphabet"].append(""),
+     "letter names must be non-empty strings, got ''"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["states"].append("q1"), "duplicate state name"),
+    ("sum", AUTOMATON_DOC, lambda doc: doc["alphabet"].append("a"), "duplicate letter name"),
+    ("hardness", DFA_DOC, lambda doc: doc.update(initial="ghost"),
+     "unknown initial state 'ghost'"),
+    ("hardness", DFA_DOC, lambda doc: doc["finals"].append("ghost"),
+     "final states must be declared states"),
+    ("hardness", DFA_DOC, lambda doc: doc["transitions"].append(["ghost", "a", "s0"]),
+     "transition ('ghost', 'a', 's0') uses an unknown state"),
+    ("hardness", DFA_DOC, lambda doc: doc["states"].append("s0"), "duplicate state name"),
+    ("hardness", DFA_DOC, lambda doc: doc["alphabet"].append(""),
+     "letter names must be non-empty strings, got ''"),
+])
+def test_unsound_documents_exit_3_with_one_error_line(capsys, tmp_path, command, base, edit,
+                                                       message):
+    # names and references are checked by the constructors, not by the parser
+    doc = json.loads(json.dumps(base))
+    edit(doc)
+    assert run_on_document(capsys, tmp_path, command, doc) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("sum", '{"alphabet": ["a"], "states": ["p"], "initial": {"p": "1", "p": "1/2"}, '
+     '"final": {"p": "1/2"}, "final": {"p": "1"}}', "p"),
+    ("hardness", '{"alphabet": ["a"], "states": ["s"], "initial": "s", "finals": [], '
+     '"finals": ["s"], "transitions": [["s", "a", "s"]]}', "finals"),
+], ids=["automaton", "dfa"])
+def test_duplicate_keys_exit_3(capsys, tmp_path, command, text, key):
+    # the JSON decoder would silently keep the last value (sum used to print 2/3)
+    assert run_on_document(capsys, tmp_path, command, text) == (
+        3, "", f"error: invalid document: duplicate key {key!r}\n")
+
+
+def test_weight_beyond_the_digit_bound_exits_3(capsys, tmp_path):
+    doc = json.loads(json.dumps(AUTOMATON_DOC))
+    doc["transitions"][0][3] = "1/" + "9" * 5000
+    assert run_on_document(capsys, tmp_path, "sum", doc) == (
+        3, "", "error: transition ['q0', 'a', 'q1']: rational with more than 4300 digits\n")
+
+
+def test_exact_sum_beyond_the_int_digit_bound_prints(capsys, tmp_path):
+    # final weight 1/(N+1) and loop weight 1/(N+3), N = 10^3999: the sum
+    # (N+3)/((N+1)(N+2)) has about 8000 digits, more than str(int) allows
+    n = 10 ** 3999
+    doc = {"alphabet": ["a"], "states": ["q"], "initial": {"q": "1"},
+           "final": {"q": f"1/{n + 1}"}, "transitions": [["q", "a", "q", f"1/{n + 3}"]]}
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_on_document(capsys, tmp_path, "sum", doc)
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    expected = Fraction(n + 3, (n + 1) * (n + 2))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"converges: true\nvalue: {expected}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["pda", "minimal-gens"])
+def test_automaton_without_states_is_not_a_distribution(capsys, tmp_path, command):
+    doc = {"alphabet": ["a"], "states": []}
+    assert run_on_document(capsys, tmp_path, command, doc) == (
+        3, "", "error: the series must have total mass 1\n")
+
+
 class TestFixtureCommand:
     def test_round_trips_through_analysis(self, capsys, tmp_path):
         code, out = run_cli(capsys, "fixture", "fig3_App")

@@ -1,5 +1,7 @@
+import copy
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from stochlang import (DocumentError, fixtures, parse_automaton, parse_dfa,
                        serialize_automaton, serialize_dfa)
 from stochlang.classify import Dfa
-from stochlang.documents import parse_rational
+from stochlang.documents import MAX_DIGITS, parse_rational
 
 from helpers import random_ma
 
@@ -58,6 +60,27 @@ class TestParse:
         with pytest.raises(DocumentError, match="ghost"):
             parse_automaton(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["initial"].update(ghost="1"),
+         "initial weight for unknown state 'ghost'"),
+        (lambda doc: doc["final"].update(ghost="1"),
+         "final weight for unknown state 'ghost'"),
+        (lambda doc: doc["transitions"].append(["ghost", "a", "q0", "1"]),
+         "transition ('ghost', 'a', 'q0') uses an unknown state"),
+        (lambda doc: doc["transitions"].append(["q0", "z", "q0", "1"]),
+         "transition ('q0', 'z', 'q0') uses an unknown letter"),
+        (lambda doc: doc["states"].append(""), "state names must be non-empty strings, got ''"),
+        (lambda doc: doc["alphabet"].append(""), "letter names must be non-empty strings, got ''"),
+        (lambda doc: doc["states"].append("q0"), "duplicate state name"),
+        (lambda doc: doc["alphabet"].append("b"), "duplicate letter name"),
+    ])
+    def test_constructor_checks_become_document_errors(self, edit, message):
+        # names and references are checked once, by MultiplicityAutomaton
+        doc = fig2_doc()
+        edit(doc)
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            parse_automaton(json.dumps(doc))
+
     def test_unknown_transition_target(self):
         doc = fig2_doc()
         doc["transitions"].append(["q0", "a", "ghost", "1/2"])
@@ -94,6 +117,34 @@ class TestParse:
         # the JSON decoder gives up on deep nesting with a RecursionError
         with pytest.raises(DocumentError, match="^invalid document: "):
             parse(text)
+
+    @pytest.mark.parametrize("parse,text,key", [
+        (parse_automaton, '{"alphabet": ["a"], "states": ["p"], '
+         '"initial": {"p": "1", "p": "1/2"}, "final": {"p": "1/2"}}', "p"),
+        (parse_automaton, '{"alphabet": ["a"], "states": ["p"], '
+         '"initial": {"p": "1"}, "final": {"p": "1/2"}, "final": {"p": "1"}}', "final"),
+        (parse_dfa, '{"alphabet": ["a"], "states": ["s"], "initial": "s", '
+         '"initial": "s", "finals": ["s"]}', "initial"),
+    ], ids=["initial", "final", "dfa"])
+    def test_duplicate_keys_are_rejected(self, parse, text, key):
+        # the JSON decoder keeps the last value of a repeated key by default
+        with pytest.raises(DocumentError, match=f"^invalid document: duplicate key '{key}'$"):
+            parse(text)
+
+    @pytest.mark.parametrize("weight", ["1" * 5000, "1/" + "3" * 5000,
+                                        "-" + "7" * (MAX_DIGITS + 1)],
+                             ids=["numerator", "denominator", "negative"])
+    def test_rational_beyond_the_digit_bound_names_its_item(self, weight):
+        doc = fig2_doc()
+        doc["initial"]["q0"] = weight
+        message = f"^initial\\['q0'\\]: rational with more than {MAX_DIGITS} digits$"
+        with pytest.raises(DocumentError, match=message):
+            parse_automaton(json.dumps(doc))
+
+    def test_rational_at_the_digit_bound_parses(self):
+        # the bound counts digits, not the sign, as the interpreter does
+        big = 10 ** (MAX_DIGITS - 1)
+        assert parse_rational(f"-{big}/{big + 1}", "w") == F(-big, big + 1)
 
     def test_reserved_letter_names(self):
         doc = fig2_doc()
@@ -172,8 +223,85 @@ class TestDfaDocuments:
         with pytest.raises(DocumentError, match="initial must be a state name"):
             parse_dfa(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(finals=["s1", "ghost"]), "final states must be declared states"),
+        (lambda doc: doc["transitions"].append(["s1", "c", "s0"]),
+         "transition ('s1', 'c', 's0') uses an unknown letter"),
+        (lambda doc: doc["transitions"].append(["ghost", "a", "s0"]),
+         "transition ('ghost', 'a', 's0') uses an unknown state"),
+        (lambda doc: doc["states"].append("s0"), "duplicate state name"),
+        (lambda doc: doc["alphabet"].append(""), "letter names must be non-empty strings, got ''"),
+    ])
+    def test_constructor_checks_become_document_errors(self, edit, message):
+        doc = self._doc()
+        edit(doc)
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            parse_dfa(json.dumps(doc))
+
     def test_rejects_a_list_inside_finals(self):
         doc = self._doc()
         doc["finals"] = ["s0", ["s1"]]
         with pytest.raises(DocumentError, match="finals must list declared states"):
             parse_dfa(json.dumps(doc))
+
+
+# Mutations of valid documents: every outcome is a DocumentError or an
+# object that serialises and parses back to itself.
+_NAMES = ["ghost", "", "@", "a.b", "a", "b", "q0", "q1", "s0", "s1"]
+_VALUES = st.sampled_from(_NAMES) | st.sampled_from(
+    [None, 0, 1.5, True, [], {}, ["q0"], {"q0": "1"}, "1/0", "-3/4", "x"])
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:] or [()]))
+        if not path:
+            return draw(_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, node = path[-1], parent[path[-1]]
+        action = draw(st.sampled_from(["drop", "retype", "rename", "repeat"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "retype":
+            parent[key] = copy.deepcopy(draw(_VALUES))
+        elif action == "rename" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(_NAMES))] = parent.pop(key)
+        elif action == "repeat" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(draw(st.sampled_from(node))))
+        else:
+            parent[key] = draw(st.sampled_from(_NAMES))
+    return doc
+
+
+_DFA_DOC = {"alphabet": ["a", "b"], "states": ["s0", "s1"], "initial": "s0",
+            "finals": ["s1"], "transitions": [["s0", "a", "s1"], ["s1", "b", "s0"]]}
+
+
+@pytest.mark.parametrize("parse,serialize,doc", [
+    (parse_automaton, serialize_automaton, json.loads((DATA / "fig2_A.json").read_text())),
+    (parse_automaton, serialize_automaton, json.loads((DATA / "fig5.json").read_text())),
+    (parse_dfa, serialize_dfa, _DFA_DOC),
+], ids=["fig2_A", "fig5", "dfa"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_raise_only_document_errors(parse, serialize, doc, data):
+    text = json.dumps(data.draw(_mutated(doc)))
+    try:
+        result = parse(text)
+    except DocumentError:
+        return
+    canonical = serialize(result)
+    assert parse(canonical) == result
+    assert serialize(parse(canonical)) == canonical
