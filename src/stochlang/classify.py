@@ -234,6 +234,12 @@ class Dfa:
             if x not in letter_set:
                 raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown letter")
 
+    def __hash__(self) -> int:
+        # delta is a dict, so it is hashed as the set of its items; equal
+        # DFAs have equal fields, and so equal hashes
+        return hash((self.alphabet, self.states, self.initial, self.finals,
+                     frozenset(self.delta.items())))
+
     def step(self, q: str | None, x: str) -> str | None:
         if q is None:
             return None

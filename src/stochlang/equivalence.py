@@ -46,7 +46,8 @@ class EquivalenceOutcome:
 
 def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     """Basis words with sparse integer rows, spanning all reachable pairs, and
-    the functional that compares the two series.
+    the functional that compares the two series. The words come from a
+    generator, in the order the closure accepts them.
 
     One closure of lam_a (+) lam_b under the letter matrices acting on the
     right. Breadth-first order reaches the words in length-lex order: each
@@ -67,7 +68,7 @@ def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
     basis = _closure(SpanBasis(ra.dim + rb.dim), ra.lam + rb.lam, actions)
     gamma = _primitive(ra.gamma + tuple(-y for y in rb.gamma))
-    return [(tuple(a.alphabet[k] for k in path), row) for path, row in basis], gamma
+    return ((tuple(a.alphabet[k] for k in path), row) for path, row in basis), gamma
 
 
 def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> EquivalenceOutcome:
@@ -75,7 +76,8 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
 
     On a mismatch the returned witness is the length-lex smallest basis word
     whose values differ (:func:`_word_basis`), with both values re-evaluated
-    on the inputs.
+    on the inputs. The closure stops at that word; only an equal verdict
+    builds the whole basis.
 
     Alphabets may differ as long as their shared letters agree in order; the
     comparison then runs over the union, missing letters meaning weight zero.
@@ -121,7 +123,8 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
         raise ValueError("alphabet mismatch")
     span = SpanBasis(sum(r.dim for r in reps))
     actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
-    _closure(span, [y for r in reps for y in r.gamma], actions)
+    for _ in _closure(span, [y for r in reps for y in r.gamma], actions):
+        pass
     return span, actions
 
 

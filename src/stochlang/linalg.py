@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -752,7 +752,7 @@ def _minimal_polynomial(powers: Sequence[list[int]], scale: int) -> Vector:
 
 
 def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
-             ) -> list[tuple[tuple[int, ...], dict[int, int]]]:
+             ) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """Breadth-first closure of a vector under integer maps, through ``span.add``.
 
     ``span`` starts empty, and ``actions`` hold per input coordinate the
@@ -762,9 +762,11 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
     reduced against the rows already there and divided by its content.
     That sparse row, not the vector, is pushed through each map
     (:func:`_push`), in order, and its sparse images join the queue.
-    Returns the new rows, each with the path of map indices that reached
-    it; the paths come out in length-lexicographic order, and the span ends
-    up holding every image of ``start`` under any product of the maps.
+    Yields each new row, with the path of map indices that reached it, as
+    ``span.add`` returns it and before pushing it, so a caller may stop at
+    any row; the paths come out in length-lexicographic order, and once the
+    generator is exhausted the span holds every image of ``start`` under
+    any product of the maps.
 
     The paths and the span after each of them are those of pushing the
     images x(path) of ``start`` themselves. By induction, the row r of an
@@ -775,12 +777,10 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
     reduced echelon form depends only on its span, so every row is the
     same too.
     """
-    accepted = []
     queue = deque([((), start)])
     while queue:
         path, v = queue.popleft()
         row = span.add(v)
         if row is not None:
-            accepted.append((path, row))
+            yield path, row
             queue.extend((path + (k,), _push(action, row)) for k, action in enumerate(actions))
-    return accepted

@@ -229,4 +229,4 @@ def _pairing_rank(rep: LinearRepresentation, backward: SpanBasis,
         pivot_actions.append(columns)
     lam = _primitive(rep.lam)
     start = [sum([lam[j] * y for j, y in b.items()]) for b in rows]
-    return len(_closure(SpanBasis(len(rows)), start, pivot_actions))
+    return sum(1 for _ in _closure(SpanBasis(len(rows)), start, pivot_actions))

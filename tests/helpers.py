@@ -49,11 +49,16 @@ replaced by integer letter steps, masses read off the state-sum vector and
 integer keys on the backward rows. PA synthesis asks one
 ``express_combination`` per question, each on its own backward closure,
 which the library replaced by one table of values for every question.
+An automaton document is parsed weight by weight, each weight string
+matched, measured and converted anew with the name of its item made in
+advance, which the library replaced by one parse per distinct string
+whose item is named only for an error.
 """
 
 import heapq
 import itertools
 import random
+import re
 import time
 from collections import deque
 from fractions import Fraction
@@ -67,6 +72,8 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        total_sum, weighted_sum, words_up_to)
 from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
                                 replace_iota)
+from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _load_json,
+                                 _name_list, _require_keys)
 from stochlang.equivalence import _backward_closure, combination_on_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
@@ -1086,6 +1093,60 @@ def oracle_to_prefixial_pra(a, witnesses):
         raise ValueError("prefixial rebuild changed the series at "
                          f"{format_word(check.witness, a.alphabet)}")
     return built
+
+
+# ------------------------------------------------------------ document oracles
+
+_ORACLE_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def oracle_parse_rational(text, where):
+    """A rational weight string, checked and converted on its own; the error
+    echoes the whole offending value."""
+    if not isinstance(text, str) or not _ORACLE_RATIONAL_RE.fullmatch(text):
+        raise DocumentError(f"{where}: malformed rational {text!r}")
+    num, _, den = text.partition("/")
+    if max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
+        raise DocumentError(f"{where}: rational with more than {MAX_DIGITS} digits")
+    if not den:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise DocumentError(f"{where}: malformed rational {text!r} (zero denominator)")
+    return Fraction(int(num), int(den))
+
+
+def oracle_parse_automaton(text):
+    """An automaton document parsed weight by weight: every weight, repeated
+    or not, goes through ``oracle_parse_rational`` with its item named."""
+    data = _load_json(text)
+    _require_keys(data, {"alphabet", "states", "initial", "final", "transitions"},
+                  {"alphabet", "states"}, "document")
+    alphabet = _alphabet(data["alphabet"])
+    states = _name_list(data["states"], "states")
+
+    def weight_map(key):
+        raw = data.get(key, {})
+        if not isinstance(raw, dict):
+            raise DocumentError(f"{key} must be an object mapping states to rationals")
+        return {q: oracle_parse_rational(w, f"{key}[{q!r}]") for q, w in raw.items()}
+
+    iota = weight_map("initial")
+    tau = weight_map("final")
+
+    raw_transitions = data.get("transitions", [])
+    if not isinstance(raw_transitions, list):
+        raise DocumentError("transitions must be a list")
+    phi = {}
+    for item in raw_transitions:
+        if (not isinstance(item, list) or len(item) != 4
+                or not all(isinstance(x, str) for x in item[:3])):
+            raise DocumentError(f"transition {item!r} must be [from, letter, to, weight]")
+        q, x, r, w = item
+        where = f"transition [{q!r}, {x!r}, {r!r}]"
+        if (q, x, r) in phi:
+            raise DocumentError(f"duplicate {where}")
+        phi[(q, x, r)] = oracle_parse_rational(w, where)
+    return _build(MultiplicityAutomaton, alphabet, states, iota, tau, phi)
 
 
 # ------------------------------------------------------------- time limits

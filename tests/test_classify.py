@@ -395,6 +395,14 @@ class TestHardnessInstance:
         d = Dfa(["a"], ["s0"], "s0", ["s0"], {("s0", "a"): "s0"})
         assert d.alphabet == ("a",) and d.states == ("s0",)
 
+    def test_dfa_hash_agrees_with_equality(self):
+        d = Dfa(("a",), ("s",), "s", ["s"], {("s", "a"): "s"})
+        same = Dfa(["a"], ["s"], "s", frozenset({"s"}), dict(d.delta))
+        other = Dfa(("a",), ("s",), "s", [], {("s", "a"): "s"})
+        assert d == same and hash(d) == hash(same)
+        assert d != other
+        assert len({d, same, other}) == 2
+
     def test_rejects_empty_language(self):
         d = Dfa(("a",), ("s0",), "s0", frozenset(), {("s0", "a"): "s0"})
         with pytest.raises(ValueError):

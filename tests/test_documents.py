@@ -14,7 +14,7 @@ from stochlang import (DocumentError, fixtures, parse_automaton, parse_dfa,
 from stochlang.classify import Dfa
 from stochlang.documents import MAX_DIGITS, parse_rational
 
-from helpers import random_ma
+from helpers import oracle_parse_automaton, random_ma
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +159,76 @@ class TestParse:
         text = serialize_automaton(a)
         assert '"2/4"' not in text
         assert parse_automaton(text) == a
+
+
+# weights as documents spell them: canonical and repeated, non-canonical,
+# malformed, with a zero denominator, beyond the digit bound, or not strings
+_GOOD_WEIGHTS = ["1", "1/2", "-3/4", "0", "2/4", "-0", "007/010", "-12/18", "5"]
+_BAD_WEIGHTS = ["0.5", "1/", "/2", "+1", "1 ", "1\n", "x", "", "\u0663", "1/0", "-3/00",
+                "1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1), 1, 1.5, None, True,
+                ["1"], {"q": "1"}]
+
+
+@st.composite
+def _weighted_documents(draw):
+    """Automaton documents whose weights repeat, some of them faulty at their
+    first occurrence or at a later one; a few also have a malformed or
+    repeated transition, or an unknown state."""
+    states = ["p", "q", "r"][:draw(st.integers(1, 3))]
+    pool = draw(st.lists(st.sampled_from(_GOOD_WEIGHTS), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from(_BAD_WEIGHTS)))
+    weight = st.sampled_from(pool)
+    names = st.sampled_from(states + ["ghost"] if draw(st.booleans()) else states)
+    transitions = draw(st.lists(st.tuples(names, st.sampled_from(["a", "b"]), names, weight)
+                                .map(list), max_size=12, unique_by=lambda t: tuple(t[:3])))
+    if transitions and draw(st.booleans()):
+        transitions.insert(draw(st.integers(0, len(transitions))),
+                           draw(st.sampled_from([list(transitions[0]), transitions[0][:3],
+                                                 ["p", 1, "q", "1"], "p a q 1"])))
+    return {"alphabet": ["a", "b"], "states": states,
+            "initial": draw(st.dictionaries(names, weight, max_size=3)),
+            "final": draw(st.dictionaries(names, weight, max_size=3)),
+            "transitions": transitions}
+
+
+def _outcome(parse, text):
+    try:
+        a = parse(text)
+    except DocumentError as exc:
+        return str(exc)
+    return a.states, list(a.iota.items()), list(a.tau.items()), list(a.phi.items())
+
+
+@given(_weighted_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_weight_by_weight_oracle(doc):
+    # the same automaton, or the same error, as parsing every weight anew
+    text = json.dumps(doc)
+    assert _outcome(parse_automaton, text) == _outcome(oracle_parse_automaton, text)
+
+
+def test_repeated_weights_share_one_value():
+    doc = fig2_doc()
+    for item in doc["transitions"]:
+        item[3] = "2/4"
+    a = parse_automaton(json.dumps(doc))
+    assert a == oracle_parse_automaton(json.dumps(doc))
+    assert len({id(w) for w in a.phi.values()}) == 1
+
+
+@pytest.mark.parametrize("weight,echo", [
+    ("1" * 5000 + "x", repr("1" * 40) + "... (5001 characters)"),
+    ("1/" + "0" * 4300, repr("1/" + "0" * 38) + "... (4302 characters)"),
+    ("x" * 40, repr("x" * 40)),
+], ids=["malformed", "zero-denominator", "at-the-bound"])
+def test_a_long_faulty_weight_is_echoed_by_a_prefix_and_its_length(weight, echo):
+    doc = fig2_doc()
+    doc["initial"]["q0"] = weight
+    with pytest.raises(DocumentError) as info:
+        parse_automaton(json.dumps(doc))
+    suffix = " (zero denominator)" if "/" in weight else ""
+    assert str(info.value) == f"initial['q0']: malformed rational {echo}{suffix}"
 
 
 class TestRoundTrip:

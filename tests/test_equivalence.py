@@ -12,7 +12,7 @@ from stochlang import (MultiplicityAutomaton, are_equivalent,
 from stochlang.automata import letter_shift_automaton, replace_iota
 from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _word_basis,
                                    combination_on_rows)
-from stochlang.linalg import _primitive, dot
+from stochlang.linalg import SpanBasis, _primitive, dot
 
 from helpers import (OracleSpanBasis, duplicate_state, nudged_copy, oracle_cone_combination,
                      oracle_express_combination, oracle_word_basis, permuted_copy,
@@ -94,7 +94,7 @@ class TestAreEquivalent:
         for _ in range(30):
             a = random_ma(rng, rng.randint(1, 3), ("a", "b"))
             b = random_ma(rng, rng.randint(1, 3), ("a", "b"))
-            basis, _ = _word_basis(a, b)
+            basis = list(_word_basis(a, b)[0])
             assert len(basis) <= max(1, a.n_states + b.n_states)
 
 
@@ -170,6 +170,52 @@ class TestWordBasisBeyondFiveStates:
         outcome = timed(are_equivalent, split, nudged, limit_s=1.0)
         assert not outcome.equal
         assert outcome == heap_oracle_outcome(split, nudged)
+
+
+def span_adds(monkeypatch, run):
+    """The number of ``SpanBasis.add`` calls that ``run()`` makes."""
+    add = SpanBasis.add
+    calls = []
+
+    def counted(self, v):
+        calls.append(v)
+        return add(self, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SpanBasis, "add", counted)
+        run()
+    return len(calls)
+
+
+class TestEquivalenceStopsAtItsWitness:
+    """``are_equivalent`` stops the closure at the first row on which the
+    comparing functional is nonzero; the rows come in length-lex order of
+    their words, so the witness and its values are those of the full basis."""
+
+    @pytest.mark.parametrize("n", range(8, 41, 4))
+    def test_nudged_ring_copies_match_the_heap_oracle(self, n):
+        ring = ring_pa(n)
+        nudged = nudged_copy(ring, ring.states[n // 2])
+        for a, b in ((ring, nudged), (nudged, ring)):
+            outcome = are_equivalent(a, b)
+            assert not outcome.equal
+            assert outcome == heap_oracle_outcome(a, b)
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40])
+    def test_only_an_unequal_verdict_makes_fewer_insertions(self, n, monkeypatch):
+        ring = ring_pa(n)
+        split = split_copy(ring, random.Random(n))
+        nudged = nudged_copy(ring, ring.states[n // 2])
+        for a, b, equal in ((ring, split, True), (ring, nudged, False), (split, nudged, False)):
+            full = span_adds(monkeypatch, lambda: list(_word_basis(a, b)[0]))
+            decided = span_adds(monkeypatch, lambda: are_equivalent(a, b))
+            assert decided == full if equal else decided < full
+
+    def test_unequal_ring_copies_at_scale(self):
+        ring = ring_pa(40)
+        nudged = nudged_copy(ring, ring.states[20])
+        outcome = timed(are_equivalent, ring, nudged, limit_s=0.1)
+        assert outcome == heap_oracle_outcome(ring, nudged)
 
 
 class TestExpressCombination:

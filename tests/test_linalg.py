@@ -780,7 +780,7 @@ class TestClosureAgainstDenseIntegerRows:
             actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
             start = [y for r in reps for y in (r.gamma if left else r.lam)]
             span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
-            found = _closure(span, start, actions)
+            found = list(_closure(span, start, actions))
             expected = oracle_closure(dense, start, actions)
             assert [path for path, _ in found] == [path for path, _ in expected]
             assert_same_rows(span, dense)
