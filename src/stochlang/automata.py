@@ -93,11 +93,33 @@ class LinearRepresentation:
         return dot(self.forward(self.lam, word), self.gamma)
 
 
+# Most characters of a long value that an error message repeats.
+_ECHO_CHARS = 40
+
+
+def _echo(value: object) -> str:
+    """``repr(value)`` for an error message, cut when long: a string longer
+    than ``_ECHO_CHARS`` characters is echoed by the repr of its first
+    ``_ECHO_CHARS`` characters and its length, and any other value whose
+    repr is longer by the first ``_ECHO_CHARS`` characters of that repr and
+    the repr's length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    head = repr(text[:_ECHO_CHARS]) if isinstance(value, str) else text[:_ECHO_CHARS]
+    return f"{head}... ({len(text)} characters)"
+
+
+def _echoes(*values: object) -> str:
+    """The echoes of values, comma-separated."""
+    return ", ".join(map(_echo, values))
+
+
 def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     names = tuple(names)
     for name in names:
         if not isinstance(name, str) or not name:
-            raise ValueError(f"{kind} names must be non-empty strings, got {name!r}")
+            raise ValueError(f"{kind} names must be non-empty strings, got {_echo(name)}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate {kind} name")
     return names
@@ -109,7 +131,7 @@ def _state_weights(kind: str, weights: Mapping[str, object],
     out = {}
     for q, w in weights.items():
         if q not in states:
-            raise ValueError(f"{kind} weight for unknown state {q!r}")
+            raise ValueError(f"{kind} weight for unknown state {_echo(q)}")
         w = frac(w)
         if w:
             out[q] = w
@@ -135,9 +157,9 @@ class MultiplicityAutomaton:
         self.phi: dict[tuple[str, str, str], Fraction] = {}
         for (q, x, r), w in phi.items():
             if q not in state_set or r not in state_set:
-                raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown state")
+                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown state")
             if x not in letter_set:
-                raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown letter")
+                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown letter")
             w = frac(w)
             if w:
                 self.phi[(q, x, r)] = w

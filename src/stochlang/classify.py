@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .analysis import total_sum
-from .automata import MultiplicityAutomaton, Word, _checked_names, is_trimmed, words_up_to
+from .automata import (MultiplicityAutomaton, Word, _checked_names, _echo, _echoes, is_trimmed,
+                       words_up_to)
 from .reduction import ReductionMode, is_reduced, reduce
 
 UNDECIDABILITY_NOTE = ("bounded check only: nonnegativity was tested up to the stated "
@@ -225,14 +226,14 @@ class Dfa:
         state_set = set(self.states)
         letter_set = set(self.alphabet)
         if self.initial not in state_set:
-            raise ValueError(f"unknown initial state {self.initial!r}")
+            raise ValueError(f"unknown initial state {_echo(self.initial)}")
         if not self.finals <= state_set:
             raise ValueError("final states must be declared states")
         for (q, x), r in self.delta.items():
             if q not in state_set or r not in state_set:
-                raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown state")
+                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown state")
             if x not in letter_set:
-                raise ValueError(f"transition ({q!r}, {x!r}, {r!r}) uses an unknown letter")
+                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown letter")
 
     def __hash__(self) -> int:
         # delta is a dict, so it is hashed as the set of its items; equal

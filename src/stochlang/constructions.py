@@ -40,7 +40,7 @@ from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .analysis import _series_sum, _state_sum_vector, _sum_table
+from .analysis import _mass, _series_sum, _state_sum_vector, _sum_table
 from .automata import (MultiplicityAutomaton, Word, format_word, letter_shift_automaton,
                        replace_iota, state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
@@ -56,6 +56,10 @@ class ConstructionError(RuntimeError):
 
 
 Mass = int | Fraction
+
+_NOT_A_DISTRIBUTION = ("residual exploration produced a non-deterministic or "
+                       "non-probabilistic automaton; the input series is not "
+                       "a probability distribution")
 
 
 class _Residuals:
@@ -102,10 +106,7 @@ class _Residuals:
         """The mass of p over the unit; ValueError when the sum started by p diverges."""
         if self.sums is not None:
             return sum(map(mul, p, self.sums[0]))
-        outcome = _series_sum(self.table, p)
-        if not outcome.converges:
-            raise ValueError("prefix mass diverges")
-        return outcome.value
+        return _mass(self.table, p)
 
     def key(self, p: list[int], m: Mass) -> tuple[int, ...]:
         """The coprime pairings of p with the backward rows, times the sign of m.
@@ -233,6 +234,8 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     residuals is ever compared. Exceeding ``max_states`` distinct
     residuals aborts with the count discovered so far, which is not a proof
     that infinitely many exist. The input series must have total mass 1.
+    A residual of mass 0 is skipped when its series is zero; otherwise the
+    series takes both signs, and ConstructionError is raised.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
@@ -249,9 +252,11 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
         for x in a.alphabet:
             g, q = res.step(p, x)
             mq = res.mass(q)
-            if not mq:
-                continue
             key = res.key(q, mq)
+            if not mq:
+                if any(key):
+                    raise ConstructionError(_NOT_A_DISTRIBUTION)
+                continue
             match = index.get(key)
             if match is None:
                 if len(discovered) == max_states:
@@ -268,9 +273,7 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
            for (i, x), (mass, j) in transitions.items()}
     pda = MultiplicityAutomaton(a.alphabet, names, iota, tau, phi)
     if not is_pda(pda):
-        raise ConstructionError("residual exploration produced a non-deterministic or "
-                                "non-probabilistic automaton; the input series is not "
-                                "a probability distribution")
+        raise ConstructionError(_NOT_A_DISTRIBUTION)
     return DeterminizationOutcome(pda, len(discovered))
 
 

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .automata import MultiplicityAutomaton
+from .automata import MultiplicityAutomaton, _echo, _echoes
 from .classify import Dfa
 
 _RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
@@ -29,24 +29,12 @@ _RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
 # that bound in force or lifted.
 MAX_DIGITS = 4300
 
-# Most characters of a malformed weight that an error message repeats.
-_ECHO_CHARS = 40
-
-
 class DocumentError(ValueError):
     """A document failed validation; the message names the offending item."""
 
 
 def format_rational(value: Fraction) -> str:
     return str(value)
-
-
-def _echo(text: object) -> str:
-    """``repr(text)``, but a string longer than ``_ECHO_CHARS`` characters only
-    by its first ``_ECHO_CHARS`` characters and its length."""
-    if isinstance(text, str) and len(text) > _ECHO_CHARS:
-        return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
-    return repr(text)
 
 
 def _rational(text: object, where: Callable[[], str]) -> Fraction:
@@ -73,7 +61,7 @@ def parse_rational(text: object, where: str) -> Fraction:
 def _require_keys(data: dict, allowed: set[str], required: set[str], what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
-        raise DocumentError(f"{what}: unknown key {sorted(unknown)[0]!r}")
+        raise DocumentError(f"{what}: unknown key {_echo(sorted(unknown)[0])}")
     missing = required - set(data)
     if missing:
         raise DocumentError(f"{what}: missing key {sorted(missing)[0]!r}")
@@ -89,7 +77,7 @@ def _alphabet(data: object) -> list[str]:
     """The letters of a document; '.' and '@' belong to the word syntax."""
     for x in _name_list(data, "alphabet"):
         if "." in x or x == "@":
-            raise DocumentError(f"alphabet: name {x!r} is reserved for word syntax")
+            raise DocumentError(f"alphabet: name {_echo(x)} is reserved for word syntax")
     return data
 
 
@@ -97,7 +85,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_echo(key)}")
         data[key] = value
     return data
 
@@ -143,7 +131,7 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
         for q, w in raw.items():
             value = values.get(w) if type(w) is str else None
             if value is None:
-                value = values[w] = _rational(w, lambda: f"{key}[{q!r}]")
+                value = values[w] = _rational(w, lambda: f"{key}[{_echo(q)}]")
             weights[q] = value
         return weights
 
@@ -157,13 +145,13 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
     for item in raw_transitions:
         if (type(item) is not list or len(item) != 4 or type(item[0]) is not str
                 or type(item[1]) is not str or type(item[2]) is not str):
-            raise DocumentError(f"transition {item!r} must be [from, letter, to, weight]")
+            raise DocumentError(f"transition {_echo(item)} must be [from, letter, to, weight]")
         q, x, r, w = item
         if (q, x, r) in phi:
-            raise DocumentError(f"duplicate transition [{q!r}, {x!r}, {r!r}]")
+            raise DocumentError(f"duplicate transition [{_echoes(q, x, r)}]")
         value = values.get(w) if type(w) is str else None
         if value is None:
-            value = values[w] = _rational(w, lambda: f"transition [{q!r}, {x!r}, {r!r}]")
+            value = values[w] = _rational(w, lambda: f"transition [{_echoes(q, x, r)}]")
         phi[(q, x, r)] = value
     return _build(MultiplicityAutomaton, alphabet, states, iota, tau, phi)
 
@@ -195,7 +183,7 @@ def parse_dfa(text: str) -> Dfa:
     states = _name_list(data["states"], "states")
     initial = data["initial"]
     if not isinstance(initial, str):
-        raise DocumentError(f"initial must be a state name, got {initial!r}")
+        raise DocumentError(f"initial must be a state name, got {_echo(initial)}")
     finals = data.get("finals", [])
     if not isinstance(finals, list) or not all(isinstance(q, str) for q in finals):
         raise DocumentError("finals must list declared states")
@@ -206,10 +194,10 @@ def parse_dfa(text: str) -> Dfa:
     for item in raw_transitions:
         if not isinstance(item, list) or len(item) != 3 or not all(
                 isinstance(x, str) for x in item):
-            raise DocumentError(f"transition {item!r} must be [from, letter, to]")
+            raise DocumentError(f"transition {_echo(item)} must be [from, letter, to]")
         q, x, r = item
         if (q, x) in delta:
-            raise DocumentError(f"transition [{q!r}, {x!r}, {r!r}]: "
+            raise DocumentError(f"transition [{_echoes(q, x, r)}]: "
                                 "second transition for this state and letter")
         delta[(q, x)] = r
     return _build(Dfa, alphabet, states, initial, finals, delta)

@@ -31,8 +31,8 @@ from typing import Sequence
 
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
-from .linalg import (SpanBasis, _Action, _closure, _fourier_motzkin, _integer_actions,
-                     _nullspace, _particular, _primitive, add_vectors, linear_combination)
+from .linalg import (SpanBasis, _Action, _closure, _feasible_point, _integer_actions,
+                     _nullspace, _particular, _primitive)
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,10 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     solution of the reduced row-echelon form, which depends only on the
     row space. With ``nonneg`` every solution is x = p + N y, p that
     particular solution and N the nullspace read off the same echelon rows
-    (``linalg._nullspace``); the rows x_i >= 0 in y go to Fourier-Motzkin,
-    the same input ``lp_feasible`` builds for these equations with x >= 0,
-    so the answer is its exact feasible point.
+    (``linalg._nullspace``); the rows x_i >= 0 in y reach Fourier-Motzkin
+    as primitive integer rows (``linalg._feasible_point``), the same input
+    ``lp_feasible`` builds for these equations with x >= 0, so the answer
+    is its exact feasible point.
     """
     n = len(columns)
     solved = _particular(([row[j] for j in columns] + [row[target]] for row in rows), n)
@@ -152,11 +153,10 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     coeffs, echelon = solved
     if nonneg:
         null = _nullspace(echelon, n)
-        y = _fourier_motzkin([(tuple(v[i] for v in null), coeffs[i]) for i in range(n)],
-                             len(null))
-        if y is None:
+        coeffs = _feasible_point(coeffs, null, ([v[i] for v in null] + [coeffs[i]]
+                                                for i in range(n)))
+        if coeffs is None:
             return CombinationOutcome(False)
-        coeffs = add_vectors(coeffs, linear_combination(null, y, n))
     return CombinationOutcome(True, tuple(coeffs))
 
 

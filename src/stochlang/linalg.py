@@ -25,12 +25,14 @@ rows are the canonical reduced echelon form up to scale, which is unique, so
 them are the same as with ``Fraction`` rows throughout. ``rref`` is that
 basis for the rows of a matrix; ``solve_affine`` reads its solution off
 the sparse integer rows directly, with one ``Fraction`` per nonzero entry
-it returns, so ``invert`` and the equality step of ``lp_feasible`` run on
-the same rows. Only ``determinant`` and Fourier-Motzkin still eliminate
-over ``Fraction``; the cone solve of
-``equivalence.combination_on_rows`` gives Fourier-Motzkin the rows x >= 0
-in the coordinates of the nullspace read off the integer echelon rows
-(:func:`_particular`, :func:`_nullspace`).
+it returns, so ``invert`` runs on the same rows. Fourier-Motzkin
+eliminates on primitive integer rows: ``lp_feasible`` and the cone solve
+of ``equivalence.combination_on_rows`` read the particular solution and
+the nullspace of their equalities off the integer echelon rows
+(:func:`_particular`, :func:`_nullspace`) and hand it each inequality in
+the nullspace coordinates as its primitive integer row
+(:func:`_feasible_point`). Only ``determinant`` still eliminates over
+``Fraction``.
 
 Contraction is a question about polynomials, not about a linear system.
 The minimal polynomial of a vector v under M is read off the integer
@@ -402,65 +404,59 @@ class Constraint:
         return cls(vector(coeffs), frac(constant), True)
 
 
-def _normalize_row(co: Vector, c: Fraction) -> tuple[Vector, Fraction]:
-    for v in co:
-        if v:
-            s = abs(v)
-            return tuple(x / s for x in co), c / s
-    return co, c
-
-
-def _dedupe(rows: Iterable[tuple[Vector, Fraction]]) -> list[tuple[Vector, Fraction]] | None:
-    """Normalise and deduplicate inequality rows; None signals infeasibility."""
-    seen: set[tuple[Vector, Fraction]] = set()
+def _dedupe(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]] | None:
+    """Integer rows ``co + (c,)``, c + co . y >= 0, divided by their content
+    and deduplicated in order; a row with co = 0 is dropped, and None
+    signals one with c < 0, which no point satisfies."""
+    seen: set[tuple[int, ...]] = set()
     out = []
-    for co, c in rows:
-        co, c = _normalize_row(co, c)
-        if not any(co):
-            if c < 0:
+    for row in rows:
+        g = gcd(*row)
+        row = tuple(x // g for x in row) if g > 1 else tuple(row)
+        if not any(row[:-1]):
+            if row[-1] < 0:
                 return None
             continue
-        if (co, c) not in seen:
-            seen.add((co, c))
-            out.append((co, c))
+        if row not in seen:
+            seen.add(row)
+            out.append(row)
     return out
 
 
-def _fourier_motzkin(rows: list[tuple[Vector, Fraction]], k: int) -> Vector | None:
-    """Feasible point of ``c + co . y >= 0`` rows via variable elimination."""
+def _fourier_motzkin(rows: Iterable[Sequence[int]], k: int) -> Vector | None:
+    """A feasible point of integer rows ``co + (c,)``, each c + co . y >= 0 in
+    k unknowns, by variable elimination; None when there is none.
+
+    The unknowns go from the last to the first. Each step pairs every row
+    positive at y_j with every row negative there, in the positive integer
+    combination that cancels y_j: a positive multiple of a row is the same
+    inequality, so the rows stay integers, and :func:`_dedupe` divides out
+    their content. Fractions are made only by the back-substitution, which
+    sets each unknown, from the first on, to the largest of its lower
+    bounds, else the least of its upper bounds, else 0.
+    """
     system = _dedupe(rows)
     if system is None:
         return None
     eliminated: list[tuple[int, list, list]] = []
     for j in reversed(range(k)):
-        pos = [rc for rc in system if rc[0][j] > 0]
-        neg = [rc for rc in system if rc[0][j] < 0]
-        rest = [rc for rc in system if rc[0][j] == 0]
-        new_rows = list(rest)
-        for cop, cp in pos:
-            for con, cn in neg:
-                fp = -con[j]
-                fn = cop[j]
-                co2 = tuple(fp * a + fn * b for a, b in zip(cop, con))
-                c2 = fp * cp + fn * cn
-                new_rows.append((co2, c2))
-        system = _dedupe(new_rows)
+        pos = [r for r in system if r[j] > 0]
+        neg = [r for r in system if r[j] < 0]
+        combined = [r for r in system if not r[j]]
+        for p in pos:
+            for q in neg:
+                a, b = -q[j], p[j]
+                combined.append(tuple(a * x + b * y for x, y in zip(p, q)))
+        system = _dedupe(combined)
         if system is None:
             return None
         eliminated.append((j, pos, neg))
-    for _, c in system:
-        if c < 0:
-            return None
     assign = [Fraction(0)] * k
     for j, pos, neg in reversed(eliminated):
-        lo = None
-        hi = None
-        for co, c in pos:
-            val = -(c + sum(co[l] * assign[l] for l in range(j))) / co[j]
-            lo = val if lo is None else max(lo, val)
-        for co, c in neg:
-            val = -(c + sum(co[l] * assign[l] for l in range(j))) / co[j]
-            hi = val if hi is None else min(hi, val)
+        bounds = [Fraction(-(r[-1] + sum(r[l] * assign[l] for l in range(j))), r[j])
+                  for r in pos + neg]
+        lo = max(bounds[:len(pos)], default=None)
+        hi = min(bounds[len(pos):], default=None)
         if lo is not None and hi is not None and lo > hi:
             raise AssertionError("elimination produced an empty interval")
         if lo is not None:
@@ -470,12 +466,26 @@ def _fourier_motzkin(rows: list[tuple[Vector, Fraction]], k: int) -> Vector | No
     return tuple(assign)
 
 
+def _feasible_point(part: Vector, null: Sequence[Sequence[Fraction]],
+                    rows: Iterable[Sequence]) -> Vector | None:
+    """A point part + sum_l y_l null[l] of an affine solution set that meets
+    every row ``co + [c]``, c + co . y >= 0, or None.
+
+    Each row goes to :func:`_fourier_motzkin` as its primitive integer row,
+    the same inequality.
+    """
+    y = _fourier_motzkin([_primitive(r) for r in rows], len(null))
+    return None if y is None else add_vectors(part, linear_combination(null, y, len(part)))
+
+
 def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) -> Vector | None:
     """Exact feasible point of a system of affine equalities and >= constraints.
 
-    Equalities are removed first by exact substitution; the remaining
-    inequalities go through Fourier-Motzkin elimination. Returns None iff
-    the system is infeasible.
+    Every solution of the equalities is x = p + N y, p the particular
+    solution and N the nullspace read off their integer echelon rows
+    (:func:`_particular`, :func:`_nullspace`: x = 0 and the unit vectors
+    when there are none); each inequality becomes a row in y for
+    :func:`_feasible_point`. Returns None iff the system is infeasible.
     """
     constraints = list(constraints)
     if n_vars is None:
@@ -484,26 +494,14 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
         n_vars = len(constraints[0].coeffs)
     if any(len(c.coeffs) != n_vars for c in constraints):
         raise ValueError("constraints must share one variable count")
-    eqs = [c for c in constraints if c.equality]
-    ineqs = [c for c in constraints if not c.equality]
-    if eqs:
-        sol = solve_affine(Matrix([c.coeffs for c in eqs], n_vars),
-                           [-c.constant for c in eqs])
-        if sol is None:
-            return None
-        part, null = sol.particular, list(sol.nullspace)
-    else:
-        part, null = zero_vector(n_vars), [unit_vector(n_vars, i) for i in range(n_vars)]
-    k = len(null)
-    rows = []
-    for c in ineqs:
-        const = c.constant + dot(c.coeffs, part)
-        co = tuple(dot(c.coeffs, null[l]) for l in range(k))
-        rows.append((co, const))
-    y = _fourier_motzkin(rows, k)
-    if y is None:
+    solved = _particular(((*c.coeffs, -c.constant) for c in constraints if c.equality), n_vars)
+    if solved is None:
         return None
-    return add_vectors(part, linear_combination(null, y, n_vars))
+    part, echelon = solved
+    null = _nullspace(echelon, n_vars)
+    return _feasible_point(part, null, ([dot(c.coeffs, v) for v in null]
+                                        + [c.constant + dot(c.coeffs, part)]
+                                        for c in constraints if not c.equality))
 
 
 def _primitive(v: Iterable) -> list[int]:

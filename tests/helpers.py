@@ -37,8 +37,8 @@ dense grid of state pairs after each removal, which the library replaced
 by one echelon form of the backward rows, read for the states kept and
 the coefficients of the others, and one elimination that walks the
 transitions; cone reduction keeps its order of removals but eliminates
-the same way. Cone reduction asks one ``lp_feasible`` question per state
-on the Fraction value rows, which the library replaced by a feasibility
+the same way. Cone reduction asks one ``oracle_lp_feasible`` question
+per state on the Fraction value rows, which the library replaced by a feasibility
 problem on the integer echelon rows for only the states in the support of
 the kernel of the backward rows. The value rows themselves (``value_rows``) are the
 Fraction form of the backward span, which the library pairs with its
@@ -52,7 +52,10 @@ which the library replaced by one table of values for every question.
 An automaton document is parsed weight by weight, each weight string
 matched, measured and converted anew with the name of its item made in
 advance, which the library replaced by one parse per distinct string
-whose item is named only for an error.
+whose item is named only for an error. Fourier-Motzkin eliminates over
+Fraction rows, each divided by the absolute value of its first nonzero
+coefficient, which the library replaced by integer rows divided by their
+content.
 """
 
 import heapq
@@ -77,7 +80,7 @@ from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _
 from stochlang.equivalence import _backward_closure, combination_on_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
                               is_positive_definite, linear_combination,
-                              lp_feasible, solve_affine, unit_vector)
+                              solve_affine, unit_vector)
 
 F = Fraction
 
@@ -227,6 +230,101 @@ def oracle_invert(m):
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Matrix([r[n:] for r in red.rows], n)
+
+
+def _oracle_normalize_row(co, c):
+    for v in co:
+        if v:
+            s = abs(v)
+            return tuple(x / s for x in co), c / s
+    return co, c
+
+
+def _oracle_dedupe(rows):
+    """Normalise and deduplicate inequality rows; None signals infeasibility."""
+    seen = set()
+    out = []
+    for co, c in rows:
+        co, c = _oracle_normalize_row(co, c)
+        if not any(co):
+            if c < 0:
+                return None
+            continue
+        if (co, c) not in seen:
+            seen.add((co, c))
+            out.append((co, c))
+    return out
+
+
+def oracle_fourier_motzkin(rows, k):
+    """Feasible point of Fraction rows ``(co, c)``, c + co . y >= 0, by variable
+    elimination, each row divided by the absolute value of its first nonzero
+    coefficient; None when there is none."""
+    system = _oracle_dedupe(rows)
+    if system is None:
+        return None
+    eliminated = []
+    for j in reversed(range(k)):
+        pos = [rc for rc in system if rc[0][j] > 0]
+        neg = [rc for rc in system if rc[0][j] < 0]
+        rest = [rc for rc in system if rc[0][j] == 0]
+        new_rows = list(rest)
+        for cop, cp in pos:
+            for con, cn in neg:
+                fp = -con[j]
+                fn = cop[j]
+                co2 = tuple(fp * a + fn * b for a, b in zip(cop, con))
+                c2 = fp * cp + fn * cn
+                new_rows.append((co2, c2))
+        system = _oracle_dedupe(new_rows)
+        if system is None:
+            return None
+        eliminated.append((j, pos, neg))
+    for _, c in system:
+        if c < 0:
+            return None
+    assign = [F(0)] * k
+    for j, pos, neg in reversed(eliminated):
+        lo = None
+        hi = None
+        for co, c in pos:
+            val = -(c + sum(co[l] * assign[l] for l in range(j))) / co[j]
+            lo = val if lo is None else max(lo, val)
+        for co, c in neg:
+            val = -(c + sum(co[l] * assign[l] for l in range(j))) / co[j]
+            hi = val if hi is None else min(hi, val)
+        if lo is not None and hi is not None and lo > hi:
+            raise AssertionError("elimination produced an empty interval")
+        if lo is not None:
+            assign[j] = lo
+        elif hi is not None:
+            assign[j] = hi
+    return tuple(assign)
+
+
+def oracle_lp_feasible(constraints, n_vars=None):
+    """Feasible point of equalities and >= constraints: ``solve_affine`` on the
+    equalities (x = 0 and the unit vectors when there are none), then
+    ``oracle_fourier_motzkin`` on the inequalities in the nullspace
+    coordinates, as Fraction rows."""
+    constraints = list(constraints)
+    if n_vars is None:
+        n_vars = len(constraints[0].coeffs)
+    eqs = [c for c in constraints if c.equality]
+    if eqs:
+        sol = solve_affine(Matrix([c.coeffs for c in eqs], n_vars), [-c.constant for c in eqs])
+        if sol is None:
+            return None
+        part, null = sol.particular, list(sol.nullspace)
+    else:
+        part = (F(0),) * n_vars
+        null = [unit_vector(n_vars, i) for i in range(n_vars)]
+    rows = [(tuple(dot(c.coeffs, v) for v in null), c.constant + dot(c.coeffs, part))
+            for c in constraints if not c.equality]
+    y = oracle_fourier_motzkin(rows, len(null))
+    if y is None:
+        return None
+    return tuple(a + b for a, b in zip(part, linear_combination(null, y, n_vars)))
 
 
 # ------------------------------------------------------ span closure oracles
@@ -814,7 +912,7 @@ def oracle_express_combination(target, generators, nonneg):
         if nonneg:
             constraints = [Constraint.eq(row, -value) for row, value in zip(rows, rhs)]
             constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
-            coeffs = lp_feasible(constraints, n)
+            coeffs = oracle_lp_feasible(constraints, n)
         else:
             sol = oracle_solve_affine(Matrix(rows, n), rhs)
             coeffs = None if sol is None else sol.particular
@@ -915,11 +1013,11 @@ def oracle_field_reduce(a):
 
 def oracle_cone_combination(rows, target, columns):
     """Nonnegative c with row[target] = sum_j c_j row[columns[j]] on every row,
-    or None: the equalities and c >= 0 as ``Constraint``s for ``lp_feasible``."""
+    or None: the equalities and c >= 0 as ``Constraint``s for ``oracle_lp_feasible``."""
     n = len(columns)
     constraints = [Constraint.eq([row[j] for j in columns], -row[target]) for row in rows]
     constraints += [Constraint.ge(unit_vector(n, i), 0) for i in range(n)]
-    return lp_feasible(constraints, n)
+    return oracle_lp_feasible(constraints, n)
 
 
 def oracle_is_cone_reduced(a):

@@ -503,11 +503,19 @@ UNTRIMMED_PAIR = MultiplicityAutomaton(
 SIGNED_UNIT_MASS = MultiplicityAutomaton(
     ("a",), ("q0", "q1"), {"q0": 1}, {"q0": 2, "q1": -1}, {("q0", "a", "q1"): 1})
 
+# values 1, 1, -1 on the empty word, a and aa: total mass 1, but the residual
+# at a has mass 0 and a nonzero series (pda printed a 1-state PDA for it)
+ZERO_MASS_RESIDUAL = MultiplicityAutomaton(
+    ("a", "b"), ("q0", "q1", "q2"), {"q0": 1}, {"q0": 1, "q1": 1, "q2": -1},
+    {("q0", "a", "q1"): 1, ("q1", "a", "q2"): 1})
+
 
 @pytest.mark.parametrize("automaton,args,message", [
     (UNTRIMMED_PAIR, ("reduce", "--mode", "field"),
      "elimination stopped at 2 states but the series rank is 1"),
     (SIGNED_UNIT_MASS, ("pda",),
+     "residual exploration produced a non-deterministic or non-probabilistic automaton"),
+    (ZERO_MASS_RESIDUAL, ("pda",),
      "residual exploration produced a non-deterministic or non-probabilistic automaton"),
 ])
 def test_construction_failures_exit_3_without_traceback(tmp_path, automaton, args, message):

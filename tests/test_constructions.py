@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang import (ConstructionError, MultiplicityAutomaton, ReductionMode,
-                       are_equivalent,
+from stochlang import (ConstructionError, DeterminizationOutcome, MultiplicityAutomaton,
+                       ReductionMode, are_equivalent,
                        determinize_to_pda, fixtures, is_pa, is_pda,
                        minimal_residual_generators, parse_automaton, prefix_weight,
                        reduce, residual_automaton, state_series_automaton, state_sums,
                        synthesize_pa, to_prefixial_pra, weighted_sum, words_up_to)
 from stochlang.automata import replace_iota
 from stochlang.classify import residual_witnesses
+from stochlang.constructions import _NOT_A_DISTRIBUTION as NOT_A_DISTRIBUTION
 
 from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
                      oracle_synthesize_pa, oracle_to_prefixial_pra, random_pa, random_pda,
@@ -173,6 +174,13 @@ def test_synthesize_at_scale():
     assert are_equivalent(built, a).equal
 
 
+# values 1, 1, -1 on the empty word, a and aa: total mass 1, but the residual
+# at a has mass 0 and a nonzero series
+ZERO_MASS_RESIDUAL = MultiplicityAutomaton(
+    ("a", "b"), ("q0", "q1", "q2"), {"q0": 1}, {"q0": 1, "q1": 1, "q2": -1},
+    {("q0", "a", "q1"): 1, ("q1", "a", "q2"): 1})
+
+
 class TestDeterminize:
     def test_fig2_two_states(self):
         out = determinize_to_pda(fixtures.build("fig2_A"), 8)
@@ -266,6 +274,26 @@ class TestDeterminize:
                                   {"q0": 2, "q1": -1}, {("q0", "a", "q1"): 1})
         with pytest.raises(ConstructionError, match="not a probability distribution"):
             determinize_to_pda(a, 4)
+
+    def test_residual_of_mass_zero_with_a_nonzero_series_is_a_construction_error(self):
+        # the oracle skips the residual at a, as the library did, and
+        # returns a PDA of another series
+        a = ZERO_MASS_RESIDUAL
+        assert prefix_weight(a, ("a",)) == 0 and a.evaluate(("a",)) == 1
+        with pytest.raises(ConstructionError, match="not a probability distribution"):
+            determinize_to_pda(a, 8)
+        skipped = oracle_determinize_to_pda(a, 8).pda
+        assert skipped.n_states == 1 and skipped.evaluate(("a",)) == 0
+
+    def test_nonzero_residual_vector_of_the_zero_series_is_skipped(self):
+        # the residual at a starts from q1 + q2, whose values cancel on every
+        # word: its mass is 0 and so is its series, so a has no edge
+        a = MultiplicityAutomaton(("a", "b"), ("q0", "q1", "q2"), {"q0": 1},
+                                  {"q0": 1, "q1": 1, "q2": -1},
+                                  {("q0", "a", "q1"): 1, ("q0", "a", "q2"): 1})
+        built = determinize_to_pda(a, 8).pda
+        assert built == oracle_determinize_to_pda(a, 8).pda
+        assert built.n_states == 1 and not built.phi and are_equivalent(built, a).equal
 
 
 class TestPrefixial:
@@ -388,6 +416,7 @@ def _oracle_inputs():
         ("a", "b"), ("s", "d1", "d2"), {"s": 1}, {"s": 1, "d1": 1, "d2": -1},
         {("s", "a", "d1"): 1, ("s", "b", "d2"): 1, ("d1", "a", "d1"): 1,
          ("d2", "a", "d2"): 1})))
+    inputs.append(("zero-mass-residual", ZERO_MASS_RESIDUAL))
     return inputs
 
 
@@ -405,11 +434,24 @@ def test_oracle_inputs_reach_sixteen_states():
     assert max(a.n_states for _, a in ORACLE_INPUTS) == 16
 
 
+def _assert_determinize_matches_oracle(a, bound):
+    """The same outcome as the pairwise oracle, except where the library meets
+    a residual of mass 0 with a nonzero series and raises: the oracle skips
+    such a residual, so a PDA it returns there must generate another series."""
+    outcome = _outcome(determinize_to_pda, a, bound)
+    expected = _outcome(oracle_determinize_to_pda, a, bound)
+    if outcome != expected and isinstance(expected, DeterminizationOutcome):
+        assert outcome == (ConstructionError, NOT_A_DISTRIBUTION)
+        assert expected.pda is None or not are_equivalent(expected.pda, a).equal
+    else:
+        assert outcome == expected
+
+
 @pytest.mark.parametrize("bound", [3, 8, 16])
 @pytest.mark.parametrize("a", [a for _, a in ORACLE_INPUTS],
                          ids=[name for name, _ in ORACLE_INPUTS])
 def test_determinize_matches_pairwise_oracle(a, bound):
-    assert _outcome(determinize_to_pda, a, bound) == _outcome(oracle_determinize_to_pda, a, bound)
+    _assert_determinize_matches_oracle(a, bound)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -434,7 +476,7 @@ def unit_mass_series(draw):
 @given(unit_mass_series())
 @settings(max_examples=40, deadline=None)
 def test_exploration_matches_the_oracles_on_random_unit_mass_series(a):
-    assert _outcome(determinize_to_pda, a, 8) == _outcome(oracle_determinize_to_pda, a, 8)
+    _assert_determinize_matches_oracle(a, 8)
     assert (_outcome(minimal_residual_generators, a, 2)
             == _outcome(oracle_minimal_residual_generators, a, 2))
 

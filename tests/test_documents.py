@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang import (DocumentError, fixtures, parse_automaton, parse_dfa,
-                       serialize_automaton, serialize_dfa)
+from stochlang import (DocumentError, MultiplicityAutomaton, fixtures, parse_automaton,
+                       parse_dfa, serialize_automaton, serialize_dfa)
 from stochlang.classify import Dfa
 from stochlang.documents import MAX_DIGITS, parse_rational
 
@@ -229,6 +229,91 @@ def test_a_long_faulty_weight_is_echoed_by_a_prefix_and_its_length(weight, echo)
         parse_automaton(json.dumps(doc))
     suffix = " (zero denominator)" if "/" in weight else ""
     assert str(info.value) == f"initial['q0']: malformed rational {echo}{suffix}"
+
+
+# a long name and a long list, and how every error message repeats them:
+# a string by the repr of its first 40 characters and its length, any other
+# value by the first 40 characters of its repr and the repr's length
+LONG = "x" * 5000
+LONG_ECHO = repr("x" * 40) + "... (5000 characters)"
+LONG_LIST = ["1"] * 2000
+
+
+def _cut(value):
+    text = repr(value)
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
+def _edited(doc, edit):
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _dfa_doc():
+    return TestDfaDocuments()._doc()
+
+
+_LONG_VALUE_CASES = [
+    (parse_automaton, lambda: _edited(fig2_doc(), lambda d: d["initial"].update(q0=LONG_LIST)),
+     f"initial['q0']: malformed rational {_cut(LONG_LIST)}"),
+    (parse_automaton, lambda: _edited(fig2_doc(), lambda d: d["initial"].update({LONG: "x"})),
+     f"initial[{LONG_ECHO}]: malformed rational 'x'"),
+    (parse_automaton,
+     lambda: _edited(fig2_doc(), lambda d: d["transitions"].append(["q0", "a", LONG])),
+     f"transition {_cut(['q0', 'a', LONG])} must be [from, letter, to, weight]"),
+    (parse_automaton,
+     lambda: _edited(fig2_doc(), lambda d: d["transitions"].extend([["q0", "a", LONG, "1"]] * 2)),
+     f"duplicate transition ['q0', 'a', {LONG_ECHO}]"),
+    (parse_automaton,
+     lambda: _edited(fig2_doc(), lambda d: d["transitions"].append(["q0", "a", LONG, "x"])),
+     f"transition ['q0', 'a', {LONG_ECHO}]: malformed rational 'x'"),
+    (parse_automaton, lambda: _edited(fig2_doc(), lambda d: d.update({LONG: 1})),
+     f"document: unknown key {LONG_ECHO}"),
+    (parse_automaton,
+     lambda: _edited(fig2_doc(), lambda d: d["alphabet"].append("x" * 4999 + ".")),
+     f"alphabet: name {LONG_ECHO} is reserved for word syntax"),
+    (parse_automaton, lambda: '{"alphabet": [], "states": [], "%s": 1, "%s": 2}' % (LONG, LONG),
+     f"invalid document: duplicate key {LONG_ECHO}"),
+    (parse_automaton, lambda: _edited(fig2_doc(), lambda d: d["initial"].update({LONG: "1"})),
+     f"initial weight for unknown state {LONG_ECHO}"),
+    (parse_automaton,
+     lambda: _edited(fig2_doc(), lambda d: d["transitions"].append(["q0", "a", LONG, "1"])),
+     f"transition ('q0', 'a', {LONG_ECHO}) uses an unknown state"),
+    (parse_automaton,
+     lambda: _edited(fig2_doc(), lambda d: d["transitions"].append(["q0", LONG, "q0", "1"])),
+     f"transition ('q0', {LONG_ECHO}, 'q0') uses an unknown letter"),
+    (parse_dfa, lambda: _edited(_dfa_doc(), lambda d: d.update(initial=LONG_LIST)),
+     f"initial must be a state name, got {_cut(LONG_LIST)}"),
+    (parse_dfa, lambda: _edited(_dfa_doc(), lambda d: d["transitions"].append([LONG])),
+     f"transition {_cut([LONG])} must be [from, letter, to]"),
+    (parse_dfa, lambda: _edited(_dfa_doc(), lambda d: d["transitions"].append(["s0", "a", LONG])),
+     f"transition ['s0', 'a', {LONG_ECHO}]: second transition for this state and letter"),
+    (parse_dfa, lambda: _edited(_dfa_doc(), lambda d: d.update(initial=LONG)),
+     f"unknown initial state {LONG_ECHO}"),
+    (parse_dfa, lambda: _edited(_dfa_doc(), lambda d: d["transitions"].append([LONG, "a", "s0"])),
+     f"transition ({LONG_ECHO}, 'a', 's0') uses an unknown state"),
+    (parse_dfa, lambda: _edited(_dfa_doc(), lambda d: d["transitions"].append(["s0", LONG, "s0"])),
+     f"transition ('s0', {LONG_ECHO}, 's0') uses an unknown letter"),
+]
+
+
+@pytest.mark.parametrize("parse,text,message", _LONG_VALUE_CASES,
+                         ids=[f"{parse.__name__}-{i}" for i, (parse, _, _) in
+                              enumerate(_LONG_VALUE_CASES)])
+def test_a_long_value_is_echoed_by_a_prefix_and_its_length(parse, text, message):
+    with pytest.raises(DocumentError) as info:
+        parse(text())
+    assert str(info.value) == message
+    assert len(message) < 150
+
+
+def test_constructors_echo_a_long_name_by_a_prefix_and_its_length():
+    with pytest.raises(ValueError) as info:
+        MultiplicityAutomaton(["a", LONG_LIST], ["q"], {}, {}, {})
+    assert str(info.value) == f"letter names must be non-empty strings, got {_cut(LONG_LIST)}"
+    with pytest.raises(ValueError) as info:
+        Dfa(("a",), ("s",), "s", [], {("s", "a"): LONG})
+    assert str(info.value) == f"transition ('s', 'a', {LONG_ECHO}) uses an unknown state"
 
 
 class TestRoundTrip:

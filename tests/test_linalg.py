@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from stochlang import MultiplicityAutomaton, hankel_rank
 from stochlang.equivalence import _backward_closure
-from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_actions,
-                              _integer_sum, _minimal_polynomial, _powers,
+from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _fourier_motzkin,
+                              _integer_actions, _integer_sum, _minimal_polynomial, _powers,
                               _primitive, dot, is_positive_definite,
                               lp_feasible, rref, schur_stable, solve_affine,
                               spectral_radius_lt_one)
@@ -18,8 +18,9 @@ from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _integer_
 from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, diagonal, from_columns,
                      identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul, mat_sub, mat_vec,
                      matrix_power, max_abs_entry, membership_in_span, oracle_closure,
-                     oracle_integer_actions, oracle_integer_sum, oracle_krylov_closure,
-                     oracle_rref, oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
+                     oracle_fourier_motzkin, oracle_integer_actions, oracle_integer_sum,
+                     oracle_krylov_closure, oracle_lp_feasible, oracle_rref,
+                     oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
                      random_ma, ring_pa, split_copy, transpose)
 
 F = Fraction
@@ -513,6 +514,85 @@ class TestLpFeasible:
                     assert value == 0 if c.equality else value >= 0
             else:
                 assert self._brute_force_feasible(constraints, n) is None
+
+
+@st.composite
+def inequality_systems(draw):
+    """Rows (co, c), c + co . y >= 0, over k <= 4 unknowns: as drawn, or with
+    a row with co = 0, a pair of rows that no point meets, a repeated or
+    positively scaled row, or only rows that bound no unknown from above."""
+    k = draw(st.integers(0, 4))
+    rows = [(tuple(draw(st.lists(fractions_st, min_size=k, max_size=k))), draw(fractions_st))
+            for _ in range(draw(st.integers(0, 7)))]
+    kind = draw(st.sampled_from(("as drawn", "zero row", "contradiction", "scaled",
+                                 "unbounded")))
+    if kind == "zero row":
+        rows.append(((F(0),) * k, draw(fractions_st)))
+    elif rows and kind == "contradiction":
+        co, c = draw(st.sampled_from(rows))
+        rows.append((tuple(-x for x in co), -c - draw(st.fractions(F(1, 4), 2))))
+    elif rows and kind == "scaled":
+        co, c = draw(st.sampled_from(rows))
+        factor = draw(st.sampled_from((F(1), F(2), F(3, 7))))
+        rows.append((tuple(factor * x for x in co), factor * c))
+    elif kind == "unbounded":
+        rows = [(tuple(abs(x) for x in co), c) for co, c in rows]
+    return draw(st.permutations(rows)), k
+
+
+def integer_rows(rows, factors):
+    """Each row (co, c) as the integer row co + (c,), a positive multiple of
+    its primitive row, so that the content is not always 1."""
+    return [[m * x for x in _primitive(co + (c,))] for (co, c), m in zip(rows, factors)]
+
+
+class TestFourierMotzkinAgainstFractionOracle:
+    """Fourier-Motzkin on integer rows against the kernel it replaced, which
+    eliminated over Fraction rows divided by their first nonzero coefficient:
+    a positive scale moves neither the feasible set, nor the sign of a
+    coefficient, nor a bound, so the point must be the same."""
+
+    @given(inequality_systems(), st.lists(st.integers(1, 6), min_size=8, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    @example(([], 0), [1] * 8)
+    @example(((((), F(-1)),), 0), [1] * 8)
+    @example(((((F(1),), F(0)), ((F(-1),), F(-1))), 1), [2] * 8)
+    def test_same_point_as_the_oracle(self, system, factors):
+        rows, k = system
+        point = _fourier_motzkin(integer_rows(rows, factors), k)
+        assert point == oracle_fourier_motzkin(rows, k)
+        if point is not None:
+            assert all(c + dot(co, point) >= 0 for co, c in rows)
+
+    @pytest.mark.parametrize("rows,k,point", [
+        ([(1, 0), (-1, -1)], 1, None),
+        ([(0, 0, -3), (1, 1, 0)], 2, None),
+        ([(2, 0, -1), (0, 0, 1)], 2, (F(1, 2), F(0))),
+        ([(-2, 3), (-4, 10)], 1, (F(3, 2),)),
+        ([(1, -1, 0), (0, 1, -2), (-3, 0, 9)], 2, (F(2), F(2))),
+        ([], 3, (F(0), F(0), F(0))),
+    ], ids=["infeasible", "zero-row", "unbounded", "upper-bounds", "triangle", "no-rows"])
+    def test_small_systems(self, rows, k, point):
+        assert _fourier_motzkin(rows, k) == point
+        oracle_rows = [(tuple(map(F, r[:-1])), F(r[-1])) for r in rows]
+        assert oracle_fourier_motzkin(oracle_rows, k) == point
+
+
+@st.composite
+def constraint_systems(draw):
+    """Constraints over n <= 3 unknowns, each an equality with probability 1/3."""
+    n = draw(st.integers(0, 3))
+    constraints = [Constraint(tuple(draw(st.lists(fractions_st, min_size=n, max_size=n))),
+                              draw(fractions_st), draw(st.sampled_from((False, False, True))))
+                   for _ in range(draw(st.integers(0, 6)))]
+    return constraints, n
+
+
+@given(constraint_systems())
+@settings(max_examples=300, deadline=None)
+def test_lp_feasible_matches_solve_affine_then_the_oracle_kernel(system):
+    constraints, n = system
+    assert lp_feasible(constraints, n) == oracle_lp_feasible(constraints, n)
 
 
 class TestSpanBasis:
