@@ -33,7 +33,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Sequence
 
-from .automata import LinearRepresentation, MultiplicityAutomaton, replace_iota
+from .automata import MultiplicityAutomaton, format_word, replace_iota
 from .linalg import (Vector, _integer_sum, _minimal_polynomial, _powers,
                      _primitive_with_factor, _schur_cohn, schur_stable)
 
@@ -196,19 +196,6 @@ def _mass(table: _SumTable, v: Vector) -> Fraction:
     return outcome.value
 
 
-def _residual_vector(rep: LinearRepresentation, table: _SumTable,
-                     u: Sequence[str]) -> Vector:
-    """Initial vector of the residual at u: lam . mu(u) divided by its mass.
-
-    ValueError when that mass diverges or is zero.
-    """
-    v = rep.forward(rep.lam, u)
-    mass = _mass(table, v)
-    if mass == 0:
-        raise ValueError(f"prefix weight of {''.join(u) or 'the empty word'} is zero")
-    return tuple(x / mass for x in v)
-
-
 def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
     """Total series mass of the words starting with u.
 
@@ -225,5 +212,10 @@ def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> Multiplici
     by the prefix weight, which must be finite and nonzero. Other states'
     sums may diverge; only the sum started by that vector matters.
     """
-    return replace_iota(a, _residual_vector(a.to_linear_representation(),
-                                            _sum_table(a), u))
+    rep = a.to_linear_representation()
+    v = rep.forward(rep.lam, u)
+    mass = _mass(_sum_table(a), v)
+    if mass == 0:
+        spelled = format_word(u, a.alphabet) if u else "the empty word"
+        raise ValueError(f"prefix weight of {spelled} is zero")
+    return replace_iota(a, tuple(x / mass for x in v))

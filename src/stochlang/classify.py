@@ -125,12 +125,14 @@ def is_pra_reduced(a: MultiplicityAutomaton) -> tuple[bool, dict[str, Word] | No
     """Decide whether a cone-reduced PA has only residual state series.
 
     Same verdict and witnesses as :func:`residual_witnesses`. Raises
-    ValueError if the input is not a PA or not cone-reduced.
+    ValueError if the input is not a PA or not cone-reduced, in that order.
+    Cone-reducedness is decided first, so an input that is not cone-reduced
+    never reaches the witness search over the support powerset.
     """
-    verdict = residual_witnesses(a)
-    if not is_reduced(a, ReductionMode.CONE):
+    pa = is_pa(a)
+    if pa and not is_reduced(a, ReductionMode.CONE):
         raise ValueError("input is not cone-reduced")
-    return verdict
+    return _residual_witnesses(a, pa)
 
 
 @dataclass(frozen=True)

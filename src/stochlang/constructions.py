@@ -304,14 +304,20 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     res = _Residuals(a)
     vectors: dict[Word, tuple[int, list[int]]] = {(): (1, res.start)}
     masses: dict[Word, Mass] = {}
+
+    def mass(w: Word) -> Mass:
+        if w not in masses:
+            masses[w] = res.mass(vectors[w][1])
+            if not masses[w]:
+                spelled = format_word(w, a.alphabet) if w else "the empty word"
+                raise ValueError(f"prefix weight of {spelled} is zero")
+        return masses[w]
+
     for i, (q, w) in enumerate(witness_words.items()):
         for k in range(1, len(w) + 1):
             if w[:k] not in vectors:
                 vectors[w[:k]] = res.step(vectors[w[:k - 1]][1], w[k - 1])
-        p = vectors[w][1]
-        m = masses[w] = res.mass(p)
-        if not m:
-            raise ValueError(f"prefix weight of {''.join(w) or 'the empty word'} is zero")
+        p, m = vectors[w][1], mass(w)
         if not res.is_state_series(p, m, i):
             residual = tuple(x / (res.unit * m) for x in p)
             check = are_equivalent(replace_iota(a, residual), state_series_automaton(a, q))
@@ -324,20 +330,11 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     index = {x: i for i, x in enumerate(a.alphabet)}
     ordered = sorted(vectors, key=lambda w: (len(w), [index[x] for x in w]))
     names = {w: format_word(w, a.alphabet) for w in ordered}
-
-    def mass(w: Word) -> Mass:
-        if w not in masses:
-            masses[w] = res.mass(vectors[w][1])
-        return masses[w]
-
     phi: dict[tuple[str, str, str], Fraction] = {}
     for w in ordered:
         for x in a.alphabet:
             extended = w + (x,)
             if extended in vectors:
-                if not mass(extended):
-                    raise ValueError(f"prefix weight of {format_word(extended, a.alphabet)} "
-                                     "is zero")
                 phi[(names[w], x, names[extended])] = res.weight(
                     vectors[extended][0], mass(extended), mass(w))
             elif w in word_of:
@@ -372,8 +369,14 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     itself, each a positive multiple of its values on the input's backward
     rows, and each drop, stability and cover question is one feasibility
     problem over some of its columns, which no positive column scale
-    changes. None means the check failed at this depth and is
-    inconclusive, not that no finite generating set exists.
+    changes. The drops run in one pass from the last residual down, each
+    residual asked once against the residuals still kept, and at least one
+    residual stays. A residual that is no nonnegative combination of some
+    residuals is none of any subset of them, so it would answer no again
+    after a later drop: the pass drops exactly the residuals that a scan
+    restarting from the last residual after each drop drops. None means the
+    check failed at this depth and is inconclusive, not that no finite
+    generating set exists.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -404,12 +407,9 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
         return combination_on_rows(table, target, columns, nonneg=True).expressible
 
     alive = list(range(k))
-    while len(alive) > 1:
-        drop = next((i for i in reversed(alive)
-                     if covered(i, [j for j in alive if j != i])), None)
-        if drop is None:
-            break
-        alive.remove(drop)
+    for i in reversed(range(k)):
+        if len(alive) > 1 and covered(i, [j for j in alive if j != i]):
+            alive.remove(i)
     needed = [k + i * letters + j for i in alive for j in range(letters)] + [k * (1 + letters)]
     if not all(covered(t, alive) for t in needed):
         return None

@@ -11,13 +11,20 @@ they number the rows no state is a combination.
 
 Both modes read one reduced echelon form of the rows with the columns
 taken in reverse (:func:`_echelon`). Over the field its pivots are the
-states that eliminating the first combination state, round after round,
-keeps, and its rows are the coefficients of the others: one elimination
+states that removing the first combination state, again and again, keeps,
+and its rows are the coefficients of the others: one elimination
 (:func:`_eliminate`) builds the reduced automaton. Over the cone the order
 of removals matters, and a state can be a combination only when its column
 lies in the support of the kernel of the rows, which the same echelon form
-shows (:func:`_dependent`): only those states get a feasibility problem,
-round after round. Over the field the result must have the rank of the
+shows (:func:`_dependent`): only those states get a feasibility problem.
+A column outside the cone of some columns is outside the cone of every
+subset of them, so a state found to be no combination stays none after
+later removals: one scan in declared order (:func:`_cone_removals`) asks
+each state once and makes the removals that restarting the scan after
+each removal makes, with the same coefficients. Substituting each removed
+state's coefficients into those of the states removed before it gives
+every removed state over the final states, and again one elimination
+builds the result. Over the field the result must have the rank of the
 series, or :class:`ReductionStallError` is raised; the rank is computed
 independently of any elimination: the backward rows carry a
 representation of the series on their own span, and the rank is the
@@ -29,6 +36,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
 from .equivalence import _backward_closure, combination_on_rows
@@ -51,66 +59,74 @@ def is_reduced(a: MultiplicityAutomaton, mode: ReductionMode) -> bool:
     State q's series takes the value x[q] on every backward vector x, so
     the question is about the columns of the integer rows of the backward
     span. Over the field they are independent iff there are as many rows as
-    states; over the cone each state in the support of the kernel of the
-    rows (:func:`_dependent`) is one feasibility problem on the other
-    columns, and no other state can be a combination.
+    states. Over the cone the input is reduced iff the scan of
+    :func:`_cone_removals` finds no first removal: each state in the
+    support of the kernel of the rows (:func:`_dependent`) is one
+    feasibility problem on the other columns, asked once, and no other
+    state can be a combination.
     """
     rows = _backward_closure([a.to_linear_representation()])[0].integer_rows
     if mode is ReductionMode.FIELD or len(rows) == a.n_states:
         return len(rows) == a.n_states
-    return _cone_step(rows, list(range(a.n_states))) is None
+    return next(_cone_removals(rows, a.n_states), None) is None
 
 
-def _echelon(rows: list[list[int]], columns: list[int]) -> dict[int, dict[int, int]]:
-    """Reduced echelon rows of the rows on ``columns``, the columns inserted in reverse.
+def _echelon(rows: list[list[int]], n: int) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of the rows, their n columns inserted in reverse.
 
-    The rows go into one :class:`SpanBasis` with position i of ``columns``
-    at column m - 1 - i, m = len(columns), and come back keyed by position:
-    each pivot maps to its sparse primitive row. The pivots of a reduced
-    echelon form are the greedy column basis from the left, so here they
-    are the positions that the scan from the last position down keeps:
-    those whose column is independent of the columns after it. Row
-    operations keep every linear relation between columns, so the column
-    at a free position f is the combination of the pivot columns with
-    coefficient row[f] / row[k] on the column at pivot k, row the reduced
-    row with pivot k.
+    The rows go into one :class:`SpanBasis` with column i at column
+    n - 1 - i, and come back keyed by column: each pivot maps to its sparse
+    primitive row. The pivots of a reduced echelon form are the greedy
+    column basis from the left, so here they are the columns that the scan
+    from the last column down keeps: those independent of the columns after
+    them. Row operations keep every linear relation between columns, so a
+    free column f is the combination of the pivot columns with coefficient
+    row[f] / row[k] on pivot column k, row the reduced row with pivot k.
     """
-    m = len(columns)
-    span = SpanBasis(m)
+    span = SpanBasis(n)
     for row in rows:
-        span.add([row[j] for j in reversed(columns)])
-    return {m - 1 - p: {m - 1 - j: y for j, y in row.items()} for p, row in span._rows.items()}
+        span.add(row[::-1])
+    return {n - 1 - p: {n - 1 - j: y for j, y in row.items()} for p, row in span._rows.items()}
 
 
-def _dependent(rows: list[list[int]], columns: list[int]) -> list[int]:
-    """Positions of the columns in the support of the kernel of the rows on ``columns``.
+def _dependent(rows: list[list[int]], n: int) -> list[int]:
+    """The columns in the support of the kernel of the rows, of n columns.
 
     Column i is a combination of the other columns iff some c with
-    R c = 0 has c_i != 0, R the rows restricted to ``columns``. In the
-    reduced echelon form of R (:func:`_echelon`) the kernel has one vector
-    per free column f, 1 at f and -row[f] / row[p] at each pivot p, so the
-    support is the free columns and each pivot whose reduced row is nonzero
-    at a free column. A reduced row vanishes at every other pivot, so that
-    is a row with more than one nonzero entry.
+    R c = 0 has c_i != 0. In the reduced echelon form of R
+    (:func:`_echelon`) the kernel has one vector per free column f, 1 at f
+    and -row[f] / row[p] at each pivot p, so the support is the free
+    columns and each pivot whose reduced row is nonzero at a free column. A
+    reduced row vanishes at every other pivot, so that is a row with more
+    than one nonzero entry.
     """
-    echelon = _echelon(rows, columns)
-    return [i for i in range(len(columns)) if len(echelon.get(i, ())) != 1]
+    echelon = _echelon(rows, n)
+    return [i for i in range(n) if len(echelon.get(i, ())) != 1]
 
 
-def _cone_step(rows: list[list[int]], columns: list[int]) -> tuple[int, tuple] | None:
-    """The first position in ``columns`` whose column is a nonnegative
-    combination of the others, with the coefficients, or None.
+def _cone_removals(rows: list[list[int]], n: int) -> Iterator[tuple[int, dict[int, Fraction]]]:
+    """The columns that cone reduction removes, in order, each with its
+    nonzero coefficients over the columns kept at that point.
 
-    Only the positions in the support of the kernel (:func:`_dependent`)
-    get a feasibility problem: any other column is no field combination of
-    the rest, so no cone one either.
+    The scan runs once, in column order, over the support of the kernel
+    (:func:`_dependent`, computed once): any other column is no field
+    combination of the rest, so no cone one either, and the kernel support
+    of a subset of the columns lies inside that one. Each column is one
+    feasibility problem on the columns still kept. A column outside the
+    cone of those columns is outside the cone of every subset of them, so
+    it would answer no again after later removals, and the scan yields
+    exactly the removals, coefficients included, of a scan that restarts
+    after each removal. It stops once the kept columns number the rows.
     """
-    for i in _dependent(rows, columns):
-        outcome = combination_on_rows(rows, columns[i], columns[:i] + columns[i + 1:],
-                                      nonneg=True)
+    kept = list(range(n))
+    for i in _dependent(rows, n):
+        others = [j for j in kept if j != i]
+        outcome = combination_on_rows(rows, i, others, nonneg=True)
         if outcome.expressible:
-            return i, outcome.coefficients
-    return None
+            kept = others
+            yield i, {j: c for j, c in zip(others, outcome.coefficients) if c}
+            if len(kept) == len(rows):
+                return
 
 
 def _eliminate(a: MultiplicityAutomaton, removed: dict[str, dict]) -> MultiplicityAutomaton:
@@ -137,48 +153,54 @@ def _eliminate(a: MultiplicityAutomaton, removed: dict[str, dict]) -> Multiplici
 def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomaton:
     """Eliminate combination states until none remains; the series is preserved.
 
-    States are examined in declared order and the first reducible one is
-    removed each round; the input itself is returned when none is. The
-    backward rows of the input are built once: elimination leaves every
-    kept state's series unchanged, so removing a state only drops its
-    column, and the rounds stop once the kept columns number the rows.
+    States are examined in declared order, and the result is that of
+    removing the first reducible state again and again; the input itself
+    is returned when none is. The backward rows of the input are built
+    once: elimination leaves every kept state's series unchanged, so
+    removing a state only drops its column, and no state is removed once
+    the kept columns number the rows. One elimination
+    (:func:`_eliminate`) builds the result in either mode.
 
-    Over the field the rounds need not run. The first removable state is a
-    combination of later columns alone, since every earlier column is in no
-    dependency, so the states kept are those that the scan from the last
-    state down keeps: the pivots of one reduced echelon form of the rows on
-    the reversed columns (:func:`_echelon`). Its rows give each removed
-    state as a combination of the kept ones. The kept series are
-    independent, so the weights of the reduced automaton are unique, and
-    one elimination (:func:`_eliminate`) builds it. The kept states must
+    Over the field the first removable state is a combination of later
+    columns alone, since every earlier column is in no dependency, so the
+    states kept are those that the scan from the last state down keeps:
+    the pivots of one reduced echelon form of the rows on the reversed
+    columns (:func:`_echelon`). Its rows give each removed state as a
+    combination of the kept ones. The kept series are independent, so the
+    weights of the reduced automaton are unique. The kept states must
     number the series rank; a mismatch raises :class:`ReductionStallError`
     instead of returning silently.
 
-    Over the cone the order of removals matters, so each round removes the
-    first state in the support of the kernel of the rows on the kept
-    columns (:func:`_dependent`) whose feasibility problem has a solution.
+    Over the cone the order of removals matters. A state that is no
+    nonnegative combination of the states kept is none of any subset of
+    them, so one scan (:func:`_cone_removals`) asks each state in the
+    support of the kernel of the rows once and finds the removals in
+    order, each over the states kept at that point. Substituting each
+    removal's coefficients into those of the removals before it gives every
+    removed state over the final states.
     """
     rep = a.to_linear_representation()
     span, actions = _backward_closure([rep])
-    rows = span.integer_rows
-    columns = list(range(a.n_states))
-    if mode is ReductionMode.CONE:
-        while len(columns) > len(rows) and (step := _cone_step(rows, columns)):
-            i, coeffs = step
-            kept = a.states[:i] + a.states[i + 1:]
-            a = _eliminate(a, {a.states[i]: dict(zip(kept, coeffs))})
-            del columns[i]
-        return a
-    target_rank = _pairing_rank(rep, span, actions)
-    if len(rows) != target_rank:
+    rows, n = span.integer_rows, a.n_states
+    if mode is ReductionMode.FIELD and len(rows) != (rank := _pairing_rank(rep, span, actions)):
         raise ReductionStallError(
-            f"elimination stopped at {len(rows)} states but the series rank is {target_rank}")
-    if len(rows) == len(columns):
+            f"elimination stopped at {len(rows)} states but the series rank is {rank}")
+    if len(rows) == n:
         return a
-    echelon = _echelon(rows, columns)
-    return _eliminate(a, {q: {a.states[k]: Fraction(row[i], row[k])
-                              for k, row in echelon.items() if i in row}
-                          for i, q in enumerate(a.states) if i not in echelon})
+    if mode is ReductionMode.FIELD:
+        echelon = _echelon(rows, n)
+        removed = {q: {a.states[k]: Fraction(row[i], row[k]) for k, row in echelon.items()
+                       if i in row} for i, q in enumerate(a.states) if i not in echelon}
+    else:
+        removed = {}
+        for i, coeffs in reversed(list(_cone_removals(rows, n))):
+            removed[a.states[i]] = combined = {}
+            for j, c in coeffs.items():
+                for s, d in removed.get(a.states[j], {a.states[j]: 1}).items():
+                    combined[s] = combined.get(s, 0) + c * d
+        if not removed:
+            return a
+    return _eliminate(a, removed)
 
 
 def hankel_rank(a: MultiplicityAutomaton) -> int:

@@ -75,6 +75,7 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        total_sum, weighted_sum, words_up_to)
 from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
                                 replace_iota)
+from stochlang.constructions import _NOT_A_DISTRIBUTION
 from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _load_json,
                                  _name_list, _require_keys)
 from stochlang.equivalence import _backward_closure, combination_on_rows
@@ -1053,7 +1054,10 @@ def oracle_cone_reduce(a):
 
 def oracle_determinize_to_pda(a, max_states):
     """Breadth-first residual exploration matching each new residual by a
-    pairwise scan of equivalence checks against every residual found so far."""
+    pairwise scan of equivalence checks against every residual found so far.
+    A letter of prefix weight 0 gets no edge when the series it starts is
+    zero, checked by an equivalence check with the empty automaton; any
+    other such series takes both signs, so the input is no distribution."""
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
     outcome = total_sum(a)
@@ -1071,7 +1075,10 @@ def oracle_determinize_to_pda(a, max_states):
         for x in a.alphabet:
             mass = prefix_weight(res, (x,))
             if mass == 0:
-                continue
+                shifted = letter_shift_automaton(res, (x,))
+                if are_equivalent(shifted, empty_automaton(a.alphabet)).equal:
+                    continue
+                raise ConstructionError(_NOT_A_DISTRIBUTION)
             child = residual_automaton(res, (x,))
             match = next((j for j, (_, known) in enumerate(discovered)
                           if are_equivalent(child, known).equal), None)
@@ -1088,9 +1095,7 @@ def oracle_determinize_to_pda(a, max_states):
     phi = {(names[i], x, names[j]): mass for (i, x), (mass, j) in transitions.items()}
     pda = MultiplicityAutomaton(a.alphabet, names, {names[0]: F(1)}, tau, phi)
     if not is_pda(pda):
-        raise ConstructionError("residual exploration produced a non-deterministic or "
-                                "non-probabilistic automaton; the input series is not "
-                                "a probability distribution")
+        raise ConstructionError(_NOT_A_DISTRIBUTION)
     return DeterminizationOutcome(pda, len(discovered))
 
 

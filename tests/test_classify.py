@@ -184,6 +184,22 @@ class TestPraReduced:
         for a in (fixtures.build("fig5"), doubled):
             assert classify(a).pra_reduced.is_pra
 
+    def test_reducedness_is_decided_before_the_witness_search(self, monkeypatch):
+        # the witness search can visit 2^n state sets; an input that is not
+        # cone-reduced is rejected without it, and a non-PA still first
+        module = importlib.import_module("stochlang.classify")
+
+        def forbidden(*args):
+            raise AssertionError("the witness search must not run")
+        monkeypatch.setattr(module, "_singleton_witnesses", forbidden)
+        from stochlang import weighted_sum
+        doubled = weighted_sum([fixtures.build("fig5"), fixtures.build("fig5")],
+                               (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match="^input is not cone-reduced$"):
+            is_pra_reduced(doubled)
+        with pytest.raises(ValueError, match="^input is not a probabilistic automaton$"):
+            is_pra_reduced(fixtures.build("fig3_App"))
+
     def test_precondition_not_reduced(self):
         from stochlang import weighted_sum
         doubled = weighted_sum([fixtures.build("fig5"), fixtures.build("fig5")],

@@ -212,6 +212,17 @@ class TestResidual:
         expected = (2 * F(1, 4) + F(3, 16)) / 3
         assert res.evaluate(("a",)) == expected
 
+    def test_zero_prefix_weight_is_spelled_as_read(self, capsys, tmp_path):
+        # the word is read with dots over letters of two characters, and the
+        # error spells it back the same way
+        doc = {"alphabet": ["x1", "x2"], "states": ["q0", "q1"], "initial": {"q0": "1"},
+               "final": {"q0": "1/2", "q1": "1"}, "transitions": [["q0", "x1", "q1", "1/2"]]}
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps(doc))
+        assert main(["residual", str(path), "x1.x2"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: prefix weight of x1.x2 is zero\n")
+
 
 class TestPda:
     def test_fig2(self, capsys, fixture_file):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang import (ConstructionError, DeterminizationOutcome, MultiplicityAutomaton,
+from stochlang import (ConstructionError, MultiplicityAutomaton,
                        ReductionMode, are_equivalent,
                        determinize_to_pda, fixtures, is_pa, is_pda,
                        minimal_residual_generators, parse_automaton, prefix_weight,
@@ -16,7 +16,6 @@ from stochlang import (ConstructionError, DeterminizationOutcome, MultiplicityAu
                        synthesize_pa, to_prefixial_pra, weighted_sum, words_up_to)
 from stochlang.automata import replace_iota
 from stochlang.classify import residual_witnesses
-from stochlang.constructions import _NOT_A_DISTRIBUTION as NOT_A_DISTRIBUTION
 
 from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
                      oracle_synthesize_pa, oracle_to_prefixial_pra, random_pa, random_pda,
@@ -276,14 +275,13 @@ class TestDeterminize:
             determinize_to_pda(a, 4)
 
     def test_residual_of_mass_zero_with_a_nonzero_series_is_a_construction_error(self):
-        # the oracle skips the residual at a, as the library did, and
-        # returns a PDA of another series
+        # the residual at a has mass 0, but its series takes the values 1 on
+        # the empty word and -1 on a
         a = ZERO_MASS_RESIDUAL
         assert prefix_weight(a, ("a",)) == 0 and a.evaluate(("a",)) == 1
-        with pytest.raises(ConstructionError, match="not a probability distribution"):
-            determinize_to_pda(a, 8)
-        skipped = oracle_determinize_to_pda(a, 8).pda
-        assert skipped.n_states == 1 and skipped.evaluate(("a",)) == 0
+        for determinize in (determinize_to_pda, oracle_determinize_to_pda):
+            with pytest.raises(ConstructionError, match="not a probability distribution"):
+                determinize(a, 8)
 
     def test_nonzero_residual_vector_of_the_zero_series_is_skipped(self):
         # the residual at a starts from q1 + q2, whose values cancel on every
@@ -297,6 +295,14 @@ class TestDeterminize:
 
 
 class TestPrefixial:
+    def test_zero_prefix_weight_is_spelled_as_the_cli_reads_it(self):
+        # over letters of two characters the words are joined by dots
+        a = MultiplicityAutomaton(("x1", "x2"), ("q0", "q1"), {"q0": 1},
+                                  {"q0": F(1, 2), "q1": 1}, {("q0", "x1", "q1"): F(1, 2)})
+        assert is_pa(a)
+        with pytest.raises(ValueError, match=r"^prefix weight of x2\.x1 is zero$"):
+            to_prefixial_pra(a, {"q0": (), "q1": ("x2", "x1")})
+
     def test_fig5(self):
         a = fixtures.build("fig5")
         built = to_prefixial_pra(a, {"q0": (), "q1": ("a",)})
@@ -435,16 +441,8 @@ def test_oracle_inputs_reach_sixteen_states():
 
 
 def _assert_determinize_matches_oracle(a, bound):
-    """The same outcome as the pairwise oracle, except where the library meets
-    a residual of mass 0 with a nonzero series and raises: the oracle skips
-    such a residual, so a PDA it returns there must generate another series."""
-    outcome = _outcome(determinize_to_pda, a, bound)
-    expected = _outcome(oracle_determinize_to_pda, a, bound)
-    if outcome != expected and isinstance(expected, DeterminizationOutcome):
-        assert outcome == (ConstructionError, NOT_A_DISTRIBUTION)
-        assert expected.pda is None or not are_equivalent(expected.pda, a).equal
-    else:
-        assert outcome == expected
+    assert (_outcome(determinize_to_pda, a, bound)
+            == _outcome(oracle_determinize_to_pda, a, bound))
 
 
 @pytest.mark.parametrize("bound", [3, 8, 16])
@@ -460,6 +458,28 @@ def test_determinize_matches_pairwise_oracle(a, bound):
 def test_minimal_generators_match_pairwise_oracle(a, depth):
     assert (_outcome(minimal_residual_generators, a, depth)
             == _outcome(oracle_minimal_residual_generators, a, depth))
+
+
+def test_minimal_generators_ask_each_question_once(monkeypatch):
+    # a residual that is no nonnegative combination of the residuals kept is
+    # none of any subset of them, so one pass asks each residual one drop
+    # question; on ring_pa(4) at depth 3 a pass that restarted after each
+    # drop asked 38 questions, one of them 11 times
+    module = importlib.import_module("stochlang.constructions")
+    real = module.combination_on_rows
+    targets = []
+
+    def counted(table, target, columns, nonneg):
+        targets.append(target)
+        return real(table, target, columns, nonneg=nonneg)
+    monkeypatch.setattr(module, "combination_on_rows", counted)
+    assert minimal_residual_generators(ring_pa(4), 3) == [(), ("b",), ("b", "b"),
+                                                          ("b", "b", "b")]
+    assert len(targets) == 23 and max(Counter(targets).values()) == 1
+    for _, a in ORACLE_INPUTS:
+        targets.clear()
+        _outcome(minimal_residual_generators, a, 2)
+        assert max(Counter(targets).values(), default=0) <= 1
 
 
 @st.composite

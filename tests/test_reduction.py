@@ -1,5 +1,7 @@
 import random
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -261,6 +263,23 @@ def cone_automata(draw):
     return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
 
 
+@st.composite
+def split_ring_copies(draw):
+    """Split copies of ring PAs with 2-8 states, in a drawn state order."""
+    a = split_copy(ring_pa(draw(st.integers(2, 8))), random.Random(draw(st.integers(0, 2**32))))
+    order = draw(st.permutations(a.states))
+    return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
+
+
+def assert_cone_matches_oracle(a):
+    reduced, expected = reduce(a, ReductionMode.CONE), oracle_cone_reduce(a)
+    assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
+        (expected.states, expected.iota, expected.tau, expected.phi)
+    verdict = is_reduced(a, ReductionMode.CONE)
+    assert verdict == oracle_is_cone_reduced(a)
+    assert verdict == (reduced is a)
+
+
 class TestConeAgainstPerStateOracle:
     """Cone decisions run a feasibility problem only for the states in the
     support of the kernel of the backward rows; the per-state loop on the
@@ -269,12 +288,13 @@ class TestConeAgainstPerStateOracle:
     @given(cone_automata())
     @settings(max_examples=150, deadline=None)
     def test_same_automaton_and_verdict(self, a):
-        reduced, expected = reduce(a, ReductionMode.CONE), oracle_cone_reduce(a)
-        assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
-            (expected.states, expected.iota, expected.tau, expected.phi)
-        verdict = is_reduced(a, ReductionMode.CONE)
-        assert verdict == oracle_is_cone_reduced(a)
-        assert verdict == (reduced is a)
+        assert_cone_matches_oracle(a)
+
+    @given(split_ring_copies())
+    @settings(max_examples=40, deadline=None)
+    def test_same_automaton_and_verdict_on_split_rings(self, a):
+        # 4-16 states, and one removal per state of the ring
+        assert_cone_matches_oracle(a)
 
     @given(cone_automata())
     @settings(max_examples=100, deadline=None)
@@ -284,15 +304,7 @@ class TestConeAgainstPerStateOracle:
         expressible = [q for q in columns
                        if combination_on_rows(rows, q, columns[:q] + columns[q + 1:],
                                               nonneg=False).expressible]
-        assert _dependent(rows, columns) == expressible
-
-
-@st.composite
-def split_ring_copies(draw):
-    """Split copies of ring PAs with 2-8 states, in a drawn state order."""
-    a = split_copy(ring_pa(draw(st.integers(2, 8))), random.Random(draw(st.integers(0, 2**32))))
-    order = draw(st.permutations(a.states))
-    return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
+        assert _dependent(rows, a.n_states) == expressible
 
 
 class TestFieldAgainstPerStateOracle:
@@ -341,6 +353,80 @@ class TestFieldAgainstPerStateOracle:
         assert calls == ["automaton"]
         assert reduced.n_states == 8
         assert are_equivalent(reduced, a).equal
+
+
+@contextmanager
+def counted_reduction_calls():
+    """Record the target of each feasibility question and each elimination
+    that ``reduce`` and ``is_reduced`` make."""
+    module = sys.modules["stochlang.reduction"]
+    combination, eliminate = module.combination_on_rows, module._eliminate
+    calls = {"targets": [], "eliminations": 0}
+
+    def counted_combination(rows, target, columns, nonneg):
+        calls["targets"].append(target)
+        return combination(rows, target, columns, nonneg=nonneg)
+
+    def counted_eliminate(a, removed):
+        calls["eliminations"] += 1
+        return eliminate(a, removed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "combination_on_rows", counted_combination)
+        patch.setattr(module, "_eliminate", counted_eliminate)
+        yield calls
+
+
+def questions_per_state(calls):
+    return max(Counter(calls["targets"]).values(), default=0)
+
+
+class TestOneScan:
+    """A state that is no nonnegative combination of the states kept is none
+    of any subset of them, so one scan asks each state at most once, and
+    every reduction builds its result with at most one elimination."""
+
+    @pytest.mark.parametrize("mode", list(ReductionMode))
+    def test_split_ring(self, mode):
+        # eight removals: a scan that restarts after each removal asks the
+        # states before it again, and builds one automaton per removal
+        a = split_copy(ring_pa(8), random.Random(8))
+        with counted_reduction_calls() as calls:
+            reduced = reduce(a, mode)
+            assert reduced.n_states == 8
+            assert calls["eliminations"] == 1
+            assert questions_per_state(calls) == (1 if mode is ReductionMode.CONE else 0)
+            calls["targets"].clear()
+            assert not is_reduced(a, mode)
+            assert questions_per_state(calls) <= 1
+
+    def test_two_planted_mixtures(self):
+        # mix0 and mix1 are convex combinations of q0, q1 and of q2, q4, q5:
+        # after mix0 goes, a scan that restarts asks q2, q4 and q5 again
+        rng = random.Random(6)
+        a = plant_mixture_state(ring_pa(6), rng, "mix0", [("q0", F(1, 3)), ("q1", F(2, 3))])
+        a = plant_mixture_state(a, rng, "mix1",
+                                [("q2", F(1, 2)), ("q4", F(1, 4)), ("q5", F(1, 4))])
+        with counted_reduction_calls() as calls:
+            reduced = reduce(a, ReductionMode.CONE)
+            assert calls == {"targets": [0, 1, 2, 4, 5, 6, 7], "eliminations": 1}
+        expected = oracle_cone_reduce(a)
+        assert reduced.states == expected.states == ring_pa(6).states
+        assert (reduced.iota, reduced.tau, reduced.phi) == \
+            (expected.iota, expected.tau, expected.phi)
+
+    @given(st.one_of(cone_automata(), split_ring_copies()), st.sampled_from(ReductionMode))
+    @settings(max_examples=80, deadline=None)
+    def test_each_state_asked_at_most_once(self, a, mode):
+        with counted_reduction_calls() as calls:
+            try:
+                reduced = reduce(a, mode)
+            except ReductionStallError:
+                reduced = None
+            assert calls["eliminations"] == (0 if reduced is a or reduced is None else 1)
+            assert questions_per_state(calls) <= 1
+            calls["targets"].clear()
+            is_reduced(a, mode)
+            assert questions_per_state(calls) <= 1
 
 
 class TestConeDecisionsOnIndependentColumns:
