@@ -332,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, ValueError, ReductionStallError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
     finally:
         _set_int_digits(limit)
 

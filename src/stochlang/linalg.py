@@ -34,6 +34,18 @@ the nullspace coordinates as its primitive integer row
 (:func:`_feasible_point`). Only ``determinant`` still eliminates over
 ``Fraction``.
 
+A large span closure can run mod a 61-bit prime instead
+(:func:`_certified_closure`), on the same :func:`_closure` loop with a
+span kept monic mod p (:class:`_ModularSpan`), where no entry grows. Its
+reduced rows are rebuilt as rationals and accepted only after an exact
+check (:func:`_closes`): the start vector and every row's image under
+every map must lie in their row space. The rank mod p never exceeds the
+rank over the rationals, so rows that pass are the unique reduced echelon
+form of the exact span, the rows ``SpanBasis`` builds; when the rebuild or
+the check fails, the exact closure runs. The result is the same in every
+case; ``equivalence._backward_closure`` takes this path from a fixed
+dimension on.
+
 Contraction is a question about polynomials, not about a linear system.
 The minimal polynomial of a vector v under M is read off the integer
 vectors A^k v, k <= n, with A = s M integral: one ``SpanBasis`` of the
@@ -782,3 +794,153 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
         if row is not None:
             yield path, row
             queue.extend((path + (k,), _push(action, row)) for k, action in enumerate(actions))
+
+
+# The prime of the modular span closure (_certified_closure), and the bound
+# on |a| and b of the fractions a / b that _rational rebuilds mod a prime:
+# 2 _HEIGHT^2 < _PRIME makes the fraction unique when it exists.
+_PRIME = 2 ** 61 - 1
+_HEIGHT = 1 << 30
+
+
+def _rational(u: int, p: int) -> tuple[int, int] | None:
+    """The a / b with a = u b mod p, |a| and 0 < b below ``_HEIGHT``, or None.
+
+    The half-extended Euclidean algorithm on p and u stops at the first
+    remainder below the bound; the cofactor there is the denominator. A
+    value a / b within the bounds is the only one, so a mismatch can only
+    come from a true value outside them.
+    """
+    r0, r1, t0, t1 = p, u % p, 0, 1
+    while r1 >= _HEIGHT:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) < _HEIGHT or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+class _ModularSpan:
+    """A :class:`SpanBasis` mod the prime p, for :func:`_closure` to drive.
+
+    ``_rows`` maps each pivot, in increasing order, to a monic
+    ``{column: int}`` row with entries in [1, p), zero at every other
+    pivot. ``add`` takes a dense vector, scaled to a primitive integer
+    vector first so that no denominator needs an inverse, or a
+    ``{column: int}`` image. It subtracts the rows at the pivots in the
+    vector's support, each times the vector's own entry there, as the rows
+    are monic and reduced; takes the entries mod p; makes the remainder
+    monic, with no lcm and no gcd; and clears its pivot from the rows that
+    hold it. It returns the new row, or None, as ``SpanBasis.add`` does.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self._rows: dict[int, dict[int, int]] = {}
+
+    def add(self, v: Iterable | dict[int, int]) -> dict[int, int] | None:
+        p = self.p
+        if type(v) is not dict:
+            v = {j: x for j, x in enumerate(_primitive(v)) if x}
+        rows = self._rows
+        acc = dict(v)
+        get = acc.get
+        for j, x in v.items():
+            row = rows.get(j)
+            if row is not None:
+                for i, y in row.items():
+                    acc[i] = get(i, 0) - x * y
+        new = {j: r for j, z in acc.items() if (r := z % p)}
+        if not new:
+            return None
+        pivot = min(new)
+        inv = pow(new[pivot], -1, p)
+        if inv != 1:
+            new = {j: x * inv % p for j, x in new.items()}
+        for q, row in rows.items():
+            if q > pivot:
+                break
+            c = row.get(pivot)
+            if c:
+                out = dict(row)
+                get = out.get
+                for j, y in new.items():
+                    out[j] = get(j, 0) - c * y
+                rows[q] = {j: r for j, z in out.items() if (r := z % p)}
+        last = next(reversed(rows), -1)
+        rows[pivot] = new
+        if pivot < last:
+            self._rows = dict(sorted(rows.items()))
+        return new
+
+    @property
+    def dimension(self) -> int:
+        return len(self._rows)
+
+
+def _lift(rows: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]] | None:
+    """Integer rows, keyed by pivot, that reconstruct monic reduced rows mod p, or None.
+
+    Each entry becomes a rational (:func:`_rational`), each row the
+    primitive integer row of those values, positive at its pivot, where
+    the value is 1. Entries that vanish mod p stay absent, so the rows are
+    zero at every other pivot, as reduced echelon rows are. None when an
+    entry has no reconstruction.
+    """
+    lifted: dict[int, dict[int, int]] = {}
+    for pivot, row in rows.items():
+        values = {}
+        for j, u in row.items():
+            value = (1, 1) if j == pivot else _rational(u, p)
+            if value is None:
+                return None
+            values[j] = value
+        scale = lcm(*(b for _, b in values.values()))
+        ints = {j: a * (scale // b) for j, (a, b) in values.items()}
+        g = gcd(*ints.values())
+        lifted[pivot] = ints if g == 1 else {j: x // g for j, x in ints.items()}
+    return lifted
+
+
+def _closes(span: SpanBasis, start: Iterable, actions: Sequence[_Action]) -> bool:
+    """Whether the row space of ``span`` holds ``start`` and its own image under every map.
+
+    The exact certificate of a span closure: such a row space contains
+    every image of ``start`` under any product of the maps. Membership is
+    the rows' own reduction (``SpanBasis.contains``), which needs no solve,
+    since the rows are zero at each other's pivots.
+    """
+    return span.contains(start) and all(
+        span.contains(_push(action, row)) for row in span._rows.values() for action in actions)
+
+
+def _certified_closure(dim: int, start: Iterable, actions: Sequence[_Action]) -> SpanBasis:
+    """The span that ``_closure`` reaches from ``start``, found mod ``_PRIME``
+    and checked exactly.
+
+    The same :func:`_closure` loop drives a :class:`_ModularSpan`. Its rank
+    d_p is at most the rank d over the rationals: the vectors it spans are
+    the images mod p of integer vectors that span d dimensions. When d_p is
+    ``dim`` the span is everything and its rows are the unit vectors.
+    Otherwise the rows are reconstructed (:func:`_lift`) and accepted only
+    if their row space holds ``start`` and is closed under the maps
+    (:func:`_closes`): it then contains the span, so d <= d_p, the two
+    spaces are equal, and a reduced echelon form being unique, the rows
+    are those of the exact closure. A failed reconstruction or check runs
+    the exact closure, so the result never depends on the prime.
+    """
+    p = _PRIME
+    modular = _ModularSpan(p)
+    for _ in _closure(modular, start, actions):
+        pass
+    span = SpanBasis(dim)
+    if modular.dimension == dim:
+        span._rows = {i: {i: 1} for i in range(dim)}
+        return span
+    span._rows = _lift(modular._rows, p)
+    if span._rows is not None and _closes(span, start, actions):
+        return span
+    span = SpanBasis(dim)
+    for _ in _closure(span, start, actions):
+        pass
+    return span

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stochlang import (MultiplicityAutomaton, are_equivalent, classify, fixtures,
+from stochlang import (MultiplicityAutomaton, are_equivalent, classify, cli, fixtures,
                        parse_automaton, parse_word, serialize_automaton)
 from stochlang.automata import merge_alphabets
 from stochlang.cli import main
@@ -458,6 +458,16 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: initial['q0']: malformed rational '1\\n'\n"
+
+    def test_out_of_memory_exits_3_with_one_line(self, capsys, monkeypatch):
+        def exhausted(a):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "hankel_rank", exhausted)
+        assert main(["rank", str(DATA / "fig2_A.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochlang import MultiplicityAutomaton, hankel_rank
-from stochlang.equivalence import _backward_closure
-from stochlang.linalg import (Constraint, Matrix, SpanBasis, _closure, _fourier_motzkin,
-                              _integer_actions, _integer_sum, _minimal_polynomial, _powers,
-                              _primitive, dot, is_positive_definite,
-                              lp_feasible, rref, schur_stable, solve_affine,
-                              spectral_radius_lt_one)
+from stochlang import MultiplicityAutomaton, hankel_rank, linalg
+from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure
+from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
+                              _fourier_motzkin, _integer_actions, _integer_sum,
+                              _minimal_polynomial, _powers, _primitive, _rational, dot,
+                              is_positive_definite, lp_feasible, rref, schur_stable,
+                              solve_affine, spectral_radius_lt_one)
 
 from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, diagonal, from_columns,
                      identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul, mat_sub, mat_vec,
@@ -21,7 +21,8 @@ from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, diagonal, from_col
                      oracle_fourier_motzkin, oracle_integer_actions, oracle_integer_sum,
                      oracle_krylov_closure, oracle_lp_feasible, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
-                     random_ma, ring_pa, split_copy, transpose)
+                     duplicate_state, random_ma, random_pa, ring_pa, split_copy, transpose,
+                     with_cancelling_copies)
 
 F = Fraction
 
@@ -845,6 +846,20 @@ class TestIntegerLetterMapsAgainstDenseScan:
         assert rep.evaluate(word) == dot(rep.forward(rep.lam, word), rep.gamma)
 
 
+@pytest.fixture
+def exact_adds(monkeypatch):
+    """Counts ``SpanBasis.add`` calls, which only the exact closure makes."""
+    calls = []
+    add = SpanBasis.add
+
+    def counted(self, v):
+        calls.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(SpanBasis, "add", counted)
+    return calls
+
+
 class TestClosureAgainstDenseIntegerRows:
     """``_closure``, which pushes the sparse echelon row each accepted vector
     adds, against ``oracle_closure``, which pushes the dense vector itself
@@ -874,15 +889,18 @@ class TestClosureAgainstDenseIntegerRows:
                 assert prefix.contains(line)
                 assert row[min(row)] > 0 and gcd(*row.values()) == 1
 
-    @pytest.mark.parametrize("n", [16, 32])
-    def test_backward_rows_and_rank_at_scale(self, n):
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
+    def test_backward_rows_and_rank_at_scale(self, n, exact_adds):
         """On a split ring copy (2n states) the backward rows equal the
         oracle closure's, and the rank is the rank of the pairings of the
-        oracle's forward and backward vectors."""
+        oracle's forward and backward vectors. From 24 states on the
+        backward rows are certified mod p, here with no exact fallback."""
         a = split_copy(ring_pa(n), random.Random(n))
         rep = a.to_linear_representation()
         dim = a.n_states
+        assert dim >= MODULAR_MIN_DIM
         span, _ = _backward_closure([rep])
+        assert exact_adds == []
         letters = {left: oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], left)[0]
                    for left in (True, False)}
         dense = OracleIntegerSpanBasis(dim)
@@ -894,3 +912,116 @@ class TestClosureAgainstDenseIntegerRows:
         for f in forward:
             pairings.add([sum(map(mul, f, b)) for b in backward])
         assert hankel_rank(a) == pairings.dimension == n
+
+
+def exact_closure(dim, start, actions):
+    span = SpanBasis(dim)
+    for _ in _closure(span, start, actions):
+        pass
+    return span
+
+
+def assert_same_span(found, exact):
+    """The same rows under the same pivots, in pivot order."""
+    assert list(found._rows) == list(exact._rows)
+    assert found._rows == exact._rows
+
+
+@st.composite
+def closure_inputs(draw):
+    """One or two automata of the random families of ``helpers`` over 1-3
+    letters, each of 1-8 states: signed or nonnegative weights, a signed
+    automaton with two cancelling divergent copies, one with a duplicated
+    state, or a random PA. Returns the start vector, the backward integer
+    maps and the dimension of their direct sum."""
+    alphabet = LETTERS[:draw(st.integers(1, 3))]
+    reps = []
+    for _ in range(draw(st.integers(1, 2))):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(1, 8))
+        family = draw(st.sampled_from(("signed", "nonneg", "cancelling", "duplicate", "pa")))
+        if family == "pa":
+            a = random_pa(rng, n, alphabet)
+        else:
+            a = random_ma(rng, n, alphabet, signed=family != "nonneg")
+            if family == "cancelling":
+                a = with_cancelling_copies(a)
+            elif family == "duplicate":
+                a = duplicate_state(a, rng)
+        reps.append(a.to_linear_representation())
+    actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
+    return [y for r in reps for y in r.gamma], actions, sum(r.dim for r in reps)
+
+
+class TestCertifiedClosure:
+    """``_certified_closure`` finds the span mod a prime, reconstructs its
+    rows and checks them exactly, or falls back to the exact closure: its
+    rows are always those of ``SpanBasis``."""
+
+    @given(closure_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_rows_as_the_exact_closure(self, case):
+        start, actions, dim = case
+        assert_same_span(_certified_closure(dim, start, actions),
+                         exact_closure(dim, start, actions))
+
+    def test_unlucky_prime_drops_the_rank(self, monkeypatch, exact_adds):
+        """(1, 1) and (1, 6) are one direction mod 5: the rows mod 5 miss
+        a dimension, the check finds (1, 6) outside them, and the exact
+        closure answers."""
+        actions, _ = _integer_actions([[Matrix([[1, 0, 0], [0, 6, 0], [0, 0, 1]])]], True)
+        start = [F(1), F(1), F(0)]
+        monkeypatch.setattr(linalg, "_PRIME", 5)
+        span = _certified_closure(3, start, actions)
+        assert exact_adds
+        assert span._rows == {0: {0: 1}, 1: {1: 1}}
+        assert_same_span(span, exact_closure(3, start, actions))
+
+    def test_prime_that_divides_the_scale(self, monkeypatch, exact_adds):
+        """The letter map is scaled by 7 to integers; mod 7 the image
+        (1, 7, 0) of gamma is gamma again."""
+        actions, scale = _integer_actions([[Matrix([[F(1, 7), 0, 0], [1, 0, 0], [0, 0, 0]])]],
+                                          True)
+        assert scale == 7
+        start = [F(1), F(0), F(0)]
+        monkeypatch.setattr(linalg, "_PRIME", 7)
+        span = _certified_closure(3, start, actions)
+        assert exact_adds
+        assert span._rows == {0: {0: 1}, 1: {1: 1}}
+        assert_same_span(span, exact_closure(3, start, actions))
+
+    @pytest.mark.parametrize("height, rebuilt", [(2**31 + 1, None), (2**40, (1, 2**21))])
+    def test_entry_above_the_reconstruction_bound(self, height, rebuilt, exact_adds):
+        """The one reduced row (1, h, 0) has an entry above 2^30: mod the
+        prime, h has no reconstruction, or a wrong one that the check
+        rejects."""
+        assert _rational(height % linalg._PRIME, linalg._PRIME) == rebuilt
+        actions, _ = _integer_actions([[Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])]], True)
+        start = [F(1), F(height), F(0)]
+        span = _certified_closure(3, start, actions)
+        assert exact_adds
+        assert span._rows == {0: {0: 1, 1: height}}
+        assert_same_span(span, exact_closure(3, start, actions))
+
+    def test_full_rank_needs_no_reconstruction(self, monkeypatch, exact_adds):
+        a = ring_pa(8)
+        rep = a.to_linear_representation()
+        actions, _ = _integer_actions([[rep.mu[x]] for x in a.alphabet], True)
+
+        def forbidden(*args):
+            raise AssertionError("a full-rank span needs no reconstruction or check")
+
+        monkeypatch.setattr(linalg, "_lift", forbidden)
+        monkeypatch.setattr(linalg, "_closes", forbidden)
+        span = _certified_closure(8, rep.gamma, actions)
+        assert exact_adds == []
+        assert span._rows == {i: {i: 1} for i in range(8)}
+        assert_same_span(span, exact_closure(8, rep.gamma, actions))
+
+    @given(st.integers(-(2**30) + 1, 2**30 - 1), st.integers(1, 2**30 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_reconstruction_within_the_bound(self, a, b):
+        p = linalg._PRIME
+        g = gcd(a, b)
+        assert _rational(a * pow(b, -1, p), p) == (a // g, b // g)
+
