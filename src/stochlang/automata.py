@@ -38,7 +38,7 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     known = set(alphabet)
     unknown = [x for x in letters if x not in known]
     if unknown:
-        raise ValueError(f"letter {unknown[0]!r} is not in the alphabet")
+        raise ValueError(f"letter {_echo(unknown[0])} is not in the alphabet")
     return letters
 
 
@@ -85,7 +85,7 @@ class LinearRepresentation:
         """
         for x in word:
             if x not in self.mu:
-                raise ValueError(f"letter {x!r} is not in the alphabet")
+                raise ValueError(f"letter {_echo(x)} is not in the alphabet")
             v = vec_mat(v, self.mu[x])
         return v
 
@@ -213,7 +213,7 @@ class MultiplicityAutomaton:
     def evaluate_state(self, q: str, word: Sequence[str]) -> Fraction:
         """Exact value of the series generated from a single state."""
         if q not in set(self.states):
-            raise ValueError(f"unknown state {q!r}")
+            raise ValueError(f"unknown state {_echo(q)}")
         rep = self.to_linear_representation()
         unit = tuple(Fraction(1 if s == q else 0) for s in self.states)
         return dot(rep.forward(unit, word), rep.gamma)
@@ -325,7 +325,7 @@ def replace_iota(a: MultiplicityAutomaton, lam: Sequence[Fraction]) -> Multiplic
 def state_series_automaton(a: MultiplicityAutomaton, q: str) -> MultiplicityAutomaton:
     """Automaton generating the series of a single state of ``a``."""
     if q not in set(a.states):
-        raise ValueError(f"unknown state {q!r}")
+        raise ValueError(f"unknown state {_echo(q)}")
     return replace_iota(a, tuple(Fraction(1 if s == q else 0) for s in a.states))
 
 

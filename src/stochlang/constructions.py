@@ -9,20 +9,24 @@ was cut off, never that the answer is known to be negative.
 
 Every residual u^-1 p = p(u .) / p(u Sigma*) of a series, and every letter
 shift of one, is the input's own linear representation with another
-initial vector, so residual exploration runs on the integers of one object
-per call (:class:`_Residuals`). A residual is a coprime integer vector p
-with its mass m, and one letter step is p A_x for the integer letter map
-A_x = s M_x followed by one content division. Its mass is the dot product
-with the state-sum vector (Id - M)^-1 gamma, read off the same table of
-the vectors A^k g that ``state_sums`` uses (``analysis._sum_table``); only
-when the minimal polynomial of gamma under M is not Schur-stable does each
-mass run its own fraction-free recurrence on that table, since the paper
-defines a residual whenever its own prefix sum converges. One backward
-closure of the representation gives each residual a key, the coprime
-integer tuple of its pairings with the span's rows times the sign of its
-mass: equal keys mean equal series, so a dict finds every known residual,
-and a combination question between residuals is one exact solve on a table
-of keys. Fractions are made only for the weights of the automaton built.
+initial vector, and two initial vectors start the same series iff they
+pair alike with the rows of the backward span V, the span of the vectors
+mu(w) gamma. So a residual is its pairing vector on V: residual
+exploration runs on the integers of one object per call
+(:class:`_Residuals`), over the series' representation on V
+(``reduction._SpanRepresentation``), and costs dim V, not the state count.
+A residual is a coprime integer vector p of length dim V with its mass m,
+and one letter step is A_x p for the integer map A_x on V followed by one
+content division. Its mass is the dot product with the state-sum vector
+(Id - M)^-1 gamma, read off the table of the vectors A^k g that
+``state_sums`` uses (``analysis._sum_table``), taken at the pivots of V's
+rows; only when the minimal polynomial of gamma under M is not
+Schur-stable does each mass run its own fraction-free recurrence on that
+table, since the paper defines a residual whenever its own prefix sum
+converges. The key of a residual is p times the sign of its mass: equal
+keys mean equal series, so a dict finds every known residual, and a
+combination question between residuals is one exact solve on a table of
+keys. Fractions are made only for the weights of the automaton built.
 
 PA synthesis asks its questions the same way. A letter shift of a
 generator is the generator with another initial vector, so one table of
@@ -40,13 +44,14 @@ from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .analysis import _mass, _series_sum, _state_sum_vector, _sum_table
-from .automata import (MultiplicityAutomaton, Word, format_word, letter_shift_automaton,
-                       replace_iota, state_series_automaton, words_up_to)
+from .analysis import (_mass, _series_sum, _state_sum_vector, _sum_table, _SumTable,
+                       residual_automaton)
+from .automata import (MultiplicityAutomaton, Word, _echo, format_word, letter_shift_automaton,
+                       state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
 from .equivalence import (_backward_closure, _blocks, _value_table, are_equivalent,
                           combination_on_rows)
-from .linalg import _integer_actions, _primitive_with_factor
+from .reduction import _SpanRepresentation
 
 
 class ConstructionError(RuntimeError):
@@ -65,40 +70,46 @@ _NOT_A_DISTRIBUTION = ("residual exploration produced a non-deterministic or "
 class _Residuals:
     """The derived data of one automaton that residual exploration reads.
 
-    It holds the sum table (``analysis._sum_table``), the right-acting
-    integer letter maps A_x = scale M_x, the integer rows of the backward
-    span (``equivalence._backward_closure``) and, when it exists, the
-    state-sum vector s = unit S, S a coprime integer vector, read off the
-    same table. A residual is a coprime integer vector p with its mass m
-    over the positive ``unit``, so the residual's initial vector is
-    p / (unit m). With s, m is the integer p . S; without it, unit is 1 and
-    m is the exact mass, from one recurrence on the table.
+    A residual is held by its pairings with the rows of the backward span V
+    (``reduction._SpanRepresentation``): a coprime integer vector p of
+    length dim V with its mass m over the positive ``unit``, so the
+    residual's pairing vector is p / (unit m). One letter step is A_x p for
+    the span's integer map A_x followed by one content division, and the
+    key of a residual is p itself times the sign of m. V holds gamma and is
+    invariant under M, so the vectors A^k g of the input's sum table
+    (``analysis._sum_table``) lie in V: read at the pivots, times the
+    weights, they form the table of the same series on V, with the same
+    minimal polynomial of gamma under M. The state-sum vector s = unit S,
+    S a coprime integer vector, is read off that table when it exists, and
+    then m is the integer p . S; without it, unit is 1 and m is the exact
+    mass, from one recurrence on the table.
     """
 
     def __init__(self, a: MultiplicityAutomaton):
         rep = a.to_linear_representation()
-        self.table = _sum_table(a)
-        actions, self.scale = _integer_actions([[rep.mu[x]] for x in a.alphabet], left=False)
-        self.actions = dict(zip(a.alphabet, actions))
-        self.rows = list(_backward_closure([rep])[0]._rows.values())
-        self.sums = _state_sum_vector(self.table, rep.dim)
+        self.span = span = _SpanRepresentation(rep, *_backward_closure([rep]))
+        self.actions = dict(zip(a.alphabet, span.actions))
+        table = _sum_table(a)
+        self.table = _SumTable([[w * v[p] for p, w in span.weights.items()] for v in table.powers],
+                               table.scale, table.factor / span.lcm)
+        self.sums = _state_sum_vector(self.table, len(span.rows))
         self.unit = Fraction(1) if self.sums is None else self.sums[1]
         # gamma = factor g, and g = A^0 g is the table's first vector (none at n = 0)
         self.gamma = self.table.powers[0] if self.table.powers else []
         self.tau_factor = self.table.factor / self.unit
-        self.start, lam_factor = _primitive_with_factor(rep.lam)
-        self.start_factor = lam_factor * self.unit
+        self.start = span.start
+        self.start_factor = span.start_factor * self.unit
 
     def step(self, p: list[int], x: str) -> tuple[int, list[int]]:
-        """The content g and the coprime vector q with g q = p A_x, A_x = scale M_x."""
+        """The content g and the coprime vector q with g q = A_x p."""
         action = self.actions.get(x)
         if action is None:
-            raise ValueError(f"letter {x!r} is not in the alphabet")
+            raise ValueError(f"letter {_echo(x)} is not in the alphabet")
         q = [0] * len(p)
-        for j, x in enumerate(p):
-            if x:
-                for i, c in action[j]:
-                    q[i] += c * x
+        for k, y in enumerate(p):
+            if y:
+                for i, c in action[k]:
+                    q[i] += c * y
         g = gcd(*q)
         return g, q if g <= 1 else [y // g for y in q]
 
@@ -109,36 +120,28 @@ class _Residuals:
         return _mass(self.table, p)
 
     def key(self, p: list[int], m: Mass) -> tuple[int, ...]:
-        """The coprime pairings of p with the backward rows, times the sign of m.
+        """p times the sign of m.
 
-        The rows span every mu(w) . gamma, so the residuals p / (unit m) and
-        p' / (unit m') are equal iff their pairings are proportional; both
-        have mass 1, so the factor is positive, and the sign of m turns the
-        content-free pairings of p and of -p into one key.
+        The residuals p / (unit m) and p' / (unit m') are equal iff their
+        pairing vectors are, that is iff p' = (m' / m) p; as p and p' are
+        coprime, m' / m is then 1 or -1, and p and p' have one key.
         """
-        values = [sum([p[j] * y for j, y in row.items()]) for row in self.rows]
-        g = gcd(*values)
-        if m < 0:
-            g = -g
-        if g in (0, 1):
-            return tuple(values)
-        return tuple(x // g for x in values)
+        return tuple(p) if m >= 0 else tuple(-y for y in p)
 
     def is_state_series(self, p: list[int], m: Mass, i: int) -> bool:
-        """Whether the residual of p is exactly the series of state i: its
-        pairings over its exact mass equal column i of the backward rows."""
+        """Whether the residual of p is exactly the series of state i: p over
+        its exact mass equals column i of the backward rows."""
         exact = self.unit * m
         num, den = exact.numerator, exact.denominator
-        return all(sum([p[j] * y for j, y in row.items()]) * den == row.get(i, 0) * num
-                   for row in self.rows)
+        return all(y * den == row.get(i, 0) * num for y, row in zip(p, self.span.rows))
 
     def weight(self, g: int, mq: Mass, m: Mass) -> Fraction:
-        """Mass of the letter step g q = p A_x from the residual of p, the step
+        """Mass of the letter step g q = A_x p from the residual of p, the step
         reaching the residual of q (masses over one unit)."""
-        return Fraction(g * mq, self.scale * m)
+        return Fraction(g * mq, self.span.scale * m)
 
     def tau(self, p: list[int], m: Mass) -> Fraction:
-        """Final weight of the residual of p: p . gamma over its exact mass."""
+        """Final weight of the residual of p: its pairing with gamma over its exact mass."""
         return Fraction(sum(map(mul, p, self.gamma)), m) * self.tau_factor
 
 
@@ -286,18 +289,19 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     is computed once, by one letter step from its parent. Each witness is
     verified exactly: the residual's pairings with the input's backward
     rows, over its exact mass, must equal column q of those rows; only a
-    mismatch runs an equivalence check, to name the word where the two
-    series differ. States of the result are the prefixes of the witness
-    set: the empty word carries all initial mass, tree edges carry residual
-    prefix weights, and each witness state routes its remaining letters
-    through the original transitions.
+    mismatch runs an equivalence check of the residual automaton at w_q
+    (``analysis.residual_automaton``) against the state's series, to name
+    the word where the two series differ. States of the result are the
+    prefixes of the witness set: the empty word carries all initial mass,
+    tree edges carry residual prefix weights, and each witness state
+    routes its remaining letters through the original transitions.
     """
     if not is_pa(a):
         raise ValueError("input is not a probabilistic automaton")
     witness_words: dict[str, Word] = {}
     for q in a.states:
         if q not in witnesses:
-            raise ValueError(f"missing witness for state {q!r}")
+            raise ValueError(f"missing witness for state {_echo(q)}")
         witness_words[q] = tuple(witnesses[q])
     if len(set(witness_words.values())) != len(witness_words):
         raise ValueError("witness words must be distinct")
@@ -319,10 +323,9 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                 vectors[w[:k]] = res.step(vectors[w[:k - 1]][1], w[k - 1])
         p, m = vectors[w][1], mass(w)
         if not res.is_state_series(p, m, i):
-            residual = tuple(x / (res.unit * m) for x in p)
-            check = are_equivalent(replace_iota(a, residual), state_series_automaton(a, q))
+            check = are_equivalent(residual_automaton(a, w), state_series_automaton(a, q))
             raise ValueError(
-                f"witness verification failure for state {q!r}: the residual at "
+                f"witness verification failure for state {_echo(q)}: the residual at "
                 f"{format_word(w, a.alphabet)} differs at "
                 f"{format_word(check.witness, a.alphabet)}")
 

@@ -113,9 +113,9 @@ MODULAR_MIN_DIM = 24
 
 
 def _backward_closure(reps: Sequence[LinearRepresentation]
-                      ) -> tuple[SpanBasis, list[_Action]]:
+                      ) -> tuple[SpanBasis, list[_Action], int]:
     """The span of every x(w) = mu(w) . gamma of a direct sum, with the integer
-    letter maps it was closed under.
+    letter maps it was closed under and their scale.
 
     The representations share one alphabet. Their direct sum has the
     concatenated final vectors and block-diagonal letter matrices, so block i
@@ -129,7 +129,8 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     series iff they agree on every row. The closure is fraction-free: the
     span keeps its reduced echelon rows as primitive integers, and the maps
     are v -> s mu(x) . v on the direct sum, one per letter in alphabet
-    order, with one scale s per call, stored per input coordinate.
+    order, with one scale s per call, stored per input coordinate; s comes
+    back with them.
 
     From ``MODULAR_MIN_DIM`` dimensions on, the same closure runs mod
     a prime (``linalg._certified_closure``), where the rows that the exact
@@ -142,14 +143,14 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     if any(r.alphabet != alphabet for r in reps):
         raise ValueError("alphabet mismatch")
     dim = sum(r.dim for r in reps)
-    actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
+    actions, scale = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
     gamma = [y for r in reps for y in r.gamma]
     if dim >= MODULAR_MIN_DIM:
-        return _certified_closure(dim, gamma, actions), actions
+        return _certified_closure(dim, gamma, actions), actions, scale
     span = SpanBasis(dim)
     for _ in _closure(span, gamma, actions):
         pass
-    return span, actions
+    return span, actions, scale
 
 
 def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
@@ -227,7 +228,7 @@ def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
             w = s.iota_weight(q)
             lam[j] = w.numerator * (scale // w.denominator)
         lams.append(lam)
-    span, _ = _backward_closure([b.to_linear_representation() for b in blocks])
+    span = _backward_closure([b.to_linear_representation() for b in blocks])[0]
     return [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]
             for row in span._rows.values()]
 

@@ -26,21 +26,30 @@ state's coefficients into those of the states removed before it gives
 every removed state over the final states, and again one elimination
 builds the result. Over the field the result must have the rank of the
 series, or :class:`ReductionStallError` is raised; the rank is computed
-independently of any elimination: the backward rows carry a
-representation of the series on their own span, and the rank is the
-dimension of the forward closure of its initial vector.
+independently of any elimination.
+
+The backward rows also carry the series itself. An initial vector starts
+a series that depends only on its pairings with the rows, so the series
+has a representation on their span V, with the pairing vector of lam as
+initial vector and integer letter maps on V (:class:`_SpanRepresentation`,
+built from the same closure). The rank is the dimension of the forward
+closure of that initial vector, and residual exploration
+(``constructions._Residuals``) holds each residual as its pairing vector
+and steps it through the same maps. Only the rank, field reduction and
+residual exploration build those maps; cone reduction and
+:func:`is_reduced` read the rows alone.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
 from .equivalence import _backward_closure, combination_on_rows
-from .linalg import SpanBasis, _Action, _closure, _primitive, _push
+from .linalg import SpanBasis, _Action, _closure, _primitive_with_factor, _push
 
 
 class ReductionMode(enum.Enum):
@@ -180,9 +189,10 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     removed state over the final states.
     """
     rep = a.to_linear_representation()
-    span, actions = _backward_closure([rep])
-    rows, n = span.integer_rows, a.n_states
-    if mode is ReductionMode.FIELD and len(rows) != (rank := _pairing_rank(rep, span, actions)):
+    closure = _backward_closure([rep])
+    rows, n = closure[0].integer_rows, a.n_states
+    if mode is ReductionMode.FIELD and len(rows) != (
+            rank := _SpanRepresentation(rep, *closure).rank()):
         raise ReductionStallError(
             f"elimination stopped at {len(rows)} states but the series rank is {rank}")
     if len(rows) == n:
@@ -208,47 +218,68 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
 
     Reduces the representation from both sides (Schützenberger): the
     backward rows of ``equivalence._backward_closure`` carry a representation of the same
-    series on their span, in which every coordinate vector is reached from
-    gamma; the dimension of the forward closure of its initial vector is
-    then the rank. This equals the dimension of every minimal presentation
-    of the series over the field. No pairing matrix is built and no
-    elimination beyond the two span closures runs.
+    series on their span (:class:`_SpanRepresentation`), in which every
+    coordinate vector is reached from gamma; the dimension of the forward
+    closure of its initial vector is then the rank. This equals the
+    dimension of every minimal presentation of the series over the field.
+    No pairing matrix is built and no elimination beyond the two span
+    closures runs.
     """
     rep = a.to_linear_representation()
-    return _pairing_rank(rep, *_backward_closure([rep]))
+    return _SpanRepresentation(rep, *_backward_closure([rep])).rank()
 
 
-def _pairing_rank(rep: LinearRepresentation, backward: SpanBasis,
-                  actions: list[_Action]) -> int:
-    """Rank of the series of ``rep``, given the span of its backward closure.
+class _SpanRepresentation:
+    """The series of a representation on the span V of its backward vectors.
 
-    ``backward`` and ``actions`` come from ``equivalence._backward_closure``
-    of ``rep`` alone. Its echelon rows b_i span every mu(w) . gamma, a space
-    closed under y -> mu(x) . y, and each is a primitive integer vector,
-    positive at its pivot p_i where the other rows vanish, so a vector of
-    that space has coordinate y[p_k] / b_k[p_k] on b_k. On that basis the
-    series has initial vector lam_i = lam . b_i and letter maps u -> A_x u
-    with A_x[i][k] = (mu(x) . b_i)[p_k] / b_k[p_k], and every coordinate
-    vector is reached from gamma's, so the rank is the dimension of the
-    closure of lam under the A_x. The integer maps s mu(x) and one common
-    multiple of the pivot entries scale every A_x alike, so the closure
-    runs on integers. Row i of A_x is read off the image of b_i, which
-    costs the row's nonzero entries times their column degrees, and each
-    A_x is stored per input coordinate k, as ``linalg._closure`` takes it.
+    Built from one ``equivalence._backward_closure`` of the representation
+    alone: its echelon rows b_k span every mu(w) . gamma, a space closed
+    under y -> mu(x) . y, and each is a primitive integer vector, positive
+    at its pivot p_k where the other rows vanish, so a vector y of V is
+    sum_k y[p_k] / b_k[p_k] b_k. An initial vector v starts the series
+    w -> v . mu(w) . gamma, which its pairings v . b_k determine, and
+    distinct pairing vectors start distinct series. As
+    mu(x) . b_i = sum_k A_x[i][k] b_k with
+    A_x[i][k] = (mu(x) . b_i)[p_k] / b_k[p_k], the pairings of v mu(x) are
+    A_x applied to those of v, so on V the series has the initial vector
+    of the pairings of lam and the letter maps A_x, and every coordinate
+    vector is reached from gamma's.
+
+    The closure's integer maps s mu(x) and the least common multiple c
+    (``lcm``) of the pivot entries scale every A_x alike: ``actions`` hold
+    the integer maps s c A_x, one per letter in alphabet order, stored per
+    input coordinate as ``linalg._closure`` takes them, and ``scale`` is
+    s c. Row i of A_x is read off the image of b_i, which costs the row's
+    nonzero entries times their column degrees. ``weights`` maps each pivot
+    p_k to c / b_k[p_k], so the coordinates of y in V on the rows, times
+    c, are the integers weights[p_k] y[p_k]. ``start`` is the coprime
+    vector of the pairings of lam and ``start_factor`` the positive f with
+    lam . b_k = f start[k]. No mass is held: a caller that needs masses
+    reads its own sum table at the pivots.
     """
-    index = {p: k for k, p in enumerate(backward._rows)}
-    rows = list(backward._rows.values())
-    scale = lcm(*(b[p] for p, b in backward._rows.items()))
-    weights = [scale // b[p] for p, b in backward._rows.items()]
-    pivot_actions = []
-    for action in actions:
-        columns: _Action = [[] for _ in rows]
-        for i, b in enumerate(rows):
-            for p, y in _push(action, b).items():
-                k = index.get(p)
-                if k is not None:
-                    columns[k].append((i, weights[k] * y))
-        pivot_actions.append(columns)
-    lam = _primitive(rep.lam)
-    start = [sum([lam[j] * y for j, y in b.items()]) for b in rows]
-    return sum(1 for _ in _closure(SpanBasis(len(rows)), start, pivot_actions))
+
+    def __init__(self, rep: LinearRepresentation, span: SpanBasis,
+                 actions: list[_Action], scale: int):
+        self.rows = list(span._rows.values())
+        self.lcm = lcm(*(b[p] for p, b in span._rows.items()))
+        self.weights = {p: self.lcm // b[p] for p, b in span._rows.items()}
+        self.scale = scale * self.lcm
+        index = {p: k for k, p in enumerate(span._rows)}
+        self.actions = []
+        for action in actions:
+            columns: _Action = [[] for _ in self.rows]
+            for i, b in enumerate(self.rows):
+                for p, y in _push(action, b).items():
+                    if p in index:
+                        columns[index[p]].append((i, self.weights[p] * y))
+            self.actions.append(columns)
+        lam, factor = _primitive_with_factor(rep.lam)
+        pairings = [sum([lam[j] * y for j, y in b.items()]) for b in self.rows]
+        g = gcd(*pairings) or 1
+        self.start = [x // g for x in pairings]
+        self.start_factor = factor * g
+
+    def rank(self) -> int:
+        """The rank of the series: the dimension of the closure of its
+        initial vector under the maps."""
+        return sum(1 for _ in _closure(SpanBasis(len(self.rows)), self.start, self.actions))

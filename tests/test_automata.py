@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,19 @@ class TestEvaluate:
         for push in (lambda: rep.forward(rep.lam, ("a", "z")),
                      lambda: fixtures.build("fig2_A").evaluate_state("q0", ("z",))):
             with pytest.raises(ValueError, match="^letter 'z' is not in the alphabet$"):
+                push()
+
+    def test_long_unknown_names_are_echoed_as_a_prefix(self):
+        a, long = fixtures.build("fig2_A"), "z" * 5000
+        rep = a.to_linear_representation()
+        echo = re.escape(f"{'z' * 40!r}... (5000 characters)")
+        for push in (lambda: rep.forward(rep.lam, ("a", long)),
+                     lambda: parse_word(long, a.alphabet + ("bb",))):
+            with pytest.raises(ValueError, match=f"^letter {echo} is not in the alphabet$"):
+                push()
+        for push in (lambda: a.evaluate_state(long, ()),
+                     lambda: state_series_automaton(a, long)):
+            with pytest.raises(ValueError, match=f"^unknown state {echo}$"):
                 push()
 
     @given(small_mas())

@@ -224,6 +224,22 @@ class TestResidual:
         assert (captured.out, captured.err) == ("", "error: prefix weight of x1.x2 is zero\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "residual"])
+def test_long_unknown_letter_is_echoed_as_a_prefix(capsys, tmp_path, command):
+    # over letters of two characters a word without dots is one letter
+    doc = {"alphabet": ["x1", "x2"], "states": ["q0"], "initial": {"q0": "1"},
+           "final": {"q0": "1/2"}, "transitions": [["q0", "x1", "q0", "1/2"]]}
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "y" * 5000]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: letter {'y' * 40!r}... (5000 characters) "
+                            "is not in the alphabet\n")
+    assert main([command, str(path), "x1.yy"]) == 3
+    assert capsys.readouterr().err == "error: letter 'yy' is not in the alphabet\n"
+
+
 class TestPda:
     def test_fig2(self, capsys, fixture_file):
         code, out = run_cli(capsys, "pda", fixture_file("fig2_A"), "--max-states", "8")

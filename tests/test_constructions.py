@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +18,10 @@ from stochlang import (ConstructionError, MultiplicityAutomaton,
 from stochlang.automata import replace_iota
 from stochlang.classify import residual_witnesses
 
-from helpers import (oracle_determinize_to_pda, oracle_minimal_residual_generators,
-                     oracle_synthesize_pa, oracle_to_prefixial_pra, random_pa, random_pda,
-                     random_unit_mass_ma, ring_pa, split_copy, timed, with_cancelling_copies)
+from helpers import (duplicate_state, oracle_determinize_to_pda,
+                     oracle_minimal_residual_generators, oracle_synthesize_pa,
+                     oracle_to_prefixial_pra, random_pa, random_pda, random_unit_mass_ma, ring_pa,
+                     split_copy, timed, with_cancelling_copies)
 
 F = Fraction
 GOLDEN_INPUTS = Path(__file__).parent / "data" / "cli_golden" / "inputs"
@@ -351,6 +353,22 @@ class TestPrefixial:
                                              "'q1': the residual at aa differs at @$"):
             to_prefixial_pra(a, {"q0": (), "q1": ("a", "a")})
 
+    def test_long_state_names_and_letters_are_echoed_as_a_prefix(self):
+        # fig5 with its state q1 renamed to 5000 characters
+        long = "q" * 5000
+        a = MultiplicityAutomaton(("a",), ("q0", long), {"q0": 1}, {"q0": F(1, 2)},
+                                  {("q0", "a", long): F(1, 2), (long, "a", "q0"): F(1, 2),
+                                   (long, "a", long): F(1, 2)})
+        echo = re.escape(f"{'q' * 40!r}... (5000 characters)")
+        with pytest.raises(ValueError, match=f"^missing witness for state {echo}$"):
+            to_prefixial_pra(a, {"q0": ()})
+        with pytest.raises(ValueError, match=f"^witness verification failure for state {echo}: "
+                                             "the residual at aa differs at @$"):
+            to_prefixial_pra(a, {"q0": (), long: ("a", "a")})
+        res = importlib.import_module("stochlang.constructions")._Residuals(a)
+        with pytest.raises(ValueError, match=f"^letter {echo} is not in the alphabet$"):
+            res.step(res.start, long)
+
     def test_duplicate_witnesses_rejected(self):
         a = fixtures.build("fig5")
         with pytest.raises(ValueError):
@@ -416,6 +434,10 @@ def _oracle_inputs():
                     ("example1_p", fixtures.build("example1_p")), ("pda4", pdas[0]),
                     ("signed0", signed[0])):
         inputs.append((f"{name}-cancelling", with_cancelling_copies(a)))
+    # a duplicated state: one more dimension of the state space, none of V
+    rng = random.Random(79)
+    inputs += [(f"{name}-duplicate", duplicate_state(a, rng))
+               for name, a in (("fig2_A", fixtures.build("fig2_A")), ("pda4", pdas[0]))]
     # the words a a^k and b a^k take the values 1 and -1: the total is 1, but
     # the prefix masses of a and b diverge
     inputs.append(("opposite-prefixes", MultiplicityAutomaton(
@@ -549,6 +571,18 @@ def test_prefixial_cases_cover_rebuilds_and_each_witness_error():
     messages = [out[1] for out in outcomes if type(out) is tuple]
     assert any(m.startswith("witness verification failure") for m in messages)
     assert any(m.startswith("prefix weight of") for m in messages)
+
+
+@pytest.mark.parametrize("n", range(8, 25))
+def test_residuals_are_vectors_on_the_backward_span(n):
+    # the split copy has 2n states and its backward span V has dimension n:
+    # residuals, their steps and their masses live on V
+    a = split_copy(ring_pa(n), random.Random(n))
+    res = importlib.import_module("stochlang.constructions")._Residuals(a)
+    assert a.n_states == 2 * n and len(res.span.rows) == n
+    assert len(res.start) == n and res.mass(res.start) * res.start_factor == 1
+    for x in a.alphabet:
+        assert len(res.step(res.start, x)[1]) == n
 
 
 def test_determinize_at_scale():

@@ -369,7 +369,7 @@ class TestCombinationOnIntegerRows:
     @given(combination_automata())
     @settings(max_examples=80, deadline=None)
     def test_same_outcome_on_integer_and_fraction_rows(self, a):
-        span, _ = _backward_closure([a.to_linear_representation()])
+        span, _, _ = _backward_closure([a.to_linear_representation()])
         ints, fracs = span.integer_rows, span.basis
         assert fracs == value_rows([a.to_linear_representation()])
         assert all(type(x) is int for row in ints for x in row)

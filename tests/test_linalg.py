@@ -642,6 +642,16 @@ def insertion_sequences(draw):
     return dim, steps
 
 
+# The size of the dense oracle's rows, in bits, at which a sequence of
+# test_sparse_rows_equal_the_dense_integer_rows stops; no fixed example
+# reaches it (the largest holds 0.53 million bits).
+ORACLE_BITS = 1 << 21
+
+
+def oracle_bits(dense):
+    return sum(abs(x).bit_length() for row in dense.integer_rows for x in row)
+
+
 def inserted(span, v):
     """``span.add(v)`` as a verdict; a new row must come back as the span's
     own row at its pivot."""
@@ -738,14 +748,22 @@ class TestSpanBasisAgainstFractionOracle:
         assert_same_rows(span, dense)
 
     @given(wide_insertion_sequences())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_sparse_rows_equal_the_dense_integer_rows(self, case):
         """Wide, sparse, block-diagonal and 200-bit inputs, so that pivot
         entries other than 1 and content division are exercised; every
-        other vector goes in sparse."""
+        other vector goes in sparse.
+
+        The examples are fixed (``derandomize``), and an example stops
+        inserting once the oracle's rows hold ``ORACLE_BITS`` bits: on 48
+        dense columns of 200-bit fractions the rows grow to tens of
+        thousands of bits per entry, and one such sequence of 100 steps ran
+        for more than 600 s, most of it in the dense oracle."""
         dim, steps = case
         span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
         for k, (insert, v) in enumerate(steps):
+            if oracle_bits(dense) > ORACLE_BITS:
+                break
             given_v = sparse(v) if k % 2 else v
             if insert:
                 assert inserted(span, given_v) == dense.add(v)
@@ -899,7 +917,7 @@ class TestClosureAgainstDenseIntegerRows:
         rep = a.to_linear_representation()
         dim = a.n_states
         assert dim >= MODULAR_MIN_DIM
-        span, _ = _backward_closure([rep])
+        span, _, _ = _backward_closure([rep])
         assert exact_adds == []
         letters = {left: oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], left)[0]
                    for left in (True, False)}
