@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import fixtures
 from .analysis import residual_automaton, state_sums, total_sum
-from .automata import MultiplicityAutomaton, format_word, merge_alphabets, parse_word
+from .automata import MultiplicityAutomaton, _echo, format_word, merge_alphabets, parse_word
 from .classify import (UNDECIDABILITY_NOTE, classify, pra_hardness_instance,
                        residual_witnesses)
 from .constructions import (ConstructionError, determinize_to_pda,
@@ -228,9 +228,9 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {_echo(value)}")
     return value
 
 

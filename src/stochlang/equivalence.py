@@ -1,16 +1,23 @@
 """Equivalence of multiplicity automata and linear-combination expression.
 
-Equivalence is decided by closing a word basis under letter extension while
-tracking, for each word, the pair of forward vectors (lam . mu(w) on both
-sides). The pair extends linearly on the right, so the closure computes the
-span of all reachable pairs; the two series agree iff the final-weight
-functional vanishes on that span. A failing basis word is a counterexample
-and its length never exceeds the combined state count. The vectors the
-closure extends are not the pairs themselves but the echelon rows they
-add to the span: each pair reduced against the earlier rows, often
-sparser than the pairs, whose entries grow with the word. Each row is a
-nonzero multiple of its pair plus a combination of the earlier pairs, so
-the functional is nonzero first on the same word (:func:`_word_basis`).
+Equivalence is decided on the direct sum a (+) b, whose series from the
+initial vector (lam_a, -lam_b) is the difference a - b. Its states are
+first merged by their coarsest backward lumping: states that share their
+final weight and, per letter, their total weight into each block generate
+the same series, so one coordinate per block carries the same difference.
+A word basis of the quotient is then closed under letter extension from
+the block sums of (lam_a, -lam_b). The vector extends linearly on the
+right, so the closure computes the span of all reachable vectors; the two
+series agree iff the final-weight functional vanishes on that span. A copy
+that lumps onto the other side's blocks starts from zero and closes
+nothing. A failing basis word is a counterexample, the least word on
+which the series differ whatever the lumping, and its length never
+exceeds the combined state count. The vectors the closure extends are not
+the vectors themselves but the echelon rows they add to the span: each
+vector reduced against the earlier rows, often sparser than the vectors,
+whose entries grow with the word. Each row is a nonzero multiple of its
+vector plus a combination of the earlier vectors, so the functional is
+nonzero first on the same word (:func:`_word_basis`).
 
 Combinations close from the other side. The backward vectors x(w) = mu(w) . gamma
 of a direct sum of automata, closed under left letter action, span every
@@ -44,40 +51,131 @@ class EquivalenceOutcome:
     right_value: Fraction | None = None
 
 
-def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
-    """Basis words with sparse integer rows, spanning all reachable pairs, and
-    the functional that compares the two series. The words come from a
-    generator, in the order the closure accepts them.
+def _block_weights(pairs: list[tuple[int, int]], block: Sequence[int]) -> dict[int, int]:
+    """The nonzero total weight that (target, weight) pairs send into each block."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for j, c in pairs:
+        k = block[j]
+        acc[k] = get(k, 0) + c
+    return {k: c for k, c in acc.items() if c}
 
-    One closure of lam_a (+) lam_b under the letter matrices acting on the
+
+def _lumping(final: Sequence[Fraction], actions: Sequence[_Action]) -> list[int]:
+    """The block of each state in the coarsest backward lumping, blocks
+    numbered in the order of their first state.
+
+    That is the coarsest partition in which the states of a block share
+    their final weight and, for each letter, their total weight into each
+    block. ``actions`` are the maps v -> s v M_x of :func:`_integer_actions`,
+    one scale s for all letters, so they hold per state its outgoing
+    (target, integer weight) pairs and integer totals compare as the exact
+    ones do. Refinement starts from the partition by final weight; each
+    round splits every block by the totals of its states into the blocks
+    of the round before. A state alone in its block cannot split, so only
+    the states of larger blocks are weighed again. The rounds stop when
+    one splits nothing or every block holds one state.
+    """
+    letters = len(actions)
+    ids: dict = {}
+    # a Fraction is in lowest terms, and its two ints hash faster than it does
+    block = [ids.setdefault((x.numerator, x.denominator), len(ids)) for x in final]
+    while len(ids) < len(block):
+        old = block
+        sizes = [0] * len(ids)
+        for k in old:
+            sizes[k] += 1
+        ids = {}
+        block = []
+        for i, k in enumerate(old):
+            if sizes[k] > 1:
+                acc: dict[int, int] = {}
+                get = acc.get
+                for x, action in enumerate(actions):
+                    for j, c in action[i]:
+                        y = old[j] * letters + x  # (block, letter) as one int
+                        acc[y] = get(y, 0) + c
+                if 0 in acc.values():
+                    acc = {y: c for y, c in acc.items() if c}
+                k = (k, frozenset(acc.items()))
+            block.append(ids.setdefault(k, len(ids)))
+        if len(ids) == len(sizes):
+            break
+    return block
+
+
+def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
+    """Basis words with sparse integer rows, spanning all reachable
+    differences, and the functional that compares the two series. The words
+    come from a generator, in the order the closure accepts them.
+
+    The states of a (+) b are first merged by their coarsest backward
+    lumping (:func:`_lumping`). Its block indicator P satisfies
+    M_x P = P M_Q,x for the quotient maps M_Q,x, whose row for a block is
+    the total weight one of its states sends into each block; the states
+    of a block share their final weight, so gamma = P gamma_Q for gamma_Q
+    the final weight of one state per block. With lam = (lam_a, -lam_b), the
+    block sums lam P start the closure, and
+    lam P M_Q(w) gamma_Q = lam M(w) gamma = a(w) - b(w) on every word. When
+    every block holds one state, the closure runs on a (+) b itself.
+
+    One closure of that start vector under the letter maps acting on the
     right. Breadth-first order reaches the words in length-lex order: each
-    basis word is the length-lex least word whose pair
-    (lam_a . mu_a(w), lam_b . mu_b(w)) leaves the span of the pairs before
-    it. The row that comes back with a word is not a multiple of that pair
-    but the echelon row that the pair added to the span: the pair reduced
-    against the rows before it and divided by its content, so c times the
-    pair, c != 0, plus a combination of the pairs of the earlier words. The
-    functional f is (gamma_a, -gamma_b) as coprime integers, one positive
-    scale for both, so f on a pair is a positive multiple of the difference
-    of the series on its word. Once f vanishes on every earlier row, f on a
-    row is c times that difference: the first row on which f is nonzero
-    belongs to the first basis word on which the series differ.
+    basis word is the length-lex least word whose vector lam P M_Q(w)
+    leaves the span of the vectors before it. The row that comes back with
+    a word is not a multiple of that vector but the echelon row that the
+    vector added to the span: the vector reduced against the rows before it
+    and divided by its content, so c times the vector, c != 0, plus a
+    combination of the vectors of the earlier words. The functional f is
+    gamma_Q as coprime integers, so f on a vector is a positive multiple
+    of the difference of the series on its word. Once f vanishes on every
+    earlier row, f on a row is c times that difference: the first row on
+    which f is nonzero belongs to the first basis word on which the series
+    differ.
+
+    That word is the least word w on which the series differ, whatever the
+    lumping. Were the vector of a prefix u of w in the span of the vectors
+    of the words before u, the vector of w would be in the span of the
+    vectors of words before w, on which f vanishes; so every prefix of w,
+    and w itself, is accepted, and the witness and its values are those of
+    the closure of the pairs (lam_a . mu_a(w), lam_b . mu_b(w)). When no
+    states merge, even the words are that closure's: the difference is the
+    pair times diag(1, -1), which commutes with the block-diagonal maps.
+    When states merge, an equal verdict closes a span of the blocks only,
+    and a pair whose two sides lump onto the same blocks with the same
+    block sums starts from zero and accepts no word.
     """
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
     actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
-    basis = _closure(SpanBasis(ra.dim + rb.dim), ra.lam + rb.lam, actions)
-    gamma = _primitive(ra.gamma + tuple(-y for y in rb.gamma))
-    return ((tuple(a.alphabet[k] for k in path), row) for path, row in basis), gamma
+    start = ra.lam + tuple(-x for x in rb.lam)
+    final = ra.gamma + rb.gamma
+    block = _lumping(final, actions)
+    dim = len(set(block))
+    if dim < len(block):
+        sums = [Fraction(0)] * dim
+        members: dict[int, int] = {}
+        for i, k in enumerate(block):
+            sums[k] += start[i]
+            members.setdefault(k, i)
+        start = sums
+        final = [final[i] for i in members.values()]
+        actions = [[list(_block_weights(action[i], block).items()) for i in members.values()]
+                   for action in actions]
+    basis = _closure(SpanBasis(dim), start, actions)
+    return ((tuple(a.alphabet[k] for k in path), row) for path, row in basis), _primitive(final)
 
 
 def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> EquivalenceOutcome:
     """Decide whether two automata generate the same series.
 
-    On a mismatch the returned witness is the length-lex smallest basis word
-    whose values differ (:func:`_word_basis`), with both values re-evaluated
-    on the inputs. The closure stops at that word; only an equal verdict
-    builds the whole basis.
+    On a mismatch the returned witness is the length-lex smallest word whose
+    values differ, the first basis word of :func:`_word_basis` on which
+    they do, with both values re-evaluated on the inputs. The closure stops
+    at that word; only an equal verdict builds the whole basis, and that on
+    the quotient of a (+) b by its coarsest backward lumping, so copies of
+    one automaton that differ by split, duplicated, permuted or cancelling
+    states close no span at all.
 
     Alphabets may differ as long as their shared letters agree in order; the
     comparison then runs over the union, missing letters meaning weight zero.

@@ -13,10 +13,15 @@ which the library replaced by their values on one set of backward rows.
 Span closures run on a Fraction echelon basis, which the library replaced
 by primitive integer rows, and on dense primitive integer rows reduced one
 pivot at a time over every column, which the library replaced by sparse
-rows reduced in one pass over the rows its support meets; the word basis of an equivalence check is
-closed in heap order, and the rank of a series is the rank of the pairing
-matrix between its forward and backward closures, which the library
-replaced by a closure on the backward rows alone. Series sums run
+rows reduced in one pass over the rows its support meets; the word basis
+of an equivalence check is closed in heap order on the pair of forward
+vectors, which the library replaced by a closure of their difference on
+the quotient of the direct sum by its coarsest lumping. That lumping is
+found by a refinement over Fractions that weighs every state in every
+round, which the library replaced by integer totals weighed only for the
+states of blocks that may still split. The rank of a series is the rank
+of the pairing matrix between its forward and backward closures, which
+the library replaced by a closure on the backward rows alone. Series sums run
 Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
 gamma, which the library replaced by the fraction-free recursions on
 integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
@@ -520,8 +525,9 @@ def oracle_word_basis(a, b):
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
     span = OracleSpanBasis(ra.dim + rb.dim)
+    if not span.add(ra.lam + rb.lam):
+        return [], ra.gamma, rb.gamma
     basis = [((), ra.lam, rb.lam)]
-    span.add(ra.lam + rb.lam)
     frontier = []
 
     def push_children(word, va, vb):
@@ -538,6 +544,66 @@ def oracle_word_basis(a, b):
             basis.append((word, va, vb))
             push_children(word, va, vb)
     return basis, ra.gamma, rb.gamma
+
+
+def direct_sum_rows(a, b):
+    """The dense Fraction rows of each letter matrix of a (+) b, in alphabet
+    order, and the final vector of a (+) b."""
+    ra = a.to_linear_representation()
+    rb = b.to_linear_representation()
+    left, right = (0,) * ra.dim, (0,) * rb.dim
+    mats = [[row + right for row in ra.mu[x].rows] + [left + row for row in rb.mu[x].rows]
+            for x in a.alphabet]
+    return mats, ra.gamma + rb.gamma
+
+
+def _first_occurrence(keys):
+    ids = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def oracle_lumping(a, b):
+    """The block of each state of a (+) b in its coarsest backward lumping,
+    blocks numbered in the order of their first state, by round-by-round
+    refinement over Fractions: starting from the partition by final weight,
+    every state is weighed again in every round by its total weight into
+    each block under each letter, until a round splits nothing."""
+    mats, gamma = direct_sum_rows(a, b)
+    block = _first_occurrence(gamma)
+    while True:
+        count = max(block, default=-1) + 1
+        new = _first_occurrence(
+            (block[i],) + tuple(tuple(sum((x for j, x in enumerate(m[i]) if block[j] == c), F(0))
+                                      for c in range(count)) for m in mats)
+            for i in range(len(block)))
+        if new == block:
+            return block
+        block = new
+
+
+def oracle_quotient(a, b):
+    """The quotient of a (+) b by ``oracle_lumping`` as an automaton: one
+    state per block, initial weight the block sum of (lam_a, -lam_b), final
+    weight and total weight into each block under each letter those of the
+    block's first state. Its series is a - b."""
+    mats, gamma = direct_sum_rows(a, b)
+    block = oracle_lumping(a, b)
+    lam = a.to_linear_representation().lam + tuple(-x for x in b.to_linear_representation().lam)
+    names = [f"B{k}" for k in range(max(block, default=-1) + 1)]
+    first = {}
+    iota = dict.fromkeys(names, F(0))
+    for i, k in enumerate(block):
+        first.setdefault(k, i)
+        iota[names[k]] += lam[i]
+    phi = {}
+    for x, m in zip(a.alphabet, mats):
+        for k, i in first.items():
+            for j, w in enumerate(m[i]):
+                key = (names[k], x, names[block[j]])
+                phi[key] = phi.get(key, F(0)) + w
+    return MultiplicityAutomaton(a.alphabet, names, iota,
+                                 {names[k]: gamma[i] for k, i in first.items()},
+                                 {key: w for key, w in phi.items() if w})
 
 
 def oracle_hankel_rank(a):

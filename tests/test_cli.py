@@ -532,6 +532,27 @@ def test_bounds_below_one_are_usage_errors(args):
     assert f"argument {flag}: must be at least 1, got {value}" in out.stderr
 
 
+@pytest.mark.parametrize("value,message", [
+    ("7" * 20 + "x" * 4980, "invalid int value: '77777777777777777777xxxxxxxxxxxxxxxxxxxx'"
+                            "... (5000 characters)"),
+    ("-" + "9" * 4000, "must be at least 1, got -999999999999999999999999999999999999999"
+                       "... (4001 characters)"),
+], ids=["invalid", "below-one"])
+@pytest.mark.parametrize("command,name,flag", [
+    ("pda", "example1_p", "--max-states"),
+    ("minimal-gens", "fig2_A", "--depth"),
+], ids=["max-states", "depth"])
+def test_long_bound_values_are_echoed_as_a_prefix(command, name, flag, value, message):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(DATA / f"{name}.json"), flag, value])
+    assert code == 2
+    assert out.getvalue() == ""
+    *_, last = err.getvalue().splitlines()
+    assert last.endswith(f"argument {flag}: {message}")
+    assert len(err.getvalue()) < 400
+
+
 UNTRIMMED_PAIR = MultiplicityAutomaton(
     ("a",), ("q0", "q1"), {"q0": 1}, {"q0": F(1, 2), "q1": F(1, 3)},
     {("q0", "a", "q0"): F(1, 2), ("q1", "a", "q1"): F(2, 3)})

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from stochlang import (MultiplicityAutomaton, are_equivalent,
                        empty_automaton, express_combination, fixtures,
                        state_series_automaton, weighted_sum)
-from stochlang.automata import letter_shift_automaton, replace_iota
-from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _word_basis,
-                                   combination_on_rows)
-from stochlang.linalg import SpanBasis, _primitive, dot
+from stochlang.automata import letter_shift_automaton, replace_iota, words_up_to
+from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _lumping,
+                                   _word_basis, combination_on_rows)
+from stochlang.linalg import SpanBasis, _integer_actions, _primitive, dot
 
-from helpers import (OracleSpanBasis, duplicate_state, nudged_copy, oracle_cone_combination,
-                     oracle_express_combination, oracle_word_basis, permuted_copy,
-                     plant_convex_state, random_fraction, random_ma, random_pa, ring_pa,
-                     series_equal_up_to, split_copy, timed, value_rows)
+from helpers import (OracleSpanBasis, direct_sum_rows, duplicate_state, nudged_copy,
+                     oracle_cone_combination, oracle_express_combination, oracle_lumping,
+                     oracle_quotient, oracle_word_basis, permuted_copy, plant_convex_state,
+                     random_fraction, random_ma, random_pa, ring_pa, series_equal_up_to,
+                     split_copy, timed, value_rows, with_cancelling_copies)
 
 F = Fraction
 
@@ -111,13 +112,15 @@ def heap_oracle_outcome(a, b):
 def signed_pairs(draw):
     """Two signed automata over {a, b} with 6-12 states between them: a
     split, permuted or state-duplicated copy of the first, a permuted copy
-    with one transition weight changed, or an unrelated automaton, so that
-    equal verdicts and witnesses of several lengths both occur."""
+    with two cancelling divergent states added, a permuted copy with one
+    transition weight changed, or an unrelated automaton, so that equal
+    verdicts and witnesses of several lengths both occur."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(("split", "permuted", "duplicate", "changed", "unrelated")))
+    kind = draw(st.sampled_from(("split", "permuted", "duplicate", "cancelling", "changed",
+                                 "unrelated")))
     density = draw(st.sampled_from((0.3, 0.5, 0.7)))
-    sizes = {"split": (2, 4), "permuted": (3, 6), "duplicate": (3, 5), "changed": (3, 6),
-             "unrelated": (1, 6)}
+    sizes = {"split": (2, 4), "permuted": (3, 6), "duplicate": (3, 5), "cancelling": (2, 5),
+             "changed": (3, 6), "unrelated": (1, 6)}
     n = draw(st.integers(*sizes[kind]))
     a = random_ma(rng, n, ("a", "b"), density=density)
     if kind == "split":
@@ -126,6 +129,8 @@ def signed_pairs(draw):
         b = permuted_copy(a, rng)
     elif kind == "duplicate":
         b = duplicate_state(a, rng)
+    elif kind == "cancelling":
+        b = with_cancelling_copies(permuted_copy(a, rng))
     elif kind == "changed" and a.phi:
         b = permuted_copy(a, rng)
         key = rng.choice(sorted(b.phi))
@@ -152,8 +157,12 @@ class TestWordBasisBeyondFiveStates:
         split = split_copy(ring, random.Random(n))
         nudged = nudged_copy(ring, ring.states[n // 2])
         for a, b in ((ring, split), (split, ring), (ring, nudged), (split, nudged)):
+            # the closure runs on the quotient of a (+) b by its coarsest
+            # backward lumping, from the block sums of (lam_a, -lam_b)
             words = [w for w, _ in _word_basis(a, b)[0]]
-            assert words == [w for w, _, _ in oracle_word_basis(a, b)[0]]
+            quotient = oracle_quotient(a, b)
+            zero = empty_automaton(quotient.alphabet)
+            assert words == [w for w, _, _ in oracle_word_basis(quotient, zero)[0]]
             assert are_equivalent(a, b) == heap_oracle_outcome(a, b)
         assert are_equivalent(ring, split).equal
         assert not are_equivalent(ring, nudged).equal
@@ -216,6 +225,54 @@ class TestEquivalenceStopsAtItsWitness:
         nudged = nudged_copy(ring, ring.states[20])
         outcome = timed(are_equivalent, ring, nudged, limit_s=0.1)
         assert outcome == heap_oracle_outcome(ring, nudged)
+
+
+def library_lumping(a, b):
+    ra = a.to_linear_representation()
+    rb = b.to_linear_representation()
+    actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
+    return _lumping(ra.gamma + rb.gamma, actions)
+
+
+class TestCoarsestLumping:
+    """``are_equivalent`` closes its span on the quotient of a (+) b by the
+    coarsest backward lumping, found by refinement on integer totals that
+    weighs only the states of blocks that may still split."""
+
+    @given(signed_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_same_partition_as_the_fraction_oracle(self, pair):
+        a, b = pair
+        assert library_lumping(a, b) == oracle_lumping(a, b)
+
+    @given(signed_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_are_stable_and_share_their_series(self, pair):
+        a, b = pair
+        block = library_lumping(a, b)
+        mats, gamma = direct_sum_rows(a, b)
+        members = [[i for i, k in enumerate(block) if k == c] for c in range(max(block) + 1)]
+        states = [(a, q) for q in a.states] + [(b, q) for q in b.states]
+        words = list(words_up_to(a.alphabet, 4))
+        for group in members:
+            assert len({gamma[i] for i in group}) == 1
+            for m in mats:
+                totals = {tuple(sum((m[i][j] for j in into), F(0)) for into in members)
+                          for i in group}
+                assert len(totals) == 1
+            for w in words:
+                assert len({s.evaluate_state(q, w) for s, q in (states[i] for i in group)}) == 1
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40])
+    def test_equal_verdicts_on_lumpable_copies_insert_at_most_one_row(self, n, monkeypatch):
+        # each copy lumps onto the blocks of ring_pa(n) with block sums of
+        # (lam_a, -lam_b) equal to zero, so the closure starts from zero
+        ring = ring_pa(n)
+        rng = random.Random(n)
+        for copy in (split_copy(ring, rng), permuted_copy(ring, rng), duplicate_state(ring, rng),
+                     with_cancelling_copies(ring)):
+            assert span_adds(monkeypatch, lambda: are_equivalent(ring, copy)) <= 1
+            assert are_equivalent(ring, copy).equal
 
 
 class TestExpressCombination:

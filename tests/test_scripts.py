@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +15,13 @@ def test_script_exits_cleanly(script):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_workload_outputs_prints_the_decision_count_and_a_digest():
+    # the digest itself is compared between checkouts, not pinned here
+    out = subprocess.run([sys.executable, str(SCRIPTS / "workload_outputs.py")],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "decisions: 435" in lines
+    assert any(re.fullmatch(r"sha256: [0-9a-f]{64}", line) for line in lines)
