@@ -25,7 +25,15 @@ x(w); each series is lam . x(w) for its own initial vector lam, so any
 linear equation between series holds on all words iff it holds on the
 closure's rows. Expressing one series over others is then one exact solve,
 or one exact feasibility problem for nonnegative coefficients, with no
-search for counterexample words.
+search for counterexample words. The backward closure, which rank,
+reduction and residual exploration share, merges the states of its direct
+sum by the same coarsest backward lumping first: with block indicator P,
+x(w) = P x_Q(w) for the backward vectors of the quotient, so it closes the
+quotient's span and expands each row back by P, which gives the reduced
+echelon rows over all states (:func:`_backward_closure`). Split,
+duplicated, permuted and cancelling copies close the span of the
+automaton they copy. From ``MODULAR_MIN_DIM`` dimensions of the quotient
+on, that closure runs mod a prime and is checked exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from typing import Sequence
 from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
                        merge_alphabets, with_alphabet)
 from .linalg import (SpanBasis, _Action, _certified_closure, _closure, _feasible_point,
-                     _integer_actions, _nullspace, _particular, _primitive)
+                     _integer_actions, _nullspace, _particular, _primitive,
+                     _primitive_with_factor, _push)
 
 
 @dataclass(frozen=True)
@@ -51,71 +60,123 @@ class EquivalenceOutcome:
     right_value: Fraction | None = None
 
 
-def _block_weights(pairs: list[tuple[int, int]], block: Sequence[int]) -> dict[int, int]:
-    """The nonzero total weight that (target, weight) pairs send into each block."""
+def _totals(rows: Sequence[_Action], i: int, block: Sequence[int]) -> dict[int, int]:
+    """The nonzero total weight that state i sends into each block under each
+    letter, keyed by block * letters + letter, from each letter's outgoing
+    (target, weight) pairs per state."""
+    letters = len(rows)
     acc: dict[int, int] = {}
     get = acc.get
-    for j, c in pairs:
-        k = block[j]
-        acc[k] = get(k, 0) + c
-    return {k: c for k, c in acc.items() if c}
+    for x, row in enumerate(rows):
+        for j, c in row[i]:
+            y = block[j] * letters + x
+            acc[y] = get(y, 0) + c
+    return {y: c for y, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _lumping(final: Sequence[Fraction], actions: Sequence[_Action]) -> list[int]:
-    """The block of each state in the coarsest backward lumping, blocks
-    numbered in the order of their first state.
+def _quotient(final: Sequence[Fraction], actions: Sequence[_Action], left: bool
+              ) -> tuple[list[int], list[int], list[_Action]] | None:
+    """The quotient of a representation by its coarsest backward lumping, or
+    None when no two states merge.
 
-    That is the coarsest partition in which the states of a block share
-    their final weight and, for each letter, their total weight into each
-    block. ``actions`` are the maps v -> s v M_x of :func:`_integer_actions`,
-    one scale s for all letters, so they hold per state its outgoing
-    (target, integer weight) pairs and integer totals compare as the exact
-    ones do. Refinement starts from the partition by final weight; each
-    round splits every block by the totals of its states into the blocks
-    of the round before. A state alone in its block cannot split, so only
-    the states of larger blocks are weighed again. The rounds stop when
-    one splits nothing or every block holds one state.
+    The coarsest backward lumping is the coarsest partition in which the
+    states of a block share their final weight and, for each letter, their
+    total weight into each block. Its block indicator P satisfies
+    M_x P = P M_Q,x, where the row of M_Q,x for a block is the total weight
+    that one of its states sends into each block, and the final vector is
+    P gamma_Q for gamma_Q the final weight of one state per block.
+
+    ``final`` holds the final weights and ``actions`` the integer letter
+    maps of :func:`linalg._integer_actions`, built for v -> s M_x v
+    (``left``) or for v -> s v M_x, one scale s for all letters, so integer
+    totals compare as the exact ones do. Refinement starts from the
+    partition by final weight and, per letter, total weight into all
+    states, which each pass over the pairs reads without turning the maps
+    round; when that is discrete nothing else is computed. Otherwise maps
+    for ``left`` are turned round to give each state's outgoing pairs, and
+    each round splits every block by the totals (:func:`_totals`) of its
+    states into the blocks of the round before. A state alone in its block
+    cannot split, so only the states of larger blocks are weighed again.
+    The rounds stop when every block holds one state, and the result is
+    None, or when a round splits nothing: the blocks are then those of the
+    round before, so the totals of that round give the entries of M_Q,x,
+    and only the states alone in their block are weighed once more.
+
+    Returns the block of each state, blocks numbered in the order of their
+    first state; the first state of each block, in block order; and the
+    maps of M_Q,x, built for the same side as ``actions``, with their scale.
     """
-    letters = len(actions)
+    n = len(final)
     ids: dict = {}
     # a Fraction is in lowest terms, and its two ints hash faster than it does
     block = [ids.setdefault((x.numerator, x.denominator), len(ids)) for x in final]
-    while len(ids) < len(block):
+    if len(ids) == n:
+        return None
+    sums = [[0] * n for _ in actions]
+    for total, action in zip(sums, actions):
+        if left:
+            for pairs in action:
+                for i, c in pairs:
+                    total[i] += c
+        else:
+            for i, pairs in enumerate(action):
+                total[i] = sum([c for _, c in pairs])
+    ids = {}
+    block = [ids.setdefault(key, len(ids)) for key in zip(block, *sums)]
+    if len(ids) == n:
+        return None
+    rows = actions
+    if left:  # each state's outgoing (target, weight) pairs, per letter
+        rows = [[[] for _ in range(n)] for _ in actions]
+        for lines, action in zip(rows, actions):
+            for j, pairs in enumerate(action):
+                for i, c in pairs:
+                    lines[i].append((j, c))
+    while True:
         old = block
         sizes = [0] * len(ids)
         for k in old:
             sizes[k] += 1
         ids = {}
         block = []
+        weighed: dict[int, dict[int, int]] = {}
         for i, k in enumerate(old):
             if sizes[k] > 1:
-                acc: dict[int, int] = {}
-                get = acc.get
-                for x, action in enumerate(actions):
-                    for j, c in action[i]:
-                        y = old[j] * letters + x  # (block, letter) as one int
-                        acc[y] = get(y, 0) + c
-                if 0 in acc.values():
-                    acc = {y: c for y, c in acc.items() if c}
-                k = (k, frozenset(acc.items()))
+                weighed[i] = totals = _totals(rows, i, old)
+                k = (k, frozenset(totals.items()))
             block.append(ids.setdefault(k, len(ids)))
+        if len(ids) == n:
+            return None
         if len(ids) == len(sizes):
             break
-    return block
+    first: list[int] = []
+    for i, k in enumerate(block):
+        if k == len(first):
+            first.append(i)
+    letters = len(rows)
+    maps: list[_Action] = [[[] for _ in first] for _ in rows]
+    for k, i in enumerate(first):
+        totals = weighed.get(i)
+        for y, c in (_totals(rows, i, block) if totals is None else totals).items():
+            x, j = y % letters, y // letters
+            if left:
+                maps[x][j].append((k, c))
+            else:
+                maps[x][k].append((j, c))
+    return block, first, maps
 
 
 def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     """Basis words with sparse integer rows, spanning all reachable
     differences, and the functional that compares the two series. The words
-    come from a generator, in the order the closure accepts them.
+    come from a generator, in the order the closure accepts them. The
+    integer letter maps v -> s v M_x of a (+) b and their scale s come
+    back as well, for the values on a witness (:func:`_pushed_value`).
 
     The states of a (+) b are first merged by their coarsest backward
-    lumping (:func:`_lumping`). Its block indicator P satisfies
-    M_x P = P M_Q,x for the quotient maps M_Q,x, whose row for a block is
-    the total weight one of its states sends into each block; the states
-    of a block share their final weight, so gamma = P gamma_Q for gamma_Q
-    the final weight of one state per block. With lam = (lam_a, -lam_b), the
-    block sums lam P start the closure, and
+    lumping (:func:`_quotient`), with block indicator P and quotient maps
+    M_Q,x, M_x P = P M_Q,x, and gamma = P gamma_Q. With
+    lam = (lam_a, -lam_b), the block sums lam P start the closure, and
     lam P M_Q(w) gamma_Q = lam M(w) gamma = a(w) - b(w) on every word. When
     every block holds one state, the closure runs on a (+) b itself.
 
@@ -147,23 +208,42 @@ def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     """
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
-    actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
+    actions, scale = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
     start = ra.lam + tuple(-x for x in rb.lam)
     final = ra.gamma + rb.gamma
-    block = _lumping(final, actions)
-    dim = len(set(block))
-    if dim < len(block):
-        sums = [Fraction(0)] * dim
-        members: dict[int, int] = {}
+    maps = actions
+    quotient = _quotient(final, actions, left=False)
+    if quotient is not None:
+        block, first, maps = quotient
+        sums = [Fraction(0)] * len(first)
         for i, k in enumerate(block):
             sums[k] += start[i]
-            members.setdefault(k, i)
         start = sums
-        final = [final[i] for i in members.values()]
-        actions = [[list(_block_weights(action[i], block).items()) for i in members.values()]
-                   for action in actions]
-    basis = _closure(SpanBasis(dim), start, actions)
-    return ((tuple(a.alphabet[k] for k in path), row) for path, row in basis), _primitive(final)
+        final = [final[i] for i in first]
+    basis = _closure(SpanBasis(len(final)), start, maps)
+    return (((tuple(a.alphabet[k] for k in path), row) for path, row in basis),
+            _primitive(final), actions, scale)
+
+
+def _pushed_value(lam: Sequence[Fraction], gamma: Sequence[Fraction], offset: int,
+                  actions: Sequence[_Action], scale: int, path: Sequence[int]) -> Fraction:
+    """lam . M(w) . gamma on the word w of ``path``, for the diagonal block
+    at ``offset`` of a direct sum with integer maps v -> s v M_x.
+
+    With lam = f v and gamma = h g for primitive integer vectors v and g
+    and positive factors f and h (:func:`linalg._primitive_with_factor`),
+    pushing v through the maps of the path (:func:`linalg._push`) gives
+    s^|w| v M(w), so the value is f h (s^|w| v M(w) . g) / s^|w|, made as
+    one Fraction.
+    """
+    v, f = _primitive_with_factor(lam)
+    g, h = _primitive_with_factor(gamma)
+    image = {offset + j: x for j, x in enumerate(v) if x}
+    for k in path:
+        image = _push(actions[k], image)
+    pairing = sum([x * g[j - offset] for j, x in image.items()])
+    return Fraction(pairing * f.numerator * h.numerator,
+                    f.denominator * h.denominator * scale ** len(path))
 
 
 def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> EquivalenceOutcome:
@@ -171,11 +251,12 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
 
     On a mismatch the returned witness is the length-lex smallest word whose
     values differ, the first basis word of :func:`_word_basis` on which
-    they do, with both values re-evaluated on the inputs. The closure stops
-    at that word; only an equal verdict builds the whole basis, and that on
-    the quotient of a (+) b by its coarsest backward lumping, so copies of
-    one automaton that differ by split, duplicated, permuted or cancelling
-    states close no span at all.
+    they do, with both values computed on the inputs by integer pushes
+    (:func:`_pushed_value`). The closure stops at that word; only an equal
+    verdict builds the whole basis, and that on the quotient of a (+) b by
+    its coarsest backward lumping, so copies of one automaton that differ
+    by split, duplicated, permuted or cancelling states close no span at
+    all.
 
     Alphabets may differ as long as their shared letters agree in order; the
     comparison then runs over the union, missing letters meaning weight zero.
@@ -183,10 +264,16 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
     a = with_alphabet(a, alphabet)
     b = with_alphabet(b, alphabet)
-    basis, gamma = _word_basis(a, b)
+    basis, gamma, actions, scale = _word_basis(a, b)
     for word, row in basis:
         if sum([gamma[j] * y for j, y in row.items()]):
-            return EquivalenceOutcome(False, word, a.evaluate(word), b.evaluate(word))
+            index = {x: k for k, x in enumerate(alphabet)}
+            path = [index[x] for x in word]
+            ra = a.to_linear_representation()
+            rb = b.to_linear_representation()
+            return EquivalenceOutcome(
+                False, word, _pushed_value(ra.lam, ra.gamma, 0, actions, scale, path),
+                _pushed_value(rb.lam, rb.gamma, ra.dim, actions, scale, path))
     return EquivalenceOutcome(True)
 
 
@@ -197,17 +284,25 @@ class CombinationOutcome:
     coefficients: tuple[Fraction, ...] | None = None
 
 
-# From this dimension of the direct sum on, _backward_closure runs mod a
-# prime (linalg._certified_closure). The crossover, measured as process CPU
-# time, median of 15, exact -> modular, on a 2-core Xeon with Python 3.11.7.
-# Split ring copies (2n dimensions, rank n): 0.30 -> 0.46 ms at 12
-# dimensions, 0.67 -> 0.65 ms at 16, 1.47 -> 1.38 ms at 20, 2.42 -> 1.86 ms
-# at 24, 7.7 -> 4.3 ms at 40 and 15.4 -> 5.3 ms at 48; at 32, eight copies
-# ran 0.48 to 0.98 times as long. Signed automata with a duplicated state or
-# cancelling copies: 10% to 30% slower up to 14 dimensions, 0.78 to 1.18
-# times as long at 16-18, and 0.50 to 0.94 times as long at 24-30. Below the
-# gate the exact check costs about what the fill-in it avoids does.
-MODULAR_MIN_DIM = 24
+# From this dimension of the quotient on (the direct sum merged by its
+# coarsest backward lumping), _backward_closure runs mod a prime
+# (linalg._certified_closure). The crossover, measured on quotients as
+# process CPU time, median of 15, exact -> modular, on a 2-core Xeon with
+# Python 3.11.7. Full-rank quotients, where the rows mod p are the unit
+# vectors: split ring copies x0.67 at 8 dimensions, x0.58-0.68 at 10-12,
+# x0.50-0.56 at 14-16, x0.42 at 20, x0.31 at 24 and x0.09 at 48 (2.07 ->
+# 1.03 ms at 16); duplicated-state and cancelling copies of signed automata
+# x0.80-0.85 at 8, x0.74-0.81 at 10-12, x0.66-0.69 at 14-16 and x0.42-0.44
+# at 32. Rank-deficient quotients, where the rows are rebuilt and checked:
+# a ring with a convex state (rank one short) x1.21 at 7, x1.04 at 9, x0.89
+# at 11 and x0.76 at 13; a ring PA summed with a copy in another basis
+# (rank half the dimension) x1.23-1.67 at 10-14, x1.17 at 16, x1.00 at 24,
+# x0.85-0.88 at 32-40 and x0.52 at 48, and a signed automaton summed with
+# such a copy x1.79-1.84 at 8-12, x1.59 at 16, x1.25 at 24 and x1.10 at 32.
+# Lumping leaves a quotient full rank or nearly so unless the states repeat
+# each other's series only in combination, so the gate sits where
+# full-rank quotients gain a quarter or more.
+MODULAR_MIN_DIM = 12
 
 
 def _backward_closure(reps: Sequence[LinearRepresentation]
@@ -230,12 +325,28 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     order, with one scale s per call, stored per input coordinate; s comes
     back with them.
 
-    From ``MODULAR_MIN_DIM`` dimensions on, the same closure runs mod
-    a prime (``linalg._certified_closure``), where the rows that the exact
-    closure would fill in do not grow. Its rows are rebuilt as rationals
-    and kept only if gamma and every row's image under every letter lie in
-    their row space, which makes them the exact rows; otherwise the exact
-    closure runs. Every caller gets the same span either way.
+    The states of the direct sum are first merged by their coarsest
+    backward lumping (:func:`_quotient`): with block indicator P,
+    M_x P = P M_Q,x and gamma = P gamma_Q, so x(w) = P x_Q(w) for the
+    backward vectors x_Q(w) = M_Q(w) . gamma_Q of the quotient, and the
+    closure runs there. P is injective, so each reduced echelon row r of
+    the quotient's span expands to the row r P^T of the span of every x(w),
+    whose entry at state i is r's entry at i's block. Blocks are numbered
+    by their first state, so a state before the first state of block k lies
+    in a block before k: the expanded row is zero before the first state
+    of its pivot block, positive there, zero at the first state of every
+    other pivot block, and as primitive as r. These are the unique reduced
+    echelon rows of the span of every x(w), the rows its own closure
+    would find. When no two states merge, the closure runs on the direct
+    sum itself.
+
+    From ``MODULAR_MIN_DIM`` dimensions of the quotient on, the same
+    closure runs mod a prime (``linalg._certified_closure``), where the
+    rows that the exact closure would fill in do not grow. Its rows are
+    rebuilt as rationals and kept only if the start vector and every row's
+    image under every letter lie in their row space, which makes them the
+    exact rows; otherwise the exact closure runs. Every caller gets the
+    same span either way.
     """
     alphabet = reps[0].alphabet if reps else ()
     if any(r.alphabet != alphabet for r in reps):
@@ -243,12 +354,30 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     dim = sum(r.dim for r in reps)
     actions, scale = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
     gamma = [y for r in reps for y in r.gamma]
-    if dim >= MODULAR_MIN_DIM:
-        return _certified_closure(dim, gamma, actions), actions, scale
+    quotient = _quotient(gamma, actions, left=True)
+    if quotient is None:
+        return _closed_span(dim, gamma, actions), actions, scale
+    block, first, maps = quotient
+    closed = _closed_span(len(first), [gamma[i] for i in first], maps)
+    members: list[list[int]] = [[] for _ in first]
+    for i, k in enumerate(block):
+        members[k].append(i)
     span = SpanBasis(dim)
-    for _ in _closure(span, gamma, actions):
-        pass
+    span._rows = {first[p]: {i: y for k, y in row.items() for i in members[k]}
+                  for p, row in closed._rows.items()}
     return span, actions, scale
+
+
+def _closed_span(dim: int, start: Sequence[Fraction], actions: Sequence[_Action]
+                 ) -> SpanBasis:
+    """The span of every image of ``start`` under the maps: mod a prime and
+    certified from ``MODULAR_MIN_DIM`` dimensions on, exact below."""
+    if dim >= MODULAR_MIN_DIM:
+        return _certified_closure(dim, start, actions)
+    span = SpanBasis(dim)
+    for _ in _closure(span, start, actions):
+        pass
+    return span
 
 
 def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,

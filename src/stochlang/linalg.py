@@ -43,8 +43,9 @@ every map must lie in their row space. The rank mod p never exceeds the
 rank over the rationals, so rows that pass are the unique reduced echelon
 form of the exact span, the rows ``SpanBasis`` builds; when the rebuild or
 the check fails, the exact closure runs. The result is the same in every
-case; ``equivalence._backward_closure`` takes this path from a fixed
-dimension on.
+case; ``equivalence._backward_closure`` takes this path once the quotient
+it closes, its direct sum merged by the coarsest backward lumping, has
+``equivalence.MODULAR_MIN_DIM`` dimensions.
 
 Contraction is a question about polynomials, not about a linear system.
 The minimal polynomial of a vector v under M is read off the integer

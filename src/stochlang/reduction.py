@@ -7,7 +7,13 @@ backward closure (``equivalence._backward_closure``) turns every
 reducedness question into a question about the columns of its integer
 rows, and none of them is ever asked of a new closure, since eliminating a
 state only drops its column. The columns number at least the rows; when
-they number the rows no state is a combination.
+they number the rows no state is a combination. That closure runs on the
+quotient of the automaton by its coarsest backward lumping, where states
+with one final weight and one weight into each block share one
+coordinate, and its rows come back expanded over all states, the same
+rows the closure over all states finds; from
+``equivalence.MODULAR_MIN_DIM`` dimensions of the quotient on it runs
+mod a prime and is checked exactly.
 
 Both modes read one reduced echelon form of the rows with the columns
 taken in reverse (:func:`_echelon`). Over the field its pivots are the

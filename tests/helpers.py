@@ -546,15 +546,21 @@ def oracle_word_basis(a, b):
     return basis, ra.gamma, rb.gamma
 
 
-def direct_sum_rows(a, b):
-    """The dense Fraction rows of each letter matrix of a (+) b, in alphabet
-    order, and the final vector of a (+) b."""
-    ra = a.to_linear_representation()
-    rb = b.to_linear_representation()
-    left, right = (0,) * ra.dim, (0,) * rb.dim
-    mats = [[row + right for row in ra.mu[x].rows] + [left + row for row in rb.mu[x].rows]
-            for x in a.alphabet]
-    return mats, ra.gamma + rb.gamma
+def direct_sum_rows(*automata):
+    """The dense Fraction rows of each letter matrix of the direct sum of the
+    automata, which share one alphabet, in alphabet order, and the final
+    vector of the direct sum."""
+    reps = [a.to_linear_representation() for a in automata]
+    total = sum(r.dim for r in reps)
+    mats = []
+    for x in automata[0].alphabet:
+        rows, offset = [], 0
+        for r in reps:
+            rows += [(0,) * offset + row + (0,) * (total - offset - r.dim)
+                     for row in r.mu[x].rows]
+            offset += r.dim
+        mats.append(rows)
+    return mats, tuple(y for r in reps for y in r.gamma)
 
 
 def _first_occurrence(keys):
@@ -562,13 +568,14 @@ def _first_occurrence(keys):
     return [ids.setdefault(k, len(ids)) for k in keys]
 
 
-def oracle_lumping(a, b):
-    """The block of each state of a (+) b in its coarsest backward lumping,
-    blocks numbered in the order of their first state, by round-by-round
-    refinement over Fractions: starting from the partition by final weight,
-    every state is weighed again in every round by its total weight into
-    each block under each letter, until a round splits nothing."""
-    mats, gamma = direct_sum_rows(a, b)
+def oracle_lumping(*automata):
+    """The block of each state of the direct sum of the automata, a (+) b for
+    two, in its coarsest backward lumping, blocks numbered in the order of
+    their first state, by round-by-round refinement over Fractions: starting
+    from the partition by final weight, every state is weighed again in
+    every round by its total weight into each block under each letter,
+    until a round splits nothing."""
+    mats, gamma = direct_sum_rows(*automata)
     block = _first_occurrence(gamma)
     while True:
         count = max(block, default=-1) + 1

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochlang import (MultiplicityAutomaton, are_equivalent,
-                       empty_automaton, express_combination, fixtures,
+                       empty_automaton, express_combination, fixtures, linalg,
                        state_series_automaton, weighted_sum)
 from stochlang.automata import letter_shift_automaton, replace_iota, words_up_to
-from stochlang.equivalence import (EquivalenceOutcome, _backward_closure, _lumping,
-                                   _word_basis, combination_on_rows)
+from stochlang.equivalence import (MODULAR_MIN_DIM, EquivalenceOutcome, _backward_closure,
+                                   _quotient, _word_basis, combination_on_rows)
 from stochlang.linalg import SpanBasis, _integer_actions, _primitive, dot
 
-from helpers import (OracleSpanBasis, direct_sum_rows, duplicate_state, nudged_copy,
-                     oracle_cone_combination, oracle_express_combination, oracle_lumping,
+from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, direct_sum_rows,
+                     duplicate_state, nudged_copy, oracle_closure, oracle_cone_combination,
+                     oracle_express_combination, oracle_integer_actions, oracle_lumping,
                      oracle_quotient, oracle_word_basis, permuted_copy, plant_convex_state,
                      random_fraction, random_ma, random_pa, ring_pa, series_equal_up_to,
                      split_copy, timed, value_rows, with_cancelling_copies)
@@ -109,12 +110,13 @@ def heap_oracle_outcome(a, b):
 
 
 @st.composite
-def signed_pairs(draw):
-    """Two signed automata over {a, b} with 6-12 states between them: a
-    split, permuted or state-duplicated copy of the first, a permuted copy
-    with two cancelling divergent states added, a permuted copy with one
-    transition weight changed, or an unrelated automaton, so that equal
-    verdicts and witnesses of several lengths both occur."""
+def signed_pairs(draw, signed=True):
+    """Two automata over {a, b} with 6-12 states between them, whose random
+    weights are signed, or nonnegative without ``signed``: a split, permuted or
+    state-duplicated copy of the first, a permuted copy with two cancelling
+    divergent states added, a permuted copy with one transition weight
+    changed, or an unrelated automaton, so that equal verdicts and
+    witnesses of several lengths both occur."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(("split", "permuted", "duplicate", "cancelling", "changed",
                                  "unrelated")))
@@ -122,7 +124,7 @@ def signed_pairs(draw):
     sizes = {"split": (2, 4), "permuted": (3, 6), "duplicate": (3, 5), "cancelling": (2, 5),
              "changed": (3, 6), "unrelated": (1, 6)}
     n = draw(st.integers(*sizes[kind]))
-    a = random_ma(rng, n, ("a", "b"), density=density)
+    a = random_ma(rng, n, ("a", "b"), density=density, signed=signed)
     if kind == "split":
         b = split_copy(a, rng)
     elif kind == "permuted":
@@ -135,11 +137,11 @@ def signed_pairs(draw):
         b = permuted_copy(a, rng)
         key = rng.choice(sorted(b.phi))
         phi = dict(b.phi)
-        phi[key] += random_fraction(rng)
+        phi[key] += random_fraction(rng, signed=signed)
         b = MultiplicityAutomaton(b.alphabet, b.states, b.iota, b.tau, phi)
     else:
         b = random_ma(rng, draw(st.integers(max(1, 6 - n), 12 - n)), ("a", "b"),
-                      density=density)
+                      density=density, signed=signed)
     return (a, b) if draw(st.booleans()) else (b, a)
 
 
@@ -228,10 +230,18 @@ class TestEquivalenceStopsAtItsWitness:
 
 
 def library_lumping(a, b):
+    """The blocks of ``_quotient`` on a (+) b, one per state when none merge;
+    the maps for either side give the same blocks."""
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
-    actions, _ = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
-    return _lumping(ra.gamma + rb.gamma, actions)
+    letters = [(ra.mu[x], rb.mu[x]) for x in a.alphabet]
+    final = ra.gamma + rb.gamma
+    blocks = []
+    for left in (False, True):
+        quotient = _quotient(final, _integer_actions(letters, left)[0], left)
+        blocks.append(list(range(len(final))) if quotient is None else quotient[0])
+    assert blocks[0] == blocks[1]
+    return blocks[0]
 
 
 class TestCoarsestLumping:
@@ -273,6 +283,122 @@ class TestCoarsestLumping:
                      with_cancelling_copies(ring)):
             assert span_adds(monkeypatch, lambda: are_equivalent(ring, copy)) <= 1
             assert are_equivalent(ring, copy).equal
+
+
+class TestWitnessValues:
+    """An unequal verdict computes both values on its witness from integer
+    pushes of the primitive initial vectors under the integer maps of
+    a (+) b (``_pushed_value``), with one Fraction per value: they are the
+    inputs' own values on that word."""
+
+    @given(st.one_of(signed_pairs(), signed_pairs(signed=False)))
+    @settings(max_examples=150, deadline=None)
+    def test_values_are_those_of_evaluate(self, pair):
+        a, b = pair
+        outcome = are_equivalent(a, b)
+        if not outcome.equal:
+            assert type(outcome.left_value) is type(outcome.right_value) is Fraction
+            assert outcome.left_value == a.evaluate(outcome.witness)
+            assert outcome.right_value == b.evaluate(outcome.witness)
+            assert outcome.left_value != outcome.right_value
+
+    def test_values_over_a_merged_alphabet(self):
+        # b has no "b" transitions; the comparison runs over {a, b}
+        a = MultiplicityAutomaton(("a", "b"), ("p",), {"p": F(1, 2)}, {"p": F(1, 3)},
+                                  {("p", "b", "p"): F(2, 5)})
+        b = MultiplicityAutomaton(("a",), ("q",), {"q": F(1, 2)}, {"q": F(1, 3)},
+                                  {("q", "a", "q"): F(1, 7)})
+        outcome = are_equivalent(a, b)
+        assert outcome == EquivalenceOutcome(False, ("a",), F(0), F(1, 42))
+
+
+@st.composite
+def backward_sums(draw):
+    """1-3 automata over {a, b}, whose direct sum a backward closure takes
+    as ``_value_table`` builds it: a signed random automaton of 2-8 states,
+    its split, state-duplicated, permuted or cancelling copy, or a split
+    copy of a ring PA of 8-12 states. The quotients of the sums fall on
+    both sides of ``MODULAR_MIN_DIM``."""
+    series = []
+    for _ in range(draw(st.integers(1, 3))):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        kind = draw(st.sampled_from(("signed", "split", "duplicate", "permuted", "cancelling",
+                                     "ring")))
+        if kind == "ring":
+            series.append(split_copy(ring_pa(draw(st.integers(8, 12))), rng))
+            continue
+        a = random_ma(rng, draw(st.integers(2, 8)), ("a", "b"),
+                      density=draw(st.sampled_from((0.3, 0.7))))
+        if kind == "split":
+            a = split_copy(a, rng)
+        elif kind == "duplicate":
+            a = duplicate_state(a, rng)
+        elif kind == "permuted":
+            a = permuted_copy(a, rng)
+        elif kind == "cancelling":
+            a = with_cancelling_copies(a)
+        series.append(a)
+    return series
+
+
+def assert_oracle_backward_rows(series):
+    """``_backward_closure`` of the series' direct sum, closed on its
+    coarsest lumping, has the rows of ``oracle_closure`` on the direct sum
+    itself, and hands back the direct sum's own maps and scale."""
+    reps = [s.to_linear_representation() for s in series]
+    letters = [[r.mu[x] for r in reps] for x in series[0].alphabet]
+    span, actions, scale = _backward_closure(reps)
+    assert (actions, scale) == _integer_actions(letters, left=True)
+    dense = OracleIntegerSpanBasis(sum(r.dim for r in reps))
+    oracle_closure(dense, [y for r in reps for y in r.gamma],
+                   oracle_integer_actions(letters, left=True)[0])
+    assert tuple(span._rows) == dense.pivots
+    assert span.integer_rows == dense.integer_rows
+    for row, line in zip(span._rows.values(), dense.integer_rows):
+        assert row == {j: y for j, y in enumerate(line) if y}
+
+
+class TestLumpedBackwardClosure:
+    """``_backward_closure`` closes the span of the quotient of its direct
+    sum by the coarsest backward lumping and expands the rows back; they
+    are the unique reduced echelon rows of the unlumped closure. The
+    modular gate reads the dimension of the quotient."""
+
+    @given(backward_sums())
+    @settings(max_examples=100, deadline=None)
+    def test_same_rows_as_the_unlumped_oracle_closure(self, series):
+        assert_oracle_backward_rows(series)
+
+    @pytest.mark.parametrize("case, quotient_dim", [
+        ("split8", 8), ("cancelling12", 13), ("ring10+split10", 10), ("split16", 16),
+        ("duplicate20", 20), ("split9+permuted12", 21), ("signed8x3", 24)])
+    def test_gate_reads_the_quotient(self, case, quotient_dim, monkeypatch):
+        rng = random.Random(case)
+        series = {
+            "split8": lambda: [split_copy(ring_pa(8), rng)],
+            "cancelling12": lambda: [with_cancelling_copies(ring_pa(12))],
+            "ring10+split10": lambda: [ring_pa(10), split_copy(ring_pa(10), rng)],
+            "split16": lambda: [split_copy(ring_pa(16), rng)],
+            "duplicate20": lambda: [duplicate_state(ring_pa(20), rng)],
+            "split9+permuted12": lambda: [split_copy(ring_pa(9), rng),
+                                          permuted_copy(ring_pa(12), rng)],
+            "signed8x3": lambda: [random_ma(rng, 8, ("a", "b")) for _ in range(3)],
+        }[case]()
+        assert len(set(oracle_lumping(*series))) == quotient_dim
+        reps = [s.to_linear_representation() for s in series]
+        # only the exact closure inserts; the certified one checks with contains
+        adds = span_adds(monkeypatch, lambda: _backward_closure(reps))
+        assert (adds == 0) == (quotient_dim >= MODULAR_MIN_DIM)
+        assert_oracle_backward_rows(series)
+
+    def test_unlucky_prime_on_a_quotient_falls_back(self, monkeypatch):
+        """Mod 5 the 16 states of the ring miss a dimension or give rows
+        that fail the check: the exact closure of the quotient answers."""
+        series = [split_copy(ring_pa(16), random.Random(16))]
+        monkeypatch.setattr(linalg, "_PRIME", 5)
+        reps = [series[0].to_linear_representation()]
+        assert span_adds(monkeypatch, lambda: _backward_closure(reps)) > 0
+        assert_oracle_backward_rows(series)
 
 
 class TestExpressCombination:

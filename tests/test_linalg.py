@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochlang import MultiplicityAutomaton, hankel_rank, linalg
+from stochlang import MultiplicityAutomaton, empty_automaton, hankel_rank, linalg
 from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
                               _fourier_motzkin, _integer_actions, _integer_sum,
@@ -19,7 +19,7 @@ from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, diagonal, from_col
                      identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul, mat_sub, mat_vec,
                      matrix_power, max_abs_entry, membership_in_span, oracle_closure,
                      oracle_fourier_motzkin, oracle_integer_actions, oracle_integer_sum,
-                     oracle_krylov_closure, oracle_lp_feasible, oracle_rref,
+                     oracle_krylov_closure, oracle_lp_feasible, oracle_lumping, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
                      duplicate_state, random_ma, random_pa, ring_pa, split_copy, transpose,
                      with_cancelling_copies)
@@ -911,14 +911,17 @@ class TestClosureAgainstDenseIntegerRows:
     def test_backward_rows_and_rank_at_scale(self, n, exact_adds):
         """On a split ring copy (2n states) the backward rows equal the
         oracle closure's, and the rank is the rank of the pairings of the
-        oracle's forward and backward vectors. From 24 states on the
-        backward rows are certified mod p, here with no exact fallback."""
+        oracle's forward and backward vectors. The closure runs on the
+        coarsest lumping of the copy, the n states of the ring; from
+        ``MODULAR_MIN_DIM`` states of that quotient on its rows are
+        certified mod p, here with no exact fallback."""
         a = split_copy(ring_pa(n), random.Random(n))
         rep = a.to_linear_representation()
         dim = a.n_states
-        assert dim >= MODULAR_MIN_DIM
+        assert len(set(oracle_lumping(a, empty_automaton(a.alphabet)))) == n
         span, _, _ = _backward_closure([rep])
-        assert exact_adds == []
+        if n >= MODULAR_MIN_DIM:
+            assert exact_adds == []
         letters = {left: oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], left)[0]
                    for left in (True, False)}
         dense = OracleIntegerSpanBasis(dim)

@@ -25,3 +25,21 @@ def test_workload_outputs_prints_the_decision_count_and_a_digest():
     lines = out.stdout.splitlines()
     assert "decisions: 435" in lines
     assert any(re.fullmatch(r"sha256: [0-9a-f]{64}", line) for line in lines)
+
+
+def test_workload_outputs_against_head():
+    # compares the outputs of this checkout with those of HEAD, which a
+    # temporary git worktree holds; needs a git checkout with a commit
+    git = ["git", "-C", str(SCRIPTS)]
+    if subprocess.run(git + ["rev-parse", "--verify", "HEAD"], capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    worktrees = subprocess.run(git + ["worktree", "list"], capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, str(SCRIPTS / "workload_outputs.py"),
+                          "--against", "HEAD"], capture_output=True, text=True, timeout=240)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == [line.removeprefix("HEAD ") for line in lines[2:4]]
+    assert lines[4:] == ["equal"]
+    # the temporary worktree is gone again
+    assert subprocess.run(git + ["worktree", "list"], capture_output=True,
+                          text=True).stdout == worktrees
