@@ -284,24 +284,29 @@ class CombinationOutcome:
     coefficients: tuple[Fraction, ...] | None = None
 
 
-# From this dimension of the quotient on (the direct sum merged by its
-# coarsest backward lumping), _backward_closure runs mod a prime
-# (linalg._certified_closure). The crossover, measured on quotients as
-# process CPU time, median of 15, exact -> modular, on a 2-core Xeon with
-# Python 3.11.7. Full-rank quotients, where the rows mod p are the unit
-# vectors: split ring copies x0.67 at 8 dimensions, x0.58-0.68 at 10-12,
-# x0.50-0.56 at 14-16, x0.42 at 20, x0.31 at 24 and x0.09 at 48 (2.07 ->
-# 1.03 ms at 16); duplicated-state and cancelling copies of signed automata
-# x0.80-0.85 at 8, x0.74-0.81 at 10-12, x0.66-0.69 at 14-16 and x0.42-0.44
-# at 32. Rank-deficient quotients, where the rows are rebuilt and checked:
-# a ring with a convex state (rank one short) x1.21 at 7, x1.04 at 9, x0.89
-# at 11 and x0.76 at 13; a ring PA summed with a copy in another basis
-# (rank half the dimension) x1.23-1.67 at 10-14, x1.17 at 16, x1.00 at 24,
-# x0.85-0.88 at 32-40 and x0.52 at 48, and a signed automaton summed with
-# such a copy x1.79-1.84 at 8-12, x1.59 at 16, x1.25 at 24 and x1.10 at 32.
-# Lumping leaves a quotient full rank or nearly so unless the states repeat
-# each other's series only in combination, so the gate sits where
-# full-rank quotients gain a quarter or more.
+# From this dimension on, a span closure runs mod a prime
+# (linalg._certified_closure): the backward closure of _backward_closure on
+# its quotient (the direct sum merged by its coarsest backward lumping), and
+# the forward closure of reduction.hankel_rank on the span of the backward
+# rows. The crossover of the packed semi-echelon span, measured on quotients
+# as process CPU time, median of 15, exact -> modular, on a 2-core Xeon with
+# Python 3.11.7. Full-rank quotients, where the closure stops at the
+# dim-th row: split ring copies x0.59 at 8, x0.43 at 10, x0.34 at 12,
+# x0.26-0.30 at 14-20, x0.10-0.13 at 24-32 and x0.03 at 48 (2.88 -> 0.76 ms
+# at 16); duplicated-state and cancelling copies of signed automata
+# x0.48-0.56 at 7-9, x0.38-0.39 at 10-11, x0.25-0.37 at 12-16 and
+# x0.13-0.14 at 31-32. Rank-deficient quotients, where the rows are reduced,
+# rebuilt and checked: a ring with a convex state (rank one short) x1.25 at
+# 7, x1.08 at 9, x0.81 at 11, x0.61 at 13 and x0.50-0.57 at 15-17; a ring PA
+# summed with a copy in another basis (rank half the dimension) x2.37 at 8,
+# x1.37-1.60 at 10-12, x1.12 at 14, x0.64 at 16-20 and x0.24-0.55 at 24-48,
+# and a signed automaton summed with such a copy x2.63 at 8, x1.43-1.50 at
+# 10-12, x0.80-0.84 at 16-24 and x0.64 at 32. Forward closures of the rank
+# of split ring copies (full rank, whose exact rows stay small) x1.02-1.03
+# at 6-10 rows and x0.36-1.27 at 12-32. Full-rank quotients now gain a
+# third or more from 8 dimensions on, but rank-deficient ones lose up to 9
+# (one short) and 14 (half rank), and forward closures gain nothing below
+# 12, so the gate stays at 12.
 MODULAR_MIN_DIM = 12
 
 
@@ -371,7 +376,9 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
 def _closed_span(dim: int, start: Sequence[Fraction], actions: Sequence[_Action]
                  ) -> SpanBasis:
     """The span of every image of ``start`` under the maps: mod a prime and
-    certified from ``MODULAR_MIN_DIM`` dimensions on, exact below."""
+    certified from ``MODULAR_MIN_DIM`` dimensions on, exact below. Both
+    closures of ``reduction.hankel_rank`` come here, the backward one on
+    the quotient and the forward one on the span of the backward rows."""
     if dim >= MODULAR_MIN_DIM:
         return _certified_closure(dim, start, actions)
     span = SpanBasis(dim)

@@ -36,16 +36,23 @@ the nullspace coordinates as its primitive integer row
 
 A large span closure can run mod a 61-bit prime instead
 (:func:`_certified_closure`), on the same :func:`_closure` loop with a
-span kept monic mod p (:class:`_ModularSpan`), where no entry grows. Its
-reduced rows are rebuilt as rationals and accepted only after an exact
-check (:func:`_closes`): the start vector and every row's image under
-every map must lie in their row space. The rank mod p never exceeds the
-rank over the rationals, so rows that pass are the unique reduced echelon
+span mod p in semi-echelon form (:class:`_ModularSpan`), where no entry
+grows. Each of its vectors is packed into one int, a fixed-width slot per
+column wide enough that no slot carries into the next, so reducing a
+vector against a row is one big-integer multiply-add and no row is ever
+changed once added. The rank mod p never exceeds the rank over the
+rationals, so the loop stops as soon as the span holds a row per column:
+the span is then everything. Below full rank the rows are reduced once,
+rebuilt as rationals and accepted only after an exact check
+(:func:`_closes`): the start vector and every row's image under every map
+must lie in their row space. Rows that pass are the unique reduced echelon
 form of the exact span, the rows ``SpanBasis`` builds; when the rebuild or
 the check fails, the exact closure runs. The result is the same in every
-case; ``equivalence._backward_closure`` takes this path once the quotient
-it closes, its direct sum merged by the coarsest backward lumping, has
-``equivalence.MODULAR_MIN_DIM`` dimensions.
+case. Both span closures of ``reduction.hankel_rank`` take this path: the
+backward one (``equivalence._backward_closure``) once the quotient it
+closes, its direct sum merged by the coarsest backward lumping, has
+``equivalence.MODULAR_MIN_DIM`` dimensions, and the forward one once the
+span of the backward rows has as many.
 
 Contraction is a question about polynomials, not about a linear system.
 The minimal polynomial of a vector v under M is read off the integer
@@ -762,22 +769,26 @@ def _minimal_polynomial(powers: Sequence[list[int]], scale: int) -> Vector:
                  for i, row in span._rows.items()) + (Fraction(1),)
 
 
-def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
+def _closure(span: SpanBasis | _ModularSpan, start: Iterable, actions: Sequence, push=_push
              ) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """Breadth-first closure of a vector under integer maps, through ``span.add``.
 
-    ``span`` starts empty, and ``actions`` hold per input coordinate the
-    (output coordinate, coefficient) pairs of integer maps, as
-    :func:`_integer_actions` builds them. Each vector that enlarges the span
-    contributes the echelon row that ``span.add`` returns: the vector
-    reduced against the rows already there and divided by its content.
-    That sparse row, not the vector, is pushed through each map
-    (:func:`_push`), in order, and its sparse images join the queue.
+    ``span`` starts empty, with ``dim`` columns. ``push(action, row)`` is
+    the image of a row under one of ``actions``: by default :func:`_push`,
+    for maps that hold per input coordinate the (output coordinate,
+    coefficient) pairs, as :func:`_integer_actions` builds them, and
+    :func:`_packed_push` for the packed maps of a :class:`_ModularSpan`.
+    Each vector that enlarges the span contributes the echelon row that
+    ``span.add`` returns: the vector reduced against the rows already
+    there and divided by its content, or made monic mod p. That sparse
+    row, not the vector, is pushed through each map, in order, and its
+    images join the queue.
     Yields each new row, with the path of map indices that reached it, as
     ``span.add`` returns it and before pushing it, so a caller may stop at
-    any row; the paths come out in length-lexicographic order, and once the
-    generator is exhausted the span holds every image of ``start`` under
-    any product of the maps.
+    any row; the paths come out in length-lexicographic order. The loop
+    returns once the span holds ``dim`` rows, since every later vector
+    lies in it, and once the generator is exhausted the span holds every
+    image of ``start`` under any product of the maps.
 
     The paths and the span after each of them are those of pushing the
     images x(path) of ``start`` themselves. By induction, the row r of an
@@ -794,7 +805,9 @@ def _closure(span: SpanBasis, start: Iterable, actions: Sequence[_Action]
         row = span.add(v)
         if row is not None:
             yield path, row
-            queue.extend((path + (k,), _push(action, row)) for k, action in enumerate(actions))
+            if span.dimension == span.dim:
+                return
+            queue.extend((path + (k,), push(action, row)) for k, action in enumerate(actions))
 
 
 # The prime of the modular span closure (_certified_closure), and the bound
@@ -822,61 +835,138 @@ def _rational(u: int, p: int) -> tuple[int, int] | None:
 
 
 class _ModularSpan:
-    """A :class:`SpanBasis` mod the prime p, for :func:`_closure` to drive.
+    """A span mod the prime p in semi-echelon form, packed, for :func:`_closure` to drive.
 
-    ``_rows`` maps each pivot, in increasing order, to a monic
-    ``{column: int}`` row with entries in [1, p), zero at every other
-    pivot. ``add`` takes a dense vector, scaled to a primitive integer
-    vector first so that no denominator needs an inverse, or a
-    ``{column: int}`` image. It subtracts the rows at the pivots in the
-    vector's support, each times the vector's own entry there, as the rows
-    are monic and reduced; takes the entries mod p; makes the remainder
-    monic, with no lcm and no gcd; and clears its pivot from the rows that
-    hold it. It returns the new row, or None, as ``SpanBasis.add`` does.
+    A vector mod p is one int with its entry at column j in the
+    ``width``-bit slot from bit j * width on, paired with a mask of the
+    columns where it may be nonzero. A row is monic at its pivot, the
+    first column where it is nonzero mod p, and zero mod p at the pivots
+    of the rows before it; its slots hold its entries in [0, p). ``add``
+    meets the rows in the order they came, each only where the vector's
+    mask holds its pivot: with c the vector's entry there mod p, adding
+    (p - c) times the row clears that entry mod p, and no earlier pivot,
+    in one big-integer multiply-add. No entry is taken mod p until the
+    end, and no row is changed afterwards. The first column without a
+    pivot where the result is nonzero mod p becomes the new pivot, and
+    the result made monic there, each entry taken mod p, the new row; no
+    such column means the vector is in the span, and ``add`` returns None,
+    as ``SpanBasis.add`` does. The new row comes back as its nonzero
+    ``{column: int}`` entries, for :func:`_packed_push`.
+
+    A slot holds 2 dim (p - 1)^2, so none carries into the next: an image
+    of a row (:meth:`packed`) sums at most ``dim`` products of two
+    entries below p, and a vector meets at most ``dim`` rows, each adding
+    at most (p - 1)^2. :meth:`reduced` turns the rows into the reduced
+    echelon form that :func:`_lift` takes, for a closure that stays below
+    full rank.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, dim: int, p: int):
+        self.dim = dim
         self.p = p
-        self._rows: dict[int, dict[int, int]] = {}
+        self.width = 8 * ((2 * dim * (p - 1) ** 2).bit_length() // 8 + 1)
+        self._rows: list[tuple[int, int, int]] = []  # (pivot, packed row, mask)
+        self._free = (1 << dim) - 1  # the columns with no pivot
 
-    def add(self, v: Iterable | dict[int, int]) -> dict[int, int] | None:
+    def _pack(self, entries: Mapping[int, int]) -> tuple[int, int]:
+        """The packed vector and mask of ``{column: int}`` entries in [0, p)."""
+        width, packed, mask = self.width, 0, 0
+        for j, x in entries.items():
+            packed |= x << j * width
+            mask |= 1 << j
+        return packed, mask
+
+    def vector(self, v: Iterable) -> tuple[int, int]:
+        """A dense vector, packed: scaled to a primitive integer vector
+        first, so that no denominator needs an inverse, and taken mod p."""
         p = self.p
-        if type(v) is not dict:
-            v = {j: x for j, x in enumerate(_primitive(v)) if x}
-        rows = self._rows
-        acc = dict(v)
-        get = acc.get
-        for j, x in v.items():
-            row = rows.get(j)
-            if row is not None:
-                for i, y in row.items():
-                    acc[i] = get(i, 0) - x * y
-        new = {j: r for j, z in acc.items() if (r := z % p)}
-        if not new:
-            return None
-        pivot = min(new)
-        inv = pow(new[pivot], -1, p)
-        if inv != 1:
-            new = {j: x * inv % p for j, x in new.items()}
-        for q, row in rows.items():
-            if q > pivot:
+        return self._pack({j: r for j, x in enumerate(_primitive(v)) if (r := x % p)})
+
+    def packed(self, actions: Sequence[_Action]) -> list[list[tuple[int, int]]]:
+        """The maps of :func:`_integer_actions` mod p, each as the packed
+        image of every unit vector."""
+        p = self.p
+        maps = []
+        for action in actions:
+            images = []
+            for pairs in action:
+                line: dict[int, int] = {}
+                for i, c in pairs:
+                    line[i] = (line.get(i, 0) + c) % p
+                images.append(self._pack(line))
+            maps.append(images)
+        return maps
+
+    def _reduce(self, v: int, mask: int, rows: Iterable[tuple[int, int, int]]
+                ) -> tuple[int, int]:
+        """v plus the multiples of ``rows``, in order, that clear its entry
+        mod p at each of their pivots, with its mask."""
+        p, width = self.p, self.width
+        slot = (1 << width) - 1
+        for pivot, row, row_mask in rows:
+            if mask >> pivot & 1:
+                c = (v >> pivot * width & slot) % p
+                if c:
+                    v += (p - c) * row
+                    mask |= row_mask
+        return v, mask
+
+    def add(self, v: tuple[int, int]) -> dict[int, int] | None:
+        p, size = self.p, self.width // 8
+        v, mask = self._reduce(*v, self._rows)
+        data = v.to_bytes(self.dim * size, "little")
+        free = mask & self._free
+        while free:
+            pivot = (free & -free).bit_length() - 1
+            lead = int.from_bytes(data[pivot * size:(pivot + 1) * size], "little") % p
+            if lead:
                 break
-            c = row.get(pivot)
-            if c:
-                out = dict(row)
-                get = out.get
-                for j, y in new.items():
-                    out[j] = get(j, 0) - c * y
-                rows[q] = {j: r for j, z in out.items() if (r := z % p)}
-        last = next(reversed(rows), -1)
-        rows[pivot] = new
-        if pivot < last:
-            self._rows = dict(sorted(rows.items()))
+            free &= free - 1
+        else:
+            return None
+        self._free ^= 1 << pivot
+        inv = pow(lead, -1, p)
+        new = {}
+        for j in range(pivot, self.dim):
+            if mask >> j & 1:
+                x = int.from_bytes(data[j * size:(j + 1) * size], "little") * inv % p
+                if x:
+                    new[j] = x
+        self._rows.append((pivot, *self._pack(new)))
         return new
 
     @property
     def dimension(self) -> int:
         return len(self._rows)
+
+    def reduced(self) -> dict[int, dict[int, int]]:
+        """The monic reduced echelon rows mod p, keyed by pivot in increasing order.
+
+        A row vanishes mod p before its pivot, so from the last pivot up,
+        each row meets only the rows after it, already reduced.
+        """
+        p, width = self.p, self.width
+        slot = (1 << width) - 1
+        done: list[tuple[int, int, int]] = []
+        out: dict[int, dict[int, int]] = {}
+        for pivot, v, mask in sorted(self._rows, reverse=True):
+            v, mask = self._reduce(v, mask, done)
+            out[pivot] = new = {j: x for j in range(pivot, self.dim)
+                                if mask >> j & 1 and (x := (v >> j * width & slot) % p)}
+            done.append((pivot, *self._pack(new)))
+        return dict(reversed(out.items()))
+
+
+def _packed_push(action: list[tuple[int, int]], row: dict[int, int]) -> tuple[int, int]:
+    """The packed image of a row of :class:`_ModularSpan` under a map of
+    :meth:`_ModularSpan.packed`: its entries times the images of the unit
+    vectors, summed, with the union of their masks."""
+    image = mask = 0
+    for j, x in row.items():
+        column, support = action[j]
+        image += x * column
+        mask |= support
+    return image, mask
 
 
 def _lift(rows: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]] | None:
@@ -919,26 +1009,28 @@ def _certified_closure(dim: int, start: Iterable, actions: Sequence[_Action]) ->
     """The span that ``_closure`` reaches from ``start``, found mod ``_PRIME``
     and checked exactly.
 
-    The same :func:`_closure` loop drives a :class:`_ModularSpan`. Its rank
-    d_p is at most the rank d over the rationals: the vectors it spans are
-    the images mod p of integer vectors that span d dimensions. When d_p is
-    ``dim`` the span is everything and its rows are the unit vectors.
-    Otherwise the rows are reconstructed (:func:`_lift`) and accepted only
-    if their row space holds ``start`` and is closed under the maps
-    (:func:`_closes`): it then contains the span, so d <= d_p, the two
+    The same :func:`_closure` loop drives a :class:`_ModularSpan`, on the
+    maps taken mod p. Its rank d_p is at most the rank d over the
+    rationals: the vectors it spans are the images mod p of integer
+    vectors that span d dimensions. So when the loop stops at ``dim`` rows
+    the span is everything, and its rows are the unit vectors. Otherwise
+    the rows are brought to reduced echelon form
+    (:meth:`_ModularSpan.reduced`), reconstructed (:func:`_lift`) and
+    accepted only if their row space holds ``start`` and is closed under
+    the maps (:func:`_closes`): it then contains the span, so d <= d_p, the two
     spaces are equal, and a reduced echelon form being unique, the rows
     are those of the exact closure. A failed reconstruction or check runs
     the exact closure, so the result never depends on the prime.
     """
     p = _PRIME
-    modular = _ModularSpan(p)
-    for _ in _closure(modular, start, actions):
+    modular = _ModularSpan(dim, p)
+    for _ in _closure(modular, modular.vector(start), modular.packed(actions), _packed_push):
         pass
     span = SpanBasis(dim)
     if modular.dimension == dim:
         span._rows = {i: {i: 1} for i in range(dim)}
         return span
-    span._rows = _lift(modular._rows, p)
+    span._rows = _lift(modular.reduced(), p)
     if span._rows is not None and _closes(span, start, actions):
         return span
     span = SpanBasis(dim)

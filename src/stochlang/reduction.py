@@ -39,9 +39,10 @@ a series that depends only on its pairings with the rows, so the series
 has a representation on their span V, with the pairing vector of lam as
 initial vector and integer letter maps on V (:class:`_SpanRepresentation`,
 built from the same closure). The rank is the dimension of the forward
-closure of that initial vector, and residual exploration
-(``constructions._Residuals``) holds each residual as its pairing vector
-and steps it through the same maps. Only the rank, field reduction and
+closure of that initial vector, certified mod a prime from
+``equivalence.MODULAR_MIN_DIM`` rows on, as the backward closure is, and
+residual exploration (``constructions._Residuals``) holds each residual
+as its pairing vector and steps it through the same maps. Only the rank, field reduction and
 residual exploration build those maps; cone reduction and
 :func:`is_reduced` read the rows alone.
 """
@@ -54,8 +55,8 @@ from math import gcd, lcm
 from typing import Iterator
 
 from .automata import LinearRepresentation, MultiplicityAutomaton
-from .equivalence import _backward_closure, combination_on_rows
-from .linalg import SpanBasis, _Action, _closure, _primitive_with_factor, _push
+from .equivalence import _backward_closure, _closed_span, combination_on_rows
+from .linalg import SpanBasis, _Action, _primitive_with_factor, _push
 
 
 class ReductionMode(enum.Enum):
@@ -229,7 +230,10 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
     closure of its initial vector is then the rank. This equals the
     dimension of every minimal presentation of the series over the field.
     No pairing matrix is built and no elimination beyond the two span
-    closures runs.
+    closures runs. From ``equivalence.MODULAR_MIN_DIM`` dimensions on,
+    each closure runs mod a prime (``linalg._certified_closure``) and
+    stops once it holds a row per dimension; below full rank its rows are
+    checked exactly, and the exact closure answers when the check fails.
     """
     rep = a.to_linear_representation()
     return _SpanRepresentation(rep, *_backward_closure([rep])).rank()
@@ -287,5 +291,10 @@ class _SpanRepresentation:
 
     def rank(self) -> int:
         """The rank of the series: the dimension of the closure of its
-        initial vector under the maps."""
-        return sum(1 for _ in _closure(SpanBasis(len(self.rows)), self.start, self.actions))
+        initial vector under the maps.
+
+        The closure goes through ``equivalence._closed_span``, mod a prime
+        and certified from ``equivalence.MODULAR_MIN_DIM`` rows of the span
+        on, exact below; only its dimension is read.
+        """
+        return _closed_span(len(self.rows), self.start, self.actions).dimension

@@ -13,7 +13,11 @@ which the library replaced by their values on one set of backward rows.
 Span closures run on a Fraction echelon basis, which the library replaced
 by primitive integer rows, and on dense primitive integer rows reduced one
 pivot at a time over every column, which the library replaced by sparse
-rows reduced in one pass over the rows its support meets; the word basis
+rows reduced in one pass over the rows its support meets. A span mod a
+prime keeps monic dict rows fully reduced, clearing each new pivot from
+every row (``OracleModularSpan``), which the library replaced by packed
+semi-echelon rows that no later row changes, reduced once only when the
+closure stays below full rank; the word basis
 of an equivalence check is closed in heap order on the pair of forward
 vectors, which the library replaced by a closure of their difference on
 the quotient of the direct sum by its coarsest lumping. That lumping is
@@ -453,6 +457,59 @@ class OracleIntegerSpanBasis:
     @property
     def basis(self):
         return [tuple(F(x, row[p]) for x in row) for p, row in self._rows]
+
+
+class OracleModularSpan:
+    """A span mod the prime p kept in reduced echelon form, with dict rows.
+
+    ``_rows`` maps each pivot, in increasing order, to a monic
+    ``{column: int}`` row with entries in [1, p), zero at every other
+    pivot. ``add`` takes a dense vector, scaled to a primitive integer
+    vector first, or a ``{column: int}`` image; subtracts the rows at the
+    pivots in its support, each times the vector's own entry there; takes
+    the entries mod p; makes the remainder monic; and clears its pivot from
+    every row that holds it. It returns the new row, or None. ``dim`` is
+    None, so :func:`stochlang.linalg._closure` never stops it at full rank
+    and runs it to the end of the closure.
+    """
+
+    dim = None
+
+    def __init__(self, p):
+        self.p = p
+        self._rows = {}
+
+    def add(self, v):
+        p = self.p
+        if type(v) is not dict:
+            v = {j: x for j, x in enumerate(oracle_primitive(v)) if x}
+        rows = self._rows
+        acc = dict(v)
+        for j, x in v.items():
+            row = rows.get(j)
+            if row is not None:
+                for i, y in row.items():
+                    acc[i] = acc.get(i, 0) - x * y
+        new = {j: r for j, z in acc.items() if (r := z % p)}
+        if not new:
+            return None
+        pivot = min(new)
+        inv = pow(new[pivot], -1, p)
+        new = {j: x * inv % p for j, x in new.items()}
+        for q, row in rows.items():
+            c = row.get(pivot)
+            if c:
+                out = dict(row)
+                for j, y in new.items():
+                    out[j] = out.get(j, 0) - c * y
+                rows[q] = {j: r for j, z in out.items() if (r := z % p)}
+        rows[pivot] = new
+        self._rows = dict(sorted(rows.items()))
+        return new
+
+    @property
+    def dimension(self):
+        return len(self._rows)
 
 
 def oracle_integer_actions(letters, left):

@@ -31,6 +31,11 @@ more ``synth-pa`` cases pin an infeasible family and the mass check of a
 generator with no states.
 ``combine`` and ``synth-pa`` take a target and a list of generator
 fixtures; their outputs are pinned under ``<target>.<case>`` keys.
+Every case runs twice: with ``equivalence.MODULAR_MIN_DIM`` as committed,
+and with it patched to 0, so that every backward closure and every forward
+closure of a rank runs mod a prime, through the packed span, its
+reduction, the reconstruction and the exact check (rank-deficient spans
+included), and must print the same bytes.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
 run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -42,6 +47,7 @@ from pathlib import Path
 
 import pytest
 
+from stochlang import equivalence
 from stochlang.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -171,6 +177,16 @@ def fixture_argv(fixture, case):
     return [command, str(DATA / f"{fixture}.json"), *options]
 
 
+def all_argvs():
+    """The argument list of every case, keyed as its golden files are."""
+    argvs = {f"{fixture}.{case}": fixture_argv(fixture, case)
+             for fixture in FIXTURES for case in sorted(CASES)}
+    argvs.update(ERROR_CASES)
+    argvs.update(COMBINATION_CASES)
+    argvs.update(LARGER_CASES)
+    return argvs
+
+
 def check(key, argv):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     errors = json.loads((GOLDEN / "stderr.json").read_text())
@@ -201,15 +217,16 @@ def test_larger_input_output_is_unchanged(key):
     check(key, LARGER_CASES[key])
 
 
+@pytest.mark.parametrize("key", sorted(all_argvs()))
+def test_output_is_unchanged_with_every_closure_modular(key, monkeypatch):
+    monkeypatch.setattr(equivalence, "MODULAR_MIN_DIM", 0)
+    check(key, all_argvs()[key])
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    argvs = {f"{fixture}.{case}": fixture_argv(fixture, case)
-             for fixture in FIXTURES for case in sorted(CASES)}
-    argvs.update(ERROR_CASES)
-    argvs.update(COMBINATION_CASES)
-    argvs.update(LARGER_CASES)
     codes, errors = {}, {}
-    for key, argv in argvs.items():
+    for key, argv in all_argvs().items():
         codes[key], out, errors[key] = run(argv)
         (GOLDEN / f"{key}.out").write_text(out)
     for name, table in (("exit_codes", codes), ("stderr", errors)):

@@ -11,14 +11,15 @@ from stochlang import MultiplicityAutomaton, empty_automaton, hankel_rank, linal
 from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
                               _fourier_motzkin, _integer_actions, _integer_sum,
-                              _minimal_polynomial, _powers, _primitive, _rational, dot,
-                              is_positive_definite, lp_feasible, rref, schur_stable,
-                              solve_affine, spectral_radius_lt_one)
+                              _minimal_polynomial, _ModularSpan, _packed_push, _powers,
+                              _primitive, _rational, dot, is_positive_definite, lp_feasible,
+                              rref, schur_stable, solve_affine, spectral_radius_lt_one)
 
-from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, diagonal, from_columns,
-                     identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul, mat_sub, mat_vec,
-                     matrix_power, max_abs_entry, membership_in_span, oracle_closure,
-                     oracle_fourier_motzkin, oracle_integer_actions, oracle_integer_sum,
+from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis, diagonal,
+                     from_columns, identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul,
+                     mat_sub, mat_vec, matrix_power, max_abs_entry, membership_in_span,
+                     oracle_closure, oracle_fourier_motzkin, oracle_integer_actions,
+                     oracle_integer_sum,
                      oracle_krylov_closure, oracle_lp_feasible, oracle_lumping, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
                      duplicate_state, random_ma, random_pa, ring_pa, split_copy, transpose,
@@ -914,7 +915,8 @@ class TestClosureAgainstDenseIntegerRows:
         oracle's forward and backward vectors. The closure runs on the
         coarsest lumping of the copy, the n states of the ring; from
         ``MODULAR_MIN_DIM`` states of that quotient on its rows are
-        certified mod p, here with no exact fallback."""
+        certified mod p, here with no exact fallback, and so is the forward
+        closure of the rank, on the n backward rows."""
         a = split_copy(ring_pa(n), random.Random(n))
         rep = a.to_linear_representation()
         dim = a.n_states
@@ -932,7 +934,10 @@ class TestClosureAgainstDenseIntegerRows:
         pairings = OracleIntegerSpanBasis(len(backward))
         for f in forward:
             pairings.add([sum(map(mul, f, b)) for b in backward])
+        exact_adds.clear()
         assert hankel_rank(a) == pairings.dimension == n
+        if n >= MODULAR_MIN_DIM:
+            assert exact_adds == []
 
 
 def exact_closure(dim, start, actions):
@@ -982,9 +987,20 @@ class TestCertifiedClosure:
     @given(closure_inputs())
     @settings(max_examples=200, deadline=None)
     def test_same_rows_as_the_exact_closure(self, case):
+        """Also the packed span mod p, stopped at full rank and then
+        reduced, holds the reduced rows mod p of the dict-row oracle span,
+        which runs to the end of the closure."""
         start, actions, dim = case
         assert_same_span(_certified_closure(dim, start, actions),
                          exact_closure(dim, start, actions))
+        p = linalg._PRIME
+        modular = _ModularSpan(dim, p)
+        for _ in _closure(modular, modular.vector(start), modular.packed(actions), _packed_push):
+            pass
+        oracle = OracleModularSpan(p)
+        for _ in _closure(oracle, start, actions):
+            pass
+        assert list(modular.reduced().items()) == list(oracle._rows.items())
 
     def test_unlucky_prime_drops_the_rank(self, monkeypatch, exact_adds):
         """(1, 1) and (1, 6) are one direction mod 5: the rows mod 5 miss
@@ -1025,6 +1041,9 @@ class TestCertifiedClosure:
         assert_same_span(span, exact_closure(3, start, actions))
 
     def test_full_rank_needs_no_reconstruction(self, monkeypatch, exact_adds):
+        """The first 8 vectors of the closure of the 8-state ring are
+        independent mod p; the closure stops at the eighth, and tests no
+        vector in vain."""
         a = ring_pa(8)
         rep = a.to_linear_representation()
         actions, _ = _integer_actions([[rep.mu[x]] for x in a.alphabet], True)
@@ -1032,9 +1051,18 @@ class TestCertifiedClosure:
         def forbidden(*args):
             raise AssertionError("a full-rank span needs no reconstruction or check")
 
+        added = []
+        add = _ModularSpan.add
+
+        def counted(self, v):
+            added.append(add(self, v))
+            return added[-1]
+
         monkeypatch.setattr(linalg, "_lift", forbidden)
         monkeypatch.setattr(linalg, "_closes", forbidden)
+        monkeypatch.setattr(_ModularSpan, "add", counted)
         span = _certified_closure(8, rep.gamma, actions)
+        assert len(added) == 8 and None not in added
         assert exact_adds == []
         assert span._rows == {i: {i: 1} for i in range(8)}
         assert_same_span(span, exact_closure(8, rep.gamma, actions))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stochlang import (MultiplicityAutomaton, ReductionMode, ReductionStallError,
                        are_equivalent, fixtures, hankel_rank, is_pa, is_reduced,
                        pra_hardness_instance, reduce, weighted_sum, words_up_to)
+from stochlang import equivalence, linalg
 from stochlang.equivalence import combination_on_rows
 from stochlang.reduction import _dependent
 
@@ -172,6 +173,45 @@ class TestRankAgainstPairingOracle:
                  + [split_copy(ring_pa(8), random.Random(8))]]
         assert ranks[-1] == 8
         assert calls == []
+
+
+def two_cycle():
+    """q0 -a/5-> q1 -a/1-> q0, from and to q0: the series 5^(k/2) on a^k of
+    even length k, of rank 2. Its backward vectors (1, 0) and (0, 1) are
+    independent mod 5, its forward vectors (1, 0) and (0, 5) are not."""
+    return MultiplicityAutomaton(("a",), ("q0", "q1"), {"q0": 1}, {"q0": 1},
+                                 {("q0", "a", "q1"): 5, ("q1", "a", "q0"): 1})
+
+
+class TestCertifiedForwardClosure:
+    """The forward closure of the rank runs mod p from ``MODULAR_MIN_DIM``
+    rows on, and falls back to the exact closure when its check fails."""
+
+    @pytest.mark.parametrize("decide", ["hankel_rank", "reduce_field"])
+    @pytest.mark.parametrize("prime", [5, None])
+    def test_unlucky_prime_falls_back_in_the_forward_closure(self, decide, prime,
+                                                             monkeypatch):
+        """Mod 5 the backward span is full, so it needs no check, but the
+        forward span misses (0, 5): its rows fail the check, the only one
+        made, and the exact forward closure answers. With the library's
+        prime neither closure is checked."""
+        a = two_cycle()
+        monkeypatch.setattr(equivalence, "MODULAR_MIN_DIM", 0)
+        if prime is not None:
+            monkeypatch.setattr(linalg, "_PRIME", prime)
+        checks = []
+        closes = linalg._closes
+
+        def recorded(*args):
+            checks.append(closes(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(linalg, "_closes", recorded)
+        if decide == "hankel_rank":
+            assert hankel_rank(a) == 2
+        else:
+            assert reduce(a, ReductionMode.FIELD) is a
+        assert checks == ([False] if prime == 5 else [])
 
 
 def untrimmed_pair():
