@@ -13,7 +13,8 @@ not count against convergence.
 
 The kernel runs on integers and makes one Fraction per answer. With
 A = s M integral and iota, tau scaled to primitive integer vectors l and
-g, the terms are s_k = f u_k / s^k with integer u_k = l . A^k . g and one
+g, all read off the automaton's integer form (``automata._IntegerForm``),
+the terms are s_k = f u_k / s^k with integer u_k = l . A^k . g and one
 rational factor f. A recurrence of u is one of s_k with its j-th
 coefficient divided by s^j, so Berlekamp-Massey runs on u, fraction-free:
 each step cross-multiplies by the earlier discrepancy and divides out the
@@ -34,8 +35,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .automata import MultiplicityAutomaton, format_word, replace_iota
-from .linalg import (Vector, _integer_sum, _minimal_polynomial, _powers,
-                     _primitive_with_factor, _schur_cohn, schur_stable)
+from .linalg import (Vector, _minimal_polynomial, _powers, _primitive_with_factor,
+                     _schur_cohn, schur_stable)
 
 
 @dataclass(frozen=True)
@@ -105,14 +106,17 @@ class _SumTable:
 
 
 def _sum_table(a: MultiplicityAutomaton) -> _SumTable:
-    rep = a.to_linear_representation()
-    action, scale = _integer_sum(list(rep.mu.values()), rep.dim)
-    v, factor = _primitive_with_factor(rep.gamma)
-    return _SumTable(_powers(action, v, 2 * rep.dim), scale, factor)
+    """The table of an automaton, read off its integer form: the
+    letter-summed map A with its scale, and tau as the coprime g with its
+    factor (``automata._IntegerForm``)."""
+    form = a._integer_form()
+    action, scale = form.summed
+    return _SumTable(_powers(action, form.tau, 2 * a.n_states), scale, form.tau_factor)
 
 
-def _series_sum(table: _SumTable, lam: Vector) -> SumOutcome:
-    """Decide and evaluate sum_k lam . M^k . gamma from the table of A^k g.
+def _series_sum(table: _SumTable, w: Sequence[int], f: Fraction) -> SumOutcome:
+    """Decide and evaluate sum_k lam . M^k . gamma from the table of A^k g,
+    for lam = f w with w an integer vector.
 
     The terms s_k = f u_k / s^k satisfy a recurrence of order at most n
     (Cayley-Hamilton), so 2n of them determine the minimal one; with c the
@@ -124,7 +128,6 @@ def _series_sum(table: _SumTable, lam: Vector) -> SumOutcome:
     is Schur-stable, and then it equals P(1) / C(1), which is
     f s E / sum_j c_j s^(L-j) with E = sum_(k<L) s^(L-1-k) sum_(j<=k) c_j u_(k-j).
     """
-    w, f = _primitive_with_factor(lam)
     support = [(i, x) for i, x in enumerate(w) if x]
     terms = [sum([x * p[i] for i, x in support]) for p in table.powers]
     c = _minimal_recurrence(terms)
@@ -145,7 +148,8 @@ def _series_sum(table: _SumTable, lam: Vector) -> SumOutcome:
 
 def total_sum(a: MultiplicityAutomaton) -> SumOutcome:
     """Convergence decision and exact value of the sum of the series over all words."""
-    return _series_sum(_sum_table(a), a.to_linear_representation().lam)
+    form = a._integer_form()
+    return _series_sum(_sum_table(a), form.iota, form.iota_factor)
 
 
 def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
@@ -187,10 +191,10 @@ def _state_sum_vector(table: _SumTable, n: int) -> tuple[list[int], Fraction] | 
     return [x // g for x in raw], unit
 
 
-def _mass(table: _SumTable, v: Vector) -> Fraction:
+def _mass(table: _SumTable, v: Vector | Sequence[int]) -> Fraction:
     """Sum of the series started by initial vector v, from its automaton's
     :func:`_sum_table`; ValueError when it diverges."""
-    outcome = _series_sum(table, v)
+    outcome = _series_sum(table, *_primitive_with_factor(v))
     if not outcome.converges:
         raise ValueError("prefix mass diverges")
     return outcome.value
@@ -199,10 +203,12 @@ def _mass(table: _SumTable, v: Vector) -> Fraction:
 def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
     """Total series mass of the words starting with u.
 
-    Raises ValueError when the sum started by lam . mu(u) diverges.
+    Raises ValueError when the sum started by lam . mu(u) diverges. The
+    vector lam . mu(u) = c w is pushed in integers (``automata._IntegerForm``),
+    and the mass is c times that of w.
     """
-    rep = a.to_linear_representation()
-    return _mass(_sum_table(a), rep.forward(rep.lam, u))
+    w, c = a._integer_form().forward(u)
+    return c * _mass(_sum_table(a), w)
 
 
 def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> MultiplicityAutomaton:
@@ -210,12 +216,14 @@ def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> Multiplici
 
     Only the initial vector changes: it is pushed through mu(u) and divided
     by the prefix weight, which must be finite and nonzero. Other states'
-    sums may diverge; only the sum started by that vector matters.
+    sums may diverge; only the sum started by that vector matters. That
+    vector is c w for an integer vector w pushed through the integer form
+    (``automata._IntegerForm``), and c cancels: the new initial vector is
+    w over the mass of w.
     """
-    rep = a.to_linear_representation()
-    v = rep.forward(rep.lam, u)
-    mass = _mass(_sum_table(a), v)
+    w, _ = a._integer_form().forward(u)
+    mass = _mass(_sum_table(a), w)
     if mass == 0:
         spelled = format_word(u, a.alphabet) if u else "the empty word"
         raise ValueError(f"prefix weight of {spelled} is zero")
-    return replace_iota(a, tuple(x / mass for x in v))
+    return replace_iota(a, tuple(x / mass for x in w))

@@ -1,10 +1,15 @@
 """Multiplicity automata over exact rationals and their linear representations.
 
 A multiplicity automaton carries rational initialization weights, termination
-weights and per-letter transition weights. Its series value on a word is
-evaluated through the matrix form (a row vector chased through one matrix per
-letter), never by enumerating paths. Automata are immutable after
-construction and safe to share.
+weights and per-letter transition weights. Every decision reads one integer
+form of those weights, built on first use in one pass over the transitions
+and kept with the automaton (:class:`_IntegerForm`): sparse integer letter
+maps under one scale, and the initial and final vectors as coprime integer
+vectors with their factors. Its series value on a word is evaluated by
+pushing the initial vector through those maps, one letter at a time, never
+by enumerating paths. The ``Fraction`` matrices of a
+:class:`LinearRepresentation` are built only on demand, and no decision
+reads them. Automata are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -12,9 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Vector, dot, frac, vec_mat, vector
+from .linalg import (Matrix, Vector, _Action, _integer_sum, _push, _turned, dot, frac, vec_mat,
+                     vector)
 
 Word = tuple[str, ...]
 
@@ -125,17 +133,111 @@ def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def _unknown_state(kind: str, q: object) -> ValueError:
+    return ValueError(f"{kind} weight for unknown state {_echo(q)}")
+
+
+def _bad_transition(q: object, x: object, r: object, states: set[str]) -> ValueError:
+    """The error of a transition that uses an unknown state or letter."""
+    unknown = "state" if q not in states or r not in states else "letter"
+    return ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown {unknown}")
+
+
 def _state_weights(kind: str, weights: Mapping[str, object],
                    states: set[str]) -> dict[str, Fraction]:
     """The nonzero weights of a map from declared states to rationals."""
     out = {}
     for q, w in weights.items():
         if q not in states:
-            raise ValueError(f"{kind} weight for unknown state {_echo(q)}")
+            raise _unknown_state(kind, q)
         w = frac(w)
         if w:
             out[q] = w
     return out
+
+
+def _primitive_weights(weights: Mapping[str, Fraction], index: Mapping[str, int]
+                       ) -> tuple[tuple[int, ...], Fraction]:
+    """A map from states to nonzero weights as the coprime integer vector w,
+    in the order of ``index``, and the positive f with weights = f w (f = 1
+    when there are none). Only the weights are read, where
+    ``linalg._primitive_with_factor`` reads every entry of a dense vector."""
+    ratios = {index[q]: w.as_integer_ratio() for q, w in weights.items()}
+    scale = lcm(*(den for _, den in ratios.values()))
+    v = [0] * len(index)
+    for i, (num, den) in ratios.items():
+        v[i] = num * (scale // den)
+    g = gcd(*v)
+    return tuple(v if g <= 1 else [x // g for x in v]), Fraction(g, scale) if g else Fraction(1)
+
+
+class _IntegerForm:
+    """The weights of an automaton as integers, the one form every decision reads.
+
+    Built in one pass over the transitions. ``scale`` is the least positive
+    s that clears the denominator of every transition weight, and
+    ``right[k]`` the map v -> s v M_x of the k-th letter x, as
+    ``linalg._push`` takes it: per state i, the (state j, s phi(i, x, j))
+    pairs, in the order of ``phi``. :attr:`left` holds the maps
+    v -> s M_x v, the same pairs turned round when first read, and
+    :attr:`summed` the map of the letter-summed matrix with its own scale
+    (``linalg._integer_sum``), made when first read. ``iota`` and ``tau``
+    are the initial and final vectors, in state order, as coprime integer
+    tuples w with the positive factors f of vector = f w. Callers share
+    every list here and must not change one.
+    """
+
+    __slots__ = ("letters", "scale", "right", "iota", "iota_factor", "tau", "tau_factor",
+                 "_left", "_summed")
+
+    def __init__(self, a: MultiplicityAutomaton):
+        index = {q: i for i, q in enumerate(a.states)}
+        self.letters = letters = {x: k for k, x in enumerate(a.alphabet)}
+        ratios = [w.as_integer_ratio() for w in a.phi.values()]
+        self.scale = s = lcm(*(den for _, den in ratios))
+        self.right = right = [[[] for _ in index] for _ in letters]
+        for (q, x, r), (num, den) in zip(a.phi, ratios):
+            right[letters[x]][index[q]].append((index[r], num * (s // den)))
+        self.iota, self.iota_factor = _primitive_weights(a.iota, index)
+        self.tau, self.tau_factor = _primitive_weights(a.tau, index)
+        self._left: list[_Action] | None = None
+        self._summed: tuple[_Action, int] | None = None
+
+    @property
+    def left(self) -> list[_Action]:
+        if self._left is None:
+            self._left = [_turned(action) for action in self.right]
+        return self._left
+
+    @property
+    def summed(self) -> tuple[_Action, int]:
+        if self._summed is None:
+            self._summed = _integer_sum(self.right, len(self.tau), self.scale)
+        return self._summed
+
+    def forward(self, word: Sequence[str], v: dict[int, int] | None = None
+                ) -> tuple[list[int], Fraction]:
+        """v mu(word) as c w, for an integer vector w and a positive c, by
+        integer pushes: w = s^|word| u mu(word) for v = f u, u an integer
+        vector, so c = f / s^|word|. v is lam by default, or else the
+        sparse integer vector of its nonzero entries, with f = 1."""
+        f = Fraction(1)
+        if v is None:
+            v, f = {j: x for j, x in enumerate(self.iota) if x}, self.iota_factor
+        for x in word:
+            k = self.letters.get(x)
+            if k is None:
+                raise ValueError(f"letter {_echo(x)} is not in the alphabet")
+            v = _push(self.right[k], v)
+        w = [0] * len(self.iota)
+        for j, y in v.items():
+            w[j] = y
+        return w, f / self.scale ** len(word)
+
+    def value(self, word: Sequence[str], v: dict[int, int] | None = None) -> Fraction:
+        """v mu(word) gamma, for v as :meth:`forward` takes it."""
+        w, c = self.forward(word, v)
+        return c * self.tau_factor * sum(map(mul, w, self.tau))
 
 
 class MultiplicityAutomaton:
@@ -156,14 +258,40 @@ class MultiplicityAutomaton:
         self.tau = _state_weights("final", tau, state_set)
         self.phi: dict[tuple[str, str, str], Fraction] = {}
         for (q, x, r), w in phi.items():
-            if q not in state_set or r not in state_set:
-                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown state")
-            if x not in letter_set:
-                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown letter")
+            if q not in state_set or r not in state_set or x not in letter_set:
+                raise _bad_transition(q, x, r, state_set)
             w = frac(w)
             if w:
                 self.phi[(q, x, r)] = w
         self._rep: LinearRepresentation | None = None
+        self._form: _IntegerForm | None = None
+
+    @classmethod
+    def _from_nonzero_fractions(cls, alphabet: Iterable[str], states: Iterable[str],
+                                iota: Mapping[str, Fraction], tau: Mapping[str, Fraction],
+                                phi: Mapping[tuple[str, str, str], Fraction]
+                                ) -> MultiplicityAutomaton:
+        """The automaton of weight maps whose every weight is a nonzero
+        ``Fraction`` already, as ``documents.parse_automaton`` builds them.
+
+        The names and every state and letter reference are checked as the
+        constructor checks them, in the same order and with the same
+        errors; no weight is coerced or tested again.
+        """
+        a = cls.__new__(cls)
+        a.alphabet = _checked_names("letter", alphabet)
+        a.states = _checked_names("state", states)
+        state_set, letter_set = set(a.states), set(a.alphabet)
+        for kind, weights in (("initial", iota), ("final", tau)):
+            for q in weights:
+                if q not in state_set:
+                    raise _unknown_state(kind, q)
+        for q, x, r in phi:
+            if q not in state_set or r not in state_set or x not in letter_set:
+                raise _bad_transition(q, x, r, state_set)
+        a.iota, a.tau, a.phi = dict(iota), dict(tau), dict(phi)
+        a._rep = a._form = None
+        return a
 
     @property
     def n_states(self) -> int:
@@ -193,6 +321,9 @@ class MultiplicityAutomaton:
         return {k: frozenset(v) for k, v in delta.items()}
 
     def to_linear_representation(self) -> LinearRepresentation:
+        """The ``Fraction`` matrix form (lam, mu, gamma) of the weights, built
+        on the first call and kept. Public API only: every decision reads the
+        integer form (:meth:`_integer_form`) instead."""
         if self._rep is None:
             index = {q: i for i, q in enumerate(self.states)}
             n = len(self.states)
@@ -206,17 +337,21 @@ class MultiplicityAutomaton:
                 tuple(self.tau.get(q, zero) for q in self.states))
         return self._rep
 
+    def _integer_form(self) -> _IntegerForm:
+        """The integer form of the weights, built on the first call and kept."""
+        if self._form is None:
+            self._form = _IntegerForm(self)
+        return self._form
+
     def evaluate(self, word: Sequence[str]) -> Fraction:
         """Exact series value on a word."""
-        return self.to_linear_representation().evaluate(word)
+        return self._integer_form().value(word)
 
     def evaluate_state(self, q: str, word: Sequence[str]) -> Fraction:
         """Exact value of the series generated from a single state."""
         if q not in set(self.states):
             raise ValueError(f"unknown state {_echo(q)}")
-        rep = self.to_linear_representation()
-        unit = tuple(Fraction(1 if s == q else 0) for s in self.states)
-        return dot(rep.forward(unit, word), rep.gamma)
+        return self._integer_form().value(word, {self.states.index(q): 1})
 
     def trim(self) -> "MultiplicityAutomaton":
         """Restrict to states that are both accessible and co-accessible.
@@ -332,8 +467,8 @@ def state_series_automaton(a: MultiplicityAutomaton, q: str) -> MultiplicityAuto
 def letter_shift_automaton(a: MultiplicityAutomaton, word: Sequence[str]
                            ) -> MultiplicityAutomaton:
     """Automaton for the (unnormalised) word shift of the series of ``a``."""
-    rep = a.to_linear_representation()
-    return replace_iota(a, rep.forward(rep.lam, word))
+    w, c = a._integer_form().forward(word)
+    return replace_iota(a, tuple(c * x for x in w))
 
 
 def with_alphabet(a: MultiplicityAutomaton, alphabet: Sequence[str]

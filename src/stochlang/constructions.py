@@ -86,8 +86,7 @@ class _Residuals:
     """
 
     def __init__(self, a: MultiplicityAutomaton):
-        rep = a.to_linear_representation()
-        self.span = span = _SpanRepresentation(rep, *_backward_closure([rep]))
+        self.span = span = _SpanRepresentation(a, *_backward_closure([a]))
         self.actions = dict(zip(a.alphabet, span.actions))
         table = _sum_table(a)
         self.table = _SumTable([[w * v[p] for p, w in span.weights.items()] for v in table.powers],
@@ -184,7 +183,8 @@ def synthesize_pa(target: MultiplicityAutomaton,
     blocks, block_of = _blocks(generators)
     tables = [_sum_table(b) for b in blocks]
     for i, (g, k) in enumerate(zip(generators, block_of)):
-        outcome = _series_sum(tables[k], g.to_linear_representation().lam)
+        form = g._integer_form()
+        outcome = _series_sum(tables[k], form.iota, form.iota_factor)
         if not outcome.converges or outcome.value != 1:
             raise ValueError(f"generator {i} does not have total mass 1")
 

@@ -44,11 +44,9 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-from .automata import (LinearRepresentation, MultiplicityAutomaton, Word,
-                       merge_alphabets, with_alphabet)
+from .automata import MultiplicityAutomaton, Word, _IntegerForm, merge_alphabets, with_alphabet
 from .linalg import (SpanBasis, _Action, _certified_closure, _closure, _feasible_point,
-                     _integer_actions, _nullspace, _particular, _primitive,
-                     _primitive_with_factor, _push)
+                     _nullspace, _particular, _primitive)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,43 @@ def _totals(rows: Sequence[_Action], i: int, block: Sequence[int]) -> dict[int, 
     return {y: c for y, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _quotient(final: Sequence[Fraction], actions: Sequence[_Action], left: bool
+def _direct_sum(forms: Sequence[_IntegerForm], letters: int, left: bool
+                ) -> tuple[list[_Action], int]:
+    """The integer letter maps of the direct sum of automata, from their
+    integer forms (``automata._IntegerForm``), with their scale.
+
+    The scale is L = lcm(s_i) over the scales s_i of the forms. Each form's
+    maps v -> s_i M_x v (``left``) or v -> s_i v M_x, one per letter, have
+    their coefficients multiplied by L / s_i and their coordinates moved
+    past the states of the forms before it; a form whose factor is 1 and
+    whose states come first is taken as it is.
+    """
+    scale = lcm(*(form.scale for form in forms))
+    actions: list[_Action] = [[] for _ in range(letters)]
+    offset = 0
+    for form in forms:
+        k = scale // form.scale
+        for terms, action in zip(actions, form.left if left else form.right):
+            if offset or k != 1:
+                action = [[(i + offset, c * k) for i, c in pairs] for pairs in action]
+            terms += action
+        offset += len(form.tau)
+    return actions, scale
+
+
+def _joined(parts: Sequence[tuple[Sequence[int], Fraction]]) -> list[int]:
+    """The concatenation of the vectors f w of the (integer vector w, factor
+    f) pairs, times the least common multiple of the factors' denominators:
+    one positive integer multiple of the exact vector of a direct sum."""
+    d = lcm(*(f.denominator for _, f in parts))
+    out: list[int] = []
+    for w, f in parts:
+        k = f.numerator * (d // f.denominator)
+        out += w if k == 1 else [k * x for x in w]
+    return out
+
+
+def _quotient(final: Sequence[int], rows: Sequence[_Action], left: bool
               ) -> tuple[list[int], list[int], list[_Action]] | None:
     """The quotient of a representation by its coarsest backward lumping, or
     None when no two states merge.
@@ -86,16 +120,16 @@ def _quotient(final: Sequence[Fraction], actions: Sequence[_Action], left: bool
     that one of its states sends into each block, and the final vector is
     P gamma_Q for gamma_Q the final weight of one state per block.
 
-    ``final`` holds the final weights and ``actions`` the integer letter
-    maps of :func:`linalg._integer_actions`, built for v -> s M_x v
-    (``left``) or for v -> s v M_x, one scale s for all letters, so integer
-    totals compare as the exact ones do. Refinement starts from the
-    partition by final weight and, per letter, total weight into all
-    states, which each pass over the pairs reads without turning the maps
-    round; when that is discrete nothing else is computed. Otherwise maps
-    for ``left`` are turned round to give each state's outgoing pairs, and
-    each round splits every block by the totals (:func:`_totals`) of its
-    states into the blocks of the round before. A state alone in its block
+    ``final`` holds the final weights as one positive integer multiple of
+    them (:func:`_joined`), so equal entries are equal weights, and
+    ``rows`` the integer letter maps v -> s v M_x of the direct sum
+    (:func:`_direct_sum`), one scale s for all letters, which hold each
+    state's outgoing (target, weight) pairs, so integer totals compare as
+    the exact ones do. Refinement starts from the partition by final
+    weight and, per letter, total weight into all states; when that is
+    discrete nothing else is computed. Otherwise each round splits every
+    block by the totals (:func:`_totals`) of its states into the blocks of
+    the round before. A state alone in its block
     cannot split, so only the states of larger blocks are weighed again.
     The rounds stop when every block holds one state, and the result is
     None, or when a round splits nothing: the blocks are then those of the
@@ -104,34 +138,19 @@ def _quotient(final: Sequence[Fraction], actions: Sequence[_Action], left: bool
 
     Returns the block of each state, blocks numbered in the order of their
     first state; the first state of each block, in block order; and the
-    maps of M_Q,x, built for the same side as ``actions``, with their scale.
+    maps of M_Q,x under the same scale, built for v -> s M_Q,x v
+    (``left``) or for v -> s v M_Q,x.
     """
     n = len(final)
     ids: dict = {}
-    # a Fraction is in lowest terms, and its two ints hash faster than it does
-    block = [ids.setdefault((x.numerator, x.denominator), len(ids)) for x in final]
+    block = [ids.setdefault(x, len(ids)) for x in final]
     if len(ids) == n:
         return None
-    sums = [[0] * n for _ in actions]
-    for total, action in zip(sums, actions):
-        if left:
-            for pairs in action:
-                for i, c in pairs:
-                    total[i] += c
-        else:
-            for i, pairs in enumerate(action):
-                total[i] = sum([c for _, c in pairs])
+    sums = [[sum([c for _, c in pairs]) for pairs in action] for action in rows]
     ids = {}
     block = [ids.setdefault(key, len(ids)) for key in zip(block, *sums)]
     if len(ids) == n:
         return None
-    rows = actions
-    if left:  # each state's outgoing (target, weight) pairs, per letter
-        rows = [[[] for _ in range(n)] for _ in actions]
-        for lines, action in zip(rows, actions):
-            for j, pairs in enumerate(action):
-                for i, c in pairs:
-                    lines[i].append((j, c))
     while True:
         old = block
         sizes = [0] * len(ids)
@@ -169,13 +188,14 @@ def _quotient(final: Sequence[Fraction], actions: Sequence[_Action], left: bool
 def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     """Basis words with sparse integer rows, spanning all reachable
     differences, and the functional that compares the two series. The words
-    come from a generator, in the order the closure accepts them. The
-    integer letter maps v -> s v M_x of a (+) b and their scale s come
-    back as well, for the values on a witness (:func:`_pushed_value`).
+    come from a generator, in the order the closure accepts them.
 
-    The states of a (+) b are first merged by their coarsest backward
-    lumping (:func:`_quotient`), with block indicator P and quotient maps
-    M_Q,x, M_x P = P M_Q,x, and gamma = P gamma_Q. With
+    The closure reads the integer letter maps v -> s v M_x of a (+) b, built
+    from the integer forms of a and b (:func:`_direct_sum`), and starts
+    from (lam_a, -lam_b) as one positive integer multiple of it
+    (:func:`_joined`). The states of a (+) b are first merged by their
+    coarsest backward lumping (:func:`_quotient`), with block indicator P
+    and quotient maps M_Q,x, M_x P = P M_Q,x, and gamma = P gamma_Q. With
     lam = (lam_a, -lam_b), the block sums lam P start the closure, and
     lam P M_Q(w) gamma_Q = lam M(w) gamma = a(w) - b(w) on every word. When
     every block holds one state, the closure runs on a (+) b itself.
@@ -206,44 +226,22 @@ def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     and a pair whose two sides lump onto the same blocks with the same
     block sums starts from zero and accepts no word.
     """
-    ra = a.to_linear_representation()
-    rb = b.to_linear_representation()
-    actions, scale = _integer_actions([(ra.mu[x], rb.mu[x]) for x in a.alphabet], left=False)
-    start = ra.lam + tuple(-x for x in rb.lam)
-    final = ra.gamma + rb.gamma
+    fa, fb = a._integer_form(), b._integer_form()
+    actions, _ = _direct_sum((fa, fb), len(a.alphabet), left=False)
+    start = _joined(((fa.iota, fa.iota_factor), (fb.iota, -fb.iota_factor)))
+    final = _joined(((fa.tau, fa.tau_factor), (fb.tau, fb.tau_factor)))
     maps = actions
     quotient = _quotient(final, actions, left=False)
     if quotient is not None:
         block, first, maps = quotient
-        sums = [Fraction(0)] * len(first)
+        sums = [0] * len(first)
         for i, k in enumerate(block):
             sums[k] += start[i]
         start = sums
         final = [final[i] for i in first]
     basis = _closure(SpanBasis(len(final)), start, maps)
     return (((tuple(a.alphabet[k] for k in path), row) for path, row in basis),
-            _primitive(final), actions, scale)
-
-
-def _pushed_value(lam: Sequence[Fraction], gamma: Sequence[Fraction], offset: int,
-                  actions: Sequence[_Action], scale: int, path: Sequence[int]) -> Fraction:
-    """lam . M(w) . gamma on the word w of ``path``, for the diagonal block
-    at ``offset`` of a direct sum with integer maps v -> s v M_x.
-
-    With lam = f v and gamma = h g for primitive integer vectors v and g
-    and positive factors f and h (:func:`linalg._primitive_with_factor`),
-    pushing v through the maps of the path (:func:`linalg._push`) gives
-    s^|w| v M(w), so the value is f h (s^|w| v M(w) . g) / s^|w|, made as
-    one Fraction.
-    """
-    v, f = _primitive_with_factor(lam)
-    g, h = _primitive_with_factor(gamma)
-    image = {offset + j: x for j, x in enumerate(v) if x}
-    for k in path:
-        image = _push(actions[k], image)
-    pairing = sum([x * g[j - offset] for j, x in image.items()])
-    return Fraction(pairing * f.numerator * h.numerator,
-                    f.denominator * h.denominator * scale ** len(path))
+            _primitive(final))
 
 
 def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> EquivalenceOutcome:
@@ -251,12 +249,12 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
 
     On a mismatch the returned witness is the length-lex smallest word whose
     values differ, the first basis word of :func:`_word_basis` on which
-    they do, with both values computed on the inputs by integer pushes
-    (:func:`_pushed_value`). The closure stops at that word; only an equal
-    verdict builds the whole basis, and that on the quotient of a (+) b by
-    its coarsest backward lumping, so copies of one automaton that differ
-    by split, duplicated, permuted or cancelling states close no span at
-    all.
+    they do, with both values evaluated on the inputs by integer pushes
+    through their integer forms (``MultiplicityAutomaton.evaluate``). The
+    closure stops at that word; only an equal verdict builds the whole
+    basis, and that on the quotient of a (+) b by its coarsest backward
+    lumping, so copies of one automaton that differ by split, duplicated,
+    permuted or cancelling states close no span at all.
 
     Alphabets may differ as long as their shared letters agree in order; the
     comparison then runs over the union, missing letters meaning weight zero.
@@ -264,16 +262,10 @@ def are_equivalent(a: MultiplicityAutomaton, b: MultiplicityAutomaton) -> Equiva
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
     a = with_alphabet(a, alphabet)
     b = with_alphabet(b, alphabet)
-    basis, gamma, actions, scale = _word_basis(a, b)
+    basis, gamma = _word_basis(a, b)
     for word, row in basis:
         if sum([gamma[j] * y for j, y in row.items()]):
-            index = {x: k for k, x in enumerate(alphabet)}
-            path = [index[x] for x in word]
-            ra = a.to_linear_representation()
-            rb = b.to_linear_representation()
-            return EquivalenceOutcome(
-                False, word, _pushed_value(ra.lam, ra.gamma, 0, actions, scale, path),
-                _pushed_value(rb.lam, rb.gamma, ra.dim, actions, scale, path))
+            return EquivalenceOutcome(False, word, a.evaluate(word), b.evaluate(word))
     return EquivalenceOutcome(True)
 
 
@@ -310,25 +302,28 @@ class CombinationOutcome:
 MODULAR_MIN_DIM = 12
 
 
-def _backward_closure(reps: Sequence[LinearRepresentation]
+def _backward_closure(automata: Sequence[MultiplicityAutomaton]
                       ) -> tuple[SpanBasis, list[_Action], int]:
     """The span of every x(w) = mu(w) . gamma of a direct sum, with the integer
     letter maps it was closed under and their scale.
 
-    The representations share one alphabet. Their direct sum has the
-    concatenated final vectors and block-diagonal letter matrices, so block i
-    of x(w) is representation i's own mu(w) . gamma. The closure starts from
+    The automata share one alphabet. Their direct sum has the concatenated
+    final vectors and block-diagonal letter matrices, so block i of x(w) is
+    automaton i's own mu(w) . gamma. The closure starts from
     gamma and extends, by each letter on the left, the echelon row that
     each vector enlarging the span adds (``linalg._closure``), so the span
     reached holds every x(w). A series with initial vector lam on block i
     takes the value lam . x(w)[i] on w, so a linear equation between such
     series holds on every word iff it holds on the span's rows; in
-    particular, two initial vectors of one representation give equal
-    series iff they agree on every row. The closure is fraction-free: the
-    span keeps its reduced echelon rows as primitive integers, and the maps
-    are v -> s mu(x) . v on the direct sum, one per letter in alphabet
-    order, with one scale s per call, stored per input coordinate; s comes
-    back with them.
+    particular, two initial vectors of one automaton give equal series iff
+    they agree on every row. The closure is fraction-free: the span keeps
+    its reduced echelon rows as primitive integers, and the maps are
+    v -> s mu(x) . v on the direct sum, one per letter in alphabet order,
+    stored per input coordinate. They come from the automata's integer
+    forms (:func:`_direct_sum`): s is the lcm of their scales, each form's
+    coefficients are multiplied by s over its own scale, and a form whose
+    factor is 1 is read as it is. s comes back with the maps; gamma enters
+    as one positive integer multiple of it (:func:`_joined`).
 
     The states of the direct sum are first merged by their coarsest
     backward lumping (:func:`_quotient`): with block indicator P,
@@ -353,13 +348,14 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     exact rows; otherwise the exact closure runs. Every caller gets the
     same span either way.
     """
-    alphabet = reps[0].alphabet if reps else ()
-    if any(r.alphabet != alphabet for r in reps):
+    alphabet = automata[0].alphabet if automata else ()
+    if any(a.alphabet != alphabet for a in automata):
         raise ValueError("alphabet mismatch")
-    dim = sum(r.dim for r in reps)
-    actions, scale = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
-    gamma = [y for r in reps for y in r.gamma]
-    quotient = _quotient(gamma, actions, left=True)
+    forms = [a._integer_form() for a in automata]
+    actions, scale = _direct_sum(forms, len(alphabet), left=True)
+    gamma = _joined([(form.tau, form.tau_factor) for form in forms])
+    dim = len(gamma)
+    quotient = _quotient(gamma, _direct_sum(forms, len(alphabet), left=False)[0], left=True)
     if quotient is None:
         return _closed_span(dim, gamma, actions), actions, scale
     block, first, maps = quotient
@@ -373,7 +369,7 @@ def _backward_closure(reps: Sequence[LinearRepresentation]
     return span, actions, scale
 
 
-def _closed_span(dim: int, start: Sequence[Fraction], actions: Sequence[_Action]
+def _closed_span(dim: int, start: Sequence[int], actions: Sequence[_Action]
                  ) -> SpanBasis:
     """The span of every image of ``start`` under the maps: mod a prime and
     certified from ``MODULAR_MIN_DIM`` dimensions on, exact below. Both
@@ -462,7 +458,7 @@ def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
             w = s.iota_weight(q)
             lam[j] = w.numerator * (scale // w.denominator)
         lams.append(lam)
-    span = _backward_closure([b.to_linear_representation() for b in blocks])[0]
+    span = _backward_closure(blocks)[0]
     return [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]
             for row in span._rows.values()]
 

@@ -3,11 +3,11 @@
 Every scalar at the boundary is a ``fractions.Fraction``, so each result is
 exact and every decision procedure here (rank, solvability, definiteness,
 contraction, feasibility) is free of rounding. A ``Matrix`` stores only
-its nonzero entries, one ``{column: Fraction}`` dict per row: an
-automaton's letter matrices are filled straight from its transitions, and
-``vec_mat``, the integer letter maps and span closures read only those
-entries. The dense rows are made on demand, for the eliminations that
-work on them.
+its nonzero entries, one ``{column: Fraction}`` dict per row, which
+``vec_mat`` reads; the dense rows are made on demand, for the
+eliminations that work on them. No decision about an automaton builds
+one: its span closures and sums read the sparse integer letter maps
+(``_Action``) of the automaton's integer form (``automata._IntegerForm``).
 
 Elimination runs fraction-free, on one kernel. Span membership does not
 depend on the scale of a vector, so :class:`SpanBasis` keeps its echelon
@@ -17,9 +17,9 @@ reduced only against the rows at the pivots in its support, each on its
 own nonzero entries, and a new pivot is cleared only from the rows that
 hold it. A span closure (:func:`_closure`) pushes, for each vector that
 enlarges the span, the sparse row it added rather than the vector, whose
-entries grow with the length of its word, through letter maps that are
-scaled to integers once per call and stored per input coordinate, so an
-image costs the row's nonzero entries times their column degrees. The
+entries grow with the length of its word, through integer letter maps
+stored per input coordinate, so an image costs the row's nonzero entries
+times their column degrees. The
 rows are the canonical reduced echelon form up to scale, which is unique, so
 ``SpanBasis.basis``, their ``Fraction`` form, and every result built on
 them are the same as with ``Fraction`` rows throughout. ``rref`` is that
@@ -393,7 +393,9 @@ def spectral_radius_lt_one(m: Matrix) -> bool:
     if not m.is_square():
         raise ValueError("spectral test of a non-square matrix")
     n = m.nrows
-    action, scale = _integer_sum([m], n)
+    scale = lcm(*(x.denominator for row in m.entries for x in row.values()))
+    action, scale = _integer_sum([[[(j, x.numerator * (scale // x.denominator))
+                                    for j, x in row.items()] for row in m.entries]], n, scale)
     covered = SpanBasis(n)
     for i in range(n):
         e = [int(j == i) for j in range(n)]
@@ -669,49 +671,15 @@ def _clear(row: dict[int, int], a: int, c: int, new: dict[int, int]) -> dict[int
     return out if g == 1 else {j: y // g for j, y in out.items()}
 
 
+# A sparse integer map: per input coordinate j, the (output coordinate,
+# coefficient) pairs that j scatters to, so that pushing a sparse vector
+# (_push) costs its nonzero entries times their column degrees. The integer
+# form of an automaton (automata._IntegerForm) holds its letter maps so.
 _Action = list[list[tuple[int, int]]]
 
 
-def _integer_actions(letters: Sequence[Sequence[Matrix]], left: bool
-                     ) -> tuple[list[_Action], int]:
-    """Block-diagonal letter matrices as sparse integer maps, with their common scale.
-
-    ``letters[k]`` lists the diagonal blocks of letter k's matrix M_k. Each
-    map holds, per input coordinate j, the (output coordinate, coefficient)
-    pairs that j scatters to under v -> s M_k v (``left``) or v -> s v M_k,
-    where the positive integer s clears every denominator of every letter,
-    so pushing a sparse vector (:func:`_push`) costs its nonzero entries
-    times their column degrees. One scale for all letters keeps each pushed
-    vector a positive multiple of the exact one, which is all a span
-    closure or a sign-free zero test needs. Only the nonzero entries of
-    each block are read: as columns of M_k, with the indices swapped, for
-    ``left``, and as its rows otherwise. Returns the maps, in the order of
-    ``letters``, and s.
-    """
-    scale = lcm(*(x.denominator for blocks in letters for m in blocks
-                  for row in m.entries for x in row.values()))
-    actions = []
-    for blocks in letters:
-        terms: _Action = []
-        offset = 0
-        for m in blocks:
-            if left:
-                lines: _Action = [[] for _ in range(m.ncols)]
-                for i, row in enumerate(m.entries, offset):
-                    for j, x in row.items():
-                        lines[j].append((i, x.numerator * (scale // x.denominator)))
-            else:
-                lines = [[(offset + j, x.numerator * (scale // x.denominator))
-                          for j, x in row.items()] for row in m.entries]
-            terms += lines
-            offset += m.nrows
-        actions.append(terms)
-    return actions, scale
-
-
 def _push(action: _Action, v: dict[int, int]) -> dict[int, int]:
-    """The image of a sparse integer vector under a map of :func:`_integer_actions`,
-    as its nonzero entries."""
+    """The image of a sparse integer vector under a map, as its nonzero entries."""
     out: dict[int, int] = {}
     get = out.get
     for j, x in v.items():
@@ -720,22 +688,32 @@ def _push(action: _Action, v: dict[int, int]) -> dict[int, int]:
     return {i: y for i, y in out.items() if y}
 
 
-def _integer_sum(matrices: Sequence[Matrix], n: int) -> tuple[_Action, int]:
+def _turned(action: _Action) -> _Action:
+    """A square map turned round: the (input coordinate, coefficient) pairs
+    that each output coordinate gathers, or the other way about."""
+    lines: _Action = [[] for _ in action]
+    for j, pairs in enumerate(action):
+        for i, c in pairs:
+            lines[i].append((j, c))
+    return lines
+
+
+def _integer_sum(actions: Sequence[_Action], n: int, scale: int) -> tuple[_Action, int]:
     """The sum M of n x n matrices as a sparse integer map, with its scale.
 
-    Returns the map v -> A v with A = s M and the least positive integer s
-    that makes A integral, so an integer vector pushed k times through the
-    map is s^k times its exact image. Only nonzero entries are read. Unlike
-    the maps of :func:`_integer_actions`, this one holds per output
-    coordinate i the (input coordinate, coefficient) pairs that i gathers,
-    for the dense vectors that :func:`_powers` takes.
+    ``actions`` hold the maps v -> s v M_k with one scale s, per input
+    coordinate i the (output coordinate j, s M_k[i][j]) pairs, so row i of
+    s M_k. Returns the map v -> A v with A = t M and t the least positive
+    integer that makes A integral, held per output coordinate i as the
+    (input coordinate, coefficient) pairs that i gathers, for the dense
+    vectors that :func:`_powers` takes; an integer vector pushed k times
+    through it is t^k times its exact image.
     """
-    scale = lcm(*(x.denominator for m in matrices for row in m.entries for x in row.values()))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for m in matrices:
-        for row, line in zip(rows, m.entries):
-            for j, x in line.items():
-                row[j] = row.get(j, 0) + x.numerator * (scale // x.denominator)
+    for action in actions:
+        for row, pairs in zip(rows, action):
+            for j, c in pairs:
+                row[j] = row.get(j, 0) + c
     g = gcd(scale, *(c for row in rows for c in row.values()))
     return [[(j, c // g) for j, c in row.items() if c] for row in rows], scale // g
 
@@ -776,7 +754,7 @@ def _closure(span: SpanBasis | _ModularSpan, start: Iterable, actions: Sequence,
     ``span`` starts empty, with ``dim`` columns. ``push(action, row)`` is
     the image of a row under one of ``actions``: by default :func:`_push`,
     for maps that hold per input coordinate the (output coordinate,
-    coefficient) pairs, as :func:`_integer_actions` builds them, and
+    coefficient) pairs (``_Action``), and
     :func:`_packed_push` for the packed maps of a :class:`_ModularSpan`.
     Each vector that enlarges the span contributes the echelon row that
     ``span.add`` returns: the vector reduced against the rows already
@@ -883,8 +861,7 @@ class _ModularSpan:
         return self._pack({j: r for j, x in enumerate(_primitive(v)) if (r := x % p)})
 
     def packed(self, actions: Sequence[_Action]) -> list[list[tuple[int, int]]]:
-        """The maps of :func:`_integer_actions` mod p, each as the packed
-        image of every unit vector."""
+        """Integer maps mod p, each as the packed image of every unit vector."""
         p = self.p
         maps = []
         for action in actions:

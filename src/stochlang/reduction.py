@@ -54,9 +54,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
-from .automata import LinearRepresentation, MultiplicityAutomaton
+from .automata import MultiplicityAutomaton
 from .equivalence import _backward_closure, _closed_span, combination_on_rows
-from .linalg import SpanBasis, _Action, _primitive_with_factor, _push
+from .linalg import SpanBasis, _Action, _push
 
 
 class ReductionMode(enum.Enum):
@@ -81,7 +81,7 @@ def is_reduced(a: MultiplicityAutomaton, mode: ReductionMode) -> bool:
     feasibility problem on the other columns, asked once, and no other
     state can be a combination.
     """
-    rows = _backward_closure([a.to_linear_representation()])[0].integer_rows
+    rows = _backward_closure([a])[0].integer_rows
     if mode is ReductionMode.FIELD or len(rows) == a.n_states:
         return len(rows) == a.n_states
     return next(_cone_removals(rows, a.n_states), None) is None
@@ -195,11 +195,10 @@ def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomat
     removal's coefficients into those of the removals before it gives every
     removed state over the final states.
     """
-    rep = a.to_linear_representation()
-    closure = _backward_closure([rep])
+    closure = _backward_closure([a])
     rows, n = closure[0].integer_rows, a.n_states
     if mode is ReductionMode.FIELD and len(rows) != (
-            rank := _SpanRepresentation(rep, *closure).rank()):
+            rank := _SpanRepresentation(a, *closure).rank()):
         raise ReductionStallError(
             f"elimination stopped at {len(rows)} states but the series rank is {rank}")
     if len(rows) == n:
@@ -235,14 +234,13 @@ def hankel_rank(a: MultiplicityAutomaton) -> int:
     stops once it holds a row per dimension; below full rank its rows are
     checked exactly, and the exact closure answers when the check fails.
     """
-    rep = a.to_linear_representation()
-    return _SpanRepresentation(rep, *_backward_closure([rep])).rank()
+    return _SpanRepresentation(a, *_backward_closure([a])).rank()
 
 
 class _SpanRepresentation:
-    """The series of a representation on the span V of its backward vectors.
+    """The series of an automaton on the span V of its backward vectors.
 
-    Built from one ``equivalence._backward_closure`` of the representation
+    Built from one ``equivalence._backward_closure`` of the automaton
     alone: its echelon rows b_k span every mu(w) . gamma, a space closed
     under y -> mu(x) . y, and each is a primitive integer vector, positive
     at its pivot p_k where the other rows vanish, so a vector y of V is
@@ -255,7 +253,8 @@ class _SpanRepresentation:
     of the pairings of lam and the letter maps A_x, and every coordinate
     vector is reached from gamma's.
 
-    The closure's integer maps s mu(x) and the least common multiple c
+    The closure's integer maps s mu(x), those of the automaton's integer
+    form (``automata._IntegerForm``), and the least common multiple c
     (``lcm``) of the pivot entries scale every A_x alike: ``actions`` hold
     the integer maps s c A_x, one per letter in alphabet order, stored per
     input coordinate as ``linalg._closure`` takes them, and ``scale`` is
@@ -263,12 +262,13 @@ class _SpanRepresentation:
     nonzero entries times their column degrees. ``weights`` maps each pivot
     p_k to c / b_k[p_k], so the coordinates of y in V on the rows, times
     c, are the integers weights[p_k] y[p_k]. ``start`` is the coprime
-    vector of the pairings of lam and ``start_factor`` the positive f with
-    lam . b_k = f start[k]. No mass is held: a caller that needs masses
-    reads its own sum table at the pivots.
+    vector of the pairings of lam, paired from the form's coprime iota, and
+    ``start_factor`` the positive f with lam . b_k = f start[k]. No mass
+    is held: a caller that needs masses reads its own sum table at the
+    pivots.
     """
 
-    def __init__(self, rep: LinearRepresentation, span: SpanBasis,
+    def __init__(self, a: MultiplicityAutomaton, span: SpanBasis,
                  actions: list[_Action], scale: int):
         self.rows = list(span._rows.values())
         self.lcm = lcm(*(b[p] for p, b in span._rows.items()))
@@ -283,7 +283,8 @@ class _SpanRepresentation:
                     if p in index:
                         columns[index[p]].append((i, self.weights[p] * y))
             self.actions.append(columns)
-        lam, factor = _primitive_with_factor(rep.lam)
+        form = a._integer_form()
+        lam, factor = form.iota, form.iota_factor
         pairings = [sum([lam[j] * y for j, y in b.items()]) for b in self.rows]
         g = gcd(*pairings) or 1
         self.start = [x // g for x in pairings]

@@ -536,7 +536,7 @@ def oracle_integer_actions(letters, left):
 def oracle_closure(span, start, actions):
     """Breadth-first closure that pushes each accepted vector itself, dense.
 
-    ``actions`` are maps as ``linalg._integer_actions`` builds them, the
+    ``actions`` are maps as ``oracle_integer_actions`` builds them, the
     pairs of each input coordinate; they are turned around to give each
     output coordinate its pairs, and every vector that enlarges ``span``
     goes through each of them, in order, its images divided by their
@@ -969,18 +969,18 @@ def oracle_series_sum(a, lam):
 
 # ------------------------------------------------------------ value rows
 
-def value_rows(reps):
+def value_rows(automata):
     """The reduced echelon rows, as Fractions with leading ones, of the span of
-    every x(w) = mu(w) . gamma of the direct sum of ``reps``.
+    every x(w) = mu(w) . gamma of the direct sum of ``automata``.
 
     A series with initial vector lam on block i takes the value
     lam . x(w)[i] on w, so a linear equation between such series holds on
     every word iff it holds on these rows; two initial vectors of one
-    representation give equal series iff they agree on every row. The
+    automaton give equal series iff they agree on every row. The
     library pairs vectors with the span's primitive integer rows instead,
     which are positive multiples of these.
     """
-    return _backward_closure(reps)[0].basis
+    return _backward_closure(automata)[0].basis
 
 
 # ------------------------------------------------------- combination oracle
@@ -1120,7 +1120,7 @@ def oracle_field_reduce(a):
     state that is a combination of the others, rebuilding the automaton
     after each removal; it raises the library's stall error when it stops
     above the rank of the pairing matrix."""
-    rows = value_rows([a.to_linear_representation()])
+    rows = value_rows([a])
     columns = list(range(a.n_states))
     current = a
     changed = True
@@ -1153,7 +1153,7 @@ def oracle_cone_combination(rows, target, columns):
 
 def oracle_is_cone_reduced(a):
     """Cone-reducedness with one feasibility problem per state on the value rows."""
-    rows = value_rows([a.to_linear_representation()])
+    rows = value_rows([a])
     n = a.n_states
     return all(oracle_cone_combination(rows, q, [s for s in range(n) if s != q]) is None
                for q in range(n))
@@ -1163,7 +1163,7 @@ def oracle_cone_reduce(a):
     """Cone reduction that tries every state in declared order, each round,
     with one feasibility problem on the value rows of the input, and removes
     the first state that is a nonnegative combination of the others."""
-    rows = value_rows([a.to_linear_representation()])
+    rows = value_rows([a])
     columns = list(range(a.n_states))
     current = a
     changed = True

@@ -10,7 +10,7 @@ from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent,
                        fixtures, is_pa, prefix_weight, residual_automaton,
                        state_sums, total_sum, words_up_to)
 from stochlang.analysis import _minimal_recurrence, _series_sum, _sum_table
-from stochlang.linalg import dot, solve_affine, spectral_radius_lt_one
+from stochlang.linalg import _primitive_with_factor, dot, solve_affine, spectral_radius_lt_one
 
 from helpers import (example1_residual_value, identity, letter_sum_matrix, mat_sub,
                      oracle_minimal_recurrence, oracle_series_sum,
@@ -228,7 +228,7 @@ class TestSeriesSumAgainstFractionOracle:
             table = _sum_table(a)
             for u in words_up_to(a.alphabet, 3):
                 v = rep.forward(rep.lam, u)
-                outcome = _series_sum(table, v)
+                outcome = _series_sum(table, *_primitive_with_factor(v))
                 assert (outcome.value if outcome.converges else None) == \
                     oracle_series_sum(a, v)
 

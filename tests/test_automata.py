@@ -10,10 +10,13 @@ from stochlang import (MultiplicityAutomaton, empty_automaton, fixtures,
                        format_word, from_linear_representation, is_trimmed,
                        parse_word, rep_from_generator_relations,
                        state_series_automaton, weighted_sum, words_up_to)
-from stochlang.automata import letter_shift_automaton, merge_alphabets
+from stochlang.automata import (letter_shift_automaton, merge_alphabets, replace_iota,
+                                with_alphabet)
+from stochlang.equivalence import _direct_sum, _joined
 from stochlang.linalg import dot
 
-from helpers import eval_by_definition, eval_by_paths, max_abs_entry, random_ma
+from helpers import (eval_by_definition, eval_by_paths, max_abs_entry, oracle_integer_actions,
+                     oracle_integer_sum, oracle_primitive, random_ma)
 
 F = Fraction
 
@@ -39,6 +42,39 @@ class TestConstruction:
     def test_rejects_unknown_letter(self):
         with pytest.raises(ValueError):
             MultiplicityAutomaton(("a",), ("q0",), {}, {}, {("q0", "z", "q0"): 1})
+
+    @pytest.mark.parametrize("weight", [0, "0", "-0", "0/7", F(0), F(0, 7)])
+    def test_every_spelling_of_zero_is_dropped(self, weight):
+        a = MultiplicityAutomaton(("a",), ("p", "q"), {"p": weight, "q": 1},
+                                  {"p": weight, "q": "1"}, {("p", "a", "q"): weight,
+                                                            ("q", "a", "p"): F(1)})
+        assert a.iota == {"q": F(1)} and a.tau == {"q": F(1)}
+        assert a.phi == {("q", "a", "p"): F(1)}
+
+    @pytest.mark.parametrize("weight", [F(3, 2), "6/4", " 6/4 ", "3/2", F(6, 4), F(-6, -4)])
+    def test_weights_are_kept_in_lowest_terms(self, weight):
+        a = MultiplicityAutomaton(("a",), ("p",), {"p": weight}, {"p": weight},
+                                  {("p", "a", "p"): weight})
+        for weights in (a.iota, a.tau, a.phi):
+            (w,) = weights.values()
+            assert type(w) is Fraction and w == F(3, 2)
+            assert (w.numerator, w.denominator) == (3, 2)
+
+    def test_int_str_and_fraction_weights_agree(self):
+        ints = MultiplicityAutomaton(("a", "b"), ("p", "q"), {"p": 2, "q": 0}, {"q": -1},
+                                     {("p", "a", "q"): 3, ("q", "b", "p"): 0,
+                                      ("q", "a", "q"): -4})
+        for spell in (str, F):
+            other = MultiplicityAutomaton(
+                ("a", "b"), ("p", "q"), {q: spell(w) for q, w in {"p": 2, "q": 0}.items()},
+                {"q": spell(-1)}, {("p", "a", "q"): spell(3), ("q", "b", "p"): spell(0),
+                                   ("q", "a", "q"): spell(-4)})
+            assert other == ints
+            assert list(other.phi.items()) == list(ints.phi.items())
+            assert all(type(w) is Fraction for m in (other.iota, other.tau, other.phi)
+                       for w in m.values())
+        assert ints.phi == {("p", "a", "q"): F(3), ("q", "a", "q"): F(-4)}
+        assert ints.iota == {"p": F(2)} and ints.tau == {"q": F(-1)}
 
     def test_rejects_duplicate_states(self):
         with pytest.raises(ValueError):
@@ -284,3 +320,122 @@ class TestWords:
         assert merge_alphabets(("a",), ("a", "b")) == ("a", "b")
         with pytest.raises(ValueError):
             merge_alphabets(("a", "b"), ("b", "a"))
+
+
+def sorted_lines(action):
+    return [sorted(line) for line in action]
+
+
+def assert_primitive_with_factor(w, f, vector):
+    """w is the coprime integer vector of ``vector`` and f > 0 its factor."""
+    assert all(type(x) is int for x in w)
+    assert list(w) == oracle_primitive(vector)
+    assert type(f) is Fraction and f > 0
+    assert tuple(f * x for x in w) == tuple(vector)
+
+
+def assert_form_matches_the_fraction_oracle(a):
+    """The integer form of ``a`` against the dense scans of its Fraction
+    representation: the letter maps in both orientations under one scale,
+    the letter-summed map with its scale, and the coprime iota and tau
+    with their factors."""
+    rep = a.to_linear_representation()
+    form = a._integer_form()
+    letters = [[rep.mu[x]] for x in a.alphabet]
+    for maps, left in ((form.right, False), (form.left, True)):
+        actions, scale = oracle_integer_actions(letters, left)
+        assert form.scale == scale
+        assert sorted_lines(maps) == sorted_lines(actions)
+    summed, scale = oracle_integer_sum(list(rep.mu.values()), a.n_states)
+    assert form.summed[1] == scale
+    assert sorted_lines(form.summed[0]) == sorted_lines(summed)
+    assert_primitive_with_factor(form.iota, form.iota_factor, rep.lam)
+    assert_primitive_with_factor(form.tau, form.tau_factor, rep.gamma)
+
+
+@st.composite
+def form_automata(draw):
+    """Signed automata of 0-8 states over {a, b} at densities 0 to 0.9,
+    some letters with no transition, their transition weights divided by
+    1-6 so that scales differ; as drawn, extended to {a, b, c} by
+    ``with_alphabet``, or with a new initial vector, zeros included, from
+    ``replace_iota``."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 8))
+    a = random_ma(rng, n, ("a", "b"), density=draw(st.sampled_from((0.0, 0.2, 0.5, 0.9))))
+    silent = draw(st.sets(st.sampled_from(("a", "b"))))
+    k = draw(st.integers(1, 6))
+    a = MultiplicityAutomaton(a.alphabet, a.states, a.iota, a.tau,
+                              {t: w / k for t, w in a.phi.items() if t[1] not in silent})
+    kind = draw(st.sampled_from(("drawn", "with_alphabet", "replace_iota")))
+    if kind == "with_alphabet":
+        return with_alphabet(a, ("a", "b", "c"))
+    if kind == "replace_iota":
+        weights = st.sampled_from((F(0), F(1), F(-2, 3), F(5, 12), F(7)))
+        return replace_iota(a, draw(st.lists(weights, min_size=n, max_size=n)))
+    return a
+
+
+class TestIntegerFormAgainstFractionOracle:
+    """The integer form, built in one pass over the transitions, against
+    ``oracle_integer_actions`` and ``oracle_integer_sum`` applied to the
+    ``Fraction`` representation."""
+
+    @given(form_automata())
+    @settings(max_examples=200, deadline=None)
+    def test_single_automata(self, a):
+        assert_form_matches_the_fraction_oracle(a)
+        assert a.to_linear_representation() is a._rep
+
+    @given(st.lists(form_automata(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_direct_sums(self, blocks):
+        """Over one alphabet, as ``are_equivalent`` extends them: the maps of
+        the direct sum at the lcm of the scales, and gamma as one positive
+        multiple of the concatenated final vectors."""
+        blocks = [with_alphabet(a, ("a", "b", "c")) for a in blocks]
+        forms = [a._integer_form() for a in blocks]
+        reps = [a.to_linear_representation() for a in blocks]
+        for left in (False, True):
+            built, scale = _direct_sum(forms, 3, left)
+            actions, oracle_scale = oracle_integer_actions(
+                [[r.mu[x] for r in reps] for x in ("a", "b", "c")], left)
+            assert scale == oracle_scale
+            assert sorted_lines(built) == sorted_lines(actions)
+        gamma = [y for r in reps for y in r.gamma]
+        joined = _joined([(f.tau, f.tau_factor) for f in forms])
+        assert oracle_primitive(joined) == oracle_primitive(gamma)
+        assert all(x * y >= 0 for x, y in zip(joined, gamma))
+
+    def test_direct_sum_of_unequal_scales(self):
+        """Scales 6 and 10 meet at 30: each side's coefficients are
+        multiplied by 5 and by 3, and the second side's states come after
+        the first's."""
+        a = MultiplicityAutomaton(("a",), ("p", "q"), {"p": 1}, {"q": F(1, 2)},
+                                  {("p", "a", "q"): F(1, 2), ("q", "a", "p"): F(1, 3)})
+        b = MultiplicityAutomaton(("a",), ("r",), {"r": F(2, 3)}, {"r": F(3, 4)},
+                                  {("r", "a", "r"): F(3, 10)})
+        fa, fb = a._integer_form(), b._integer_form()
+        assert (fa.scale, fb.scale) == (6, 10)
+        assert fa.right == [[[(1, 3)], [(0, 2)]]] and fb.right == [[[(0, 3)]]]
+        assert _direct_sum([fa, fb], 1, left=False) == ([[[(1, 15)], [(0, 10)], [(2, 9)]]], 30)
+        assert _direct_sum([fa, fb], 1, left=True) == ([[[(1, 10)], [(0, 15)], [(2, 9)]]], 30)
+        assert (fa.tau, fa.tau_factor, fb.tau, fb.tau_factor) == ((0, 1), F(1, 2), (1,), F(3, 4))
+        assert _joined([(fa.tau, fa.tau_factor), (fb.tau, fb.tau_factor)]) == [0, 2, 3]
+        assert _joined([(fa.iota, fa.iota_factor), (fb.iota, -fb.iota_factor)]) == [3, 0, -2]
+
+    def test_form_is_built_once_and_lazily(self):
+        a = random_ma(random.Random(3), 4, ("a", "b"))
+        assert a._form is None and a._rep is None
+        form = a._integer_form()
+        assert a._integer_form() is form and a._rep is None
+        assert form._left is None and form._summed is None
+        assert form.left is form.left and form.summed is form.summed
+
+    def test_zero_states(self):
+        a = empty_automaton(("a", "b"))
+        form = a._integer_form()
+        assert (form.scale, form.right, form.left) == (1, [[], []], [[], []])
+        assert form.summed == ([], 1)
+        assert (form.iota, form.iota_factor, form.tau, form.tau_factor) == ((), 1, (), 1)
+        assert_form_matches_the_fraction_oracle(a)

@@ -35,7 +35,10 @@ Every case runs twice: with ``equivalence.MODULAR_MIN_DIM`` as committed,
 and with it patched to 0, so that every backward closure and every forward
 closure of a rank runs mod a prime, through the packed span, its
 reduction, the reconstruction and the exact check (rank-deficient spans
-included), and must print the same bytes.
+included), and must print the same bytes. A third run forbids the
+``Fraction`` matrix form: every decision reads the automata's integer
+forms, so no case may call ``to_linear_representation`` or build a
+``Matrix``.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
 run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -47,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from stochlang import equivalence
+from stochlang import Matrix, MultiplicityAutomaton, equivalence
 from stochlang.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -220,6 +223,17 @@ def test_larger_input_output_is_unchanged(key):
 @pytest.mark.parametrize("key", sorted(all_argvs()))
 def test_output_is_unchanged_with_every_closure_modular(key, monkeypatch):
     monkeypatch.setattr(equivalence, "MODULAR_MIN_DIM", 0)
+    check(key, all_argvs()[key])
+
+
+@pytest.mark.parametrize("key", sorted(all_argvs()))
+def test_no_case_reads_the_fraction_matrix_form(key, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a decision built the Fraction matrix form")
+
+    monkeypatch.setattr(MultiplicityAutomaton, "to_linear_representation", forbidden)
+    monkeypatch.setattr(Matrix, "__init__", forbidden)
+    monkeypatch.setattr(Matrix, "from_entries", forbidden)
     check(key, all_argvs()[key])
 
 

@@ -208,6 +208,56 @@ def test_parse_matches_the_weight_by_weight_oracle(doc):
     assert _outcome(parse_automaton, text) == _outcome(oracle_parse_automaton, text)
 
 
+@pytest.mark.parametrize("zero", [None, "0", "-0", "0/7"])
+def test_weights_are_normalised_once_and_zeros_dropped(zero):
+    """One weight string "6/4" repeated across initial, final and
+    transitions, with or without a zero weight. Without one, the weights go
+    to the automaton as parsed; with one, through the constructor, which
+    drops it. Either way the maps are those of the constructor on the raw
+    strings: zeros dropped, values in lowest terms, in document order."""
+    doc = {"alphabet": ["a", "b"], "states": ["p", "q"],
+           "initial": {"p": "6/4"}, "final": {"q": "6/4"},
+           "transitions": [["p", "a", "q", "6/4"], ["q", "b", "p", "1"],
+                           ["q", "a", "q", "6/4"]]}
+    if zero is not None:
+        doc["initial"]["q"] = doc["final"]["p"] = zero
+        doc["transitions"].insert(1, ["p", "b", "p", zero])
+    a = parse_automaton(json.dumps(doc))
+    assert a.iota == {"p": Fraction(3, 2)} and a.tau == {"q": Fraction(3, 2)}
+    assert list(a.phi.items()) == [(("p", "a", "q"), Fraction(3, 2)),
+                                   (("q", "b", "p"), Fraction(1)),
+                                   (("q", "a", "q"), Fraction(3, 2))]
+    assert all(type(w) is Fraction and (w.numerator, w.denominator) in ((3, 2), (1, 1))
+               for m in (a.iota, a.tau, a.phi) for w in m.values())
+    b = MultiplicityAutomaton(doc["alphabet"], doc["states"], doc["initial"], doc["final"],
+                              {tuple(t[:3]): t[3] for t in doc["transitions"]})
+    for get in (lambda x: list(x.iota.items()), lambda x: list(x.tau.items()),
+                lambda x: list(x.phi.items())):
+        assert get(a) == get(b)
+    fa, fb = a._integer_form(), b._integer_form()
+    assert (fa.scale, fa.right, fa.iota, fa.iota_factor, fa.tau, fa.tau_factor) == (
+        fb.scale, fb.right, fb.iota, fb.iota_factor, fb.tau, fb.tau_factor)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_reference_errors_keep_their_order_on_both_paths(zero):
+    """A document with an unknown initial state and a transition to an
+    unknown state reports the initial weight first, as the constructor
+    does, whether or not a zero weight sends it through the constructor;
+    a zero-weight transition is checked too."""
+    doc = fig2_doc()
+    doc["initial"]["ghost"] = "1/2"
+    doc["transitions"].append(["q0", "a", "ghost", "0" if zero else "1/3"])
+    with pytest.raises(DocumentError, match="^initial weight for unknown state 'ghost'$"):
+        parse_automaton(json.dumps(doc))
+    del doc["initial"]["ghost"]
+    with pytest.raises(DocumentError, match="uses an unknown state$"):
+        parse_automaton(json.dumps(doc))
+    doc["transitions"][-1] = ["q0", "z", "q0", "0" if zero else "1/3"]
+    with pytest.raises(DocumentError, match="uses an unknown letter$"):
+        parse_automaton(json.dumps(doc))
+
+
 def test_repeated_weights_share_one_value():
     doc = fig2_doc()
     for item in doc["transitions"]:

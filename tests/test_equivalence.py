@@ -12,7 +12,7 @@ from stochlang import (MultiplicityAutomaton, are_equivalent,
 from stochlang.automata import letter_shift_automaton, replace_iota, words_up_to
 from stochlang.equivalence import (MODULAR_MIN_DIM, EquivalenceOutcome, _backward_closure,
                                    _quotient, _word_basis, combination_on_rows)
-from stochlang.linalg import SpanBasis, _integer_actions, _primitive, dot
+from stochlang.linalg import SpanBasis, _primitive, dot
 
 from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, direct_sum_rows,
                      duplicate_state, nudged_copy, oracle_closure, oracle_cone_combination,
@@ -231,14 +231,14 @@ class TestEquivalenceStopsAtItsWitness:
 
 def library_lumping(a, b):
     """The blocks of ``_quotient`` on a (+) b, one per state when none merge;
-    the maps for either side give the same blocks."""
+    the quotient maps built for either side give the same blocks."""
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
     letters = [(ra.mu[x], rb.mu[x]) for x in a.alphabet]
     final = ra.gamma + rb.gamma
     blocks = []
     for left in (False, True):
-        quotient = _quotient(final, _integer_actions(letters, left)[0], left)
+        quotient = _quotient(final, oracle_integer_actions(letters, False)[0], left)
         blocks.append(list(range(len(final))) if quotient is None else quotient[0])
     assert blocks[0] == blocks[1]
     return blocks[0]
@@ -287,9 +287,9 @@ class TestCoarsestLumping:
 
 class TestWitnessValues:
     """An unequal verdict computes both values on its witness from integer
-    pushes of the primitive initial vectors under the integer maps of
-    a (+) b (``_pushed_value``), with one Fraction per value: they are the
-    inputs' own values on that word."""
+    pushes of the primitive initial vectors through each input's integer
+    form, with one Fraction per value: they are the values of the inputs'
+    ``Fraction`` representations on that word."""
 
     @given(st.one_of(signed_pairs(), signed_pairs(signed=False)))
     @settings(max_examples=150, deadline=None)
@@ -298,8 +298,8 @@ class TestWitnessValues:
         outcome = are_equivalent(a, b)
         if not outcome.equal:
             assert type(outcome.left_value) is type(outcome.right_value) is Fraction
-            assert outcome.left_value == a.evaluate(outcome.witness)
-            assert outcome.right_value == b.evaluate(outcome.witness)
+            assert outcome.left_value == a.to_linear_representation().evaluate(outcome.witness)
+            assert outcome.right_value == b.to_linear_representation().evaluate(outcome.witness)
             assert outcome.left_value != outcome.right_value
 
     def test_values_over_a_merged_alphabet(self):
@@ -344,11 +344,12 @@ def backward_sums(draw):
 def assert_oracle_backward_rows(series):
     """``_backward_closure`` of the series' direct sum, closed on its
     coarsest lumping, has the rows of ``oracle_closure`` on the direct sum
-    itself, and hands back the direct sum's own maps and scale."""
+    itself, and hands back the direct sum's own maps and scale: those of
+    the dense scan of its Fraction matrices."""
     reps = [s.to_linear_representation() for s in series]
     letters = [[r.mu[x] for r in reps] for x in series[0].alphabet]
-    span, actions, scale = _backward_closure(reps)
-    assert (actions, scale) == _integer_actions(letters, left=True)
+    span, actions, scale = _backward_closure(series)
+    assert (actions, scale) == oracle_integer_actions(letters, left=True)
     dense = OracleIntegerSpanBasis(sum(r.dim for r in reps))
     oracle_closure(dense, [y for r in reps for y in r.gamma],
                    oracle_integer_actions(letters, left=True)[0])
@@ -385,9 +386,8 @@ class TestLumpedBackwardClosure:
             "signed8x3": lambda: [random_ma(rng, 8, ("a", "b")) for _ in range(3)],
         }[case]()
         assert len(set(oracle_lumping(*series))) == quotient_dim
-        reps = [s.to_linear_representation() for s in series]
         # only the exact closure inserts; the certified one checks with contains
-        adds = span_adds(monkeypatch, lambda: _backward_closure(reps))
+        adds = span_adds(monkeypatch, lambda: _backward_closure(series))
         assert (adds == 0) == (quotient_dim >= MODULAR_MIN_DIM)
         assert_oracle_backward_rows(series)
 
@@ -396,8 +396,7 @@ class TestLumpedBackwardClosure:
         that fail the check: the exact closure of the quotient answers."""
         series = [split_copy(ring_pa(16), random.Random(16))]
         monkeypatch.setattr(linalg, "_PRIME", 5)
-        reps = [series[0].to_linear_representation()]
-        assert span_adds(monkeypatch, lambda: _backward_closure(reps)) > 0
+        assert span_adds(monkeypatch, lambda: _backward_closure(series)) > 0
         assert_oracle_backward_rows(series)
 
 
@@ -487,7 +486,7 @@ class TestValueRows:
         rng = random.Random(37)
         for _ in range(20):
             a = random_ma(rng, rng.randint(1, 4), ("a", "b"))
-            rows = value_rows([a.to_linear_representation()])
+            rows = value_rows([a])
             span = OracleSpanBasis(a.n_states)
             assert all(span.add(x) for x in rows)
             reducible = any(
@@ -506,7 +505,7 @@ class TestValueRows:
         for _ in range(15):
             a = random_ma(rng, rng.randint(1, 3), ("a", "b"))
             b = random_ma(rng, rng.randint(1, 3), ("a", "b"))
-            rows = value_rows([a.to_linear_representation(), b.to_linear_representation()])
+            rows = value_rows([a, b])
             assert len(rows) <= a.n_states + b.n_states
             lam = a.to_linear_representation().lam + tuple(
                 -w for w in b.to_linear_representation().lam)
@@ -516,12 +515,11 @@ class TestValueRows:
 
     def test_empty_input(self):
         assert value_rows([]) == []
-        assert value_rows([empty_automaton(("a",)).to_linear_representation()]) == []
+        assert value_rows([empty_automaton(("a",))]) == []
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
-            value_rows([fixtures.build("fig2_A").to_linear_representation(),
-                        fixtures.build("fig5").to_linear_representation()])
+            value_rows([fixtures.build("fig2_A"), fixtures.build("fig5")])
 
 
 @st.composite
@@ -552,9 +550,9 @@ class TestCombinationOnIntegerRows:
     @given(combination_automata())
     @settings(max_examples=80, deadline=None)
     def test_same_outcome_on_integer_and_fraction_rows(self, a):
-        span, _, _ = _backward_closure([a.to_linear_representation()])
+        span, _, _ = _backward_closure([a])
         ints, fracs = span.integer_rows, span.basis
-        assert fracs == value_rows([a.to_linear_representation()])
+        assert fracs == value_rows([a])
         assert all(type(x) is int for row in ints for x in row)
         n = a.n_states
         for q in range(n):

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochlang import MultiplicityAutomaton, empty_automaton, hankel_rank, linalg
-from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure
+from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure, _direct_sum
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
-                              _fourier_motzkin, _integer_actions, _integer_sum,
-                              _minimal_polynomial, _ModularSpan, _packed_push, _powers,
-                              _primitive, _rational, dot, is_positive_definite, lp_feasible,
-                              rref, schur_stable, solve_affine, spectral_radius_lt_one)
+                              _fourier_motzkin, _minimal_polynomial, _ModularSpan, _packed_push,
+                              _powers, _primitive, _rational, dot, is_positive_definite,
+                              lp_feasible, rref, schur_stable, solve_affine,
+                              spectral_radius_lt_one)
 
 from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis, diagonal,
                      from_columns, identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul,
@@ -395,7 +395,7 @@ def krylov_cases(draw):
 
 def kernel_minimal_polynomial(m, v):
     """The library's minimal polynomial of v under m, from its integer powers."""
-    action, scale = _integer_sum([m], m.nrows)
+    action, scale = oracle_integer_sum([m], m.nrows)
     return _minimal_polynomial(_powers(action, _primitive(v), m.nrows + 1), scale)
 
 
@@ -806,26 +806,25 @@ def line_sets(actions):
 
 
 class TestIntegerLetterMapsAgainstDenseScan:
-    """The closures' integer maps read each letter matrix's nonzero entries;
-    a scan of every cell, with a transpose for forward maps, must give the
-    same pairs under the same scale."""
+    """The closures' integer maps come from the automata's integer forms;
+    a scan of every cell of their dense matrices, with a transpose for
+    backward maps, must give the same pairs under the same scale."""
 
     @given(st.lists(signed_automata(), min_size=1, max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_maps_of_direct_sums_match_the_dense_scan(self, blocks):
-        reps = [a.to_linear_representation() for a in blocks]
         dense = [{x: Matrix(dense_grid(a, x), a.n_states) for x in LETTERS} for a in blocks]
+        forms = [a._integer_form() for a in blocks]
         for left in (True, False):
             oracle, oracle_scale = oracle_integer_actions([[d[x] for d in dense]
                                                            for x in LETTERS], left)
-            built, scale = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
-            scanned, _ = _integer_actions([[d[x] for d in dense] for x in LETTERS], left)
-            assert line_sets(built) == line_sets(scanned) == line_sets(oracle)
+            built, scale = _direct_sum(forms, len(LETTERS), left)
+            assert line_sets(built) == line_sets(oracle)
             assert scale == oracle_scale
             assert all(len(action) == sum(a.n_states for a in blocks) for action in built)
-        for a, rep in zip(blocks, reps):
-            action, scale = _integer_sum(list(rep.mu.values()), a.n_states)
-            oracle_action, oracle_scale = oracle_integer_sum(list(rep.mu.values()), a.n_states)
+        for a, d in zip(blocks, dense):
+            action, scale = a._integer_form().summed
+            oracle_action, oracle_scale = oracle_integer_sum(list(d.values()), a.n_states)
             assert scale == oracle_scale
             assert [set(line) for line in action] == [set(line) for line in oracle_action]
 
@@ -891,7 +890,7 @@ class TestClosureAgainstDenseIntegerRows:
         reps = [a.to_linear_representation() for a in blocks]
         dim = sum(a.n_states for a in blocks)
         for left in (True, False):
-            actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
+            actions, _ = oracle_integer_actions([[r.mu[x] for r in reps] for x in LETTERS], left)
             start = [y for r in reps for y in (r.gamma if left else r.lam)]
             span, dense = SpanBasis(dim), OracleIntegerSpanBasis(dim)
             found = list(_closure(span, start, actions))
@@ -921,7 +920,7 @@ class TestClosureAgainstDenseIntegerRows:
         rep = a.to_linear_representation()
         dim = a.n_states
         assert len(set(oracle_lumping(a, empty_automaton(a.alphabet)))) == n
-        span, _, _ = _backward_closure([rep])
+        span, _, _ = _backward_closure([a])
         if n >= MODULAR_MIN_DIM:
             assert exact_adds == []
         letters = {left: oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], left)[0]
@@ -975,7 +974,7 @@ def closure_inputs(draw):
             elif family == "duplicate":
                 a = duplicate_state(a, rng)
         reps.append(a.to_linear_representation())
-    actions, _ = _integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
+    actions, _ = oracle_integer_actions([[r.mu[x] for r in reps] for x in alphabet], left=True)
     return [y for r in reps for y in r.gamma], actions, sum(r.dim for r in reps)
 
 
@@ -1006,7 +1005,7 @@ class TestCertifiedClosure:
         """(1, 1) and (1, 6) are one direction mod 5: the rows mod 5 miss
         a dimension, the check finds (1, 6) outside them, and the exact
         closure answers."""
-        actions, _ = _integer_actions([[Matrix([[1, 0, 0], [0, 6, 0], [0, 0, 1]])]], True)
+        actions, _ = oracle_integer_actions([[Matrix([[1, 0, 0], [0, 6, 0], [0, 0, 1]])]], True)
         start = [F(1), F(1), F(0)]
         monkeypatch.setattr(linalg, "_PRIME", 5)
         span = _certified_closure(3, start, actions)
@@ -1017,8 +1016,8 @@ class TestCertifiedClosure:
     def test_prime_that_divides_the_scale(self, monkeypatch, exact_adds):
         """The letter map is scaled by 7 to integers; mod 7 the image
         (1, 7, 0) of gamma is gamma again."""
-        actions, scale = _integer_actions([[Matrix([[F(1, 7), 0, 0], [1, 0, 0], [0, 0, 0]])]],
-                                          True)
+        actions, scale = oracle_integer_actions(
+            [[Matrix([[F(1, 7), 0, 0], [1, 0, 0], [0, 0, 0]])]], True)
         assert scale == 7
         start = [F(1), F(0), F(0)]
         monkeypatch.setattr(linalg, "_PRIME", 7)
@@ -1033,7 +1032,7 @@ class TestCertifiedClosure:
         prime, h has no reconstruction, or a wrong one that the check
         rejects."""
         assert _rational(height % linalg._PRIME, linalg._PRIME) == rebuilt
-        actions, _ = _integer_actions([[Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])]], True)
+        actions, _ = oracle_integer_actions([[Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])]], True)
         start = [F(1), F(height), F(0)]
         span = _certified_closure(3, start, actions)
         assert exact_adds
@@ -1046,7 +1045,7 @@ class TestCertifiedClosure:
         vector in vain."""
         a = ring_pa(8)
         rep = a.to_linear_representation()
-        actions, _ = _integer_actions([[rep.mu[x]] for x in a.alphabet], True)
+        actions, _ = oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], True)
 
         def forbidden(*args):
             raise AssertionError("a full-rank span needs no reconstruction or check")

@@ -339,7 +339,7 @@ class TestConeAgainstPerStateOracle:
     @given(cone_automata())
     @settings(max_examples=100, deadline=None)
     def test_kernel_support_is_the_field_expressible_states(self, a):
-        rows = value_rows([a.to_linear_representation()])
+        rows = value_rows([a])
         columns = list(range(a.n_states))
         expressible = [q for q in columns
                        if combination_on_rows(rows, q, columns[:q] + columns[q + 1:],
@@ -474,7 +474,7 @@ class TestConeDecisionsOnIndependentColumns:
         # 13 states and 13 backward rows: no column is a combination of the
         # others, so neither a solve nor a feasibility problem runs
         b = pra_hardness_instance([dfa_a_count_mod_k(3, r) for r in range(3)])
-        assert b.n_states == len(value_rows([b.to_linear_representation()])) == 13
+        assert b.n_states == len(value_rows([b])) == 13
         linalg = sys.modules["stochlang.linalg"]
         calls = []
 
