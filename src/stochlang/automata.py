@@ -133,10 +133,6 @@ def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _unknown_state(kind: str, q: object) -> ValueError:
-    return ValueError(f"{kind} weight for unknown state {_echo(q)}")
-
-
 def _bad_transition(q: object, x: object, r: object, states: set[str]) -> ValueError:
     """The error of a transition that uses an unknown state or letter."""
     unknown = "state" if q not in states or r not in states else "letter"
@@ -149,7 +145,7 @@ def _state_weights(kind: str, weights: Mapping[str, object],
     out = {}
     for q, w in weights.items():
         if q not in states:
-            raise _unknown_state(kind, q)
+            raise ValueError(f"{kind} weight for unknown state {_echo(q)}")
         w = frac(w)
         if w:
             out[q] = w
@@ -276,20 +272,20 @@ class MultiplicityAutomaton:
 
         The names and every state and letter reference are checked as the
         constructor checks them, in the same order and with the same
-        errors; no weight is coerced or tested again.
+        errors. The few initial and final weights go through the
+        constructor's own check; no transition weight is coerced or tested
+        again.
         """
         a = cls.__new__(cls)
         a.alphabet = _checked_names("letter", alphabet)
         a.states = _checked_names("state", states)
         state_set, letter_set = set(a.states), set(a.alphabet)
-        for kind, weights in (("initial", iota), ("final", tau)):
-            for q in weights:
-                if q not in state_set:
-                    raise _unknown_state(kind, q)
+        a.iota = _state_weights("initial", iota, state_set)
+        a.tau = _state_weights("final", tau, state_set)
         for q, x, r in phi:
             if q not in state_set or r not in state_set or x not in letter_set:
                 raise _bad_transition(q, x, r, state_set)
-        a.iota, a.tau, a.phi = dict(iota), dict(tau), dict(phi)
+        a.phi = dict(phi)
         a._rep = a._form = None
         return a
 
