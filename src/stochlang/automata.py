@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (Matrix, Vector, _Action, _integer_sum, _push, _turned, dot, frac, vec_mat,
-                     vector)
+from .linalg import (Matrix, Vector, _Action, _integer_sum, _primitive_with_factor, _push, _turned,
+                     dot, frac, vec_mat, vector)
 
 Word = tuple[str, ...]
 
@@ -133,12 +133,6 @@ def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _bad_transition(q: object, x: object, r: object, states: set[str]) -> ValueError:
-    """The error of a transition that uses an unknown state or letter."""
-    unknown = "state" if q not in states or r not in states else "letter"
-    return ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown {unknown}")
-
-
 def _state_weights(kind: str, weights: Mapping[str, object],
                    states: set[str]) -> dict[str, Fraction]:
     """The nonzero weights of a map from declared states to rationals."""
@@ -150,21 +144,6 @@ def _state_weights(kind: str, weights: Mapping[str, object],
         if w:
             out[q] = w
     return out
-
-
-def _primitive_weights(weights: Mapping[str, Fraction], index: Mapping[str, int]
-                       ) -> tuple[tuple[int, ...], Fraction]:
-    """A map from states to nonzero weights as the coprime integer vector w,
-    in the order of ``index``, and the positive f with weights = f w (f = 1
-    when there are none). Only the weights are read, where
-    ``linalg._primitive_with_factor`` reads every entry of a dense vector."""
-    ratios = {index[q]: w.as_integer_ratio() for q, w in weights.items()}
-    scale = lcm(*(den for _, den in ratios.values()))
-    v = [0] * len(index)
-    for i, (num, den) in ratios.items():
-        v[i] = num * (scale // den)
-    g = gcd(*v)
-    return tuple(v if g <= 1 else [x // g for x in v]), Fraction(g, scale) if g else Fraction(1)
 
 
 class _IntegerForm:
@@ -179,7 +158,7 @@ class _IntegerForm:
     :attr:`summed` the map of the letter-summed matrix with its own scale
     (``linalg._integer_sum``), made when first read. ``iota`` and ``tau``
     are the initial and final vectors, in state order, as coprime integer
-    tuples w with the positive factors f of vector = f w. Callers share
+    lists w with the positive factors f of vector = f w. Callers share
     every list here and must not change one.
     """
 
@@ -194,8 +173,8 @@ class _IntegerForm:
         self.right = right = [[[] for _ in index] for _ in letters]
         for (q, x, r), (num, den) in zip(a.phi, ratios):
             right[letters[x]][index[q]].append((index[r], num * (s // den)))
-        self.iota, self.iota_factor = _primitive_weights(a.iota, index)
-        self.tau, self.tau_factor = _primitive_weights(a.tau, index)
+        self.iota, self.iota_factor = _primitive_with_factor([a.iota_weight(q) for q in index])
+        self.tau, self.tau_factor = _primitive_with_factor([a.tau_weight(q) for q in index])
         self._left: list[_Action] | None = None
         self._summed: tuple[_Action, int] | None = None
 
@@ -254,40 +233,15 @@ class MultiplicityAutomaton:
         self.tau = _state_weights("final", tau, state_set)
         self.phi: dict[tuple[str, str, str], Fraction] = {}
         for (q, x, r), w in phi.items():
-            if q not in state_set or r not in state_set or x not in letter_set:
-                raise _bad_transition(q, x, r, state_set)
+            if q not in state_set or r not in state_set:
+                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown state")
+            if x not in letter_set:
+                raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown letter")
             w = frac(w)
             if w:
                 self.phi[(q, x, r)] = w
         self._rep: LinearRepresentation | None = None
         self._form: _IntegerForm | None = None
-
-    @classmethod
-    def _from_nonzero_fractions(cls, alphabet: Iterable[str], states: Iterable[str],
-                                iota: Mapping[str, Fraction], tau: Mapping[str, Fraction],
-                                phi: Mapping[tuple[str, str, str], Fraction]
-                                ) -> MultiplicityAutomaton:
-        """The automaton of weight maps whose every weight is a nonzero
-        ``Fraction`` already, as ``documents.parse_automaton`` builds them.
-
-        The names and every state and letter reference are checked as the
-        constructor checks them, in the same order and with the same
-        errors. The few initial and final weights go through the
-        constructor's own check; no transition weight is coerced or tested
-        again.
-        """
-        a = cls.__new__(cls)
-        a.alphabet = _checked_names("letter", alphabet)
-        a.states = _checked_names("state", states)
-        state_set, letter_set = set(a.states), set(a.alphabet)
-        a.iota = _state_weights("initial", iota, state_set)
-        a.tau = _state_weights("final", tau, state_set)
-        for q, x, r in phi:
-            if q not in state_set or r not in state_set or x not in letter_set:
-                raise _bad_transition(q, x, r, state_set)
-        a.phi = dict(phi)
-        a._rep = a._form = None
-        return a
 
     @property
     def n_states(self) -> int:

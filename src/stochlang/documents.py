@@ -153,12 +153,7 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
         if value is None:
             value = values[w] = _rational(w, lambda: f"transition [{_echoes(q, x, r)}]")
         phi[(q, x, r)] = value
-    # every weight is a canonical Fraction already; the constructor, which
-    # coerces and tests each one, runs only to drop a zero after its checks
-    build = MultiplicityAutomaton._from_nonzero_fractions
-    if not all(values.values()):
-        build = MultiplicityAutomaton
-    return _build(build, alphabet, states, iota, tau, phi)
+    return _build(MultiplicityAutomaton, alphabet, states, iota, tau, phi)
 
 
 def serialize_automaton(a: MultiplicityAutomaton) -> str:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automata import MultiplicityAutomaton, Word, _IntegerForm, merge_alphabets, with_alphabet
 from .linalg import (SpanBasis, _Action, _certified_closure, _closure, _feasible_point,
@@ -108,7 +108,7 @@ def _joined(parts: Sequence[tuple[Sequence[int], Fraction]]) -> list[int]:
     return out
 
 
-def _quotient(final: Sequence[int], rows: Sequence[_Action], left: bool
+def _quotient(final: Sequence[int], outgoing: Callable[[], Sequence[_Action]], left: bool
               ) -> tuple[list[int], list[int], list[_Action]] | None:
     """The quotient of a representation by its coarsest backward lumping, or
     None when no two states merge.
@@ -122,12 +122,13 @@ def _quotient(final: Sequence[int], rows: Sequence[_Action], left: bool
 
     ``final`` holds the final weights as one positive integer multiple of
     them (:func:`_joined`), so equal entries are equal weights, and
-    ``rows`` the integer letter maps v -> s v M_x of the direct sum
-    (:func:`_direct_sum`), one scale s for all letters, which hold each
+    ``outgoing`` gives the integer letter maps v -> s v M_x of the direct
+    sum (:func:`_direct_sum`), one scale s for all letters, which hold each
     state's outgoing (target, weight) pairs, so integer totals compare as
     the exact ones do. Refinement starts from the partition by final
-    weight and, per letter, total weight into all states; when that is
-    discrete nothing else is computed. Otherwise each round splits every
+    weight; when that is discrete, ``outgoing`` is never called. The next
+    partition adds, per letter, the total weight into all states; when
+    that is discrete nothing else is computed. Otherwise each round splits every
     block by the totals (:func:`_totals`) of its states into the blocks of
     the round before. A state alone in its block
     cannot split, so only the states of larger blocks are weighed again.
@@ -146,6 +147,7 @@ def _quotient(final: Sequence[int], rows: Sequence[_Action], left: bool
     block = [ids.setdefault(x, len(ids)) for x in final]
     if len(ids) == n:
         return None
+    rows = outgoing()
     sums = [[sum([c for _, c in pairs]) for pairs in action] for action in rows]
     ids = {}
     block = [ids.setdefault(key, len(ids)) for key in zip(block, *sums)]
@@ -231,7 +233,7 @@ def _word_basis(a: MultiplicityAutomaton, b: MultiplicityAutomaton):
     start = _joined(((fa.iota, fa.iota_factor), (fb.iota, -fb.iota_factor)))
     final = _joined(((fa.tau, fa.tau_factor), (fb.tau, fb.tau_factor)))
     maps = actions
-    quotient = _quotient(final, actions, left=False)
+    quotient = _quotient(final, lambda: actions, left=False)
     if quotient is not None:
         block, first, maps = quotient
         sums = [0] * len(first)
@@ -338,7 +340,9 @@ def _backward_closure(automata: Sequence[MultiplicityAutomaton]
     other pivot block, and as primitive as r. These are the unique reduced
     echelon rows of the span of every x(w), the rows its own closure
     would find. When no two states merge, the closure runs on the direct
-    sum itself.
+    sum itself. The lumping reads the outgoing pairs of the direct sum,
+    its maps v -> s v M_x, which are built only when the final weights
+    alone leave two states in one block.
 
     From ``MODULAR_MIN_DIM`` dimensions of the quotient on, the same
     closure runs mod a prime (``linalg._certified_closure``), where the
@@ -355,7 +359,8 @@ def _backward_closure(automata: Sequence[MultiplicityAutomaton]
     actions, scale = _direct_sum(forms, len(alphabet), left=True)
     gamma = _joined([(form.tau, form.tau_factor) for form in forms])
     dim = len(gamma)
-    quotient = _quotient(gamma, _direct_sum(forms, len(alphabet), left=False)[0], left=True)
+    quotient = _quotient(gamma, lambda: _direct_sum(forms, len(alphabet), left=False)[0],
+                         left=True)
     if quotient is None:
         return _closed_span(dim, gamma, actions), actions, scale
     block, first, maps = quotient

@@ -387,26 +387,6 @@ class TestIntegerFormAgainstFractionOracle:
         assert_form_matches_the_fraction_oracle(a)
         assert a.to_linear_representation() is a._rep
 
-    @given(st.lists(form_automata(), min_size=1, max_size=3))
-    @settings(max_examples=100, deadline=None)
-    def test_direct_sums(self, blocks):
-        """Over one alphabet, as ``are_equivalent`` extends them: the maps of
-        the direct sum at the lcm of the scales, and gamma as one positive
-        multiple of the concatenated final vectors."""
-        blocks = [with_alphabet(a, ("a", "b", "c")) for a in blocks]
-        forms = [a._integer_form() for a in blocks]
-        reps = [a.to_linear_representation() for a in blocks]
-        for left in (False, True):
-            built, scale = _direct_sum(forms, 3, left)
-            actions, oracle_scale = oracle_integer_actions(
-                [[r.mu[x] for r in reps] for x in ("a", "b", "c")], left)
-            assert scale == oracle_scale
-            assert sorted_lines(built) == sorted_lines(actions)
-        gamma = [y for r in reps for y in r.gamma]
-        joined = _joined([(f.tau, f.tau_factor) for f in forms])
-        assert oracle_primitive(joined) == oracle_primitive(gamma)
-        assert all(x * y >= 0 for x, y in zip(joined, gamma))
-
     def test_direct_sum_of_unequal_scales(self):
         """Scales 6 and 10 meet at 30: each side's coefficients are
         multiplied by 5 and by 3, and the second side's states come after
@@ -420,7 +400,7 @@ class TestIntegerFormAgainstFractionOracle:
         assert fa.right == [[[(1, 3)], [(0, 2)]]] and fb.right == [[[(0, 3)]]]
         assert _direct_sum([fa, fb], 1, left=False) == ([[[(1, 15)], [(0, 10)], [(2, 9)]]], 30)
         assert _direct_sum([fa, fb], 1, left=True) == ([[[(1, 10)], [(0, 15)], [(2, 9)]]], 30)
-        assert (fa.tau, fa.tau_factor, fb.tau, fb.tau_factor) == ((0, 1), F(1, 2), (1,), F(3, 4))
+        assert (fa.tau, fa.tau_factor, fb.tau, fb.tau_factor) == ([0, 1], F(1, 2), [1], F(3, 4))
         assert _joined([(fa.tau, fa.tau_factor), (fb.tau, fb.tau_factor)]) == [0, 2, 3]
         assert _joined([(fa.iota, fa.iota_factor), (fb.iota, -fb.iota_factor)]) == [3, 0, -2]
 
@@ -437,5 +417,5 @@ class TestIntegerFormAgainstFractionOracle:
         form = a._integer_form()
         assert (form.scale, form.right, form.left) == (1, [[], []], [[], []])
         assert form.summed == ([], 1)
-        assert (form.iota, form.iota_factor, form.tau, form.tau_factor) == ((), 1, (), 1)
+        assert (form.iota, form.iota_factor, form.tau, form.tau_factor) == ([], 1, [], 1)
         assert_form_matches_the_fraction_oracle(a)

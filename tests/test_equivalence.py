@@ -12,7 +12,7 @@ from stochlang import (MultiplicityAutomaton, are_equivalent,
 from stochlang.automata import letter_shift_automaton, replace_iota, words_up_to
 from stochlang.equivalence import (MODULAR_MIN_DIM, EquivalenceOutcome, _backward_closure,
                                    _quotient, _word_basis, combination_on_rows)
-from stochlang.linalg import SpanBasis, _primitive, dot
+from stochlang.linalg import SpanBasis, _primitive, _turned, dot
 
 from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, direct_sum_rows,
                      duplicate_state, nudged_copy, oracle_closure, oracle_cone_combination,
@@ -231,17 +231,21 @@ class TestEquivalenceStopsAtItsWitness:
 
 def library_lumping(a, b):
     """The blocks of ``_quotient`` on a (+) b, one per state when none merge;
-    the quotient maps built for either side give the same blocks."""
+    the quotient maps built for the left are those built for the right
+    turned round."""
     ra = a.to_linear_representation()
     rb = b.to_linear_representation()
     letters = [(ra.mu[x], rb.mu[x]) for x in a.alphabet]
     final = ra.gamma + rb.gamma
-    blocks = []
-    for left in (False, True):
-        quotient = _quotient(final, oracle_integer_actions(letters, False)[0], left)
-        blocks.append(list(range(len(final))) if quotient is None else quotient[0])
-    assert blocks[0] == blocks[1]
-    return blocks[0]
+    outgoing = oracle_integer_actions(letters, False)[0]
+    right, left = (_quotient(final, lambda: outgoing, side) for side in (False, True))
+    if right is None:
+        assert left is None
+        return list(range(len(final)))
+    assert right[:2] == left[:2]
+    assert ([[sorted(line) for line in _turned(m)] for m in right[2]]
+            == [[sorted(line) for line in m] for m in left[2]])
+    return right[0]
 
 
 class TestCoarsestLumping:

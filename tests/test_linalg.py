@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochlang import MultiplicityAutomaton, empty_automaton, hankel_rank, linalg
-from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure, _direct_sum
+from stochlang.automata import replace_iota, with_alphabet
+from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure, _direct_sum, _joined
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
                               _fourier_motzkin, _minimal_polynomial, _ModularSpan, _packed_push,
                               _powers, _primitive, _rational, dot, is_positive_definite,
@@ -19,7 +20,7 @@ from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis,
                      from_columns, identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul,
                      mat_sub, mat_vec, matrix_power, max_abs_entry, membership_in_span,
                      oracle_closure, oracle_fourier_motzkin, oracle_integer_actions,
-                     oracle_integer_sum,
+                     oracle_integer_sum, oracle_primitive,
                      oracle_krylov_closure, oracle_lp_feasible, oracle_lumping, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
                      duplicate_state, random_ma, random_pa, ring_pa, split_copy, transpose,
@@ -787,14 +788,25 @@ LETTERS = ("a", "b", "c")
 
 @st.composite
 def signed_automata(draw):
-    """0-12 states with signed weights at densities 0 to 0.7; some letters
-    may carry no transition at all."""
+    """0-12 states with signed weights at densities 0 to 0.7, divided by
+    1-6 so that scales differ; some letters may carry no transition at
+    all. As drawn, or drawn over {a, b} and extended by ``with_alphabet``,
+    or with a new initial vector, zeros included, from ``replace_iota``."""
     n = draw(st.integers(0, 12))
-    a = random_ma(random.Random(draw(st.integers(0, 2**32))), n, LETTERS,
+    kind = draw(st.sampled_from(("drawn", "with_alphabet", "replace_iota")))
+    letters = LETTERS[:2] if kind == "with_alphabet" else LETTERS
+    a = random_ma(random.Random(draw(st.integers(0, 2**32))), n, letters,
                   density=draw(st.sampled_from((0.0, 0.1, 0.3, 0.7))))
-    silent = draw(st.sets(st.sampled_from(LETTERS)))
-    return MultiplicityAutomaton(LETTERS, a.states, a.iota, a.tau,
-                                 {t: w for t, w in a.phi.items() if t[1] not in silent})
+    silent = draw(st.sets(st.sampled_from(letters)))
+    k = draw(st.integers(1, 6))
+    a = MultiplicityAutomaton(letters, a.states, a.iota, a.tau,
+                              {t: w / k for t, w in a.phi.items() if t[1] not in silent})
+    if kind == "with_alphabet":
+        return with_alphabet(a, LETTERS)
+    if kind == "replace_iota":
+        weights = st.sampled_from((F(0), F(1), F(-2, 3), F(5, 12), F(7)))
+        return replace_iota(a, draw(st.lists(weights, min_size=n, max_size=n)))
+    return a
 
 
 def dense_grid(a, x):
@@ -827,6 +839,11 @@ class TestIntegerLetterMapsAgainstDenseScan:
             oracle_action, oracle_scale = oracle_integer_sum(list(d.values()), a.n_states)
             assert scale == oracle_scale
             assert [set(line) for line in action] == [set(line) for line in oracle_action]
+        # gamma of the sum: one positive multiple of the final vectors
+        gamma = [a.tau_weight(q) for a in blocks for q in a.states]
+        joined = _joined([(f.tau, f.tau_factor) for f in forms])
+        assert oracle_primitive(joined) == oracle_primitive(gamma)
+        assert all(x * y >= 0 for x, y in zip(joined, gamma))
 
     @given(signed_automata())
     @settings(max_examples=150, deadline=None)
