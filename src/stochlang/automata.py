@@ -173,8 +173,8 @@ class _IntegerForm:
         self.right = right = [[[] for _ in index] for _ in letters]
         for (q, x, r), (num, den) in zip(a.phi, ratios):
             right[letters[x]][index[q]].append((index[r], num * (s // den)))
-        self.iota, self.iota_factor = _primitive_with_factor([a.iota_weight(q) for q in index])
-        self.tau, self.tau_factor = _primitive_with_factor([a.tau_weight(q) for q in index])
+        self.iota, self.iota_factor = _primitive_with_factor([a.iota.get(q, 0) for q in index])
+        self.tau, self.tau_factor = _primitive_with_factor([a.tau.get(q, 0) for q in index])
         self._left: list[_Action] | None = None
         self._summed: tuple[_Action, int] | None = None
 
