@@ -1,15 +1,21 @@
 """Multiplicity automata over exact rationals and their linear representations.
 
 A multiplicity automaton carries rational initialization weights, termination
-weights and per-letter transition weights. Every decision reads one integer
-form of those weights, built on first use in one pass over the transitions
-and kept with the automaton (:class:`_IntegerForm`): sparse integer letter
-maps under one scale, and the initial and final vectors as coprime integer
-vectors with their factors. Its series value on a word is evaluated by
-pushing the initial vector through those maps, one letter at a time, never
-by enumerating paths. The ``Fraction`` matrices of a
-:class:`LinearRepresentation` are built only on demand, and no decision
-reads them. Automata are immutable after construction and safe to share.
+weights and per-letter transition weights. One builder makes every
+automaton: it checks the names and references and stores each nonzero
+weight once, as a coprime (numerator, denominator) pair of ints. A parsed
+document reaches it with its weights read straight into such pairs, the
+constructor with any rationals. Two views come from the pairs on first
+read and stay with the automaton. Every decision reads the integer form
+(:class:`_IntegerForm`): sparse integer letter maps under one scale, and
+the initial and final vectors as coprime integer vectors with their
+factors. Its series value on a word is evaluated by pushing the initial
+vector through those maps, one letter at a time, never by enumerating
+paths. The ``Fraction`` maps ``iota``, ``tau`` and ``phi``, one Fraction per
+distinct value, are built only for the callers that read them, and the
+``Fraction`` matrices of a :class:`LinearRepresentation` only on demand; no
+decision reads those. Automata are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (Matrix, Vector, _Action, _integer_sum, _primitive_with_factor, _push, _turned,
-                     dot, frac, vec_mat, vector)
+from .linalg import (Matrix, Vector, _Action, _integer_sum, _push, _turned, dot, frac, vec_mat,
+                     vector)
 
 Word = tuple[str, ...]
 
@@ -133,24 +139,38 @@ def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _state_weights(kind: str, weights: Mapping[str, object],
-                   states: set[str]) -> dict[str, Fraction]:
-    """The nonzero weights of a map from declared states to rationals."""
-    out = {}
-    for q, w in weights.items():
-        if q not in states:
-            raise ValueError(f"{kind} weight for unknown state {_echo(q)}")
-        w = frac(w)
-        if w:
-            out[q] = w
-    return out
+def _pair(w: object, values: dict[tuple[int, int], Fraction]) -> tuple[int, int]:
+    """The coprime (numerator, denominator) pair of a rational given as an
+    int, string or Fraction; its Fraction is kept in ``values`` for the
+    Fraction maps, unless one of the same value is there already."""
+    w = frac(w)
+    pair = w.as_integer_ratio()
+    values.setdefault(pair, w)
+    return pair
+
+
+def _primitive_of(weights: Mapping[str, tuple[int, int]], index: Mapping[str, int]
+                  ) -> tuple[list[int], Fraction]:
+    """The vector of (numerator, denominator) weights at the states' indices,
+    zero elsewhere, as ``linalg._primitive_with_factor`` gives it: the
+    coprime integer list w and the positive f with vector = f w (f = 1 at
+    zero). f is the one Fraction made; ``_primitive_with_factor`` of the
+    same integer vector, with f divided by the scale, took about 8 us more
+    per 22-state vector, two per automaton."""
+    scale = lcm(*(den for _, den in weights.values()))
+    w = [0] * len(index)
+    for q, (num, den) in weights.items():
+        w[index[q]] = num * (scale // den)
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w, Fraction(g or 1, scale)
 
 
 class _IntegerForm:
     """The weights of an automaton as integers, the one form every decision reads.
 
-    Built in one pass over the transitions. ``scale`` is the least positive
-    s that clears the denominator of every transition weight, and
+    Read off the automaton's (numerator, denominator) pairs, with no
+    Fraction but the two factors. ``scale`` is the least positive s that
+    clears the denominator of every transition weight, and
     ``right[k]`` the map v -> s v M_x of the k-th letter x, as
     ``linalg._push`` takes it: per state i, the (state j, s phi(i, x, j))
     pairs, in the order of ``phi``. :attr:`left` holds the maps
@@ -168,13 +188,13 @@ class _IntegerForm:
     def __init__(self, a: MultiplicityAutomaton):
         index = {q: i for i, q in enumerate(a.states)}
         self.letters = letters = {x: k for k, x in enumerate(a.alphabet)}
-        ratios = [w.as_integer_ratio() for w in a.phi.values()]
-        self.scale = s = lcm(*(den for _, den in ratios))
+        weights = a._phi
+        self.scale = s = lcm(*(den for _, den in weights.values()))
         self.right = right = [[[] for _ in index] for _ in letters]
-        for (q, x, r), (num, den) in zip(a.phi, ratios):
+        for (q, x, r), (num, den) in weights.items():
             right[letters[x]][index[q]].append((index[r], num * (s // den)))
-        self.iota, self.iota_factor = _primitive_with_factor([a.iota.get(q, 0) for q in index])
-        self.tau, self.tau_factor = _primitive_with_factor([a.tau.get(q, 0) for q in index])
+        self.iota, self.iota_factor = _primitive_of(a._iota, index)
+        self.tau, self.tau_factor = _primitive_of(a._tau, index)
         self._left: list[_Action] | None = None
         self._summed: tuple[_Action, int] | None = None
 
@@ -220,28 +240,89 @@ class MultiplicityAutomaton:
 
     Zero weights are normalised away on construction, so the stored triples
     are exactly the support of the automaton. Treat instances as immutable.
+
+    Every automaton is built by one builder (:meth:`_assemble`), which
+    checks the names and references and stores each nonzero weight once,
+    as a coprime (numerator, denominator) pair of ints. The constructor
+    reaches it with any rationals, coerced by ``frac``; a parsed document,
+    and an automaton derived from another one (``trim``,
+    :func:`with_alphabet`, :func:`replace_iota`), with weights that are
+    pairs already (:func:`_from_pairs`). Both views of the weights come
+    from those pairs when first read: the integer form that every decision
+    reads (:meth:`_integer_form`), and the ``Fraction`` maps ``iota``,
+    ``tau`` and ``phi`` (:meth:`_fraction_maps`).
     """
 
     def __init__(self, alphabet: Iterable[str], states: Iterable[str],
                  iota: Mapping[str, object], tau: Mapping[str, object],
                  phi: Mapping[tuple[str, str, str], object]):
+        self._assemble(alphabet, states, iota, tau, phi, {}, coerce=True)
+
+    def _assemble(self, alphabet: Iterable[str], states: Iterable[str],
+                  iota: Mapping[str, object], tau: Mapping[str, object],
+                  phi: Mapping[tuple[str, str, str], object],
+                  values: dict[tuple[int, int], Fraction], coerce: bool) -> None:
+        """Check the names, then each weight's references, in the order of
+        the initial, final and transition maps, and keep the nonzero
+        weights as (numerator, denominator) pairs in the order given.
+
+        With ``coerce`` each weight is turned into its pair (:func:`_pair`)
+        after its references are checked, and its Fraction kept in
+        ``values``; otherwise the weights are coprime pairs already.
+        ``values`` holds the Fractions that the Fraction maps share; a
+        derived automaton shares those of its source.
+        """
         self.alphabet = _checked_names("letter", alphabet)
         self.states = _checked_names("state", states)
         state_set = set(self.states)
         letter_set = set(self.alphabet)
-        self.iota = _state_weights("initial", iota, state_set)
-        self.tau = _state_weights("final", tau, state_set)
-        self.phi: dict[tuple[str, str, str], Fraction] = {}
-        for (q, x, r), w in phi.items():
+        maps = []
+        for kind, weights in (("initial", iota), ("final", tau)):
+            kept = {}
+            for q, w in weights.items():
+                if q not in state_set:
+                    raise ValueError(f"{kind} weight for unknown state {_echo(q)}")
+                if coerce:
+                    w = _pair(w, values)
+                if w[0]:
+                    kept[q] = w
+            maps.append(kept)
+        self._iota, self._tau = maps
+        self._phi = kept = {}
+        for t, w in phi.items():
+            q, x, r = t
             if q not in state_set or r not in state_set:
                 raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown state")
             if x not in letter_set:
                 raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown letter")
-            w = frac(w)
-            if w:
-                self.phi[(q, x, r)] = w
+            if coerce:
+                w = _pair(w, values)
+            if w[0]:
+                kept[t] = w
+        self._values = values
+        self._maps: tuple[dict, dict, dict] | None = None
         self._rep: LinearRepresentation | None = None
         self._form: _IntegerForm | None = None
+
+    def _fraction_maps(self) -> tuple[dict[str, Fraction], dict[str, Fraction],
+                                      dict[tuple[str, str, str], Fraction]]:
+        """The maps iota, tau and phi as Fractions, built from the pairs on
+        the first call and kept: the same keys in the same order, and one
+        Fraction per distinct value, the constructor's own where it was
+        given one. No decision that only reads the integer form calls it."""
+        if self._maps is None:
+            values = self._values
+            for pair in {*self._iota.values(), *self._tau.values(), *self._phi.values()}:
+                if pair not in values:
+                    values[pair] = Fraction(*pair)
+            self._maps = tuple({key: values[pair] for key, pair in weights.items()}
+                               for weights in (self._iota, self._tau, self._phi))
+        return self._maps
+
+    iota = property(lambda self: self._fraction_maps()[0], doc="The nonzero initial weights.")
+    tau = property(lambda self: self._fraction_maps()[1], doc="The nonzero final weights.")
+    phi = property(lambda self: self._fraction_maps()[2],
+                   doc="The nonzero transition weights, keyed by (source, letter, target).")
 
     @property
     def n_states(self) -> int:
@@ -257,7 +338,7 @@ class MultiplicityAutomaton:
         return self.phi.get((q, x, r), Fraction(0))
 
     def initial_states(self) -> tuple[str, ...]:
-        return tuple(q for q in self.states if q in self.iota)
+        return tuple(q for q in self.states if q in self._iota)
 
     def out_weight(self, q: str) -> Fraction:
         """Total transition weight leaving q, over all letters and targets."""
@@ -266,7 +347,7 @@ class MultiplicityAutomaton:
     def support_delta(self) -> dict[tuple[str, str], frozenset[str]]:
         """Transition relation of the support NFA."""
         delta: dict[tuple[str, str], set[str]] = {}
-        for (q, x, r) in self.phi:
+        for (q, x, r) in self._phi:
             delta.setdefault((q, x), set()).add(r)
         return {k: frozenset(v) for k, v in delta.items()}
 
@@ -311,7 +392,7 @@ class MultiplicityAutomaton:
         """
         forward: dict[str, set[str]] = {}
         backward: dict[str, set[str]] = {}
-        for (q, _, r) in self.phi:
+        for (q, _, r) in self._phi:
             forward.setdefault(q, set()).add(r)
             backward.setdefault(r, set()).add(q)
 
@@ -326,29 +407,44 @@ class MultiplicityAutomaton:
                         stack.append(r)
             return seen
 
-        accessible = closure(self.iota, forward)
-        coaccessible = closure(self.tau, backward)
+        accessible = closure(self._iota, forward)
+        coaccessible = closure(self._tau, backward)
         keep = [q for q in self.states if q in accessible and q in coaccessible]
         if len(keep) == len(self.states):
             return self
         keep_set = set(keep)
-        return MultiplicityAutomaton(
+        return _from_pairs(
             self.alphabet, keep,
-            {q: w for q, w in self.iota.items() if q in keep_set},
-            {q: w for q, w in self.tau.items() if q in keep_set},
-            {t: w for t, w in self.phi.items() if t[0] in keep_set and t[2] in keep_set})
+            {q: w for q, w in self._iota.items() if q in keep_set},
+            {q: w for q, w in self._tau.items() if q in keep_set},
+            {t: w for t, w in self._phi.items() if t[0] in keep_set and t[2] in keep_set},
+            self._values)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiplicityAutomaton)
                 and self.alphabet == other.alphabet
                 and self.states == other.states
-                and self.iota == other.iota
-                and self.tau == other.tau
-                and self.phi == other.phi)
+                and self._iota == other._iota
+                and self._tau == other._tau
+                and self._phi == other._phi)
 
     def __repr__(self) -> str:
         return (f"MultiplicityAutomaton(alphabet={self.alphabet!r}, "
-                f"states={self.states!r}, {len(self.phi)} transitions)")
+                f"states={self.states!r}, {len(self._phi)} transitions)")
+
+
+def _from_pairs(alphabet: Iterable[str], states: Iterable[str],
+                iota: Mapping[str, tuple[int, int]], tau: Mapping[str, tuple[int, int]],
+                phi: Mapping[tuple[str, str, str], tuple[int, int]],
+                values: dict[tuple[int, int], Fraction] | None = None
+                ) -> MultiplicityAutomaton:
+    """The automaton of weights given as coprime (numerator, denominator)
+    pairs, denominators positive, built by the constructor's own builder
+    (:meth:`MultiplicityAutomaton._assemble`) with the same checks and
+    messages; ``values`` are the Fractions its maps may share."""
+    a = MultiplicityAutomaton.__new__(MultiplicityAutomaton)
+    a._assemble(alphabet, states, iota, tau, phi, {} if values is None else values, coerce=False)
+    return a
 
 
 def empty_automaton(alphabet: Iterable[str]) -> MultiplicityAutomaton:
@@ -402,9 +498,9 @@ def replace_iota(a: MultiplicityAutomaton, lam: Sequence[Fraction]) -> Multiplic
     """Same transitions and final weights, new initial vector (by state order)."""
     if len(lam) != a.n_states:
         raise ValueError("initial vector length does not match the state count")
-    return MultiplicityAutomaton(
-        a.alphabet, a.states,
-        {q: w for q, w in zip(a.states, lam)}, a.tau, a.phi)
+    return _from_pairs(a.alphabet, a.states,
+                       {q: _pair(w, a._values) for q, w in zip(a.states, lam)},
+                       a._tau, a._phi, a._values)
 
 
 def state_series_automaton(a: MultiplicityAutomaton, q: str) -> MultiplicityAutomaton:
@@ -430,7 +526,7 @@ def with_alphabet(a: MultiplicityAutomaton, alphabet: Sequence[str]
         raise ValueError("the new alphabet must contain the old one in order")
     if alphabet == a.alphabet:
         return a
-    return MultiplicityAutomaton(alphabet, a.states, a.iota, a.tau, a.phi)
+    return _from_pairs(alphabet, a.states, a._iota, a._tau, a._phi, a._values)
 
 
 def merge_alphabets(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import fixtures
 from .analysis import residual_automaton, state_sums, total_sum
@@ -56,12 +55,17 @@ _set_int_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of a file, or of stdin for '-'; a file that cannot be opened
+    or read, or text that is not UTF-8, names its path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
 def _load(path: str) -> MultiplicityAutomaton:

@@ -6,10 +6,14 @@ q > 0; omitted entries mean weight zero. No JSON object may repeat a key.
 Serialization is canonical: parsing a document and serialising the result
 is byte-identical once weights are in lowest terms.
 
-The parser checks only this syntax. Whether the names and the state and
-letter references describe an automaton is checked by the constructors of
-:class:`MultiplicityAutomaton` and :class:`Dfa`, whose ``ValueError``
-becomes a :class:`DocumentError`.
+The parser checks only this syntax. An automaton document is read in one
+pass: each distinct weight string once, into the coprime (numerator,
+denominator) pair of its value, and no ``Fraction`` is made; the
+automaton keeps those pairs (``automata._from_pairs``). Whether the names
+and the state and letter references describe an automaton is checked by
+the builder that the constructor of :class:`MultiplicityAutomaton` uses,
+and by the constructor of :class:`Dfa`; their ``ValueError`` becomes a
+:class:`DocumentError`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-from .automata import MultiplicityAutomaton, _echo, _echoes
+from .automata import MultiplicityAutomaton, _echo, _echoes, _from_pairs
 from .classify import Dfa
 
 _RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
@@ -37,9 +42,10 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _rational(text: object, where: Callable[[], str]) -> Fraction:
-    """The value of a rational string; ``where()`` names the item, and is
-    called only when ``text`` spells no rational."""
+def _ratio(text: object, where: Callable[[], str]) -> tuple[int, int]:
+    """The value of a rational string as its coprime (numerator,
+    denominator) pair, denominator positive; ``where()`` names the item,
+    and is called only when ``text`` spells no rational."""
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise DocumentError(f"{where()}: malformed rational {_echo(text)}")
@@ -47,15 +53,17 @@ def _rational(text: object, where: Callable[[], str]) -> Fraction:
     if len(digits) > MAX_DIGITS or den is not None and len(den) > MAX_DIGITS:
         raise DocumentError(f"{where()}: rational with more than {MAX_DIGITS} digits")
     if den is None:
-        return Fraction(int(num))
+        return int(num), 1
     q = int(den)
     if not q:
         raise DocumentError(f"{where()}: malformed rational {_echo(text)} (zero denominator)")
-    return Fraction(int(num), q)
+    p = int(num)
+    g = gcd(p, q)
+    return (p // g, q // g) if g > 1 else (p, q)
 
 
 def parse_rational(text: object, where: str) -> Fraction:
-    return _rational(text, lambda: where)
+    return Fraction(*_ratio(text, lambda: where))
 
 
 def _require_keys(data: dict, allowed: set[str], required: set[str], what: str) -> None:
@@ -102,10 +110,10 @@ def _load_json(text: str) -> dict:
     return data
 
 
-def _build(cls, *args):
-    """``cls(*args)``, its ValueError raised again as a DocumentError."""
+def _build(make, *args):
+    """``make(*args)``, its ValueError raised again as a DocumentError."""
     try:
-        return cls(*args)
+        return make(*args)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -117,22 +125,23 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
                   {"alphabet", "states"}, "document")
     alphabet = _alphabet(data["alphabet"])
     states = _name_list(data["states"], "states")
-    # each distinct weight string is parsed once, and its Fraction, which is
-    # immutable, shared; the name of an item is made only for its error. The
-    # lookup is written out in both loops: a helper call per weight cost
-    # about 8% of the parse of the equiv-rank benchmark documents
-    values: dict[str, Fraction] = {}
+    # each distinct weight string is read once into its (numerator,
+    # denominator) pair, which is shared; the name of an item is made only
+    # for its error. The lookup is written out in both loops: a helper call
+    # per weight cost about 8% of the parse of the equiv-rank benchmark
+    # documents
+    pairs: dict[str, tuple[int, int]] = {}
 
-    def weight_map(key: str) -> dict[str, Fraction]:
+    def weight_map(key: str) -> dict[str, tuple[int, int]]:
         raw = data.get(key, {})
         if not isinstance(raw, dict):
             raise DocumentError(f"{key} must be an object mapping states to rationals")
         weights = {}
         for q, w in raw.items():
-            value = values.get(w) if type(w) is str else None
-            if value is None:
-                value = values[w] = _rational(w, lambda: f"{key}[{_echo(q)}]")
-            weights[q] = value
+            pair = pairs.get(w) if type(w) is str else None
+            if pair is None:
+                pair = pairs[w] = _ratio(w, lambda: f"{key}[{_echo(q)}]")
+            weights[q] = pair
         return weights
 
     iota = weight_map("initial")
@@ -141,19 +150,20 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
     raw_transitions = data.get("transitions", [])
     if not isinstance(raw_transitions, list):
         raise DocumentError("transitions must be a list")
-    phi: dict[tuple[str, str, str], Fraction] = {}
+    phi: dict[tuple[str, str, str], tuple[int, int]] = {}
     for item in raw_transitions:
         if (type(item) is not list or len(item) != 4 or type(item[0]) is not str
                 or type(item[1]) is not str or type(item[2]) is not str):
             raise DocumentError(f"transition {_echo(item)} must be [from, letter, to, weight]")
         q, x, r, w = item
-        if (q, x, r) in phi:
+        t = (q, x, r)
+        if t in phi:
             raise DocumentError(f"duplicate transition [{_echoes(q, x, r)}]")
-        value = values.get(w) if type(w) is str else None
-        if value is None:
-            value = values[w] = _rational(w, lambda: f"transition [{_echoes(q, x, r)}]")
-        phi[(q, x, r)] = value
-    return _build(MultiplicityAutomaton, alphabet, states, iota, tau, phi)
+        pair = pairs.get(w) if type(w) is str else None
+        if pair is None:
+            pair = pairs[w] = _ratio(w, lambda: f"transition [{_echoes(q, x, r)}]")
+        phi[t] = pair
+    return _build(_from_pairs, alphabet, states, iota, tau, phi)
 
 
 def serialize_automaton(a: MultiplicityAutomaton) -> str:

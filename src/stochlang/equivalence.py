@@ -422,20 +422,29 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
 
 def _blocks(series: Sequence[MultiplicityAutomaton]
             ) -> tuple[list[MultiplicityAutomaton], list[int]]:
-    """The first series of each distinct structure (states, final weights and
-    transitions), in order, and the index of each series' block.
+    """The first series of each distinct structure, in order, and the index
+    of each series' block.
 
-    Series in one block differ only in their initial vector, so they share
-    every derived object that the initial vector does not enter.
+    Two series share a structure when they have the same states and the
+    same integer form (``automata._IntegerForm``) but for the initial
+    vector: the same scale, letter maps and final vector. Series in one
+    block differ only in their initial vector, so they share every derived
+    object that the initial vector does not enter. The letter maps keep
+    the order of the transitions, so equal weights given in another order
+    make a block of their own, which shares nothing but changes no
+    result.
     """
     blocks: list[MultiplicityAutomaton] = []
+    keys: list[tuple] = []
     block_of: list[int] = []
     for s in series:
-        k = next((i for i, b in enumerate(blocks)
-                  if s.states == b.states and s.tau == b.tau and s.phi == b.phi), None)
+        f = s._integer_form()
+        key = (s.states, f.scale, f.tau_factor, f.tau, f.right)
+        k = next((i for i, other in enumerate(keys) if other == key), None)
         if k is None:
             k = len(blocks)
             blocks.append(s)
+            keys.append(key)
         block_of.append(k)
     return blocks, block_of
 
@@ -448,20 +457,21 @@ def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
     (:func:`_blocks`). One backward closure of the blocks' direct sum
     (:func:`_backward_closure`) yields rows x on which each series takes the
     value lam . x[its block], and the rows span every x(w). The initial
-    vectors are scaled to integers by one common denominator and paired
+    vectors, read off the integer forms as coprime integers with their
+    factors, are scaled to integers by one common denominator and paired
     with the span's sparse integer rows; neither that positive scale, which
     every column shares, nor the scale of a row changes a solution of
     :func:`combination_on_rows`.
     """
     blocks, block_of = _blocks(series)
     bounds = list(accumulate((b.n_states for b in blocks), initial=0))
-    scale = lcm(*(w.denominator for s in series for w in s.iota.values()))
+    forms = [s._integer_form() for s in series]
+    scale = lcm(*(f.iota_factor.denominator for f in forms))
     lams = []
-    for s, k in zip(series, block_of):
+    for f, k in zip(forms, block_of):
+        c = f.iota_factor.numerator * (scale // f.iota_factor.denominator)
         lam = [0] * bounds[-1]
-        for j, q in enumerate(s.states, start=bounds[k]):
-            w = s.iota_weight(q)
-            lam[j] = w.numerator * (scale // w.denominator)
+        lam[bounds[k]:bounds[k + 1]] = [c * x for x in f.iota]
         lams.append(lam)
     span = _backward_closure(blocks)[0]
     return [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]

@@ -459,6 +459,30 @@ class TestErrors:
         code, _ = run_cli(capsys, "sum", "/nonexistent/automaton.json")
         assert code == 3
 
+    def test_undecodable_file_names_its_path(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["equiv", str(DATA / "fig2_A.json"), str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read {bad}: 'utf-8' codec can't decode byte "
+                                "0xff in position 0: invalid start byte\n")
+
+    def test_undecodable_stdin_is_named_by_its_dash(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["equiv", str(DATA / "fig2_A.json"), "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot read -: 'utf-8' codec can't decode byte "
+                                "0xff in position 0: invalid start byte\n")
+
+    def test_one_call_reads_a_file_and_stdin(self, capsys, monkeypatch):
+        path = DATA / "fig2_A.json"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        code, out = run_cli(capsys, "equiv", str(path), "-")
+        assert (code, out) == (0, "equal: true\n")
+
     def test_usage_error(self, capsys):
         assert main(["sum"]) == 2
 

@@ -237,6 +237,21 @@ def test_no_case_reads_the_fraction_matrix_form(key, monkeypatch):
     check(key, all_argvs()[key])
 
 
+# the decisions that read only integer forms; equiv over two alphabets
+# included, whose automata with_alphabet extends from their weight pairs
+INTEGER_FORM_COMMANDS = {"sum", "sums", "equiv", "rank", "combine", "minimal-gens"}
+
+
+@pytest.mark.parametrize("key", sorted(key for key, argv in all_argvs().items()
+                                       if argv[0] in INTEGER_FORM_COMMANDS))
+def test_integer_form_cases_build_no_fraction_weight_maps(key, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a decision built the Fraction weight maps")
+
+    monkeypatch.setattr(MultiplicityAutomaton, "_fraction_maps", forbidden)
+    check(key, all_argvs()[key])
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     codes, errors = {}, {}

@@ -14,7 +14,7 @@ from stochlang import (DocumentError, MultiplicityAutomaton, fixtures, parse_aut
 from stochlang.classify import Dfa
 from stochlang.documents import MAX_DIGITS, parse_rational
 
-from helpers import oracle_parse_automaton, random_ma
+from helpers import oracle_integer_actions, oracle_parse_automaton, oracle_primitive, random_ma
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,7 +163,7 @@ class TestParse:
 
 # weights as documents spell them: canonical and repeated, non-canonical,
 # malformed, with a zero denominator, beyond the digit bound, or not strings
-_GOOD_WEIGHTS = ["1", "1/2", "-3/4", "0", "2/4", "-0", "007/010", "-12/18", "5"]
+_GOOD_WEIGHTS = ["1", "1/2", "-3/4", "0", "2/4", "-0", "0/7", "6/4", "007/010", "-12/18", "5"]
 _BAD_WEIGHTS = ["0.5", "1/", "/2", "+1", "1 ", "1\n", "x", "", "\u0663", "1/0", "-3/00",
                 "1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1), 1, 1.5, None, True,
                 ["1"], {"q": "1"}]
@@ -200,12 +200,40 @@ def _outcome(parse, text):
     return a.states, list(a.iota.items()), list(a.tau.items()), list(a.phi.items())
 
 
+def _assert_views_match_the_oracle(a, oracle):
+    """The integer form of a parsed automaton against the dense scan of the
+    oracle's Fraction matrices: the scale, the letter maps with their pairs
+    in transition order, and iota and tau as coprime integers with their
+    factors; and its Fraction maps, one exact Fraction per distinct value."""
+    rep = oracle.to_linear_representation()
+    form = a._integer_form()
+    actions, scale = oracle_integer_actions([[rep.mu[x]] for x in a.alphabet], left=False)
+    assert form.scale == scale
+    assert [[sorted(line) for line in action] for action in form.right] == actions
+    index = {q: i for i, q in enumerate(a.states)}
+    order = [[[] for _ in a.states] for _ in a.alphabet]
+    for q, x, r in oracle.phi:
+        order[a.alphabet.index(x)][index[q]].append(index[r])
+    assert [[[j for j, _ in line] for line in action] for action in form.right] == order
+    for w, f, vector in ((form.iota, form.iota_factor, rep.lam),
+                         (form.tau, form.tau_factor, rep.gamma)):
+        assert all(type(x) is int for x in w) and w == oracle_primitive(vector)
+        assert type(f) is Fraction and f > 0 and tuple(f * x for x in w) == vector
+    values = [w for m in (a.iota, a.tau, a.phi) for w in m.values()]
+    assert all(type(w) is Fraction for w in values)
+    assert len({id(w) for w in values}) == len(set(values))
+
+
 @given(_weighted_documents())
 @settings(max_examples=300, deadline=None)
 def test_parse_matches_the_weight_by_weight_oracle(doc):
-    # the same automaton, or the same error, as parsing every weight anew
+    # the same automaton, or the same error, as parsing every weight anew;
+    # on a document that parses, the same integer form and Fraction maps
     text = json.dumps(doc)
-    assert _outcome(parse_automaton, text) == _outcome(oracle_parse_automaton, text)
+    outcome = _outcome(parse_automaton, text)
+    assert outcome == _outcome(oracle_parse_automaton, text)
+    if not isinstance(outcome, str):
+        _assert_views_match_the_oracle(parse_automaton(text), oracle_parse_automaton(text))
 
 
 @pytest.mark.parametrize("zero", [None, "0", "-0", "0/7"])
