@@ -14,8 +14,8 @@ vector through those maps, one letter at a time, never by enumerating
 paths. The ``Fraction`` maps ``iota``, ``tau`` and ``phi``, one Fraction per
 distinct value, are built only for the callers that read them, and the
 ``Fraction`` matrices of a :class:`LinearRepresentation` only on demand; no
-decision reads those. Automata are immutable after construction and safe
-to share.
+decision reads the matrices. Automata are immutable after construction and
+safe to share.
 """
 
 from __future__ import annotations
