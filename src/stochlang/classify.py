@@ -5,6 +5,11 @@ Covers the probabilistic weight conditions (semi-PA, PA), support determinism
 construction, the decidable fragment of stochasticity checking, and a
 generator of PA instances whose residual-automaton question encodes DFA
 union universality.
+
+The PA checks read the automaton's (numerator, denominator) weight pairs,
+compared under one common denominator, and make no ``Fraction``; the
+support questions (PDA, residual witnesses) read successor bitmasks taken
+off the integer form's letter maps.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .analysis import total_sum
@@ -23,24 +29,24 @@ UNDECIDABILITY_NOTE = ("bounded check only: nonnegativity was tested up to the s
                        "length, and no algorithm can decide the unbounded question")
 
 
-def _leaving_mass(a: MultiplicityAutomaton) -> dict[str, Fraction]:
-    """Per state, its final weight plus its total transition weight, in one pass over phi."""
-    mass = {q: a.tau_weight(q) for q in a.states}
-    for (q, _, _), w in a.phi.items():
-        mass[q] += w
-    return mass
-
-
 def _weight_conditions(a: MultiplicityAutomaton, trimmed: bool) -> tuple[bool, bool]:
-    """Semi-PA and PA verdicts, given trimmedness, from one pass over the weights."""
-    weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
-    if any(w < 0 or w > 1 for w in weights):
+    """Semi-PA and PA verdicts, given trimmedness, from one pass over the
+    (numerator, denominator) weight pairs: every weight, the initial mass and
+    each state's leaving mass (its final weight plus its total transition
+    weight) are compared with 1 under one common denominator."""
+    weights = (*a._iota.values(), *a._tau.values(), *a._phi.values())
+    if any(p < 0 or p > q for p, q in weights):
         return False, False
-    initial = sum(a.iota.values(), Fraction(0))
-    mass = _leaving_mass(a).values()
-    semi_pa = initial <= 1 and all(m <= 1 for m in mass)
-    pa = (semi_pa and bool(a.states) and trimmed and initial == 1
-          and all(m == 1 for m in mass))
+    d = lcm(*(q for _, q in weights))
+    initial = sum(p * (d // q) for p, q in a._iota.values())
+    mass = dict.fromkeys(a.states, 0)
+    for q, (num, den) in a._tau.items():
+        mass[q] = num * (d // den)
+    for (q, _, _), (num, den) in a._phi.items():
+        mass[q] += num * (d // den)
+    semi_pa = initial <= d and all(m <= d for m in mass.values())
+    pa = (semi_pa and bool(a.states) and trimmed and initial == d
+          and all(m == d for m in mass.values()))
     return semi_pa, pa
 
 
@@ -54,11 +60,24 @@ def is_pa(a: MultiplicityAutomaton) -> bool:
     return bool(a.states) and is_trimmed(a) and _weight_conditions(a, True)[1]
 
 
+def _successor_masks(a: MultiplicityAutomaton) -> list[list[tuple[int, int]]]:
+    """Per state i, the (k, mask) pairs of the letters k with a transition
+    leaving i, in letter order: bit j of mask is set iff the support has the
+    transition i -k-> j. Read once off the integer form's letter maps, which
+    hold exactly the nonzero transitions."""
+    masks: list[list[tuple[int, int]]] = [[] for _ in a.states]
+    for k, action in enumerate(a._integer_form().right):
+        for i, row in enumerate(action):
+            if row:
+                masks[i].append((k, sum(1 << j for j, _ in row)))
+    return masks
+
+
 def _deterministic_support(a: MultiplicityAutomaton) -> bool:
     """One initial state and at most one successor per state and letter."""
     if len(a.initial_states()) != 1:
         return False
-    return all(len(targets) <= 1 for targets in a.support_delta().values())
+    return all(not m & (m - 1) for row in _successor_masks(a) for _, m in row)
 
 
 def is_pda(a: MultiplicityAutomaton) -> bool:
@@ -73,24 +92,33 @@ def _singleton_witnesses(a: MultiplicityAutomaton) -> dict[str, Word]:
     powerset, so it can visit up to 2^n of them for n states. No general
     shortcut is expected: the source paper shows that deciding whether a PA
     is a residual automaton is PSPACE-hard (see ``pra_hardness_instance``).
+    State sets are int bitmasks, bit i for the i-th state, and each set's
+    successors under every letter are gathered in one pass over its states'
+    successor masks (:func:`_successor_masks`).
     """
-    delta = a.support_delta()
-    start = frozenset(a.initial_states())
+    masks = {1 << i: row for i, row in enumerate(_successor_masks(a))}
+    letters, states = a.alphabet, a.states
+    start = sum(1 << i for i, w in enumerate(a._integer_form().iota) if w)
     witnesses: dict[str, Word] = {}
-    if len(start) == 1:
-        witnesses[next(iter(start))] = ()
+    if start and not start & (start - 1):
+        witnesses[states[start.bit_length() - 1]] = ()
     seen = {start}
-    queue: deque[tuple[frozenset[str], Word]] = deque([(start, ())])
+    queue: deque[tuple[int, Word]] = deque([(start, ())])
     while queue:
-        subset, word = queue.popleft()
-        for x in a.alphabet:
-            target = frozenset().union(*(delta.get((q, x), frozenset()) for q in subset))
+        rest, word = queue.popleft()
+        targets = [0] * len(letters)
+        while rest:
+            bit = rest & -rest
+            for k, m in masks[bit]:
+                targets[k] |= m
+            rest ^= bit
+        for k, target in enumerate(targets):
             if not target or target in seen:
                 continue
             seen.add(target)
-            child = word + (x,)
-            if len(target) == 1:
-                witnesses.setdefault(next(iter(target)), child)
+            child = word + (letters[k],)
+            if not target & (target - 1):
+                witnesses.setdefault(states[target.bit_length() - 1], child)
             queue.append((target, child))
     return witnesses
 
@@ -150,14 +178,14 @@ def check_stochastic_bounded(a: MultiplicityAutomaton, max_len: int = 8) -> Stoc
     distribution; only the bounded fragment is decidable. An automaton whose
     weights are all nonnegative cannot produce a negative value, so the word
     scan (exponential in max_len over large alphabets) only runs when some
-    weight is negative.
+    weight is negative: some (numerator, denominator) weight pair has a
+    negative numerator, its denominator being positive.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     outcome = total_sum(a)
     sum_is_one = outcome.converges and outcome.value == 1
-    weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
-    if all(w >= 0 for w in weights):
+    if all(p >= 0 for p, _ in (*a._iota.values(), *a._tau.values(), *a._phi.values())):
         violation = None
     else:
         violation = next(

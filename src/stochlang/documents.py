@@ -13,7 +13,11 @@ automaton keeps those pairs (``automata._from_pairs``). Whether the names
 and the state and letter references describe an automaton is checked by
 the builder that the constructor of :class:`MultiplicityAutomaton` uses,
 and by the constructor of :class:`Dfa`; their ``ValueError`` becomes a
-:class:`DocumentError`.
+:class:`DocumentError`. One JSON decoder, made once, reads every document.
+
+The writer reads the same pairs: an automaton document is written as text
+straight from them, with the bytes that ``json.dumps(..., indent=2)``
+gives, and no ``Fraction`` is made either.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 from math import gcd
 from typing import Callable
 
@@ -36,10 +41,6 @@ MAX_DIGITS = 4300
 
 class DocumentError(ValueError):
     """A document failed validation; the message names the offending item."""
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _ratio(text: object, where: Callable[[], str]) -> tuple[int, int]:
@@ -98,11 +99,19 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
+# one decoder for every document: ``json.loads`` with a hook builds a new
+# one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(text: str) -> dict:
-    """The JSON object of a document; malformed, too deeply nested text or a
-    repeated key in one object is invalid."""
+    """The JSON object of a document; malformed, too deeply nested text, a
+    leading byte-order mark (as ``json.loads`` rejects it) or a repeated key
+    in one object is invalid."""
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid document: {exc}") from None
     if not isinstance(data, dict):
@@ -166,22 +175,49 @@ def parse_automaton(text: str) -> MultiplicityAutomaton:
     return _build(_from_pairs, alphabet, states, iota, tau, phi)
 
 
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON array, or with ``brackets`` "{}" an object, of items written
+    already, laid out as ``json.dumps(..., indent=2)`` lays it out at
+    ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def serialize_automaton(a: MultiplicityAutomaton) -> str:
-    """Canonical document text for an automaton."""
-    letter_index = {x: i for i, x in enumerate(a.alphabet)}
+    """Canonical document text for an automaton: the bytes that ``json.dumps``
+    with ``indent=2`` gives for its keys in order, and a newline. Written
+    straight from the (numerator, denominator) weight pairs, each name
+    escaped by json's own ASCII string encoder; transitions are sorted by
+    source state, letter and target state."""
+    n, m = len(a.states), len(a.alphabet)
     state_index = {q: i for i, q in enumerate(a.states)}
-    transitions = sorted(
-        a.phi.items(),
-        key=lambda item: (state_index[item[0][0]], letter_index[item[0][1]],
-                          state_index[item[0][2]]))
-    doc = {
-        "alphabet": list(a.alphabet),
-        "states": list(a.states),
-        "initial": {q: format_rational(a.iota[q]) for q in a.states if q in a.iota},
-        "final": {q: format_rational(a.tau[q]) for q in a.states if q in a.tau},
-        "transitions": [[q, x, r, format_rational(w)] for (q, x, r), w in transitions],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    letter_index = {x: i for i, x in enumerate(a.alphabet)}
+    names = {q: _quoted(q) for q in a.states}
+    letters = {x: _quoted(x) for x in a.alphabet}
+
+    def text(pair: tuple[int, int]) -> str:
+        num, den = pair
+        return f'"{num}"' if den == 1 else f'"{num}/{den}"'
+
+    def weights(pairs: dict[str, tuple[int, int]]) -> str:
+        return _block([f"{names[q]}: {text(pairs[q])}" for q in a.states if q in pairs],
+                      "  ", "{}")
+
+    def order(t: tuple[str, str, str]) -> int:
+        q, x, r = t
+        return (state_index[q] * m + letter_index[x]) * n + state_index[r]
+
+    transitions = [_block([names[q], letters[x], names[r], text(a._phi[q, x, r])], "    ")
+                   for q, x, r in sorted(a._phi, key=order)]
+    return ("{\n"
+            f'  "alphabet": {_block(list(letters.values()), "  ")},\n'
+            f'  "states": {_block(list(names.values()), "  ")},\n'
+            f'  "initial": {weights(a._iota)},\n'
+            f'  "final": {weights(a._tau)},\n'
+            f'  "transitions": {_block(transitions, "  ")}\n'
+            "}\n")
 
 
 def parse_dfa(text: str) -> Dfa:

@@ -64,11 +64,17 @@ advance, which the library replaced by one parse per distinct string
 whose item is named only for an error. Fourier-Motzkin eliminates over
 Fraction rows, each divided by the absolute value of its first nonzero
 coefficient, which the library replaced by integer rows divided by their
-content.
+content. The PA weight conditions compare Fraction masses with 1, which
+the library replaced by the weight pairs under one common denominator;
+the residual witnesses are searched over frozensets of state names, which
+the library replaced by int bitmasks; and a document is written by
+``json.dumps`` of its dict, which the library replaced by text written
+straight from the weight pairs.
 """
 
 import heapq
 import itertools
+import json
 import random
 import re
 import time
@@ -78,8 +84,8 @@ from math import gcd, lcm
 
 from stochlang import (CombinationOutcome, ConstructionError,
                        DeterminizationOutcome, Dfa, MultiplicityAutomaton,
-                       ReductionStallError, are_equivalent, empty_automaton,
-                       express_combination, format_word, is_pa, is_pda,
+                       ReductionStallError, StochasticityReport, are_equivalent,
+                       empty_automaton, express_combination, format_word, is_pa, is_pda,
                        prefix_weight, residual_automaton, state_series_automaton,
                        total_sum, weighted_sum, words_up_to)
 from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
@@ -1002,6 +1008,74 @@ def oracle_is_pa(a):
             and all(a.tau_weight(q) + a.out_weight(q) == 1 for q in a.states))
 
 
+def oracle_leaving_mass(a):
+    """Per state, its final weight plus its total transition weight, in one
+    pass over the Fraction map phi."""
+    mass = {q: a.tau_weight(q) for q in a.states}
+    for (q, _, _), w in a.phi.items():
+        mass[q] += w
+    return mass
+
+
+def oracle_weight_conditions(a, trimmed):
+    """Semi-PA and PA verdicts, given trimmedness, on the Fraction weight
+    maps: the library reads the weight pairs under one common denominator
+    instead."""
+    weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
+    if any(w < 0 or w > 1 for w in weights):
+        return False, False
+    initial = sum(a.iota.values(), F(0))
+    mass = oracle_leaving_mass(a).values()
+    semi_pa = initial <= 1 and all(m <= 1 for m in mass)
+    pa = (semi_pa and bool(a.states) and trimmed and initial == 1
+          and all(m == 1 for m in mass))
+    return semi_pa, pa
+
+
+def oracle_check_stochastic_bounded(a, max_len):
+    """The report of ``check_stochastic_bounded``, its sign test read off
+    the Fraction weight maps."""
+    outcome = total_sum(a)
+    weights = list(a.iota.values()) + list(a.tau.values()) + list(a.phi.values())
+    violation = None
+    if any(w < 0 for w in weights):
+        violation = next((w for w in words_up_to(a.alphabet, max_len) if a.evaluate(w) < 0),
+                         None)
+    return StochasticityReport(outcome.converges and outcome.value == 1, max_len, violation)
+
+
+def oracle_deterministic_support(a):
+    """One initial state and at most one successor per state and letter, on
+    the support NFA of ``support_delta``."""
+    return (len(a.initial_states()) == 1
+            and all(len(targets) <= 1 for targets in a.support_delta().values()))
+
+
+def oracle_singleton_witnesses(a):
+    """The first word, breadth-first in letter order, that steers the support
+    powerset from the initial state set to each singleton, searched over
+    frozensets of state names; the library walks int bitmasks instead."""
+    delta = a.support_delta()
+    start = frozenset(a.initial_states())
+    witnesses = {}
+    if len(start) == 1:
+        witnesses[next(iter(start))] = ()
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        subset, word = queue.popleft()
+        for x in a.alphabet:
+            target = frozenset().union(*(delta.get((q, x), frozenset()) for q in subset))
+            if not target or target in seen:
+                continue
+            seen.add(target)
+            child = word + (x,)
+            if len(target) == 1:
+                witnesses.setdefault(next(iter(target)), child)
+            queue.append((target, child))
+    return witnesses
+
+
 def _combination_counterexample(target, generators, coeffs):
     """Word where the candidate combination misses the target, or None."""
     shared = bool(generators) and all(
@@ -1383,6 +1457,26 @@ def oracle_parse_automaton(text):
 
 
 # ------------------------------------------------------------- time limits
+
+def oracle_serialize_automaton(a):
+    """Canonical document text through ``json.dumps`` of the document's dict
+    with ``indent=2``, weights written as their Fractions; the library
+    writes the same bytes straight from the weight pairs."""
+    letter_index = {x: i for i, x in enumerate(a.alphabet)}
+    state_index = {q: i for i, q in enumerate(a.states)}
+    transitions = sorted(
+        a.phi.items(),
+        key=lambda item: (state_index[item[0][0]], letter_index[item[0][1]],
+                          state_index[item[0][2]]))
+    doc = {
+        "alphabet": list(a.alphabet),
+        "states": list(a.states),
+        "initial": {q: str(a.iota[q]) for q in a.states if q in a.iota},
+        "final": {q: str(a.tau[q]) for q in a.states if q in a.tau},
+        "transitions": [[q, x, r, str(w)] for (q, x, r), w in transitions],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
 
 def timed(decide, *args, limit_s):
     """decide(*args), failing when it takes more than limit_s seconds of

@@ -12,10 +12,14 @@ from stochlang import (Dfa, MultiplicityAutomaton, PraVerdict, ReductionMode,
                        is_pda, is_pra_reduced, is_reduced, is_semi_pa, is_trimmed,
                        pra_hardness_instance, reduce, state_sums, total_sum)
 
-from stochlang.classify import _leaving_mass, residual_witnesses
+from stochlang.classify import (_deterministic_support, _singleton_witnesses,
+                                _weight_conditions, residual_witnesses)
 
-from helpers import (dfa_a_count_mod_k, oracle_is_pa, oracle_is_semi_pa,
-                     plant_mixture_state, random_ma, random_pa)
+from helpers import (dfa_a_count_mod_k, duplicate_state, oracle_check_stochastic_bounded,
+                     oracle_deterministic_support, oracle_is_pa, oracle_is_semi_pa,
+                     oracle_leaving_mass, oracle_singleton_witnesses,
+                     oracle_weight_conditions, plant_mixture_state, random_ma, random_pa,
+                     random_pda, with_cancelling_copies)
 
 F = Fraction
 
@@ -93,9 +97,72 @@ class TestWeightConditionsAgainstPerStateDefinition:
     @given(weight_condition_automata())
     @settings(max_examples=200, deadline=None)
     def test_same_masses_and_verdicts(self, a):
-        assert _leaving_mass(a) == {q: a.tau_weight(q) + a.out_weight(q) for q in a.states}
+        assert oracle_leaving_mass(a) == {q: a.tau_weight(q) + a.out_weight(q)
+                                          for q in a.states}
         assert is_semi_pa(a) == oracle_is_semi_pa(a)
         assert is_pa(a) == oracle_is_pa(a)
+
+
+@st.composite
+def pair_read_automata(draw):
+    """The automata of the weight-condition tests, and PAs with a duplicated
+    state or cancelling divergent copies, PDAs, signed automata over three
+    letters, nonnegative ones with weights above 1, union-universality
+    instances, and the automaton with no states."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("condition", "duplicate", "cancelling", "pda", "signed3",
+                                 "above-one", "hardness", "empty")))
+    if kind == "condition":
+        return draw(weight_condition_automata())
+    if kind == "duplicate":
+        return duplicate_state(random_pa(rng, n, ("a", "b")), rng)
+    if kind == "cancelling":
+        return with_cancelling_copies(random_pa(rng, n, ("a", "b")))
+    if kind == "pda":
+        return random_pda(rng, n, ("a", "b"))
+    if kind == "signed3":
+        return random_ma(rng, n, ("a", "b", "c"), density=0.3)
+    if kind == "above-one":
+        return random_ma(rng, n, ("a", "b"), density=0.4, signed=False)
+    if kind == "hardness":
+        k = rng.randint(1, 2)
+        return pra_hardness_instance([dfa_a_count_mod_k(k, rng.randrange(k))
+                                      for _ in range(rng.randint(1, 2))])
+    return MultiplicityAutomaton(("a", "b"), (), {}, {}, {})
+
+
+class TestPairReadsAgainstFractionOracles:
+    """The weight conditions and the sign test read the weight pairs, and the
+    witness search and the determinism test read successor bitmasks; each
+    must agree with its oracle on Fractions or frozensets."""
+
+    @given(pair_read_automata())
+    @settings(max_examples=250, deadline=None)
+    def test_weight_conditions_and_sign_test(self, a):
+        for trimmed in (False, True):
+            assert _weight_conditions(a, trimmed) == oracle_weight_conditions(a, trimmed)
+        assert check_stochastic_bounded(a, 3) == oracle_check_stochastic_bounded(a, 3)
+
+    @given(pair_read_automata())
+    @settings(max_examples=250, deadline=None)
+    def test_witness_search_and_support_determinism(self, a):
+        assert list(_singleton_witnesses(a).items()) == list(
+            oracle_singleton_witnesses(a).items())
+        assert _deterministic_support(a) == oracle_deterministic_support(a)
+
+    def test_no_pa_verdict_builds_the_fraction_weight_maps(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("a PA verdict built the Fraction weight maps")
+
+        automata = [fixtures.build(name) for name in ("fig2_A", "fig3_App", "fig5")]
+        automata.append(pra_hardness_instance([dfa_a_count_mod_k(2, r) for r in (0, 1)]))
+        expected = [(oracle_is_semi_pa(a), oracle_is_pa(a), oracle_is_pa(a)
+                     and oracle_deterministic_support(a), oracle_singleton_witnesses(a),
+                     oracle_check_stochastic_bounded(a, 2)) for a in automata]
+        monkeypatch.setattr(MultiplicityAutomaton, "_fraction_maps", forbidden)
+        assert [(is_semi_pa(a), is_pa(a), is_pda(a), _singleton_witnesses(a),
+                 check_stochastic_bounded(a, 2)) for a in automata] == expected
 
 
 @st.composite

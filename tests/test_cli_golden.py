@@ -38,7 +38,8 @@ reduction, the reconstruction and the exact check (rank-deficient spans
 included), and must print the same bytes. A third run forbids the
 ``Fraction`` matrix form: every decision reads the automata's integer
 forms, so no case may call ``to_linear_representation`` or build a
-``Matrix``.
+``Matrix``. A fourth run forbids the ``Fraction`` weight maps in the cases
+of the commands in ``INTEGER_FORM_COMMANDS``.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
 run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -237,9 +238,13 @@ def test_no_case_reads_the_fraction_matrix_form(key, monkeypatch):
     check(key, all_argvs()[key])
 
 
-# the decisions that read only integer forms; equiv over two alphabets
-# included, whose automata with_alphabet extends from their weight pairs
-INTEGER_FORM_COMMANDS = {"sum", "sums", "equiv", "rank", "combine", "minimal-gens"}
+# the decisions that read only integer forms and weight pairs; equiv over
+# two alphabets included, whose automata with_alphabet extends from their
+# weight pairs, and the commands that print an automaton, which the writer
+# reads off its pairs. prefixial reads the Fraction maps in
+# to_prefixial_pra, and reduce in the elimination of a state
+INTEGER_FORM_COMMANDS = {"sum", "sums", "equiv", "rank", "combine", "minimal-gens", "classify",
+                         "residual", "pda", "synth-pa"}
 
 
 @pytest.mark.parametrize("key", sorted(key for key, argv in all_argvs().items()

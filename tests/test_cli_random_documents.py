@@ -16,19 +16,28 @@ and two DFAs for ``hardness``. Every subcommand then runs once through
 - print only documents that ``parse_automaton`` reads;
 - let no exception escape.
 
-A call listed in ``KNOWN_HANGS`` must still run out of time, so that its
-mark fails once the item named in it mends the hang.
+A call listed in ``KNOWN_HANGS`` runs in a child interpreter instead
+(``run_isolated``): under a cap on its address space (``MEMORY_CAP``), and
+killed by the kernel once ``LIMIT_S`` have passed since it called
+``cli.main``, so that neither its time nor its memory depends on the
+interpreter getting to run a handler. It must still run out of time or
+memory, so that its mark fails once the item named in it mends the hang.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import random
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import stochlang
 from stochlang import parse_automaton, serialize_automaton
 from stochlang.automata import format_word
 from stochlang.cli import main
@@ -51,6 +60,31 @@ KNOWN_HANGS = {(34, "minimal-gens --depth 2"): _DEPTH_2_OVER_3_LETTERS,
                (37, "minimal-gens --depth 2"): _DEPTH_2_OVER_3_LETTERS}
 
 
+# Address space of the child interpreter that runs a KNOWN_HANGS call; its
+# parent kills it, whatever it does, once this many seconds have passed
+# beyond LIMIT_S
+MEMORY_CAP = 1 << 30
+CHILD_GRACE_S = 30.0
+# Run by the child with the cap, LIMIT_S and the CLI arguments: SIGALRM keeps
+# its default action, so the kernel ends the process when the timer fires
+_CHILD = """
+import resource, signal, sys
+cap = int(sys.argv[1])
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from stochlang.cli import main
+signal.signal(signal.SIGALRM, signal.SIG_DFL)
+signal.setitimer(signal.ITIMER_REAL, float(sys.argv[2]))
+code = main(sys.argv[3:])
+signal.setitimer(signal.ITIMER_REAL, 0)
+sys.stdout.flush()
+sys.exit(code)
+"""
+_OUT_OF_MEMORY = ("error: out of memory", "MemoryError")
+
+
 class CallTimeout(BaseException):
     """Raised by the alarm; a BaseException so that no handler in the CLI catches it."""
 
@@ -68,6 +102,35 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, or None when it has not
+    answered within LIMIT_S."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err), time_limit(LIMIT_S):
+            code = main(argv)
+    except CallTimeout:
+        return None
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_isolated(argv):
+    """:func:`run_in_process` in a child interpreter with at most MEMORY_CAP
+    bytes of address space; None also when the child runs out of that."""
+    source = str(Path(stochlang.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(MEMORY_CAP), str(LIMIT_S), *argv],
+            env=env, capture_output=True, text=True, timeout=LIMIT_S + CHILD_GRACE_S)
+    except subprocess.TimeoutExpired:
+        return None
+    if child.returncode < 0 or any(mark in child.stderr for mark in _OUT_OF_MEMORY):
+        return None
+    return child.returncode, child.stdout, child.stderr
 
 
 def draw(kind, rng, n, letters):
@@ -130,18 +193,15 @@ def test_every_subcommand_answers_in_time(tmp_path, index, automata, word, dfas)
         (tmp_path / f"d{k}.json").write_text(serialize_dfa(d))
     stale, problems = [], []
     for name, argv in commands(*paths[:3], word, *paths[3:]).items():
-        out, err = io.StringIO(), io.StringIO()
         hang = KNOWN_HANGS.get((index, name))
-        try:
-            with redirect_stdout(out), redirect_stderr(err), time_limit(LIMIT_S):
-                code = main(argv)
-        except CallTimeout:
+        answer = run_in_process(argv) if hang is None else run_isolated(argv)
+        if answer is None:
             if hang is None:
                 problems.append(f"{name}: no answer within {LIMIT_S} s")
             continue
         if hang is not None:
             stale.append(f"{name}: answered; drop the mark ({hang})")
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = answer
         if code not in EXIT_CODES:
             problems.append(f"{name}: exit {code}")
         if code == 3:

@@ -14,7 +14,8 @@ from stochlang import (DocumentError, MultiplicityAutomaton, fixtures, parse_aut
 from stochlang.classify import Dfa
 from stochlang.documents import MAX_DIGITS, parse_rational
 
-from helpers import oracle_integer_actions, oracle_parse_automaton, oracle_primitive, random_ma
+from helpers import (oracle_integer_actions, oracle_parse_automaton, oracle_primitive,
+                     oracle_serialize_automaton, random_ma)
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +109,15 @@ class TestParse:
     def test_not_json(self):
         with pytest.raises(DocumentError):
             parse_automaton("not a document")
+
+    @pytest.mark.parametrize("parse", [parse_automaton, parse_dfa])
+    def test_a_leading_byte_order_mark_is_an_invalid_document(self, parse):
+        # json.loads rejects a leading BOM with this message; the one shared
+        # decoder must too
+        with pytest.raises(DocumentError) as info:
+            parse("\ufeff" + json.dumps(fig2_doc()))
+        assert str(info.value) == ("invalid document: Unexpected UTF-8 BOM "
+                                   "(decode using utf-8-sig): line 1 column 1 (char 0)")
 
     @pytest.mark.parametrize("parse", [parse_automaton, parse_dfa])
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 5_000 + "]" * 5_000,
@@ -415,6 +425,50 @@ class TestRoundTrip:
         a = random_ma(rng, rng.randint(1, 4), ("a", "b"), density=rng.random())
         text = serialize_automaton(a)
         assert parse_automaton(text) == a
+
+
+# names that JSON escapes: quotes, backslashes, control characters, and
+# characters beyond ASCII, inside and beyond the basic multilingual plane
+_ESCAPED_NAMES = st.sampled_from(["q", "p0", 'a"b', "c\\d", "x/y", "\n", "\x01\x7f", "\u00e9",
+                                  "\u2028", "\U0001f600", " ", "@", "\ud800"])
+
+
+@st.composite
+def _named_automata(draw):
+    """Automata of 0-4 states over 0-3 letters, drawn from names that need
+    JSON escapes, with signed weights, weights above 1 and large numbers;
+    each map is empty in some draws. Half of them are read back from their
+    document, so that the parser's weight pairs are written too."""
+    states = draw(st.lists(_ESCAPED_NAMES, max_size=4, unique=True))
+    alphabet = draw(st.lists(_ESCAPED_NAMES.filter(lambda x: x != "@" and "." not in x),
+                             max_size=3, unique=True))
+    weight = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 12))
+
+    def weights(keys, size):
+        return {} if keys is None else draw(st.dictionaries(keys, weight, max_size=size))
+
+    state = st.sampled_from(states) if states else None
+    triples = st.tuples(state, st.sampled_from(alphabet), state) if states and alphabet else None
+    a = MultiplicityAutomaton(alphabet, states, weights(state, 4), weights(state, 4),
+                              weights(triples, 12))
+    return parse_automaton(oracle_serialize_automaton(a)) if draw(st.booleans()) else a
+
+
+@given(_named_automata())
+@settings(max_examples=300, deadline=None)
+def test_the_writer_gives_the_bytes_of_json_dumps(a):
+    # the weight pairs written straight, against json.dumps of the Fraction maps
+    assert serialize_automaton(a) == oracle_serialize_automaton(a)
+
+
+def test_the_writer_builds_no_fraction_weight_maps(monkeypatch):
+    a = parse_automaton((DATA / "fig2_A.json").read_text())
+
+    def forbidden(self):
+        raise AssertionError("the writer built the Fraction weight maps")
+
+    monkeypatch.setattr(MultiplicityAutomaton, "_fraction_maps", forbidden)
+    assert serialize_automaton(a) == (DATA / "fig2_A.json").read_text()
 
 
 class TestDfaDocuments:
