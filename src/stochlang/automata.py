@@ -11,11 +11,13 @@ read and stay with the automaton. Every decision reads the integer form
 the initial and final vectors as coprime integer vectors with their
 factors. Its series value on a word is evaluated by pushing the initial
 vector through those maps, one letter at a time, never by enumerating
-paths. The ``Fraction`` maps ``iota``, ``tau`` and ``phi``, one Fraction per
-distinct value, are built only for the callers that read them, and the
-``Fraction`` matrices of a :class:`LinearRepresentation` only on demand; no
-decision reads the matrices. Automata are immutable after construction and
-safe to share.
+paths. Decisions that build an automaton from another one (trimming,
+state elimination, weighted sums, the prefixial form) copy its weight
+pairs. The ``Fraction`` maps ``iota``, ``tau`` and ``phi``, one Fraction per
+distinct pair, and the ``Fraction`` matrices of a
+:class:`LinearRepresentation` are a public view, built on demand; no
+decision reads either. Automata are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -139,14 +141,10 @@ def _checked_names(kind: str, names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _pair(w: object, values: dict[tuple[int, int], Fraction]) -> tuple[int, int]:
+def _pair(w: object) -> tuple[int, int]:
     """The coprime (numerator, denominator) pair of a rational given as an
-    int, string or Fraction; its Fraction is kept in ``values`` for the
-    Fraction maps, unless one of the same value is there already."""
-    w = frac(w)
-    pair = w.as_integer_ratio()
-    values.setdefault(pair, w)
-    return pair
+    int, string or Fraction."""
+    return frac(w).as_integer_ratio()
 
 
 def _primitive_of(weights: Mapping[str, tuple[int, int]], index: Mapping[str, int]
@@ -246,31 +244,30 @@ class MultiplicityAutomaton:
     as a coprime (numerator, denominator) pair of ints. The constructor
     reaches it with any rationals, coerced by ``frac``; a parsed document,
     and an automaton derived from another one (``trim``,
-    :func:`with_alphabet`, :func:`replace_iota`), with weights that are
-    pairs already (:func:`_from_pairs`). Both views of the weights come
-    from those pairs when first read: the integer form that every decision
+    :func:`with_alphabet`, :func:`replace_iota`, :func:`weighted_sum`,
+    state elimination, the prefixial form), with weights that are pairs
+    already (:func:`_from_pairs`). Both views of the weights come from
+    those pairs when first read: the integer form that every decision
     reads (:meth:`_integer_form`), and the ``Fraction`` maps ``iota``,
-    ``tau`` and ``phi`` (:meth:`_fraction_maps`).
+    ``tau`` and ``phi`` (:meth:`_fraction_maps`), which only the public
+    views read.
     """
 
     def __init__(self, alphabet: Iterable[str], states: Iterable[str],
                  iota: Mapping[str, object], tau: Mapping[str, object],
                  phi: Mapping[tuple[str, str, str], object]):
-        self._assemble(alphabet, states, iota, tau, phi, {}, coerce=True)
+        self._assemble(alphabet, states, iota, tau, phi, coerce=True)
 
     def _assemble(self, alphabet: Iterable[str], states: Iterable[str],
                   iota: Mapping[str, object], tau: Mapping[str, object],
-                  phi: Mapping[tuple[str, str, str], object],
-                  values: dict[tuple[int, int], Fraction], coerce: bool) -> None:
+                  phi: Mapping[tuple[str, str, str], object], coerce: bool) -> None:
         """Check the names, then each weight's references, in the order of
         the initial, final and transition maps, and keep the nonzero
         weights as (numerator, denominator) pairs in the order given.
 
         With ``coerce`` each weight is turned into its pair (:func:`_pair`)
-        after its references are checked, and its Fraction kept in
-        ``values``; otherwise the weights are coprime pairs already.
-        ``values`` holds the Fractions that the Fraction maps share; a
-        derived automaton shares those of its source.
+        after its references are checked; otherwise the weights are coprime
+        pairs already.
         """
         self.alphabet = _checked_names("letter", alphabet)
         self.states = _checked_names("state", states)
@@ -283,7 +280,7 @@ class MultiplicityAutomaton:
                 if q not in state_set:
                     raise ValueError(f"{kind} weight for unknown state {_echo(q)}")
                 if coerce:
-                    w = _pair(w, values)
+                    w = _pair(w)
                 if w[0]:
                     kept[q] = w
             maps.append(kept)
@@ -296,10 +293,9 @@ class MultiplicityAutomaton:
             if x not in letter_set:
                 raise ValueError(f"transition ({_echoes(q, x, r)}) uses an unknown letter")
             if coerce:
-                w = _pair(w, values)
+                w = _pair(w)
             if w[0]:
                 kept[t] = w
-        self._values = values
         self._maps: tuple[dict, dict, dict] | None = None
         self._rep: LinearRepresentation | None = None
         self._form: _IntegerForm | None = None
@@ -308,13 +304,11 @@ class MultiplicityAutomaton:
                                       dict[tuple[str, str, str], Fraction]]:
         """The maps iota, tau and phi as Fractions, built from the pairs on
         the first call and kept: the same keys in the same order, and one
-        Fraction per distinct value, the constructor's own where it was
-        given one. No decision that only reads the integer form calls it."""
+        Fraction per distinct pair. Only the public views call it; every
+        decision reads the pairs or the integer form."""
         if self._maps is None:
-            values = self._values
-            for pair in {*self._iota.values(), *self._tau.values(), *self._phi.values()}:
-                if pair not in values:
-                    values[pair] = Fraction(*pair)
+            values = {pair: Fraction(*pair) for pair in
+                      {*self._iota.values(), *self._tau.values(), *self._phi.values()}}
             self._maps = tuple({key: values[pair] for key, pair in weights.items()}
                                for weights in (self._iota, self._tau, self._phi))
         return self._maps
@@ -417,8 +411,7 @@ class MultiplicityAutomaton:
             self.alphabet, keep,
             {q: w for q, w in self._iota.items() if q in keep_set},
             {q: w for q, w in self._tau.items() if q in keep_set},
-            {t: w for t, w in self._phi.items() if t[0] in keep_set and t[2] in keep_set},
-            self._values)
+            {t: w for t, w in self._phi.items() if t[0] in keep_set and t[2] in keep_set})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiplicityAutomaton)
@@ -435,15 +428,13 @@ class MultiplicityAutomaton:
 
 def _from_pairs(alphabet: Iterable[str], states: Iterable[str],
                 iota: Mapping[str, tuple[int, int]], tau: Mapping[str, tuple[int, int]],
-                phi: Mapping[tuple[str, str, str], tuple[int, int]],
-                values: dict[tuple[int, int], Fraction] | None = None
-                ) -> MultiplicityAutomaton:
+                phi: Mapping[tuple[str, str, str], tuple[int, int]]) -> MultiplicityAutomaton:
     """The automaton of weights given as coprime (numerator, denominator)
     pairs, denominators positive, built by the constructor's own builder
     (:meth:`MultiplicityAutomaton._assemble`) with the same checks and
-    messages; ``values`` are the Fractions its maps may share."""
+    messages."""
     a = MultiplicityAutomaton.__new__(MultiplicityAutomaton)
-    a._assemble(alphabet, states, iota, tau, phi, {} if values is None else values, coerce=False)
+    a._assemble(alphabet, states, iota, tau, phi, coerce=False)
     return a
 
 
@@ -499,8 +490,7 @@ def replace_iota(a: MultiplicityAutomaton, lam: Sequence[Fraction]) -> Multiplic
     if len(lam) != a.n_states:
         raise ValueError("initial vector length does not match the state count")
     return _from_pairs(a.alphabet, a.states,
-                       {q: _pair(w, a._values) for q, w in zip(a.states, lam)},
-                       a._tau, a._phi, a._values)
+                       {q: _pair(w) for q, w in zip(a.states, lam)}, a._tau, a._phi)
 
 
 def state_series_automaton(a: MultiplicityAutomaton, q: str) -> MultiplicityAutomaton:
@@ -526,7 +516,7 @@ def with_alphabet(a: MultiplicityAutomaton, alphabet: Sequence[str]
         raise ValueError("the new alphabet must contain the old one in order")
     if alphabet == a.alphabet:
         return a
-    return _from_pairs(alphabet, a.states, a._iota, a._tau, a._phi, a._values)
+    return _from_pairs(alphabet, a.states, a._iota, a._tau, a._phi)
 
 
 def merge_alphabets(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -556,8 +546,8 @@ def weighted_sum(automata: Sequence[MultiplicityAutomaton],
                  coeffs: Sequence) -> MultiplicityAutomaton:
     """Disjoint union realising the weighted sum of the given series.
 
-    Each block keeps its transitions and final weights; its initial weights
-    are scaled by the block coefficient.
+    Each block keeps its transitions and final weights, copied as weight
+    pairs; its initial weights are scaled by the block coefficient.
     """
     if len(automata) != len(coeffs):
         raise ValueError("one coefficient per automaton is required")
@@ -575,13 +565,13 @@ def weighted_sum(automata: Sequence[MultiplicityAutomaton],
         c = frac(c)
         rename = {q: f"{i}.{q}" for q in a.states}
         states.extend(rename[q] for q in a.states)
-        for q, w in a.iota.items():
-            iota[rename[q]] = c * w
-        for q, w in a.tau.items():
+        for q, w in a._iota.items():
+            iota[rename[q]] = (c * Fraction(*w)).as_integer_ratio()
+        for q, w in a._tau.items():
             tau[rename[q]] = w
-        for (q, x, r), w in a.phi.items():
+        for (q, x, r), w in a._phi.items():
             phi[(rename[q], x, rename[r])] = w
-    return MultiplicityAutomaton(alphabet, states, iota, tau, phi)
+    return _from_pairs(alphabet, states, iota, tau, phi)
 
 
 def is_trimmed(a: MultiplicityAutomaton) -> bool:

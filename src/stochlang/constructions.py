@@ -26,7 +26,8 @@ table, since the paper defines a residual whenever its own prefix sum
 converges. The key of a residual is p times the sign of its mass: equal
 keys mean equal series, so a dict finds every known residual, and a
 combination question between residuals is one exact solve on a table of
-keys. Fractions are made only for the weights of the automaton built.
+keys. Fractions are made only for the weights of the automaton built;
+the prefixial form copies each witness state's own weight pairs.
 
 PA synthesis asks its questions the same way. A letter shift of a
 generator is the generator with another initial vector, so one table of
@@ -46,8 +47,8 @@ from typing import Mapping, Sequence
 
 from .analysis import (_mass, _series_sum, _state_sum_vector, _sum_table, _SumTable,
                        residual_automaton)
-from .automata import (MultiplicityAutomaton, Word, _echo, format_word, letter_shift_automaton,
-                       state_series_automaton, words_up_to)
+from .automata import (MultiplicityAutomaton, Word, _echo, _from_pairs, format_word,
+                       letter_shift_automaton, state_series_automaton, words_up_to)
 from .classify import is_pa, is_pda
 from .equivalence import (_backward_closure, _blocks, _value_table, are_equivalent,
                           combination_on_rows)
@@ -333,23 +334,24 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     index = {x: i for i, x in enumerate(a.alphabet)}
     ordered = sorted(vectors, key=lambda w: (len(w), [index[x] for x in w]))
     names = {w: format_word(w, a.alphabet) for w in ordered}
-    phi: dict[tuple[str, str, str], Fraction] = {}
+    # each witness state's own weight pairs, per letter, in target state order
+    position = {r: i for i, r in enumerate(a.states)}
+    leaving: dict[tuple[str, str], list[tuple[int, str, tuple[int, int]]]] = {}
+    for (q, x, r), pair in a._phi.items():
+        leaving.setdefault((q, x), []).append((position[r], r, pair))
+    phi: dict[tuple[str, str, str], tuple[int, int]] = {}
     for w in ordered:
         for x in a.alphabet:
             extended = w + (x,)
             if extended in vectors:
                 phi[(names[w], x, names[extended])] = res.weight(
-                    vectors[extended][0], mass(extended), mass(w))
+                    vectors[extended][0], mass(extended), mass(w)).as_integer_ratio()
             elif w in word_of:
-                q = word_of[w]
-                for r in a.states:
-                    weight = a.weight(q, x, r)
-                    if weight:
-                        phi[(names[w], x, names[witness_words[r]])] = weight
+                for _, r, pair in sorted(leaving.get((word_of[w], x), ())):
+                    phi[(names[w], x, names[witness_words[r]])] = pair
 
-    iota = {names[()]: Fraction(1)}
-    tau = {names[w]: res.tau(vectors[w][1], mass(w)) for w in ordered}
-    built = MultiplicityAutomaton(a.alphabet, [names[w] for w in ordered], iota, tau, phi)
+    tau = {names[w]: res.tau(vectors[w][1], mass(w)).as_integer_ratio() for w in ordered}
+    built = _from_pairs(a.alphabet, [names[w] for w in ordered], {names[()]: (1, 1)}, tau, phi)
     if not is_pa(built):
         raise ValueError("witness set does not induce a probabilistic automaton; "
                          "an interior prefix loses mass outside the closure")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
 from math import gcd
 from typing import Callable
@@ -61,10 +60,6 @@ def _ratio(text: object, where: Callable[[], str]) -> tuple[int, int]:
     p = int(num)
     g = gcd(p, q)
     return (p // g, q // g) if g > 1 else (p, q)
-
-
-def parse_rational(text: object, where: str) -> Fraction:
-    return Fraction(*_ratio(text, lambda: where))
 
 
 def _require_keys(data: dict, allowed: set[str], required: set[str], what: str) -> None:

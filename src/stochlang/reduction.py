@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
-from .automata import MultiplicityAutomaton
+from .automata import MultiplicityAutomaton, _from_pairs
 from .equivalence import _backward_closure, _closed_span, combination_on_rows
 from .linalg import SpanBasis, _Action, _push
 
@@ -150,20 +150,31 @@ def _eliminate(a: MultiplicityAutomaton, removed: dict[str, dict]) -> Multiplici
 
     ``removed`` maps each removed state q to coefficients c over the kept
     states with series_q = sum_s c[s] series_s. An initial weight on q, and
-    each transition of ``phi`` from a kept state into q, then goes to every
-    such s times c[s]; the final weight of q and the transitions leaving it
-    go. Only the entries of ``phi`` are walked, never a grid of state pairs.
+    each transition from a kept state into q, then goes to every such s
+    times c[s]; the final weight of q and the transitions leaving it go.
+    Only the stored weight pairs are walked, never a grid of state pairs,
+    and a Fraction is made only where a coefficient multiplies a weight;
+    every other weight is kept as its pair.
     """
     keep = [s for s in a.states if s not in removed]
-    iota = {s: a.iota_weight(s) + sum([removed[q].get(s, 0) * w for q, w in a.iota.items()
-                                       if q in removed]) for s in keep}
-    phi: dict[tuple[str, str, str], Fraction] = {}
-    for (r, x, t), w in a.phi.items():
+
+    def feed(weights: dict, key, c, pair: tuple[int, int]) -> None:
+        """Add c times the weight pair to ``weights[key]``, as a pair."""
+        if c != 1 or key in weights:
+            pair = (c * Fraction(*pair) + Fraction(*weights.get(key, (0, 1)))).as_integer_ratio()
+        weights[key] = pair
+
+    iota = {s: a._iota.get(s, (0, 1)) for s in keep}
+    for q, pair in a._iota.items():
+        for s, c in removed.get(q, {}).items():
+            feed(iota, s, c, pair)
+    phi: dict[tuple[str, str, str], tuple[int, int]] = {}
+    for (r, x, t), pair in a._phi.items():
         if r not in removed:
             for s, c in removed[t].items() if t in removed else ((t, 1),):
-                phi[(r, x, s)] = phi.get((r, x, s), 0) + c * w
-    return MultiplicityAutomaton(a.alphabet, keep, iota,
-                                 {s: a.tau_weight(s) for s in keep}, phi)
+                feed(phi, (r, x, s), c, pair)
+    return _from_pairs(a.alphabet, keep, iota,
+                       {s: a._tau[s] for s in keep if s in a._tau}, phi)
 
 
 def reduce(a: MultiplicityAutomaton, mode: ReductionMode) -> MultiplicityAutomaton:

@@ -1627,6 +1627,33 @@ def duplicate_state(a, rng):
     return MultiplicityAutomaton(a.alphabet, list(a.states) + [clone], iota, tau, phi)
 
 
+def split_state(a, rng, q, clone, factor=1):
+    """Add a state ``clone`` whose final weight and leaving edges are
+    ``factor`` times q's, so that its series is ``factor`` times q's, and
+    move a random share of q's initial weight and of each edge into q onto
+    it, divided by ``factor``: the same series, and every source of an
+    edge into q now feeds both, so reducing them sends several edges into
+    one."""
+    def moved(w):
+        return w * F(rng.randint(1, 5), 6)
+
+    iota, tau, phi = dict(a.iota), dict(a.tau), {}
+    if q in iota:
+        share = moved(iota[q])
+        iota[q] -= share
+        iota[clone] = share / factor
+    if q in tau:
+        tau[clone] = factor * tau[q]
+    for (s, x, r), w in a.phi.items():
+        if r == q:
+            share = moved(w)
+            phi[(s, x, clone)] = share / factor
+            w -= share
+        phi[(s, x, r)] = w
+    phi.update({(clone, x, r): factor * w for (s, x, r), w in list(phi.items()) if s == q})
+    return MultiplicityAutomaton(a.alphabet, list(a.states) + [clone], iota, tau, phi)
+
+
 def ring_pa(n, seed=None):
     """Connected PA on {a, b}: each state stops, follows a ring edge and two random edges.
 

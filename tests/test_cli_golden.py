@@ -23,6 +23,11 @@ Others pin residual exploration: ``pda`` on an 8-state split copy of a
 residual masses take both signs and vanish on one edge (a construction
 error), and ``minimal-gens`` and ``prefixial`` (witness words up to length
 3) on that 4-state PA.
+``hardness`` encodes three mod-3 counters of the letter a (the
+documents ``dfa_mod3_r*.json``), and prints that ``classify`` input;
+``fixture`` prints each catalog automaton, and ``eval`` evaluates each
+fixture on the empty word and on ``bba``, a word that the one-letter
+fixtures reject.
 ``synth-pa`` runs on the four state series of that PA, each split into 8
 states, and on a convex mixture of two of them: with the PA as target, and
 with the mixture as target and first generator, where the coefficients are
@@ -37,9 +42,11 @@ closure of a rank runs mod a prime, through the packed span, its
 reduction, the reconstruction and the exact check (rank-deficient spans
 included), and must print the same bytes. A third run forbids the
 ``Fraction`` matrix form: every decision reads the automata's integer
-forms, so no case may call ``to_linear_representation`` or build a
-``Matrix``. A fourth run forbids the ``Fraction`` weight maps in the cases
-of the commands in ``INTEGER_FORM_COMMANDS``.
+forms, so no case but the catalog printouts of ``fixture`` may call
+``to_linear_representation`` or build a ``Matrix``. A fourth run forbids
+the ``Fraction`` weight maps: every decision reads the weight pairs or
+the integer forms, so no case of any subcommand may build them, and every
+subcommand has at least one case.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
 run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -51,8 +58,8 @@ from pathlib import Path
 
 import pytest
 
-from stochlang import Matrix, MultiplicityAutomaton, equivalence
-from stochlang.cli import main
+from stochlang import Matrix, MultiplicityAutomaton, equivalence, fixtures
+from stochlang.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden"
@@ -69,6 +76,8 @@ CASES = {
     "sum": ["sum"],
     "sums": ["sums"],
     "residual_empty": ["residual", "@"],
+    "eval_empty": ["eval", "@"],
+    "eval_bba": ["eval", "bba"],
     "reduce_field": ["reduce", "--mode", "field"],
     "reduce_cone": ["reduce", "--mode", "cone"],
 }
@@ -166,7 +175,10 @@ LARGER_CASES = {
                                 str(INPUTS / "no_states.json")],
     "mass_two.synth_pa_no_states": ["synth-pa", str(INPUTS / "mass_two.json"),
                                     str(INPUTS / "no_states.json")],
+    "dfa_mod3.hardness": ["hardness", *(str(INPUTS / f"dfa_mod3_r{i}.json") for i in range(3))],
 }
+# argument lists of the catalog printouts, keyed <fixture name>.fixture
+CATALOG_CASES = {f"{name}.fixture": ["fixture", name] for name in fixtures.FIXTURE_NAMES}
 
 
 def run(argv):
@@ -188,6 +200,7 @@ def all_argvs():
     argvs.update(ERROR_CASES)
     argvs.update(COMBINATION_CASES)
     argvs.update(LARGER_CASES)
+    argvs.update(CATALOG_CASES)
     return argvs
 
 
@@ -221,13 +234,21 @@ def test_larger_input_output_is_unchanged(key):
     check(key, LARGER_CASES[key])
 
 
+@pytest.mark.parametrize("key", sorted(CATALOG_CASES))
+def test_catalog_output_is_unchanged(key):
+    check(key, CATALOG_CASES[key])
+
+
 @pytest.mark.parametrize("key", sorted(all_argvs()))
 def test_output_is_unchanged_with_every_closure_modular(key, monkeypatch):
     monkeypatch.setattr(equivalence, "MODULAR_MIN_DIM", 0)
     check(key, all_argvs()[key])
 
 
-@pytest.mark.parametrize("key", sorted(all_argvs()))
+# every case but the catalog printouts, since the catalog builds fig3_App
+# and prop10_t from their Fraction matrices
+@pytest.mark.parametrize("key", sorted(key for key, argv in all_argvs().items()
+                                       if argv[0] != "fixture"))
 def test_no_case_reads_the_fraction_matrix_form(key, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a decision built the Fraction matrix form")
@@ -238,17 +259,17 @@ def test_no_case_reads_the_fraction_matrix_form(key, monkeypatch):
     check(key, all_argvs()[key])
 
 
-# the decisions that read only integer forms and weight pairs; equiv over
-# two alphabets included, whose automata with_alphabet extends from their
-# weight pairs, and the commands that print an automaton, which the writer
-# reads off its pairs. prefixial reads the Fraction maps in
-# to_prefixial_pra, and reduce in the elimination of a state
-INTEGER_FORM_COMMANDS = {"sum", "sums", "equiv", "rank", "combine", "minimal-gens", "classify",
-                         "residual", "pda", "synth-pa"}
+def subcommands():
+    """The names of the CLI's subcommands, read off its parser."""
+    return set(next(action.choices for action in _build_parser()._actions
+                    if isinstance(action.choices, dict)))
 
 
-@pytest.mark.parametrize("key", sorted(key for key, argv in all_argvs().items()
-                                       if argv[0] in INTEGER_FORM_COMMANDS))
+def test_every_subcommand_has_a_case():
+    assert subcommands() == {argv[0] for argv in all_argvs().values()}
+
+
+@pytest.mark.parametrize("key", sorted(all_argvs()))
 def test_integer_form_cases_build_no_fraction_weight_maps(key, monkeypatch):
     def forbidden(self):
         raise AssertionError("a decision built the Fraction weight maps")

@@ -18,8 +18,8 @@ from stochlang.reduction import _dependent
 from helpers import (dfa_a_count_mod_k, duplicate_state, identity, oracle_cone_reduce,
                      oracle_field_reduce, oracle_hankel_rank, oracle_is_cone_reduced,
                      plant_convex_state, plant_mixture_state, random_dense_ma,
-                     random_fraction, random_ma, random_pa, ring_pa, split_copy, timed,
-                     value_rows)
+                     random_fraction, random_ma, random_pa, ring_pa, split_copy, split_state,
+                     timed, value_rows, with_cancelling_copies)
 
 F = Fraction
 
@@ -311,6 +311,31 @@ def split_ring_copies(draw):
     return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
 
 
+@st.composite
+def copied_presentations(draw):
+    """Ring PAs of 4-8 states and random PAs of 2-6 states, presented with
+    more states: a duplicated state, 0-2 split states (``split_state``,
+    whose copies share the edges into the state, so that several removed
+    copies feed one transition, and generate the state's series times 1, 2
+    or 1/3) and two cancelling divergent copies
+    (``with_cancelling_copies``, on which field reduction stalls), in a
+    drawn state order; up to 13 states."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        a = ring_pa(draw(st.integers(4, 8)), rng.randrange(2**32))
+    else:
+        a = random_pa(rng, draw(st.integers(2, 6)), ("a", "b"))
+    if draw(st.booleans()):
+        a = duplicate_state(a, rng)
+    for k in range(draw(st.integers(0, 2))):
+        a = split_state(a, rng, rng.choice(a.states), f"copy{k}",
+                        draw(st.sampled_from((1, 2, F(1, 3)))))
+    if draw(st.booleans()):
+        a = with_cancelling_copies(a)
+    order = draw(st.permutations(a.states))
+    return MultiplicityAutomaton(a.alphabet, order, a.iota, a.tau, a.phi)
+
+
 def assert_cone_matches_oracle(a):
     reduced, expected = reduce(a, ReductionMode.CONE), oracle_cone_reduce(a)
     assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
@@ -318,6 +343,20 @@ def assert_cone_matches_oracle(a):
     verdict = is_reduced(a, ReductionMode.CONE)
     assert verdict == oracle_is_cone_reduced(a)
     assert verdict == (reduced is a)
+
+
+def assert_field_matches_oracle(a):
+    try:
+        expected = oracle_field_reduce(a)
+    except ReductionStallError as stall:
+        with pytest.raises(ReductionStallError) as raised:
+            reduce(a, ReductionMode.FIELD)
+        assert str(raised.value) == str(stall)
+        return
+    reduced = reduce(a, ReductionMode.FIELD)
+    assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
+        (expected.states, expected.iota, expected.tau, expected.phi)
+    assert (reduced is a) == (reduced.n_states == a.n_states)
 
 
 class TestConeAgainstPerStateOracle:
@@ -334,6 +373,11 @@ class TestConeAgainstPerStateOracle:
     @settings(max_examples=40, deadline=None)
     def test_same_automaton_and_verdict_on_split_rings(self, a):
         # 4-16 states, and one removal per state of the ring
+        assert_cone_matches_oracle(a)
+
+    @given(copied_presentations())
+    @settings(max_examples=60, deadline=None)
+    def test_same_automaton_and_verdict_on_copied_presentations(self, a):
         assert_cone_matches_oracle(a)
 
     @given(cone_automata())
@@ -355,17 +399,12 @@ class TestFieldAgainstPerStateOracle:
     @given(st.one_of(cone_automata(), split_ring_copies()))
     @settings(max_examples=150, deadline=None)
     def test_same_automaton_or_stall(self, a):
-        try:
-            expected = oracle_field_reduce(a)
-        except ReductionStallError as stall:
-            with pytest.raises(ReductionStallError) as raised:
-                reduce(a, ReductionMode.FIELD)
-            assert str(raised.value) == str(stall)
-            return
-        reduced = reduce(a, ReductionMode.FIELD)
-        assert (reduced.states, reduced.iota, reduced.tau, reduced.phi) == \
-            (expected.states, expected.iota, expected.tau, expected.phi)
-        assert (reduced is a) == (reduced.n_states == a.n_states)
+        assert_field_matches_oracle(a)
+
+    @given(copied_presentations())
+    @settings(max_examples=80, deadline=None)
+    def test_same_automaton_or_stall_on_copied_presentations(self, a):
+        assert_field_matches_oracle(a)
 
     def test_no_solve_and_one_automaton(self, monkeypatch):
         a = split_copy(ring_pa(8), random.Random(8))
@@ -382,8 +421,10 @@ class TestFieldAgainstPerStateOracle:
             for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counter(name, real))
-        monkeypatch.setattr(MultiplicityAutomaton, "__init__",
-                            counter("automaton", MultiplicityAutomaton.__init__))
+        # every automaton, built by the constructor or from weight pairs, is
+        # assembled once
+        monkeypatch.setattr(MultiplicityAutomaton, "_assemble",
+                            counter("automaton", MultiplicityAutomaton._assemble))
         # the counters see a solve and a construction
         sys.modules["stochlang.equivalence"].combination_on_rows([[1, 1]], 0, [1], nonneg=False)
         MultiplicityAutomaton(("a",), (), {}, {}, {})
