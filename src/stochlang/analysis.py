@@ -11,6 +11,15 @@ root. Directions of M that the initial vector never observes, or that the
 final vector never feeds, never enter the minimal recurrence, so they do
 not count against convergence.
 
+Most inputs need no kernel. When every transition and final weight is
+nonnegative, every state's leaving mass is exactly 1 and every state
+reaches a nonzero final weight, as on every PA, then tau = (Id - M) 1, the
+partial sums telescope to 1 - M^K 1, which tends to 0, and every state's
+sum is 1 (``automata._IntegerForm.unit_sums``). On these inputs the total
+is the sum of the initial weights and the mass of any initial vector the
+sum of its entries, and no sum table is built; the kernel below runs on
+every other input.
+
 The kernel runs on integers and makes one Fraction per answer. With
 A = s M integral and iota, tau scaled to primitive integer vectors l and
 g, all read off the automaton's integer form (``automata._IntegerForm``),
@@ -147,18 +156,28 @@ def _series_sum(table: _SumTable, w: Sequence[int], f: Fraction) -> SumOutcome:
 
 
 def total_sum(a: MultiplicityAutomaton) -> SumOutcome:
-    """Convergence decision and exact value of the sum of the series over all words."""
+    """Convergence decision and exact value of the sum of the series over all words.
+
+    With unit state sums (``automata._IntegerForm.unit_sums``), as on every
+    PA, the sum is that of the initial weights; otherwise it is read off
+    the :func:`_sum_table` by :func:`_series_sum`.
+    """
     form = a._integer_form()
+    if form.unit_sums:
+        return SumOutcome.converged(form.iota_factor * sum(form.iota))
     return _series_sum(_sum_table(a), form.iota, form.iota_factor)
 
 
 def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
     """Per-state series sums; None as soon as any state's sum diverges.
 
-    The vectors M^k gamma obey the minimal polynomial mu of gamma under M, so
-    every state's sum converges iff mu is Schur-stable; see
+    Every sum is 1 with unit state sums (``automata._IntegerForm.unit_sums``).
+    Otherwise the vectors M^k gamma obey the minimal polynomial mu of gamma
+    under M, so every state's sum converges iff mu is Schur-stable; see
     :func:`_state_sum_vector`, which reads mu off the :func:`_sum_table`.
     """
+    if a._integer_form().unit_sums:
+        return dict.fromkeys(a.states, Fraction(1))
     sums = _state_sum_vector(_sum_table(a), a.n_states)
     if sums is None:
         return None
@@ -200,15 +219,26 @@ def _mass(table: _SumTable, v: Vector | Sequence[int]) -> Fraction:
     return outcome.value
 
 
+def _pushed_mass(a: MultiplicityAutomaton, w: Sequence[int]) -> Fraction:
+    """Sum of the series of ``a`` started by the integer vector w: the sum
+    of w's entries with unit state sums, else :func:`_mass` on the
+    :func:`_sum_table`; ValueError when it diverges."""
+    if a._integer_form().unit_sums:
+        return Fraction(sum(w))
+    return _mass(_sum_table(a), w)
+
+
 def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
     """Total series mass of the words starting with u.
 
     Raises ValueError when the sum started by lam . mu(u) diverges. The
     vector lam . mu(u) = c w is pushed in integers (``automata._IntegerForm``),
-    and the mass is c times that of w.
+    and the mass is c times that of w: c times the sum of w's entries with
+    unit state sums (``automata._IntegerForm.unit_sums``), else read off
+    the :func:`_sum_table`.
     """
     w, c = a._integer_form().forward(u)
-    return c * _mass(_sum_table(a), w)
+    return c * _pushed_mass(a, w)
 
 
 def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> MultiplicityAutomaton:
@@ -219,10 +249,12 @@ def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> Multiplici
     sums may diverge; only the sum started by that vector matters. That
     vector is c w for an integer vector w pushed through the integer form
     (``automata._IntegerForm``), and c cancels: the new initial vector is
-    w over the mass of w.
+    w over the mass of w, the sum of its entries with unit state sums
+    (``automata._IntegerForm.unit_sums``), else read off the
+    :func:`_sum_table`.
     """
     w, _ = a._integer_form().forward(u)
-    mass = _mass(_sum_table(a), w)
+    mass = _pushed_mass(a, w)
     if mass == 0:
         spelled = format_word(u, a.alphabet) if u else "the empty word"
         raise ValueError(f"prefix weight of {spelled} is zero")

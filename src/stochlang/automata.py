@@ -163,6 +163,18 @@ def _primitive_of(weights: Mapping[str, tuple[int, int]], index: Mapping[str, in
     return [x // g for x in w] if g > 1 else w, Fraction(g or 1, scale)
 
 
+def _closure(seed: Iterable, edges: Mapping[object, Iterable]) -> set:
+    """The seed and every node that the edges reach from it."""
+    seen = set(seed)
+    stack = list(seen)
+    while stack:
+        for r in edges.get(stack.pop(), ()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return seen
+
+
 class _IntegerForm:
     """The weights of an automaton as integers, the one form every decision reads.
 
@@ -176,12 +188,15 @@ class _IntegerForm:
     :attr:`summed` the map of the letter-summed matrix with its own scale
     (``linalg._integer_sum``), made when first read. ``iota`` and ``tau``
     are the initial and final vectors, in state order, as coprime integer
-    lists w with the positive factors f of vector = f w. Callers share
-    every list here and must not change one.
+    lists w with the positive factors f of vector = f w.
+    :meth:`leaving` gives each state's leaving mass, and
+    :attr:`unit_sums`, decided when first read, whether every state's
+    series sums to 1. Callers share every list here and must not change
+    one.
     """
 
     __slots__ = ("letters", "scale", "right", "iota", "iota_factor", "tau", "tau_factor",
-                 "_left", "_summed")
+                 "_left", "_summed", "_unit_sums")
 
     def __init__(self, a: MultiplicityAutomaton):
         index = {q: i for i, q in enumerate(a.states)}
@@ -195,6 +210,7 @@ class _IntegerForm:
         self.tau, self.tau_factor = _primitive_of(a._tau, index)
         self._left: list[_Action] | None = None
         self._summed: tuple[_Action, int] | None = None
+        self._unit_sums: bool | None = None
 
     @property
     def left(self) -> list[_Action]:
@@ -207,6 +223,52 @@ class _IntegerForm:
         if self._summed is None:
             self._summed = _integer_sum(self.right, len(self.tau), self.scale)
         return self._summed
+
+    def leaving(self) -> tuple[list[int], int]:
+        """Each state's leaving mass, its final weight plus its total
+        transition weight, as integers m_i over one positive denominator d:
+        with tau = f g, f = num / den, the mass of state i is
+        (num s g_i + den sum_j s M_x[i][j]) / (den s)."""
+        num, den = self.tau_factor.numerator, self.tau_factor.denominator
+        masses = [num * self.scale * g for g in self.tau]
+        for action in self.right:
+            for i, row in enumerate(action):
+                if row:
+                    masses[i] += den * sum([c for _, c in row])
+        return masses, den * self.scale
+
+    @property
+    def unit_sums(self) -> bool:
+        """Whether every state's series sums to exactly 1: there is a state,
+        every transition and final weight is nonnegative, every state's
+        leaving mass is 1 (:meth:`leaving`), and from every state the
+        support reaches a state with a nonzero final weight.
+
+        Then tau = (Id - M) 1, so sum_(k<K) M^k tau = 1 - M^K 1. From every
+        state a final weight is reached in fewer than n steps with positive
+        probability, so M^n 1 <= (1 - e) 1 for some e > 0, and M^K 1 tends
+        to 0: every state's sum is 1, and the sum started by any initial
+        vector v is the sum of v's entries. Neither the initial vector nor
+        trimming enters.
+        """
+        if self._unit_sums is None:
+            self._unit_sums = self._has_unit_sums()
+        return self._unit_sums
+
+    def _has_unit_sums(self) -> bool:
+        n = len(self.tau)
+        if not n or min(self.tau) < 0 or any(
+                c < 0 for action in self.right for row in action for _, c in row):
+            return False
+        masses, d = self.leaving()
+        if any(m != d for m in masses):
+            return False
+        sources: dict[int, set[int]] = {}
+        for action in self.right:
+            for i, row in enumerate(action):
+                for j, _ in row:
+                    sources.setdefault(j, set()).add(i)
+        return len(_closure((i for i, g in enumerate(self.tau) if g), sources)) == n
 
     def forward(self, word: Sequence[str], v: dict[int, int] | None = None
                 ) -> tuple[list[int], Fraction]:
@@ -389,20 +451,8 @@ class MultiplicityAutomaton:
         for (q, _, r) in self._phi:
             forward.setdefault(q, set()).add(r)
             backward.setdefault(r, set()).add(q)
-
-        def closure(seed: Iterable[str], edges: dict[str, set[str]]) -> set[str]:
-            seen = set(seed)
-            stack = list(seen)
-            while stack:
-                q = stack.pop()
-                for r in edges.get(q, ()):
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            return seen
-
-        accessible = closure(self._iota, forward)
-        coaccessible = closure(self._tau, backward)
+        accessible = _closure(self._iota, forward)
+        coaccessible = _closure(self._tau, backward)
         keep = [q for q in self.states if q in accessible and q in coaccessible]
         if len(keep) == len(self.states):
             return self

@@ -30,23 +30,20 @@ UNDECIDABILITY_NOTE = ("bounded check only: nonnegativity was tested up to the s
 
 
 def _weight_conditions(a: MultiplicityAutomaton, trimmed: bool) -> tuple[bool, bool]:
-    """Semi-PA and PA verdicts, given trimmedness, from one pass over the
-    (numerator, denominator) weight pairs: every weight, the initial mass and
-    each state's leaving mass (its final weight plus its total transition
-    weight) are compared with 1 under one common denominator."""
+    """Semi-PA and PA verdicts, given trimmedness: every (numerator,
+    denominator) weight pair and the initial mass are compared with 1 under
+    one common denominator, and each state's leaving mass (its final weight
+    plus its total transition weight) is read off the integer form
+    (``automata._IntegerForm.leaving``), which also decides unit state sums."""
     weights = (*a._iota.values(), *a._tau.values(), *a._phi.values())
     if any(p < 0 or p > q for p, q in weights):
         return False, False
-    d = lcm(*(q for _, q in weights))
+    d = lcm(*(q for _, q in a._iota.values()))
     initial = sum(p * (d // q) for p, q in a._iota.values())
-    mass = dict.fromkeys(a.states, 0)
-    for q, (num, den) in a._tau.items():
-        mass[q] = num * (d // den)
-    for (q, _, _), (num, den) in a._phi.items():
-        mass[q] += num * (d // den)
-    semi_pa = initial <= d and all(m <= d for m in mass.values())
+    mass, unit = a._integer_form().leaving()
+    semi_pa = initial <= d and all(m <= unit for m in mass)
     pa = (semi_pa and bool(a.states) and trimmed and initial == d
-          and all(m == d for m in mass.values()))
+          and all(m == unit for m in mass))
     return semi_pa, pa
 
 

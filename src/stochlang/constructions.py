@@ -18,15 +18,18 @@ exploration runs on the integers of one object per call
 A residual is a coprime integer vector p of length dim V with its mass m,
 and one letter step is A_x p for the integer map A_x on V followed by one
 content division. Its mass is the dot product with the state-sum vector
-(Id - M)^-1 gamma, read off the table of the vectors A^k g that
-``state_sums`` uses (``analysis._sum_table``), taken at the pivots of V's
-rows; only when the minimal polynomial of gamma under M is not
-Schur-stable does each mass run its own fraction-free recurrence on that
-table, since the paper defines a residual whenever its own prefix sum
-converges. The key of a residual is p times the sign of its mass: equal
-keys mean equal series, so a dict finds every known residual, and a
-combination question between residuals is one exact solve on a table of
-keys. Fractions are made only for the weights of the automaton built;
+(Id - M)^-1 gamma on V. With unit state sums
+(``automata._IntegerForm.unit_sums``), as on every PA, that vector is the
+all-ones vector, whose coordinates on V's rows are read off the rows'
+pivot entries, and no sum table is built. Otherwise it is read off the
+table of the vectors A^k g that ``state_sums`` uses
+(``analysis._sum_table``), taken at the pivots of V's rows; only when the
+minimal polynomial of gamma under M is not Schur-stable does each mass
+run its own fraction-free recurrence on that table, since the paper
+defines a residual whenever its own prefix sum converges. The key of a
+residual is p times the sign of its mass: equal keys mean equal series,
+so a dict finds every known residual, and a combination question between
+residuals is one exact solve on a table of keys. Fractions are made only for the weights of the automaton built;
 the prefixial form copies each witness state's own weight pairs.
 
 PA synthesis asks its questions the same way. A letter shift of a
@@ -76,27 +79,36 @@ class _Residuals:
     length dim V with its mass m over the positive ``unit``, so the
     residual's pairing vector is p / (unit m). One letter step is A_x p for
     the span's integer map A_x followed by one content division, and the
-    key of a residual is p itself times the sign of m. V holds gamma and is
-    invariant under M, so the vectors A^k g of the input's sum table
-    (``analysis._sum_table``) lie in V: read at the pivots, times the
-    weights, they form the table of the same series on V, with the same
-    minimal polynomial of gamma under M. The state-sum vector s = unit S,
-    S a coprime integer vector, is read off that table when it exists, and
-    then m is the integer p . S; without it, unit is 1 and m is the exact
-    mass, from one recurrence on the table.
+    key of a residual is p itself times the sign of m. A vector y of V has
+    the coordinates weights[p_k] y[p_k] / c on the rows, c the span's
+    ``lcm``; so gamma = f g, f and g from the integer form's ``tau``, has
+    the coordinates f / c times the weights times g at the pivots. When the
+    state-sum vector s exists, s = unit S for a coprime integer vector S of
+    coordinates, and m is the integer p . S; without it, unit is 1 and m is
+    the exact mass, from one recurrence on the table of the series on V.
+    With unit state sums (``automata._IntegerForm.unit_sums``) s is the
+    all-ones vector, so S is the weights, whose gcd is 1, and unit is
+    1 / c. Otherwise V holds gamma and is invariant under M, so the
+    vectors A^k g of the input's sum table (``analysis._sum_table``) lie
+    in V: read at the pivots, times the weights, they form the table of
+    the series on V, with the same minimal polynomial of gamma under M,
+    and S is read off it when that polynomial is Schur-stable.
     """
 
     def __init__(self, a: MultiplicityAutomaton):
         self.span = span = _SpanRepresentation(a, *_backward_closure([a]))
         self.actions = dict(zip(a.alphabet, span.actions))
-        table = _sum_table(a)
-        self.table = _SumTable([[w * v[p] for p, w in span.weights.items()] for v in table.powers],
-                               table.scale, table.factor / span.lcm)
-        self.sums = _state_sum_vector(self.table, len(span.rows))
+        form = a._integer_form()
+        self.gamma = [w * form.tau[p] for p, w in span.weights.items()]
+        if form.unit_sums:
+            self.sums = list(span.weights.values()), Fraction(1, span.lcm)
+        else:
+            table = _sum_table(a)
+            self.table = _SumTable([[w * v[p] for p, w in span.weights.items()]
+                                    for v in table.powers], table.scale, table.factor / span.lcm)
+            self.sums = _state_sum_vector(self.table, len(span.rows))
         self.unit = Fraction(1) if self.sums is None else self.sums[1]
-        # gamma = factor g, and g = A^0 g is the table's first vector (none at n = 0)
-        self.gamma = self.table.powers[0] if self.table.powers else []
-        self.tau_factor = self.table.factor / self.unit
+        self.tau_factor = form.tau_factor / (span.lcm * self.unit)
         self.start = span.start
         self.start_factor = span.start_factor * self.unit
 
@@ -161,10 +173,12 @@ def synthesize_pa(target: MultiplicityAutomaton,
                   ) -> MultiplicityAutomaton | None:
     """Probabilistic automaton for the target series over the given generators.
 
-    Requires every generator series to have total mass exactly 1; the
-    generators of one structure (``equivalence._blocks``) differ only in
-    their initial vector, so their masses are read off one sum table
-    (``analysis._series_sum``). Finds
+    Requires every generator series to have total mass exactly 1. A
+    generator with unit state sums (``automata._IntegerForm.unit_sums``),
+    such as a PA, has the sum of its initial weights as its mass; the
+    other generators of one structure (``equivalence._blocks``) differ
+    only in their initial vector, so their masses are read off one sum
+    table (``analysis._series_sum``). Finds
     nonnegative coefficients expressing the target over the generators and,
     for every generator and letter, nonnegative coefficients expressing the
     letter shift over the generators. A shift is its generator with another
@@ -182,11 +196,14 @@ def synthesize_pa(target: MultiplicityAutomaton,
     if any(g.alphabet != target.alphabet for g in generators):
         raise ValueError("alphabet mismatch")
     blocks, block_of = _blocks(generators)
-    tables = [_sum_table(b) for b in blocks]
+    tables = [None if b._integer_form().unit_sums else _sum_table(b) for b in blocks]
     for i, (g, k) in enumerate(zip(generators, block_of)):
         form = g._integer_form()
-        outcome = _series_sum(tables[k], form.iota, form.iota_factor)
-        if not outcome.converges or outcome.value != 1:
+        if tables[k] is None:
+            mass = form.iota_factor * sum(form.iota)
+        else:
+            mass = _series_sum(tables[k], form.iota, form.iota_factor).value
+        if mass != 1:
             raise ValueError(f"generator {i} does not have total mass 1")
 
     k = len(generators)

@@ -1017,6 +1017,24 @@ def oracle_leaving_mass(a):
     return mass
 
 
+def oracle_unit_state_sums(a):
+    """Unit state sums on the Fraction weight maps: some state, no negative
+    final or transition weight, every leaving mass 1 (``oracle_leaving_mass``),
+    and every state co-accessible, found by a fixpoint over phi's keys."""
+    weights = list(a.tau.values()) + list(a.phi.values())
+    if not a.states or any(w < 0 for w in weights):
+        return False
+    if any(m != 1 for m in oracle_leaving_mass(a).values()):
+        return False
+    stopping = set(a.tau)
+    grown = True
+    while grown:
+        before = len(stopping)
+        stopping |= {q for (q, _, r) in a.phi if r in stopping}
+        grown = len(stopping) > before
+    return stopping == set(a.states)
+
+
 def oracle_weight_conditions(a, trimmed):
     """Semi-PA and PA verdicts, given trimmedness, on the Fraction weight
     maps: the library reads the weight pairs under one common denominator

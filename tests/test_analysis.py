@@ -6,16 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent,
-                       fixtures, is_pa, prefix_weight, residual_automaton,
+from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent, empty_automaton,
+                       fixtures, format_word, is_pa, prefix_weight, residual_automaton,
                        state_sums, total_sum, words_up_to)
-from stochlang.analysis import _minimal_recurrence, _series_sum, _sum_table
-from stochlang.linalg import _primitive_with_factor, dot, solve_affine, spectral_radius_lt_one
+from stochlang import analysis as analysis_module
+from stochlang import constructions as constructions_module
+from stochlang.analysis import (_mass, _minimal_recurrence, _series_sum, _state_sum_vector,
+                                _sum_table)
+from stochlang.automata import _IntegerForm, replace_iota
+from stochlang.constructions import _Residuals
+from stochlang.linalg import (_primitive_with_factor, dot, solve_affine, spectral_radius_lt_one,
+                              unit_vector)
 
-from helpers import (example1_residual_value, identity, letter_sum_matrix, mat_sub,
-                     oracle_minimal_recurrence, oracle_series_sum,
+from helpers import (duplicate_state, example1_residual_value, identity, letter_sum_matrix,
+                     mat_sub, oracle_minimal_recurrence, oracle_series_sum,
                      oracle_solve_affine, oracle_state_sums, oracle_total_sum,
-                     random_ma, random_pa, ring_pa, split_copy, timed)
+                     oracle_unit_state_sums, permuted_copy, plant_mixture_state,
+                     random_fraction, random_ma, random_pa, ring_pa, split_copy, timed,
+                     with_cancelling_copies)
 
 F = Fraction
 
@@ -255,6 +263,7 @@ class TestStateSums:
             assert sums is not None and all(v == 1 for v in sums.values())
 
     def test_one_sum_table_and_no_solve(self, monkeypatch):
+        # with unit state sums the sums are read off the weights; otherwise
         # the minimal polynomial and the sums come from the table of A^k g
         # alone: no membership solve and no separate echelon form
         calls = []
@@ -277,10 +286,14 @@ class TestStateSums:
         linalg.solve_affine(identity(1), [1])
         linalg.invert(identity(1))
         assert calls == ["solve_affine", "rref"]
-        for a in ALL_FIXTURES + [ring_pa(8), hidden_divergence(ring_pa(8))]:
+        unit = {"fig2_A", "fig5", "example1_p", "example1_p1", "example1_p2", "ring8"}
+        named = dict(zip(fixtures.FIXTURE_NAMES, ALL_FIXTURES),
+                     ring8=ring_pa(8), hidden8=hidden_divergence(ring_pa(8)))
+        for name, a in named.items():
+            assert a._integer_form().unit_sums == (name in unit)
             calls.clear()
             state_sums(a)
-            assert calls == ["_sum_table"]
+            assert calls == ([] if name in unit else ["_sum_table"])
 
 
 class TestPrefixWeight:
@@ -453,3 +466,188 @@ class TestBeyondFiveStates:
         assert timed(total_sum, hidden, limit_s=1.0) == SumOutcome.converged(F(1))
         assert oracle_series_sum(planted, planted.to_linear_representation().lam) is None
         assert oracle_series_sum(hidden, hidden.to_linear_representation().lam) == 1
+
+    @pytest.mark.parametrize("n,limit_s", [(16, 1.0), (24, 1.0), (32, 1.0), (40, 2.5)])
+    def test_sum_table_kernel_at_scale(self, n, limit_s):
+        # ring PAs have unit state sums, so total_sum and state_sums do not
+        # run the kernel on them; time the kernel itself
+        a = ring_pa(n)
+        form = a._integer_form()
+        table = timed(_sum_table, a, limit_s=limit_s)
+        assert timed(_series_sum, table, form.iota, form.iota_factor,
+                     limit_s=limit_s) == SumOutcome.converged(F(1))
+        vector, unit = timed(_state_sum_vector, table, n, limit_s=limit_s)
+        assert [unit * x for x in vector] == [1] * n
+
+
+def counted_sum_tables(mp):
+    """The automata that ``analysis._sum_table`` is called on, also from
+    ``constructions``, while the MonkeyPatch ``mp`` is active."""
+    calls = []
+    real = analysis_module._sum_table
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+    mp.setattr(analysis_module, "_sum_table", counted)
+    mp.setattr(constructions_module, "_sum_table", counted)
+    return calls
+
+
+def table_path_residuals(a):
+    """``constructions._Residuals`` of ``a`` as on an input without unit state sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_IntegerForm, "unit_sums", property(lambda self: False))
+        return _Residuals(a)
+
+
+def oracle_state_sum_vector(a):
+    """The state sums (Id - M)^-1 gamma by a Gauss-Jordan solve over Fractions."""
+    m = letter_sum_matrix(a)
+    sol = oracle_solve_affine(mat_sub(identity(m.nrows), m), a.to_linear_representation().gamma)
+    assert sol.nullspace == ()
+    return sol.particular
+
+
+def planted_mixtures(a, rng):
+    """Two more states, whose series mix two states' series 1/2 : 1/2 and
+    1/3 : 2/3, so that the pivot entries of the backward rows differ."""
+    for name, c in (("mix2", F(1, 2)), ("mix3", F(1, 3))):
+        q, r = rng.sample(a.states, 2) if a.n_states > 1 else a.states * 2
+        a = plant_mixture_state(a, rng, name, [(q, c), (r, 1 - c)])
+    return a
+
+
+@st.composite
+def unit_sum_automata(draw):
+    """Random PAs of 1-12 states over 1-3 letters and ring PAs of 1-24
+    states, as they are, as a permuted, split or duplicated-state copy or
+    with two planted mixture states, and with their own or a signed
+    initial vector."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        a = random_pa(rng, draw(st.integers(1, 12)), ("a", "b", "c")[:draw(st.integers(1, 3))])
+    else:
+        a = ring_pa(draw(st.integers(1, 24)))
+    copy = draw(st.sampled_from((None, permuted_copy, split_copy, duplicate_state,
+                                 planted_mixtures)))
+    if copy is not None:
+        a = copy(a, rng)
+        assert a._integer_form().unit_sums
+    if draw(st.booleans()):
+        a = replace_iota(a, [random_fraction(rng) for _ in a.states])
+    return a
+
+
+def trapped(a):
+    # half of q0's final weight feeds a state that loops with weight 1 and
+    # never stops: every leaving mass is 1, but the sums from q0 fall below 1
+    tau = dict(a.tau, q0=a.tau["q0"] / 2)
+    phi = {**a.phi, ("q0", a.alphabet[0], "trap"): a.tau["q0"] / 2,
+           ("trap", a.alphabet[0], "trap"): F(1)}
+    return MultiplicityAutomaton(a.alphabet, a.states + ("trap",), a.iota, tau, phi)
+
+
+def short_row(a, q):
+    # every weight leaving q0 times 1 - 1/q, so q0's leaving mass is 1 - 1/q
+    keep = 1 - F(1, q)
+    return MultiplicityAutomaton(
+        a.alphabet, a.states, a.iota, dict(a.tau, q0=a.tau["q0"] * keep),
+        {t: w * keep if t[0] == "q0" else w for t, w in a.phi.items()})
+
+
+# two one-state automata whose leaving mass is 1 but for a negative weight:
+# their terms are 2, -2, 2, ... and -1, -2, -4, ..., so both sums diverge
+NEAR_MISSES = {"trapped": trapped(ring_pa(8)), "short-row": short_row(ring_pa(8), 7),
+               "cancelling": with_cancelling_copies(ring_pa(8)),
+               "hidden": hidden_divergence(ring_pa(8)), "stateless": empty_automaton(("a", "b")),
+               "negative-edge": MultiplicityAutomaton(("a", "b"), ("q0",), {"q0": 1},
+                                                      {"q0": 2}, {("q0", "a", "q0"): -1}),
+               "negative-final": MultiplicityAutomaton(("a", "b"), ("q0",), {"q0": 1},
+                                                       {"q0": -1}, {("q0", "a", "q0"): 2})}
+
+
+class TestUnitStateSums:
+    """Inputs whose weights are nonnegative, whose leaving masses are all 1
+    and whose states all reach a final weight have state sums 1: every sum
+    is read off the weights, and no caller builds a sum table. Any other
+    input takes the table path, with the same answers as before."""
+
+    @given(unit_sum_automata())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_path_equals_the_table_path_and_the_oracles(self, a):
+        assert a._integer_form().unit_sums
+        assert oracle_unit_state_sums(a)
+        form = a._integer_form()
+        words = list(words_up_to(a.alphabet, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            tables = counted_sum_tables(mp)
+            outcome, sums = total_sum(a), state_sums(a)
+            masses = [prefix_weight(a, u) for u in words]
+            residuals = []
+            for u in words:
+                try:
+                    residuals.append(residual_automaton(a, u))
+                except ValueError as error:
+                    residuals.append(str(error))
+            res = _Residuals(a)
+        assert tables == []
+
+        table = _sum_table(a)
+        assert outcome == _series_sum(table, form.iota, form.iota_factor)
+        vector, unit = _state_sum_vector(table, a.n_states)
+        assert sums == {q: unit * x for q, x in zip(a.states, vector)}
+        assert set(sums.values()) == {1}
+        rep = a.to_linear_representation()
+        oracle_sums = oracle_state_sum_vector(a)
+        assert list(sums.values()) == list(oracle_sums)
+        assert outcome.value == oracle_series_sum(a, rep.lam) == dot(rep.lam, oracle_sums)
+        if a.n_states <= 4:
+            assert oracle_total_sum(a) == outcome.value
+            assert oracle_state_sums(a) == sums
+        for u, mass, residual in zip(words, masses, residuals):
+            w, c = form.forward(u)
+            table_mass = _mass(table, w)
+            assert mass == c * table_mass == dot(rep.forward(rep.lam, u), oracle_sums)
+            if table_mass:
+                assert residual == replace_iota(a, [x / table_mass for x in w])
+            else:
+                spelled = format_word(u, a.alphabet) if u else "the empty word"
+                assert residual == f"prefix weight of {spelled} is zero"
+
+        reference = table_path_residuals(a)
+        assert reference.sums is not None
+        vectors = {(): res.start}
+        for u in words[1:]:
+            p = vectors[u] = res.step(vectors[u[:-1]], u[-1])[1]
+        for p in vectors.values():
+            exact = res.unit * res.mass(p)
+            assert exact == reference.unit * reference.mass(p) == _mass(reference.table, p)
+            if exact:
+                assert res.tau(p, res.mass(p)) == reference.tau(p, reference.mass(p))
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_near_misses_take_the_table_path(self, monkeypatch, name):
+        a = NEAR_MISSES[name]
+        assert not a._integer_form().unit_sums and not oracle_unit_state_sums(a)
+        rep = a.to_linear_representation()
+        tables = counted_sum_tables(monkeypatch)
+        outcome = total_sum(a)
+        assert len(tables) == 1
+        assert (outcome.value if outcome.converges else None) == oracle_series_sum(a, rep.lam)
+        tables.clear()
+        sums = state_sums(a)
+        assert len(tables) == 1
+        own = [oracle_series_sum(a, unit_vector(a.n_states, i)) for i in range(a.n_states)]
+        assert sums == (None if None in own else dict(zip(a.states, own)))
+        for u in words_up_to(a.alphabet, 1):
+            tables.clear()
+            expected = oracle_series_sum(a, rep.forward(rep.lam, u))
+            if expected is None:
+                with pytest.raises(ValueError, match="prefix mass diverges"):
+                    prefix_weight(a, u)
+            else:
+                assert prefix_weight(a, u) == expected
+            assert len(tables) == 1
+        if name == "trapped":
+            assert sums["q0"] < 1 and outcome.value < 1

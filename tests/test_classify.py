@@ -17,7 +17,7 @@ from stochlang.classify import (_deterministic_support, _singleton_witnesses,
 
 from helpers import (dfa_a_count_mod_k, duplicate_state, oracle_check_stochastic_bounded,
                      oracle_deterministic_support, oracle_is_pa, oracle_is_semi_pa,
-                     oracle_leaving_mass, oracle_singleton_witnesses,
+                     oracle_leaving_mass, oracle_singleton_witnesses, oracle_unit_state_sums,
                      oracle_weight_conditions, plant_mixture_state, random_ma, random_pa,
                      random_pda, with_cancelling_copies)
 
@@ -143,6 +143,16 @@ class TestPairReadsAgainstFractionOracles:
         for trimmed in (False, True):
             assert _weight_conditions(a, trimmed) == oracle_weight_conditions(a, trimmed)
         assert check_stochastic_bounded(a, 3) == oracle_check_stochastic_bounded(a, 3)
+
+    @given(pair_read_automata())
+    @settings(max_examples=250, deadline=None)
+    def test_leaving_masses_and_unit_state_sums(self, a):
+        # the PA verdict and the unit-sum test read one computation of the
+        # leaving masses, so every PA has unit state sums
+        masses, d = a._integer_form().leaving()
+        assert dict(zip(a.states, (F(m, d) for m in masses))) == oracle_leaving_mass(a)
+        assert a._integer_form().unit_sums == oracle_unit_state_sums(a)
+        assert a._integer_form().unit_sums or not is_pa(a)
 
     @given(pair_read_automata())
     @settings(max_examples=250, deadline=None)

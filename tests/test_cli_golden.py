@@ -46,7 +46,9 @@ forms, so no case but the catalog printouts of ``fixture`` may call
 ``to_linear_representation`` or build a ``Matrix``. A fourth run forbids
 the ``Fraction`` weight maps: every decision reads the weight pairs or
 the integer forms, so no case of any subcommand may build them, and every
-subcommand has at least one case.
+subcommand has at least one case. A fifth run forbids the sum table
+(``analysis._sum_table``) in every case whose automata all have unit
+state sums: there every sum is read off the weights.
 Any change to these outputs is a change of public behaviour. To rewrite the files after a deliberate change,
 run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -58,7 +60,8 @@ from pathlib import Path
 
 import pytest
 
-from stochlang import Matrix, MultiplicityAutomaton, equivalence, fixtures
+from stochlang import (Matrix, MultiplicityAutomaton, analysis, constructions, equivalence,
+                       fixtures, parse_automaton)
 from stochlang.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -275,6 +278,32 @@ def test_integer_form_cases_build_no_fraction_weight_maps(key, monkeypatch):
         raise AssertionError("a decision built the Fraction weight maps")
 
     monkeypatch.setattr(MultiplicityAutomaton, "_fraction_maps", forbidden)
+    check(key, all_argvs()[key])
+
+
+def reads_only_unit_sum_automata(argv):
+    """Whether every automaton document that a case reads has unit state
+    sums (``automata._IntegerForm.unit_sums``); documents that do not parse
+    as automata, such as DFAs, are left out."""
+    for arg in argv:
+        if arg.endswith(".json"):
+            try:
+                a = parse_automaton(Path(arg).read_text(encoding="utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                continue
+            if not a._integer_form().unit_sums:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(key for key, argv in all_argvs().items()
+                                       if reads_only_unit_sum_automata(argv)))
+def test_unit_sum_cases_build_no_sum_table(key, monkeypatch):
+    def forbidden(a):
+        raise AssertionError("a decision on unit state sums built a sum table")
+
+    monkeypatch.setattr(analysis, "_sum_table", forbidden)
+    monkeypatch.setattr(constructions, "_sum_table", forbidden)
     check(key, all_argvs()[key])
 
 

@@ -255,19 +255,16 @@ class TestDeterminize:
 
     @pytest.mark.parametrize("bound", [2, 8, 32])
     def test_one_letter_sum_matrix_per_call(self, monkeypatch, bound):
-        # every residual shares M and gamma, so the integer table of A^k g
-        # is built once per call, however many residuals the call explores
-        module = importlib.import_module("stochlang.constructions")
-        calls = []
-
-        def counted(a):
-            calls.append(a)
-            return real(a)
-        real = module._sum_table
-        monkeypatch.setattr(module, "_sum_table", counted)
-        out = determinize_to_pda(ring_pa(8), bound)
-        assert out.discovered_residuals == bound + 1
-        assert len(calls) == 1
+        # a ring PA has unit state sums, so its residual masses need no sum
+        # table; with cancelling divergent copies every residual shares M
+        # and gamma, so the integer table of A^k g is built once per call,
+        # however many residuals the call explores
+        calls = counted_calls(monkeypatch, "stochlang.constructions", "_sum_table")
+        for a, tables in ((ring_pa(8), 0), (with_cancelling_copies(ring_pa(8)), 1)):
+            calls.clear()
+            out = determinize_to_pda(a, bound)
+            assert out.discovered_residuals == bound + 1
+            assert len(calls) == tables
 
     def test_signed_unit_mass_series_is_a_construction_error(self):
         # values 2 on the empty word and -1 on "a": mass 1, not a distribution
@@ -620,13 +617,23 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fig2_A", "fig5", "example1_p"])
 def test_determinize_uses_one_closure_and_no_pairwise_check(calls, name):
-    determinize_to_pda(fixtures.build(name), 16)
+    # a PA has unit state sums and needs no sum table; its copy with
+    # cancelling divergent states has none and builds one
+    a = fixtures.build(name)
+    determinize_to_pda(a, 16)
+    assert calls == {"_backward_closure": 1}
+    calls.clear()
+    determinize_to_pda(with_cancelling_copies(a), 16)
     assert calls == {"_backward_closure": 1, "_sum_table": 1}
 
 
 @pytest.mark.parametrize("name", ["fig2_A", "fig5", "example1_p"])
 def test_minimal_generators_use_one_closure_and_no_search(calls, name):
-    minimal_residual_generators(fixtures.build(name), 3)
+    a = fixtures.build(name)
+    minimal_residual_generators(a, 3)
+    assert calls == {"_backward_closure": 1}
+    calls.clear()
+    minimal_residual_generators(with_cancelling_copies(a), 3)
     assert calls == {"_backward_closure": 1, "_sum_table": 1}
 
 
@@ -639,9 +646,11 @@ def test_prefixial_runs_only_the_final_equivalence_check(calls, name):
 
 @pytest.mark.parametrize("family", ["example1", "ring4", "ring4_shared"])
 def test_synthesis_uses_one_closure_and_no_per_question_solve(calls, family):
-    # the per-question loop closes 1 + 2 * 1 and 1 + 4 * 2 times; the mass
-    # checks build one sum table per structure: p1 and p2 differ, the split
-    # series differ, and the unsplit state series of ring4 share one
+    # the per-question loop closes 1 + 2 * 1 and 1 + 4 * 2 times; the
+    # generators have unit state sums, so the mass checks build no sum
+    # table, and their copies with cancelling divergent states build one
+    # per structure: p1 and p2 differ, the split series differ, and the
+    # unsplit state series of ring4 share one
     if family == "ring4":
         a, gens = ring_state_series(4)
         structures = 4
@@ -654,4 +663,7 @@ def test_synthesis_uses_one_closure_and_no_per_question_solve(calls, family):
                    [fixtures.build("example1_p1"), fixtures.build("example1_p2")])
         structures = 2
     assert synthesize_pa(a, gens) is not None
+    assert calls == {"_backward_closure": 1}
+    calls.clear()
+    assert synthesize_pa(a, [with_cancelling_copies(g) for g in gens]) is not None
     assert calls == {"_backward_closure": 1, "_sum_table": structures}
