@@ -389,16 +389,18 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     deduplicated by their keys (:meth:`_Residuals.key`); one table holds a
     column per residual, per residual letter shift and for the series
     itself, each a positive multiple of its values on the input's backward
-    rows, and each drop, stability and cover question is one feasibility
-    problem over some of its columns, which no positive column scale
-    changes. The drops run in one pass from the last residual down, each
-    residual asked once against the residuals still kept, and at least one
-    residual stays. A residual that is no nonnegative combination of some
-    residuals is none of any subset of them, so it would answer no again
-    after a later drop: the pass drops exactly the residuals that a scan
-    restarting from the last residual after each drop drops. None means the
-    check failed at this depth and is inconclusive, not that no finite
-    generating set exists.
+    rows. Each drop, stability and cover question asks whether one column
+    is a nonnegative combination of some others, which no positive column
+    scale changes: yes outright when the column equals one of them, whose
+    residual it then is (most stability questions), and otherwise one
+    feasibility problem. The drops run in one pass from the last residual
+    down, each residual asked once against the residuals still kept, and at
+    least one residual stays. A residual that is no nonnegative combination
+    of some residuals is none of any subset of them, so it would answer no
+    again after a later drop: the pass drops exactly the residuals that a
+    scan restarting from the last residual after each drop drops. None
+    means the check failed at this depth and is inconclusive, not that no
+    finite generating set exists.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -421,12 +423,14 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     # columns: the k residuals, then their letter shifts, then the series,
     # each a positive multiple of its values on the backward rows
     k, letters = len(found), len(a.alphabet)
-    columns = list(found) + [res.key(res.step(p, x)[1], mass)
-                             for _, p, mass in found.values() for x in a.alphabet]
-    table = list(zip(*columns, res.key(res.start, m)))
+    keys = list(found) + [res.key(res.step(p, x)[1], mass)
+                          for _, p, mass in found.values() for x in a.alphabet]
+    keys.append(res.key(res.start, m))
+    table = list(zip(*keys))
 
     def covered(target: int, columns: list[int]) -> bool:
-        return combination_on_rows(table, target, columns, nonneg=True).expressible
+        return (keys[target] in {keys[j] for j in columns}
+                or combination_on_rows(table, target, columns, nonneg=True).expressible)
 
     alive = list(range(k))
     for i in reversed(range(k)):

@@ -45,8 +45,8 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .automata import MultiplicityAutomaton, Word, _IntegerForm, merge_alphabets, with_alphabet
-from .linalg import (SpanBasis, _Action, _certified_closure, _closure, _feasible_point,
-                     _nullspace, _particular, _primitive)
+from .linalg import (SpanBasis, _Action, _certified_closure, _closure, _particular, _primitive,
+                     _simplex)
 
 
 @dataclass(frozen=True)
@@ -396,28 +396,23 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     a multiple of them, as built from the integer rows of
     :func:`_backward_closure`; scaling a row changes no solution, and where
     only feasibility is read, neither does scaling a column by a positive
-    factor. The rows [columns | target] go straight into the fraction-free
-    solve (``linalg._particular``). Over the field the answer is the particular
-    solution of the reduced row-echelon form, which depends only on the
-    row space. With ``nonneg`` every solution is x = p + N y, p that
-    particular solution and N the nullspace read off the same echelon rows
-    (``linalg._nullspace``); the rows x_i >= 0 in y reach Fourier-Motzkin
-    as primitive integer rows (``linalg._feasible_point``), the same input
-    ``lp_feasible`` builds for these equations with x >= 0, so the answer
-    is its exact feasible point.
+    factor. The rows [columns | target] go straight into one exact solve.
+    Over the field that is the fraction-free elimination
+    (``linalg._particular``), and the answer the particular solution of
+    the reduced row-echelon form, which depends only on the row space.
+    With ``nonneg`` it is the phase-one simplex (``linalg._simplex``) on
+    c >= 0, and the answer the vertex that Bland's rule reaches from the
+    all-artificial basis; where only one point is feasible, that is it.
     """
     n = len(columns)
-    solved = _particular(([row[j] for j in columns] + [row[target]] for row in rows), n)
+    system = ([row[j] for j in columns] + [row[target]] for row in rows)
+    if nonneg:
+        feasible, point = _simplex(system, n)
+        return CombinationOutcome(True, point) if feasible else CombinationOutcome(False)
+    solved = _particular(system, n)
     if solved is None:
         return CombinationOutcome(False)
-    coeffs, echelon = solved
-    if nonneg:
-        null = _nullspace(echelon, n)
-        coeffs = _feasible_point(coeffs, null, ([v[i] for v in null] + [coeffs[i]]
-                                                for i in range(n)))
-        if coeffs is None:
-            return CombinationOutcome(False)
-    return CombinationOutcome(True, tuple(coeffs))
+    return CombinationOutcome(True, solved[0])
 
 
 def _blocks(series: Sequence[MultiplicityAutomaton]

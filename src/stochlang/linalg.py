@@ -25,14 +25,12 @@ rows are the canonical reduced echelon form up to scale, which is unique, so
 them are the same as with ``Fraction`` rows throughout. ``rref`` is that
 basis for the rows of a matrix; ``solve_affine`` reads its solution off
 the sparse integer rows directly, with one ``Fraction`` per nonzero entry
-it returns, so ``invert`` runs on the same rows. Fourier-Motzkin
-eliminates on primitive integer rows: ``lp_feasible`` and the cone solve
-of ``equivalence.combination_on_rows`` read the particular solution and
-the nullspace of their equalities off the integer echelon rows
-(:func:`_particular`, :func:`_nullspace`) and hand it each inequality in
-the nullspace coordinates as its primitive integer row
-(:func:`_feasible_point`). Only ``determinant`` still eliminates over
-``Fraction``.
+it returns, so ``invert`` runs on the same rows. Every cone question,
+c >= 0 with A c = b, runs on one fraction-free phase-one simplex with
+Bland's rule (:func:`_simplex`) over the rows of [A | b] themselves, with
+no solve or nullspace first; it returns a point or a Farkas vector.
+``lp_feasible`` is its public face, through the standard form. Only
+``determinant`` still eliminates over ``Fraction``.
 
 A large span closure can run mod a 61-bit prime instead
 (:func:`_certified_closure`), on the same :func:`_closure` loop with a
@@ -101,20 +99,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot of vectors with lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def linear_combination(vectors_: Sequence[Sequence[Fraction]],
-                       coeffs: Sequence[Fraction], dim: int) -> Vector:
-    out = [Fraction(0)] * dim
-    for c, v in zip(coeffs, vectors_):
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return tuple(out)
 
 
 class Matrix:
@@ -426,88 +410,115 @@ class Constraint:
         return cls(vector(coeffs), frac(constant), True)
 
 
-def _dedupe(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]] | None:
-    """Integer rows ``co + (c,)``, c + co . y >= 0, divided by their content
-    and deduplicated in order; a row with co = 0 is dropped, and None
-    signals one with c < 0, which no point satisfies."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for row in rows:
-        g = gcd(*row)
-        row = tuple(x // g for x in row) if g > 1 else tuple(row)
-        if not any(row[:-1]):
-            if row[-1] < 0:
-                return None
+def _simplex(rows: Iterable[Sequence], n: int) -> tuple[bool, tuple]:
+    """A point c >= 0 with A c = b, or a Farkas vector that proves there is none.
+
+    ``rows`` are the rows of [A | b] for n unknowns, with int or Fraction
+    entries. Returns (True, c), c a vertex of the feasible set as
+    Fractions, or (False, y), y an integer vector with one entry per row,
+    y . A_j >= 0 at every column j and y . b < 0.
+
+    Phase one of the simplex method, fraction-free. Each row is scaled to
+    integers by the least common denominator of its entries, and its sign
+    flipped so that b >= 0; rows that are zero throughout are dropped. Each
+    kept row gets an artificial column, and the basis starts as those.
+    Every tableau row stays a positive multiple of its true row: pivoting
+    on a positive entry a_pq sets row_i to a_pq row_i - a_iq row_p with the
+    content divided out (:func:`_eliminated`), so the ratio test, done by
+    cross-multiplication, and every sign read are those of the true
+    tableau. The objective row starts as minus the sum of the rows,
+    artificial columns included, and takes the same pivots: up to a
+    positive scale it stays -y [A | I | b], y the row multipliers of the
+    phase-one costs, so its structural entries are the reduced costs of
+    the phase-one objective and its artificial entries are -y.
+
+    Bland's rule keeps the method finite: the entering column is the
+    lowest structural one with a negative reduced cost, and a tie in
+    leaving goes to the lowest basic index, structural columns before
+    artificial ones. An artificial column that leaves never enters again,
+    which only removes it from the problem. Once no reduced cost is
+    negative, the problem is infeasible iff the objective row's right-hand
+    side -y . b is nonzero; -y, read off the artificial columns and scaled
+    back to the given rows, is then the Farkas vector. Otherwise x_j =
+    rhs_i / T[i][j] at each basic structural column j, and 0 elsewhere: the
+    vertex that Bland's rule reaches from the all-artificial basis, which
+    depends only on the rows and the order of the columns. Where only one
+    point is feasible, that is it.
+    """
+    rows = list(rows)
+    tableau, scales = [], []
+    for i, row in enumerate(rows):
+        if all(type(x) is int for x in row):
+            r, d = list(row), 1
+        else:
+            d = lcm(*[x.denominator for x in row])
+            r = [x.numerator * (d // x.denominator) for x in row]
+        if r[n] < 0:
+            r, d = [-x for x in r], -d
+        elif not any(r):
             continue
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
+        scales.append((i, d))
+        tableau.append(r)
+    m = len(tableau)
+    for k, r in enumerate(tableau):
+        r[n:n] = [0] * m
+        r[n + k] = 1
+    obj = [-sum(column) for column in zip(*tableau)] if tableau else [0] * (n + 1)
+    basis = list(range(n, n + m))
+    while True:
+        for q in range(n):
+            if obj[q] < 0:
+                break
+        else:
+            break
+        # the phase-one objective is bounded below, so some entry is positive
+        p = pa = pb = None
+        for i, r in enumerate(tableau):
+            a = r[q]
+            if a > 0:
+                if p is not None:
+                    lhs, rhs = r[-1] * pa, pb * a
+                    if lhs > rhs or lhs == rhs and basis[i] > basis[p]:
+                        continue
+                p, pa, pb = i, a, r[-1]
+        pivot = tableau[p]
+        for i, r in enumerate(tableau):
+            if i != p and r[q]:
+                tableau[i] = _eliminated(r, pa, r[q], pivot)
+        obj = _eliminated(obj, pa, obj[q], pivot)
+        basis[p] = q
+    if obj[-1]:
+        y = [0] * len(rows)
+        for k, (i, d) in enumerate(scales):
+            y[i] = d * obj[n + k]
+        return False, tuple(y)
+    x = [Fraction(0)] * n
+    for r, j in zip(tableau, basis):
+        if j < n:
+            x[j] = Fraction(r[-1], r[j])
+    return True, tuple(x)
 
 
-def _fourier_motzkin(rows: Iterable[Sequence[int]], k: int) -> Vector | None:
-    """A feasible point of integer rows ``co + (c,)``, each c + co . y >= 0 in
-    k unknowns, by variable elimination; None when there is none.
-
-    The unknowns go from the last to the first. Each step pairs every row
-    positive at y_j with every row negative there, in the positive integer
-    combination that cancels y_j: a positive multiple of a row is the same
-    inequality, so the rows stay integers, and :func:`_dedupe` divides out
-    their content. Fractions are made only by the back-substitution, which
-    sets each unknown, from the first on, to the largest of its lower
-    bounds, else the least of its upper bounds, else 0.
-    """
-    system = _dedupe(rows)
-    if system is None:
-        return None
-    eliminated: list[tuple[int, list, list]] = []
-    for j in reversed(range(k)):
-        pos = [r for r in system if r[j] > 0]
-        neg = [r for r in system if r[j] < 0]
-        combined = [r for r in system if not r[j]]
-        for p in pos:
-            for q in neg:
-                a, b = -q[j], p[j]
-                combined.append(tuple(a * x + b * y for x, y in zip(p, q)))
-        system = _dedupe(combined)
-        if system is None:
-            return None
-        eliminated.append((j, pos, neg))
-    assign = [Fraction(0)] * k
-    for j, pos, neg in reversed(eliminated):
-        bounds = [Fraction(-(r[-1] + sum(r[l] * assign[l] for l in range(j))), r[j])
-                  for r in pos + neg]
-        lo = max(bounds[:len(pos)], default=None)
-        hi = min(bounds[len(pos):], default=None)
-        if lo is not None and hi is not None and lo > hi:
-            raise AssertionError("elimination produced an empty interval")
-        if lo is not None:
-            assign[j] = lo
-        elif hi is not None:
-            assign[j] = hi
-    return tuple(assign)
-
-
-def _feasible_point(part: Vector, null: Sequence[Sequence[Fraction]],
-                    rows: Iterable[Sequence]) -> Vector | None:
-    """A point part + sum_l y_l null[l] of an affine solution set that meets
-    every row ``co + [c]``, c + co . y >= 0, or None.
-
-    Each row goes to :func:`_fourier_motzkin` as its primitive integer row,
-    the same inequality.
-    """
-    y = _fourier_motzkin([_primitive(r) for r in rows], len(null))
-    return None if y is None else add_vectors(part, linear_combination(null, y, len(part)))
+def _eliminated(row: list[int], a: int, c: int, pivot: list[int]) -> list[int]:
+    """The primitive multiple of a row - c pivot, for a > 0 the pivot row's
+    entry in the column where the row holds c: zero there, and a positive
+    multiple of the row minus its part along the pivot row."""
+    g = gcd(a, c)
+    if g > 1:
+        a, c = a // g, c // g
+    out = [a * x - c * y for x, y in zip(row, pivot)]
+    g = gcd(*out)
+    return out if g <= 1 else [x // g for x in out]
 
 
 def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) -> Vector | None:
     """Exact feasible point of a system of affine equalities and >= constraints.
 
-    Every solution of the equalities is x = p + N y, p the particular
-    solution and N the nullspace read off their integer echelon rows
-    (:func:`_particular`, :func:`_nullspace`: x = 0 and the unit vectors
-    when there are none); each inequality becomes a row in y for
-    :func:`_feasible_point`. Returns None iff the system is infeasible.
+    The system goes to :func:`_simplex` in standard form: x = u - v with
+    u, v >= 0, and one slack s >= 0 per inequality, which reads
+    coeffs . x - s = -constant. Returns None iff the system is infeasible.
+    Where several points are feasible, the point is the vertex of the
+    standard form that the simplex reaches, read back as x = u - v.
     """
     constraints = list(constraints)
     if n_vars is None:
@@ -516,14 +527,11 @@ def lp_feasible(constraints: Sequence[Constraint], n_vars: int | None = None) ->
         n_vars = len(constraints[0].coeffs)
     if any(len(c.coeffs) != n_vars for c in constraints):
         raise ValueError("constraints must share one variable count")
-    solved = _particular(((*c.coeffs, -c.constant) for c in constraints if c.equality), n_vars)
-    if solved is None:
-        return None
-    part, echelon = solved
-    null = _nullspace(echelon, n_vars)
-    return _feasible_point(part, null, ([dot(c.coeffs, v) for v in null]
-                                        + [c.constant + dot(c.coeffs, part)]
-                                        for c in constraints if not c.equality))
+    slacks = [i for i, c in enumerate(constraints) if not c.equality]
+    rows = [[*c.coeffs, *(-x for x in c.coeffs), *(-int(i == s) for s in slacks), -c.constant]
+            for i, c in enumerate(constraints)]
+    feasible, point = _simplex(rows, 2 * n_vars + len(slacks))
+    return tuple(u - v for u, v in zip(point, point[n_vars:2 * n_vars])) if feasible else None
 
 
 def _primitive(v: Iterable) -> list[int]:

@@ -128,11 +128,13 @@ def _cone_removals(rows: list[list[int]], n: int) -> Iterator[tuple[int, dict[in
     (:func:`_dependent`, computed once): any other column is no field
     combination of the rest, so no cone one either, and the kernel support
     of a subset of the columns lies inside that one. Each column is one
-    feasibility problem on the columns still kept. A column outside the
-    cone of those columns is outside the cone of every subset of them, so
-    it would answer no again after later removals, and the scan yields
-    exactly the removals, coefficients included, of a scan that restarts
-    after each removal. It stops once the kept columns number the rows.
+    feasibility problem on the columns still kept: one run of the
+    phase-one simplex (``equivalence.combination_on_rows``), whose point
+    gives the coefficients. A column outside the cone of those columns is
+    outside the cone of every subset of them, so it would answer no again
+    after later removals, and the scan yields exactly the removals,
+    coefficients included, of a scan that restarts after each removal. It
+    stops once the kept columns number the rows.
     """
     kept = list(range(n))
     for i in _dependent(rows, n):

@@ -63,13 +63,15 @@ matched, measured and converted anew with the name of its item made in
 advance, which the library replaced by one parse per distinct string
 whose item is named only for an error. Fourier-Motzkin eliminates over
 Fraction rows, each divided by the absolute value of its first nonzero
-coefficient, which the library replaced by integer rows divided by their
-content. The PA weight conditions compare Fraction masses with 1, which
-the library replaced by the weight pairs under one common denominator;
-the residual witnesses are searched over frozensets of state names, which
-the library replaced by int bitmasks; and a document is written by
-``json.dumps`` of its dict, which the library replaced by text written
-straight from the weight pairs.
+coefficient, and over integer rows divided by their content
+(``oracle_integer_fourier_motzkin``), both of which the library replaced
+by a fraction-free phase-one simplex with Bland's rule, whose answers
+``check_cone_answer`` checks. The PA weight conditions compare Fraction
+masses with 1, which the library replaced by the weight pairs under one
+common denominator; the residual witnesses are searched over frozensets
+of state names, which the library replaced by int bitmasks; and a
+document is written by ``json.dumps`` of its dict, which the library
+replaced by text written straight from the weight pairs.
 """
 
 import heapq
@@ -93,12 +95,22 @@ from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automat
 from stochlang.constructions import _NOT_A_DISTRIBUTION
 from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _load_json,
                                  _name_list, _require_keys)
+from stochlang import equivalence
 from stochlang.equivalence import _backward_closure, combination_on_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
-                              is_positive_definite, linear_combination,
-                              solve_affine, unit_vector)
+                              is_positive_definite, solve_affine, unit_vector)
 
 F = Fraction
+
+
+def linear_combination(vectors, coeffs, dim):
+    """sum_l coeffs[l] vectors[l], of length dim, as Fractions."""
+    out = [F(0)] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return tuple(out)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -316,6 +328,102 @@ def oracle_fourier_motzkin(rows, k):
         elif hi is not None:
             assign[j] = hi
     return tuple(assign)
+
+
+def _oracle_integer_dedupe(rows):
+    """Integer rows ``co + (c,)``, c + co . y >= 0, divided by their content
+    and deduplicated in order; a row with co = 0 is dropped, and None
+    signals one with c < 0, which no point satisfies."""
+    seen = set()
+    out = []
+    for row in rows:
+        g = gcd(*row)
+        row = tuple(x // g for x in row) if g > 1 else tuple(row)
+        if not any(row[:-1]):
+            if row[-1] < 0:
+                return None
+            continue
+        if row not in seen:
+            seen.add(row)
+            out.append(row)
+    return out
+
+
+def oracle_integer_fourier_motzkin(rows, k):
+    """A feasible point of integer rows ``co + (c,)``, each c + co . y >= 0 in
+    k unknowns, by variable elimination on integer rows divided by their
+    content; None when there is none.
+
+    The unknowns go from the last to the first. Each step pairs every row
+    positive at y_j with every row negative there, in the positive integer
+    combination that cancels y_j. Fractions are made only by the
+    back-substitution, which sets each unknown, from the first on, to the
+    largest of its lower bounds, else the least of its upper bounds, else 0.
+    """
+    system = _oracle_integer_dedupe(rows)
+    if system is None:
+        return None
+    eliminated = []
+    for j in reversed(range(k)):
+        pos = [r for r in system if r[j] > 0]
+        neg = [r for r in system if r[j] < 0]
+        combined = [r for r in system if not r[j]]
+        for p in pos:
+            for q in neg:
+                a, b = -q[j], p[j]
+                combined.append(tuple(a * x + b * y for x, y in zip(p, q)))
+        system = _oracle_integer_dedupe(combined)
+        if system is None:
+            return None
+        eliminated.append((j, pos, neg))
+    assign = [F(0)] * k
+    for j, pos, neg in reversed(eliminated):
+        bounds = [F(-(r[-1] + sum(r[l] * assign[l] for l in range(j))), r[j])
+                  for r in pos + neg]
+        lo = max(bounds[:len(pos)], default=None)
+        hi = min(bounds[len(pos):], default=None)
+        if lo is not None and hi is not None and lo > hi:
+            raise AssertionError("elimination produced an empty interval")
+        if lo is not None:
+            assign[j] = lo
+        elif hi is not None:
+            assign[j] = hi
+    return tuple(assign)
+
+
+def check_cone_answer(rows, n, answer):
+    """Whether ``answer`` settles c >= 0, A c = b for the rows of [A | b] in n
+    unknowns, exactly, in O(mn) on m rows.
+
+    ``answer`` is (True, c) for a point, which must be nonnegative and meet
+    every row, or (False, y) for a Farkas vector, one entry per row, with
+    y . A_j >= 0 at every column j and y . b < 0, which proves that no
+    point exists: y . A c >= 0 for every c >= 0.
+    """
+    feasible, v = answer
+    rows = [list(row) for row in rows]
+    if feasible:
+        return (len(v) == n and all(x >= 0 for x in v)
+                and all(sum(F(row[j]) * v[j] for j in range(n)) == row[n] for row in rows))
+    return (len(v) == len(rows)
+            and all(sum(y * F(row[j]) for y, row in zip(v, rows)) >= 0 for j in range(n))
+            and sum(y * F(row[n]) for y, row in zip(v, rows)) < 0)
+
+
+def check_every_cone_answer(monkeypatch):
+    """Make every answer of the simplex that the cone questions reach
+    (``equivalence._simplex``) pass ``check_cone_answer``; the verdicts
+    given, in order, are appended to the list returned."""
+    real, verdicts = equivalence._simplex, []
+
+    def checked(rows, n):
+        rows = list(rows)
+        answer = real(rows, n)
+        assert check_cone_answer(rows, n, answer), (rows, n, answer)
+        verdicts.append(answer[0])
+        return answer
+    monkeypatch.setattr(equivalence, "_simplex", checked)
+    return verdicts
 
 
 def oracle_lp_feasible(constraints, n_vars=None):

@@ -43,8 +43,8 @@ from stochlang.automata import format_word
 from stochlang.cli import main
 from stochlang.documents import serialize_dfa
 
-from helpers import (dfa_a_count_mod_k, duplicate_state, random_ma, random_pa, random_pda,
-                     random_unit_mass_ma, with_cancelling_copies)
+from helpers import (check_every_cone_answer, dfa_a_count_mod_k, duplicate_state, random_ma,
+                     random_pa, random_pda, random_unit_mass_ma, with_cancelling_copies)
 
 SEED = 2216
 ROUNDS = 40
@@ -52,12 +52,10 @@ LIMIT_S = 2.0
 EXIT_CODES = {0, 2, 3, 10, 11, 12, 13, 14, 15}
 KINDS = ("signed", "nonneg", "pa", "pda", "unit-mass", "cancelling", "duplicate")
 
-# (round, subcommand) -> why the call hangs, and the ROADMAP items that mend it.
-# Both ran for more than 30 s and reached 1-1.7 GB of resident memory.
-_DEPTH_2_OVER_3_LETTERS = ("minimal-gens --depth 2 on a PA over 3 letters: Fourier-Motzkin "
-                           "on the drop questions (items 2 and 9)")
-KNOWN_HANGS = {(34, "minimal-gens --depth 2"): _DEPTH_2_OVER_3_LETTERS,
-               (37, "minimal-gens --depth 2"): _DEPTH_2_OVER_3_LETTERS}
+# (round, subcommand) -> why the call hangs, and the ROADMAP items that mend
+# it. Empty: the two minimal-gens --depth 2 rounds over 3 letters (34 and 37)
+# answer since the cone questions run on the simplex.
+KNOWN_HANGS: dict[tuple[int, str], str] = {}
 
 
 # Address space of the child interpreter that runs a KNOWN_HANGS call; its
@@ -224,3 +222,23 @@ def test_the_sample_covers_every_kind_size_and_alphabet():
     automata = [a for p in params for a in p.values[1]]
     assert {len(a.alphabet) for a in automata} == {1, 2, 3}
     assert {1, 6} <= {a.n_states for a in automata}
+
+
+def test_the_child_runner_answers_a_quick_call():
+    # KNOWN_HANGS is empty, so no round runs in a child; the runner stays
+    # for future marks and must still hand back what the call printed
+    code, out, err = run_isolated(["fixture", "example1_p"])
+    assert code == 0 and not err
+    assert parse_automaton(out).n_states > 0
+
+
+@pytest.mark.parametrize("index", [34, 37])
+def test_the_former_hang_rounds_answer_with_checked_cone_answers(tmp_path, monkeypatch, index):
+    # on Fourier-Motzkin both ran for more than 30 s and reached 1-1.7 GB
+    verdicts = check_every_cone_answer(monkeypatch)
+    automata = next(p.values[1] for p in rounds() if p.values[0] == index)
+    path = tmp_path / "a.json"
+    path.write_text(serialize_automaton(automata[0]))
+    answer = run_in_process(["minimal-gens", "--depth", "2", str(path)])
+    assert answer is not None and answer[0] in EXIT_CODES
+    assert verdicts

@@ -12,12 +12,13 @@ from stochlang import (MultiplicityAutomaton, are_equivalent,
 from stochlang.automata import letter_shift_automaton, replace_iota, words_up_to
 from stochlang.equivalence import (MODULAR_MIN_DIM, EquivalenceOutcome, _backward_closure,
                                    _quotient, _word_basis, combination_on_rows)
-from stochlang.linalg import SpanBasis, _primitive, _turned, dot
+from stochlang.linalg import Matrix, SpanBasis, _primitive, _simplex, _turned, dot
 
-from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, direct_sum_rows,
+from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, check_cone_answer, direct_sum_rows,
                      duplicate_state, nudged_copy, oracle_closure, oracle_cone_combination,
                      oracle_express_combination, oracle_integer_actions, oracle_lumping,
-                     oracle_quotient, oracle_word_basis, permuted_copy, plant_convex_state,
+                     oracle_quotient, oracle_rref, oracle_word_basis, permuted_copy,
+                     plant_convex_state,
                      random_fraction, random_ma, random_pa, ring_pa, series_equal_up_to,
                      split_copy, timed, value_rows, with_cancelling_copies)
 
@@ -596,11 +597,19 @@ def cone_systems(draw):
     return draw(st.permutations(rows)), n
 
 
+def unique_solution(rows, n):
+    """Whether A x = b has at most one solution: A has rank n."""
+    return len(oracle_rref(Matrix([row[:n] for row in rows], n))[1]) == n
+
+
 class TestConeSolveAgainstLpFeasible:
-    """The cone path of ``combination_on_rows`` reads the particular
-    solution and the nullspace off the integer echelon rows and hands
-    Fourier-Motzkin the rows x >= 0 that ``lp_feasible`` builds from the
-    same equalities, so both must return the same point."""
+    """The cone path of ``combination_on_rows`` runs the phase-one simplex
+    on the rows themselves; Fourier-Motzkin in the nullspace coordinates of
+    the equalities, on the rows x >= 0 that ``lp_feasible`` builds from
+    them (``oracle_cone_combination``), must give the same verdict. Both
+    points must meet every row, and where the equalities have one solution
+    the two points are that solution. Integer rows, the primitive forms of
+    the Fraction rows, give the same outcome."""
 
     @given(cone_systems())
     @settings(max_examples=300, deadline=None)
@@ -609,10 +618,53 @@ class TestConeSolveAgainstLpFeasible:
         outcome = combination_on_rows(rows, n, range(n), nonneg=True)
         expected = oracle_cone_combination(rows, n, list(range(n)))
         assert outcome.expressible == (expected is not None)
-        assert outcome.coefficients == expected
+        if expected is not None:
+            assert check_cone_answer(rows, n, (True, outcome.coefficients))
+            assert check_cone_answer(rows, n, (True, expected))
+            if unique_solution(rows, n):
+                assert outcome.coefficients == expected
         integer = combination_on_rows([_primitive(row) for row in rows], n, range(n),
                                       nonneg=True)
         assert integer == outcome
+
+
+class TestSimplexAgainstFourierMotzkin:
+    """``linalg._simplex`` on Fraction rows of [A | b], and on integer rows
+    that are nonzero multiples of them, of either sign and content above 1,
+    against Fourier-Motzkin through ``oracle_lp_feasible``: the verdicts
+    match, every answer passes ``check_cone_answer`` on the rows it was
+    given, the Farkas vector included, and the point is the oracle's
+    wherever the equalities have one solution."""
+
+    @given(cone_systems(), st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                                    min_size=8, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_checked_answers_and_the_unique_point(self, system, factors):
+        rows, n = system
+        expected = oracle_cone_combination(rows, n, list(range(n)))
+        integer = [[m * x for x in _primitive(row)] for row, m in zip(rows, factors)]
+        for given_rows in (rows, integer):
+            answer = _simplex(given_rows, n)
+            assert answer[0] == (expected is not None)
+            assert check_cone_answer(given_rows, n, answer)
+            if expected is not None and unique_solution(rows, n):
+                assert answer[1] == expected
+
+    @pytest.mark.parametrize("rows,n,feasible", [
+        ([], 0, True),
+        ([[0, 0]], 1, True),
+        ([[0, 1]], 1, False),
+        ([[1, -1]], 1, False),
+        ([[1, 1, 2], [1, -1, 0]], 2, True),
+        ([[1, 1, 2], [2, 2, 4], [1, 1, 2]], 2, True),
+        ([[1, 1, 1], [1, 1, 2]], 2, False),
+        ([[1, -1, 0, 0], [0, 1, -1, 0], [-1, 0, 1, -1]], 3, False),
+    ], ids=["empty", "zero-row", "zero-columns", "negative", "unique", "repeated-rows",
+            "conflict", "cycle"])
+    def test_small_systems(self, rows, n, feasible):
+        answer = _simplex(rows, n)
+        assert answer[0] == feasible
+        assert check_cone_answer(rows, n, answer)
 
 
 class TestAgainstCounterexampleOracle:

@@ -11,7 +11,7 @@ from stochlang import MultiplicityAutomaton, empty_automaton, hankel_rank, linal
 from stochlang.automata import replace_iota, with_alphabet
 from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure, _direct_sum, _joined
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
-                              _fourier_motzkin, _minimal_polynomial, _ModularSpan, _packed_push,
+                              _minimal_polynomial, _ModularSpan, _packed_push,
                               _powers, _primitive, _rational, dot, is_positive_definite,
                               lp_feasible, rref, schur_stable, solve_affine,
                               spectral_radius_lt_one)
@@ -20,6 +20,7 @@ from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis,
                      from_columns, identity, jury_lt_one_2x2, lyapunov_lt_one, mat_mul,
                      mat_sub, mat_vec, matrix_power, max_abs_entry, membership_in_span,
                      oracle_closure, oracle_fourier_motzkin, oracle_integer_actions,
+                     oracle_integer_fourier_motzkin,
                      oracle_integer_sum, oracle_primitive,
                      oracle_krylov_closure, oracle_lp_feasible, oracle_lumping, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
@@ -549,11 +550,17 @@ def integer_rows(rows, factors):
     return [[m * x for x in _primitive(co + (c,))] for (co, c), m in zip(rows, factors)]
 
 
+def assert_meets(rows, point):
+    assert all(c + dot(co, point) >= 0 for co, c in rows)
+
+
 class TestFourierMotzkinAgainstFractionOracle:
-    """Fourier-Motzkin on integer rows against the kernel it replaced, which
-    eliminated over Fraction rows divided by their first nonzero coefficient:
-    a positive scale moves neither the feasible set, nor the sign of a
-    coefficient, nor a bound, so the point must be the same."""
+    """Fourier-Motzkin on integer rows (``oracle_integer_fourier_motzkin``)
+    against the Fraction kernel it replaced, which eliminated over rows
+    divided by their first nonzero coefficient: a positive scale moves
+    neither the feasible set, nor the sign of a coefficient, nor a bound, so
+    the point must be the same. The simplex, through ``lp_feasible`` on the
+    same rows, must give the same verdict and a point that meets every row."""
 
     @given(inequality_systems(), st.lists(st.integers(1, 6), min_size=8, max_size=8))
     @settings(max_examples=400, deadline=None)
@@ -562,10 +569,13 @@ class TestFourierMotzkinAgainstFractionOracle:
     @example(((((F(1),), F(0)), ((F(-1),), F(-1))), 1), [2] * 8)
     def test_same_point_as_the_oracle(self, system, factors):
         rows, k = system
-        point = _fourier_motzkin(integer_rows(rows, factors), k)
+        point = oracle_integer_fourier_motzkin(integer_rows(rows, factors), k)
         assert point == oracle_fourier_motzkin(rows, k)
+        simplex = lp_feasible([Constraint.ge(co, c) for co, c in rows], k)
+        assert (simplex is None) == (point is None)
         if point is not None:
-            assert all(c + dot(co, point) >= 0 for co, c in rows)
+            assert_meets(rows, point)
+            assert_meets(rows, simplex)
 
     @pytest.mark.parametrize("rows,k,point", [
         ([(1, 0), (-1, -1)], 1, None),
@@ -576,9 +586,13 @@ class TestFourierMotzkinAgainstFractionOracle:
         ([], 3, (F(0), F(0), F(0))),
     ], ids=["infeasible", "zero-row", "unbounded", "upper-bounds", "triangle", "no-rows"])
     def test_small_systems(self, rows, k, point):
-        assert _fourier_motzkin(rows, k) == point
+        assert oracle_integer_fourier_motzkin(rows, k) == point
         oracle_rows = [(tuple(map(F, r[:-1])), F(r[-1])) for r in rows]
         assert oracle_fourier_motzkin(oracle_rows, k) == point
+        simplex = lp_feasible([Constraint.ge(co, c) for co, c in oracle_rows], k)
+        assert (simplex is None) == (point is None)
+        if point is not None:
+            assert_meets(oracle_rows, simplex)
 
 
 @st.composite
@@ -594,8 +608,21 @@ def constraint_systems(draw):
 @given(constraint_systems())
 @settings(max_examples=300, deadline=None)
 def test_lp_feasible_matches_solve_affine_then_the_oracle_kernel(system):
+    """The simplex in standard form against Fourier-Motzkin in the nullspace
+    coordinates of the equalities: the same verdict, a point that meets
+    every constraint, and the oracle's point where the equalities fix it."""
     constraints, n = system
-    assert lp_feasible(constraints, n) == oracle_lp_feasible(constraints, n)
+    point = lp_feasible(constraints, n)
+    expected = oracle_lp_feasible(constraints, n)
+    assert (point is None) == (expected is None)
+    if point is None:
+        return
+    for c in constraints:
+        value = c.constant + dot(c.coeffs, point)
+        assert value == 0 if c.equality else value >= 0
+    equalities = [c for c in constraints if c.equality]
+    if len(oracle_rref(Matrix([c.coeffs for c in equalities], n))[1]) == n:
+        assert point == expected
 
 
 class TestSpanBasis:

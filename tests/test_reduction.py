@@ -524,14 +524,15 @@ class TestConeDecisionsOnIndependentColumns:
                 calls.append(name)
                 return real(*args)
             return counted
-        for name in ("_particular", "_fourier_motzkin"):
+        for name in ("_particular", "_simplex"):
             real = getattr(linalg, name)
             for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counter(name, real))
         # the counters see the cone solve
         assert combination_on_rows([[1, 1]], 0, [1], nonneg=True).coefficients == (1,)
-        assert calls == ["_particular", "_fourier_motzkin"]
+        assert combination_on_rows([[1, 1]], 0, [1], nonneg=False).coefficients == (1,)
+        assert calls == ["_simplex", "_particular"]
         calls.clear()
         assert reduce(b, ReductionMode.CONE) is b
         assert is_reduced(b, ReductionMode.CONE)
