@@ -18,7 +18,11 @@ partial sums telescope to 1 - M^K 1, which tends to 0, and every state's
 sum is 1 (``automata._IntegerForm.unit_sums``). On these inputs the total
 is the sum of the initial weights and the mass of any initial vector the
 sum of its entries, and no sum table is built; the kernel below runs on
-every other input.
+every other input. :func:`_sum_table` is the one place that makes this
+choice: it returns None on unit state sums and the table otherwise, and
+its two readers, :func:`_series_sum` for the sum started by one vector and
+:func:`_state_sum_vector` for every state's sum, take None as unit state
+sums, so no caller has a path of its own. A new source of sums goes there.
 
 The kernel runs on integers and makes one Fraction per answer. With
 A = s M integral and iota, tau scaled to primitive integer vectors l and
@@ -27,25 +31,26 @@ the terms are s_k = f u_k / s^k with integer u_k = l . A^k . g and one
 rational factor f. A recurrence of u is one of s_k with its j-th
 coefficient divided by s^j, so Berlekamp-Massey runs on u, fraction-free:
 each step cross-multiplies by the earlier discrepancy and divides out the
-content. The characteristic polynomial, the Schur-Cohn test
-(:func:`~stochlang.linalg._schur_cohn`) and the value P(1) / C(1) follow in
-integers. One table of the vectors A^k g per call serves every series
+content. One table of the vectors A^k g per call serves every series
 that shares M and tau, such as the residuals of one automaton, and the
 state sums, which read the minimal polynomial of g under A off its first
-n + 1 vectors and need no other closure or solve.
+n + 1 vectors as an integer connection polynomial
+(``linalg._minimal_polynomial``) and need no other closure or solve. Both
+readers then take one integer evaluation
+(:func:`~stochlang.linalg._sum_weights`): the Schur-Cohn test of the
+characteristic polynomial, and integer weights from one Horner pass that
+sum the scalar terms or the vectors A^k g alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .automata import MultiplicityAutomaton, format_word, replace_iota
-from .linalg import (Vector, _minimal_polynomial, _powers, _primitive_with_factor,
-                     _schur_cohn, schur_stable)
+from .linalg import _minimal_polynomial, _powers, _sum_weights
 
 
 @dataclass(frozen=True)
@@ -114,118 +119,115 @@ class _SumTable:
     factor: Fraction
 
 
-def _sum_table(a: MultiplicityAutomaton) -> _SumTable:
-    """The table of an automaton, read off its integer form: the
-    letter-summed map A with its scale, and tau as the coprime g with its
-    factor (``automata._IntegerForm``)."""
+def _sum_table(a: MultiplicityAutomaton) -> _SumTable | None:
+    """The source of every sum of an automaton: None with unit state sums
+    (``automata._IntegerForm.unit_sums``), where every state's sum is 1,
+    else its table, read off its integer form: the letter-summed map A with
+    its scale, and tau as the coprime g with its factor
+    (``automata._IntegerForm``).
+
+    Every reader (:func:`_series_sum`, :func:`_state_sum_vector`,
+    :func:`_mass`) takes what this returns, so no caller picks a path, and
+    a new source of sums goes here.
+    """
     form = a._integer_form()
+    if form.unit_sums:
+        return None
     action, scale = form.summed
     return _SumTable(_powers(action, form.tau, 2 * a.n_states), scale, form.tau_factor)
 
 
-def _series_sum(table: _SumTable, w: Sequence[int], f: Fraction) -> SumOutcome:
-    """Decide and evaluate sum_k lam . M^k . gamma from the table of A^k g,
+def _series_sum(table: _SumTable | None, w: Sequence[int], f: Fraction) -> SumOutcome:
+    """Decide and evaluate sum_k lam . M^k . gamma from the :func:`_sum_table`,
     for lam = f w with w an integer vector.
 
-    The terms s_k = f u_k / s^k satisfy a recurrence of order at most n
-    (Cayley-Hamilton), so 2n of them determine the minimal one; with c the
-    integer recurrence of u and order L, the connection polynomial of s is
-    C(z) = sum_j c_j (z / s)^j / c_0. The generating function is
-    P(z) / C(z) in lowest terms, with P = (S C) mod z^L. The sum converges
-    iff every characteristic root lies strictly inside the unit circle, that
-    is iff z^L C(1/z), which is proportional to sum_j c_j s^(L-j) z^(L-j),
-    is Schur-stable, and then it equals P(1) / C(1), which is
-    f s E / sum_j c_j s^(L-j) with E = sum_(k<L) s^(L-1-k) sum_(j<=k) c_j u_(k-j).
+    With no table every state's sum is 1, and the sum is f times the sum of
+    w's entries. Otherwise w is first divided by its content e, so that the
+    terms stay small, and the terms s_k = f e u_k / s^k, with integer
+    u_k = (w / e) . A^k g, satisfy a recurrence of order at most n
+    (Cayley-Hamilton), so 2n of them determine the minimal one, and
+    Berlekamp-Massey finds its integer connection polynomial c. The
+    generating function is then P(z) / C(z) in lowest terms, so the sum
+    converges iff C's characteristic polynomial is Schur-stable, and the
+    integer weights of :func:`~stochlang.linalg._sum_weights` evaluate it.
     """
-    support = [(i, x) for i, x in enumerate(w) if x]
+    if table is None:
+        return SumOutcome.converged(f * sum(w))
+    e = gcd(*w) or 1
+    support = [(i, x // e) for i, x in enumerate(w) if x]
     terms = [sum([x * p[i] for i, x in support]) for p in table.powers]
-    c = _minimal_recurrence(terms)
-    order = len(c) - 1
-    s = table.scale
-    char = []
-    power = 1
-    for j in reversed(range(order + 1)):
-        char.append(c[j] * power)
-        power *= s
-    if not _schur_cohn(char):
+    evaluation = _sum_weights(_minimal_recurrence(terms), table.scale)
+    if evaluation is None:
         return SumOutcome.divergent()
-    numerator = 0
-    for k in range(order):
-        numerator = numerator * s + sum([c[j] * terms[k - j] for j in range(k + 1)])
-    return SumOutcome.converged(f * table.factor * Fraction(numerator * s, sum(char)))
+    weights, denominator = evaluation
+    numerator = sum([x * u for x, u in zip(weights, terms)])
+    return SumOutcome.converged(f * e * table.factor * Fraction(numerator, denominator))
 
 
 def total_sum(a: MultiplicityAutomaton) -> SumOutcome:
-    """Convergence decision and exact value of the sum of the series over all words.
-
-    With unit state sums (``automata._IntegerForm.unit_sums``), as on every
-    PA, the sum is that of the initial weights; otherwise it is read off
-    the :func:`_sum_table` by :func:`_series_sum`.
-    """
+    """Convergence decision and exact value of the sum of the series over all words,
+    read off the :func:`_sum_table` by :func:`_series_sum`."""
     form = a._integer_form()
-    if form.unit_sums:
-        return SumOutcome.converged(form.iota_factor * sum(form.iota))
     return _series_sum(_sum_table(a), form.iota, form.iota_factor)
 
 
 def state_sums(a: MultiplicityAutomaton) -> dict[str, Fraction] | None:
     """Per-state series sums; None as soon as any state's sum diverges.
 
-    Every sum is 1 with unit state sums (``automata._IntegerForm.unit_sums``).
-    Otherwise the vectors M^k gamma obey the minimal polynomial mu of gamma
-    under M, so every state's sum converges iff mu is Schur-stable; see
-    :func:`_state_sum_vector`, which reads mu off the :func:`_sum_table`.
+    Every sum is 1 with unit state sums. Otherwise the vectors M^k gamma
+    obey the minimal polynomial mu of gamma under M, so every state's sum
+    converges iff mu is Schur-stable; see :func:`_state_sum_vector`, which
+    reads mu off the :func:`_sum_table`. One Fraction is made per distinct
+    entry of the integer vector, so states with equal sums, such as all
+    of them with unit state sums, share it.
     """
-    if a._integer_form().unit_sums:
-        return dict.fromkeys(a.states, Fraction(1))
-    sums = _state_sum_vector(_sum_table(a), a.n_states)
+    sums = _state_sum_vector(_sum_table(a), range(a.n_states))
     if sums is None:
         return None
     vector, unit = sums
-    return {q: unit * x for q, x in zip(a.states, vector)}
+    values = {x: unit * x for x in set(vector)}
+    return {q: values[x] for q, x in zip(a.states, vector)}
 
 
-def _state_sum_vector(table: _SumTable, n: int) -> tuple[list[int], Fraction] | None:
-    """The state-sum vector (Id - M)^-1 gamma of an n-state automaton as r S,
-    S a coprime integer vector and r > 0, from its :func:`_sum_table`.
+def _state_sum_vector(table: _SumTable | None, coordinates: Sequence[int]
+                      ) -> tuple[list[int], Fraction] | None:
+    """The state-sum vector (Id - M)^-1 gamma of an automaton at the given
+    state coordinates, as r S, S a coprime integer vector and r > 0, from
+    its :func:`_sum_table`.
 
-    None unless the minimal polynomial mu of gamma under M, read off the
-    first n + 1 vectors A^k g, is Schur-stable. Then the sum vector is
-    q(M) gamma with q(z) = (mu(1) - mu(z)) / (mu(1) (1 - z)); the coefficient
-    of z^j in q is (mu_(j+1) + ... + mu_d) / mu(1), and M^j gamma = f A^j g / s^j.
-    The weights t_j / s^j of the A^j g are scaled to integers by one common
-    denominator, so S comes from integer products only. mu(1) is positive
-    for a Schur-stable monic real polynomial, and so is r.
+    With no table it is the all-ones vector with r = 1. Otherwise the
+    vectors A^k g are read at the coordinates, which must determine every
+    one of them: all of the states for ``state_sums``, the pivots of the
+    backward span for residual exploration (``constructions._Residuals``).
+    The result is None unless the minimal polynomial mu of gamma under M,
+    read off the first d + 1 such vectors, d the number of coordinates, as
+    the integer connection polynomial c of the Krylov vectors
+    (``linalg._minimal_polynomial``), is Schur-stable. The vectors
+    M^k gamma = f A^k g / s^k obey c, so the integer weights W and
+    denominator D of :func:`~stochlang.linalg._sum_weights`, the same
+    evaluation as :func:`_series_sum`'s, give the sum as f times
+    sum_i W_i A^i g / D, from integer products only. c[0] > 0, so D > 0,
+    and so is r.
     """
-    mu = _minimal_polynomial(table.powers[:n + 1], table.scale)
-    if not schur_stable(mu):
+    if table is None:
+        return [1] * len(coordinates), Fraction(1)
+    powers = [[p[i] for i in coordinates] for p in table.powers[:len(coordinates) + 1]]
+    evaluation = _sum_weights(_minimal_polynomial(powers), table.scale)
+    if evaluation is None:
         return None
-    tails = list(accumulate(reversed(mu[1:])))[::-1]
-    weights = [t / table.scale ** j for j, t in enumerate(tails)]
-    denominator = lcm(*(w.denominator for w in weights))
-    coeffs = [w.numerator * (denominator // w.denominator) for w in weights]
-    raw = [sum([c * p[i] for c, p in zip(coeffs, table.powers)]) for i in range(n)]
+    weights, denominator = evaluation
+    raw = [sum([x * p[i] for x, p in zip(weights, powers)]) for i in range(len(coordinates))]
     g = gcd(*raw) or 1
-    unit = table.factor * g / (sum(mu, Fraction(0)) * denominator)
-    return [x // g for x in raw], unit
+    return [x // g for x in raw], table.factor * g / denominator
 
 
-def _mass(table: _SumTable, v: Vector | Sequence[int]) -> Fraction:
-    """Sum of the series started by initial vector v, from its automaton's
-    :func:`_sum_table`; ValueError when it diverges."""
-    outcome = _series_sum(table, *_primitive_with_factor(v))
+def _mass(table: _SumTable | None, w: Sequence[int]) -> Fraction:
+    """Sum of the series started by the integer initial vector w, from its
+    automaton's :func:`_sum_table`; ValueError when it diverges."""
+    outcome = _series_sum(table, w, Fraction(1))
     if not outcome.converges:
         raise ValueError("prefix mass diverges")
     return outcome.value
-
-
-def _pushed_mass(a: MultiplicityAutomaton, w: Sequence[int]) -> Fraction:
-    """Sum of the series of ``a`` started by the integer vector w: the sum
-    of w's entries with unit state sums, else :func:`_mass` on the
-    :func:`_sum_table`; ValueError when it diverges."""
-    if a._integer_form().unit_sums:
-        return Fraction(sum(w))
-    return _mass(_sum_table(a), w)
 
 
 def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
@@ -233,12 +235,10 @@ def prefix_weight(a: MultiplicityAutomaton, u: Sequence[str]) -> Fraction:
 
     Raises ValueError when the sum started by lam . mu(u) diverges. The
     vector lam . mu(u) = c w is pushed in integers (``automata._IntegerForm``),
-    and the mass is c times that of w: c times the sum of w's entries with
-    unit state sums (``automata._IntegerForm.unit_sums``), else read off
-    the :func:`_sum_table`.
+    and the mass is c times that of w, read off the :func:`_sum_table`.
     """
     w, c = a._integer_form().forward(u)
-    return c * _pushed_mass(a, w)
+    return c * _mass(_sum_table(a), w)
 
 
 def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> MultiplicityAutomaton:
@@ -249,12 +249,10 @@ def residual_automaton(a: MultiplicityAutomaton, u: Sequence[str]) -> Multiplici
     sums may diverge; only the sum started by that vector matters. That
     vector is c w for an integer vector w pushed through the integer form
     (``automata._IntegerForm``), and c cancels: the new initial vector is
-    w over the mass of w, the sum of its entries with unit state sums
-    (``automata._IntegerForm.unit_sums``), else read off the
-    :func:`_sum_table`.
+    w over the mass of w, read off the :func:`_sum_table`.
     """
     w, _ = a._integer_form().forward(u)
-    mass = _pushed_mass(a, w)
+    mass = _mass(_sum_table(a), w)
     if mass == 0:
         spelled = format_word(u, a.alphabet) if u else "the empty word"
         raise ValueError(f"prefix weight of {spelled} is zero")

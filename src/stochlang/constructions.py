@@ -18,15 +18,15 @@ exploration runs on the integers of one object per call
 A residual is a coprime integer vector p of length dim V with its mass m,
 and one letter step is A_x p for the integer map A_x on V followed by one
 content division. Its mass is the dot product with the state-sum vector
-(Id - M)^-1 gamma on V. With unit state sums
-(``automata._IntegerForm.unit_sums``), as on every PA, that vector is the
-all-ones vector, whose coordinates on V's rows are read off the rows'
-pivot entries, and no sum table is built. Otherwise it is read off the
-table of the vectors A^k g that ``state_sums`` uses
-(``analysis._sum_table``), taken at the pivots of V's rows; only when the
-minimal polynomial of gamma under M is not Schur-stable does each mass
-run its own fraction-free recurrence on that table, since the paper
-defines a residual whenever its own prefix sum converges. The key of a
+(Id - M)^-1 gamma on V, whose coordinates on V's rows are its entries at
+the rows' pivots times the rows' pivot weights. That vector is the one
+``state_sums`` reads off the automaton's sum source
+(``analysis._sum_table``): the all-ones vector with unit state sums, as on
+every PA, where no sum table is built, and otherwise the vector read
+off the table of the vectors A^k g. Only when the minimal polynomial of gamma under M is not
+Schur-stable does each mass run its own fraction-free recurrence on that
+table, taken at V's pivots, since the paper defines a residual whenever
+its own prefix sum converges. The key of a
 residual is p times the sign of its mass: equal keys mean equal series,
 so a dict finds every known residual, and a combination question between
 residuals is one exact solve on a table of keys. Fractions are made only for the weights of the automaton built;
@@ -83,16 +83,17 @@ class _Residuals:
     the coordinates weights[p_k] y[p_k] / c on the rows, c the span's
     ``lcm``; so gamma = f g, f and g from the integer form's ``tau``, has
     the coordinates f / c times the weights times g at the pivots. When the
-    state-sum vector s exists, s = unit S for a coprime integer vector S of
-    coordinates, and m is the integer p . S; without it, unit is 1 and m is
-    the exact mass, from one recurrence on the table of the series on V.
-    With unit state sums (``automata._IntegerForm.unit_sums``) s is the
-    all-ones vector, so S is the weights, whose gcd is 1, and unit is
-    1 / c. Otherwise V holds gamma and is invariant under M, so the
-    vectors A^k g of the input's sum table (``analysis._sum_table``) lie
-    in V: read at the pivots, times the weights, they form the table of
-    the series on V, with the same minimal polynomial of gamma under M,
-    and S is read off it when that polynomial is Schur-stable.
+    state-sum vector of the input exists, it is r S at the pivots
+    (``analysis._state_sum_vector`` on its sum source
+    ``analysis._sum_table``, read at the pivots, which determine every
+    vector of V), its coordinates are ``unit`` = r / c times the integer
+    vector ``sums`` of S times the weights, and m is the integer p . sums;
+    with unit state sums S is the all-ones vector and r = 1, so ``sums`` is
+    the weights. Without
+    it, unit is 1 and m is the exact mass, from one recurrence on the table
+    of the series on V: V holds gamma and is invariant under M, so the
+    vectors A^k g of the input's sum table lie in V, and read at the
+    pivots, times the weights, they form that table.
     """
 
     def __init__(self, a: MultiplicityAutomaton):
@@ -100,14 +101,15 @@ class _Residuals:
         self.actions = dict(zip(a.alphabet, span.actions))
         form = a._integer_form()
         self.gamma = [w * form.tau[p] for p, w in span.weights.items()]
-        if form.unit_sums:
-            self.sums = list(span.weights.values()), Fraction(1, span.lcm)
-        else:
-            table = _sum_table(a)
+        table = _sum_table(a)
+        sums = _state_sum_vector(table, list(span.weights))
+        if sums is None:
             self.table = _SumTable([[w * v[p] for p, w in span.weights.items()]
                                     for v in table.powers], table.scale, table.factor / span.lcm)
-            self.sums = _state_sum_vector(self.table, len(span.rows))
-        self.unit = Fraction(1) if self.sums is None else self.sums[1]
+            self.sums, self.unit = None, Fraction(1)
+        else:
+            self.sums = list(map(mul, span.weights.values(), sums[0]))
+            self.unit = sums[1] / span.lcm
         self.tau_factor = form.tau_factor / (span.lcm * self.unit)
         self.start = span.start
         self.start_factor = span.start_factor * self.unit
@@ -128,7 +130,7 @@ class _Residuals:
     def mass(self, p: list[int]) -> Mass:
         """The mass of p over the unit; ValueError when the sum started by p diverges."""
         if self.sums is not None:
-            return sum(map(mul, p, self.sums[0]))
+            return sum(map(mul, p, self.sums))
         return _mass(self.table, p)
 
     def key(self, p: list[int], m: Mass) -> tuple[int, ...]:
@@ -173,12 +175,12 @@ def synthesize_pa(target: MultiplicityAutomaton,
                   ) -> MultiplicityAutomaton | None:
     """Probabilistic automaton for the target series over the given generators.
 
-    Requires every generator series to have total mass exactly 1. A
-    generator with unit state sums (``automata._IntegerForm.unit_sums``),
-    such as a PA, has the sum of its initial weights as its mass; the
-    other generators of one structure (``equivalence._blocks``) differ
-    only in their initial vector, so their masses are read off one sum
-    table (``analysis._series_sum``). Finds
+    Requires every generator series to have total mass exactly 1. The
+    generators of one structure (``equivalence._blocks``) differ only in
+    their initial vector, so each structure has one sum source
+    (``analysis._sum_table``: none with unit state sums, such as on a PA,
+    where a mass is the sum of the initial weights, else one table) and
+    each generator's mass is one ``analysis._series_sum`` on it. Finds
     nonnegative coefficients expressing the target over the generators and,
     for every generator and letter, nonnegative coefficients expressing the
     letter shift over the generators. A shift is its generator with another
@@ -196,14 +198,10 @@ def synthesize_pa(target: MultiplicityAutomaton,
     if any(g.alphabet != target.alphabet for g in generators):
         raise ValueError("alphabet mismatch")
     blocks, block_of = _blocks(generators)
-    tables = [None if b._integer_form().unit_sums else _sum_table(b) for b in blocks]
+    tables = [_sum_table(b) for b in blocks]
     for i, (g, k) in enumerate(zip(generators, block_of)):
         form = g._integer_form()
-        if tables[k] is None:
-            mass = form.iota_factor * sum(form.iota)
-        else:
-            mass = _series_sum(tables[k], form.iota, form.iota_factor).value
-        if mass != 1:
+        if _series_sum(tables[k], form.iota, form.iota_factor).value != 1:
             raise ValueError(f"generator {i} does not have total mass 1")
 
     k = len(generators)

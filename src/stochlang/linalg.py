@@ -56,15 +56,19 @@ Contraction is a question about polynomials, not about a linear system.
 The minimal polynomial of a vector v under M is read off the integer
 vectors A^k v, k <= n, with A = s M integral: one ``SpanBasis`` of the
 rows of [v, Av, ..., A^n v] holds its coefficients in the column after its
-pivots (:func:`_minimal_polynomial`). The exact Schur-Cohn recursion then
-decides whether all roots of a polynomial lie strictly inside the unit
-circle. ``spectral_radius_lt_one`` applies that test to the unit vectors,
-and ``analysis.state_sums`` to the final vector. The recursion runs
-fraction-free as well: roots do not depend on the scale of a polynomial,
-so ``schur_stable`` scales its input to coprime integers and each step
-cross-multiplies instead of dividing by the leading coefficient, with the
-content divided out. Series sums (``analysis``) call the same integer
-recursion.
+pivots, and :func:`_minimal_polynomial` returns them as the coprime
+integer connection polynomial of the A^k v. The exact Schur-Cohn
+recursion then decides whether all roots of a polynomial lie strictly
+inside the unit circle. It runs fraction-free as well: roots do not
+depend on the scale of a polynomial, so each step cross-multiplies
+instead of dividing by the leading coefficient, with the content divided
+out (:func:`_schur_cohn`; ``schur_stable`` is its public face on
+Fractions). Every sum goes through one integer evaluation beside it
+(:func:`_sum_weights`): from a connection polynomial and the scale it
+runs the test and returns integer weights that sum the sequence, scalars
+or vectors alike. The series sums and state sums of ``analysis`` read
+their values off those weights, and ``spectral_radius_lt_one``, on the
+unit vectors, only its verdict.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -365,12 +370,34 @@ def _schur_cohn(p: list[int]) -> bool:
     return True
 
 
+def _sum_weights(c: Sequence[int], scale: int) -> tuple[list[int], int] | None:
+    """The integer weights W and denominator D that sum a sequence through
+    its minimal recurrence, or None when the sum diverges.
+
+    ``c`` is the integer connection polynomial of a sequence u_k of
+    scalars or vectors, c[0] != 0, of order L = len(c) - 1:
+    sum_j c_j u_(k-j) = 0 for every k >= L, and no shorter one holds. With
+    s = ``scale``, the sum of u_k / s^k converges iff every root of
+    char(z) = sum_j c_j s^(L-j) z^(L-j) lies strictly inside the unit
+    circle (:func:`_schur_cohn`), and then equals sum_(i<L) W_i u_i / D with
+    W_i = sum_(j<L-i) c_j s^(L-i-j) and D = char(1). One Horner pass makes
+    every W_i, so the numerator costs O(L) products; D has the sign of c[0]
+    whenever char is stable.
+    """
+    char = [x * scale ** j for j, x in enumerate(reversed(c))]
+    if not _schur_cohn(char):
+        return None
+    horner = accumulate(c[:-1], lambda h, x: h * scale + x)
+    return [h * scale for h in horner][::-1], sum(char)
+
+
 def spectral_radius_lt_one(m: Matrix) -> bool:
     """Decide exactly whether the powers of a square matrix converge to zero.
 
     M^k tends to zero iff M^k e_i does for every unit vector e_i, that is iff
     the minimal polynomial of each e_i under M is Schur-stable; each one is
-    read off the integer vectors A^k e_i (:func:`_minimal_polynomial`). A
+    read off the integer vectors A^k e_i (:func:`_minimal_polynomial`) and
+    tested by :func:`_sum_weights`, the test that every sum takes. A
     unit vector inside the invariant space spanned by earlier Krylov vectors
     is skipped: its minimal polynomial divides theirs.
     """
@@ -386,10 +413,10 @@ def spectral_radius_lt_one(m: Matrix) -> bool:
         if covered.contains(e):
             continue
         powers = _powers(action, e, n + 1)
-        mu = _minimal_polynomial(powers, scale)
-        if not schur_stable(mu):
+        c = _minimal_polynomial(powers)
+        if _sum_weights(c, scale) is None:
             return False
-        for v in powers[:len(mu) - 1]:
+        for v in powers[:len(c) - 1]:
             covered.add(v)
     return True
 
@@ -735,24 +762,29 @@ def _powers(action: _Action, v: list[int], count: int) -> list[list[int]]:
     return powers
 
 
-def _minimal_polynomial(powers: Sequence[list[int]], scale: int) -> Vector:
-    """Monic minimal polynomial of v under M, from the integer vectors A^k v.
+def _minimal_polynomial(powers: Sequence[list[int]]) -> list[int]:
+    """Integer connection polynomial of the Krylov vectors A^k v.
 
-    ``powers`` holds A^k v for k = 0..n, where n is the length of v and
-    A = scale M. The n rows of the matrix whose columns they are go into one
+    ``powers`` holds A^k v for k = 0..n, where n is the length of v. The n
+    rows of the matrix whose columns they are go into one
     :class:`SpanBasis`. Once a Krylov vector depends on the earlier ones,
     every later one does, so the pivots are the columns 0..d-1, d the degree
-    of the polynomial, and the reduced row with pivot i holds at column d
-    the coefficient alpha_i of A^d v = sum_i alpha_i A^i v. As A^k = s^k M^k,
-    the coefficient of z^i in the polynomial is -alpha_i / s^(d-i). The
-    coefficients run from the constant term up.
+    of the minimal polynomial of v under A, and the reduced row with pivot i
+    holds its entry r_i at the pivot and e_i at column d, so that
+    r_i x_i = -e_i for the x with A^d v + sum_i x_i A^i v = 0. Returns the
+    coprime integer c, c[0] > 0, with sum_j c_j A^(d-j) v = 0: c[0] is the
+    least common multiple of the r_i and c[d-i] = c[0] x_i. For A = s M,
+    sum_j c_j s^(d-j) z^(d-j) is then proportional to the minimal
+    polynomial of v under M.
     """
     span = SpanBasis(len(powers))
     for row in zip(*powers):
         span.add(row)
     d = span.dimension
-    return tuple(Fraction(-row.get(d, 0), row[i] * scale ** (d - i))
-                 for i, row in span._rows.items()) + (Fraction(1),)
+    lead = lcm(*(row[i] for i, row in span._rows.items()))
+    c = [lead] + [-row.get(d, 0) * (lead // row[i]) for i, row in reversed(span._rows.items())]
+    g = gcd(*c)
+    return [x // g for x in c]
 
 
 def _closure(span: SpanBasis | _ModularSpan, start: Iterable, actions: Sequence, push=_push

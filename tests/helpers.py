@@ -28,7 +28,11 @@ of the pairing matrix between its forward and backward closures, which
 the library replaced by a closure on the backward rows alone. Series sums run
 Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
 gamma, which the library replaced by the fraction-free recursions on
-integer terms. Exact solves run Gauss-Jordan elimination over Fractions,
+integer terms. The state sums came from the monic Fraction minimal
+polynomial, ``schur_stable`` and Fraction tails
+(``oracle_fraction_state_sum_vector``), which the library replaced by the
+integer connection polynomial and the one integer evaluation that every
+sum shares. Exact solves run Gauss-Jordan elimination over Fractions,
 which the library replaced by the integer rows of its span basis. A row
 vector goes through a letter matrix by a scan of every cell of its dense
 rows (``oracle_vec_mat``), which the library replaced by a pass over the
@@ -95,10 +99,10 @@ from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automat
 from stochlang.constructions import _NOT_A_DISTRIBUTION
 from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _load_json,
                                  _name_list, _require_keys)
-from stochlang import equivalence
+from stochlang import analysis, equivalence
 from stochlang.equivalence import _backward_closure, combination_on_rows
-from stochlang.linalg import (AffineSolution, Constraint, Matrix, dot,
-                              is_positive_definite, solve_affine, unit_vector)
+from stochlang.linalg import (AffineSolution, Constraint, Matrix, SpanBasis, dot,
+                              is_positive_definite, schur_stable, solve_affine, unit_vector)
 
 F = Fraction
 
@@ -1079,6 +1083,57 @@ def oracle_series_sum(a, lam):
     order = len(c) - 1
     p_at_one = sum((c[j] * terms[k - j] for k in range(order) for j in range(k + 1)), F(0))
     return p_at_one / sum(c)
+
+
+def oracle_monic_minimal_polynomial(powers, scale):
+    """Monic minimal polynomial of v under M, from the integer vectors A^k v,
+    k = 0..n, with A = scale M: the reduced row of one ``SpanBasis`` with
+    pivot i holds at column d the coefficient alpha_i of
+    A^d v = sum_i alpha_i A^i v, and the coefficient of z^i is
+    -alpha_i / s^(d-i), constant term first. The library replaced it by the
+    integer connection polynomial (``linalg._minimal_polynomial``)."""
+    span = SpanBasis(len(powers))
+    for row in zip(*powers):
+        span.add(row)
+    d = span.dimension
+    return tuple(F(-row.get(d, 0), row[i] * scale ** (d - i))
+                 for i, row in span._rows.items()) + (F(1),)
+
+
+def oracle_fraction_state_sum_vector(table, n):
+    """The state-sum vector of a sum table as (S, r), S coprime and r > 0,
+    or None: the monic minimal polynomial mu of gamma under M
+    (``oracle_monic_minimal_polynomial``), ``schur_stable`` on it, and the
+    Fraction tails (mu_(j+1) + ... + mu_d) / s^j as the weights of the
+    A^j g, over one common denominator. The library replaced it by the
+    integer evaluation that series sums share (``linalg._sum_weights``)."""
+    mu = oracle_monic_minimal_polynomial(table.powers[:n + 1], table.scale)
+    if not schur_stable(mu):
+        return None
+    tails = list(itertools.accumulate(reversed(mu[1:])))[::-1]
+    weights = [t / table.scale ** j for j, t in enumerate(tails)]
+    denominator = lcm(*(w.denominator for w in weights))
+    coeffs = [w.numerator * (denominator // w.denominator) for w in weights]
+    raw = [sum(c * p[i] for c, p in zip(coeffs, table.powers)) for i in range(n)]
+    g = gcd(*raw) or 1
+    return [x // g for x in raw], table.factor * g / (sum(mu, F(0)) * denominator)
+
+
+def counted_sum_tables(mp, *modules):
+    """The automata that ``analysis._sum_table`` builds a table for, called
+    through ``modules`` while the MonkeyPatch ``mp`` is active; calls that
+    return None, on unit state sums, build none and are not counted."""
+    calls = []
+    real = analysis._sum_table
+
+    def counted(a):
+        table = real(a)
+        if table is not None:
+            calls.append(a)
+        return table
+    for module in modules:
+        mp.setattr(module, "_sum_table", counted)
+    return calls
 
 
 # ------------------------------------------------------------ value rows

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stochlang import (MultiplicityAutomaton, SumOutcome, are_equivalent, empty_automaton,
@@ -18,12 +18,13 @@ from stochlang.constructions import _Residuals
 from stochlang.linalg import (_primitive_with_factor, dot, solve_affine, spectral_radius_lt_one,
                               unit_vector)
 
-from helpers import (duplicate_state, example1_residual_value, identity, letter_sum_matrix,
-                     mat_sub, oracle_minimal_recurrence, oracle_series_sum,
+from helpers import (counted_sum_tables, duplicate_state, example1_residual_value, identity,
+                     letter_sum_matrix, mat_sub, oracle_fraction_state_sum_vector,
+                     oracle_minimal_recurrence, oracle_series_sum,
                      oracle_solve_affine, oracle_state_sums, oracle_total_sum,
                      oracle_unit_state_sums, permuted_copy, plant_mixture_state,
-                     random_fraction, random_ma, random_pa, ring_pa, split_copy, timed,
-                     with_cancelling_copies)
+                     random_fraction, random_ma, random_pa, random_unit_mass_ma, ring_pa,
+                     split_copy, timed, with_cancelling_copies)
 
 F = Fraction
 
@@ -231,9 +232,11 @@ class TestIntegerRecurrence:
 
 class TestSeriesSumAgainstFractionOracle:
     def test_every_fixture_residual(self):
+        # the kernel itself, also on the PA fixtures, whose sums the library
+        # reads off the weights
         for a in ALL_FIXTURES:
             rep = a.to_linear_representation()
-            table = _sum_table(a)
+            table = table_path(_sum_table, a)
             for u in words_up_to(a.alphabet, 3):
                 v = rep.forward(rep.lam, u)
                 outcome = _series_sum(table, *_primitive_with_factor(v))
@@ -279,8 +282,7 @@ class TestStateSums:
             for module in [m for key, m in sys.modules.items() if key.startswith("stochlang")]:
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counter(name, real))
-        analysis = sys.modules["stochlang.analysis"]
-        monkeypatch.setattr(analysis, "_sum_table", counter("_sum_table", analysis._sum_table))
+        tables = counted_sum_tables(monkeypatch, analysis_module)
         # the counters see the library's own eliminations, also the rref
         # that invert calls
         linalg.solve_affine(identity(1), [1])
@@ -292,8 +294,9 @@ class TestStateSums:
         for name, a in named.items():
             assert a._integer_form().unit_sums == (name in unit)
             calls.clear()
+            tables.clear()
             state_sums(a)
-            assert calls == ([] if name in unit else ["_sum_table"])
+            assert calls == [] and tables == ([] if name in unit else [a])
 
 
 class TestPrefixWeight:
@@ -473,32 +476,23 @@ class TestBeyondFiveStates:
         # run the kernel on them; time the kernel itself
         a = ring_pa(n)
         form = a._integer_form()
-        table = timed(_sum_table, a, limit_s=limit_s)
+        table = timed(table_path, _sum_table, a, limit_s=limit_s)
         assert timed(_series_sum, table, form.iota, form.iota_factor,
                      limit_s=limit_s) == SumOutcome.converged(F(1))
-        vector, unit = timed(_state_sum_vector, table, n, limit_s=limit_s)
+        vector, unit = timed(_state_sum_vector, table, range(n), limit_s=limit_s)
         assert [unit * x for x in vector] == [1] * n
 
 
-def counted_sum_tables(mp):
-    """The automata that ``analysis._sum_table`` is called on, also from
-    ``constructions``, while the MonkeyPatch ``mp`` is active."""
-    calls = []
-    real = analysis_module._sum_table
-
-    def counted(a):
-        calls.append(a)
-        return real(a)
-    mp.setattr(analysis_module, "_sum_table", counted)
-    mp.setattr(constructions_module, "_sum_table", counted)
-    return calls
-
-
-def table_path_residuals(a):
-    """``constructions._Residuals`` of ``a`` as on an input without unit state sums."""
+def table_path(build, a, vector=True):
+    """``build(a)`` as on an input without unit state sums, so that
+    ``_sum_table`` builds the table; with ``vector`` false also as if no
+    state-sum vector existed, so that ``_Residuals`` takes its per-residual
+    fallback."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_IntegerForm, "unit_sums", property(lambda self: False))
-        return _Residuals(a)
+        if not vector:
+            mp.setattr(constructions_module, "_state_sum_vector", lambda table, states: None)
+        return build(a)
 
 
 def oracle_state_sum_vector(a):
@@ -581,7 +575,7 @@ class TestUnitStateSums:
         form = a._integer_form()
         words = list(words_up_to(a.alphabet, 2))
         with pytest.MonkeyPatch.context() as mp:
-            tables = counted_sum_tables(mp)
+            tables = counted_sum_tables(mp, analysis_module, constructions_module)
             outcome, sums = total_sum(a), state_sums(a)
             masses = [prefix_weight(a, u) for u in words]
             residuals = []
@@ -593,9 +587,9 @@ class TestUnitStateSums:
             res = _Residuals(a)
         assert tables == []
 
-        table = _sum_table(a)
+        table = table_path(_sum_table, a)
         assert outcome == _series_sum(table, form.iota, form.iota_factor)
-        vector, unit = _state_sum_vector(table, a.n_states)
+        vector, unit = _state_sum_vector(table, range(a.n_states))
         assert sums == {q: unit * x for q, x in zip(a.states, vector)}
         assert set(sums.values()) == {1}
         rep = a.to_linear_representation()
@@ -615,14 +609,16 @@ class TestUnitStateSums:
                 spelled = format_word(u, a.alphabet) if u else "the empty word"
                 assert residual == f"prefix weight of {spelled} is zero"
 
-        reference = table_path_residuals(a)
-        assert reference.sums is not None
+        reference = table_path(_Residuals, a)
+        fallback = table_path(_Residuals, a, vector=False)
+        assert reference.sums is not None and fallback.sums is None
         vectors = {(): res.start}
         for u in words[1:]:
             p = vectors[u] = res.step(vectors[u[:-1]], u[-1])[1]
         for p in vectors.values():
             exact = res.unit * res.mass(p)
-            assert exact == reference.unit * reference.mass(p) == _mass(reference.table, p)
+            assert exact == reference.unit * reference.mass(p) == fallback.mass(p)
+            assert fallback.unit == 1
             if exact:
                 assert res.tau(p, res.mass(p)) == reference.tau(p, reference.mass(p))
 
@@ -631,7 +627,7 @@ class TestUnitStateSums:
         a = NEAR_MISSES[name]
         assert not a._integer_form().unit_sums and not oracle_unit_state_sums(a)
         rep = a.to_linear_representation()
-        tables = counted_sum_tables(monkeypatch)
+        tables = counted_sum_tables(monkeypatch, analysis_module, constructions_module)
         outcome = total_sum(a)
         assert len(tables) == 1
         assert (outcome.value if outcome.converges else None) == oracle_series_sum(a, rep.lam)
@@ -651,3 +647,59 @@ class TestUnitStateSums:
             assert len(tables) == 1
         if name == "trapped":
             assert sums["q0"] < 1 and outcome.value < 1
+
+
+@st.composite
+def table_path_automata(draw):
+    """Automata of 6-12 states over 1-2 letters without unit state sums:
+    signed ``random_ma``, ``random_unit_mass_ma``, a ``random_pa`` with
+    cancelling divergent copies, and a ``random_pa`` with every transition
+    scaled by 9/10."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(6, 12))
+    letters = ("a", "b")[:draw(st.integers(1, 2))]
+    kind = draw(st.sampled_from(("signed", "unit-mass", "cancelling", "scaled")))
+    if kind == "signed":
+        a = random_ma(rng, n, letters)
+    elif kind == "unit-mass":
+        a = random_unit_mass_ma(rng, n, letters)
+        assume(a is not None)
+    elif kind == "cancelling":
+        a = with_cancelling_copies(random_pa(rng, n - 2, letters))
+    else:
+        a = random_pa(rng, n, letters)
+        a = MultiplicityAutomaton(a.alphabet, a.states, a.iota, a.tau,
+                                  {t: w * F(9, 10) for t, w in a.phi.items()})
+    assume(not a._integer_form().unit_sums)
+    return a
+
+
+class TestSharedEvaluation:
+    """Totals and state sums on the table path beyond 5 states: both
+    readers of the one integer evaluation against the Fraction oracles and
+    the Fraction kernel that it replaced, divergent inputs included."""
+
+    @given(table_path_automata())
+    @settings(max_examples=40, deadline=None)
+    def test_totals_and_state_sums_against_the_oracles(self, a):
+        n = a.n_states
+        rep = a.to_linear_representation()
+        table = _sum_table(a)
+        assert table is not None
+        outcome, sums = total_sum(a), state_sums(a)
+        assert (outcome.value if outcome.converges else None) == oracle_series_sum(a, rep.lam)
+        own = [oracle_series_sum(a, unit_vector(n, i)) for i in range(n)]
+        assert sums == (None if None in own else dict(zip(a.states, own)))
+        assert _state_sum_vector(table, range(n)) == oracle_fraction_state_sum_vector(table, n)
+        res = _Residuals(a)
+        if outcome.converges:
+            assert res.start_factor * res.mass(res.start) == outcome.value
+        else:
+            with pytest.raises(ValueError, match="prefix mass diverges"):
+                res.mass(res.start)
+        if sums is None:
+            return
+        assert list(sums.values()) == list(oracle_state_sum_vector(a))
+        for i, q in enumerate(a.states):
+            e_i = [int(j == i) for j in range(n)]
+            assert _series_sum(table, e_i, F(1)) == SumOutcome.converged(sums[q])

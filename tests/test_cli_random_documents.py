@@ -1,7 +1,10 @@
 """Every document subcommand on random documents, in-process, under a time limit.
 
-``ROUNDS`` rounds are drawn from ``random.Random(SEED)``. Round i takes
-its kind from ``KINDS`` in turn, and 1-6 states and 1-3 letters at random:
+``ROUNDS`` rounds are drawn from ``random.Random(SEED)``, and then
+``LARGE_ROUNDS`` more from the same generator. Round i takes its kind from
+``KINDS`` in turn, 1-3 letters at random, and asks its generator for
+1-6 states at random in the first ``ROUNDS`` rounds, for 7-12 in the
+others (trimming may remove some, and the copies add theirs):
 signed and nonnegative ``random_ma``, ``random_pa``, ``random_pda``,
 ``random_unit_mass_ma`` (drawn again until its sum converges to a nonzero
 value), and ``with_cancelling_copies`` and ``duplicate_state`` of a
@@ -48,6 +51,7 @@ from helpers import (check_every_cone_answer, dfa_a_count_mod_k, duplicate_state
 
 SEED = 2216
 ROUNDS = 40
+LARGE_ROUNDS = 14
 LIMIT_S = 2.0
 EXIT_CODES = {0, 2, 3, 10, 11, 12, 13, 14, 15}
 KINDS = ("signed", "nonneg", "pa", "pda", "unit-mass", "cancelling", "duplicate")
@@ -151,16 +155,20 @@ def draw(kind, rng, n, letters):
 
 def rounds():
     rng = random.Random(SEED)
-    for i in range(ROUNDS):
+    for i in range(ROUNDS + LARGE_ROUNDS):
         kind = KINDS[i % len(KINDS)]
         letters = ("a", "b", "c")[:rng.randint(1, 3)]
-        automata = [draw(kind, rng, rng.randint(1, 6), letters) for _ in range(3)]
+        sizes = (1, 6) if i < ROUNDS else (7, 12)
+        automata = [draw(kind, rng, rng.randint(*sizes), letters) for _ in range(3)]
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         dfas = [dfa_a_count_mod_k(rng.randint(1, 3), 0, letters) for _ in range(2)]
         yield pytest.param(i, automata, format_word(word, letters), dfas, id=f"{i}-{kind}")
 
 
-def commands(a, b, c, word, d1, d2):
+def commands(a, b, c, word, d1, d2, large=False):
+    """The calls of a round; ``minimal-gens`` runs at depth 2 on the small
+    rounds and at its default depth on the large ones."""
+    mingens = ["minimal-gens", a] if large else ["minimal-gens", "--depth", "2", a]
     return {
         "eval": ["eval", a, word], "sum": ["sum", a], "sums": ["sums", a],
         "equiv": ["equiv", a, b], "combine": ["combine", a, b, c],
@@ -168,7 +176,7 @@ def commands(a, b, c, word, d1, d2):
         "reduce --mode cone": ["reduce", "--mode", "cone", a], "rank": ["rank", a],
         "classify": ["classify", a], "residual": ["residual", a, word], "pda": ["pda", a],
         "prefixial": ["prefixial", a], "synth-pa": ["synth-pa", a, b, c],
-        "minimal-gens --depth 2": ["minimal-gens", "--depth", "2", a],
+        " ".join(mingens[:-1]): mingens,
         "hardness": ["hardness", d1, d2],
     }
 
@@ -190,7 +198,7 @@ def test_every_subcommand_answers_in_time(tmp_path, index, automata, word, dfas)
         paths.append(str(tmp_path / f"d{k}.json"))
         (tmp_path / f"d{k}.json").write_text(serialize_dfa(d))
     stale, problems = [], []
-    for name, argv in commands(*paths[:3], word, *paths[3:]).items():
+    for name, argv in commands(*paths[:3], word, *paths[3:], index >= ROUNDS).items():
         hang = KNOWN_HANGS.get((index, name))
         answer = run_in_process(argv) if hang is None else run_isolated(argv)
         if answer is None:
@@ -217,11 +225,12 @@ def test_every_subcommand_answers_in_time(tmp_path, index, automata, word, dfas)
 
 def test_the_sample_covers_every_kind_size_and_alphabet():
     params = list(rounds())
-    assert len(params) == ROUNDS
+    assert len(params) == ROUNDS + LARGE_ROUNDS
     assert {p.id.split("-", 1)[1] for p in params} == set(KINDS)
+    assert {p.id.split("-", 1)[1] for p in params[ROUNDS:]} == set(KINDS)
     automata = [a for p in params for a in p.values[1]]
     assert {len(a.alphabet) for a in automata} == {1, 2, 3}
-    assert {1, 6} <= {a.n_states for a in automata}
+    assert {1, 6, 7, 12} <= {a.n_states for a in automata}
 
 
 def test_the_child_runner_answers_a_quick_call():

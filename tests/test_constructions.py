@@ -18,8 +18,9 @@ from stochlang import (ConstructionError, MultiplicityAutomaton,
 from stochlang.automata import replace_iota
 from stochlang.classify import residual_witnesses
 
-from helpers import (check_every_cone_answer, duplicate_state, oracle_determinize_to_pda,
-                     oracle_minimal_residual_generators, oracle_synthesize_pa,
+from helpers import (check_every_cone_answer, counted_sum_tables, duplicate_state,
+                     oracle_determinize_to_pda, oracle_minimal_residual_generators,
+                     oracle_synthesize_pa,
                      oracle_to_prefixial_pra, random_pa, random_pda, random_unit_mass_ma, ring_pa,
                      split_copy, timed, with_cancelling_copies)
 
@@ -259,7 +260,7 @@ class TestDeterminize:
         # table; with cancelling divergent copies every residual shares M
         # and gamma, so the integer table of A^k g is built once per call,
         # however many residuals the call explores
-        calls = counted_calls(monkeypatch, "stochlang.constructions", "_sum_table")
+        calls = counted_sum_tables(monkeypatch, importlib.import_module("stochlang.constructions"))
         for a, tables in ((ring_pa(8), 0), (with_cancelling_copies(ring_pa(8)), 1)):
             calls.clear()
             out = determinize_to_pda(a, bound)
@@ -622,14 +623,17 @@ def test_minimal_generators_beyond_fourier_motzkin(monkeypatch, a, depth, expect
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of equivalence-layer calls, backward closures and sum tables,
-    direct or nested, by function name."""
+    """Counts of equivalence-layer calls, backward closures and sum tables
+    built, direct or nested, by function name; a ``_sum_table`` call that
+    returns None, on unit state sums, builds none and is not counted."""
     counts = Counter()
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if name != "_sum_table" or result is not None:
+                counts[name] += 1
+            return result
         return wrapper
 
     for module, names in (("stochlang.constructions", ("are_equivalent", "_backward_closure",

@@ -22,7 +22,8 @@ from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis,
                      oracle_closure, oracle_fourier_motzkin, oracle_integer_actions,
                      oracle_integer_fourier_motzkin,
                      oracle_integer_sum, oracle_primitive,
-                     oracle_krylov_closure, oracle_lp_feasible, oracle_lumping, oracle_rref,
+                     oracle_krylov_closure, oracle_lp_feasible, oracle_lumping,
+                     oracle_monic_minimal_polynomial, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
                      duplicate_state, random_ma, random_pa, ring_pa, split_copy, transpose,
                      with_cancelling_copies)
@@ -364,6 +365,33 @@ class TestSchurAgainstFractionOracle:
         assert not schur_stable([-1, 0, 0, 1])                # z^3 - 1
 
 
+class TestSumWeights:
+    """The one integer evaluation of every sum (``linalg._sum_weights``)
+    against Schur-Cohn over Fractions and the value P(1) / C(1) of
+    ``helpers.oracle_series_sum``, on the terms u_k / s^k of a sequence
+    whose integer connection polynomial is c."""
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8).filter(lambda c: c[0]),
+           st.integers(1, 6), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    @example([1, -1], 2, [1] * 7)                       # u_k = 1: sum 2
+    @example([4, -4, 1], 1, [0, 1] + [0] * 5)           # (1 - z/2)^2: sum 4
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_and_value_as_the_fraction_formula(self, c, s, start):
+        order = len(c) - 1
+        conn = [F(x, s ** j) for j, x in enumerate(c)]
+        terms = [F(u, s ** k) for k, u in enumerate(start[:order])]
+        evaluation = linalg._sum_weights(c, s)
+        if not oracle_schur_stable(conn[::-1]):
+            assert evaluation is None
+            return
+        weights, denominator = evaluation
+        assert len(weights) == order and all(type(x) is int for x in weights)
+        assert (denominator > 0) == (c[0] > 0)
+        p_at_one = sum((conn[j] * terms[k - j] for k in range(order) for j in range(k + 1)),
+                       F(0))
+        assert F(sum(map(mul, weights, start)), denominator) == p_at_one / sum(conn)
+
+
 krylov_entries = st.fractions(min_value=-9, max_value=9, max_denominator=10**3)
 
 
@@ -396,9 +424,18 @@ def krylov_cases(draw):
 
 
 def kernel_minimal_polynomial(m, v):
-    """The library's minimal polynomial of v under m, from its integer powers."""
+    """The library's minimal polynomial of v under m, from its integer powers:
+    the coprime integer c, c[0] > 0, with sum_j c_j A^(d-j) v = 0 for
+    A = s m, made the monic polynomial of m, constant term first, and
+    checked against the monic Fraction kernel that it replaced."""
     action, scale = oracle_integer_sum([m], m.nrows)
-    return _minimal_polynomial(_powers(action, _primitive(v), m.nrows + 1), scale)
+    powers = _powers(action, _primitive(v), m.nrows + 1)
+    c = _minimal_polynomial(powers)
+    assert all(type(x) is int for x in c) and c[0] > 0 and gcd(*c) == 1
+    d = len(c) - 1
+    monic = tuple(F(c[d - i], c[0] * scale ** (d - i)) for i in range(d + 1))
+    assert monic == oracle_monic_minimal_polynomial(powers, scale)
+    return monic
 
 
 class TestMinimalPolynomial:
