@@ -23,11 +23,12 @@ to share.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (Matrix, Vector, _Action, _integer_sum, _push, _turned, dot, frac, vec_mat,
                      vector)
@@ -58,16 +59,41 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     return letters
 
 
-def length_lex_key(word: Sequence[str], alphabet: Sequence[str]):
-    index = {x: i for i, x in enumerate(alphabet)}
-    return (len(word), tuple(index[x] for x in word))
-
-
 def words_up_to(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:
     """All words of length at most max_len, in length-lexicographic order."""
     for k in range(max_len + 1):
         for w in itertools.product(alphabet, repeat=k):
             yield w
+
+
+def _walk(key: Hashable, root: object,
+          expand: Callable[[object], Iterable[tuple[str, Hashable, object]]],
+          max_len: int | None = None) -> Iterator[tuple[int, str, int, Word | None, object]]:
+    """Breadth-first walk from ``root``, numbered 0 under ``key``, in
+    length-lexicographic order of the words that reach each node.
+
+    ``expand(node)`` gives a node's children in letter order as (letter,
+    key, child) triples; a child left out is dropped. A child whose key is
+    new is numbered and expanded in its turn, unless its word has
+    ``max_len`` letters, so each key keeps the least word that reaches it.
+    Every edge reaches the caller as (i, x, j, word, child): the parent's
+    number, the letter, the number of the child's key, the child's word
+    when the key is new (None when it is known), and the child. When
+    ``expand`` is a generator, each edge reaches the caller before the next
+    child is asked for. The caller stops the walk by leaving the loop.
+    """
+    numbers = {key: 0}
+    queue = deque([(0, root, ())])
+    while queue:
+        i, node, word = queue.popleft()
+        if len(word) == max_len:
+            continue
+        for x, key, child in expand(node):
+            reached = None if key in numbers else word + (x,)
+            j = numbers.setdefault(key, len(numbers))
+            if reached is not None:
+                queue.append((j, child, reached))
+            yield i, x, j, reached, child
 
 
 @dataclass(frozen=True)

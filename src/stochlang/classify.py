@@ -14,15 +14,14 @@ off the integer form's letter maps.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
 from .analysis import total_sum
-from .automata import (MultiplicityAutomaton, Word, _checked_names, _echo, _echoes, is_trimmed,
-                       words_up_to)
+from .automata import (MultiplicityAutomaton, Word, _checked_names, _echo, _echoes, _walk,
+                       is_trimmed, words_up_to)
 from .reduction import ReductionMode, is_reduced, reduce
 
 UNDECIDABILITY_NOTE = ("bounded check only: nonnegativity was tested up to the stated "
@@ -85,38 +84,34 @@ def is_pda(a: MultiplicityAutomaton) -> bool:
 def _singleton_witnesses(a: MultiplicityAutomaton) -> dict[str, Word]:
     """Smallest word steering the support powerset to each singleton state set.
 
-    The search is breadth-first over the state sets reachable in the support
+    The search is the breadth-first walk of residual exploration
+    (``automata._walk``) over the state sets reachable in the support
     powerset, so it can visit up to 2^n of them for n states. No general
     shortcut is expected: the source paper shows that deciding whether a PA
     is a residual automaton is PSPACE-hard (see ``pra_hardness_instance``).
-    State sets are int bitmasks, bit i for the i-th state, and each set's
-    successors under every letter are gathered in one pass over its states'
-    successor masks (:func:`_successor_masks`).
+    State sets are int bitmasks, bit i for the i-th state, each its own key
+    in the walk, and each set's successors under every letter are gathered
+    in one pass over its states' successor masks (:func:`_successor_masks`).
     """
     masks = {1 << i: row for i, row in enumerate(_successor_masks(a))}
     letters, states = a.alphabet, a.states
-    start = sum(1 << i for i, w in enumerate(a._integer_form().iota) if w)
-    witnesses: dict[str, Word] = {}
-    if start and not start & (start - 1):
-        witnesses[states[start.bit_length() - 1]] = ()
-    seen = {start}
-    queue: deque[tuple[int, Word]] = deque([(start, ())])
-    while queue:
-        rest, word = queue.popleft()
+
+    def expand(rest):
         targets = [0] * len(letters)
         while rest:
             bit = rest & -rest
             for k, m in masks[bit]:
                 targets[k] |= m
             rest ^= bit
-        for k, target in enumerate(targets):
-            if not target or target in seen:
-                continue
-            seen.add(target)
-            child = word + (letters[k],)
-            if not target & (target - 1):
-                witnesses.setdefault(states[target.bit_length() - 1], child)
-            queue.append((target, child))
+        return [(letters[k], target, target) for k, target in enumerate(targets) if target]
+
+    start = sum(1 << i for i, w in enumerate(a._integer_form().iota) if w)
+    witnesses: dict[str, Word] = {}
+    if start and not start & (start - 1):
+        witnesses[states[start.bit_length() - 1]] = ()
+    for _, _, _, word, target in _walk(start, start, expand):
+        if word is not None and not target & (target - 1):
+            witnesses[states[target.bit_length() - 1]] = word
     return witnesses
 
 

@@ -21,16 +21,30 @@ content division. Its mass is the dot product with the state-sum vector
 (Id - M)^-1 gamma on V, whose coordinates on V's rows are its entries at
 the rows' pivots times the rows' pivot weights. That vector is the one
 ``state_sums`` reads off the automaton's sum source
-(``analysis._sum_table``): the all-ones vector with unit state sums, as on
-every PA, where no sum table is built, and otherwise the vector read
-off the table of the vectors A^k g. Only when the minimal polynomial of gamma under M is not
-Schur-stable does each mass run its own fraction-free recurrence on that
-table, taken at V's pivots, since the paper defines a residual whenever
-its own prefix sum converges. The key of a
-residual is p times the sign of its mass: equal keys mean equal series,
-so a dict finds every known residual, and a combination question between
-residuals is one exact solve on a table of keys. Fractions are made only for the weights of the automaton built;
-the prefixial form copies each witness state's own weight pairs.
+(``analysis._sum_table``): the all-ones vector with unit state sums, as
+on every PA, where no sum table is built, and otherwise the vector read
+off the table of the vectors A^k g. Only when the minimal polynomial of
+gamma under M is not Schur-stable does each mass run its own
+fraction-free recurrence on that table, taken at V's pivots, since the
+paper defines a residual whenever its own prefix sum converges. The key
+of a residual is p times the sign of its mass: equal keys mean equal
+series, so a dict finds every known residual, and a combination question
+between residuals is one exact solve on a table of keys. Fractions are
+made only for the weights of the automaton built; the prefixial form
+copies each witness state's own weight pairs.
+
+Determinization, the residual generators and the prefixial form explore
+their words on one breadth-first walk (``automata._walk``), as does the
+residual witness search of ``classify`` on state sets. The walk visits
+words in length-lexicographic order, numbers each new key and expands
+only the first word of a key: determinization keys a residual by its
+key, the prefixial form a prefix of the witness words by the word
+itself. The residual generators prune the same way: if a word has the
+key of an earlier word, then for every suffix s the two words continued
+by s start the same residual, and the earlier one comes first. So the
+first word of each key, and the generators found, are those of the
+enumeration of every word up to the depth, at a fraction of its letter
+steps.
 
 PA synthesis asks its questions the same way. A letter shift of a
 generator is the generator with another initial vector, so one table of
@@ -41,7 +55,6 @@ mix and every stability question are one feasibility problem each on it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -50,8 +63,8 @@ from typing import Mapping, Sequence
 
 from .analysis import (_mass, _series_sum, _state_sum_vector, _sum_table, _SumTable,
                        residual_automaton)
-from .automata import (MultiplicityAutomaton, Word, _echo, _from_pairs, format_word,
-                       letter_shift_automaton, state_series_automaton, words_up_to)
+from .automata import (MultiplicityAutomaton, Word, _echo, _from_pairs, _walk, format_word,
+                       letter_shift_automaton, state_series_automaton)
 from .classify import is_pa, is_pda
 from .equivalence import (_backward_closure, _blocks, _value_table, are_equivalent,
                           combination_on_rows)
@@ -115,10 +128,9 @@ class _Residuals:
         self.start_factor = span.start_factor * self.unit
 
     def step(self, p: list[int], x: str) -> tuple[int, list[int]]:
-        """The content g and the coprime vector q with g q = A_x p."""
-        action = self.actions.get(x)
-        if action is None:
-            raise ValueError(f"letter {_echo(x)} is not in the alphabet")
+        """The content g and the coprime vector q with g q = A_x p, for a
+        letter x of the alphabet."""
+        action = self.actions[x]
         q = [0] * len(p)
         for k, y in enumerate(p):
             if y:
@@ -248,42 +260,40 @@ def determinize_to_pda(a: MultiplicityAutomaton, max_states: int) -> Determiniza
     """Explore residuals breadth-first and assemble a deterministic PA from them.
 
     Two words whose residual series coincide share a state; each state keeps
-    its smallest witness word as its name. Residuals are told apart by their
-    keys (:meth:`_Residuals.key`), looked up in a dict, so no pair of
-    residuals is ever compared. Exceeding ``max_states`` distinct
-    residuals aborts with the count discovered so far, which is not a proof
-    that infinitely many exist. The input series must have total mass 1.
-    A residual of mass 0 is skipped when its series is zero; otherwise the
-    series takes both signs, and ConstructionError is raised.
+    its smallest witness word as its name. The residuals are walked
+    breadth-first (``automata._walk``) and told apart by their keys
+    (:meth:`_Residuals.key`), so no pair of residuals is ever compared, and
+    every letter step records an edge, to a new residual or a known one.
+    Exceeding ``max_states`` distinct residuals aborts with the count
+    discovered so far, which is not a proof that infinitely many exist.
+    The input series must have total mass 1. A residual of mass 0 is
+    skipped when its series is zero; otherwise the series takes both
+    signs, and ConstructionError is raised.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
     res = _Residuals(a)
     m = _checked_total(res)
 
-    discovered: list[tuple[Word, list[int], Mass]] = [((), res.start, m)]
-    index = {res.key(res.start, m): 0}
-    transitions: dict[tuple[int, str], tuple[Fraction, int]] = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        word, p, m = discovered[i]
+    def expand(node):
+        _, p, m = node
         for x in a.alphabet:
             g, q = res.step(p, x)
             mq = res.mass(q)
             key = res.key(q, mq)
-            if not mq:
-                if any(key):
-                    raise ConstructionError(_NOT_A_DISTRIBUTION)
-                continue
-            match = index.get(key)
-            if match is None:
-                if len(discovered) == max_states:
-                    return DeterminizationOutcome(None, len(discovered) + 1)
-                match = index[key] = len(discovered)
-                discovered.append((word + (x,), q, mq))
-                queue.append(match)
-            transitions[(i, x)] = (res.weight(g, mq, m), match)
+            if mq:
+                yield x, key, (res.weight(g, mq, m), q, mq)
+            elif any(key):
+                raise ConstructionError(_NOT_A_DISTRIBUTION)
+
+    discovered: list[tuple[Word, list[int], Mass]] = [((), res.start, m)]
+    transitions: dict[tuple[int, str], tuple[Fraction, int]] = {}
+    for i, x, j, word, (mass, q, mq) in _walk(res.key(res.start, m), (1, res.start, m), expand):
+        if word is not None:
+            if len(discovered) == max_states:
+                return DeterminizationOutcome(None, len(discovered) + 1)
+            discovered.append((word, q, mq))
+        transitions[(i, x)] = (mass, j)
 
     names = [format_word(word, a.alphabet) for word, _, _ in discovered]
     iota = {names[0]: Fraction(1)}
@@ -301,8 +311,14 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     """Rebuild a PA over the prefix closure of its residual witness words.
 
     Each state q must come with a word w_q whose residual equals the state's
-    series (distinct words per state). Each residual of the prefix closure
-    is computed once, by one letter step from its parent. Each witness is
+    series (distinct words per state). The prefix closure of the witness
+    words is walked breadth-first (``automata._walk``), keyed by the words
+    themselves, so each of its residuals is computed once, by one letter
+    step from its parent, and the prefixes come in length-lex order, the
+    order of the states built. The witnesses are then checked in state
+    order, so the first error raised is that of the first state whose
+    witness fails, even when a shorter prefix of a later witness has
+    weight zero. Each witness is
     verified exactly: the residual's pairings with the input's backward
     rows, over its exact mass, must equal column q of those rows; only a
     mismatch runs an equivalence check of the residual automaton at w_q
@@ -322,7 +338,18 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
     if len(set(witness_words.values())) != len(witness_words):
         raise ValueError("witness words must be distinct")
     res = _Residuals(a)
+    closure = {w[:k] for w in witness_words.values() for k in range(1, len(w) + 1)}
+
+    def expand(node):
+        word, (_, p) = node
+        for x in a.alphabet:
+            child = word + (x,)
+            if child in closure:
+                yield x, child, (child, res.step(p, x))
+
+    # each prefix's (content, coprime vector), in length-lex order
     vectors: dict[Word, tuple[int, list[int]]] = {(): (1, res.start)}
+    vectors.update(node for _, _, _, _, node in _walk((), ((), vectors[()]), expand))
     masses: dict[Word, Mass] = {}
 
     def mass(w: Word) -> Mass:
@@ -334,11 +361,10 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
         return masses[w]
 
     for i, (q, w) in enumerate(witness_words.items()):
-        for k in range(1, len(w) + 1):
-            if w[:k] not in vectors:
-                vectors[w[:k]] = res.step(vectors[w[:k - 1]][1], w[k - 1])
-        p, m = vectors[w][1], mass(w)
-        if not res.is_state_series(p, m, i):
+        if w not in vectors:
+            x = next(x for x in w if x not in res.actions)
+            raise ValueError(f"letter {_echo(x)} is not in the alphabet")
+        if not res.is_state_series(vectors[w][1], mass(w), i):
             check = are_equivalent(residual_automaton(a, w), state_series_automaton(a, q))
             raise ValueError(
                 f"witness verification failure for state {_echo(q)}: the residual at "
@@ -346,16 +372,14 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                 f"{format_word(check.witness, a.alphabet)}")
 
     word_of = {w: q for q, w in witness_words.items()}
-    index = {x: i for i, x in enumerate(a.alphabet)}
-    ordered = sorted(vectors, key=lambda w: (len(w), [index[x] for x in w]))
-    names = {w: format_word(w, a.alphabet) for w in ordered}
+    names = {w: format_word(w, a.alphabet) for w in vectors}
     # each witness state's own weight pairs, per letter, in target state order
     position = {r: i for i, r in enumerate(a.states)}
     leaving: dict[tuple[str, str], list[tuple[int, str, tuple[int, int]]]] = {}
     for (q, x, r), pair in a._phi.items():
         leaving.setdefault((q, x), []).append((position[r], r, pair))
     phi: dict[tuple[str, str, str], tuple[int, int]] = {}
-    for w in ordered:
+    for w in vectors:
         for x in a.alphabet:
             extended = w + (x,)
             if extended in vectors:
@@ -365,8 +389,8 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                 for _, r, pair in sorted(leaving.get((word_of[w], x), ())):
                     phi[(names[w], x, names[witness_words[r]])] = pair
 
-    tau = {names[w]: res.tau(vectors[w][1], mass(w)).as_integer_ratio() for w in ordered}
-    built = _from_pairs(a.alphabet, [names[w] for w in ordered], {names[()]: (1, 1)}, tau, phi)
+    tau = {names[w]: res.tau(p, mass(w)).as_integer_ratio() for w, (_, p) in vectors.items()}
+    built = _from_pairs(a.alphabet, names.values(), {names[()]: (1, 1)}, tau, phi)
     if not is_pa(built):
         raise ValueError("witness set does not induce a probabilistic automaton; "
                          "an interior prefix loses mass outside the closure")
@@ -381,10 +405,20 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
                                 ) -> list[Word] | None:
     """Smallest residual set (by witness words) that is stable and covers the series.
 
-    Collects residuals of all words up to ``depth``, drops any residual that
-    is a nonnegative combination of the remaining ones, then verifies the
-    survivors form a stable family containing the series. Residuals are
-    deduplicated by their keys (:meth:`_Residuals.key`); one table holds a
+    Collects the residuals of all words up to ``depth``, drops any residual
+    that is a nonnegative combination of the remaining ones, then verifies
+    the survivors form a stable family containing the series. The words
+    are walked breadth-first (``automata._walk``) and only the first word
+    of each key (:meth:`_Residuals.key`) is expanded. That is sound: if u
+    comes after v and has its key, then p_u = +-p_v, so p_us = +-p_vs for
+    every suffix s, us has the key of vs whenever its mass is nonzero and
+    convergent, and vs comes before us. By induction on the length-lex
+    order, the least word of each key is reached, so the residuals kept
+    and their witness words are those of the enumeration of every word,
+    and so are the generators returned. A prefix of zero or divergent mass
+    is never kept but still expanded, deduplicated by its exact vector p.
+    The letter shifts of a kept residual are the steps the walk took from
+    it, and are stepped anew only at the depth bound. One table holds a
     column per residual, per residual letter shift and for the series
     itself, each a positive multiple of its values on the input's backward
     rows. Each drop, stability and cover question asks whether one column
@@ -405,24 +439,29 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     res = _Residuals(a)
     m = _checked_total(res)
 
-    found: dict[tuple[int, ...], tuple[Word, list[int], Mass]] = {}
-    vectors = {(): res.start}
-    for u in words_up_to(a.alphabet, depth):
-        if u:
-            p = vectors[u] = res.step(vectors[u[:-1]], u[-1])[1]
-        else:
-            p = res.start
-        try:
-            mass = res.mass(p)
-        except ValueError:
-            continue
-        if mass:
-            found.setdefault(res.key(p, mass), (u, p, mass))
+    def expand(node):
+        for x in a.alphabet:
+            q = res.step(node[0], x)[1]
+            try:
+                mass = res.mass(q)
+            except ValueError:
+                mass = 0
+            yield x, res.key(q, mass) if mass else (None, *q), (q, mass)
+
+    # the kept residuals as (walk number, word, p, mass), and the letter
+    # steps of every expanded prefix by walk number
+    found = [(0, (), res.start, m)]
+    steps: dict[int, list[list[int]]] = {}
+    for i, _, j, word, (p, mass) in _walk(res.key(res.start, m), (res.start, m), expand, depth):
+        steps.setdefault(i, []).append(p)
+        if word is not None and mass:
+            found.append((j, word, p, mass))
     # columns: the k residuals, then their letter shifts, then the series,
     # each a positive multiple of its values on the backward rows
     k, letters = len(found), len(a.alphabet)
-    keys = list(found) + [res.key(res.step(p, x)[1], mass)
-                          for _, p, mass in found.values() for x in a.alphabet]
+    keys = [res.key(p, mass) for _, _, p, mass in found]
+    keys += [res.key(q, mass) for j, _, p, mass in found
+             for q in steps.get(j) or (res.step(p, x)[1] for x in a.alphabet)]
     keys.append(res.key(res.start, m))
     table = list(zip(*keys))
 
@@ -437,5 +476,4 @@ def minimal_residual_generators(a: MultiplicityAutomaton, depth: int
     needed = [k + i * letters + j for i in alive for j in range(letters)] + [k * (1 + letters)]
     if not all(covered(t, alive) for t in needed):
         return None
-    words = [u for u, _, _ in found.values()]
-    return [words[i] for i in alive]
+    return [found[i][1] for i in alive]

@@ -62,11 +62,10 @@ recursion then decides whether all roots of a polynomial lie strictly
 inside the unit circle. It runs fraction-free as well: roots do not
 depend on the scale of a polynomial, so each step cross-multiplies
 instead of dividing by the leading coefficient, with the content divided
-out (:func:`_schur_cohn`; ``schur_stable`` is its public face on
-Fractions). Every sum goes through one integer evaluation beside it
-(:func:`_sum_weights`): from a connection polynomial and the scale it
-runs the test and returns integer weights that sum the sequence, scalars
-or vectors alike. The series sums and state sums of ``analysis`` read
+out (:func:`_schur_cohn`). Every sum goes through one integer evaluation
+beside it (:func:`_sum_weights`): from a connection polynomial and the
+scale it runs the test and returns integer weights that sum the
+sequence, scalars or vectors alike. The series sums and state sums of ``analysis`` read
 their values off those weights, and ``spectral_radius_lt_one``, on the
 unit vectors, only its verdict.
 """
@@ -332,19 +331,6 @@ def is_positive_definite(p: Matrix) -> bool:
         if determinant(minor) <= 0:
             return False
     return True
-
-
-def schur_stable(coeffs: Sequence[Fraction]) -> bool:
-    """Decide exactly whether all roots of a polynomial lie inside the unit circle.
-
-    ``coeffs`` runs from the constant term up to a nonzero leading term; a
-    root on the circle counts as unstable. The coefficients are scaled to
-    coprime integers, which moves no root, and go to :func:`_schur_cohn`.
-    """
-    p = vector(coeffs)
-    if not p or not p[-1]:
-        raise ValueError("polynomial needs a nonzero leading coefficient")
-    return _schur_cohn(_primitive(p))
 
 
 def _schur_cohn(p: list[int]) -> bool:

@@ -29,7 +29,7 @@ the library replaced by a closure on the backward rows alone. Series sums run
 Berlekamp-Massey and Schur-Cohn over Fractions on the terms lam . M^k .
 gamma, which the library replaced by the fraction-free recursions on
 integer terms. The state sums came from the monic Fraction minimal
-polynomial, ``schur_stable`` and Fraction tails
+polynomial, ``oracle_schur_stable`` and Fraction tails
 (``oracle_fraction_state_sum_vector``), which the library replaced by the
 integer connection polynomial and the one integer evaluation that every
 sum shares. Exact solves run Gauss-Jordan elimination over Fractions,
@@ -94,15 +94,14 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        empty_automaton, express_combination, format_word, is_pa, is_pda,
                        prefix_weight, residual_automaton, state_series_automaton,
                        total_sum, weighted_sum, words_up_to)
-from stochlang.automata import (is_trimmed, length_lex_key, letter_shift_automaton,
-                                replace_iota)
+from stochlang.automata import is_trimmed, letter_shift_automaton, replace_iota
 from stochlang.constructions import _NOT_A_DISTRIBUTION
 from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _load_json,
                                  _name_list, _require_keys)
 from stochlang import analysis, equivalence
 from stochlang.equivalence import _backward_closure, combination_on_rows
 from stochlang.linalg import (AffineSolution, Constraint, Matrix, SpanBasis, dot,
-                              is_positive_definite, schur_stable, solve_affine, unit_vector)
+                              is_positive_definite, solve_affine, unit_vector)
 
 F = Fraction
 
@@ -1103,12 +1102,12 @@ def oracle_monic_minimal_polynomial(powers, scale):
 def oracle_fraction_state_sum_vector(table, n):
     """The state-sum vector of a sum table as (S, r), S coprime and r > 0,
     or None: the monic minimal polynomial mu of gamma under M
-    (``oracle_monic_minimal_polynomial``), ``schur_stable`` on it, and the
-    Fraction tails (mu_(j+1) + ... + mu_d) / s^j as the weights of the
-    A^j g, over one common denominator. The library replaced it by the
+    (``oracle_monic_minimal_polynomial``), ``oracle_schur_stable`` on it,
+    and the Fraction tails (mu_(j+1) + ... + mu_d) / s^j as the weights of
+    the A^j g, over one common denominator. The library replaced it by the
     integer evaluation that series sums share (``linalg._sum_weights``)."""
     mu = oracle_monic_minimal_polynomial(table.powers[:n + 1], table.scale)
-    if not schur_stable(mu):
+    if not oracle_schur_stable(mu):
         return None
     tails = list(itertools.accumulate(reversed(mu[1:])))[::-1]
     weights = [t / table.scale ** j for j, t in enumerate(tails)]
@@ -1525,6 +1524,12 @@ def oracle_minimal_residual_generators(a, depth):
     if not oracle_express_combination(a, generators, nonneg=True).expressible:
         return None
     return [w for w, _ in survivors]
+
+
+def length_lex_key(word, alphabet):
+    """Sort key of a word: its length, then its letters' places in the alphabet."""
+    index = {x: i for i, x in enumerate(alphabet)}
+    return (len(word), tuple(index[x] for x in word))
 
 
 def oracle_to_prefixial_pra(a, witnesses):

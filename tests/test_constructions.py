@@ -363,9 +363,27 @@ class TestPrefixial:
         with pytest.raises(ValueError, match=f"^witness verification failure for state {echo}: "
                                              "the residual at aa differs at @$"):
             to_prefixial_pra(a, {"q0": (), long: ("a", "a")})
-        res = importlib.import_module("stochlang.constructions")._Residuals(a)
         with pytest.raises(ValueError, match=f"^letter {echo} is not in the alphabet$"):
-            res.step(res.start, long)
+            to_prefixial_pra(a, {"q0": (), long: ("a", long)})
+
+    @pytest.mark.parametrize("witnesses, message", [
+        # q0's witness fails, and q1's passes through aa, of weight zero and
+        # before ba in length-lex order: the states are checked in order
+        ({"q0": ("b", "a"), "q1": ("a", "a", "b")},
+         "witness verification failure for state 'q0': the residual at ba differs at @"),
+        ({"q0": ("b", "a"), "q1": ("a", "a")},
+         "witness verification failure for state 'q0': the residual at ba differs at @"),
+        ({"q0": ("a", "a", "b"), "q1": ("b",)}, "prefix weight of aab is zero"),
+        ({"q0": ("b", "a"), "q1": ("z",)},
+         "witness verification failure for state 'q0': the residual at ba differs at @"),
+        ({"q0": ("z",), "q1": ("b",)}, "letter 'z' is not in the alphabet"),
+    ], ids=["failure-then-zero-interior", "failure-then-zero", "zero-then-failure",
+            "failure-then-letter", "letter-then-failure"])
+    def test_the_first_state_in_error_decides_the_message(self, witnesses, message):
+        a = fixtures.build("fig2_A")
+        for rebuild in (to_prefixial_pra, oracle_to_prefixial_pra):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rebuild(a, witnesses)
 
     def test_duplicate_witnesses_rejected(self):
         a = fixtures.build("fig5")
@@ -502,6 +520,47 @@ def test_minimal_generators_ask_each_question_once(monkeypatch):
         targets.clear()
         _outcome(minimal_residual_generators, a, 2)
         assert max(Counter(targets).values(), default=0) <= 1
+
+
+def test_minimal_generators_expand_each_residual_key_once(monkeypatch):
+    # the walk expands only the first word of each key and reads a kept
+    # residual's letter shifts off its own steps, stepping them anew only at
+    # the depth bound; stepping every word up to the depth and every shift
+    # anew took 42 steps on ring_pa(4) at depth 3 and 48 on the 9-state PDA
+    # at depth 4
+    module = importlib.import_module("stochlang.constructions")
+    steps = counted_calls(monkeypatch, module._Residuals, "step")
+    pda = random_pda(random.Random(2), 9, ("a", "b"))
+    assert pda.n_states == 9 and is_pda(pda)
+    for a, depth, count, generators in ((ring_pa(4), 3, 28, 4), (pda, 4, 20, 9)):
+        steps.clear()
+        assert len(minimal_residual_generators(a, depth)) == generators
+        assert len(steps) == count
+        # no vector is stepped twice under one letter, even up to its sign
+        signs = [-1 if next((y for y in p if y), 0) < 0 else 1 for _, p, _ in steps]
+        stepped = {(x, tuple(sign * y for y in p)) for sign, (_, p, x) in zip(signs, steps)}
+        assert len(stepped) == count
+
+
+@st.composite
+def random_pdas(draw):
+    """Random PDAs of 6-10 states over two letters, after trimming."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        a = random_pda(rng, rng.randint(6, 12), ("a", "b"))
+        if 6 <= a.n_states <= 10:
+            return a
+
+
+@given(random_pdas())
+@settings(max_examples=10, deadline=None)
+def test_the_walk_matches_the_oracles_on_random_pdas(a):
+    # a PDA has at most one residual per state, so most words up to depth 4
+    # repeat an earlier key and the walk leaves them unexpanded
+    for depth in (3, 4):
+        assert (minimal_residual_generators(a, depth)
+                == oracle_minimal_residual_generators(a, depth))
+    _assert_determinize_matches_oracle(a, 10)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from stochlang.equivalence import MODULAR_MIN_DIM, _backward_closure, _direct_su
 from stochlang.linalg import (Constraint, Matrix, SpanBasis, _certified_closure, _closure,
                               _minimal_polynomial, _ModularSpan, _packed_push,
                               _powers, _primitive, _rational, dot, is_positive_definite,
-                              lp_feasible, rref, schur_stable, solve_affine,
+                              lp_feasible, rref, solve_affine,
                               spectral_radius_lt_one)
 
 from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis, diagonal,
@@ -269,6 +269,18 @@ class TestSpectralRadius:
             assert spectral_radius_lt_one(m) == lyapunov_lt_one(m)
 
 
+def schur_stable(coeffs):
+    """The verdict of ``linalg._schur_cohn`` on the coprime integer multiple
+    of a polynomial of ints or Fractions, constant term first, checked
+    against the Fraction recursion ``oracle_schur_stable``: the former
+    public ``linalg.schur_stable``, which no decision called."""
+    if not coeffs or not coeffs[-1]:
+        raise ValueError("polynomial needs a nonzero leading coefficient")
+    verdict = linalg._schur_cohn(_primitive(F(x) for x in coeffs))
+    assert verdict == oracle_schur_stable(coeffs)
+    return verdict
+
+
 class TestSchurStable:
     def test_known_roots(self):
         assert schur_stable([F(1, 4), F(-1), F(1)])          # (z - 1/2)^2
@@ -290,10 +302,11 @@ class TestSchurStable:
             assert schur_stable([d, -t, F(1)]) == expected
 
     def test_rejects_zero_leading_coefficient(self):
-        with pytest.raises(ValueError):
-            schur_stable([F(1), F(0)])
-        with pytest.raises(ValueError):
-            schur_stable([])
+        for stable in (schur_stable, oracle_schur_stable):
+            with pytest.raises(ValueError):
+                stable([F(1), F(0)])
+            with pytest.raises(ValueError):
+                stable([])
 
 
 def poly_mul(p, q):
