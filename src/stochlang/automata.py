@@ -176,11 +176,9 @@ def _pair(w: object) -> tuple[int, int]:
 def _primitive_of(weights: Mapping[str, tuple[int, int]], index: Mapping[str, int]
                   ) -> tuple[list[int], Fraction]:
     """The vector of (numerator, denominator) weights at the states' indices,
-    zero elsewhere, as ``linalg._primitive_with_factor`` gives it: the
-    coprime integer list w and the positive f with vector = f w (f = 1 at
-    zero). f is the one Fraction made; ``_primitive_with_factor`` of the
-    same integer vector, with f divided by the scale, took about 8 us more
-    per 22-state vector, two per automaton."""
+    zero elsewhere, as the coprime integer list w and the positive f with
+    vector = f w (f = 1 at zero). The weights go under one common
+    denominator first, so f is the one Fraction made."""
     scale = lcm(*(den for _, den in weights.values()))
     w = [0] * len(index)
     for q, (num, den) in weights.items():

@@ -29,8 +29,9 @@ it returns, so ``invert`` runs on the same rows. Every cone question,
 c >= 0 with A c = b, runs on one fraction-free phase-one simplex with
 Bland's rule (:func:`_simplex`) over the rows of [A | b] themselves, with
 no solve or nullspace first; it returns a point or a Farkas vector.
-``lp_feasible`` is its public face, through the standard form. Only
-``determinant`` still eliminates over ``Fraction``.
+``lp_feasible`` is its public face, through the standard form.
+``is_positive_definite`` runs the simplex's row operation
+(:func:`_eliminated`) too, once down the diagonal.
 
 A large span closure can run mod a 61-bit prime instead
 (:func:`_certified_closure`), on the same :func:`_closure` loop with a
@@ -89,14 +90,6 @@ def frac(x) -> Fraction:
 
 def vector(entries: Iterable) -> Vector:
     return tuple(frac(x) for x in entries)
-
-
-def zero_vector(dim: int) -> Vector:
-    return (Fraction(0),) * dim
-
-
-def unit_vector(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -208,7 +201,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     for r in m.rows:
         span.add(r)
     rows = span.basis
-    rows += [zero_vector(m.ncols)] * (m.nrows - len(rows))
+    rows += [(Fraction(0),) * m.ncols] * (m.nrows - len(rows))
     return Matrix(rows, m.ncols), tuple(span._rows)
 
 
@@ -282,28 +275,6 @@ def _nullspace(echelon: dict[int, dict[int, int]], n: int) -> list[list[Fraction
     return list(nullspace.values())
 
 
-def determinant(m: Matrix) -> Fraction:
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
@@ -317,19 +288,28 @@ def invert(m: Matrix) -> Matrix:
 
 
 def is_positive_definite(p: Matrix) -> bool:
-    """Sylvester criterion: all leading principal minors strictly positive.
+    """Sylvester's criterion, read off one fraction-free elimination.
 
+    Each row is scaled to its primitive integer row (:func:`_primitive`), a
+    positive multiple, and the columns are eliminated in order with no row
+    exchange (:func:`_eliminated`). Every row stays a positive multiple of
+    its row in the Schur complement, so while the pivots before it are
+    positive, the k-th pivot has the sign of D_k / D_(k-1), D_k the k-th
+    leading principal minor: all minors are positive iff every pivot is.
     Rejects non-symmetric input.
     """
     if not p.is_square():
         raise ValueError("positive definiteness of a non-square matrix")
     if not p.is_symmetric():
         raise ValueError("matrix is not symmetric")
-    rows = p.rows
-    for k in range(1, p.nrows + 1):
-        minor = Matrix([r[:k] for r in rows[:k]], k)
-        if determinant(minor) <= 0:
+    rows = [_primitive(r) for r in p.rows]
+    for k, pivot in enumerate(rows):
+        a = pivot[k]
+        if a <= 0:
             return False
+        for i in range(k + 1, len(rows)):
+            if c := rows[i][k]:
+                rows[i] = _eliminated(rows[i], a, c, pivot)
     return True
 
 
@@ -558,13 +538,6 @@ def _primitive(v: Iterable) -> list[int]:
     w = [x.numerator * (scale // x.denominator) for x in v]
     g = gcd(*w)
     return w if g <= 1 else [x // g for x in w]
-
-
-def _primitive_with_factor(v: Sequence) -> tuple[list[int], Fraction]:
-    """The primitive vector w of v and the positive f with v = f w (f = 1 at zero)."""
-    w = _primitive(v)
-    i = next((i for i, x in enumerate(w) if x), None)
-    return w, Fraction(1) if i is None else Fraction(v[i]) / w[i]
 
 
 class SpanBasis:

@@ -33,7 +33,10 @@ polynomial, ``oracle_schur_stable`` and Fraction tails
 (``oracle_fraction_state_sum_vector``), which the library replaced by the
 integer connection polynomial and the one integer evaluation that every
 sum shares. Exact solves run Gauss-Jordan elimination over Fractions,
-which the library replaced by the integer rows of its span basis. A row
+which the library replaced by the integer rows of its span basis, and
+definiteness takes the Fraction determinant of every leading minor
+(``oracle_is_positive_definite``), which the library replaced by the pivot
+signs of one fraction-free elimination. A row
 vector goes through a letter matrix by a scan of every cell of its dense
 rows (``oracle_vec_mat``), which the library replaced by a pass over the
 matrix's nonzero entries. The integer letter maps of a closure come from
@@ -100,8 +103,7 @@ from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _
                                  _name_list, _require_keys)
 from stochlang import analysis, equivalence
 from stochlang.equivalence import _backward_closure, combination_on_rows
-from stochlang.linalg import (AffineSolution, Constraint, Matrix, SpanBasis, dot,
-                              is_positive_definite, solve_affine, unit_vector)
+from stochlang.linalg import AffineSolution, Constraint, Matrix, SpanBasis, dot, solve_affine
 
 F = Fraction
 
@@ -261,6 +263,40 @@ def oracle_invert(m):
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Matrix([r[n:] for r in red.rows], n)
+
+
+def oracle_determinant(m):
+    """The determinant by Gaussian elimination over Fractions, with row exchanges."""
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    rows = [list(r) for r in m.rows]
+    n = m.nrows
+    det = F(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return F(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def oracle_is_positive_definite(p):
+    """Sylvester's criterion: every leading principal minor, each an
+    ``oracle_determinant``, is positive. Rejects non-symmetric input."""
+    if not p.is_square():
+        raise ValueError("positive definiteness of a non-square matrix")
+    if not p.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    rows = p.rows
+    return all(oracle_determinant(Matrix([r[:k] for r in rows[:k]], k)) > 0
+               for k in range(1, p.nrows + 1))
 
 
 def _oracle_normalize_row(co, c):
@@ -511,6 +547,13 @@ def oracle_primitive(v):
     w = [int(F(x) * scale) for x in v]
     g = gcd(*w)
     return w if g <= 1 else [x // g for x in w]
+
+
+def primitive_with_factor(v):
+    """The primitive vector w of v and the positive f with v = f w (f = 1 at zero)."""
+    w = oracle_primitive(v)
+    i = next((i for i, x in enumerate(w) if x), None)
+    return w, F(1) if i is None else F(v[i]) / w[i]
 
 
 def oracle_eliminate(v, row, pivot):
@@ -849,6 +892,11 @@ def membership_in_span(v, basis):
     return None if sol is None else sol.particular
 
 
+def unit_vector(dim, i):
+    """The i-th unit vector of length dim, as Fractions."""
+    return tuple(F(int(j == i)) for j in range(dim))
+
+
 def mat_vec(m, v):
     """Matrix times column vector."""
     return tuple(sum((x * vj for x, vj in zip(r, v) if x), F(0)) for r in m.rows)
@@ -947,7 +995,7 @@ def lyapunov_lt_one(m):
         return False
     p = Matrix([[sol.particular[index[(min(i, j), max(i, j))]] for j in range(n)]
                 for i in range(n)], n)
-    return is_positive_definite(p)
+    return oracle_is_positive_definite(p)
 
 
 def decomposition_sum(m, iota, tau, reverse_complement=False):

@@ -15,16 +15,16 @@ from stochlang.analysis import (_mass, _minimal_recurrence, _series_sum, _state_
                                 _sum_table)
 from stochlang.automata import _IntegerForm, replace_iota
 from stochlang.constructions import _Residuals
-from stochlang.linalg import (_primitive_with_factor, dot, solve_affine, spectral_radius_lt_one,
-                              unit_vector)
+from stochlang.linalg import dot, solve_affine, spectral_radius_lt_one
 
 from helpers import (counted_sum_tables, duplicate_state, example1_residual_value, identity,
                      letter_sum_matrix, mat_sub, oracle_fraction_state_sum_vector,
                      oracle_minimal_recurrence, oracle_series_sum,
                      oracle_solve_affine, oracle_state_sums, oracle_total_sum,
                      oracle_unit_state_sums, permuted_copy, plant_mixture_state,
-                     random_fraction, random_ma, random_pa, random_unit_mass_ma, ring_pa,
-                     split_copy, timed, with_cancelling_copies)
+                     primitive_with_factor, random_fraction, random_ma, random_pa,
+                     random_unit_mass_ma, ring_pa, split_copy, timed, unit_vector,
+                     with_cancelling_copies)
 
 F = Fraction
 
@@ -239,7 +239,7 @@ class TestSeriesSumAgainstFractionOracle:
             table = table_path(_sum_table, a)
             for u in words_up_to(a.alphabet, 3):
                 v = rep.forward(rep.lam, u)
-                outcome = _series_sum(table, *_primitive_with_factor(v))
+                outcome = _series_sum(table, *primitive_with_factor(v))
                 assert (outcome.value if outcome.converges else None) == \
                     oracle_series_sum(a, v)
 

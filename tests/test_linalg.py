@@ -21,12 +21,12 @@ from helpers import (OracleIntegerSpanBasis, OracleModularSpan, OracleSpanBasis,
                      mat_sub, mat_vec, matrix_power, max_abs_entry, membership_in_span,
                      oracle_closure, oracle_fourier_motzkin, oracle_integer_actions,
                      oracle_integer_fourier_motzkin,
-                     oracle_integer_sum, oracle_primitive,
+                     oracle_integer_sum, oracle_is_positive_definite, oracle_primitive,
                      oracle_krylov_closure, oracle_lp_feasible, oracle_lumping,
                      oracle_monic_minimal_polynomial, oracle_rref,
                      oracle_schur_stable, oracle_solve_affine, oracle_vec_mat,
-                     duplicate_state, random_ma, random_pa, ring_pa, split_copy, transpose,
-                     with_cancelling_copies)
+                     duplicate_state, random_fraction, random_ma, random_pa, ring_pa,
+                     split_copy, timed, transpose, with_cancelling_copies)
 
 F = Fraction
 
@@ -179,6 +179,42 @@ class TestMembership:
         assert membership_in_span((F(1), F(0)), [(F(0), F(1))]) is None
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric Fraction matrices of 1-10 rows, from four families: B^T B + c I
+    with c > 0, positive definite; B^T B with fewer rows in B than columns,
+    semidefinite and singular; B^T D B with D a diagonal of both signs,
+    indefinite when B has full rank; and a leading k x k block of rank
+    k - 1, a zero leading minor, bordered by a shifted diagonal so that
+    later minors may be nonzero, positive ones among them."""
+    n = draw(st.integers(1, 10))
+    family = draw(st.sampled_from(["shifted", "low rank", "indefinite", "zero minor"]))
+
+    def gram(nrows, ncols, weights):
+        b = draw(st.lists(st.lists(fractions_st, min_size=ncols, max_size=ncols),
+                          min_size=nrows, max_size=nrows))
+        return [[sum((w * r[i] * r[j] for w, r in zip(weights, b)), F(0)) for j in range(ncols)]
+                for i in range(ncols)]
+
+    if family == "shifted":
+        c = draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
+        g = gram(n, n, [1] * n)
+        return Matrix([[x + c * (i == j) for j, x in enumerate(r)] for i, r in enumerate(g)])
+    if family == "low rank":
+        return Matrix(gram(draw(st.integers(0, n - 1)), n, [1] * n))
+    if family == "indefinite":
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        return Matrix(gram(n, n, signs))
+    k = draw(st.integers(1, n))
+    g = [r + [F(0)] * (n - k) for r in gram(k - 1, k, [1] * k)]
+    g += [[F(0)] * n for _ in range(n - k)]
+    c = draw(st.integers(1, 6))
+    for i in range(n):
+        for j in range(max(i, k), n):
+            g[i][j] = draw(fractions_st) + c * (i == j)
+    return Matrix([[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
 class TestPositiveDefinite:
     def test_identity(self):
         assert is_positive_definite(identity(3))
@@ -189,9 +225,43 @@ class TestPositiveDefinite:
     def test_scaled_identity(self):
         assert is_positive_definite(Matrix([[F(16, 7), 0], [0, F(16, 7)]]))
 
+    @pytest.mark.parametrize("rows, verdict", [
+        ([[0, 1], [1, 0]], False),
+        ([[0, 0], [0, 1]], False),
+        ([[1, 2], [2, 5]], True),
+        # minors 0, -1, 0, 1: the last is positive, the criterion still fails
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], False),
+        ([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 4)]], True),
+    ])
+    def test_explicit_cases(self, rows, verdict):
+        m = Matrix(rows)
+        assert is_positive_definite(m) is verdict
+        assert oracle_is_positive_definite(m) is verdict
+
+    def test_empty_matrix(self):
+        assert is_positive_definite(Matrix([], 0))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^positive definiteness of a non-square matrix$"):
+            is_positive_definite(Matrix([[1, 2]]))
+
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
             is_positive_definite(Matrix([[1, 2], [0, 1]]))
+
+    @given(symmetric_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_minors(self, m):
+        assert is_positive_definite(m) == oracle_is_positive_definite(m)
+
+    def test_gram_matrix_of_32_rows_in_one_pass(self):
+        # a Fraction determinant per leading minor takes about 1 s here
+        rng = random.Random(32)
+        n = 32
+        b = [[random_fraction(rng) for _ in range(n)] for _ in range(n)]
+        m = Matrix([[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)]
+                    for i in range(n)])
+        assert timed(is_positive_definite, m, limit_s=0.25)
 
 
 class TestSpectralRadius:
