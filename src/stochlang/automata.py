@@ -574,13 +574,6 @@ def state_series_automaton(a: MultiplicityAutomaton, q: str) -> MultiplicityAuto
     return replace_iota(a, tuple(Fraction(1 if s == q else 0) for s in a.states))
 
 
-def letter_shift_automaton(a: MultiplicityAutomaton, word: Sequence[str]
-                           ) -> MultiplicityAutomaton:
-    """Automaton for the (unnormalised) word shift of the series of ``a``."""
-    w, c = a._integer_form().forward(word)
-    return replace_iota(a, tuple(c * x for x in w))
-
-
 def with_alphabet(a: MultiplicityAutomaton, alphabet: Sequence[str]
                   ) -> MultiplicityAutomaton:
     """Same automaton over a larger alphabet; new letters carry no transitions."""

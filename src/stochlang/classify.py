@@ -287,7 +287,7 @@ class Dfa:
         return tuple(q for q in self.states if q in seen)
 
     def language_nonempty(self) -> bool:
-        return any(q in self.finals for q in self.reachable_states())
+        return not self.finals.isdisjoint(self.reachable_states())
 
 
 def _fresh(name: str, taken: set[str]) -> str:
@@ -310,8 +310,9 @@ def pra_hardness_instance(dfas: Sequence[Dfa]) -> MultiplicityAutomaton:
     base = dfas[0].alphabet
     if any(d.alphabet != base for d in dfas):
         raise ValueError("all automata must share one alphabet")
-    for i, d in enumerate(dfas):
-        if not d.language_nonempty():
+    reachable = [d.reachable_states() for d in dfas]
+    for i, (d, states) in enumerate(zip(dfas, reachable)):
+        if d.finals.isdisjoint(states):
             raise ValueError(f"automaton {i} recognises the empty language")
 
     n = len(dfas)
@@ -325,11 +326,10 @@ def pra_hardness_instance(dfas: Sequence[Dfa]) -> MultiplicityAutomaton:
     sink_state = "qb"
     nfa_states: list[str] = []
     rename: list[dict[str, str]] = []
-    for i, d in enumerate(dfas):
-        reachable = d.reachable_states()
-        names = {q: f"{i}:{q}" for q in reachable}
+    for i, states in enumerate(reachable):
+        names = {q: f"{i}:{q}" for q in states}
         rename.append(names)
-        nfa_states.extend(names[q] for q in reachable)
+        nfa_states.extend(names.values())
     nfa_states.extend([loop_state, blink_state, accept_state])
 
     delta: dict[tuple[str, str], set[str]] = {}
@@ -337,9 +337,8 @@ def pra_hardness_instance(dfas: Sequence[Dfa]) -> MultiplicityAutomaton:
     def link(q: str, x: str, r: str) -> None:
         delta.setdefault((q, x), set()).add(r)
 
-    for i, d in enumerate(dfas):
-        names = rename[i]
-        for q in d.reachable_states():
+    for i, (d, names) in enumerate(zip(dfas, rename)):
+        for q in names:
             for x in base:
                 r = d.delta.get((q, x))
                 if r is not None:

@@ -49,8 +49,9 @@ steps.
 PA synthesis asks its questions the same way. A letter shift of a
 generator is the generator with another initial vector, so one table of
 values on one backward closure (``equivalence._value_table``) holds a
-column for the target, for every generator and for every shift, and the
-mix and every stability question are one feasibility problem each on it.
+column for the target, for every generator and for every shift, each
+shift on its own generator with no automaton built for it, and the mix
+and every stability question are one feasibility problem each on it.
 """
 
 from __future__ import annotations
@@ -61,13 +62,12 @@ from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .analysis import (_mass, _series_sum, _state_sum_vector, _sum_table, _SumTable,
-                       residual_automaton)
+from .analysis import (_mass, _state_sum_vector, _sum_table, _SumTable, residual_automaton,
+                       total_sum)
 from .automata import (MultiplicityAutomaton, Word, _echo, _from_pairs, _walk, format_word,
-                       letter_shift_automaton, state_series_automaton)
+                       state_series_automaton)
 from .classify import is_pa, is_pda
-from .equivalence import (_backward_closure, _blocks, _value_table, are_equivalent,
-                          combination_on_rows)
+from .equivalence import _backward_closure, _value_table, are_equivalent, combination_on_rows
 from .reduction import _SpanRepresentation
 
 
@@ -187,17 +187,15 @@ def synthesize_pa(target: MultiplicityAutomaton,
                   ) -> MultiplicityAutomaton | None:
     """Probabilistic automaton for the target series over the given generators.
 
-    Requires every generator series to have total mass exactly 1. The
-    generators of one structure (``equivalence._blocks``) differ only in
-    their initial vector, so each structure has one sum source
-    (``analysis._sum_table``: none with unit state sums, such as on a PA,
-    where a mass is the sum of the initial weights, else one table) and
-    each generator's mass is one ``analysis._series_sum`` on it. Finds
-    nonnegative coefficients expressing the target over the generators and,
-    for every generator and letter, nonnegative coefficients expressing the
-    letter shift over the generators. A shift is its generator with another
-    initial vector, so one table (``equivalence._value_table``) holds a
-    column for the target, for each generator and for each shift, and every
+    Requires every generator series to have total mass exactly 1, read by
+    ``analysis.total_sum`` in generator order. Finds nonnegative
+    coefficients expressing the target over the generators and, for every
+    generator and letter, nonnegative coefficients expressing the letter
+    shift over the generators. A shift is its generator started from the
+    vector lam . mu(x), pushed in integers through its integer form
+    (``automata._IntegerForm.forward``), so one table
+    (``equivalence._value_table``) holds a column for the target, for each
+    generator and for each shift, on the automata themselves, and every
     question is one feasibility problem on it, asked in that order. Absent
     at the first infeasible question. The generators have mass 1, so the
     target's mass is the sum of its coefficients, and ValueError is raised
@@ -209,18 +207,18 @@ def synthesize_pa(target: MultiplicityAutomaton,
         return None
     if any(g.alphabet != target.alphabet for g in generators):
         raise ValueError("alphabet mismatch")
-    blocks, block_of = _blocks(generators)
-    tables = [_sum_table(b) for b in blocks]
-    for i, (g, k) in enumerate(zip(generators, block_of)):
-        form = g._integer_form()
-        if _series_sum(tables[k], form.iota, form.iota_factor).value != 1:
+    for i, g in enumerate(generators):
+        if total_sum(g).value != 1:
             raise ValueError(f"generator {i} does not have total mass 1")
 
     k = len(generators)
-    shifts = [letter_shift_automaton(g, (x,)) for g in generators for x in target.alphabet]
-    table = _value_table([target, *generators, *shifts])
+    automata = [target, *generators]
+    forms = [a._integer_form() for a in automata]
+    columns = [(i, f.iota, f.iota_factor) for i, f in enumerate(forms)]
+    columns += [(i, *forms[i].forward((x,))) for i in range(1, k + 1) for x in target.alphabet]
+    table = _value_table(automata, columns)
     answers = []
-    for t in [0, *range(k + 1, k + 1 + len(shifts))]:
+    for t in [0, *range(k + 1, len(columns))]:
         outcome = combination_on_rows(table, t, range(1, k + 1), nonneg=True)
         if not outcome.expressible:
             return None
@@ -371,13 +369,7 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
                 f"{format_word(w, a.alphabet)} differs at "
                 f"{format_word(check.witness, a.alphabet)}")
 
-    word_of = {w: q for q, w in witness_words.items()}
     names = {w: format_word(w, a.alphabet) for w in vectors}
-    # each witness state's own weight pairs, per letter, in target state order
-    position = {r: i for i, r in enumerate(a.states)}
-    leaving: dict[tuple[str, str], list[tuple[int, str, tuple[int, int]]]] = {}
-    for (q, x, r), pair in a._phi.items():
-        leaving.setdefault((q, x), []).append((position[r], r, pair))
     phi: dict[tuple[str, str, str], tuple[int, int]] = {}
     for w in vectors:
         for x in a.alphabet:
@@ -385,9 +377,11 @@ def to_prefixial_pra(a: MultiplicityAutomaton,
             if extended in vectors:
                 phi[(names[w], x, names[extended])] = res.weight(
                     vectors[extended][0], mass(extended), mass(w)).as_integer_ratio()
-            elif w in word_of:
-                for _, r, pair in sorted(leaving.get((word_of[w], x), ())):
-                    phi[(names[w], x, names[witness_words[r]])] = pair
+    # a witness state's letters that leave the closure keep its own weight pairs
+    for (q, x, r), pair in a._phi.items():
+        w = witness_words[q]
+        if w + (x,) not in vectors:
+            phi[(names[w], x, names[witness_words[r]])] = pair
 
     tau = {names[w]: res.tau(p, mass(w)).as_integer_ratio() for w, (_, p) in vectors.items()}
     built = _from_pairs(a.alphabet, names.values(), {names[()]: (1, 1)}, tau, phi)

@@ -23,7 +23,10 @@ Combinations close from the other side. The backward vectors x(w) = mu(w) . gamm
 of a direct sum of automata, closed under left letter action, span every
 x(w); each series is lam . x(w) for its own initial vector lam, so any
 linear equation between series holds on all words iff it holds on the
-closure's rows. Expressing one series over others is then one exact solve,
+closure's rows. A question is therefore asked on columns (automaton,
+initial vector): a letter shift or any other series that an automaton
+starts from another vector is a column on that automaton, and no automaton
+is built for it. Expressing one series over others is then one exact solve,
 or one exact feasibility problem for nonnegative coefficients, with no
 search for counterexample words. The backward closure, which rank,
 reduction and residual exploration share, merges the states of its direct
@@ -32,7 +35,9 @@ x(w) = P x_Q(w) for the backward vectors of the quotient, so it closes the
 quotient's span and expands each row back by P, which gives the reduced
 echelon rows over all states (:func:`_backward_closure`). Split,
 duplicated, permuted and cancelling copies close the span of the
-automaton they copy. From ``MODULAR_MIN_DIM`` dimensions of the quotient
+automaton they copy, and automata of one structure, such as generators
+that differ only in their initial vector, lump onto the blocks of the
+first of them. From ``MODULAR_MIN_DIM`` dimensions of the quotient
 on, that closure runs mod a prime and is checked exactly.
 """
 
@@ -415,60 +420,32 @@ def combination_on_rows(rows: Sequence[Sequence[Fraction | int]], target: int,
     return CombinationOutcome(True, solved[0])
 
 
-def _blocks(series: Sequence[MultiplicityAutomaton]
-            ) -> tuple[list[MultiplicityAutomaton], list[int]]:
-    """The first series of each distinct structure, in order, and the index
-    of each series' block.
+def _value_table(automata: Sequence[MultiplicityAutomaton],
+                 columns: Sequence[tuple[int, Sequence[int], Fraction]]) -> list[list[int]]:
+    """Rows of integers, one entry per column, on which every linear
+    equation between the columns' series holds iff it holds on every word.
 
-    Two series share a structure when they have the same states and the
-    same integer form (``automata._IntegerForm``) but for the initial
-    vector: the same scale, letter maps and final vector. Series in one
-    block differ only in their initial vector, so they share every derived
-    object that the initial vector does not enter. The letter maps keep
-    the order of the transitions, so equal weights given in another order
-    make a block of their own, which shares nothing but changes no
-    result.
+    A column (k, w, f) is the series of automaton k started from the
+    initial vector f w, for an integer vector w and a rational f: the
+    automaton's own series, a letter shift of it or any other series of
+    its representation. One backward closure of the automata's direct sum
+    (:func:`_backward_closure`), which merges copies of one structure by
+    its coarsest backward lumping, yields rows x on which the column takes
+    the value f w . x[automaton k's states], and the rows span every x(w).
+    The factors are scaled to integers by one common denominator and
+    paired with the span's sparse integer rows; neither that positive
+    scale, which every column shares, nor the scale of a row changes a
+    solution of :func:`combination_on_rows`.
     """
-    blocks: list[MultiplicityAutomaton] = []
-    keys: list[tuple] = []
-    block_of: list[int] = []
-    for s in series:
-        f = s._integer_form()
-        key = (s.states, f.scale, f.tau_factor, f.tau, f.right)
-        k = next((i for i, other in enumerate(keys) if other == key), None)
-        if k is None:
-            k = len(blocks)
-            blocks.append(s)
-            keys.append(key)
-        block_of.append(k)
-    return blocks, block_of
-
-
-def _value_table(series: Sequence[MultiplicityAutomaton]) -> list[list[int]]:
-    """Rows of integers, one column per series, on which every linear
-    equation between the series holds iff it holds on every word.
-
-    The series are grouped into one block per distinct structure
-    (:func:`_blocks`). One backward closure of the blocks' direct sum
-    (:func:`_backward_closure`) yields rows x on which each series takes the
-    value lam . x[its block], and the rows span every x(w). The initial
-    vectors, read off the integer forms as coprime integers with their
-    factors, are scaled to integers by one common denominator and paired
-    with the span's sparse integer rows; neither that positive scale, which
-    every column shares, nor the scale of a row changes a solution of
-    :func:`combination_on_rows`.
-    """
-    blocks, block_of = _blocks(series)
-    bounds = list(accumulate((b.n_states for b in blocks), initial=0))
-    forms = [s._integer_form() for s in series]
-    scale = lcm(*(f.iota_factor.denominator for f in forms))
+    bounds = list(accumulate((a.n_states for a in automata), initial=0))
+    scale = lcm(*(f.denominator for _, _, f in columns))
     lams = []
-    for f, k in zip(forms, block_of):
-        c = f.iota_factor.numerator * (scale // f.iota_factor.denominator)
+    for k, w, f in columns:
+        c = f.numerator * (scale // f.denominator)
         lam = [0] * bounds[-1]
-        lam[bounds[k]:bounds[k + 1]] = [c * x for x in f.iota]
+        lam[bounds[k]:bounds[k + 1]] = [c * x for x in w]
         lams.append(lam)
-    span = _backward_closure(blocks)[0]
+    span = _backward_closure(automata)[0]
     return [[sum([lam[j] * y for j, y in row.items()]) for lam in lams]
             for row in span._rows.values()]
 
@@ -478,16 +455,18 @@ def express_combination(target: MultiplicityAutomaton,
                         nonneg: bool) -> CombinationOutcome:
     """Coefficients expressing the target series over the generators' series.
 
-    One table of the series' values on the backward rows of their blocks
-    (:func:`_value_table`) holds equations that are complete: they imply
+    One table of the series' values on the backward rows of their direct
+    sum, one column per input started from its own initial vector
+    (:func:`_value_table`), holds equations that are complete: they imply
     target(w) = sum c_j generator_j(w) on every word, and no candidate
     needs checking afterwards. One call to :func:`combination_on_rows` then
     decides the question: over the field the coefficients are the reduced
     row-echelon particular solution of the complete system, and with
     ``nonneg`` the exact feasible point with every coefficient >= 0.
     """
-    generators = list(generators)
-    if any(g.alphabet != target.alphabet for g in generators):
+    automata = [target, *generators]
+    if any(g.alphabet != target.alphabet for g in automata):
         raise ValueError("alphabet mismatch")
-    return combination_on_rows(_value_table([target] + generators), 0,
-                               range(1, len(generators) + 1), nonneg)
+    forms = [a._integer_form() for a in automata]
+    table = _value_table(automata, [(k, f.iota, f.iota_factor) for k, f in enumerate(forms)])
+    return combination_on_rows(table, 0, range(1, len(automata)), nonneg)

@@ -412,9 +412,12 @@ def _simplex(rows: Iterable[Sequence], n: int) -> tuple[bool, tuple]:
     y . A_j >= 0 at every column j and y . b < 0.
 
     Phase one of the simplex method, fraction-free. Each row is scaled to
-    integers by the least common denominator of its entries, and its sign
-    flipped so that b >= 0; rows that are zero throughout are dropped. Each
-    kept row gets an artificial column, and the basis starts as those.
+    its coprime integer row, its sign flipped so that b >= 0; rows that are
+    zero throughout are dropped. Each kept row gets an artificial column,
+    and the basis starts as those. The phase-one costs weigh the rows as
+    they stand in the tableau, so a row given at another positive scale,
+    such as a Fraction row and its primitive integer row, starts the same
+    tableau and reaches the same vertex.
     Every tableau row stays a positive multiple of its true row: pivoting
     on a positive entry a_pq sets row_i to a_pq row_i - a_iq row_p with the
     content divided out (:func:`_eliminated`), so the ratio test, done by
@@ -435,23 +438,23 @@ def _simplex(rows: Iterable[Sequence], n: int) -> tuple[bool, tuple]:
     back to the given rows, is then the Farkas vector. Otherwise x_j =
     rhs_i / T[i][j] at each basic structural column j, and 0 elsewhere: the
     vertex that Bland's rule reaches from the all-artificial basis, which
-    depends only on the rows and the order of the columns. Where only one
-    point is feasible, that is it.
+    depends only on the directions of the rows and the order of the
+    columns. Where only one point is feasible, that is it.
     """
     rows = list(rows)
     tableau, scales = [], []
     for i, row in enumerate(rows):
         if all(type(x) is int for x in row):
-            r, d = list(row), 1
+            r, d = row, 1
         else:
             d = lcm(*[x.denominator for x in row])
             r = [x.numerator * (d // x.denominator) for x in row]
-        if r[n] < 0:
-            r, d = [-x for x in r], -d
-        elif not any(r):
+        g = -gcd(*r) if r[n] < 0 else gcd(*r)
+        if not g:
             continue
-        scales.append((i, d))
-        tableau.append(r)
+        # the tableau row is d / g times the given row
+        scales.append((i, d, g))
+        tableau.append(list(r) if g == 1 else [x // g for x in r])
     m = len(tableau)
     for k, r in enumerate(tableau):
         r[n:n] = [0] * m
@@ -482,8 +485,9 @@ def _simplex(rows: Iterable[Sequence], n: int) -> tuple[bool, tuple]:
         basis[p] = q
     if obj[-1]:
         y = [0] * len(rows)
-        for k, (i, d) in enumerate(scales):
-            y[i] = d * obj[n + k]
+        common = lcm(*(g for _, _, g in scales))
+        for k, (i, d, g) in enumerate(scales):
+            y[i] = d * (common // g) * obj[n + k]
         return False, tuple(y)
     x = [Fraction(0)] * n
     for r, j in zip(tableau, basis):

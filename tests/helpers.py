@@ -65,6 +65,11 @@ replaced by integer letter steps, masses read off the state-sum vector and
 integer keys on the backward rows. PA synthesis asks one
 ``express_combination`` per question, each on its own backward closure,
 which the library replaced by one table of values for every question.
+That table was built from automata alone, a letter shift built as one
+(``letter_shift_automaton``), grouped by structure before one closure
+(``oracle_value_table``), which the library replaced by columns
+(automaton, initial vector) on one closure of the automata themselves,
+whose lumping merges copies of one structure.
 An automaton document is parsed weight by weight, each weight string
 matched, measured and converted anew with the name of its item made in
 advance, which the library replaced by one parse per distinct string
@@ -97,7 +102,7 @@ from stochlang import (CombinationOutcome, ConstructionError,
                        empty_automaton, express_combination, format_word, is_pa, is_pda,
                        prefix_weight, residual_automaton, state_series_automaton,
                        total_sum, weighted_sum, words_up_to)
-from stochlang.automata import is_trimmed, letter_shift_automaton, replace_iota
+from stochlang.automata import is_trimmed, replace_iota
 from stochlang.constructions import _NOT_A_DISTRIBUTION
 from stochlang.documents import (MAX_DIGITS, DocumentError, _alphabet, _build, _load_json,
                                  _name_list, _require_keys)
@@ -1197,6 +1202,47 @@ def value_rows(automata):
     which are positive multiples of these.
     """
     return _backward_closure(automata)[0].basis
+
+
+def letter_shift_automaton(a, word):
+    """Automaton for the (unnormalised) word shift of the series of ``a``:
+    ``a`` started from the initial vector lam . mu(word)."""
+    w, c = a._integer_form().forward(word)
+    return replace_iota(a, tuple(c * x for x in w))
+
+
+def oracle_value_table(series):
+    """Integer rows, one column per series, on which every linear equation
+    between the series holds iff it holds on every word, as
+    ``equivalence._value_table`` built them from automata alone.
+
+    Each series is an automaton; a letter shift comes built as one
+    (``letter_shift_automaton``). The series are grouped into one block per
+    distinct structure: the same states and the same integer form but for
+    the initial vector. One backward closure of the blocks' direct sum
+    gives rows x on which each series takes the value lam . x[its block],
+    and every initial vector, read off the integer forms and scaled to
+    integers by one common denominator, is paired with each row.
+    """
+    blocks, keys, block_of = [], [], []
+    for s in series:
+        f = s._integer_form()
+        key = (s.states, f.scale, f.tau_factor, f.tau, f.right)
+        if key not in keys:
+            blocks.append(s)
+            keys.append(key)
+        block_of.append(keys.index(key))
+    bounds = list(itertools.accumulate((b.n_states for b in blocks), initial=0))
+    forms = [s._integer_form() for s in series]
+    scale = lcm(*(f.iota_factor.denominator for f in forms))
+    lams = []
+    for f, k in zip(forms, block_of):
+        c = f.iota_factor.numerator * (scale // f.iota_factor.denominator)
+        lam = [0] * bounds[-1]
+        lam[bounds[k]:bounds[k + 1]] = [c * x for x in f.iota]
+        lams.append(lam)
+    return [[sum(lam[j] * y for j, y in row.items()) for lam in lams]
+            for row in _backward_closure(blocks)[0]._rows.values()]
 
 
 # ------------------------------------------------------- combination oracle

@@ -10,13 +10,12 @@ from stochlang import (MultiplicityAutomaton, empty_automaton, fixtures,
                        format_word, from_linear_representation, is_trimmed,
                        parse_word, rep_from_generator_relations,
                        state_series_automaton, weighted_sum, words_up_to)
-from stochlang.automata import (letter_shift_automaton, merge_alphabets, replace_iota,
-                                with_alphabet)
+from stochlang.automata import merge_alphabets, replace_iota, with_alphabet
 from stochlang.equivalence import _direct_sum, _joined
 from stochlang.linalg import dot
 
-from helpers import (eval_by_definition, eval_by_paths, max_abs_entry, oracle_integer_actions,
-                     oracle_integer_sum, oracle_primitive, random_ma)
+from helpers import (eval_by_definition, eval_by_paths, letter_shift_automaton, max_abs_entry,
+                     oracle_integer_actions, oracle_integer_sum, oracle_primitive, random_ma)
 
 F = Fraction
 

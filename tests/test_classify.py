@@ -501,6 +501,43 @@ class TestHardnessInstance:
         with pytest.raises(ValueError):
             pra_hardness_instance([d])
 
+    def test_rejects_a_language_whose_final_states_are_unreachable(self):
+        d = Dfa(("a",), ("s0", "s1"), "s0", ["s1"], {("s0", "a"): "s0", ("s1", "a"): "s1"})
+        assert not d.language_nonempty()
+        with pytest.raises(ValueError, match="^automaton 1 recognises the empty language$"):
+            pra_hardness_instance([dfa_all(("a",)), d])
+
+    def test_reachability_runs_once_per_dfa(self, monkeypatch):
+        # emptiness, the renaming and the links read one list per DFA
+        calls = []
+        real = Dfa.reachable_states
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+        monkeypatch.setattr(Dfa, "reachable_states", counted)
+        dfas = [dfa_a_count_mod_k(3, r) for r in (0, 1, 2)]
+        pra_hardness_instance(dfas)
+        assert calls == dfas
+
+    def test_reachable_states_are_those_some_word_reaches(self):
+        # a random partial DFA against the states its words of length < n reach
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            states = tuple(f"s{i}" for i in range(n))
+            delta = {(q, x): rng.choice(states) for q in states for x in "ab"
+                     if rng.random() < 0.4}
+            d = Dfa(("a", "b"), states, rng.choice(states), [], delta)
+            reached = set()
+            for k in range(n):
+                for w in itertools.product("ab", repeat=k):
+                    q = d.initial
+                    for x in w:
+                        q = d.step(q, x)
+                    reached.add(q)
+            assert d.reachable_states() == tuple(q for q in states if q in reached)
+
     def test_rejects_mixed_alphabets(self):
         with pytest.raises(ValueError):
             pra_hardness_instance([dfa_all(("a",)), dfa_all(("a", "b"))])

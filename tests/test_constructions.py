@@ -695,7 +695,8 @@ def calls(monkeypatch):
             return result
         return wrapper
 
-    for module, names in (("stochlang.constructions", ("are_equivalent", "_backward_closure",
+    for module, names in (("stochlang.analysis", ("_sum_table",)),
+                          ("stochlang.constructions", ("are_equivalent", "_backward_closure",
                                                        "_sum_table")),
                           ("stochlang.equivalence", ("are_equivalent", "express_combination",
                                                      "_backward_closure"))):
@@ -734,26 +735,48 @@ def test_prefixial_runs_only_the_final_equivalence_check(calls, name):
     assert calls["express_combination"] == 0
 
 
+def shared_state_series(n):
+    """ring_pa(n) and its n state series, unsplit: one structure."""
+    a = ring_pa(n)
+    return a, [state_series_automaton(a, q) for q in a.states]
+
+
+# targets and generators that synthesize_pa turns into a PA
+SYNTHESIS_FAMILIES = {
+    "example1": lambda: (fixtures.build("example1_p"),
+                         [fixtures.build("example1_p1"), fixtures.build("example1_p2")]),
+    "ring4": lambda: ring_state_series(4),
+    "ring7": lambda: ring_state_series(7),
+    "ring4_shared": lambda: shared_state_series(4),
+    "ring9_shared": lambda: shared_state_series(9),
+}
+
+
 @pytest.mark.parametrize("family", ["example1", "ring4", "ring4_shared"])
 def test_synthesis_uses_one_closure_and_no_per_question_solve(calls, family):
     # the per-question loop closes 1 + 2 * 1 and 1 + 4 * 2 times; the
     # generators have unit state sums, so the mass checks build no sum
     # table, and their copies with cancelling divergent states build one
-    # per structure: p1 and p2 differ, the split series differ, and the
-    # unsplit state series of ring4 share one
-    if family == "ring4":
-        a, gens = ring_state_series(4)
-        structures = 4
-    elif family == "ring4_shared":
-        a = ring_pa(4)
-        gens = [state_series_automaton(a, q) for q in a.states]
-        structures = 1
-    else:
-        a, gens = (fixtures.build("example1_p"),
-                   [fixtures.build("example1_p1"), fixtures.build("example1_p2")])
-        structures = 2
+    # each, through total_sum: generators of one structure, such as the
+    # unsplit state series of ring4, no longer share one
+    a, gens = SYNTHESIS_FAMILIES[family]()
     assert synthesize_pa(a, gens) is not None
     assert calls == {"_backward_closure": 1}
     calls.clear()
     assert synthesize_pa(a, [with_cancelling_copies(g) for g in gens]) is not None
-    assert calls == {"_backward_closure": 1, "_sum_table": structures}
+    assert calls == {"_backward_closure": 1, "_sum_table": len(gens)}
+
+
+@pytest.mark.parametrize("family", ["example1", "ring4", "ring4_shared", "ring7",
+                                    "ring9_shared"])
+def test_synthesis_builds_no_automaton_per_shift(monkeypatch, family):
+    # a letter shift is a column on its own generator: whatever the number
+    # of generators and letters, the only automata built are the result and
+    # its trim; the cancelling copies are built before the count starts
+    a, gens = SYNTHESIS_FAMILIES[family]()
+    copies = [with_cancelling_copies(g) for g in gens]
+    built = counted_calls(monkeypatch, MultiplicityAutomaton, "_assemble")
+    for generators in (gens, copies):
+        built.clear()
+        assert synthesize_pa(a, generators) is not None
+        assert 1 <= len(built) <= 2

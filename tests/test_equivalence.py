@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from stochlang import (MultiplicityAutomaton, are_equivalent,
                        empty_automaton, express_combination, fixtures, linalg,
                        state_series_automaton, weighted_sum)
-from stochlang.automata import letter_shift_automaton, replace_iota, words_up_to
+from stochlang.automata import replace_iota, words_up_to
 from stochlang.equivalence import (MODULAR_MIN_DIM, EquivalenceOutcome, _backward_closure,
-                                   _quotient, _word_basis, combination_on_rows)
+                                   _quotient, _value_table, _word_basis, combination_on_rows)
 from stochlang.linalg import Matrix, SpanBasis, _primitive, _simplex, _turned, dot
 
 from helpers import (OracleIntegerSpanBasis, OracleSpanBasis, check_cone_answer, direct_sum_rows,
-                     duplicate_state, nudged_copy, oracle_closure, oracle_cone_combination,
-                     oracle_express_combination, oracle_integer_actions, oracle_lumping,
-                     oracle_quotient, oracle_rref, oracle_word_basis, permuted_copy,
+                     duplicate_state, letter_shift_automaton, nudged_copy, oracle_closure,
+                     oracle_cone_combination, oracle_express_combination,
+                     oracle_integer_actions, oracle_lumping, oracle_quotient, oracle_rref,
+                     oracle_value_table, oracle_word_basis, permuted_copy,
                      plant_convex_state,
                      random_fraction, random_ma, random_pa, ring_pa, series_equal_up_to,
                      split_copy, timed, value_rows, with_cancelling_copies)
@@ -528,6 +529,99 @@ class TestValueRows:
 
 
 @st.composite
+def column_families(draw):
+    """Automata over {a, b} and columns (k, w, f) on them, as
+    ``_value_table`` takes them, with the series each column stands for
+    built as an automaton, as ``oracle_value_table`` takes it.
+
+    1-3 signed random automata of 1-5 states, each followed by 0-2 others:
+    itself with another initial vector (one structure), a permuted or split
+    copy, or a copy with a duplicated state. Every automaton's own series
+    comes first, then 0-5 columns: a letter shift or a two-letter word
+    shift (``letter_shift_automaton``), or a signed integer vector with a
+    factor."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    automata = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = random_ma(rng, draw(st.integers(1, 5)), ("a", "b"),
+                      density=draw(st.sampled_from((0.3, 0.7))))
+        automata.append(a)
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(("structure", "permuted", "split", "duplicate")))
+            automata.append(
+                replace_iota(a, random_lam(rng, a.n_states)) if kind == "structure"
+                else permuted_copy(a, rng) if kind == "permuted"
+                else split_copy(a, rng) if kind == "split"
+                else duplicate_state(a, rng))
+    columns, series = [], []
+    for k, a in enumerate(automata):
+        form = a._integer_form()
+        columns.append((k, form.iota, form.iota_factor))
+        series.append(a)
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(0, len(automata) - 1))
+        a = automata[k]
+        kind = draw(st.sampled_from(("letter", "word", "vector")))
+        if kind == "vector":
+            w = [rng.randint(-3, 3) for _ in a.states]
+            f = random_fraction(rng)
+            columns.append((k, w, f))
+            series.append(replace_iota(a, tuple(f * x for x in w)))
+        else:
+            word = tuple(rng.choice("ab") for _ in range(1 if kind == "letter" else 2))
+            columns.append((k, *a._integer_form().forward(word)))
+            series.append(letter_shift_automaton(a, word))
+    return automata, columns, series
+
+
+def positive_multiple(table, expected):
+    """Whether ``table`` is r times ``expected``, entry by entry, for one r > 0."""
+    if len(table) != len(expected) or any(map(lambda u, v: len(u) != len(v), table, expected)):
+        return False
+    pairs = [(x, y) for u, v in zip(table, expected) for x, y in zip(u, v)]
+    r = next((F(x, y) for x, y in pairs if y), None)
+    if r is None:
+        return not any(x for x, _ in pairs)
+    return r > 0 and all(x == r * y for x, y in pairs)
+
+
+class TestValueTableOnColumns:
+    """``_value_table`` reads each series as a column (automaton, initial
+    vector) on the direct sum of the automata themselves, copies of one
+    structure included, and builds no automaton for a shift; its rows are
+    those of the oracle that builds every series as an automaton and
+    groups them by structure, up to one positive factor of the whole
+    table."""
+
+    @given(column_families())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_are_the_oracle_rows_up_to_one_positive_factor(self, family):
+        automata, columns, series = family
+        assert positive_multiple(_value_table(automata, columns), oracle_value_table(series))
+
+    def test_two_generators_of_one_structure(self):
+        # a generator and itself from other initial vectors: the target is
+        # a mix of them, a signed combination of them, or a series of
+        # another structure; each against the counterexample loop, over
+        # the field and over the cone
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(30):
+            g1 = random_ma(rng, rng.randint(2, 4), ("a", "b"), density=0.5)
+            g2 = replace_iota(g1, random_lam(rng, g1.n_states))
+            lam1, lam2 = (g.to_linear_representation().lam for g in (g1, g2))
+            c1, c2 = random_fraction(rng), random_fraction(rng)
+            target = rng.choice((
+                replace_iota(g1, tuple(c1 * x + c2 * y for x, y in zip(lam1, lam2))),
+                replace_iota(g1, tuple(abs(c1) * x + abs(c2) * y for x, y in zip(lam1, lam2))),
+                random_ma(rng, 2, ("a", "b"))))
+            assert_matches_oracle(target, [g1, g2])
+            verdicts.add(tuple(express_combination(target, [g1, g2], nonneg).expressible
+                               for nonneg in (False, True)))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+@st.composite
 def combination_automata(draw):
     """Signed automata and PAs of 1-6 states, some with a cloned state or a
     state whose series mixes two others, so that both answers occur."""
@@ -626,6 +720,34 @@ class TestConeSolveAgainstLpFeasible:
         integer = combination_on_rows([_primitive(row) for row in rows], n, range(n),
                                       nonneg=True)
         assert integer == outcome
+
+
+class TestSimplexRowScale:
+    """The phase-one costs weigh each row as it stands in the tableau, its
+    coprime integer row, so a row given at another positive scale reaches
+    the same vertex: a Fraction row and its primitive integer row, which
+    the integer value tables hand in, give one answer."""
+
+    def test_a_fraction_row_and_its_primitive_row(self):
+        # the third row is -3/2 times the first: its integer row by common
+        # denominator has content 3, its primitive row content 1, and
+        # weighed at those scales the two reached different vertices
+        rows = [[F(1), F(1), F(-1), F(0)], [F(0), F(1), F(1), F(1)],
+                [F(-3, 2), F(-3, 2), F(3, 2), F(0)]]
+        expected = (True, (F(0), F(1, 2), F(1, 2)))
+        assert _simplex(rows, 3) == expected
+        assert _simplex([_primitive(row) for row in rows], 3) == expected
+
+    @given(cone_systems(), st.lists(st.integers(1, 6), min_size=8, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_at_other_positive_scales_reach_the_same_point(self, system, factors):
+        rows, n = system
+        scaled = [[F(m, 2) * x for x in row] for row, m in zip(rows, factors)]
+        answer, other = _simplex(rows, n), _simplex(scaled, n)
+        assert answer[0] == other[0]
+        assert check_cone_answer(scaled, n, other)
+        if answer[0]:
+            assert answer[1] == other[1]
 
 
 class TestSimplexAgainstFourierMotzkin:

@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import stochlang
-from stochlang import linalg
+from stochlang import automata, equivalence, linalg
 from stochlang.linalg import Matrix
 
 BENCHMARK = Path(__file__).parent.parent / "BENCHMARK.json"
@@ -23,7 +23,8 @@ def test_helpers_without_a_library_caller_are_not_exported():
     for owner, name in [(stochlang, "membership_in_span"), (linalg, "membership_in_span"),
                         (Matrix, "diagonal"), (Matrix, "from_columns"),
                         (linalg, "determinant"), (linalg, "_primitive_with_factor"),
-                        (linalg, "unit_vector"), (linalg, "zero_vector")]:
+                        (linalg, "unit_vector"), (linalg, "zero_vector"),
+                        (automata, "letter_shift_automaton"), (equivalence, "_blocks")]:
         assert not hasattr(owner, name), name
 
 
